@@ -12,7 +12,6 @@ from .drafting import (
     build_tree,
     calibrate,
     estimate_gain,
-    estimate_verify_cost,
     marginal_cost,
     update_reliability,
 )

@@ -13,6 +13,7 @@ from .harness import (
     ExperimentConfig,
     apply_overrides,
     compare_policies,
+    priced_grid,
     render_comparison,
     run_experiment,
 )
@@ -25,7 +26,7 @@ from .predictor import (
     save_loss_curve,
     train,
 )
-from .simulator import compute_ms, list_presets, load_preset
+from .simulator import list_presets, load_preset
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -114,11 +115,7 @@ def cmd_train_predictor(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     if args.action == "build":
         hw = load_preset(args.preset or "llama31-8b")
-        profile = LatencyProfile()
-        io = hw.io_effective_ms
-        for nodes in range(1, args.max_nodes + 1):
-            for leaves in range(1, min(nodes, args.max_leaves) + 1):
-                profile.set_entry((nodes, leaves), io + compute_ms(hw, nodes, leaves))
+        profile = priced_grid(hw, args.max_nodes, args.max_leaves)
         profile.save(args.out or "profile.json")
         print(f"{len(profile)} entries written to {args.out or 'profile.json'}")
         return 0
@@ -159,8 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     prof_sub = p_prof.add_subparsers(dest="action", required=True)
     p_build = prof_sub.add_parser("build", help="seed a profile from a preset")
     p_build.add_argument("--preset", choices=list_presets())
-    p_build.add_argument("--max-nodes", type=int, default=64)
-    p_build.add_argument("--max-leaves", type=int, default=16)
+    p_build.add_argument(
+        "--max-nodes", type=int, default=ExperimentConfig.profile_max_nodes
+    )
+    p_build.add_argument(
+        "--max-leaves", type=int, default=ExperimentConfig.profile_max_leaves
+    )
     p_build.add_argument("--out")
     p_build.set_defaults(func=cmd_profile)
     p_show = prof_sub.add_parser("show", help="print a profile file")

@@ -6,13 +6,28 @@ gets that far); each insertion is charged its marginal latency.  The builder
 always picks the frontier node with the best reach-per-marginal-latency
 ratio and stops as soon as even the best candidate cannot improve the tree's
 average gain rate.
+
+Each step is priced once.  A frontier entry's marginal cost depends only on
+its cost class: whether its parent already has children (the insertion adds
+a leaf, or the child replaces its parent as a leaf) and whether the entry is
+expandable (the insertion triggers one more draft expansion).  So a step
+looks up the current shape and at most two grown shapes, computes at most
+four class costs with :func:`marginal_cost`'s arithmetic, and scores every
+entry from that table.  Per-class ordered queues were prototyped and gained
+at most a few percent, because the frontier holds only a handful of entries;
+one ``min`` over it keeps a single scoring path for both selection and the
+recorded frontier.
+
+:class:`LatencyProfile` memoizes the nearest stored shape of every missed
+lookup, so a miss scans the table once; the memo is dropped whenever a new
+shape enters the table, because only then can a nearest key change.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigError, ContractError
 from .models import ProbModel, draft_candidates
@@ -80,7 +95,8 @@ class LatencyProfile:
 
     Exact hits return the stored running mean.  Misses return the nearest
     entry by L1 shape distance (ties prefer the smaller node count, then the
-    smaller leaf count) multiplied by a conservative penalty.
+    smaller leaf count) multiplied by a conservative penalty.  The nearest
+    key of each missed shape is memoized until a new shape is stored.
     """
 
     def __init__(self, penalty: float = 1.1) -> None:
@@ -88,6 +104,7 @@ class LatencyProfile:
             raise ConfigError("penalty must be >= 1")
         self.penalty = float(penalty)
         self._entries: dict[tuple[int, int], tuple[int, float]] = {}
+        self._nearest: dict[tuple[int, int], tuple[int, int]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -95,9 +112,14 @@ class LatencyProfile:
     def entries(self) -> dict[tuple[int, int], float]:
         return {shape: mean for shape, (_, mean) in self._entries.items()}
 
+    def copy(self) -> "LatencyProfile":
+        clone = LatencyProfile(self.penalty)
+        clone._entries = dict(self._entries)
+        return clone
+
     def set_entry(self, shape: tuple[int, int], ms: float) -> None:
         self._validate(shape, ms)
-        self._entries[shape] = (1, float(ms))
+        self._store(shape, (1, float(ms)))
 
     def observe(self, shape: tuple[int, int], ms: float) -> None:
         """Fold one measurement into the running mean for ``shape``."""
@@ -105,7 +127,12 @@ class LatencyProfile:
         count, mean = self._entries.get(shape, (0, 0.0))
         count += 1
         mean += (ms - mean) / count
-        self._entries[shape] = (count, mean)
+        self._store(shape, (count, mean))
+
+    def _store(self, shape: tuple[int, int], value: tuple[int, float]) -> None:
+        if shape not in self._entries:
+            self._nearest.clear()
+        self._entries[shape] = value
 
     def lookup(self, shape: tuple[int, int]) -> float:
         nodes, leaves = shape
@@ -116,6 +143,12 @@ class LatencyProfile:
         hit = self._entries.get(shape)
         if hit is not None:
             return hit[1]
+        best_key = self._nearest.get(shape)
+        if best_key is None:
+            best_key = self._nearest[shape] = self._scan_nearest(nodes, leaves)
+        return self._entries[best_key][1] * self.penalty
+
+    def _scan_nearest(self, nodes: int, leaves: int) -> tuple[int, int]:
         best_key = None
         best_dist = None
         for key in self._entries:
@@ -127,7 +160,7 @@ class LatencyProfile:
             ):
                 best_dist = dist
                 best_key = key
-        return self._entries[best_key][1] * self.penalty
+        return best_key
 
     @staticmethod
     def _validate(shape: tuple[int, int], ms: float) -> None:
@@ -135,6 +168,22 @@ class LatencyProfile:
             raise ContractError(f"shape {shape} components must be >= 1")
         if ms <= 0:
             raise ContractError("latency must be positive")
+
+    @classmethod
+    def grid(
+        cls,
+        price: Callable[[int, int], float],
+        max_nodes: int,
+        max_leaves: int,
+        penalty: float = 1.1,
+    ) -> "LatencyProfile":
+        """Dense seed: every shape with ``nodes <= max_nodes`` and
+        ``leaves <= min(nodes, max_leaves)``, priced by ``price(nodes, leaves)``."""
+        profile = cls(penalty=penalty)
+        for nodes in range(1, max_nodes + 1):
+            for leaves in range(1, min(nodes, max_leaves) + 1):
+                profile.set_entry((nodes, leaves), price(nodes, leaves))
+        return profile
 
     @classmethod
     def affine(
@@ -147,11 +196,12 @@ class LatencyProfile:
         penalty: float = 1.1,
     ) -> "LatencyProfile":
         """Dense monotone seed: ms = c0 + c_node*nodes + c_leaf*leaves."""
-        profile = cls(penalty=penalty)
-        for nodes in range(1, max_nodes + 1):
-            for leaves in range(1, min(nodes, max_leaves) + 1):
-                profile.set_entry((nodes, leaves), c0 + c_node * nodes + c_leaf * leaves)
-        return profile
+        return cls.grid(
+            lambda nodes, leaves: c0 + c_node * nodes + c_leaf * leaves,
+            max_nodes,
+            max_leaves,
+            penalty,
+        )
 
     def save(self, path: str) -> None:
         rows = sorted(
@@ -263,10 +313,6 @@ def estimate_gain(tree: TokenTree) -> float:
     return total
 
 
-def estimate_verify_cost(profile: LatencyProfile, shape: tuple[int, int]) -> float:
-    return profile.lookup(shape)
-
-
 def is_expandable(entry: FrontierEntry, cfg: DraftConfig) -> bool:
     """Whether inserting this node would trigger a further draft expansion."""
     return entry.depth < cfg.max_depth and entry.reach >= cfg.b_min
@@ -290,9 +336,14 @@ def marginal_cost(
     """Estimated cycle-latency increase from inserting one frontier node."""
     before = profile.lookup(tree.shape)
     after = profile.lookup(shape_after_insert(tree, entry))
-    delta = after - before
-    if is_expandable(entry, cfg):
-        delta += draft_ma.value
+    return _priced(after - before, is_expandable(entry, cfg), draft_ma.value, cfg)
+
+
+def _priced(delta: float, expandable: bool, draft_ms: float, cfg: DraftConfig) -> float:
+    """Marginal cost from a verify-latency delta: plus one expansion when
+    the inserted node will be expanded, floored to keep ratios finite."""
+    if expandable:
+        delta += draft_ms
     return max(delta, cfg.cost_floor_ms)
 
 
@@ -321,7 +372,9 @@ def build_tree(
     Every insertion maximizes reach/marginal-cost over the frontier at its
     instant; construction ends when the frontier empties, when the optional
     node budget is hit, or when the best remaining candidate cannot improve
-    the tree's average gain rate (gain / cycle latency).
+    the tree's average gain rate (gain / cycle latency).  Marginal costs are
+    priced once per cost class and step (see the module docstring) and equal
+    :func:`marginal_cost` bit for bit.
 
     ``draft_timer(count)`` prices one expansion step; defaults to the
     configured seed latency, keeping construction deterministic.
@@ -332,7 +385,8 @@ def build_tree(
 
     tree = TokenTree(root_token=int(context[-1]))
     reaches = {ROOT_ID: 1.0}
-    frontier: list[FrontierEntry] = []
+    # (parent, token) -> (entry, expandable), in insertion order
+    frontier: dict[tuple[int, int], tuple[FrontierEntry, bool]] = {}
     candidate_sets: dict[int, CandidateSet] = {}
     expansion_counts: list[int] = []
     steps: list[StepRecord] = []
@@ -343,8 +397,7 @@ def build_tree(
     def expand(node_id: int) -> None:
         nonlocal draft_cost
         prefix = list(context) + tree.path_tokens(node_id)
-        cand = draft_candidates(draft, prefix, cfg.k)
-        cand = CandidateSet(cand.entries, parent=node_id)
+        cand = draft_candidates(draft, prefix, cfg.k, parent=node_id)
         candidate_sets[node_id] = cand
         elapsed = timer(1)
         draft_ma.add(elapsed)
@@ -353,35 +406,36 @@ def build_tree(
         depth = tree.node(node_id).depth + 1
         for token, p in cand.entries:
             reach = reaches[node_id] * calibrate(p, cand, rel)
-            frontier.append(FrontierEntry(node_id, token, p, reach, depth))
+            entry = FrontierEntry(node_id, token, p, reach, depth)
+            frontier[node_id, token] = (entry, is_expandable(entry, cfg))
 
     expand(ROOT_ID)
-    stop: StopRecord | None = None
+    stop_reason = "frontier_empty"
+    stop_ratio: float | None = None
+    stop_rows = None
 
     while frontier:
-        verify_cost = profile.lookup(tree.shape)
+        nodes, leaves = tree.shape
+        verify_cost = profile.lookup((nodes, leaves))
         cycle_cost = draft_cost + verify_cost
-        scored = [
-            (e, mc, e.reach / mc)
-            for e in frontier
-            for mc in (marginal_cost(e, tree, profile, draft_ma, cfg),)
-        ]
-        scored.sort(key=_selection_key)
-        best, best_mc, best_ratio = scored[0]
+        draft_ms = draft_ma.value
+        # cost class index: 2 * (parent already has children) + expandable
+        costs: list[float | None] = [None] * 4
+        scored = []
+        for entry, expandable in frontier.values():
+            branching = not tree.is_leaf(entry.parent)
+            cls = 2 * branching + expandable
+            mc = costs[cls]
+            if mc is None:
+                after = profile.lookup((nodes + 1, leaves + branching))
+                mc = _priced(after - verify_cost, expandable, draft_ms, cfg)
+                costs[cls] = mc
+            scored.append((entry, mc, entry.reach / mc))
+        best, _, best_ratio = min(scored, key=_selection_key)
+        rows = _frontier_rows(scored) if record_frontier else None
 
         if best_ratio <= gain / cycle_cost:
-            stop = StopRecord(
-                "stop_rule",
-                best_ratio,
-                gain,
-                cycle_cost,
-                frontier=tuple(
-                    (e.parent, e.token, e.reach, mc, ratio)
-                    for e, mc, ratio in scored
-                )
-                if record_frontier
-                else None,
-            )
+            stop_reason, stop_ratio, stop_rows = "stop_rule", best_ratio, rows
             break
 
         steps.append(
@@ -391,43 +445,46 @@ def build_tree(
                 gain_before=gain,
                 draft_cost_before=draft_cost,
                 verify_cost_before=verify_cost,
-                frontier=tuple(
-                    (e.parent, e.token, e.reach, mc, ratio)
-                    for e, mc, ratio in scored
-                )
-                if record_frontier
-                else None,
+                frontier=rows,
             )
         )
         node_id = tree.insert(best.parent, best.token, best.reach)
         reaches[node_id] = best.reach
-        frontier.remove(best)
+        _, expandable = frontier.pop((best.parent, best.token))
         gain += best.reach
-        if is_expandable(best, cfg):
+        if expandable:
             expand(node_id)
         if cfg.max_nodes is not None and tree.node_count - 1 >= cfg.max_nodes:
-            stop = StopRecord(
-                "node_budget", None, gain, draft_cost + profile.lookup(tree.shape)
-            )
+            stop_reason = "node_budget"
             break
 
-    if stop is None:
-        stop = StopRecord(
-            "frontier_empty", None, gain, draft_cost + profile.lookup(tree.shape)
-        )
+    # No exit changes the tree after its last pricing: the stop and the
+    # estimate are both priced at the final shape.
+    verify_cost = profile.lookup(tree.shape)
+    stop = StopRecord(
+        stop_reason, stop_ratio, gain, draft_cost + verify_cost, frontier=stop_rows
+    )
 
     if add_shadows:
-        _attach_shadows(tree, frontier)
+        _attach_shadows(tree, (entry for entry, _ in frontier.values()))
 
     estimate = GainCostEstimate(
-        gain=gain,
-        draft_cost=draft_cost,
-        verify_cost=profile.lookup(tree.shape),
+        gain=gain, draft_cost=draft_cost, verify_cost=verify_cost
     )
     return BuildResult(tree, estimate, steps, stop, expansion_counts, candidate_sets)
 
 
-def _attach_shadows(tree: TokenTree, frontier: list[FrontierEntry]) -> None:
+def _frontier_rows(
+    scored: list[tuple[FrontierEntry, float, float]],
+) -> tuple[tuple[int, int, float, float, float], ...]:
+    """The whole frontier as recorded rows, best first."""
+    return tuple(
+        (e.parent, e.token, e.reach, mc, ratio)
+        for e, mc, ratio in sorted(scored, key=_selection_key)
+    )
+
+
+def _attach_shadows(tree: TokenTree, frontier: Iterable[FrontierEntry]) -> None:
     """Flag leftover candidates under parents that kept at least one child.
 
     These shadow nodes complete each parent's candidate set for pruning-score

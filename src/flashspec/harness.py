@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -213,12 +214,18 @@ def make_context(cfg: ExperimentConfig, trial: int) -> list[int]:
 def seed_profile(cfg: ExperimentConfig, hw: HardwareConfig) -> LatencyProfile:
     """Offline profile seed over a dense shape grid, priced exactly like the
     simulated timeline (the preset's own I/O-compute overlap policy), so
-    planning estimates and pricing agree."""
-    profile = LatencyProfile()
-    for nodes in range(1, cfg.profile_max_nodes + 1):
-        for leaves in range(1, min(nodes, cfg.profile_max_leaves) + 1):
-            profile.set_entry((nodes, leaves), verify_latency(hw, nodes, leaves))
-    return profile
+    planning estimates and pricing agree.
+
+    The grid is priced once per (hardware, grid size); each call returns a
+    private copy, because decoding folds measurements into its profile."""
+    return priced_grid(hw, cfg.profile_max_nodes, cfg.profile_max_leaves).copy()
+
+
+@lru_cache(maxsize=8)
+def priced_grid(hw: HardwareConfig, max_nodes: int, max_leaves: int) -> LatencyProfile:
+    """The dense profile grid priced by :func:`verify_latency` on ``hw``.
+    Cached and shared: callers must copy it before changing it."""
+    return LatencyProfile.grid(partial(verify_latency, hw), max_nodes, max_leaves)
 
 
 def make_pruner(

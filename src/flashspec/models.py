@@ -195,9 +195,11 @@ def derive_draft(
     return MixtureDraftModel(target, noise, agreement)
 
 
-def draft_candidates(model: ProbModel, prefix: Sequence[int], k: int) -> CandidateSet:
+def draft_candidates(
+    model: ProbModel, prefix: Sequence[int], k: int, parent: int | None = None
+) -> CandidateSet:
     """Top-k tokens by draft probability, descending; ties break toward the
-    smaller token id."""
+    smaller token id.  ``parent`` is the tree node the set expands."""
     if model.vocab_size < 1:
         raise ConfigError("model has an empty vocabulary")
     if not (1 <= k <= model.vocab_size):
@@ -205,7 +207,7 @@ def draft_candidates(model: ProbModel, prefix: Sequence[int], k: int) -> Candida
     p = model.next_dist(prefix)
     # Stable sort of -p keeps equal-probability tokens in ascending-id order.
     order = np.argsort(-p, kind="stable")[:k]
-    return CandidateSet(tuple((int(t), float(p[t])) for t in order))
+    return CandidateSet(tuple((int(t), float(p[t])) for t in order), parent=parent)
 
 
 def target_greedy_decode(

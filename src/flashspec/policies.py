@@ -74,8 +74,7 @@ class ChainPolicy:
         reach = 1.0
         counts = []
         for _ in range(self.length):
-            cand = draft_candidates(self.draft, prefix, 1)
-            cand = CandidateSet(cand.entries, parent=parent)
+            cand = draft_candidates(self.draft, prefix, 1, parent=parent)
             candidate_sets[parent] = cand
             counts.append(1)
             token, p = cand.entries[0]
@@ -134,8 +133,7 @@ class BalancedTreePolicy:
             next_level: list[int] = []
             for parent in level:
                 prefix = list(context) + tree.path_tokens(parent)
-                cand = draft_candidates(self.draft, prefix, self.fanout)
-                cand = CandidateSet(cand.entries, parent=parent)
+                cand = draft_candidates(self.draft, prefix, self.fanout, parent=parent)
                 candidate_sets[parent] = cand
                 for token, p in cand.entries:
                     reach = tree.node(parent).reach * calibrate(p, cand, rel)

@@ -12,7 +12,6 @@ from flashspec.drafting import (
     build_tree,
     calibrate,
     estimate_gain,
-    estimate_verify_cost,
     is_expandable,
     marginal_cost,
     update_reliability,
@@ -20,6 +19,16 @@ from flashspec.drafting import (
 from flashspec.errors import ConfigError
 from flashspec.models import TabularMarkovModel, derive_draft
 from flashspec.tree import CandidateSet, ROOT_ID, TokenTree
+
+
+def scan_lookup(entries, q, penalty):
+    """Linear-scan oracle for LatencyProfile.lookup: the L1-nearest stored
+    shape (ties to fewer nodes, then fewer leaves), penalized on a miss."""
+    best = min(
+        entries,
+        key=lambda s: (abs(s[0] - q[0]) + abs(s[1] - q[1]), s[0], s[1]),
+    )
+    return entries[best] * (penalty if best != q else 1.0)
 
 
 def rel(value=1.0, beta=0.9, floor=0.05):
@@ -104,12 +113,12 @@ class TestLatencyProfile:
     def test_exact_hit(self):
         p = LatencyProfile()
         p.set_entry((8, 3), 900.0)
-        assert estimate_verify_cost(p, (8, 3)) == 900.0
+        assert p.lookup((8, 3)) == 900.0
 
     def test_miss_applies_penalty(self):
         p = LatencyProfile(penalty=1.1)
         p.set_entry((8, 3), 900.0)
-        assert estimate_verify_cost(p, (9, 3)) == pytest.approx(990.0)
+        assert p.lookup((9, 3)) == pytest.approx(990.0)
 
     def test_nearest_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(11)
@@ -122,14 +131,34 @@ class TestLatencyProfile:
             entries[shape] = ms
         for _ in range(100):
             q = (int(rng.integers(1, 35)), int(rng.integers(1, 15)))
-            got = p.lookup(q)
-            best = min(
-                entries,
-                key=lambda s: (abs(s[0] - q[0]) + abs(s[1] - q[1]), s[0], s[1]),
-            )
-            dist = abs(best[0] - q[0]) + abs(best[1] - q[1])
-            expect = entries[best] * (1.25 if dist > 0 else 1.0)
-            assert got == pytest.approx(expect)
+            assert p.lookup(q) == pytest.approx(scan_lookup(entries, q, 1.25))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["set", "observe", "lookup"]),
+                st.integers(1, 12),
+                st.integers(1, 6),
+                st.floats(10.0, 1000.0),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_memo_matches_linear_scan_after_every_operation(self, ops):
+        p = LatencyProfile(penalty=1.3)
+        for op, nodes, leaves, ms in ops:
+            if op == "set":
+                p.set_entry((nodes, leaves), ms)
+            elif op == "observe":
+                p.observe((nodes, leaves), ms)
+            elif len(p):
+                p.lookup((nodes, leaves))
+            if not len(p):
+                continue
+            entries = p.entries()
+            for q in ((n, l) for n in range(1, 15) for l in range(1, 8)):
+                assert p.lookup(q) == scan_lookup(entries, q, 1.3)
 
     def test_tie_prefers_smaller_node_count(self):
         p = LatencyProfile(penalty=2.0)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from flashspec.cli import main as cli_main
+from flashspec.drafting import LatencyProfile
 from flashspec.errors import ConfigError
 from flashspec.harness import (
     DraftSpec,
@@ -14,8 +15,10 @@ from flashspec.harness import (
     compare_policies,
     config_hash,
     geometric_mean,
+    priced_grid,
     run_experiment,
     run_trial,
+    seed_profile,
 )
 from flashspec.simulator import HardwareConfig
 
@@ -125,6 +128,31 @@ class TestRunExperiment:
     def test_trial_seeds_documented_derivation(self):
         report, results = run_experiment(small_cfg(policy="flash_ar"))
         assert [r.seed for r in results] == [3, 4]
+
+
+class TestProfileGrid:
+    def test_observing_one_trial_profile_leaves_the_shared_grid_alone(self):
+        cfg = small_cfg()
+        hw = cfg.resolve_hardware()
+        first = seed_profile(cfg, hw)
+        grid = first.entries()
+        first.observe((cfg.profile_max_nodes + 5, 3), 1.0)   # a new shape
+        first.observe((1, 1), 5.0)                           # an existing one
+        assert seed_profile(cfg, hw).entries() == grid
+
+    def test_trial_alone_equals_trial_after_earlier_trials(self):
+        # A one-shape grid: every drafted tree is a miss, so each trial folds
+        # new shapes into its profile and its later builds depend on them.
+        cfg = small_cfg(
+            policy="lever", trials=4, profile_max_nodes=1, profile_max_leaves=1
+        )
+        priced_grid.cache_clear()
+        alone = run_trial(cfg, 3)
+        for trial in range(3):
+            run_trial(cfg, trial)
+        after = run_trial(cfg, 3)
+        assert after.emitted == alone.emitted
+        assert after.trace.to_json() == alone.trace.to_json()
 
 
 class TestComparePolicies:
@@ -238,6 +266,14 @@ class TestCLI:
         rc = cli_main(["profile", "show", str(out)])
         assert rc == 0
         assert "penalty" in capsys.readouterr().out
+
+    def test_profile_build_matches_the_harness_seed(self, tmp_path):
+        out = tmp_path / "prof.json"
+        rc = cli_main(["profile", "build", "--preset", "qwen3-4b", "--out", str(out)])
+        assert rc == 0
+        cfg = small_cfg(hardware="qwen3-4b")
+        expect = seed_profile(cfg, cfg.resolve_hardware()).entries()
+        assert LatencyProfile.load(str(out)).entries() == expect
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_training_divergence_is_clean_exit(self, tmp_path, capsys):
