@@ -13,19 +13,14 @@ from .harness import (
     ExperimentConfig,
     apply_overrides,
     compare_policies,
+    make_draft,
+    make_target,
     priced_grid,
     render_comparison,
     run_experiment,
+    train_predictor_for,
 )
-from .models import LayeredTargetModel, derive_draft
-from .predictor import (
-    EarlyExitPredictor,
-    build_distillation_dataset,
-    default_exit_layer,
-    save_checkpoint,
-    save_loss_curve,
-    train,
-)
+from .predictor import default_exit_layer, save_checkpoint, save_loss_curve
 from .simulator import list_presets, load_preset
 
 
@@ -87,22 +82,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_train_predictor(args: argparse.Namespace) -> int:
+    """Train the probe that ``run`` would train for trial 0 of the config."""
     cfg = _load_config(args)
-    spec = cfg.model
-    if spec.type != "layered":
+    if cfg.model.type != "layered":
         raise ConfigError("train-predictor requires a layered model config")
-    target = LayeredTargetModel(
-        spec.vocab_size, spec.order, spec.depth, spec.hidden_dim, spec.seed,
-        logit_scale=spec.logit_scale,
-    )
-    draft = derive_draft(target, cfg.draft.agreement, cfg.draft.noise_seed)
+    target = make_target(cfg.model, 0)
     layer = default_exit_layer(target.depth)
-    dataset = build_distillation_dataset(
-        target, draft, layer, cfg.predictor_examples, cfg.drafting.k,
-        seed=cfg.training.seed,
+    trained, curve = train_predictor_for(
+        cfg, target, make_draft(cfg, target, 0), layer
     )
-    pred = EarlyExitPredictor.zeros(target.vocab_size, target.hidden_dim, layer)
-    trained, curve = train(pred, dataset, cfg.training)
     out = Path(args.out or "predictor")
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(trained, str(out / "predictor.json"))

@@ -24,6 +24,7 @@ from .drafting import DraftConfig, LatencyProfile
 from .errors import ConfigError
 from .models import (
     LayeredTargetModel,
+    MixtureDraftModel,
     ProbModel,
     TabularMarkovModel,
     derive_draft,
@@ -206,6 +207,15 @@ def make_target(spec: ModelSpec, trial: int) -> ProbModel:
     )
 
 
+def make_draft(cfg: ExperimentConfig, target: ProbModel, trial: int) -> MixtureDraftModel:
+    return derive_draft(
+        target,
+        cfg.draft.agreement,
+        cfg.draft.noise_seed + trial,
+        noise_concentration=cfg.draft.noise_concentration,
+    )
+
+
 def make_context(cfg: ExperimentConfig, trial: int) -> list[int]:
     rng = np.random.default_rng([cfg.seed, trial])
     return rng.integers(0, cfg.model.vocab_size, size=cfg.context_len).tolist()
@@ -235,8 +245,15 @@ def make_pruner(
         layer = default_exit_layer(target.depth)
         if cfg.predictor_checkpoint:
             pred = load_checkpoint(cfg.predictor_checkpoint)
+            got = (pred.vocab_size, pred.hidden_dim, pred.layer)
+            want = (target.vocab_size, target.hidden_dim, layer)
+            if got != want:
+                raise ConfigError(
+                    f"predictor checkpoint {cfg.predictor_checkpoint} has "
+                    f"(vocab_size, hidden_dim, layer) = {got}; the target needs {want}"
+                )
         else:
-            pred = train_predictor_for(cfg, target, draft, layer)
+            pred, _curve = train_predictor_for(cfg, target, draft, layer)
         source = LayeredHiddenSource(target, layer)
         return TreePruner(pred, source, cfg.pruning)
     # Models without intermediate layers score with the exact probe:
@@ -251,7 +268,8 @@ def train_predictor_for(
     target: LayeredTargetModel,
     draft: ProbModel,
     layer: int,
-) -> EarlyExitPredictor:
+) -> tuple[EarlyExitPredictor, list[float]]:
+    """Probe for ``target`` trained from zero weights, and its loss curve."""
     dataset = build_distillation_dataset(
         target,
         draft,
@@ -261,8 +279,7 @@ def train_predictor_for(
         seed=cfg.training.seed,
     )
     pred = EarlyExitPredictor.zeros(target.vocab_size, target.hidden_dim, layer)
-    trained, _curve = train(pred, dataset, cfg.training)
-    return trained
+    return train(pred, dataset, cfg.training)
 
 
 def make_policy(cfg: ExperimentConfig, draft: ProbModel, hw: HardwareConfig):
@@ -291,12 +308,7 @@ class TrialResult:
 def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     hw = cfg.resolve_hardware()
     target = make_target(cfg.model, trial)
-    draft = derive_draft(
-        target,
-        cfg.draft.agreement,
-        cfg.draft.noise_seed + trial,
-        noise_concentration=cfg.draft.noise_concentration,
-    )
+    draft = make_draft(cfg, target, trial)
     context = make_context(cfg, trial)
     profile = seed_profile(cfg, hw)
     rel = cfg.drafting.reliability()

@@ -2,8 +2,11 @@
 synthetic realizations used as draft/target pairs.
 
 Every model is immutable after construction and reproducible bit-for-bit
-given its seed.  Models are re-conditioned on the full prefix per call; there
-is no incremental cache, which keeps them usable as exact oracles.
+given its seed.  A model's output depends only on the padded last-``order``
+tokens of the prefix, so outputs are memoized per padded tail: tabular rows,
+and for the layered target one full forward pass (every layer's hidden
+state, the logits and the softmax).  A memoized value is exactly what a
+fresh evaluation returns, which keeps the models usable as exact oracles.
 """
 
 from __future__ import annotations
@@ -86,6 +89,10 @@ class TabularMarkovModel(ProbModel):
         return self.row(_padded_tail(prefix, self.order))
 
 
+# (hidden state after each layer, logits, softmax) of one layered forward pass
+_ForwardPass = tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]
+
+
 class LayeredTargetModel(ProbModel):
     """Deterministic D-layer tanh network over an embedding of the last m
     tokens, exposing intermediate hidden states for early-exit probes.
@@ -126,28 +133,38 @@ class LayeredTargetModel(ProbModel):
         ]
         self.layer_biases = [np.zeros(hidden_dim) for _ in range(depth)]
         self.output_proj = rng.standard_normal((vocab_size, hidden_dim)) * scale
+        self._passes: dict[tuple[int, ...], _ForwardPass] = {}
 
-    def _embed(self, prefix: Sequence[int]) -> np.ndarray:
+    def _forward(self, prefix: Sequence[int]) -> _ForwardPass:
+        """(hidden state of every layer, logits, softmax) for the prefix's
+        padded tail, computed once per tail; the arrays are read-only."""
         tail = _padded_tail(prefix, self.order)
-        return self.embedding[list(tail)].mean(axis=0)
+        cached = self._passes.get(tail)
+        if cached is None:
+            h = self.embedding[list(tail)].mean(axis=0)
+            hidden = []
+            for ell in range(self.depth):
+                h = np.tanh(self.layer_weights[ell] @ h + self.layer_biases[ell])
+                hidden.append(h)
+            z = self.logit_scale * (self.output_proj @ h)
+            e = np.exp(z - z.max())
+            dist = e / e.sum()
+            for arr in (*hidden, z, dist):
+                arr.flags.writeable = False
+            cached = (tuple(hidden), z, dist)
+            self._passes[tail] = cached
+        return cached
 
     def hidden_at(self, layer: int, prefix: Sequence[int]) -> np.ndarray:
         if not (1 <= layer <= self.depth):
             raise ContractError(f"layer {layer} outside [1, {self.depth}]")
-        h = self._embed(prefix)
-        for ell in range(layer):
-            h = np.tanh(self.layer_weights[ell] @ h + self.layer_biases[ell])
-        return h
+        return self._forward(prefix)[0][layer - 1]
 
     def logits(self, prefix: Sequence[int]) -> np.ndarray:
-        h = self.hidden_at(self.depth, prefix)
-        return self.logit_scale * (self.output_proj @ h)
+        return self._forward(prefix)[1]
 
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
-        z = self.logits(prefix)
-        z = z - z.max()
-        e = np.exp(z)
-        return e / e.sum()
+        return self._forward(prefix)[2]
 
 
 class MixtureDraftModel(ProbModel):

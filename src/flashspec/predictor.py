@@ -4,6 +4,12 @@ The probe scores candidate tokens from a parent's layer-L hidden state and
 is trained offline against the frozen target model with two distillation
 terms: a full-vocabulary KL and a candidate-set-restricted KL.  Training
 touches only the probe weights.
+
+Training stacks the dataset once into hidden states ``H (N, d)``, target
+logits ``Z (N, V)`` and candidate tokens ``C (N, k)`` (every candidate set
+has size k); each mini-batch is a row slice of those arrays.  The losses
+and the gradient work on whole batches with the rounding of a per-example
+evaluation, so results do not depend on batching.
 """
 
 from __future__ import annotations
@@ -52,9 +58,6 @@ class EarlyExitPredictor:
             )
         return float(self.weights[token] @ h)
 
-    def score_all(self, h: np.ndarray) -> np.ndarray:
-        return self.weights @ h
-
     @classmethod
     def zeros(cls, vocab_size: int, hidden_dim: int, layer: int) -> "EarlyExitPredictor":
         return cls(np.zeros((vocab_size, hidden_dim)), layer)
@@ -99,19 +102,27 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
 
 
-def _stack(batch: Sequence[TrainingExample]) -> tuple[np.ndarray, np.ndarray]:
-    H = np.stack([ex.hidden for ex in batch])
-    Z = np.stack([ex.logits for ex in batch])
-    return H, Z
-
-
-def kd_loss(pred: EarlyExitPredictor, batch: Sequence[TrainingExample], tau: float) -> float:
-    """Temperature-scaled full-vocabulary distillation loss (summed over the
-    batch), computed with log-sum-exp stabilization."""
+def _stacked(
+    batch: Sequence[TrainingExample],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hidden states ``H (N, d)``, target logits ``Z (N, V)`` and candidate
+    tokens ``C (N, k)``; every candidate set must have the same size k."""
     if not batch:
         raise ContractError("batch must be non-empty")
-    H, Z = _stack(batch)
-    S = H @ pred.weights.T
+    if len({len(ex.candidates) for ex in batch}) != 1:
+        raise ContractError("candidate sets must all have the same size")
+    H = np.stack([ex.hidden for ex in batch])
+    Z = np.stack([ex.logits for ex in batch])
+    C = np.array([ex.candidates for ex in batch], dtype=np.intp)
+    return H, Z, C
+
+
+# The array core below works on stacked rows.  Its arithmetic follows the
+# per-example formulation operation for operation, so losses, gradients and
+# trained weights do not depend on how examples are grouped.
+
+
+def _kd_loss(S: np.ndarray, Z: np.ndarray, tau: float) -> float:
     log_p = _log_softmax(Z / tau)
     log_q = _log_softmax(S / tau)
     p = np.exp(log_p)
@@ -119,29 +130,70 @@ def kd_loss(pred: EarlyExitPredictor, batch: Sequence[TrainingExample], tau: flo
     return float(tau * tau * kl.sum())
 
 
+def _cand_loss(
+    W: np.ndarray, H: np.ndarray, Z: np.ndarray, C: np.ndarray, tau: float
+) -> float:
+    # One matrix-vector product per example (batched), not a gather from
+    # H @ W.T: the two round differently.
+    s = (W[C] @ H[:, :, None])[:, :, 0] / tau
+    z = np.take_along_axis(Z, C, 1) / tau
+    log_q = _log_softmax(s)
+    log_p = _log_softmax(z)
+    p = np.exp(log_p)
+    total = 0.0
+    # Sequential float sum: numpy's pairwise sum would round differently.
+    for kl in (p * (log_p - log_q)).sum(axis=1).tolist():
+        total += kl
+    return tau * tau * total
+
+
+def _total_loss(
+    W: np.ndarray, H: np.ndarray, Z: np.ndarray, C: np.ndarray, cfg: TrainConfig
+) -> float:
+    loss = _kd_loss(H @ W.T, Z, cfg.tau_kd)
+    if cfg.lambda_cand > 0:
+        loss += cfg.lambda_cand * _cand_loss(W, H, Z, C, cfg.tau_cand)
+    return loss
+
+
+def _total_loss_grad(
+    W: np.ndarray, H: np.ndarray, Z: np.ndarray, C: np.ndarray, cfg: TrainConfig
+) -> np.ndarray:
+    S = H @ W.T
+    p = np.exp(_log_softmax(Z / cfg.tau_kd))
+    q = np.exp(_log_softmax(S / cfg.tau_kd))
+    grad = cfg.tau_kd * (q - p).T @ H
+
+    if cfg.lambda_cand > 0:
+        s = np.take_along_axis(S, C, 1) / cfg.tau_cand
+        z = np.take_along_axis(Z, C, 1) / cfg.tau_cand
+        q_e = np.exp(_log_softmax(s))
+        q_t = np.exp(_log_softmax(z))
+        rows = (cfg.lambda_cand * cfg.tau_cand) * (
+            (q_e - q_t)[:, :, None] * H[:, None, :]
+        )
+        # add.at applies rows in index order: example by example, as the
+        # per-example loop did.
+        np.add.at(grad, C.ravel(), rows.reshape(-1, H.shape[1]))
+    return grad
+
+
+def kd_loss(pred: EarlyExitPredictor, batch: Sequence[TrainingExample], tau: float) -> float:
+    """Temperature-scaled full-vocabulary distillation loss (summed over the
+    batch), computed with log-sum-exp stabilization."""
+    H, Z, _ = _stacked(batch)
+    return _kd_loss(H @ pred.weights.T, Z, tau)
+
+
 def cand_loss(pred: EarlyExitPredictor, batch: Sequence[TrainingExample], tau: float) -> float:
     """Distillation loss restricted to each example's candidate set."""
-    if not batch:
-        raise ContractError("batch must be non-empty")
-    total = 0.0
-    for ex in batch:
-        idx = np.asarray(ex.candidates)
-        s = (pred.weights[idx] @ ex.hidden) / tau
-        z = ex.logits[idx] / tau
-        log_q = _log_softmax(s)
-        log_p = _log_softmax(z)
-        p = np.exp(log_p)
-        total += float((p * (log_p - log_q)).sum())
-    return tau * tau * total
+    return _cand_loss(pred.weights, *_stacked(batch), tau)
 
 
 def total_loss(
     pred: EarlyExitPredictor, batch: Sequence[TrainingExample], cfg: TrainConfig
 ) -> float:
-    loss = kd_loss(pred, batch, cfg.tau_kd)
-    if cfg.lambda_cand > 0:
-        loss += cfg.lambda_cand * cand_loss(pred, batch, cfg.tau_cand)
-    return loss
+    return _total_loss(pred.weights, *_stacked(batch), cfg)
 
 
 def total_loss_grad(
@@ -149,23 +201,7 @@ def total_loss_grad(
 ) -> np.ndarray:
     """Analytic gradient of the summed training loss with respect to the
     probe weights."""
-    H, Z = _stack(batch)
-    S = H @ pred.weights.T
-    p = np.exp(_log_softmax(Z / cfg.tau_kd))
-    q = np.exp(_log_softmax(S / cfg.tau_kd))
-    grad = cfg.tau_kd * (q - p).T @ H
-
-    if cfg.lambda_cand > 0:
-        for i, ex in enumerate(batch):
-            idx = np.asarray(ex.candidates)
-            s = S[i, idx] / cfg.tau_cand
-            z = Z[i, idx] / cfg.tau_cand
-            q_e = np.exp(_log_softmax(s))
-            q_t = np.exp(_log_softmax(z))
-            grad[idx] += (
-                cfg.lambda_cand * cfg.tau_cand * np.outer(q_e - q_t, H[i])
-            )
-    return grad
+    return _total_loss_grad(pred.weights, *_stacked(batch), cfg)
 
 
 def train(
@@ -175,38 +211,38 @@ def train(
 ) -> tuple[EarlyExitPredictor, list[float]]:
     """Mini-batch gradient descent on the probe weights only.
 
+    The dataset is stacked once; each mini-batch is a row slice of it.
     Per-step updates use the batch-mean gradient; the returned curve holds
     the summed dataset loss before training and after every epoch.  Raises
     :class:`TrainingDiverged` on a non-finite loss.
     """
     if not dataset:
         raise ContractError("dataset must be non-empty")
+    H, Z, C = _stacked(dataset)
     rng = np.random.default_rng(cfg.seed)
     W = pred.weights.copy()
-    current = EarlyExitPredictor(W, pred.layer)
-    curve = [total_loss(current, dataset, cfg)]
+    curve = [_total_loss(W, H, Z, C, cfg)]
 
     n = len(dataset)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            batch = [dataset[i] for i in order[start : start + cfg.batch_size]]
-            grad = total_loss_grad(current, batch, cfg)
-            W = W - cfg.learning_rate * grad / len(batch)
+            idx = order[start : start + cfg.batch_size]
+            grad = _total_loss_grad(W, H[idx], Z[idx], C[idx], cfg)
+            W = W - cfg.learning_rate * grad / len(idx)
             if not np.all(np.isfinite(W)):
                 raise TrainingDiverged(
                     f"non-finite weights during epoch {epoch + 1} "
                     f"(lr={cfg.learning_rate}, batch={cfg.batch_size})"
                 )
-            current = EarlyExitPredictor(W, pred.layer)
-        loss = total_loss(current, dataset, cfg)
+        loss = _total_loss(W, H, Z, C, cfg)
         if not np.isfinite(loss):
             raise TrainingDiverged(
                 f"non-finite loss after epoch {epoch + 1} "
                 f"(lr={cfg.learning_rate}, batch={cfg.batch_size})"
             )
         curve.append(loss)
-    return current, curve
+    return EarlyExitPredictor(W, pred.layer), curve
 
 
 def default_exit_layer(depth: int) -> int:

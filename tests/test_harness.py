@@ -2,8 +2,10 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from flashspec import harness
 from flashspec.cli import main as cli_main
 from flashspec.drafting import LatencyProfile
 from flashspec.errors import ConfigError
@@ -15,11 +17,16 @@ from flashspec.harness import (
     compare_policies,
     config_hash,
     geometric_mean,
+    make_draft,
+    make_pruner,
+    make_target,
     priced_grid,
     run_experiment,
     run_trial,
     seed_profile,
+    train_predictor_for,
 )
+from flashspec.predictor import EarlyExitPredictor, load_checkpoint, save_checkpoint
 from flashspec.simulator import HardwareConfig
 
 
@@ -255,6 +262,61 @@ class TestCLI:
         assert rc == 0
         assert (tmp_path / "pred" / "predictor.json").exists()
         assert (tmp_path / "pred" / "loss_curve.csv").exists()
+
+    def test_train_predictor_checkpoint_is_the_trial_zero_probe(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = small_cfg(
+            policy="lever",
+            trials=1,
+            horizon=8,
+            model=ModelSpec(type="layered", vocab_size=16, order=2, seed=4,
+                            depth=4, hidden_dim=8),
+            # a non-default noise concentration changes the draft, and so
+            # the distillation dataset's candidate sets
+            draft=DraftSpec(agreement=0.6, noise_seed=7, noise_concentration=0.05),
+            predictor_examples=80,
+        )
+        cfg = replace(cfg, training=replace(cfg.training, epochs=2))
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        rc = cli_main(
+            ["train-predictor", "--config", str(cfg_path), "--out", str(tmp_path / "pred")]
+        )
+        assert rc == 0
+        saved = load_checkpoint(str(tmp_path / "pred" / "predictor.json"))
+
+        trained = []
+
+        def recording(*args):
+            pred, curve = train_predictor_for(*args)
+            trained.append(pred)
+            return pred, curve
+
+        monkeypatch.setattr(harness, "train_predictor_for", recording)
+        run_trial(cfg, 0)
+        assert len(trained) == 1
+        assert np.array_equal(saved.weights, trained[0].weights)
+        assert saved.layer == trained[0].layer
+
+    @pytest.mark.parametrize(
+        "vocab_size, hidden_dim, layer", [(12, 8, 2), (16, 6, 2), (16, 8, 3)]
+    )
+    def test_mismatched_checkpoint_rejected(self, tmp_path, vocab_size, hidden_dim, layer):
+        path = str(tmp_path / "predictor.json")
+        save_checkpoint(EarlyExitPredictor.zeros(vocab_size, hidden_dim, layer), path)
+        cfg = small_cfg(
+            policy="lever",
+            model=ModelSpec(type="layered", vocab_size=16, order=2, seed=4,
+                            depth=4, hidden_dim=8),
+            predictor_checkpoint=path,
+        )
+        target = make_target(cfg.model, 0)
+        with pytest.raises(ConfigError, match="checkpoint"):
+            make_pruner(cfg, target, make_draft(cfg, target, 0), 0)
+        # the matching shape loads
+        save_checkpoint(EarlyExitPredictor.zeros(16, 8, 2), path)
+        assert make_pruner(cfg, target, make_draft(cfg, target, 0), 0) is not None
 
     def test_profile_build_and_show(self, tmp_path, capsys):
         out = tmp_path / "prof.json"

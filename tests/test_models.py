@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flashspec.errors import ContractError
 from flashspec.models import (
@@ -140,6 +142,97 @@ class TestLayeredModel:
         a = LayeredTargetModel(16, 2, depth=4, hidden_dim=8, seed=11)
         b = LayeredTargetModel(16, 2, depth=4, hidden_dim=8, seed=11)
         assert np.array_equal(a.next_dist([3, 2]), b.next_dist([3, 2]))
+
+
+def reference_hidden(model, layer, prefix):
+    """A fresh forward pass: embed the padded tail, then ``layer`` layers."""
+    tail = [int(t) for t in prefix[-model.order:]]
+    tail = [0] * (model.order - len(tail)) + tail
+    h = model.embedding[tail].mean(axis=0)
+    for ell in range(layer):
+        h = np.tanh(model.layer_weights[ell] @ h + model.layer_biases[ell])
+    return h
+
+
+def reference_logits(model, prefix):
+    h = reference_hidden(model, model.depth, prefix)
+    return model.logit_scale * (model.output_proj @ h)
+
+
+def reference_dist(model, prefix):
+    z = reference_logits(model, prefix)
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+@st.composite
+def memo_sessions(draw):
+    """A layered model and a call sequence over a small prefix pool, so calls
+    repeat tails, extend them and include prefixes shorter than the order."""
+    vocab = draw(st.integers(2, 8))
+    model = LayeredTargetModel(
+        vocab,
+        draw(st.integers(1, 3)),
+        depth=draw(st.integers(2, 5)),
+        hidden_dim=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 10_000)),
+    )
+    token = st.integers(0, vocab - 1)
+    pool = draw(st.lists(st.lists(token, max_size=5), min_size=1, max_size=4))
+    calls = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["hidden_at", "logits", "next_dist", "hidden_states"]),
+                st.one_of(st.sampled_from(pool), st.lists(token, max_size=5)),
+                st.integers(1, model.depth),
+                st.lists(token, min_size=1, max_size=3),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return model, calls
+
+
+class TestLayeredMemo:
+    @settings(max_examples=200)
+    @given(memo_sessions())
+    def test_every_call_matches_a_fresh_forward_pass(self, session):
+        model, calls = session
+        for kind, prefix, layer, path in calls:
+            if kind == "hidden_states":
+                tree = TokenTree()
+                parent = ROOT_ID
+                for t in path:
+                    parent = tree.insert(parent, t, 0.5)
+                layout = flatten(tree)
+                rows = hidden_states(model, layout, layer, prefix)
+                for i in range(layout.n_rows):
+                    path = layout.path_tokens(i)
+                    expect = reference_hidden(model, layer, prefix + path)
+                    assert np.array_equal(rows[i], expect)
+                continue
+            if kind == "hidden_at":
+                got = model.hidden_at(layer, prefix)
+                expect = reference_hidden(model, layer, prefix)
+            elif kind == "logits":
+                got, expect = model.logits(prefix), reference_logits(model, prefix)
+            else:
+                got, expect = model.next_dist(prefix), reference_dist(model, prefix)
+            assert np.array_equal(got, expect)
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+            assert np.array_equal(got, expect)
+
+    def test_one_forward_pass_per_padded_tail(self):
+        model = LayeredTargetModel(8, 2, depth=4, hidden_dim=4, seed=1)
+        dist = model.next_dist([5])
+        assert model.next_dist([0, 5]) is dist
+        assert model.next_dist([3, 0, 5]) is dist
+        assert model.logits([5]) is model.logits([1, 0, 5])
+        assert model.hidden_at(2, [0, 5]) is model.hidden_at(2, [7, 0, 5])
+        assert model.next_dist([1, 5]) is not dist
 
 
 class TestHiddenStates:
