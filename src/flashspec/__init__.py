@@ -30,7 +30,6 @@ from .models import (
     TabularMarkovModel,
     derive_draft,
     draft_candidates,
-    hidden_states,
     target_greedy_decode,
 )
 from .predictor import (

@@ -1,4 +1,4 @@
-"""Command-line entry points: run, compare, train-predictor, profile."""
+"""Command-line entry points: run, compare, train-predictor."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 import sys
 from pathlib import Path
 
-from .drafting import LatencyProfile
 from .errors import ConfigError, TrainingDiverged
 from .harness import (
     ExperimentConfig,
@@ -15,13 +14,11 @@ from .harness import (
     compare_policies,
     make_draft,
     make_target,
-    priced_grid,
     render_comparison,
     run_experiment,
     train_predictor_for,
 )
 from .predictor import default_exit_layer, save_checkpoint, save_loss_curve
-from .simulator import list_presets, load_preset
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -100,20 +97,6 @@ def cmd_train_predictor(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    if args.action == "build":
-        hw = load_preset(args.preset or "llama31-8b")
-        profile = priced_grid(hw, args.max_nodes, args.max_leaves)
-        profile.save(args.out or "profile.json")
-        print(f"{len(profile)} entries written to {args.out or 'profile.json'}")
-        return 0
-    profile = LatencyProfile.load(args.path)
-    print(f"penalty: {profile.penalty}")
-    for (nodes, leaves), ms in sorted(profile.entries().items()):
-        print(f"  nodes={nodes:<4d} leaves={leaves:<4d} {ms:.3f} ms")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flashspec",
@@ -139,22 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train-predictor", help="train an early-exit probe")
     _add_config_flags(p_train)
     p_train.set_defaults(func=cmd_train_predictor)
-
-    p_prof = sub.add_parser("profile", help="build or inspect latency profiles")
-    prof_sub = p_prof.add_subparsers(dest="action", required=True)
-    p_build = prof_sub.add_parser("build", help="seed a profile from a preset")
-    p_build.add_argument("--preset", choices=list_presets())
-    p_build.add_argument(
-        "--max-nodes", type=int, default=ExperimentConfig.profile_max_nodes
-    )
-    p_build.add_argument(
-        "--max-leaves", type=int, default=ExperimentConfig.profile_max_leaves
-    )
-    p_build.add_argument("--out")
-    p_build.set_defaults(func=cmd_profile)
-    p_show = prof_sub.add_parser("show", help="print a profile file")
-    p_show.add_argument("path")
-    p_show.set_defaults(func=cmd_profile)
 
     return parser
 

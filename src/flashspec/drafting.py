@@ -33,7 +33,6 @@ from .errors import ConfigError, ContractError
 from .models import ProbModel, draft_candidates
 from .tree import CandidateSet, ROOT_ID, TokenTree
 
-import json
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ def update_reliability(rel: ReliabilityState, hit: bool) -> ReliabilityState:
     return replace(rel, value=min(1.0, max(rel.floor, raw)))
 
 
-def calibrate(p_draft: float, cand: CandidateSet, rel: ReliabilityState) -> float:
+def calibrate(p_draft: float, rel: ReliabilityState) -> float:
     """Map a raw draft probability to an estimated acceptance probability.
 
     Multiplicative down-weighting by the reliability factor, clamped to
@@ -203,23 +202,6 @@ class LatencyProfile:
             penalty,
         )
 
-    def save(self, path: str) -> None:
-        rows = sorted(
-            [nodes, leaves, mean]
-            for (nodes, leaves), (_, mean) in self._entries.items()
-        )
-        with open(path, "w") as fh:
-            json.dump({"penalty": self.penalty, "entries": rows}, fh, sort_keys=True)
-
-    @classmethod
-    def load(cls, path: str) -> "LatencyProfile":
-        with open(path) as fh:
-            payload = json.load(fh)
-        profile = cls(penalty=payload.get("penalty", 1.1))
-        for nodes, leaves, ms in payload["entries"]:
-            profile.set_entry((int(nodes), int(leaves)), float(ms))
-        return profile
-
 
 @dataclass(frozen=True)
 class DraftConfig:
@@ -265,7 +247,6 @@ class GainCostEstimate:
     gain: float
     draft_cost: float
     verify_cost: float
-    marginal: dict[tuple[int, int], float] | None = None
 
     @property
     def cycle_cost(self) -> float:
@@ -405,7 +386,7 @@ def build_tree(
         expansion_counts.append(1)
         depth = tree.node(node_id).depth + 1
         for token, p in cand.entries:
-            reach = reaches[node_id] * calibrate(p, cand, rel)
+            reach = reaches[node_id] * calibrate(p, rel)
             entry = FrontierEntry(node_id, token, p, reach, depth)
             frontier[node_id, token] = (entry, is_expandable(entry, cfg))
 

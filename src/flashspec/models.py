@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .tree import CandidateSet, TreeLayout
+from .tree import CandidateSet
 
 
 class ProbModel(abc.ABC):
@@ -243,25 +243,4 @@ def target_greedy_decode(
         t = int(np.argmax(model.next_dist(prefix)))
         out.append(t)
         prefix.append(t)
-    return out
-
-
-def hidden_states(
-    model: LayeredTargetModel,
-    layout: TreeLayout,
-    layer: int,
-    context: Sequence[int],
-) -> np.ndarray:
-    """Per-row hidden vectors at ``layer`` for a flattened tree.
-
-    Row i equals ``hidden_at(layer, context + path-of-row-i)`` exactly; rows
-    are evaluated independently so the batch matches sequential evaluation
-    bit-for-bit.
-    """
-    if not (1 <= layer <= model.depth):
-        raise ContractError(f"layer {layer} outside [1, {model.depth}]")
-    ctx = list(context)
-    out = np.empty((layout.n_rows, model.hidden_dim))
-    for i in range(layout.n_rows):
-        out[i] = model.hidden_at(layer, ctx + layout.path_tokens(i))
     return out

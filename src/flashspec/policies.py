@@ -78,7 +78,7 @@ class ChainPolicy:
             candidate_sets[parent] = cand
             counts.append(1)
             token, p = cand.entries[0]
-            reach *= calibrate(p, cand, rel)
+            reach *= calibrate(p, rel)
             parent = tree.insert(parent, token, reach)
             prefix.append(token)
         return BuildResult(
@@ -136,7 +136,7 @@ class BalancedTreePolicy:
                 cand = draft_candidates(self.draft, prefix, self.fanout, parent=parent)
                 candidate_sets[parent] = cand
                 for token, p in cand.entries:
-                    reach = tree.node(parent).reach * calibrate(p, cand, rel)
+                    reach = tree.node(parent).reach * calibrate(p, rel)
                     next_level.append(tree.insert(parent, token, reach))
             level = next_level
         return BuildResult(

@@ -21,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, TrainingDiverged
-from .models import LayeredTargetModel, ProbModel, draft_candidates, hidden_states
-from .tree import TreeLayout
+from .models import LayeredTargetModel, ProbModel, draft_candidates
 
 
 @dataclass(frozen=True)
@@ -335,8 +334,12 @@ class LayeredHiddenSource:
     def exit_fraction(self) -> float:
         return self.layer / self.model.depth
 
-    def rows(self, context: Sequence[int], layout: TreeLayout) -> np.ndarray:
-        return hidden_states(self.model, layout, self.layer, context)
+    def rows(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        """Layer-``layer`` hidden state of each prefix, one row per prefix."""
+        out = np.empty((len(prefixes), self.model.hidden_dim))
+        for i, prefix in enumerate(prefixes):
+            out[i] = self.model.hidden_at(self.layer, prefix)
+        return out
 
 
 class ExactProbeSource:
@@ -354,10 +357,10 @@ class ExactProbeSource:
         self.target = target
         self.exit_fraction = exit_fraction
 
-    def rows(self, context: Sequence[int], layout: TreeLayout) -> np.ndarray:
-        ctx = list(context)
-        out = np.empty((layout.n_rows, self.target.vocab_size))
-        for i in range(layout.n_rows):
-            dist = self.target.next_dist(ctx + layout.path_tokens(i))
+    def rows(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        """Log target probabilities after each prefix, one row per prefix."""
+        out = np.empty((len(prefixes), self.target.vocab_size))
+        for i, prefix in enumerate(prefixes):
+            dist = self.target.next_dist(prefix)
             out[i] = np.log(np.maximum(dist, 1e-300))
         return out

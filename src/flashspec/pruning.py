@@ -1,7 +1,9 @@
 """Conservative predictor-based branch pruning.
 
-Edge scores are normalized within each parent's full candidate set (inserted
-children and shadow tokens alike; shadows exist only to make the comparison
+Only parents (nodes with inserted children) are scored, so the hidden-state
+source is asked for one row per parent, in flattened row order.  Edge scores
+are normalized within each parent's full candidate set (inserted children
+and shadow tokens alike; shadows exist only to make the comparison
 meaningful).  Low-scoring edges are dropped subject to safeguards: the keep
 set stays ancestor-closed, a backbone path of per-depth best children is
 immune, the strongest children near the root survive, and decisions that
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .predictor import EarlyExitPredictor
-from .tree import ROOT_ID, TokenTree, TreeLayout, compact_with_map, flatten
+from .tree import ROOT_ID, TokenTree, compact_with_map, flatten
 from .verification import PruneSummary
 
 
@@ -51,34 +53,35 @@ class PruneDecision:
 class HiddenSource(Protocol):
     exit_fraction: float
 
-    def rows(self, context: Sequence[int], layout: TreeLayout) -> np.ndarray: ...
+    def rows(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        """One feature row per prefix: shape ``(len(prefixes), d)``."""
+        ...
 
 
 def normalize_scores(
     pred: EarlyExitPredictor,
     hidden_rows: np.ndarray,
     tree: TokenTree,
-    layout: TreeLayout,
+    parents: Sequence[int],
     tau: float,
 ) -> dict[tuple[int, int], float]:
     """Per-edge softmax scores at temperature ``tau``.
 
-    For each parent with inserted children, scores are normalized over every
-    token in its candidate set: inserted children and shadow tokens alike.
-    Shadow edges receive scores too but are never kept as output.
+    ``parents`` are the nodes with inserted children and ``hidden_rows[i]``
+    is the hidden vector of ``parents[i]``.  Each parent's scores are
+    normalized over every token in its candidate set: inserted children and
+    shadow tokens alike.  Shadow edges receive scores too but are never kept
+    as output.
     """
-    if hidden_rows.shape[0] != layout.n_rows:
-        raise ContractError("hidden rows do not match the flattened layout")
-    row_of = {nid: i for i, nid in enumerate(layout.rows)}
+    if hidden_rows.shape[0] != len(parents):
+        raise ContractError("hidden rows do not match the parents")
     scores: dict[tuple[int, int], float] = {}
-    for parent in layout.rows:
-        member_ids = tree.children(parent) + tree.shadow_children(parent)
-        if not tree.children(parent):
-            continue
+    for parent, h in zip(parents, hidden_rows):
+        children = tree.children(parent)
+        if not children:
+            raise ContractError(f"node {parent} has no inserted children")
+        member_ids = children + tree.shadow_children(parent)
         tokens = [tree.node(cid).token for cid in member_ids]
-        if not tokens:
-            raise ContractError(f"node {parent} has an empty candidate set")
-        h = hidden_rows[row_of[parent]]
         raw = np.array([pred.score(h, t) for t in tokens]) / tau
         raw -= raw.max()
         e = np.exp(raw)
@@ -188,8 +191,11 @@ class TreePruner:
         self, tree: TokenTree, context: Sequence[int]
     ) -> tuple[TokenTree, PruneSummary]:
         layout = flatten(tree)
-        hidden = self.hidden_source.rows(context, layout)
-        scores = normalize_scores(self.pred, hidden, tree, layout, self.cfg.tau)
+        rows = [r for r, nid in enumerate(layout.rows) if not tree.is_leaf(nid)]
+        ctx = list(context)
+        hidden = self.hidden_source.rows([ctx + layout.path_tokens(r) for r in rows])
+        parents = [layout.rows[r] for r in rows]
+        scores = normalize_scores(self.pred, hidden, tree, parents, self.cfg.tau)
         decision = prune(tree, scores, self.cfg)
         new_tree, old_to_new = compact_with_map(tree, decision.keep)
         summary = PruneSummary(

@@ -11,7 +11,6 @@ path.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -182,27 +181,6 @@ class ScheduleTrace:
             "projection_ms": sum(c.projection_ms for c in self.cycles),
             "total_ms": self.total_ms,
         }
-
-    def write_csv(self, path: str) -> None:
-        fields = [
-            "cycle", "draft_ms", "verify_io_ms", "verify_compute_ms",
-            "verify_stage_ms", "projection_ms", "projections_eager",
-            "projections_ondemand", "waste_proj_ms", "rows_after_prune",
-            "tokens", "total_ms",
-        ]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fields)
-            for i, c in enumerate(self.cycles):
-                writer.writerow(
-                    [
-                        i, repr(c.draft_ms), repr(c.verify_io_ms),
-                        repr(c.verify_compute_ms), repr(c.verify_stage_ms),
-                        repr(c.projection_ms), c.projections_eager,
-                        c.projections_ondemand, repr(c.waste_proj_ms),
-                        c.rows_after_prune, c.tokens, repr(c.total_ms),
-                    ]
-                )
 
     def to_json(self) -> str:
         return json.dumps(

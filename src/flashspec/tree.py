@@ -5,16 +5,16 @@ cycle.  Nodes are identified by stable integer handles assigned at insertion;
 the tree is append-only until :func:`compact` produces a reduced copy.  Shadow
 nodes (candidates kept only as scoring references) live in the same structure,
 flagged, and are excluded from flattened verification layouts and from the
-node/leaf counts that drive cost estimation.
+node/leaf counts that drive cost estimation.  A flattened layout is the row
+list verification prices plus each row's parent row and token; a row's path
+follows parent rows back to the root.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ContractError, StructureError
 
@@ -152,15 +152,6 @@ class TokenTree:
         out.reverse()
         return out
 
-    def path_ids(self, node_id: int) -> list[int]:
-        out: list[int] = []
-        nid = node_id
-        while nid != ROOT_PARENT:
-            out.append(nid)
-            nid = self._nodes[nid].parent
-        out.reverse()
-        return out
-
     # -- mutation ----------------------------------------------------------
 
     def insert(self, parent: int, token: int, reach: float, shadow: bool = False) -> int:
@@ -248,21 +239,16 @@ class TreeLayout:
     """Immutable flattened view of a tree for batched verification.
 
     Rows are non-shadow nodes in topological order (parents precede
-    children); ``mask[i, j]`` is true iff row ``j`` is an ancestor of row
-    ``i`` or ``i`` itself.
+    children); a row's ancestors are found by following ``parent_row``.
     """
 
     rows: tuple[int, ...]              # node ids, row 0 is the root
     parent_row: tuple[int, ...]        # row index of the parent, -1 for root
     tokens: tuple[int, ...]            # token per row, ROOT_TOKEN for root
-    mask: np.ndarray = field(repr=False)
 
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    def row_of(self, node_id: int) -> int:
-        return self.rows.index(node_id)
 
     def path_tokens(self, row: int) -> list[int]:
         out: list[int] = []
@@ -275,7 +261,7 @@ class TreeLayout:
 
 
 def flatten(tree: TokenTree) -> TreeLayout:
-    """Flatten a tree into verification rows plus an ancestor-or-self mask.
+    """Flatten a tree into verification rows with parent rows and tokens.
 
     Shadow nodes are excluded.  Node handles are assigned in insertion order
     with parents inserted first, so ascending id order is already
@@ -289,14 +275,7 @@ def flatten(tree: TokenTree) -> TreeLayout:
         node = tree.node(nid)
         parent_row.append(-1 if nid == ROOT_ID else row_index[node.parent])
         tokens.append(node.token)
-
-    n = len(ids)
-    mask = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        if parent_row[i] >= 0:
-            mask[i] = mask[parent_row[i]]
-        mask[i, i] = True
-    return TreeLayout(tuple(ids), tuple(parent_row), tuple(tokens), mask)
+    return TreeLayout(tuple(ids), tuple(parent_row), tuple(tokens))
 
 
 def compact(tree: TokenTree, keep: Iterable[int]) -> TokenTree:
@@ -331,14 +310,3 @@ def compact_with_map(
         node = tree.node(nid)
         mapping[nid] = new_tree.insert(mapping[node.parent], node.token, node.reach)
     return new_tree, mapping
-
-
-def ancestor_matrix_bruteforce(tree: TokenTree, ids: Sequence[int]) -> np.ndarray:
-    """Reference ancestor-or-self mask via explicit parent walks."""
-    index = {nid: i for i, nid in enumerate(ids)}
-    n = len(ids)
-    out = np.zeros((n, n), dtype=bool)
-    for i, nid in enumerate(ids):
-        for anc in tree.path_ids(nid):
-            out[i, index[anc]] = True
-    return out

@@ -6,11 +6,15 @@ and otherwise emits the argmax as the fallback token.  Because every emitted
 token is a target argmax conditioned on its realized prefix, the output is
 bit-identical to plain greedy decoding no matter what the draft proposed or
 what pruning removed.
+
+The simulator prices the whole flattened tree as one batched pass, but the
+walk reads the target only on the rows it reaches: ``accepted_len + 1``
+evaluations per cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -23,7 +27,7 @@ from .drafting import (
 )
 from .errors import ContractError
 from .models import ProbModel
-from .tree import ROOT_ID, TokenTree, TreeLayout, flatten
+from .tree import ROOT_ID, TokenTree, flatten
 
 
 @dataclass(frozen=True)
@@ -32,49 +36,41 @@ class VerificationResult:
     accepted_len: int
     fallback: int
     emitted: tuple[int, ...]             # accepted tokens then the fallback
-    per_row_argmax: dict[int, int]       # row index -> target argmax token
-    layout: TreeLayout
 
 
 def verify_tree(
     target: ProbModel, context: Sequence[int], tree: TokenTree
 ) -> VerificationResult:
-    """Batched argmax verification of a whole tree in one pass.
+    """Argmax verification of a tree along its accepted path.
 
-    ``per_row_argmax`` holds the target argmax for every flattened row; the
-    accepted path is the longest root chain whose tokens match those argmax
-    decisions, and the fallback is the argmax at the stopping node.
+    The tree's flattened rows are what one batched verification pass
+    prices.  The walk starts at row 0 and reads the target only on the rows
+    it reaches: it takes the argmax on the realized prefix, descends to the
+    child row drafted with that token, and otherwise stops and emits the
+    argmax as the fallback.
     """
     if not context:
         raise ContractError("context must be non-empty")
     layout = flatten(tree)
-    ctx = list(context)
-    per_row = {
-        i: int(np.argmax(target.next_dist(ctx + layout.path_tokens(i))))
-        for i in range(layout.n_rows)
+    child_row = {
+        (layout.parent_row[r], layout.tokens[r]): r for r in range(1, layout.n_rows)
     }
-
-    row_of = {nid: i for i, nid in enumerate(layout.rows)}
+    prefix = list(context)
     accepted: list[int] = []
-    emitted: list[int] = []
-    cur = ROOT_ID
+    row = 0
     while True:
-        want = per_row[row_of[cur]]
-        child = tree.child_by_token(cur, want)
+        want = int(np.argmax(target.next_dist(prefix)))
+        prefix.append(want)
+        child = child_row.get((row, want))
         if child is None:
-            fallback = want
-            emitted.append(want)
             break
-        accepted.append(child)
-        emitted.append(want)
-        cur = child
+        accepted.append(layout.rows[child])
+        row = child
     return VerificationResult(
         accepted_nodes=tuple(accepted),
         accepted_len=len(accepted),
-        fallback=fallback,
-        emitted=tuple(emitted),
-        per_row_argmax=per_row,
-        layout=layout,
+        fallback=want,
+        emitted=tuple(prefix[len(context):]),
     )
 
 

@@ -78,7 +78,7 @@ def build_tree(
         expansion_counts.append(1)
         depth = tree.node(node_id).depth + 1
         for token, p in cand.entries:
-            reach = reaches[node_id] * calibrate(p, cand, rel)
+            reach = reaches[node_id] * calibrate(p, rel)
             frontier.append(FrontierEntry(node_id, token, p, reach, depth))
 
     expand(ROOT_ID)

@@ -48,7 +48,7 @@ def reachable_universe(draft, cfg: DraftConfig, rel: ReliabilityState, context):
     def expand(parent_id, prefix, parent_reach, depth):
         cand = draft_candidates(draft, prefix, cfg.k)
         for token, p in cand.entries:
-            reach = parent_reach * calibrate(p, cand, rel)
+            reach = parent_reach * calibrate(p, rel)
             nid = len(nodes)
             expandable = (depth < cfg.max_depth) and (reach >= cfg.b_min)
             nodes.append(

@@ -18,7 +18,7 @@ from flashspec.drafting import (
 )
 from flashspec.errors import ConfigError
 from flashspec.models import TabularMarkovModel, derive_draft
-from flashspec.tree import CandidateSet, ROOT_ID, TokenTree
+from flashspec.tree import ROOT_ID, TokenTree
 
 
 def scan_lookup(entries, q, penalty):
@@ -35,24 +35,21 @@ def rel(value=1.0, beta=0.9, floor=0.05):
     return ReliabilityState(value=value, beta=beta, floor=floor)
 
 
-CAND = CandidateSet(((0, 0.5), (1, 0.3), (2, 0.2)))
-
-
 class TestCalibrate:
     def test_r_one_identity(self):
-        assert calibrate(0.6, CAND, rel(1.0)) == 0.6
+        assert calibrate(0.6, rel(1.0)) == 0.6
 
     def test_multiplicative(self):
-        assert calibrate(0.5, CAND, rel(0.8)) == pytest.approx(0.4)
+        assert calibrate(0.5, rel(0.8)) == pytest.approx(0.4)
 
     def test_preserves_ranking(self):
         for r in (0.05, 0.3, 0.77, 1.0):
-            out = [calibrate(p, CAND, rel(r)) for p in (0.5, 0.3, 0.2)]
+            out = [calibrate(p, rel(r)) for p in (0.5, 0.3, 0.2)]
             assert out[0] > out[1] > out[2]
 
     @given(st.floats(0.0, 1.0), st.floats(0.05, 1.0))
     def test_stays_in_unit_interval(self, p, r):
-        assert 0.0 <= calibrate(p, CAND, rel(r)) <= 1.0
+        assert 0.0 <= calibrate(p, rel(r)) <= 1.0
 
 
 class TestReliability:
@@ -176,16 +173,6 @@ class TestLatencyProfile:
         p.observe((4, 2), 200.0)
         p.observe((4, 2), 300.0)
         assert p.lookup((4, 2)) == pytest.approx(200.0)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        p = LatencyProfile(penalty=1.3)
-        p.set_entry((8, 3), 900.0)
-        p.set_entry((1, 1), 100.0)
-        path = str(tmp_path / "profile.json")
-        p.save(path)
-        q = LatencyProfile.load(path)
-        assert q.penalty == 1.3
-        assert q.entries() == p.entries()
 
     def test_affine_seed_monotone(self):
         p = LatencyProfile.affine(100.0, 2.0, 1.0, 10, 5)

@@ -7,7 +7,6 @@ import pytest
 
 from flashspec import harness
 from flashspec.cli import main as cli_main
-from flashspec.drafting import LatencyProfile
 from flashspec.errors import ConfigError
 from flashspec.harness import (
     DraftSpec,
@@ -317,25 +316,6 @@ class TestCLI:
         # the matching shape loads
         save_checkpoint(EarlyExitPredictor.zeros(16, 8, 2), path)
         assert make_pruner(cfg, target, make_draft(cfg, target, 0), 0) is not None
-
-    def test_profile_build_and_show(self, tmp_path, capsys):
-        out = tmp_path / "prof.json"
-        rc = cli_main(
-            ["profile", "build", "--preset", "qwen3-4b",
-             "--max-nodes", "4", "--max-leaves", "2", "--out", str(out)]
-        )
-        assert rc == 0
-        rc = cli_main(["profile", "show", str(out)])
-        assert rc == 0
-        assert "penalty" in capsys.readouterr().out
-
-    def test_profile_build_matches_the_harness_seed(self, tmp_path):
-        out = tmp_path / "prof.json"
-        rc = cli_main(["profile", "build", "--preset", "qwen3-4b", "--out", str(out)])
-        assert rc == 0
-        cfg = small_cfg(hardware="qwen3-4b")
-        expect = seed_profile(cfg, cfg.resolve_hardware()).entries()
-        assert LatencyProfile.load(str(out)).entries() == expect
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_training_divergence_is_clean_exit(self, tmp_path, capsys):

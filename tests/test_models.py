@@ -10,9 +10,9 @@ from flashspec.models import (
     TabularMarkovModel,
     derive_draft,
     draft_candidates,
-    hidden_states,
     target_greedy_decode,
 )
+from flashspec.predictor import ExactProbeSource, LayeredHiddenSource
 from flashspec.tree import ROOT_ID, TokenTree, flatten
 
 
@@ -183,7 +183,7 @@ def memo_sessions(draw):
     calls = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["hidden_at", "logits", "next_dist", "hidden_states"]),
+                st.sampled_from(["hidden_at", "logits", "next_dist", "source_rows"]),
                 st.one_of(st.sampled_from(pool), st.lists(token, max_size=5)),
                 st.integers(1, model.depth),
                 st.lists(token, min_size=1, max_size=3),
@@ -201,17 +201,14 @@ class TestLayeredMemo:
     def test_every_call_matches_a_fresh_forward_pass(self, session):
         model, calls = session
         for kind, prefix, layer, path in calls:
-            if kind == "hidden_states":
-                tree = TokenTree()
-                parent = ROOT_ID
-                for t in path:
-                    parent = tree.insert(parent, t, 0.5)
-                layout = flatten(tree)
-                rows = hidden_states(model, layout, layer, prefix)
-                for i in range(layout.n_rows):
-                    path = layout.path_tokens(i)
-                    expect = reference_hidden(model, layer, prefix + path)
-                    assert np.array_equal(rows[i], expect)
+            if kind == "source_rows":
+                # the exit layer must lie strictly before the final layer
+                source = LayeredHiddenSource(model, min(layer, model.depth - 1))
+                prefixes = [prefix + path[:i] for i in range(len(path) + 1)]
+                rows = source.rows(prefixes)
+                assert rows.shape == (len(prefixes), model.hidden_dim)
+                for row, p in zip(rows, prefixes):
+                    assert np.array_equal(row, reference_hidden(model, source.layer, p))
                 continue
             if kind == "hidden_at":
                 got = model.hidden_at(layer, prefix)
@@ -245,36 +242,40 @@ class TestHiddenStates:
         tree.insert(b, 5, 0.3)
         return tree
 
+    def _row_prefixes(self, ctx):
+        layout = flatten(self._tree())
+        return [ctx + layout.path_tokens(i) for i in range(layout.n_rows)]
+
     def test_single_row_equals_direct_call(self):
         model = LayeredTargetModel(16, 2, depth=4, hidden_dim=8, seed=2)
-        tree = TokenTree()
-        layout = flatten(tree)
         ctx = [1, 2]
-        rows = hidden_states(model, layout, 2, ctx)
+        rows = LayeredHiddenSource(model, 2).rows([ctx])
         assert np.array_equal(rows[0], model.hidden_at(2, ctx))
 
     def test_batch_equals_sequential_oracle_exactly(self):
         model = LayeredTargetModel(16, 2, depth=4, hidden_dim=8, seed=2)
-        tree = self._tree()
-        layout = flatten(tree)
-        ctx = [7, 3]
-        rows = hidden_states(model, layout, 3, ctx)
+        prefixes = self._row_prefixes([7, 3])
+        rows = LayeredHiddenSource(model, 3).rows(prefixes)
         assert rows.shape == (6, 8)
-        for i in range(layout.n_rows):
-            expect = model.hidden_at(3, ctx + layout.path_tokens(i))
-            assert np.array_equal(rows[i], expect)
+        for row, prefix in zip(rows, prefixes):
+            assert np.array_equal(row, model.hidden_at(3, prefix))
 
     def test_full_depth_rows_reproduce_next_dist(self):
+        # rows from the last exit layer, pushed through the final layer
         model = LayeredTargetModel(16, 2, depth=4, hidden_dim=8, seed=2)
-        tree = self._tree()
-        layout = flatten(tree)
-        ctx = [7, 3]
-        rows = hidden_states(model, layout, model.depth, ctx)
-        for i in range(layout.n_rows):
-            logits = model.logit_scale * (model.output_proj @ rows[i])
-            assert np.array_equal(
-                logits, model.logits(ctx + layout.path_tokens(i))
-            )
+        prefixes = self._row_prefixes([7, 3])
+        rows = LayeredHiddenSource(model, model.depth - 1).rows(prefixes)
+        for row, prefix in zip(rows, prefixes):
+            h = np.tanh(model.layer_weights[-1] @ row + model.layer_biases[-1])
+            logits = model.logit_scale * (model.output_proj @ h)
+            assert np.array_equal(logits, model.logits(prefix))
+            e = np.exp(logits - logits.max())
+            assert np.array_equal(e / e.sum(), model.next_dist(prefix))
+
+    def test_empty_prefix_list_gives_no_rows(self):
+        model = LayeredTargetModel(16, 2, depth=4, hidden_dim=8, seed=2)
+        assert LayeredHiddenSource(model, 2).rows([]).shape == (0, 8)
+        assert ExactProbeSource(model).rows([]).shape == (0, 16)
 
 
 class TestDraftDerivation:

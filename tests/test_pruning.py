@@ -17,18 +17,6 @@ from flashspec.tree import ROOT_ID, TokenTree, flatten
 from flashspec.verification import run_decode, verify_tree
 
 
-class RowHiddenSource:
-    """Test stub: a fixed hidden vector per row index."""
-
-    exit_fraction = 0.5
-
-    def __init__(self, rows):
-        self._rows = np.asarray(rows, dtype=float)
-
-    def rows(self, context, layout):
-        return self._rows[: layout.n_rows]
-
-
 def one_hot_pred(vocab_size):
     return EarlyExitPredictor(np.eye(vocab_size), layer=1)
 
@@ -40,9 +28,8 @@ class TestNormalizeScores:
         tree.insert(ROOT_ID, 0, 0.9)
         tree.insert(ROOT_ID, 1, 0.8)
         pred = one_hot_pred(2)
-        hidden = RowHiddenSource([[2.0, 1.0], [0, 0], [0, 0]])
-        layout = flatten(tree)
-        scores = normalize_scores(pred, hidden.rows(None, layout), tree, layout, 1.0)
+        hidden = np.array([[2.0, 1.0]])
+        scores = normalize_scores(pred, hidden, tree, [ROOT_ID], 1.0)
         assert scores[(ROOT_ID, 0)] == pytest.approx(0.73105857, abs=1e-6)
         assert scores[(ROOT_ID, 1)] == pytest.approx(0.26894143, abs=1e-6)
 
@@ -51,9 +38,8 @@ class TestNormalizeScores:
         tree.insert(ROOT_ID, 0, 0.9)
         tree.insert(ROOT_ID, 1, 0.5, shadow=True)
         pred = one_hot_pred(2)
-        hidden = RowHiddenSource([[1.5, 1.5], [0, 0]])
-        layout = flatten(tree)
-        scores = normalize_scores(pred, hidden.rows(None, layout), tree, layout, 1.0)
+        hidden = np.array([[1.5, 1.5]])
+        scores = normalize_scores(pred, hidden, tree, [ROOT_ID], 1.0)
         assert scores[(ROOT_ID, 0)] == pytest.approx(0.5)
         assert scores[(ROOT_ID, 1)] == pytest.approx(0.5)
 
@@ -62,21 +48,26 @@ class TestNormalizeScores:
         for t in range(3):
             tree.insert(ROOT_ID, t, 0.9)
         pred = one_hot_pred(3)
-        hidden = RowHiddenSource([[3.0, 1.0, 1.0]] + [[0, 0, 0]] * 3)
-        layout = flatten(tree)
-        scores = normalize_scores(
-            pred, hidden.rows(None, layout), tree, layout, 1e6
-        )
+        hidden = np.array([[3.0, 1.0, 1.0]])
+        scores = normalize_scores(pred, hidden, tree, [ROOT_ID], 1e6)
         for t in range(3):
             assert scores[(ROOT_ID, t)] == pytest.approx(1 / 3, abs=1e-6)
 
     def test_mismatched_hidden_rows_rejected(self):
         tree = TokenTree()
         tree.insert(ROOT_ID, 0, 0.9)
-        layout = flatten(tree)
         pred = one_hot_pred(2)
         with pytest.raises(ContractError):
-            normalize_scores(pred, np.zeros((1, 2)), tree, layout, 1.0)
+            normalize_scores(pred, np.zeros((0, 2)), tree, [ROOT_ID], 1.0)
+        with pytest.raises(ContractError):
+            normalize_scores(pred, np.zeros((2, 2)), tree, [ROOT_ID], 1.0)
+
+    def test_parent_without_children_rejected(self):
+        tree = TokenTree()
+        leaf = tree.insert(ROOT_ID, 0, 0.9)
+        pred = one_hot_pred(2)
+        with pytest.raises(ContractError):
+            normalize_scores(pred, np.zeros((1, 2)), tree, [leaf], 1.0)
 
 
 class TestBackbone:

@@ -10,7 +10,6 @@ from flashspec.tree import (
     ROOT_ID,
     CandidateSet,
     TokenTree,
-    ancestor_matrix_bruteforce,
     compact,
     compact_with_map,
     flatten,
@@ -81,30 +80,21 @@ class TestInsert:
 
 
 class TestFlatten:
-    def test_chain_is_lower_triangular(self):
+    def test_chain_rows_follow_the_path(self):
         tree = chain_tree([1, 2])
         layout = flatten(tree)
         assert layout.tokens == (-1, 1, 2)
-        assert np.array_equal(layout.mask, np.tril(np.ones((3, 3), dtype=bool)))
+        assert layout.parent_row == (-1, 0, 1)
+        assert layout.path_tokens(2) == [1, 2]
 
     def test_siblings_are_independent(self):
         tree = TokenTree()
         tree.insert(ROOT_ID, 1, 0.5)
         tree.insert(ROOT_ID, 2, 0.4)
         layout = flatten(tree)
-        assert not layout.mask[1, 2]
-        assert not layout.mask[2, 1]
-        assert layout.mask[1, 0] and layout.mask[2, 0]
-
-    def test_branchy_mask_matches_bruteforce_walk(self):
-        tree = TokenTree()
-        a = tree.insert(ROOT_ID, 1, 0.9)
-        b = tree.insert(ROOT_ID, 2, 0.8)
-        tree.insert(a, 3, 0.5)
-        tree.insert(b, 4, 0.4)
-        layout = flatten(tree)
-        expected = ancestor_matrix_bruteforce(tree, layout.rows)
-        assert np.array_equal(layout.mask, expected)
+        assert layout.parent_row == (-1, 0, 0)
+        assert layout.path_tokens(1) == [1]
+        assert layout.path_tokens(2) == [2]
 
     def test_parent_rows_precede_children(self):
         tree = TokenTree()
@@ -151,7 +141,9 @@ class TestCompact:
             reach = tree.node(parent).reach * 0.9
             ids.append(tree.insert(parent, t, reach))
         leaf = ids[-1]
-        keep = tree.path_ids(leaf)
+        keep = [leaf]
+        while keep[-1] != ROOT_ID:
+            keep.append(tree.node(keep[-1]).parent)
         out = compact(tree, keep)
         # oracle: explicit parent walk of the kept path
         expected_tokens = tree.path_tokens(leaf)
@@ -223,7 +215,7 @@ class TestProperties:
 
     @given(tree_builds())
     @settings(max_examples=60, deadline=None)
-    def test_mask_matches_bruteforce_ancestor_walk(self, ops):
+    def test_row_paths_match_tree_paths(self, ops):
         tree = TokenTree()
         handles = [ROOT_ID]
         for parent_idx, token, shadow in ops:
@@ -239,8 +231,11 @@ class TestProperties:
                 tree.insert(parent, token, tree.node(parent).reach * 0.9, shadow)
             )
         layout = flatten(tree)
-        expected = ancestor_matrix_bruteforce(tree, layout.rows)
-        assert np.array_equal(layout.mask, expected)
+        assert list(layout.rows) == tree.ids()
+        for i, nid in enumerate(layout.rows):
+            assert layout.path_tokens(i) == tree.path_tokens(nid)
+            if i:
+                assert layout.rows[layout.parent_row[i]] == tree.node(nid).parent
 
     @given(tree_builds())
     @settings(max_examples=60, deadline=None)
