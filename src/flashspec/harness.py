@@ -244,6 +244,12 @@ def make_pruner(
     if isinstance(target, LayeredTargetModel):
         layer = default_exit_layer(target.depth)
         if cfg.predictor_checkpoint:
+            if trial != 0:
+                raise ConfigError(
+                    f"predictor checkpoint {cfg.predictor_checkpoint} fits trial 0's "
+                    f"target (seed model.seed + 0) only; trial {trial}'s target has "
+                    f"seed model.seed + {trial}, so run one trial or train per trial"
+                )
             pred = load_checkpoint(cfg.predictor_checkpoint)
             got = (pred.vocab_size, pred.hidden_dim, pred.layer)
             want = (target.vocab_size, target.hidden_dim, layer)

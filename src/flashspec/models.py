@@ -2,11 +2,13 @@
 synthetic realizations used as draft/target pairs.
 
 Every model is immutable after construction and reproducible bit-for-bit
-given its seed.  A model's output depends only on the padded last-``order``
-tokens of the prefix, so outputs are memoized per padded tail: tabular rows,
-and for the layered target one full forward pass (every layer's hidden
-state, the logits and the softmax).  A memoized value is exactly what a
-fresh evaluation returns, which keeps the models usable as exact oracles.
+given its seed.  Every model exposes ``order``: its output depends only on
+the padded last-``order`` tokens of the prefix, so outputs are memoized per
+padded tail: tabular rows, and for the layered target one full forward pass
+(every layer's hidden state, the logits and the softmax).  The layered
+target computes the passes of many missing tails as one batch; a memoized
+value is exactly what a fresh evaluation returns, which keeps the models
+usable as exact oracles.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from .tree import CandidateSet
 
 
 class ProbModel(abc.ABC):
-    """Conditional distribution over the next token given a prefix."""
+    """Conditional distribution over the next token given a prefix that
+    matters only through its padded last-``order`` tokens."""
 
     vocab_size: int
+    order: int
 
     @abc.abstractmethod
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
@@ -113,6 +117,8 @@ class LayeredTargetModel(ProbModel):
     ) -> None:
         if vocab_size < 1:
             raise ConfigError("vocab_size must be >= 1")
+        if order < 1:
+            raise ConfigError("order must be >= 1")
         if depth < 2:
             raise ConfigError("depth must be >= 2 (need a strictly-interior layer)")
         if hidden_dim < 1:
@@ -135,25 +141,44 @@ class LayeredTargetModel(ProbModel):
         self.output_proj = rng.standard_normal((vocab_size, hidden_dim)) * scale
         self._passes: dict[tuple[int, ...], _ForwardPass] = {}
 
+    def forward_tails(self, prefixes: Sequence[Sequence[int]]) -> list[_ForwardPass]:
+        """(hidden state of every layer, logits, softmax) for each prefix's
+        padded tail.  Tails without a memoized pass are computed together in
+        one batch, once each; the arrays are read-only."""
+        tails = [_padded_tail(p, self.order) for p in prefixes]
+        missing = list(dict.fromkeys(t for t in tails if t not in self._passes))
+        if missing:
+            self._compute(missing)
+        return [self._passes[t] for t in tails]
+
     def _forward(self, prefix: Sequence[int]) -> _ForwardPass:
-        """(hidden state of every layer, logits, softmax) for the prefix's
-        padded tail, computed once per tail; the arrays are read-only."""
         tail = _padded_tail(prefix, self.order)
         cached = self._passes.get(tail)
         if cached is None:
-            h = self.embedding[list(tail)].mean(axis=0)
-            hidden = []
-            for ell in range(self.depth):
-                h = np.tanh(self.layer_weights[ell] @ h + self.layer_biases[ell])
-                hidden.append(h)
-            z = self.logit_scale * (self.output_proj @ h)
-            e = np.exp(z - z.max())
-            dist = e / e.sum()
-            for arr in (*hidden, z, dist):
-                arr.flags.writeable = False
-            cached = (tuple(hidden), z, dist)
-            self._passes[tail] = cached
+            self._compute([tail])
+            cached = self._passes[tail]
         return cached
+
+    def _compute(self, tails: list[tuple[int, ...]]) -> None:
+        """Memoize the forward pass of each tail, computed as one batch."""
+        for tail in tails:
+            for t in tail:
+                if not (0 <= t < self.vocab_size):
+                    raise ContractError(f"token {t} outside vocabulary")
+        # One matrix-vector product per tail (batched), not H @ W.T: the two
+        # round differently, and a batch must equal a batch of one.
+        h = self.embedding[np.array(tails, dtype=np.intp)].mean(axis=1)
+        hidden = []
+        for W, b in zip(self.layer_weights, self.layer_biases):
+            h = np.tanh((W @ h[:, :, None])[:, :, 0] + b)
+            hidden.append(h)
+        z = self.logit_scale * (self.output_proj @ h[:, :, None])[:, :, 0]
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        dist = e / e.sum(axis=1, keepdims=True)
+        for arr in (*hidden, z, dist):
+            arr.flags.writeable = False
+        for i, tail in enumerate(tails):
+            self._passes[tail] = (tuple(layer[i] for layer in hidden), z[i], dist[i])
 
     def hidden_at(self, layer: int, prefix: Sequence[int]) -> np.ndarray:
         if not (1 <= layer <= self.depth):
@@ -183,6 +208,7 @@ class MixtureDraftModel(ProbModel):
         self.noise = noise
         self.agreement = float(agreement)
         self.vocab_size = target.vocab_size
+        self.order = max(target.order, noise.order)
 
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
         a = self.agreement
@@ -205,7 +231,7 @@ def derive_draft(
     Peaked noise (small concentration) makes disagreements confident ones,
     which is what separates chain drafting from tree drafting.
     """
-    order = noise_order if noise_order is not None else getattr(target, "order", 1)
+    order = noise_order if noise_order is not None else target.order
     noise = TabularMarkovModel(
         target.vocab_size, order, noise_seed, concentration=noise_concentration
     )

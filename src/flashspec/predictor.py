@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, TrainingDiverged
-from .models import LayeredTargetModel, ProbModel, draft_candidates
+from .models import LayeredTargetModel, ProbModel, _padded_tail
 
 
 @dataclass(frozen=True)
@@ -249,6 +250,22 @@ def default_exit_layer(depth: int) -> int:
     return (depth + 1) // 2
 
 
+@lru_cache(maxsize=8)
+def _sampled_tails(
+    seed: int, n_examples: int, vocab: int, order: int, min_len: int, max_len: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The distinct padded tails of the seeded random prefixes, in order of
+    first occurrence, and each example's index into them."""
+    rng = np.random.default_rng(seed)
+    index: dict[tuple[int, ...], int] = {}
+    of_example = []
+    for _ in range(n_examples):
+        length = int(rng.integers(min_len, max_len + 1))
+        prefix = rng.integers(0, vocab, size=length).tolist()
+        of_example.append(index.setdefault(_padded_tail(prefix, order), len(index)))
+    return tuple(index), tuple(of_example)
+
+
 def build_distillation_dataset(
     target: LayeredTargetModel,
     draft: ProbModel,
@@ -260,25 +277,39 @@ def build_distillation_dataset(
     max_len: int = 16,
 ) -> list[TrainingExample]:
     """Record (hidden state, final logits, drafted candidate set) triples
-    over seeded random prefixes."""
+    over seeded random prefixes.
+
+    Both models read a prefix only through its padded tail, so each distinct
+    tail is evaluated once: one batched target forward pass and one stacked
+    top-k sort of the draft rows.  Examples that share a tail share one
+    :class:`TrainingExample`."""
     if not (1 <= layer <= target.depth):
         raise ContractError(f"layer {layer} outside [1, {target.depth}]")
-    rng = np.random.default_rng(seed)
-    out: list[TrainingExample] = []
-    for _ in range(n_examples):
-        length = int(rng.integers(min_len, max_len + 1))
-        prefix = rng.integers(0, target.vocab_size, size=length).tolist()
-        cand = draft_candidates(draft, prefix, k)
-        out.append(
-            TrainingExample(
-                hidden=target.hidden_at(layer, prefix),
-                logits=target.logits(prefix),
-                # token order: restriction is a set, and a neutral order keeps
-                # the zero-initialized predictor at chance-level agreement
-                candidates=tuple(sorted(cand.tokens())),
-            )
-        )
-    return out
+    if not (1 <= k <= draft.vocab_size):
+        raise ContractError(f"k={k} outside [1, {draft.vocab_size}]")
+    if n_examples < 1:
+        raise ContractError("n_examples must be >= 1")
+    if not (1 <= min_len <= max_len):
+        raise ContractError(f"need 1 <= min_len <= max_len, got {min_len}, {max_len}")
+    tails, of_example = _sampled_tails(
+        seed,
+        n_examples,
+        target.vocab_size,
+        max(target.order, draft.order),
+        min_len,
+        max_len,
+    )
+    passes = target.forward_tails(tails)
+    P = np.stack([draft.next_dist(tail) for tail in tails])
+    # Top-k by draft probability with ties toward the smaller id (stable sort
+    # of -P), then in token order: restriction is a set, and a neutral order
+    # keeps the zero-initialized predictor at chance-level agreement.
+    C = np.sort(np.argsort(-P, axis=1, kind="stable")[:, :k], axis=1)
+    per_tail = [
+        TrainingExample(hidden=hidden[layer - 1], logits=z, candidates=tuple(cand))
+        for (hidden, z, _), cand in zip(passes, C.tolist())
+    ]
+    return [per_tail[i] for i in of_example]
 
 
 def candidate_top1_agreement(

@@ -1,4 +1,4 @@
-"""Slow reference for probe training.
+"""Slow reference for probe training and its distillation dataset.
 
 The functions below are the loss, gradient and training loop as they stood
 before training ran on stacked (N, k) arrays: ``cand_loss`` and the
@@ -6,6 +6,11 @@ candidate-restricted part of ``total_loss_grad`` loop over examples, and
 ``train`` restacks every mini-batch from example objects.  The property
 tests check that :mod:`flashspec.predictor` returns identical losses,
 gradients, trained weights and loss curves.
+
+``build_distillation_dataset`` is the builder as it stood before it worked
+per distinct context tail: one ``draft_candidates`` call and two target
+reads per example.  A property test checks that the per-tail builder
+returns identical examples.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from flashspec.errors import ContractError, TrainingDiverged
+from flashspec.models import LayeredTargetModel, ProbModel, draft_candidates
 from flashspec.predictor import (
     EarlyExitPredictor,
     TrainConfig,
@@ -136,3 +142,35 @@ def train(
             )
         curve.append(loss)
     return current, curve
+
+
+def build_distillation_dataset(
+    target: LayeredTargetModel,
+    draft: ProbModel,
+    layer: int,
+    n_examples: int,
+    k: int,
+    seed: int,
+    min_len: int = 1,
+    max_len: int = 16,
+) -> list[TrainingExample]:
+    """Record (hidden state, final logits, drafted candidate set) triples
+    over seeded random prefixes."""
+    if not (1 <= layer <= target.depth):
+        raise ContractError(f"layer {layer} outside [1, {target.depth}]")
+    rng = np.random.default_rng(seed)
+    out: list[TrainingExample] = []
+    for _ in range(n_examples):
+        length = int(rng.integers(min_len, max_len + 1))
+        prefix = rng.integers(0, target.vocab_size, size=length).tolist()
+        cand = draft_candidates(draft, prefix, k)
+        out.append(
+            TrainingExample(
+                hidden=target.hidden_at(layer, prefix),
+                logits=target.logits(prefix),
+                # token order: restriction is a set, and a neutral order keeps
+                # the zero-initialized predictor at chance-level agreement
+                candidates=tuple(sorted(cand.tokens())),
+            )
+        )
+    return out

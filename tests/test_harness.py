@@ -317,6 +317,22 @@ class TestCLI:
         save_checkpoint(EarlyExitPredictor.zeros(16, 8, 2), path)
         assert make_pruner(cfg, target, make_draft(cfg, target, 0), 0) is not None
 
+    def test_checkpoint_rejected_after_trial_zero(self, tmp_path):
+        path = str(tmp_path / "predictor.json")
+        save_checkpoint(EarlyExitPredictor.zeros(16, 8, 2), path)
+        cfg = small_cfg(
+            policy="lever",
+            trials=2,
+            model=ModelSpec(type="layered", vocab_size=16, order=2, seed=4,
+                            depth=4, hidden_dim=8),
+            predictor_checkpoint=path,
+        )
+        target = make_target(cfg.model, 1)
+        with pytest.raises(ConfigError, match="fits trial 0's target"):
+            make_pruner(cfg, target, make_draft(cfg, target, 1), 1)
+        with pytest.raises(ConfigError, match="trial 1's target"):
+            run_experiment(cfg)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_training_divergence_is_clean_exit(self, tmp_path, capsys):
         cfg = small_cfg(

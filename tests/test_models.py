@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flashspec.errors import ContractError
+from flashspec.errors import ConfigError, ContractError
 from flashspec.models import (
     LayeredTargetModel,
     MixtureDraftModel,
@@ -138,6 +138,21 @@ class TestLayeredModel:
         with pytest.raises(ContractError):
             model.hidden_at(5, [1])
 
+    @pytest.mark.parametrize("token", [-1, 8])
+    def test_out_of_vocabulary_token_rejected(self, token):
+        model = LayeredTargetModel(8, 2, depth=4, hidden_dim=4, seed=1)
+        with pytest.raises(ContractError, match="outside vocabulary"):
+            model.next_dist([3, token])
+        with pytest.raises(ContractError, match="outside vocabulary"):
+            model.forward_tails([[1, 2], [token, 3], [4]])
+        # the valid tails of a rejected batch still evaluate
+        for p, (_, _, dist) in zip([[1, 2], [4]], model.forward_tails([[1, 2], [4]])):
+            assert np.array_equal(dist, reference_dist(model, p))
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="order"):
+            LayeredTargetModel(8, 0, depth=4, hidden_dim=4, seed=1)
+
     def test_deterministic_given_seed(self):
         a = LayeredTargetModel(16, 2, depth=4, hidden_dim=8, seed=11)
         b = LayeredTargetModel(16, 2, depth=4, hidden_dim=8, seed=11)
@@ -183,7 +198,9 @@ def memo_sessions(draw):
     calls = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["hidden_at", "logits", "next_dist", "source_rows"]),
+                st.sampled_from(
+                    ["hidden_at", "logits", "next_dist", "source_rows", "forward_tails"]
+                ),
                 st.one_of(st.sampled_from(pool), st.lists(token, max_size=5)),
                 st.integers(1, model.depth),
                 st.lists(token, min_size=1, max_size=3),
@@ -209,6 +226,19 @@ class TestLayeredMemo:
                 assert rows.shape == (len(prefixes), model.hidden_dim)
                 for row, p in zip(rows, prefixes):
                     assert np.array_equal(row, reference_hidden(model, source.layer, p))
+                continue
+            if kind == "forward_tails":
+                prefixes = [prefix + path[:i] for i in range(len(path) + 1)]
+                passes = model.forward_tails(prefixes)
+                assert len(passes) == len(prefixes)
+                for (hidden, z, dist), p in zip(passes, prefixes):
+                    assert len(hidden) == model.depth
+                    for ell, h in enumerate(hidden, start=1):
+                        assert np.array_equal(h, reference_hidden(model, ell, p))
+                    assert np.array_equal(z, reference_logits(model, p))
+                    assert np.array_equal(dist, reference_dist(model, p))
+                    for arr in (*hidden, z, dist):
+                        assert not arr.flags.writeable
                 continue
             if kind == "hidden_at":
                 got = model.hidden_at(layer, prefix)

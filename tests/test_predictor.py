@@ -161,6 +161,27 @@ class TestGradient:
         )
 
 
+class TestDistillationDataset:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(k=0), "k=0"),
+            (dict(k=9), "k=9"),
+            (dict(n_examples=0), "n_examples"),
+            (dict(min_len=0), "min_len"),
+            (dict(min_len=4, max_len=3), "min_len"),
+        ],
+        ids=["k-zero", "k-above-vocab", "no-examples", "min-len-zero", "max-below-min"],
+    )
+    def test_argument_contract(self, overrides, message):
+        target = LayeredTargetModel(8, 2, depth=4, hidden_dim=4, seed=1)
+        draft = derive_draft(target, 0.5, noise_seed=2)
+        args = dict(layer=2, n_examples=10, k=3, seed=0, min_len=1, max_len=5)
+        assert len(build_distillation_dataset(target, draft, **args)) == 10
+        with pytest.raises(ContractError, match=message):
+            build_distillation_dataset(target, draft, **{**args, **overrides})
+
+
 class TestTraining:
     def _setup(self, n=400, seed=5):
         target = LayeredTargetModel(32, 2, depth=6, hidden_dim=16, seed=seed)

@@ -1,4 +1,5 @@
-"""Probe training on stacked arrays against the per-example reference."""
+"""Probe training on stacked arrays, and the distillation dataset built per
+distinct context tail, against the per-example references."""
 
 import numpy as np
 import pytest
@@ -128,3 +129,65 @@ def test_layered_dataset_matches_reference():
     slow, slow_curve = ref.train(pred, dataset, cfg)
     assert np.array_equal(fast.weights, slow.weights)
     assert fast_curve == slow_curve
+
+
+@st.composite
+def dataset_problems(draw):
+    """Model arguments and builder arguments.  The draft's noise order may
+    differ from the target's, and ``max_len`` may be shorter than either
+    order, so padded tails are common."""
+    vocab = draw(st.integers(2, 12))
+    depth = draw(st.integers(2, 5))
+    target_args = (
+        vocab,
+        draw(st.integers(1, 3)),
+        depth,
+        draw(st.one_of(st.integers(1, 8), st.sampled_from([32, 64]))),
+        draw(st.integers(0, 10_000)),
+    )
+    draft_args = (
+        draw(st.sampled_from([0.0, 0.45, 0.8, 1.0])),
+        draw(st.integers(0, 10_000)),
+        draw(st.integers(1, 3)),
+    )
+    min_len = draw(st.integers(1, 3))
+    build_args = dict(
+        layer=draw(st.integers(1, depth)),
+        n_examples=draw(st.integers(1, 300)),
+        k=draw(st.integers(1, min(5, vocab))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        min_len=min_len,
+        max_len=draw(st.integers(min_len, 6)),
+    )
+    reads = draw(st.lists(st.lists(st.integers(0, vocab - 1), max_size=5), max_size=6))
+    return target_args, draft_args, build_args, reads
+
+
+def _models(target_args, draft_args):
+    target = LayeredTargetModel(*target_args)
+    agreement, noise_seed, noise_order = draft_args
+    return target, derive_draft(target, agreement, noise_seed, noise_order=noise_order)
+
+
+@settings(max_examples=200)
+@given(dataset_problems())
+def test_dataset_matches_reference(problem):
+    target_args, draft_args, build_args, reads = problem
+    target, draft = _models(target_args, draft_args)
+    fast = build_distillation_dataset(target, draft, **build_args)
+    slow = ref.build_distillation_dataset(*_models(target_args, draft_args), **build_args)
+    assert len(fast) == len(slow) == build_args["n_examples"]
+    for a, b in zip(fast, slow):
+        assert a.hidden.tobytes() == b.hidden.tobytes()
+        assert a.logits.tobytes() == b.logits.tobytes()
+        assert a.candidates == b.candidates
+        assert all(type(t) is int for t in a.candidates)
+    # passes memoized by the batch read exactly as a fresh model computes them
+    fresh = LayeredTargetModel(*target_args)
+    for prefix in reads:
+        assert target.next_dist(prefix).tobytes() == fresh.next_dist(prefix).tobytes()
+        for layer in range(1, target.depth + 1):
+            assert (
+                target.hidden_at(layer, prefix).tobytes()
+                == fresh.hidden_at(layer, prefix).tobytes()
+            )
