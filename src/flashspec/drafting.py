@@ -15,8 +15,9 @@ looks up the current shape and at most two grown shapes, computes at most
 four class costs with :func:`marginal_cost`'s arithmetic, and scores every
 entry from that table.  Per-class ordered queues were prototyped and gained
 at most a few percent, because the frontier holds only a handful of entries;
-one ``min`` over it keeps a single scoring path for both selection and the
-recorded frontier.
+one pass over it scores every entry and keeps the best by
+:func:`_selection_key`, and the recorded frontier, when asked for, is the
+same scores sorted by that key.
 
 :class:`LatencyProfile` memoizes the nearest stored shape of every missed
 lookup, so a miss scans the table once; the memo is dropped whenever a new
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, ContractError
 from .models import ProbModel, draft_candidates
@@ -231,8 +232,7 @@ class DraftConfig:
         return ReliabilityState(value=1.0, beta=self.beta, floor=self.r_min)
 
 
-@dataclass(frozen=True)
-class FrontierEntry:
+class FrontierEntry(NamedTuple):
     """A drafted candidate whose parent is in the tree but which is not."""
 
     parent: int
@@ -253,8 +253,7 @@ class GainCostEstimate:
         return self.draft_cost + self.verify_cost
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One insertion decision: the candidate ranking at that instant."""
 
     chosen: tuple[int, int]                          # (parent, token)
@@ -368,6 +367,7 @@ def build_tree(
     reaches = {ROOT_ID: 1.0}
     # (parent, token) -> (entry, expandable), in insertion order
     frontier: dict[tuple[int, int], tuple[FrontierEntry, bool]] = {}
+    branched: set[int] = set()       # nodes with inserted children
     candidate_sets: dict[int, CandidateSet] = {}
     expansion_counts: list[int] = []
     steps: list[StepRecord] = []
@@ -403,16 +403,30 @@ def build_tree(
         # cost class index: 2 * (parent already has children) + expandable
         costs: list[float | None] = [None] * 4
         scored = []
+        best = None
+        best_ratio = 0.0
         for entry, expandable in frontier.values():
-            branching = not tree.is_leaf(entry.parent)
+            branching = entry.parent in branched
             cls = 2 * branching + expandable
             mc = costs[cls]
             if mc is None:
                 after = profile.lookup((nodes + 1, leaves + branching))
                 mc = _priced(after - verify_cost, expandable, draft_ms, cfg)
                 costs[cls] = mc
-            scored.append((entry, mc, entry.reach / mc))
-        best, _, best_ratio = min(scored, key=_selection_key)
+            ratio = entry.reach / mc
+            if record_frontier:
+                scored.append((entry, mc, ratio))
+            # the minimum of _selection_key, in one pass
+            if (
+                best is None
+                or ratio > best_ratio
+                or (
+                    ratio == best_ratio
+                    and (-entry.reach, entry.token, entry.parent)
+                    < (-best.reach, best.token, best.parent)
+                )
+            ):
+                best, best_ratio = entry, ratio
         rows = _frontier_rows(scored) if record_frontier else None
 
         if best_ratio <= gain / cycle_cost:
@@ -430,6 +444,7 @@ def build_tree(
             )
         )
         node_id = tree.insert(best.parent, best.token, best.reach)
+        branched.add(best.parent)
         reaches[node_id] = best.reach
         _, expandable = frontier.pop((best.parent, best.token))
         gain += best.reach

@@ -48,16 +48,6 @@ class EarlyExitPredictor:
     def hidden_dim(self) -> int:
         return self.weights.shape[1]
 
-    def score(self, h: np.ndarray, token: int) -> float:
-        """Dot product of the token's scoring row with a hidden state."""
-        if not (0 <= token < self.vocab_size):
-            raise ContractError(f"token {token} outside vocabulary")
-        if h.shape != (self.hidden_dim,):
-            raise ContractError(
-                f"hidden state shape {h.shape} != ({self.hidden_dim},)"
-            )
-        return float(self.weights[token] @ h)
-
     @classmethod
     def zeros(cls, vocab_size: int, hidden_dim: int, layer: int) -> "EarlyExitPredictor":
         return cls(np.zeros((vocab_size, hidden_dim)), layer)

@@ -4,10 +4,15 @@ Only parents (nodes with inserted children) are scored, so the hidden-state
 source is asked for one row per parent, in flattened row order.  Edge scores
 are normalized within each parent's full candidate set (inserted children
 and shadow tokens alike; shadows exist only to make the comparison
-meaningful).  Low-scoring edges are dropped subject to safeguards: the keep
-set stays ancestor-closed, a backbone path of per-depth best children is
-immune, the strongest children near the root survive, and decisions that
-strip the tree too bare are rejected wholesale.
+meaningful).  Every edge of the tree is scored in one pass: the members of
+all parents are gathered into one token array, scored by one batched
+matrix-vector product, and softmax-normalized per parent with the rounding
+of a per-parent evaluation.
+
+Low-scoring edges are dropped subject to safeguards: the keep set stays
+ancestor-closed, a backbone path of per-depth best children is immune, the
+strongest children near the root survive, and decisions that strip the tree
+too bare are rejected wholesale.
 """
 
 from __future__ import annotations
@@ -75,26 +80,48 @@ def normalize_scores(
     """
     if hidden_rows.shape[0] != len(parents):
         raise ContractError("hidden rows do not match the parents")
-    scores: dict[tuple[int, int], float] = {}
-    for parent, h in zip(parents, hidden_rows):
-        children = tree.children(parent)
-        if not children:
+    edges: list[tuple[int, int]] = []          # (parent, token), parent by parent
+    group: list[int] = []                      # each edge's index into parents
+    firsts: dict[int, list[int]] = {}          # set size -> each set's first edge
+    for i, parent in enumerate(parents):
+        members = tree.children(parent)
+        if not members:
             raise ContractError(f"node {parent} has no inserted children")
-        member_ids = children + tree.shadow_children(parent)
-        tokens = [tree.node(cid).token for cid in member_ids]
-        raw = np.array([pred.score(h, t) for t in tokens]) / tau
-        raw -= raw.max()
-        e = np.exp(raw)
-        norm = e / e.sum()
-        for token, s in zip(tokens, norm):
-            scores[(parent, token)] = float(s)
-    return scores
+        members += tree.shadow_children(parent)
+        firsts.setdefault(len(members), []).append(len(edges))
+        edges.extend((parent, tree.node(cid).token) for cid in members)
+        group += [i] * len(members)
+    if not edges:
+        return {}
+    tokens = np.array([token for _, token in edges])
+    outside = tokens[(tokens < 0) | (tokens >= pred.vocab_size)]
+    if outside.size:
+        raise ContractError(f"token {outside[0]} outside vocabulary")
+    if hidden_rows.shape[1:] != (pred.hidden_dim,):
+        raise ContractError(
+            f"hidden state shape {hidden_rows.shape[1:]} != ({pred.hidden_dim},)"
+        )
+
+    # One dot product per edge (batched 1 x d by d x 1 products): a gather
+    # from W[tokens] @ h rounds differently.
+    raw = (pred.weights[tokens][:, None, :] @ hidden_rows[group][:, :, None])[:, 0, 0]
+    raw /= tau
+    # The candidate sets of one size are normalized as one (sets, size)
+    # block: a row sum of a block rounds like the 1-D sum of that row, where
+    # np.add.reduceat over the flat array does not.
+    norm = np.empty_like(raw)
+    for size, starts in firsts.items():
+        at = np.array(starts)[:, None] + np.arange(size)
+        block = raw[at]
+        block -= block.max(axis=1, keepdims=True)
+        e = np.exp(block)
+        norm[at] = e / e.sum(axis=1, keepdims=True)
+    return dict(zip(edges, norm.tolist()))
 
 
 def backbone_path(
     tree: TokenTree,
     scores: dict[tuple[int, int], float],
-    max_depth: int | None = None,
 ) -> list[int]:
     """Most-reliable chain from the root: at each depth descend to the child
     with the best normalized score (ties prefer higher reach, then the
@@ -104,8 +131,6 @@ def backbone_path(
     while True:
         children = tree.children(cur)
         if not children:
-            break
-        if max_depth is not None and tree.node(cur).depth >= max_depth:
             break
         best = min(
             children,

@@ -2,19 +2,25 @@
 
 A :class:`TokenTree` holds the branching draft produced during one speculative
 cycle.  Nodes are identified by stable integer handles assigned at insertion;
-the tree is append-only until :func:`compact` produces a reduced copy.  Shadow
-nodes (candidates kept only as scoring references) live in the same structure,
-flagged, and are excluded from flattened verification layouts and from the
-node/leaf counts that drive cost estimation.  A flattened layout is the row
-list verification prices plus each row's parent row and token; a row's path
-follows parent rows back to the root.
+the tree is append-only until :func:`compact_with_map` produces a reduced
+copy.  Shadow nodes (candidates kept only as scoring references) live in the
+same structure, flagged, and are excluded from flattened verification layouts
+and from the node/leaf counts that drive cost estimation.  A flattened layout
+is the row list verification prices plus each row's parent row and token; a
+row's path follows parent rows back to the root.
+
+Every edge is indexed by ``(parent, token)``, children and shadows alike, so
+an insertion's duplicate and shadow checks and
+:meth:`TokenTree.child_by_token` are dict lookups.  Compaction validates the
+keep set once and then remaps the kept nodes into a fresh tree without
+re-running the insertion checks.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ContractError, StructureError
 
@@ -23,8 +29,7 @@ ROOT_PARENT = -1
 ROOT_TOKEN = -1
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     """One tree node; ``token`` is ``ROOT_TOKEN`` for the root sentinel."""
 
     node_id: int
@@ -91,6 +96,8 @@ class TokenTree:
         ]
         self._children: dict[int, list[int]] = {ROOT_ID: []}
         self._shadow_children: dict[int, list[int]] = {ROOT_ID: []}
+        # (parent, token) -> (node id, shadow) for every non-root node
+        self._edges: dict[tuple[int, int], tuple[int, bool]] = {}
         self._node_count = 1
         self._leaf_count = 1
 
@@ -133,10 +140,11 @@ class TokenTree:
         return list(self._shadow_children[node_id])
 
     def child_by_token(self, node_id: int, token: int) -> int | None:
-        for cid in self._children[node_id]:
-            if self._nodes[cid].token == token:
-                return cid
-        return None
+        """The non-shadow child of ``node_id`` drafted with ``token``."""
+        edge = self._edges.get((node_id, token))
+        if edge is None or edge[1]:
+            return None
+        return edge[0]
 
     def is_leaf(self, node_id: int) -> bool:
         return not self._nodes[node_id].shadow and not self._children[node_id]
@@ -155,41 +163,50 @@ class TokenTree:
     # -- mutation ----------------------------------------------------------
 
     def insert(self, parent: int, token: int, reach: float, shadow: bool = False) -> int:
-        """Append a node under ``parent`` and return its stable handle."""
+        """Append a node under ``parent`` and return its stable handle.
+
+        A token appears at most once under a parent, as a child or as a
+        shadow.
+        """
         if parent < 0 or parent >= len(self._nodes):
             raise StructureError(f"parent {parent} is not in the tree")
         pnode = self._nodes[parent]
         if pnode.shadow:
             raise StructureError("shadow nodes cannot have children")
-        if self.child_by_token(parent, token) is not None:
+        edge = self._edges.get((parent, token))
+        if edge is not None:
+            if edge[1]:
+                raise StructureError(
+                    f"token {token} already present as a shadow under node {parent}"
+                )
             raise StructureError(
                 f"token {token} already inserted under node {parent}"
-            )
-        if not shadow and any(
-            self._nodes[cid].token == token for cid in self._shadow_children[parent]
-        ):
-            raise StructureError(
-                f"token {token} already present as a shadow under node {parent}"
             )
         if reach > pnode.reach + 1e-12:
             raise StructureError(
                 f"child reach {reach} exceeds parent reach {pnode.reach}"
             )
+        return self._append(parent, token, reach, shadow)
 
+    def _append(self, parent: int, token: int, reach: float, shadow: bool) -> int:
+        """Append a node that has passed :meth:`insert`'s checks."""
         node_id = len(self._nodes)
-        node = TreeNode(node_id, token, parent, pnode.depth + 1, float(reach), shadow)
-        self._nodes.append(node)
+        depth = self._nodes[parent].depth + 1
+        self._nodes.append(
+            TreeNode(node_id, token, parent, depth, float(reach), shadow)
+        )
         self._children[node_id] = []
         self._shadow_children[node_id] = []
+        self._edges[parent, token] = (node_id, shadow)
         if shadow:
             self._shadow_children[parent].append(node_id)
         else:
-            had_children = bool(self._children[parent])
-            self._children[parent].append(node_id)
-            self._node_count += 1
-            if had_children:
+            siblings = self._children[parent]
+            if siblings:
                 self._leaf_count += 1
             # else: parent stops being a leaf, the new node starts; net zero
+            siblings.append(node_id)
+            self._node_count += 1
         return node_id
 
     def recount(self) -> tuple[int, int]:
@@ -278,16 +295,12 @@ def flatten(tree: TokenTree) -> TreeLayout:
     return TreeLayout(tuple(ids), tuple(parent_row), tuple(tokens))
 
 
-def compact(tree: TokenTree, keep: Iterable[int]) -> TokenTree:
-    """Return a new tree holding exactly ``keep``; the input is unmodified."""
-    new_tree, _ = compact_with_map(tree, keep)
-    return new_tree
-
-
 def compact_with_map(
     tree: TokenTree, keep: Iterable[int]
 ) -> tuple[TokenTree, dict[int, int]]:
-    """Like :func:`compact` but also returns the old-id -> new-id mapping."""
+    """Return a new tree holding exactly ``keep`` and the old-id -> new-id
+    mapping; the input is unmodified.  Kept nodes keep their relative order.
+    """
     keep_set = set(keep)
     if ROOT_ID not in keep_set:
         raise ContractError("keep set must contain the root")
@@ -302,11 +315,17 @@ def compact_with_map(
                 f"keep set is not ancestor-closed: {nid} kept without {node.parent}"
             )
 
+    # The kept nodes are an ancestor-closed set of a valid tree's non-shadow
+    # nodes, appended parents first: every parent is present and non-shadow,
+    # every (parent, token) edge was unique in the source tree and reaches
+    # never grow down a path, so insert's checks cannot fail and are skipped.
     new_tree = TokenTree(root_token=tree.root.token)
     mapping = {ROOT_ID: ROOT_ID}
     for nid in sorted(keep_set):
         if nid == ROOT_ID:
             continue
         node = tree.node(nid)
-        mapping[nid] = new_tree.insert(mapping[node.parent], node.token, node.reach)
+        mapping[nid] = new_tree._append(
+            mapping[node.parent], node.token, node.reach, False
+        )
     return new_tree, mapping

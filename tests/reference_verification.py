@@ -1,18 +1,24 @@
-"""Slow reference for verification and the prune step.
+"""Slow reference for verification, the prune step and compaction.
 
 The code below is verification and pruning as they stood before each stage
 read only the rows it uses: ``verify_tree`` takes the target argmax of every
 flattened row before walking the tree, and the prune step asks its hidden
 source for a feature row per flattened row although only the rows of
-parents are scored.  The property tests check that
-:mod:`flashspec.verification` and :mod:`flashspec.pruning` give identical
-accepted paths, emitted tokens, pruned trees and prune summaries.
+parents are scored.  Edge scores are computed one edge at a time by
+``score`` (the probe's per-edge dot product with its shape and range
+checks), both by the all-rows ``normalize_scores`` and by
+``normalize_parent_scores``, the per-parent form the engine had before it
+scored every edge in one pass.  ``compact_with_map`` re-inserts every kept
+node through ``TokenTree.insert`` and its checks.  The property tests check
+that :mod:`flashspec.verification`, :mod:`flashspec.pruning` and
+:mod:`flashspec.tree` give identical accepted paths, emitted tokens, edge
+scores, pruned trees, id mappings and prune summaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,7 +26,7 @@ from flashspec.errors import ConfigError, ContractError
 from flashspec.models import LayeredTargetModel, ProbModel
 from flashspec.predictor import EarlyExitPredictor
 from flashspec.pruning import PruneConfig, prune
-from flashspec.tree import ROOT_ID, TokenTree, TreeLayout, compact_with_map, flatten
+from flashspec.tree import ROOT_ID, TokenTree, TreeLayout, flatten
 from flashspec.verification import PruneSummary
 
 
@@ -163,13 +169,85 @@ def normalize_scores(
         if not tokens:
             raise ContractError(f"node {parent} has an empty candidate set")
         h = hidden_rows[row_of[parent]]
-        raw = np.array([pred.score(h, t) for t in tokens]) / tau
+        raw = np.array([score(pred, h, t) for t in tokens]) / tau
         raw -= raw.max()
         e = np.exp(raw)
         norm = e / e.sum()
         for token, s in zip(tokens, norm):
             scores[(parent, token)] = float(s)
     return scores
+
+
+def score(pred: EarlyExitPredictor, h: np.ndarray, token: int) -> float:
+    """Dot product of the token's scoring row with a hidden state."""
+    if not (0 <= token < pred.vocab_size):
+        raise ContractError(f"token {token} outside vocabulary")
+    if h.shape != (pred.hidden_dim,):
+        raise ContractError(
+            f"hidden state shape {h.shape} != ({pred.hidden_dim},)"
+        )
+    return float(pred.weights[token] @ h)
+
+
+def normalize_parent_scores(
+    pred: EarlyExitPredictor,
+    hidden_rows: np.ndarray,
+    tree: TokenTree,
+    parents: Sequence[int],
+    tau: float,
+) -> dict[tuple[int, int], float]:
+    """Per-edge softmax scores at temperature ``tau``.
+
+    ``parents`` are the nodes with inserted children and ``hidden_rows[i]``
+    is the hidden vector of ``parents[i]``.  Each parent's scores are
+    normalized over every token in its candidate set: inserted children and
+    shadow tokens alike.  Shadow edges receive scores too but are never kept
+    as output.
+    """
+    if hidden_rows.shape[0] != len(parents):
+        raise ContractError("hidden rows do not match the parents")
+    scores: dict[tuple[int, int], float] = {}
+    for parent, h in zip(parents, hidden_rows):
+        children = tree.children(parent)
+        if not children:
+            raise ContractError(f"node {parent} has no inserted children")
+        member_ids = children + tree.shadow_children(parent)
+        tokens = [tree.node(cid).token for cid in member_ids]
+        raw = np.array([score(pred, h, t) for t in tokens]) / tau
+        raw -= raw.max()
+        e = np.exp(raw)
+        norm = e / e.sum()
+        for token, s in zip(tokens, norm):
+            scores[(parent, token)] = float(s)
+    return scores
+
+
+def compact_with_map(
+    tree: TokenTree, keep: Iterable[int]
+) -> tuple[TokenTree, dict[int, int]]:
+    """A new tree holding exactly ``keep`` and the old-id -> new-id mapping."""
+    keep_set = set(keep)
+    if ROOT_ID not in keep_set:
+        raise ContractError("keep set must contain the root")
+    for nid in keep_set:
+        if nid >= len(tree) or nid < 0:
+            raise ContractError(f"keep set references unknown node {nid}")
+        node = tree.node(nid)
+        if node.shadow:
+            raise ContractError(f"keep set contains shadow node {nid}")
+        if nid != ROOT_ID and node.parent not in keep_set:
+            raise ContractError(
+                f"keep set is not ancestor-closed: {nid} kept without {node.parent}"
+            )
+
+    new_tree = TokenTree(root_token=tree.root.token)
+    mapping = {ROOT_ID: ROOT_ID}
+    for nid in sorted(keep_set):
+        if nid == ROOT_ID:
+            continue
+        node = tree.node(nid)
+        mapping[nid] = new_tree.insert(mapping[node.parent], node.token, node.reach)
+    return new_tree, mapping
 
 
 class TreePruner:

@@ -20,35 +20,58 @@ from flashspec.predictor import (
     total_loss_grad,
     train,
 )
+from flashspec.pruning import normalize_scores
+from flashspec.tree import ROOT_ID, TokenTree
 
 
 def example(h, z, cands):
     return TrainingExample(np.asarray(h, float), np.asarray(z, float), tuple(cands))
 
 
+def root_scores(pred, h, tokens, tau=1.0):
+    """Normalized scores of ``tokens`` drafted under the root, whose hidden
+    row is ``h``."""
+    tree = TokenTree()
+    for t in tokens:
+        tree.insert(ROOT_ID, t, 0.5)
+    scores = normalize_scores(pred, np.atleast_2d(h), tree, [ROOT_ID], tau)
+    return [scores[(ROOT_ID, t)] for t in tokens]
+
+
 class TestScore:
+    """The probe's edge scores, as the prune step reads them."""
+
     def test_dot_product(self):
         pred = EarlyExitPredictor(np.array([[1.0, 0.0], [0.0, 2.0]]), layer=1)
-        assert pred.score(np.array([0.5, 2.0]), 0) == pytest.approx(0.5)
+        # raw scores 0.5 and 4.0
+        got = root_scores(pred, np.array([0.5, 2.0]), [0, 1])
+        assert got[0] == pytest.approx(math.exp(0.5) / (math.exp(0.5) + math.exp(4.0)))
+        assert got[1] == pytest.approx(math.exp(4.0) / (math.exp(0.5) + math.exp(4.0)))
 
     def test_zero_matrix_scores_zero(self):
         pred = EarlyExitPredictor.zeros(4, 3, layer=1)
         h = np.array([1.0, -2.0, 3.0])
-        assert all(pred.score(h, t) == 0.0 for t in range(4))
+        assert root_scores(pred, h, range(4)) == [0.25] * 4
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(0)
         W = rng.standard_normal((6, 5))
         h = rng.standard_normal(5)
         pred = EarlyExitPredictor(W, layer=2)
-        for t in range(6):
-            naive = sum(W[t, j] * h[j] for j in range(5))
-            assert abs(pred.score(h, t) - naive) < 1e-12
+        naive = [sum(W[t, j] * h[j] for j in range(5)) / 0.5 for t in range(6)]
+        e = [math.exp(x - max(naive)) for x in naive]
+        for got, want in zip(root_scores(pred, h, range(6), tau=0.5), e):
+            assert abs(got - want / sum(e)) < 1e-12
 
     def test_dimension_mismatch(self):
         pred = EarlyExitPredictor.zeros(4, 3, layer=1)
-        with pytest.raises(ContractError):
-            pred.score(np.zeros(2), 0)
+        with pytest.raises(ContractError, match="hidden state shape"):
+            root_scores(pred, np.zeros(2), [0])
+
+    def test_token_outside_vocabulary(self):
+        pred = EarlyExitPredictor.zeros(4, 3, layer=1)
+        with pytest.raises(ContractError, match="outside vocabulary"):
+            root_scores(pred, np.zeros(3), [1, 4])
 
 
 class TestKDLoss:

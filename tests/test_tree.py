@@ -10,7 +10,6 @@ from flashspec.tree import (
     ROOT_ID,
     CandidateSet,
     TokenTree,
-    compact,
     compact_with_map,
     flatten,
 )
@@ -58,6 +57,28 @@ class TestInsert:
         tree.insert(ROOT_ID, 3, 0.6)
         with pytest.raises(StructureError):
             tree.insert(ROOT_ID, 3, 0.5)
+
+    def test_child_matching_a_shadow_rejected(self):
+        tree = TokenTree()
+        tree.insert(ROOT_ID, 3, 0.6)
+        tree.insert(ROOT_ID, 5, 0.3, shadow=True)
+        with pytest.raises(StructureError, match="already present as a shadow"):
+            tree.insert(ROOT_ID, 5, 0.3)
+
+    def test_second_shadow_with_same_token_rejected(self):
+        # a repeated shadow token would count twice in its parent's softmax
+        tree = TokenTree()
+        tree.insert(ROOT_ID, 3, 0.6)
+        tree.insert(ROOT_ID, 5, 0.3, shadow=True)
+        with pytest.raises(StructureError, match="already present as a shadow"):
+            tree.insert(ROOT_ID, 5, 0.2, shadow=True)
+        assert tree.shadow_children(ROOT_ID) == [2]
+
+    def test_shadow_matching_a_child_rejected(self):
+        tree = TokenTree()
+        tree.insert(ROOT_ID, 3, 0.6)
+        with pytest.raises(StructureError, match="already inserted"):
+            tree.insert(ROOT_ID, 3, 0.3, shadow=True)
 
     def test_reach_above_parent_rejected(self):
         tree = TokenTree()
@@ -120,14 +141,14 @@ class TestCompact:
         a = tree.insert(ROOT_ID, 1, 0.9)
         tree.insert(a, 2, 0.5)
         tree.insert(ROOT_ID, 3, 0.4)
-        out = compact(tree, tree.ids())
+        out = compact_with_map(tree, tree.ids())[0]
         assert out.node_count == tree.node_count
         assert out.leaf_count == tree.leaf_count
         assert flatten(out).tokens == flatten(tree).tokens
 
     def test_keep_root_only(self):
         tree = chain_tree([1, 2, 3])
-        out = compact(tree, [ROOT_ID])
+        out = compact_with_map(tree, [ROOT_ID])[0]
         assert out.node_count == 1
         assert out.leaf_count == 1
 
@@ -144,7 +165,7 @@ class TestCompact:
         keep = [leaf]
         while keep[-1] != ROOT_ID:
             keep.append(tree.node(keep[-1]).parent)
-        out = compact(tree, keep)
+        out = compact_with_map(tree, keep)[0]
         # oracle: explicit parent walk of the kept path
         expected_tokens = tree.path_tokens(leaf)
         assert flatten(out).tokens[1:] == tuple(expected_tokens)
@@ -153,25 +174,25 @@ class TestCompact:
     def test_original_unmodified(self):
         tree = chain_tree([1, 2, 3])
         before = tree.to_json()
-        compact(tree, [ROOT_ID])
+        compact_with_map(tree, [ROOT_ID])
         assert tree.to_json() == before
 
     def test_non_closed_keep_rejected(self):
         tree = chain_tree([1, 2])
         with pytest.raises(ContractError):
-            compact(tree, [ROOT_ID, 2])  # node 2's parent (1) missing
+            compact_with_map(tree, [ROOT_ID, 2])  # node 2's parent (1) missing
 
     def test_keep_must_contain_root(self):
         tree = chain_tree([1])
         with pytest.raises(ContractError):
-            compact(tree, [1])
+            compact_with_map(tree, [1])
 
     def test_shadow_in_keep_rejected(self):
         tree = TokenTree()
         tree.insert(ROOT_ID, 1, 0.9)
         s = tree.insert(ROOT_ID, 7, 0.1, shadow=True)
         with pytest.raises(ContractError):
-            compact(tree, [ROOT_ID, s])
+            compact_with_map(tree, [ROOT_ID, s])
 
     def test_mapping_follows_insertion_order(self):
         tree = TokenTree()
@@ -250,7 +271,7 @@ class TestProperties:
         layout = flatten(tree)
         for i in range(1, layout.n_rows):
             assert layout.parent_row[i] < i
-        again = flatten(compact(tree, tree.ids()))
+        again = flatten(compact_with_map(tree, tree.ids())[0])
         assert sorted(again.tokens) == sorted(layout.tokens)
 
 
