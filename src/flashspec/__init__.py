@@ -11,7 +11,6 @@ from .drafting import (
     ReliabilityState,
     build_tree,
     calibrate,
-    estimate_gain,
     marginal_cost,
     update_reliability,
 )

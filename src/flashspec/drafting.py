@@ -185,24 +185,6 @@ class LatencyProfile:
                 profile.set_entry((nodes, leaves), price(nodes, leaves))
         return profile
 
-    @classmethod
-    def affine(
-        cls,
-        c0: float,
-        c_node: float,
-        c_leaf: float,
-        max_nodes: int,
-        max_leaves: int,
-        penalty: float = 1.1,
-    ) -> "LatencyProfile":
-        """Dense monotone seed: ms = c0 + c_node*nodes + c_leaf*leaves."""
-        return cls.grid(
-            lambda nodes, leaves: c0 + c_node * nodes + c_leaf * leaves,
-            max_nodes,
-            max_leaves,
-            penalty,
-        )
-
 
 @dataclass(frozen=True)
 class DraftConfig:
@@ -282,15 +264,6 @@ class BuildResult:
     stop: StopRecord
     expansion_counts: list[int]
     candidate_sets: dict[int, CandidateSet] = field(default_factory=dict)
-
-
-def estimate_gain(tree: TokenTree) -> float:
-    """Expected tokens per cycle: one fallback plus summed reach."""
-    total = 1.0
-    for nid in tree.ids():
-        if nid != ROOT_ID:
-            total += tree.node(nid).reach
-    return total
 
 
 def is_expandable(entry: FrontierEntry, cfg: DraftConfig) -> bool:

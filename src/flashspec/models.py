@@ -5,10 +5,11 @@ Every model is immutable after construction and reproducible bit-for-bit
 given its seed.  Every model exposes ``order``: its output depends only on
 the padded last-``order`` tokens of the prefix, so outputs are memoized per
 padded tail: tabular rows, and for the layered target one full forward pass
-(every layer's hidden state, the logits and the softmax).  The layered
-target computes the passes of many missing tails as one batch; a memoized
-value is exactly what a fresh evaluation returns, which keeps the models
-usable as exact oracles.
+(every layer's hidden state, the logits and the softmax).  ``next_dists``
+reads many prefixes at once: the layered target computes the passes of its
+missing tails as one batch, and the tabular model seeds its missing rows in
+one vectorized pass.  A memoized value is exactly what a fresh evaluation
+returns, which keeps the models usable as exact oracles.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ class ProbModel(abc.ABC):
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
         """Probability vector over the vocabulary; non-negative, sums to 1."""
 
+    @abc.abstractmethod
+    def next_dists(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        """``next_dist`` of each prefix, one row per prefix: shape (n, V),
+        byte-equal to the stacked single reads."""
+
 
 def _padded_tail(prefix: Sequence[int], order: int) -> tuple[int, ...]:
     """Last ``order`` tokens, left-padded with token 0 for short prefixes."""
@@ -46,8 +52,12 @@ class TabularMarkovModel(ProbModel):
     """Order-m conditional table over a vocabulary of size V.
 
     Rows of the V^m x V table are materialized lazily but depend only on
-    (seed, row index), so evaluation order never affects results.  The
-    ``concentration`` parameter shapes row peakedness (gamma-normalized
+    (seed, row index): row ``idx`` is a gamma draw from
+    ``default_rng([seed, idx])``, so evaluation order never affects results.
+    ``next_dists`` derives the generator states of all its missing rows in
+    one vectorized pass (:func:`flashspec.seeding.default_rngs`) and draws
+    the same bytes.
+    The ``concentration`` parameter shapes row peakedness (gamma-normalized
     draws; small values give near-deterministic rows).
     """
 
@@ -78,19 +88,33 @@ class TabularMarkovModel(ProbModel):
             idx = idx * self.vocab_size + t
         return idx
 
+    def _draw(self, rng: np.random.Generator) -> np.ndarray:
+        raw = rng.gamma(self.concentration, size=self.vocab_size)
+        raw = np.maximum(raw, 1e-300)
+        return raw / raw.sum()
+
     def row(self, key: tuple[int, ...]) -> np.ndarray:
         idx = self.row_index(key)
         cached = self._rows.get(idx)
         if cached is None:
-            rng = np.random.default_rng([self.seed, idx])
-            raw = rng.gamma(self.concentration, size=self.vocab_size)
-            raw = np.maximum(raw, 1e-300)
-            cached = raw / raw.sum()
+            cached = self._draw(np.random.default_rng([self.seed, idx]))
             self._rows[idx] = cached
         return cached
 
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
         return self.row(_padded_tail(prefix, self.order))
+
+    def next_dists(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        idxs = [self.row_index(_padded_tail(p, self.order)) for p in prefixes]
+        missing = list(dict.fromkeys(i for i in idxs if i not in self._rows))
+        if missing:
+            # Imported on first use: it loads numpy.random, which importing
+            # flashspec otherwise does not.
+            from .seeding import default_rngs
+
+            for idx, rng in zip(missing, default_rngs(self.seed, missing)):
+                self._rows[idx] = self._draw(rng)
+        return np.stack([self._rows[i] for i in idxs])
 
 
 # (hidden state after each layer, logits, softmax) of one layered forward pass
@@ -150,6 +174,9 @@ class LayeredTargetModel(ProbModel):
         if missing:
             self._compute(missing)
         return [self._passes[t] for t in tails]
+
+    def next_dists(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        return np.stack([dist for _, _, dist in self.forward_tails(prefixes)])
 
     def _forward(self, prefix: Sequence[int]) -> _ForwardPass:
         tail = _padded_tail(prefix, self.order)
@@ -217,6 +244,15 @@ class MixtureDraftModel(ProbModel):
         if a <= 0.0:
             return self.noise.next_dist(prefix)
         return a * self.target.next_dist(prefix) + (1.0 - a) * self.noise.next_dist(prefix)
+
+    def next_dists(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        a = self.agreement
+        if a >= 1.0:
+            return self.target.next_dists(prefixes)
+        if a <= 0.0:
+            return self.noise.next_dists(prefixes)
+        target, noise = self.target.next_dists(prefixes), self.noise.next_dists(prefixes)
+        return a * target + (1.0 - a) * noise
 
 
 def derive_draft(

@@ -7,9 +7,10 @@ touches only the probe weights.
 
 Training stacks the dataset once into hidden states ``H (N, d)``, target
 logits ``Z (N, V)`` and candidate tokens ``C (N, k)`` (every candidate set
-has size k); each mini-batch is a row slice of those arrays.  The losses
-and the gradient work on whole batches with the rounding of a per-example
-evaluation, so results do not depend on batching.
+has size k) and computes the teacher terms, the softmaxes of ``Z`` that do
+not depend on the probe weights, once; each mini-batch is a row slice of
+those arrays.  The losses and the gradient work on whole batches with the
+rounding of a per-example evaluation, so results do not depend on batching.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,27 +110,54 @@ def _stacked(
 
 # The array core below works on stacked rows.  Its arithmetic follows the
 # per-example formulation operation for operation, so losses, gradients and
-# trained weights do not depend on how examples are grouped.
+# trained weights do not depend on how examples are grouped.  The teacher
+# terms (softmaxes of the target logits) do not depend on the weights; they
+# are computed once per dataset as a _Teacher and sliced per mini-batch.
 
 
-def _kd_loss(S: np.ndarray, Z: np.ndarray, tau: float) -> float:
-    log_p = _log_softmax(Z / tau)
+def _soft(z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``log_softmax(z / tau)`` and its exp."""
+    log_p = _log_softmax(z / tau)
+    return log_p, np.exp(log_p)
+
+
+class _Teacher(NamedTuple):
+    """Weight-independent terms of the training loss, one row per example."""
+
+    log_p: np.ndarray                    # log_softmax(Z / tau_kd)
+    p: np.ndarray
+    log_pc: np.ndarray | None            # log_softmax(Z[C] / tau_cand); None if unused
+    pc: np.ndarray | None
+
+    @classmethod
+    def of(cls, Z: np.ndarray, C: np.ndarray, cfg: TrainConfig) -> "_Teacher":
+        cand = (None, None)
+        if cfg.lambda_cand > 0:
+            cand = _soft(np.take_along_axis(Z, C, 1), cfg.tau_cand)
+        return cls(*_soft(Z, cfg.tau_kd), *cand)
+
+    def rows(self, idx: np.ndarray) -> "_Teacher":
+        return _Teacher(*(None if a is None else a[idx] for a in self))
+
+
+def _kd_loss(S: np.ndarray, log_p: np.ndarray, p: np.ndarray, tau: float) -> float:
     log_q = _log_softmax(S / tau)
-    p = np.exp(log_p)
     kl = (p * (log_p - log_q)).sum(axis=1)
     return float(tau * tau * kl.sum())
 
 
 def _cand_loss(
-    W: np.ndarray, H: np.ndarray, Z: np.ndarray, C: np.ndarray, tau: float
+    W: np.ndarray,
+    H: np.ndarray,
+    C: np.ndarray,
+    log_p: np.ndarray,
+    p: np.ndarray,
+    tau: float,
 ) -> float:
     # One matrix-vector product per example (batched), not a gather from
     # H @ W.T: the two round differently.
     s = (W[C] @ H[:, :, None])[:, :, 0] / tau
-    z = np.take_along_axis(Z, C, 1) / tau
     log_q = _log_softmax(s)
-    log_p = _log_softmax(z)
-    p = np.exp(log_p)
     total = 0.0
     # Sequential float sum: numpy's pairwise sum would round differently.
     for kl in (p * (log_p - log_q)).sum(axis=1).tolist():
@@ -138,33 +166,35 @@ def _cand_loss(
 
 
 def _total_loss(
-    W: np.ndarray, H: np.ndarray, Z: np.ndarray, C: np.ndarray, cfg: TrainConfig
+    W: np.ndarray, H: np.ndarray, C: np.ndarray, teacher: _Teacher, cfg: TrainConfig
 ) -> float:
-    loss = _kd_loss(H @ W.T, Z, cfg.tau_kd)
+    loss = _kd_loss(H @ W.T, teacher.log_p, teacher.p, cfg.tau_kd)
     if cfg.lambda_cand > 0:
-        loss += cfg.lambda_cand * _cand_loss(W, H, Z, C, cfg.tau_cand)
+        loss += cfg.lambda_cand * _cand_loss(
+            W, H, C, teacher.log_pc, teacher.pc, cfg.tau_cand
+        )
     return loss
 
 
 def _total_loss_grad(
-    W: np.ndarray, H: np.ndarray, Z: np.ndarray, C: np.ndarray, cfg: TrainConfig
+    W: np.ndarray, H: np.ndarray, C: np.ndarray, teacher: _Teacher, cfg: TrainConfig
 ) -> np.ndarray:
     S = H @ W.T
-    p = np.exp(_log_softmax(Z / cfg.tau_kd))
     q = np.exp(_log_softmax(S / cfg.tau_kd))
-    grad = cfg.tau_kd * (q - p).T @ H
+    grad = cfg.tau_kd * (q - teacher.p).T @ H
 
     if cfg.lambda_cand > 0:
         s = np.take_along_axis(S, C, 1) / cfg.tau_cand
-        z = np.take_along_axis(Z, C, 1) / cfg.tau_cand
         q_e = np.exp(_log_softmax(s))
-        q_t = np.exp(_log_softmax(z))
         rows = (cfg.lambda_cand * cfg.tau_cand) * (
-            (q_e - q_t)[:, :, None] * H[:, None, :]
+            (q_e - teacher.pc)[:, :, None] * H[:, None, :]
         )
-        # add.at applies rows in index order: example by example, as the
-        # per-example loop did.
-        np.add.at(grad, C.ravel(), rows.reshape(-1, H.shape[1]))
+        # One scatter over the flat gradient (a fresh matmul result, so
+        # reshape(-1) is a view).  add.at applies its indices in order, so
+        # every element receives its additions example by example, as the
+        # per-example loop added them.
+        d = H.shape[1]
+        np.add.at(grad.reshape(-1), (C[:, :, None] * d + np.arange(d)).ravel(), rows.ravel())
     return grad
 
 
@@ -172,18 +202,20 @@ def kd_loss(pred: EarlyExitPredictor, batch: Sequence[TrainingExample], tau: flo
     """Temperature-scaled full-vocabulary distillation loss (summed over the
     batch), computed with log-sum-exp stabilization."""
     H, Z, _ = _stacked(batch)
-    return _kd_loss(H @ pred.weights.T, Z, tau)
+    return _kd_loss(H @ pred.weights.T, *_soft(Z, tau), tau)
 
 
 def cand_loss(pred: EarlyExitPredictor, batch: Sequence[TrainingExample], tau: float) -> float:
     """Distillation loss restricted to each example's candidate set."""
-    return _cand_loss(pred.weights, *_stacked(batch), tau)
+    H, Z, C = _stacked(batch)
+    return _cand_loss(pred.weights, H, C, *_soft(np.take_along_axis(Z, C, 1), tau), tau)
 
 
 def total_loss(
     pred: EarlyExitPredictor, batch: Sequence[TrainingExample], cfg: TrainConfig
 ) -> float:
-    return _total_loss(pred.weights, *_stacked(batch), cfg)
+    H, Z, C = _stacked(batch)
+    return _total_loss(pred.weights, H, C, _Teacher.of(Z, C, cfg), cfg)
 
 
 def total_loss_grad(
@@ -191,7 +223,8 @@ def total_loss_grad(
 ) -> np.ndarray:
     """Analytic gradient of the summed training loss with respect to the
     probe weights."""
-    return _total_loss_grad(pred.weights, *_stacked(batch), cfg)
+    H, Z, C = _stacked(batch)
+    return _total_loss_grad(pred.weights, H, C, _Teacher.of(Z, C, cfg), cfg)
 
 
 def train(
@@ -201,31 +234,33 @@ def train(
 ) -> tuple[EarlyExitPredictor, list[float]]:
     """Mini-batch gradient descent on the probe weights only.
 
-    The dataset is stacked once; each mini-batch is a row slice of it.
-    Per-step updates use the batch-mean gradient; the returned curve holds
-    the summed dataset loss before training and after every epoch.  Raises
+    The dataset is stacked once and its teacher terms are computed once;
+    each mini-batch is a row slice of both.  Per-step updates use the
+    batch-mean gradient; the returned curve holds the summed dataset loss
+    before training and after every epoch.  Raises
     :class:`TrainingDiverged` on a non-finite loss.
     """
     if not dataset:
         raise ContractError("dataset must be non-empty")
     H, Z, C = _stacked(dataset)
+    teacher = _Teacher.of(Z, C, cfg)
     rng = np.random.default_rng(cfg.seed)
     W = pred.weights.copy()
-    curve = [_total_loss(W, H, Z, C, cfg)]
+    curve = [_total_loss(W, H, C, teacher, cfg)]
 
     n = len(dataset)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            grad = _total_loss_grad(W, H[idx], Z[idx], C[idx], cfg)
+            grad = _total_loss_grad(W, H[idx], C[idx], teacher.rows(idx), cfg)
             W = W - cfg.learning_rate * grad / len(idx)
             if not np.all(np.isfinite(W)):
                 raise TrainingDiverged(
                     f"non-finite weights during epoch {epoch + 1} "
                     f"(lr={cfg.learning_rate}, batch={cfg.batch_size})"
                 )
-        loss = _total_loss(W, H, Z, C, cfg)
+        loss = _total_loss(W, H, C, teacher, cfg)
         if not np.isfinite(loss):
             raise TrainingDiverged(
                 f"non-finite loss after epoch {epoch + 1} "
@@ -270,9 +305,9 @@ def build_distillation_dataset(
     over seeded random prefixes.
 
     Both models read a prefix only through its padded tail, so each distinct
-    tail is evaluated once: one batched target forward pass and one stacked
-    top-k sort of the draft rows.  Examples that share a tail share one
-    :class:`TrainingExample`."""
+    tail is evaluated once: one batched target forward pass, one batched
+    draft read and one stacked top-k sort of its rows.  Examples that share
+    a tail share one :class:`TrainingExample`."""
     if not (1 <= layer <= target.depth):
         raise ContractError(f"layer {layer} outside [1, {target.depth}]")
     if not (1 <= k <= draft.vocab_size):
@@ -290,7 +325,7 @@ def build_distillation_dataset(
         max_len,
     )
     passes = target.forward_tails(tails)
-    P = np.stack([draft.next_dist(tail) for tail in tails])
+    P = draft.next_dists(tails)
     # Top-k by draft probability with ties toward the smaller id (stable sort
     # of -P), then in token order: restriction is a set, and a neutral order
     # keeps the zero-initialized predictor at chance-level agreement.

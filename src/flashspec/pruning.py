@@ -119,6 +119,17 @@ def normalize_scores(
     return dict(zip(edges, norm.tolist()))
 
 
+def _rank_key(tree: TokenTree, scores: dict[tuple[int, int], float], parent: int):
+    """Sort key over ``parent``'s children: best normalized score first, ties
+    to higher reach, then to the smaller token."""
+
+    def key(cid: int) -> tuple[float, float, int]:
+        node = tree.node(cid)
+        return (-scores[(parent, node.token)], -node.reach, node.token)
+
+    return key
+
+
 def backbone_path(
     tree: TokenTree,
     scores: dict[tuple[int, int], float],
@@ -132,16 +143,8 @@ def backbone_path(
         children = tree.children(cur)
         if not children:
             break
-        best = min(
-            children,
-            key=lambda cid: (
-                -scores[(cur, tree.node(cid).token)],
-                -tree.node(cid).reach,
-                tree.node(cid).token,
-            ),
-        )
-        path.append(best)
-        cur = best
+        cur = min(children, key=_rank_key(tree, scores, cur))
+        path.append(cur)
     return path
 
 
@@ -161,15 +164,7 @@ def prune(
     keep: set[int] = {ROOT_ID}
     keep.update(backbone)
 
-    depth1 = tree.children(ROOT_ID)
-    ranked = sorted(
-        depth1,
-        key=lambda cid: (
-            -scores[(ROOT_ID, tree.node(cid).token)],
-            -tree.node(cid).reach,
-            tree.node(cid).token,
-        ),
-    )
+    ranked = sorted(tree.children(ROOT_ID), key=_rank_key(tree, scores, ROOT_ID))
     keep.update(ranked[: cfg.root_keep])
 
     for nid in tree.ids():
@@ -186,9 +181,10 @@ def prune(
             keep.add(parent)
             parent = tree.node(parent).parent
 
-    kept_leaves = sum(
-        1 for nid in keep if not any(c in keep for c in tree.children(nid))
-    )
+    # In an ancestor-closed set, the kept nodes with a kept child are exactly
+    # the parents of the kept non-root nodes.
+    kept_parents = {tree.node(nid).parent for nid in keep if nid != ROOT_ID}
+    kept_leaves = len(keep) - len(kept_parents)
     rejected = (
         len(keep) < cfg.min_keep_frac * tree.node_count
         or kept_leaves < min(cfg.min_leaves, tree.leaf_count)
@@ -227,7 +223,6 @@ class TreePruner:
             keep=decision.keep,
             backbone=decision.backbone,
             rejected=decision.rejected,
-            parents={nid: tree.node(nid).parent for nid in tree.ids()},
             new_to_old={new: old for old, new in old_to_new.items()},
             exit_fraction=self.hidden_source.exit_fraction,
         )

@@ -71,10 +71,6 @@ def load_preset(name: str) -> HardwareConfig:
     return HardwareConfig.from_dict(json.loads(path.read_text()))
 
 
-def list_presets() -> list[str]:
-    return sorted(p.stem for p in PRESET_DIR.glob("*.json"))
-
-
 def compute_ms(cfg: HardwareConfig, nodes: int, leaves: int) -> float:
     return cfg.compute_c0 + cfg.compute_c_row * nodes + cfg.compute_c_leaf * leaves
 

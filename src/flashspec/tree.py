@@ -10,8 +10,7 @@ is the row list verification prices plus each row's parent row and token; a
 row's path follows parent rows back to the root.
 
 Every edge is indexed by ``(parent, token)``, children and shadows alike, so
-an insertion's duplicate and shadow checks and
-:meth:`TokenTree.child_by_token` are dict lookups.  Compaction validates the
+an insertion's duplicate and shadow checks are dict lookups.  Compaction validates the
 keep set once and then remaps the kept nodes into a fresh tree without
 re-running the insertion checks.
 """
@@ -138,13 +137,6 @@ class TokenTree:
 
     def shadow_children(self, node_id: int) -> list[int]:
         return list(self._shadow_children[node_id])
-
-    def child_by_token(self, node_id: int, token: int) -> int | None:
-        """The non-shadow child of ``node_id`` drafted with ``token``."""
-        edge = self._edges.get((node_id, token))
-        if edge is None or edge[1]:
-            return None
-        return edge[0]
 
     def is_leaf(self, node_id: int) -> bool:
         return not self._nodes[node_id].shadow and not self._children[node_id]

@@ -100,7 +100,6 @@ class PruneSummary:
     keep: frozenset[int]                 # node ids in the pre-prune tree
     backbone: tuple[int, ...]
     rejected: bool
-    parents: dict[int, int]              # pre-prune parent map over non-shadow ids
     new_to_old: dict[int, int]
     exit_fraction: float
 

@@ -8,11 +8,13 @@ parents are scored.  Edge scores are computed one edge at a time by
 ``score`` (the probe's per-edge dot product with its shape and range
 checks), both by the all-rows ``normalize_scores`` and by
 ``normalize_parent_scores``, the per-parent form the engine had before it
-scored every edge in one pass.  ``compact_with_map`` re-inserts every kept
-node through ``TokenTree.insert`` and its checks.  The property tests check
+scored every edge in one pass.  ``prune`` and ``backbone_path`` look up
+each compared child's node once per key field and count kept leaves by
+scanning every kept node's children.  ``compact_with_map`` re-inserts every
+kept node through ``TokenTree.insert`` and its checks.  The property tests check
 that :mod:`flashspec.verification`, :mod:`flashspec.pruning` and
 :mod:`flashspec.tree` give identical accepted paths, emitted tokens, edge
-scores, pruned trees, id mappings and prune summaries.
+scores, prune decisions, pruned trees, id mappings and prune summaries.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ import numpy as np
 from flashspec.errors import ConfigError, ContractError
 from flashspec.models import LayeredTargetModel, ProbModel
 from flashspec.predictor import EarlyExitPredictor
-from flashspec.pruning import PruneConfig, prune
+from flashspec.pruning import PruneConfig, PruneDecision
 from flashspec.tree import ROOT_ID, TokenTree, TreeLayout, flatten
 from flashspec.verification import PruneSummary
+from helpers import child_by_token
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ def verify_tree(
     cur = ROOT_ID
     while True:
         want = per_row[row_of[cur]]
-        child = tree.child_by_token(cur, want)
+        child = child_by_token(tree, cur, want)
         if child is None:
             fallback = want
             emitted.append(want)
@@ -250,6 +253,85 @@ def compact_with_map(
     return new_tree, mapping
 
 
+def backbone_path(
+    tree: TokenTree,
+    scores: dict[tuple[int, int], float],
+) -> list[int]:
+    """Most-reliable chain from the root: at each depth descend to the child
+    with the best normalized score (ties prefer higher reach, then the
+    smaller token)."""
+    path = [ROOT_ID]
+    cur = ROOT_ID
+    while True:
+        children = tree.children(cur)
+        if not children:
+            break
+        best = min(
+            children,
+            key=lambda cid: (
+                -scores[(cur, tree.node(cid).token)],
+                -tree.node(cid).reach,
+                tree.node(cid).token,
+            ),
+        )
+        path.append(best)
+        cur = best
+    return path
+
+
+def prune(
+    tree: TokenTree,
+    scores: dict[tuple[int, int], float],
+    cfg: PruneConfig,
+) -> PruneDecision:
+    """Threshold pruning with backbone, root-coverage, and size safeguards.
+
+    The keep set is the root, the backbone, the ``root_keep`` best depth-1
+    children, and every edge scoring at least ``theta``, closed under
+    ancestors.  Decisions keeping too few rows or too few leaves are rejected
+    and the full tree is retained.
+    """
+    backbone = backbone_path(tree, scores)
+    keep: set[int] = {ROOT_ID}
+    keep.update(backbone)
+
+    depth1 = tree.children(ROOT_ID)
+    ranked = sorted(
+        depth1,
+        key=lambda cid: (
+            -scores[(ROOT_ID, tree.node(cid).token)],
+            -tree.node(cid).reach,
+            tree.node(cid).token,
+        ),
+    )
+    keep.update(ranked[: cfg.root_keep])
+
+    for nid in tree.ids():
+        if nid == ROOT_ID:
+            continue
+        node = tree.node(nid)
+        if scores[(node.parent, node.token)] >= cfg.theta:
+            keep.add(nid)
+
+    # Ancestor closure (ancestors of non-shadow nodes are non-shadow).
+    for nid in sorted(keep):
+        parent = tree.node(nid).parent
+        while parent not in keep and parent != -1:
+            keep.add(parent)
+            parent = tree.node(parent).parent
+
+    kept_leaves = sum(
+        1 for nid in keep if not any(c in keep for c in tree.children(nid))
+    )
+    rejected = (
+        len(keep) < cfg.min_keep_frac * tree.node_count
+        or kept_leaves < min(cfg.min_leaves, tree.leaf_count)
+    )
+    if rejected:
+        keep = set(tree.ids())
+    return PruneDecision(frozenset(keep), rejected, scores, tuple(backbone))
+
+
 class TreePruner:
     """Binds a predictor, a hidden-state source, and a config into the
     per-cycle prune step used by the decode loop."""
@@ -276,7 +358,6 @@ class TreePruner:
             keep=decision.keep,
             backbone=decision.backbone,
             rejected=decision.rejected,
-            parents={nid: tree.node(nid).parent for nid in tree.ids()},
             new_to_old={new: old for old, new in old_to_new.items()},
             exit_fraction=self.hidden_source.exit_fraction,
         )

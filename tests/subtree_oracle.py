@@ -17,6 +17,7 @@ from flashspec.drafting import (
     calibrate,
 )
 from flashspec.models import TabularMarkovModel, derive_draft, draft_candidates
+from helpers import affine_profile
 
 
 def instance_parts(inst: dict):
@@ -33,7 +34,7 @@ def instance_parts(inst: dict):
         draft_ms_seed=inst["draft_ms"],
     )
     rel = ReliabilityState(value=inst["reliability"])
-    profile = LatencyProfile.affine(
+    profile = affine_profile(
         inst["profile_c0"], inst["profile_c_node"], inst["profile_c_leaf"],
         max_nodes=16, max_leaves=16,
     )

@@ -15,7 +15,6 @@ import pytest
 from flashspec.drafting import (
     DraftConfig,
     FrontierEntry,
-    LatencyProfile,
     MovingAverage,
     ReliabilityState,
     build_tree,
@@ -50,6 +49,7 @@ from flashspec.simulator import (
 )
 from flashspec.tree import ROOT_ID, TokenTree
 from flashspec.verification import CycleRecord, run_decode
+from helpers import affine_profile, child_by_token
 from subtree_oracle import exhaustive_optimum, instance_parts, reachable_universe
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -81,6 +81,21 @@ def report(capsys):
 # ---------------------------------------------------------------------------
 
 
+class AuditingPruner:
+    """Passes every prune step through and records its summary together with
+    the pre-prune tree's parent map (non-shadow nodes)."""
+
+    def __init__(self, pruner, audits):
+        self.pruner = pruner
+        self.audits = audits
+
+    def apply(self, tree, context):
+        parents = {nid: tree.node(nid).parent for nid in tree.ids()}
+        pruned, summary = self.pruner.apply(tree, context)
+        self.audits.append((summary, parents))
+        return pruned, summary
+
+
 @pytest.fixture(scope="session")
 def lossless_sweep():
     n_instances = 200
@@ -110,13 +125,16 @@ def lossless_sweep():
                 "lever_noprune": GainCostPolicy(draft, cfg),
             }
             for name, policy in policies.items():
-                profile = LatencyProfile.affine(1000.0, 3.0, 1.0, 48, 16)
+                profile = affine_profile(1000.0, 3.0, 1.0, 48, 16)
                 pruner = None
                 if name == "lever":
-                    pruner = TreePruner(
-                        EarlyExitPredictor.identity_probe(vocab),
-                        ExactProbeSource(target),
-                        PruneConfig(),
+                    pruner = AuditingPruner(
+                        TreePruner(
+                            EarlyExitPredictor.identity_probe(vocab),
+                            ExactProbeSource(target),
+                            PruneConfig(),
+                        ),
+                        prune_audits,
                     )
                 res = run_decode(
                     target, ctx, horizon, policy,
@@ -125,10 +143,6 @@ def lossless_sweep():
                 runs += 1
                 if res.tokens != oracle:
                     mismatches.append((i, alpha, name))
-                if name == "lever":
-                    for cyc in res.cycles:
-                        if cyc.prune is not None:
-                            prune_audits.append(cyc.prune)
     return {
         "instances": n_instances,
         "runs": runs,
@@ -184,7 +198,7 @@ def test_criterion_03_gain_estimate_calibration(report):
     target = TabularMarkovModel(24, 2, seed=1234, concentration=0.5)
     draft = derive_draft(target, 1.0, noise_seed=1)
     cfg = DraftConfig(k=3, max_depth=5, b_min=0.01)
-    profile = LatencyProfile.affine(900.0, 3.0, 1.0, 64, 32)
+    profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
     ctx = [5, 17, 2]
     out = build_tree(
         ctx, draft, cfg, ReliabilityState(value=1.0), profile, add_shadows=False
@@ -204,7 +218,7 @@ def test_criterion_03_gain_estimate_calibration(report):
         while True:
             u = rng.random()
             token = int(np.searchsorted(cumsums[cur], u))
-            child = tree.child_by_token(cur, token)
+            child = child_by_token(tree, cur, token)
             if child is None:
                 break
             tokens += 1
@@ -356,13 +370,13 @@ def test_criterion_06_predictor_gradients_and_training(report):
 def test_criterion_07_pruning_safety(lossless_sweep, report):
     audits = lossless_sweep["prune_audits"]
     closure_bad = backbone_bad = reject_bad = 0
-    for a in audits:
+    for a, parents in audits:
         for nid in a.keep:
-            if nid != ROOT_ID and a.parents[nid] not in a.keep:
+            if nid != ROOT_ID and parents[nid] not in a.keep:
                 closure_bad += 1
         if not set(a.backbone) <= a.keep:
             backbone_bad += 1
-        if a.rejected and a.keep != frozenset(a.parents):
+        if a.rejected and a.keep != frozenset(parents):
             reject_bad += 1
     ok = (
         len(audits) > 0
@@ -402,7 +416,7 @@ def test_criterion_08_projection_waste(report):
     policy = GainCostPolicy(draft, DraftConfig(k=3, max_depth=4, b_min=0.02))
     res = run_decode(
         target, [3, 9], 32, policy, ReliabilityState(),
-        LatencyProfile.affine(1000.0, 3.0, 1.0, 64, 16),
+        affine_profile(1000.0, 3.0, 1.0, 64, 16),
     )
     trace, _ = simulate_decode(res.cycles, base, projection_mode="ondemand")
     counts_ok = all(

@@ -13,6 +13,7 @@ from flashspec.drafting import (
     build_tree,
 )
 from flashspec.models import TabularMarkovModel, derive_draft
+from helpers import affine_profile
 from reference_builder import build_tree as reference_build_tree
 
 
@@ -40,7 +41,7 @@ def profiles(draw):
             draw(st.integers(2, 40)),
             draw(st.integers(1, 16)),
         )
-        return lambda: LatencyProfile.affine(*args)
+        return lambda: affine_profile(*args)
     penalty = draw(st.floats(1.01, 2.0))
     rows = draw(
         st.lists(

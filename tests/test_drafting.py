@@ -11,7 +11,6 @@ from flashspec.drafting import (
     ReliabilityState,
     build_tree,
     calibrate,
-    estimate_gain,
     is_expandable,
     marginal_cost,
     update_reliability,
@@ -19,6 +18,7 @@ from flashspec.drafting import (
 from flashspec.errors import ConfigError
 from flashspec.models import TabularMarkovModel, derive_draft
 from flashspec.tree import ROOT_ID, TokenTree
+from helpers import affine_profile, estimate_gain
 
 
 def scan_lookup(entries, q, penalty):
@@ -175,7 +175,7 @@ class TestLatencyProfile:
         assert p.lookup((4, 2)) == pytest.approx(200.0)
 
     def test_affine_seed_monotone(self):
-        p = LatencyProfile.affine(100.0, 2.0, 1.0, 10, 5)
+        p = affine_profile(100.0, 2.0, 1.0, 10, 5)
         assert p.lookup((1, 1)) < p.lookup((2, 1)) < p.lookup((3, 1))
         assert p.lookup((5, 2)) < p.lookup((5, 3))
 
@@ -187,7 +187,7 @@ class TestMarginalCost:
         return tree
 
     def test_affine_difference_plus_draft_term(self):
-        profile = LatencyProfile.affine(100.0, 2.0, 0.0, 20, 10)
+        profile = affine_profile(100.0, 2.0, 0.0, 20, 10)
         tree = self._tree_one_child()
         cfg = DraftConfig(k=2, max_depth=4, b_min=0.0, draft_ms_seed=3.0)
         ma = MovingAverage(4, 3.0)
@@ -196,7 +196,7 @@ class TestMarginalCost:
         assert marginal_cost(entry, tree, profile, ma, cfg) == pytest.approx(2.0 + 3.0)
 
     def test_non_expandable_has_no_draft_term(self):
-        profile = LatencyProfile.affine(100.0, 2.0, 0.0, 20, 10)
+        profile = affine_profile(100.0, 2.0, 0.0, 20, 10)
         tree = self._tree_one_child()
         cfg = DraftConfig(k=2, max_depth=2, b_min=0.0, draft_ms_seed=3.0)
         ma = MovingAverage(4, 3.0)
@@ -272,7 +272,7 @@ class TestBuildTree:
         r = 0.8
         ma_ms = 2.0
         c0, c_node = 50.0, 4.0
-        profile = LatencyProfile.affine(c0, c_node, 0.0, 40, 40)
+        profile = affine_profile(c0, c_node, 0.0, 40, 40)
         cfg = DraftConfig(k=1, max_depth=30, b_min=0.0, draft_ms_seed=ma_ms)
         draft = DeterministicDraft()
         out = build_tree([0], draft, cfg, rel(r), profile, add_shadows=False)
@@ -299,7 +299,7 @@ class TestBuildTree:
     def test_every_insertion_maximizes_ratio_at_its_instant(self):
         target = TabularMarkovModel(16, 2, seed=21)
         draft = derive_draft(target, 0.7, noise_seed=5)
-        profile = LatencyProfile.affine(900.0, 3.0, 1.0, 64, 32)
+        profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
         cfg = DraftConfig(k=3, max_depth=4, b_min=0.01)
         out = build_tree([4, 9], draft, cfg, rel(), profile, record_frontier=True)
         assert out.steps, "expected at least one insertion"
@@ -315,7 +315,7 @@ class TestBuildTree:
     def test_stop_rule_soundness_at_termination(self):
         target = TabularMarkovModel(16, 2, seed=22)
         draft = derive_draft(target, 0.6, noise_seed=6)
-        profile = LatencyProfile.affine(900.0, 3.0, 1.0, 64, 32)
+        profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
         cfg = DraftConfig(k=3, max_depth=4, b_min=0.01)
         out = build_tree([4, 9], draft, cfg, rel(), profile)
         if out.stop.reason == "stop_rule":
@@ -324,8 +324,8 @@ class TestBuildTree:
     def test_greedy_replay_is_deterministic(self):
         target = TabularMarkovModel(16, 2, seed=23)
         draft = derive_draft(target, 0.5, noise_seed=7)
-        profile_a = LatencyProfile.affine(900.0, 3.0, 1.0, 64, 32)
-        profile_b = LatencyProfile.affine(900.0, 3.0, 1.0, 64, 32)
+        profile_a = affine_profile(900.0, 3.0, 1.0, 64, 32)
+        profile_b = affine_profile(900.0, 3.0, 1.0, 64, 32)
         cfg = DraftConfig(k=3, max_depth=4, b_min=0.01)
         a = build_tree([4, 9], draft, cfg, rel(0.9), profile_a)
         b = build_tree([4, 9], draft, cfg, rel(0.9), profile_b)
@@ -335,7 +335,7 @@ class TestBuildTree:
     def test_reach_monotone_along_edges(self):
         target = TabularMarkovModel(24, 2, seed=29)
         draft = derive_draft(target, 0.6, noise_seed=8)
-        profile = LatencyProfile.affine(900.0, 3.0, 1.0, 64, 32)
+        profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
         cfg = DraftConfig(k=3, max_depth=5, b_min=0.005)
         out = build_tree([4, 9, 2], draft, cfg, rel(0.8), profile)
         tree = out.tree
@@ -347,7 +347,7 @@ class TestBuildTree:
     def test_shadows_complete_candidate_sets(self):
         target = TabularMarkovModel(16, 2, seed=31)
         draft = derive_draft(target, 0.7, noise_seed=9)
-        profile = LatencyProfile.affine(900.0, 3.0, 1.0, 64, 32)
+        profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
         cfg = DraftConfig(k=3, max_depth=4, b_min=0.01)
         out = build_tree([4, 9], draft, cfg, rel(), profile)
         tree = out.tree
@@ -362,14 +362,14 @@ class TestBuildTree:
     def test_node_budget_respected(self):
         target = TabularMarkovModel(16, 2, seed=33)
         draft = derive_draft(target, 0.9, noise_seed=10)
-        profile = LatencyProfile.affine(900.0, 0.1, 0.0, 128, 64)
+        profile = affine_profile(900.0, 0.1, 0.0, 128, 64)
         cfg = DraftConfig(k=3, max_depth=6, b_min=0.005, max_nodes=5)
         out = build_tree([4, 9], draft, cfg, rel(), profile)
         assert out.tree.node_count - 1 <= 5
 
     def test_draft_cost_accumulates_measured_times(self):
         draft = DeterministicDraft()
-        profile = LatencyProfile.affine(50.0, 4.0, 0.0, 40, 40)
+        profile = affine_profile(50.0, 4.0, 0.0, 40, 40)
         cfg = DraftConfig(k=1, max_depth=5, b_min=0.0, draft_ms_seed=2.0)
         times = iter([5.0, 1.0, 3.0, 2.0, 4.0, 6.0, 7.0, 8.0])
         out = build_tree(

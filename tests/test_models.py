@@ -8,11 +8,13 @@ from flashspec.models import (
     LayeredTargetModel,
     MixtureDraftModel,
     TabularMarkovModel,
+    _padded_tail,
     derive_draft,
     draft_candidates,
     target_greedy_decode,
 )
 from flashspec.predictor import ExactProbeSource, LayeredHiddenSource
+from flashspec.seeding import default_rngs, seed_states, uint32_words
 from flashspec.tree import ROOT_ID, TokenTree, flatten
 
 
@@ -331,3 +333,125 @@ class TestDraftDerivation:
             )
             rates.append(agree / len(prefixes))
         assert all(a <= b for a, b in zip(rates, rates[1:]))
+
+
+# Seeds whose entropy is one word, one word at the top of the range, two
+# words, and more words than the hash pool holds.
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**130 + 5]
+
+
+@st.composite
+def tabular_sessions(draw):
+    """A tabular model and an interleaved sequence of batch and single
+    reads.  Keys include the first and last row index and repeat; some
+    prefixes are shorter than the order (padded), some longer."""
+    vocab = draw(st.integers(1, 40))
+    order = draw(st.integers(1, 3))
+    seed = draw(st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**64)))
+    last = vocab**order - 1
+    index = st.one_of(st.sampled_from([0, last]), st.integers(0, last))
+
+    def prefix(idx):
+        tail = [(idx // vocab**i) % vocab for i in reversed(range(order))]
+        if draw(st.booleans()):
+            while len(tail) > 1 and tail[0] == 0:
+                tail.pop(0)
+            return tail
+        return draw(st.lists(st.integers(0, vocab - 1), max_size=2)) + tail
+
+    keys = draw(st.lists(index, min_size=1, max_size=6))
+    steps = []
+    for _ in range(draw(st.integers(1, 5))):
+        picks = draw(st.lists(st.one_of(st.sampled_from(keys), index), min_size=1, max_size=8))
+        steps.append((draw(st.booleans()), [prefix(i) for i in picks]))
+    return (vocab, order, seed), steps
+
+
+@settings(max_examples=200)
+@given(tabular_sessions())
+def test_batched_tabular_rows_equal_single_reads(session):
+    args, steps = session
+    model = TabularMarkovModel(*args)
+    fresh = TabularMarkovModel(*args)
+    read = set()
+    for batched, prefixes in steps:
+        if batched:
+            rows = model.next_dists(prefixes)
+            assert rows.shape == (len(prefixes), model.vocab_size)
+        else:
+            rows = [model.next_dist(p) for p in prefixes]
+        for row, p in zip(rows, prefixes):
+            assert row.tobytes() == fresh.next_dist(p).tobytes()
+        # every row read, by either path, is drawn once and cached by index
+        read |= {model.row_index(_padded_tail(p, model.order)) for p in prefixes}
+        assert set(model._rows) == read
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**140)),
+    st.lists(
+        st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1), st.integers(0, 2**80)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_state_words_match_seed_sequence(seed, idxs):
+    """The vectorized pass gives the PCG64 state words numpy derives from
+    ``SeedSequence([seed, idx])``, and the generators built from them start
+    where ``default_rng([seed, idx])`` does, in key order across entropy
+    widths; a change in numpy's seeding fails here."""
+    rows = [uint32_words(seed) + uint32_words(i) for i in idxs]
+    for width in {len(r) for r in rows}:
+        group = [(i, r) for i, r in zip(idxs, rows) if len(r) == width]
+        states = seed_states(np.array([r for _, r in group], dtype=np.uint64))
+        for (i, _), state in zip(group, states):
+            want = np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+            assert state.dtype == want.dtype
+            assert state.tobytes() == want.tobytes()
+    rngs = default_rngs(seed, idxs)
+    assert len(rngs) == len(idxs)
+    for i, rng in zip(idxs, rngs):
+        assert rng.bit_generator.state == np.random.default_rng([seed, i]).bit_generator.state
+
+
+@st.composite
+def mixture_reads(draw):
+    vocab = draw(st.integers(2, 16))
+    order = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        target_args = ("tabular", vocab, order, seed)
+    else:
+        target_args = ("layered", vocab, order, seed, draw(st.integers(2, 4)), draw(st.integers(1, 8)))
+    draft_args = (
+        draw(st.sampled_from([0.0, 0.45, 1.0])),
+        draw(st.one_of(st.sampled_from(SEEDS), st.integers(0, 10_000))),
+        draw(st.integers(1, 3)),
+    )
+    prefixes = draw(
+        st.lists(st.lists(st.integers(0, vocab - 1), max_size=5), min_size=1, max_size=10)
+    )
+    return target_args, draft_args, prefixes
+
+
+def _mixture(target_args, draft_args):
+    kind, vocab, order, seed, *layered = target_args
+    if kind == "tabular":
+        target = TabularMarkovModel(vocab, order, seed)
+    else:
+        target = LayeredTargetModel(vocab, order, layered[0], layered[1], seed)
+    agreement, noise_seed, noise_order = draft_args
+    return derive_draft(target, agreement, noise_seed, noise_order=noise_order)
+
+
+@settings(max_examples=200)
+@given(mixture_reads())
+def test_batched_mixture_rows_equal_stacked_next_dist(case):
+    target_args, draft_args, prefixes = case
+    draft = _mixture(target_args, draft_args)
+    fresh = _mixture(target_args, draft_args)
+    got = draft.next_dists(prefixes)
+    want = np.stack([fresh.next_dist(p) for p in prefixes])
+    assert got.tobytes() == want.tobytes()
+    assert got.shape == want.shape

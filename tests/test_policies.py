@@ -1,13 +1,14 @@
 import pytest
 
-from flashspec.drafting import LatencyProfile, ReliabilityState
+from flashspec.drafting import ReliabilityState
 from flashspec.models import TabularMarkovModel, derive_draft
 from flashspec.policies import BalancedTreePolicy, ChainPolicy, RootOnlyPolicy
 from flashspec.tree import ROOT_ID, flatten
+from helpers import affine_profile
 
 
 def profile():
-    return LatencyProfile.affine(1000.0, 3.0, 1.0, 64, 32)
+    return affine_profile(1000.0, 3.0, 1.0, 64, 32)
 
 
 def models(seed=9, agreement=0.8):

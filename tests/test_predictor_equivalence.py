@@ -27,7 +27,9 @@ from flashspec.predictor import (
 def problems(draw):
     """A probe, a dataset and a training config.  Candidate sets draw k
     tokens from a shared pool, so examples often share candidates; the
-    dataset size is a whole number of batches plus a drawn remainder."""
+    dataset size is a whole number of batches plus a drawn remainder.  Some
+    datasets repeat one example object at several positions, as
+    ``build_distillation_dataset`` returns examples that share a tail."""
     vocab = draw(st.integers(2, 12))
     dim = draw(st.integers(1, 8))
     k = draw(st.integers(1, min(5, vocab)))
@@ -46,6 +48,9 @@ def problems(draw):
         )
         for c in cands
     ]
+    if draw(st.booleans()):
+        picks = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+        dataset = [dataset[i] for i in draw(picks)]
     weights = np.zeros((vocab, dim))
     if draw(st.booleans()):
         weights = rng.standard_normal((vocab, dim)) * 0.3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flashspec.drafting import DraftConfig, LatencyProfile, ReliabilityState, build_tree
+from flashspec.drafting import DraftConfig, ReliabilityState, build_tree
 from flashspec.errors import ContractError
 from flashspec.models import TabularMarkovModel, derive_draft, target_greedy_decode
 from flashspec.policies import GainCostPolicy
@@ -15,6 +15,7 @@ from flashspec.pruning import (
 )
 from flashspec.tree import ROOT_ID, TokenTree, flatten
 from flashspec.verification import run_decode, verify_tree
+from helpers import affine_profile
 
 
 def one_hot_pred(vocab_size):
@@ -184,7 +185,7 @@ class TestTreePruner:
     def _setup(self, seed=41, agreement=0.6):
         target = TabularMarkovModel(16, 2, seed=seed)
         draft = derive_draft(target, agreement, noise_seed=seed + 1)
-        profile = LatencyProfile.affine(900.0, 3.0, 1.0, 64, 32)
+        profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
         cfg = DraftConfig(k=3, max_depth=4, b_min=0.01)
         out = build_tree([4, 9], draft, cfg, ReliabilityState(), profile)
         pruner = TreePruner(
@@ -209,7 +210,7 @@ class TestTreePruner:
             ExactProbeSource(target),
             PruneConfig(),
         )
-        profile = LatencyProfile.affine(900.0, 3.0, 1.0, 64, 32)
+        profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
         ctx = [2, 7, 1]
         res = run_decode(
             target, ctx, 48, policy, ReliabilityState(), profile, pruner=pruner
@@ -221,7 +222,7 @@ class TestTreePruner:
         target = TabularMarkovModel(16, 2, seed=45)
         draft = derive_draft(target, 0.5, noise_seed=46)
         cfg = DraftConfig(k=3, max_depth=4, b_min=0.01)
-        profile = LatencyProfile.affine(900.0, 3.0, 1.0, 64, 32)
+        profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
         pruner = TreePruner(
             EarlyExitPredictor.identity_probe(16),
             ExactProbeSource(target),

@@ -4,12 +4,12 @@ import pytest
 
 from flashspec.errors import ConfigError, ContractError
 from flashspec.simulator import (
+    PRESET_DIR,
     HardwareConfig,
     ar_step_latency,
     calibrate_projection,
     compute_ms,
     draft_schedule,
-    list_presets,
     load_preset,
     price_cycle,
     projection_accounting,
@@ -55,7 +55,7 @@ def cycle(
 
 class TestArStepLatency:
     def test_all_presets_match_measured_totals(self):
-        assert set(ANCHORS) <= set(list_presets())
+        assert set(ANCHORS) <= {p.stem for p in PRESET_DIR.glob("*.json")}
         for name, total in ANCHORS.items():
             cfg = load_preset(name)
             assert ar_step_latency(cfg) == pytest.approx(total, rel=1e-9)
@@ -213,7 +213,7 @@ class TestSimulateDecode:
         cfg = dataclasses.replace(load_preset("llama31-8b"), overlap="sum")
         summary = PruneSummary(
             keep=frozenset({0}), backbone=(0,), rejected=False,
-            parents={}, new_to_old={0: 0}, exit_fraction=0.5,
+            new_to_old={0: 0}, exit_fraction=0.5,
         )
         rec = cycle(nodes=20, leaves=6, rows=10, accepted=2, prune=summary)
         cost = price_cycle(rec, cfg, "ondemand")

@@ -1,6 +1,6 @@
 """Path-only verification, parent-only prune rows, one-pass edge scoring,
-compaction by remapping and the edge index against the slow references in
-``reference_verification``."""
+the prune decision, compaction by remapping and the edge index against the
+slow references in ``reference_verification``."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from flashspec.models import LayeredTargetModel, TabularMarkovModel
 from flashspec.predictor import EarlyExitPredictor, ExactProbeSource, LayeredHiddenSource
-from flashspec.pruning import PruneConfig, TreePruner, normalize_scores
+from flashspec.pruning import PruneConfig, TreePruner, normalize_scores, prune
 from flashspec.tree import ROOT_ID, TokenTree, compact_with_map
 from flashspec.verification import verify_tree
 import reference_verification as ref
@@ -179,6 +179,34 @@ def test_one_pass_scores_match_per_edge_reference(case):
 
 
 @st.composite
+def prune_cases(draw):
+    """A tree, a score for every edge (drawn from a few values, so ties on
+    score and on reach are common) and a prune config."""
+    tree = grow_tree(draw, draw(st.integers(2, 12)), 40)
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    levels = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)))
+    scores = {
+        (tree.node(nid).parent, tree.node(nid).token): float(rng.choice(levels))
+        for nid in tree.ids(include_shadow=True)
+        if nid != ROOT_ID
+    }
+    cfg = PruneConfig(
+        theta=draw(st.sampled_from([0.1, 0.3, 0.5, 0.8])),
+        root_keep=draw(st.integers(0, 3)),
+        min_keep_frac=draw(st.sampled_from([0.0, 0.1, 0.4, 0.9])),
+        min_leaves=draw(st.integers(0, 4)),
+    )
+    return tree, scores, cfg
+
+
+@settings(max_examples=200)
+@given(prune_cases())
+def test_prune_matches_reference(case):
+    tree, scores, cfg = case
+    assert prune(tree, scores, cfg) == ref.prune(tree, scores, cfg)
+
+
+@st.composite
 def keep_cases(draw):
     """A tree and a random ancestor-closed set of its non-shadow nodes."""
     tree = grow_tree(draw, draw(st.integers(2, 12)), 40)
@@ -211,9 +239,12 @@ def indexed_trees(draw):
 
 @settings(max_examples=200)
 @given(indexed_trees())
-def test_child_by_token_matches_linear_scan(case):
+def test_edge_index_matches_linear_scan(case):
+    """The ``(parent, token)`` index behind insertion's duplicate and shadow
+    checks agrees with a scan of the child and shadow lists."""
     tree, vocab = case
     for nid in tree.ids(include_shadow=True):
+        members = tree.children(nid) + tree.shadow_children(nid)
         for token in range(-1, vocab + 1):
-            scan = [c for c in tree.children(nid) if tree.node(c).token == token]
-            assert tree.child_by_token(nid, token) == (scan[0] if scan else None)
+            scan = [(c, tree.node(c).shadow) for c in members if tree.node(c).token == token]
+            assert tree._edges.get((nid, token)) == (scan[0] if scan else None)
