@@ -7,11 +7,9 @@ from .drafting import (
     DraftConfig,
     GainCostEstimate,
     LatencyProfile,
-    MovingAverage,
     ReliabilityState,
     build_tree,
     calibrate,
-    marginal_cost,
     update_reliability,
 )
 from .errors import ConfigError, ContractError, StructureError, TrainingDiverged

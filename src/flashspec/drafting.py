@@ -2,20 +2,24 @@
 
 A tree is grown one node at a time from a frontier of drafted candidates.
 Each candidate carries a reach estimate (the probability that verification
-gets that far); each insertion is charged its marginal latency.  The builder
-always picks the frontier node with the best reach-per-marginal-latency
-ratio and stops as soon as even the best candidate cannot improve the tree's
-average gain rate.
+gets that far); each insertion is charged its marginal latency: the change
+in verification latency read from the shape-keyed :class:`LatencyProfile`,
+plus one draft expansion of ``draft_ms`` when the inserted node will itself
+be expanded.  ``draft_ms`` is the device's per-expansion draft cost (the
+harness passes the hardware preset's ``draft_cpu_ms``, the value the
+simulator charges for a one-node expansion step), so every expansion adds
+exactly that to the tree's draft cost.  The builder always picks the
+frontier node with the best reach-per-marginal-latency ratio and stops as
+soon as even the best candidate cannot improve the tree's average gain rate.
 
 Each step is priced once.  A frontier entry's marginal cost depends only on
 its cost class: whether its parent already has children (the insertion adds
 a leaf, or the child replaces its parent as a leaf) and whether the entry is
-expandable (the insertion triggers one more draft expansion).  So a step
-looks up the current shape and at most two grown shapes, computes at most
-four class costs with :func:`marginal_cost`'s arithmetic, and scores every
-entry from that table.  Per-class ordered queues were prototyped and gained
-at most a few percent, because the frontier holds only a handful of entries;
-one pass over it scores every entry and keeps the best by
+expandable.  So a step looks up the current shape and at most two grown
+shapes, computes at most four class costs with :func:`_priced`, and scores
+every entry from that table.  Per-class ordered queues were prototyped and
+gained at most a few percent, because the frontier holds only a handful of
+entries; one pass over it scores every entry and keeps the best by
 :func:`_selection_key`, and the recorded frontier, when asked for, is the
 same scores sorted by that key.
 
@@ -26,7 +30,6 @@ shape enters the table, because only then can a nearest key change.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -72,22 +75,6 @@ def calibrate(p_draft: float, rel: ReliabilityState) -> float:
     [0, 1]; strictly order-preserving within a candidate set.
     """
     return min(1.0, max(0.0, rel.value * p_draft))
-
-
-class MovingAverage:
-    """Fixed-window mean over runtime measurements, seeded with one value."""
-
-    def __init__(self, window: int, initial: float) -> None:
-        if window < 1:
-            raise ConfigError("window must be >= 1")
-        self._values: deque[float] = deque([float(initial)], maxlen=window)
-
-    def add(self, value: float) -> None:
-        self._values.append(float(value))
-
-    @property
-    def value(self) -> float:
-        return sum(self._values) / len(self._values)
 
 
 class LatencyProfile:
@@ -196,8 +183,6 @@ class DraftConfig:
     r_min: float = 0.05
     beta: float = 0.9
     cost_floor_ms: float = 0.01    # marginal-cost floor; keeps ratios finite
-    ma_window: int = 64
-    draft_ms_seed: float = 2.0     # seeds the expansion-latency moving average
     max_nodes: int | None = None   # optional safety budget on non-root nodes
 
     def __post_init__(self) -> None:
@@ -244,7 +229,7 @@ class StepRecord(NamedTuple):
     draft_cost_before: float
     verify_cost_before: float
     frontier: tuple[tuple[int, int, float, float, float], ...] | None
-    # frontier rows: (parent, token, reach, marginal_cost, ratio)
+    # frontier rows: (parent, token, reach, marginal cost, ratio)
 
 
 @dataclass(frozen=True)
@@ -271,27 +256,6 @@ def is_expandable(entry: FrontierEntry, cfg: DraftConfig) -> bool:
     return entry.depth < cfg.max_depth and entry.reach >= cfg.b_min
 
 
-def shape_after_insert(tree: TokenTree, entry: FrontierEntry) -> tuple[int, int]:
-    nodes, leaves = tree.shape
-    if tree.children(entry.parent):
-        leaves += 1
-    # else: the parent was a leaf and the child replaces it; leaves unchanged
-    return nodes + 1, leaves
-
-
-def marginal_cost(
-    entry: FrontierEntry,
-    tree: TokenTree,
-    profile: LatencyProfile,
-    draft_ma: MovingAverage,
-    cfg: DraftConfig,
-) -> float:
-    """Estimated cycle-latency increase from inserting one frontier node."""
-    before = profile.lookup(tree.shape)
-    after = profile.lookup(shape_after_insert(tree, entry))
-    return _priced(after - before, is_expandable(entry, cfg), draft_ma.value, cfg)
-
-
 def _priced(delta: float, expandable: bool, draft_ms: float, cfg: DraftConfig) -> float:
     """Marginal cost from a verify-latency delta: plus one expansion when
     the inserted node will be expanded, floored to keep ratios finite."""
@@ -307,18 +271,14 @@ def _selection_key(item: tuple[FrontierEntry, float, float]) -> tuple:
     return (-ratio, -entry.reach, entry.token, entry.parent)
 
 
-DraftTimer = Callable[[int], float]
-
-
 def build_tree(
     context: Sequence[int],
     draft: ProbModel,
     cfg: DraftConfig,
     rel: ReliabilityState,
     profile: LatencyProfile,
-    draft_timer: DraftTimer | None = None,
+    draft_ms: float = 2.0,
     record_frontier: bool = False,
-    add_shadows: bool = True,
 ) -> BuildResult:
     """Grow a token tree greedily by reach-per-marginal-latency.
 
@@ -326,15 +286,14 @@ def build_tree(
     instant; construction ends when the frontier empties, when the optional
     node budget is hit, or when the best remaining candidate cannot improve
     the tree's average gain rate (gain / cycle latency).  Marginal costs are
-    priced once per cost class and step (see the module docstring) and equal
-    :func:`marginal_cost` bit for bit.
-
-    ``draft_timer(count)`` prices one expansion step; defaults to the
-    configured seed latency, keeping construction deterministic.
+    priced once per cost class and step (see the module docstring); each
+    expansion costs ``draft_ms``.  Leftover candidates under parents that
+    kept a child are attached as shadows.  ``record_frontier`` keeps every
+    step's scored frontier, best first, in its :class:`StepRecord` and, on a
+    stop-rule exit, in the :class:`StopRecord`.
     """
     if not context:
         raise ContractError("context must be non-empty")
-    timer = draft_timer or (lambda count: cfg.draft_ms_seed * count)
 
     tree = TokenTree(root_token=int(context[-1]))
     reaches = {ROOT_ID: 1.0}
@@ -344,7 +303,6 @@ def build_tree(
     candidate_sets: dict[int, CandidateSet] = {}
     expansion_counts: list[int] = []
     steps: list[StepRecord] = []
-    draft_ma = MovingAverage(cfg.ma_window, cfg.draft_ms_seed)
     gain = 1.0
     draft_cost = 0.0
 
@@ -353,9 +311,7 @@ def build_tree(
         prefix = list(context) + tree.path_tokens(node_id)
         cand = draft_candidates(draft, prefix, cfg.k, parent=node_id)
         candidate_sets[node_id] = cand
-        elapsed = timer(1)
-        draft_ma.add(elapsed)
-        draft_cost += elapsed
+        draft_cost += draft_ms
         expansion_counts.append(1)
         depth = tree.node(node_id).depth + 1
         for token, p in cand.entries:
@@ -372,7 +328,6 @@ def build_tree(
         nodes, leaves = tree.shape
         verify_cost = profile.lookup((nodes, leaves))
         cycle_cost = draft_cost + verify_cost
-        draft_ms = draft_ma.value
         # cost class index: 2 * (parent already has children) + expandable
         costs: list[float | None] = [None] * 4
         scored = []
@@ -434,8 +389,7 @@ def build_tree(
         stop_reason, stop_ratio, gain, draft_cost + verify_cost, frontier=stop_rows
     )
 
-    if add_shadows:
-        _attach_shadows(tree, (entry for entry, _ in frontier.values()))
+    _attach_shadows(tree, (entry for entry, _ in frontier.values()))
 
     estimate = GainCostEstimate(
         gain=gain, draft_cost=draft_cost, verify_cost=verify_cost

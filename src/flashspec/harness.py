@@ -141,21 +141,24 @@ class ExperimentConfig:
             ("drafting", DraftConfig),
             ("pruning", PruneConfig),
             ("training", TrainConfig),
+            ("hardware", HardwareConfig),
         ):
             if key in data and isinstance(data[key], dict):
-                data[key] = sub(**data[key])
-        hw = data.get("hardware")
-        if isinstance(hw, dict):
-            data["hardware"] = HardwareConfig.from_dict(hw)
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+                data[key] = _from_fields(sub, data[key], f"{key} config")
+        return _from_fields(cls, data, "config")
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _from_fields(cls: type, payload: dict[str, Any], where: str) -> Any:
+    """``cls(**payload)``, refusing keys that are not fields of ``cls``."""
+    unknown = set(payload) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    return cls(**payload)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -297,8 +300,7 @@ def make_policy(cfg: ExperimentConfig, draft: ProbModel, hw: HardwareConfig):
         return BalancedTreePolicy(
             draft, cfg.balanced_fanout, cfg.balanced_budget, draft_ms=hw.draft_cpu_ms
         )
-    timer = lambda count: hw.draft_cpu_ms * count  # noqa: E731
-    return GainCostPolicy(draft, cfg.drafting, draft_timer=timer, name=cfg.policy)
+    return GainCostPolicy(draft, cfg.drafting, draft_ms=hw.draft_cpu_ms, name=cfg.policy)
 
 
 @dataclass

@@ -10,7 +10,7 @@ batchable; the gain-cost policy wraps the greedy builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .drafting import (
     BuildResult,
@@ -159,8 +159,7 @@ class GainCostPolicy:
 
     draft: ProbModel
     cfg: DraftConfig
-    draft_timer: Callable[[int], float] | None = None
-    record_frontier: bool = False
+    draft_ms: float = 2.0
     name: str = "gain_cost"
 
     def build(
@@ -170,11 +169,5 @@ class GainCostPolicy:
         profile: LatencyProfile,
     ) -> BuildResult:
         return build_tree(
-            context,
-            self.draft,
-            self.cfg,
-            rel,
-            profile,
-            draft_timer=self.draft_timer,
-            record_frontier=self.record_frontier,
+            context, self.draft, self.cfg, rel, profile, draft_ms=self.draft_ms
         )

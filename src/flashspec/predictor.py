@@ -337,20 +337,6 @@ def build_distillation_dataset(
     return [per_tail[i] for i in of_example]
 
 
-def candidate_top1_agreement(
-    pred: EarlyExitPredictor, dataset: Sequence[TrainingExample]
-) -> float:
-    """Fraction of examples where the probe and the final logits pick the
-    same candidate-restricted top-1 token."""
-    hits = 0
-    for ex in dataset:
-        idx = np.asarray(ex.candidates)
-        probe_pick = idx[int(np.argmax(pred.weights[idx] @ ex.hidden))]
-        target_pick = idx[int(np.argmax(ex.logits[idx]))]
-        hits += int(probe_pick == target_pick)
-    return hits / len(dataset)
-
-
 def save_checkpoint(pred: EarlyExitPredictor, path: str) -> None:
     payload = {
         "vocab_size": pred.vocab_size,

@@ -12,7 +12,7 @@ path.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -85,15 +85,12 @@ def ar_step_latency(cfg: HardwareConfig) -> float:
     return compute_ms(cfg, 1, 1) + cfg.io_effective_ms
 
 
-def verify_latency(
-    cfg: HardwareConfig, nodes: int, leaves: int, overlap: str | None = None
-) -> float:
+def verify_latency(cfg: HardwareConfig, nodes: int, leaves: int) -> float:
     """End-to-end verification latency for a tree shape under the configured
-    (or overridden) I/O-compute overlap policy."""
+    I/O-compute overlap policy."""
     if nodes < 1:
         raise ContractError("nodes must be >= 1")
-    combined = replace(cfg, overlap=overlap) if overlap else cfg
-    return _combine(combined, cfg.io_effective_ms, compute_ms(cfg, nodes, leaves))
+    return _combine(cfg, cfg.io_effective_ms, compute_ms(cfg, nodes, leaves))
 
 
 def draft_schedule(expansion_counts: Sequence[int], cfg: HardwareConfig) -> float:
@@ -294,35 +291,3 @@ def simulate_decode(
         speedup_vs_flash_ar=tokens_per_s / ar_tokens_per_s,
     )
     return trace, metrics
-
-
-def calibrate_projection(
-    cfg: HardwareConfig,
-    rows: int,
-    used_rows: int,
-    waste_ms: float,
-    verify_ms: float,
-    leaves: int = 4,
-) -> HardwareConfig:
-    """Fit projection cost and DRAM share to one measured verification row.
-
-    Solves for the per-row eager projection cost that makes ``rows`` rows
-    with ``used_rows`` useful ones waste exactly ``waste_ms``, then picks the
-    DRAM-resident fraction that lands the whole verification stage (overlap
-    plus eager projection) on ``verify_ms``.
-    """
-    if rows <= used_rows:
-        raise ContractError("rows must exceed used_rows")
-    per_row = waste_ms / (rows - used_rows)
-    stage_ms = verify_ms - rows * per_row
-    comp = compute_ms(cfg, rows, leaves)
-    if stage_ms < comp:
-        raise ConfigError(
-            f"target verify time {verify_ms} is below compute {comp} + projection"
-        )
-    frac = 1.0 - stage_ms / cfg.io_ms_per_invocation
-    if not (0.0 <= frac <= 1.0):
-        raise ConfigError("calibration requires an out-of-range DRAM fraction")
-    return replace(
-        cfg, proj_ms_per_row=per_row, dram_resident_frac=frac, overlap="max"
-    )

@@ -85,8 +85,7 @@ class TokenTree:
 
     ``node_count`` counts non-shadow nodes including the root (each one is a
     verification row); ``leaf_count`` counts non-shadow nodes without
-    non-shadow children.  Both are maintained incrementally and can be audited
-    with :meth:`recount`.
+    non-shadow children.  Both are maintained incrementally.
     """
 
     def __init__(self, root_token: int = ROOT_TOKEN) -> None:
@@ -200,19 +199,6 @@ class TokenTree:
             siblings.append(node_id)
             self._node_count += 1
         return node_id
-
-    def recount(self) -> tuple[int, int]:
-        """Recompute (node_count, leaf_count) from scratch, ignoring the
-        incremental counters."""
-        nodes = 0
-        leaves = 0
-        for n in self._nodes:
-            if n.shadow:
-                continue
-            nodes += 1
-            if not self._children[n.node_id]:
-                leaves += 1
-        return nodes, leaves
 
     # -- serialization -----------------------------------------------------
 

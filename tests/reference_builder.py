@@ -14,22 +14,20 @@ from typing import Sequence
 from flashspec.drafting import (
     BuildResult,
     DraftConfig,
-    DraftTimer,
     FrontierEntry,
     GainCostEstimate,
     LatencyProfile,
-    MovingAverage,
     ReliabilityState,
     StepRecord,
     StopRecord,
     _selection_key,
     calibrate,
     is_expandable,
-    marginal_cost,
 )
 from flashspec.errors import ContractError
 from flashspec.models import ProbModel, draft_candidates
 from flashspec.tree import CandidateSet, ROOT_ID, TokenTree
+from helpers import marginal_cost
 
 
 def build_tree(
@@ -38,23 +36,19 @@ def build_tree(
     cfg: DraftConfig,
     rel: ReliabilityState,
     profile: LatencyProfile,
-    draft_timer: DraftTimer | None = None,
+    draft_ms: float = 2.0,
     record_frontier: bool = False,
-    add_shadows: bool = True,
 ) -> BuildResult:
     """Grow a token tree greedily by reach-per-marginal-latency.
 
     Every insertion maximizes reach/marginal-cost over the frontier at its
     instant; construction ends when the frontier empties, when the optional
     node budget is hit, or when the best remaining candidate cannot improve
-    the tree's average gain rate (gain / cycle latency).
-
-    ``draft_timer(count)`` prices one expansion step; defaults to the
-    configured seed latency, keeping construction deterministic.
+    the tree's average gain rate (gain / cycle latency).  Each expansion
+    costs ``draft_ms``.
     """
     if not context:
         raise ContractError("context must be non-empty")
-    timer = draft_timer or (lambda count: cfg.draft_ms_seed * count)
 
     tree = TokenTree(root_token=int(context[-1]))
     reaches = {ROOT_ID: 1.0}
@@ -62,7 +56,6 @@ def build_tree(
     candidate_sets: dict[int, CandidateSet] = {}
     expansion_counts: list[int] = []
     steps: list[StepRecord] = []
-    draft_ma = MovingAverage(cfg.ma_window, cfg.draft_ms_seed)
     gain = 1.0
     draft_cost = 0.0
 
@@ -72,9 +65,7 @@ def build_tree(
         cand = draft_candidates(draft, prefix, cfg.k)
         cand = CandidateSet(cand.entries, parent=node_id)
         candidate_sets[node_id] = cand
-        elapsed = timer(1)
-        draft_ma.add(elapsed)
-        draft_cost += elapsed
+        draft_cost += draft_ms
         expansion_counts.append(1)
         depth = tree.node(node_id).depth + 1
         for token, p in cand.entries:
@@ -90,7 +81,7 @@ def build_tree(
         scored = [
             (e, mc, e.reach / mc)
             for e in frontier
-            for mc in (marginal_cost(e, tree, profile, draft_ma, cfg),)
+            for mc in (marginal_cost(e, tree, profile, draft_ms, cfg),)
         ]
         scored.sort(key=_selection_key)
         best, best_mc, best_ratio = scored[0]
@@ -142,8 +133,7 @@ def build_tree(
             "frontier_empty", None, gain, draft_cost + profile.lookup(tree.shape)
         )
 
-    if add_shadows:
-        _attach_shadows(tree, frontier)
+    _attach_shadows(tree, frontier)
 
     estimate = GainCostEstimate(
         gain=gain,

@@ -21,7 +21,8 @@ from helpers import affine_profile
 
 
 def instance_parts(inst: dict):
-    """Materialize (target, draft, cfg, rel, profile) from fixture params."""
+    """Materialize (target, draft, cfg, rel, profile, draft_ms) from fixture
+    params; ``draft_ms`` is the per-expansion draft latency."""
     target = TabularMarkovModel(
         inst["vocab_size"], inst["order"], inst["model_seed"],
         concentration=inst["concentration"],
@@ -31,14 +32,13 @@ def instance_parts(inst: dict):
         k=inst["k"],
         max_depth=inst["max_depth"],
         b_min=inst["b_min"],
-        draft_ms_seed=inst["draft_ms"],
     )
     rel = ReliabilityState(value=inst["reliability"])
     profile = affine_profile(
         inst["profile_c0"], inst["profile_c_node"], inst["profile_c_leaf"],
         max_nodes=16, max_leaves=16,
     )
-    return target, draft, cfg, rel, profile
+    return target, draft, cfg, rel, profile, inst["draft_ms"]
 
 
 def reachable_universe(draft, cfg: DraftConfig, rel: ReliabilityState, context):
@@ -65,12 +65,12 @@ def reachable_universe(draft, cfg: DraftConfig, rel: ReliabilityState, context):
     return nodes
 
 
-def subset_objective(subset, nodes, cfg: DraftConfig, profile: LatencyProfile):
+def subset_objective(subset, nodes, profile: LatencyProfile, draft_ms: float):
     """Gain per cycle latency of one candidate subset, priced exactly as the
-    builder prices a finished tree (constant per-expansion draft latency)."""
+    builder prices a finished tree (``draft_ms`` per expansion)."""
     gain = 1.0 + sum(nodes[i]["reach"] for i in subset)
     n_expansions = 1 + sum(1 for i in subset if nodes[i]["expandable"])
-    draft_cost = cfg.draft_ms_seed * n_expansions
+    draft_cost = draft_ms * n_expansions
     children = {i: [] for i in subset}
     for i in subset:
         p = nodes[i]["parent"]
@@ -81,10 +81,10 @@ def subset_objective(subset, nodes, cfg: DraftConfig, profile: LatencyProfile):
     return gain / (draft_cost + verify)
 
 
-def exhaustive_optimum(nodes, cfg: DraftConfig, profile: LatencyProfile):
+def exhaustive_optimum(nodes, profile: LatencyProfile, draft_ms: float):
     """Best objective over every ancestor-closed subset of the universe."""
     ids = [n["id"] for n in nodes]
-    best = subset_objective(frozenset(), nodes, cfg, profile)
+    best = subset_objective(frozenset(), nodes, profile, draft_ms)
     best_subset: list[int] = []
     for r in range(1, len(ids) + 1):
         for combo in combinations(ids, r):
@@ -94,7 +94,7 @@ def exhaustive_optimum(nodes, cfg: DraftConfig, profile: LatencyProfile):
                 for i in subset
             ):
                 continue
-            obj = subset_objective(subset, nodes, cfg, profile)
+            obj = subset_objective(subset, nodes, profile, draft_ms)
             if obj > best:
                 best = obj
                 best_subset = sorted(subset)

@@ -15,10 +15,8 @@ import pytest
 from flashspec.drafting import (
     DraftConfig,
     FrontierEntry,
-    MovingAverage,
     ReliabilityState,
     build_tree,
-    marginal_cost,
 )
 from flashspec.harness import ExperimentConfig, config_hash, run_experiment
 from flashspec.models import (
@@ -34,22 +32,22 @@ from flashspec.predictor import (
     TrainConfig,
     TrainingExample,
     build_distillation_dataset,
-    candidate_top1_agreement,
     default_exit_layer,
     total_loss,
     total_loss_grad,
     train,
 )
 from flashspec.pruning import PruneConfig, TreePruner
-from flashspec.simulator import (
-    ar_step_latency,
-    calibrate_projection,
-    load_preset,
-    simulate_decode,
-)
+from flashspec.simulator import ar_step_latency, load_preset, simulate_decode
 from flashspec.tree import ROOT_ID, TokenTree
 from flashspec.verification import CycleRecord, run_decode
-from helpers import affine_profile, child_by_token
+from helpers import (
+    affine_profile,
+    calibrate_projection,
+    candidate_top1_agreement,
+    child_by_token,
+    marginal_cost,
+)
 from subtree_oracle import exhaustive_optimum, instance_parts, reachable_universe
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -200,9 +198,7 @@ def test_criterion_03_gain_estimate_calibration(report):
     cfg = DraftConfig(k=3, max_depth=5, b_min=0.01)
     profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
     ctx = [5, 17, 2]
-    out = build_tree(
-        ctx, draft, cfg, ReliabilityState(value=1.0), profile, add_shadows=False
-    )
+    out = build_tree(ctx, draft, cfg, ReliabilityState(value=1.0), profile)
     tree, gain = out.tree, out.estimate.gain
 
     cumsums = {}
@@ -236,18 +232,18 @@ def test_criterion_03_gain_estimate_calibration(report):
 def test_criterion_04_greedy_optimality_gap(greedy_suite, report):
     ratios = []
     for inst in greedy_suite:
-        _, draft, cfg, rel, profile = instance_parts(inst)
+        _, draft, cfg, rel, profile, draft_ms = instance_parts(inst)
         out = build_tree(
-            inst["context"], draft, cfg, rel, profile, add_shadows=False
+            inst["context"], draft, cfg, rel, profile, draft_ms=draft_ms
         )
         ratios.append(
             (out.estimate.gain / out.estimate.cycle_cost) / inst["oracle_objective"]
         )
     # spot-check the committed oracle values by re-enumerating a few instances
     for inst in greedy_suite[:8]:
-        _, draft, cfg, rel, profile = instance_parts(inst)
+        _, draft, cfg, rel, profile, draft_ms = instance_parts(inst)
         universe = reachable_universe(draft, cfg, rel, inst["context"])
-        optimum, _ = exhaustive_optimum(universe, cfg, profile)
+        optimum, _ = exhaustive_optimum(universe, profile, draft_ms)
         assert optimum == pytest.approx(inst["oracle_objective"], rel=1e-12)
 
     med = statistics.median(ratios)
@@ -264,13 +260,12 @@ def test_criterion_05_stopping_rule_soundness(greedy_suite, report):
     checked_steps = 0
     stop_rule_exits = 0
     for inst in greedy_suite:
-        _, draft, cfg, rel, profile = instance_parts(inst)
+        _, draft, cfg, rel, profile, draft_ms = instance_parts(inst)
         out = build_tree(
             inst["context"], draft, cfg, rel, profile,
-            record_frontier=True, add_shadows=False,
+            draft_ms=draft_ms, record_frontier=True,
         )
         # replay the construction and re-derive each step's ranking
-        ma = MovingAverage(cfg.ma_window, cfg.draft_ms_seed)
         tree = TokenTree(root_token=int(inst["context"][-1]))
         handles = {}
         for step in out.steps:
@@ -280,7 +275,7 @@ def test_criterion_05_stopping_rule_soundness(greedy_suite, report):
                 parent_id = handles.get(parent, ROOT_ID if parent == 0 else None)
                 depth = tree.node(parent_id).depth + 1
                 entry = FrontierEntry(parent_id, token, 0.0, reach, depth)
-                mc = marginal_cost(entry, tree, profile, ma, cfg)
+                mc = marginal_cost(entry, tree, profile, draft_ms, cfg)
                 assert mc == pytest.approx(rec_mc, rel=1e-12)
                 ratio = reach / mc
                 assert ratio == pytest.approx(rec_ratio, rel=1e-12)

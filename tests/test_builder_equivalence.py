@@ -1,7 +1,5 @@
 """The cost-class builder against the per-entry reference builder."""
 
-from itertools import count
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,24 +76,12 @@ def instances(draw):
         max_depth=draw(st.integers(1, 5)),
         # without a node budget, a reach floor keeps the trees small
         b_min=draw(st.floats(0.0 if max_nodes else 0.01, 0.2)),
-        draft_ms_seed=draw(st.floats(0.5, 5.0)),
-        ma_window=draw(st.integers(1, 8)),
         max_nodes=max_nodes,
     )
     rel = ReliabilityState(value=draw(st.floats(0.05, 1.0)))
     context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=4))
-    # a timer whose readings vary keeps the draft moving average moving
-    timer_ms = draw(
-        st.one_of(st.none(), st.lists(st.floats(0.5, 6.0), min_size=1, max_size=5))
-    )
-    return draft, cfg, rel, context, draw(profiles()), timer_ms
-
-
-def _timer(readings):
-    if readings is None:
-        return None
-    steps = count()
-    return lambda n: readings[next(steps) % len(readings)] * n
+    draft_ms = draw(st.floats(0.0, 30.0))
+    return draft, cfg, rel, context, draw(profiles()), draft_ms
 
 
 def _assert_same(fast, slow):
@@ -108,17 +94,11 @@ def _assert_same(fast, slow):
 
 
 @settings(max_examples=200)
-@given(instances(), st.booleans())
-def test_fast_builder_matches_reference(instance, add_shadows):
-    draft, cfg, rel, context, make_profile, timer_ms = instance
+@given(instances())
+def test_fast_builder_matches_reference(instance):
+    draft, cfg, rel, context, make_profile, draft_ms = instance
     for record_frontier in (False, True):
-        kwargs = dict(record_frontier=record_frontier, add_shadows=add_shadows)
-        fast = build_tree(
-            context, draft, cfg, rel, make_profile(),
-            draft_timer=_timer(timer_ms), **kwargs,
-        )
-        slow = reference_build_tree(
-            context, draft, cfg, rel, make_profile(),
-            draft_timer=_timer(timer_ms), **kwargs,
-        )
+        kwargs = dict(draft_ms=draft_ms, record_frontier=record_frontier)
+        fast = build_tree(context, draft, cfg, rel, make_profile(), **kwargs)
+        slow = reference_build_tree(context, draft, cfg, rel, make_profile(), **kwargs)
         _assert_same(fast, slow)

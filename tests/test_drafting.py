@@ -7,18 +7,16 @@ from flashspec.drafting import (
     DraftConfig,
     FrontierEntry,
     LatencyProfile,
-    MovingAverage,
     ReliabilityState,
     build_tree,
     calibrate,
     is_expandable,
-    marginal_cost,
     update_reliability,
 )
 from flashspec.errors import ConfigError
 from flashspec.models import TabularMarkovModel, derive_draft
 from flashspec.tree import ROOT_ID, TokenTree
-from helpers import affine_profile, estimate_gain
+from helpers import affine_profile, estimate_gain, marginal_cost
 
 
 def scan_lookup(entries, q, penalty):
@@ -189,20 +187,18 @@ class TestMarginalCost:
     def test_affine_difference_plus_draft_term(self):
         profile = affine_profile(100.0, 2.0, 0.0, 20, 10)
         tree = self._tree_one_child()
-        cfg = DraftConfig(k=2, max_depth=4, b_min=0.0, draft_ms_seed=3.0)
-        ma = MovingAverage(4, 3.0)
+        cfg = DraftConfig(k=2, max_depth=4, b_min=0.0)
         # child under the current leaf: leaves unchanged, nodes +1
         entry = FrontierEntry(parent=1, token=5, p_draft=0.5, reach=0.3, depth=2)
-        assert marginal_cost(entry, tree, profile, ma, cfg) == pytest.approx(2.0 + 3.0)
+        assert marginal_cost(entry, tree, profile, 3.0, cfg) == pytest.approx(2.0 + 3.0)
 
     def test_non_expandable_has_no_draft_term(self):
         profile = affine_profile(100.0, 2.0, 0.0, 20, 10)
         tree = self._tree_one_child()
-        cfg = DraftConfig(k=2, max_depth=2, b_min=0.0, draft_ms_seed=3.0)
-        ma = MovingAverage(4, 3.0)
+        cfg = DraftConfig(k=2, max_depth=2, b_min=0.0)
         entry = FrontierEntry(parent=1, token=5, p_draft=0.5, reach=0.3, depth=2)
         assert not is_expandable(entry, cfg)
-        assert marginal_cost(entry, tree, profile, ma, cfg) == pytest.approx(2.0)
+        assert marginal_cost(entry, tree, profile, 3.0, cfg) == pytest.approx(2.0)
 
     def test_matches_recompute_both_shapes_oracle(self):
         rng = np.random.default_rng(8)
@@ -216,8 +212,7 @@ class TestMarginalCost:
         a = tree.insert(ROOT_ID, 1, 0.9)
         tree.insert(ROOT_ID, 2, 0.7)
         tree.insert(a, 3, 0.5)
-        cfg = DraftConfig(k=2, max_depth=5, b_min=0.01, draft_ms_seed=2.5)
-        ma = MovingAverage(4, 2.5)
+        cfg = DraftConfig(k=2, max_depth=5, b_min=0.01)
         for parent, depth in ((ROOT_ID, 1), (a, 2), (3, 3)):
             entry = FrontierEntry(parent, 9, 0.4, 0.2, depth)
             nodes, leaves = tree.shape
@@ -226,9 +221,9 @@ class TestMarginalCost:
                 (nodes, leaves)
             )
             if is_expandable(entry, cfg):
-                delta += ma.value
+                delta += 2.5
             expect = max(delta, cfg.cost_floor_ms)
-            assert marginal_cost(entry, tree, profile, ma, cfg) == pytest.approx(expect)
+            assert marginal_cost(entry, tree, profile, 2.5, cfg) == pytest.approx(expect)
 
     def test_floor_applies_on_flat_profile(self):
         profile = LatencyProfile()
@@ -237,9 +232,8 @@ class TestMarginalCost:
                 profile.set_entry((n, l), 500.0)
         tree = self._tree_one_child()
         cfg = DraftConfig(k=2, max_depth=2, b_min=0.0)
-        ma = MovingAverage(4, 2.0)
         entry = FrontierEntry(parent=1, token=5, p_draft=0.5, reach=0.3, depth=2)
-        assert marginal_cost(entry, tree, profile, ma, cfg) == cfg.cost_floor_ms
+        assert marginal_cost(entry, tree, profile, 2.0, cfg) == cfg.cost_floor_ms
 
 
 class DeterministicDraft:
@@ -260,8 +254,8 @@ class TestBuildTree:
         profile.set_entry((1, 1), 10.0)
         profile.set_entry((2, 1), 10000.0)
         draft = TabularMarkovModel(8, 1, seed=1)
-        cfg = DraftConfig(k=2, max_depth=3, b_min=0.0, draft_ms_seed=2.0)
-        out = build_tree([3], draft, cfg, rel(), profile)
+        cfg = DraftConfig(k=2, max_depth=3, b_min=0.0)
+        out = build_tree([3], draft, cfg, rel(), profile, draft_ms=2.0)
         assert out.tree.node_count == 1
         assert out.estimate.gain == 1.0
         assert out.stop.reason == "stop_rule"
@@ -270,20 +264,20 @@ class TestBuildTree:
         # Certain draft, decayed reach via r<1, affine per-row cost: the
         # stopping inequality can be replayed in closed form step by step.
         r = 0.8
-        ma_ms = 2.0
+        draft_ms = 2.0
         c0, c_node = 50.0, 4.0
         profile = affine_profile(c0, c_node, 0.0, 40, 40)
-        cfg = DraftConfig(k=1, max_depth=30, b_min=0.0, draft_ms_seed=ma_ms)
+        cfg = DraftConfig(k=1, max_depth=30, b_min=0.0)
         draft = DeterministicDraft()
-        out = build_tree([0], draft, cfg, rel(r), profile, add_shadows=False)
+        out = build_tree([0], draft, cfg, rel(r), profile, draft_ms=draft_ms)
 
         depth = 0
         gain = 1.0
-        draft_cost = ma_ms  # root expansion
+        draft_cost = draft_ms  # root expansion
         while True:
             reach = r ** (depth + 1)
             expandable = depth + 1 < cfg.max_depth
-            delta = c_node + (ma_ms if expandable else 0.0)
+            delta = c_node + (draft_ms if expandable else 0.0)
             ratio = reach / max(delta, cfg.cost_floor_ms)
             cycle = draft_cost + (c0 + c_node * (depth + 1))
             if ratio <= gain / cycle:
@@ -291,7 +285,7 @@ class TestBuildTree:
             depth += 1
             gain += reach
             if expandable:
-                draft_cost += ma_ms
+                draft_cost += draft_ms
         assert out.tree.node_count - 1 == depth
         assert out.stop.reason == "stop_rule"
         assert out.estimate.gain == pytest.approx(gain)
@@ -367,13 +361,14 @@ class TestBuildTree:
         out = build_tree([4, 9], draft, cfg, rel(), profile)
         assert out.tree.node_count - 1 <= 5
 
-    def test_draft_cost_accumulates_measured_times(self):
-        draft = DeterministicDraft()
-        profile = affine_profile(50.0, 4.0, 0.0, 40, 40)
-        cfg = DraftConfig(k=1, max_depth=5, b_min=0.0, draft_ms_seed=2.0)
-        times = iter([5.0, 1.0, 3.0, 2.0, 4.0, 6.0, 7.0, 8.0])
-        out = build_tree(
-            [0], draft, cfg, rel(0.8), profile, draft_timer=lambda c: next(times)
-        )
+    # dyadic latencies: n repeated additions equal one product exactly
+    @pytest.mark.parametrize("draft_ms", [0.0, 2.0, 2.5, 12.25])
+    def test_draft_cost_is_draft_ms_per_expansion(self, draft_ms):
+        target = TabularMarkovModel(16, 2, seed=35)
+        draft = derive_draft(target, 0.7, noise_seed=11)
+        profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
+        cfg = DraftConfig(k=3, max_depth=5, b_min=0.01)
+        out = build_tree([4, 9], draft, cfg, rel(0.8), profile, draft_ms=draft_ms)
+        assert len(out.expansion_counts) > 1
         assert out.expansion_counts == [1] * len(out.expansion_counts)
-        assert out.estimate.draft_cost > 0
+        assert out.estimate.draft_cost == draft_ms * len(out.expansion_counts)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from flashspec import harness
 from flashspec.cli import main as cli_main
+from flashspec.drafting import build_tree
 from flashspec.errors import ConfigError
 from flashspec.harness import (
     DraftSpec,
@@ -16,7 +18,9 @@ from flashspec.harness import (
     compare_policies,
     config_hash,
     geometric_mean,
+    make_context,
     make_draft,
+    make_policy,
     make_pruner,
     make_target,
     priced_grid,
@@ -26,7 +30,7 @@ from flashspec.harness import (
     train_predictor_for,
 )
 from flashspec.predictor import EarlyExitPredictor, load_checkpoint, save_checkpoint
-from flashspec.simulator import HardwareConfig
+from flashspec.simulator import HardwareConfig, load_preset
 
 
 def small_cfg(**kw):
@@ -60,6 +64,22 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"polycy": "lever"})
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            (section, "typo")
+            for section in ("model", "draft", "drafting", "pruning", "training", "hardware")
+        ]
+        # keys of the removed draft-latency moving average
+        + [("drafting", "ma_window"), ("drafting", "draft_ms_seed")],
+    )
+    def test_unknown_nested_key_rejected(self, section, key):
+        payload = small_cfg(hardware=load_preset("llama31-8b")).to_dict()
+        payload[section][key] = 1
+        message = f"unknown {section} config keys: ['{key}']"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_dict(payload)
 
     def test_dotted_overrides(self):
         payload = small_cfg().to_dict()
@@ -134,6 +154,23 @@ class TestRunExperiment:
     def test_trial_seeds_documented_derivation(self):
         report, results = run_experiment(small_cfg(policy="flash_ar"))
         assert [r.seed for r in results] == [3, 4]
+
+
+class TestGainCostDraftCost:
+    def test_lever_plans_with_the_hardware_draft_latency(self):
+        hw = replace(load_preset("llama31-8b"), draft_cpu_ms=5.0)
+        cfg = small_cfg(policy="lever", hardware=hw)
+        target = make_target(cfg.model, 0)
+        draft = make_draft(cfg, target, 0)
+        context = make_context(cfg, 0)
+        rel = cfg.drafting.reliability()
+        got = make_policy(cfg, draft, hw).build(context, rel, seed_profile(cfg, hw))
+        want = build_tree(
+            context, draft, cfg.drafting, rel, seed_profile(cfg, hw), draft_ms=5.0
+        )
+        assert got.tree.to_json() == want.tree.to_json()
+        assert got.stop == want.stop
+        assert got.estimate.draft_cost == 5.0 * len(got.expansion_counts)
 
 
 class TestProfileGrid:
@@ -354,3 +391,8 @@ class TestCLI:
         rc = cli_main(["run", "--config", str(cfg_path)])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unknown_nested_override_is_clean_error(self, capsys):
+        rc = cli_main(["run", "--set", "drafting.typo=1"])
+        assert rc == 2
+        assert "error: unknown drafting config keys: ['typo']" in capsys.readouterr().err

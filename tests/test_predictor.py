@@ -11,7 +11,6 @@ from flashspec.predictor import (
     TrainingExample,
     build_distillation_dataset,
     cand_loss,
-    candidate_top1_agreement,
     default_exit_layer,
     kd_loss,
     load_checkpoint,
@@ -22,6 +21,7 @@ from flashspec.predictor import (
 )
 from flashspec.pruning import normalize_scores
 from flashspec.tree import ROOT_ID, TokenTree
+from helpers import candidate_top1_agreement
 
 
 def example(h, z, cands):

@@ -7,7 +7,6 @@ from flashspec.simulator import (
     PRESET_DIR,
     HardwareConfig,
     ar_step_latency,
-    calibrate_projection,
     compute_ms,
     draft_schedule,
     load_preset,
@@ -17,6 +16,7 @@ from flashspec.simulator import (
     verify_latency,
 )
 from flashspec.verification import CycleRecord, PruneSummary
+from helpers import calibrate_projection
 
 # Measured single-token totals per device preset (compute + I/O).
 ANCHORS = {
@@ -68,8 +68,8 @@ class TestArStepLatency:
 class TestVerifyLatency:
     def test_single_row_sum_equals_ar_step(self):
         for name in ANCHORS:
-            cfg = load_preset(name)
-            assert verify_latency(cfg, 1, 1, overlap="sum") == pytest.approx(
+            cfg = dataclasses.replace(load_preset(name), overlap="sum")
+            assert verify_latency(cfg, 1, 1) == pytest.approx(
                 ar_step_latency(cfg), rel=1e-12
             )
 
@@ -80,9 +80,9 @@ class TestVerifyLatency:
         assert verify_latency(cfg, 1, 1) == pytest.approx(990.6)
 
     def test_affine_growth_under_sum(self):
-        cfg = load_preset("llama31-8b")
-        l32 = verify_latency(cfg, 32, 9, overlap="sum")
-        l16 = verify_latency(cfg, 16, 5, overlap="sum")
+        cfg = dataclasses.replace(load_preset("llama31-8b"), overlap="sum")
+        l32 = verify_latency(cfg, 32, 9)
+        l16 = verify_latency(cfg, 16, 5)
         expect = 16 * cfg.compute_c_row + 4 * cfg.compute_c_leaf
         assert l32 - l16 == pytest.approx(expect, rel=1e-9)
 

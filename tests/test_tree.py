@@ -13,6 +13,7 @@ from flashspec.tree import (
     compact_with_map,
     flatten,
 )
+from helpers import recount
 
 
 def chain_tree(tokens, reaches=None):
@@ -232,7 +233,7 @@ class TestProperties:
                 continue
             reach = tree.node(parent).reach * 0.9
             handles.append(tree.insert(parent, token, reach, shadow))
-        assert (tree.node_count, tree.leaf_count) == tree.recount()
+        assert (tree.node_count, tree.leaf_count) == recount(tree)
 
     @given(tree_builds())
     @settings(max_examples=60, deadline=None)

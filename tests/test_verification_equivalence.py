@@ -11,6 +11,7 @@ from flashspec.predictor import EarlyExitPredictor, ExactProbeSource, LayeredHid
 from flashspec.pruning import PruneConfig, TreePruner, normalize_scores, prune
 from flashspec.tree import ROOT_ID, TokenTree, compact_with_map
 from flashspec.verification import verify_tree
+from helpers import recount
 import reference_verification as ref
 
 
@@ -228,7 +229,7 @@ def test_compaction_by_remapping_matches_reinsertion(case):
     want, want_mapping = ref.compact_with_map(tree, keep)
     assert got.to_json() == want.to_json()
     assert mapping == want_mapping
-    assert got.shape == want.shape == got.recount()
+    assert got.shape == want.shape == recount(got)
 
 
 @st.composite

@@ -58,15 +58,15 @@ def make_instance(index: int) -> dict:
             "profile_c_leaf": float(rng.uniform(0.0, 25.0)),
             "context": rng.integers(0, 8, size=3).tolist(),
         }
-        _, draft, cfg, rel, _ = instance_parts(inst)
+        _, draft, cfg, rel, _, _ = instance_parts(inst)
         if len(reachable_universe(draft, cfg, rel, inst["context"])) <= 12:
             return inst
     raise RuntimeError(f"no small universe found for instance {index}")
 
 
 def greedy_objective(inst: dict) -> float:
-    _, draft, cfg, rel, profile = instance_parts(inst)
-    out = build_tree(inst["context"], draft, cfg, rel, profile, add_shadows=False)
+    _, draft, cfg, rel, profile, draft_ms = instance_parts(inst)
+    out = build_tree(inst["context"], draft, cfg, rel, profile, draft_ms=draft_ms)
     return out.estimate.gain / out.estimate.cycle_cost
 
 
@@ -75,10 +75,10 @@ def main() -> None:
     ratios = []
     for index in range(N_INSTANCES):
         inst = make_instance(index)
-        _, draft, cfg, rel, profile = instance_parts(inst)
+        _, draft, cfg, rel, profile, draft_ms = instance_parts(inst)
         universe = reachable_universe(draft, cfg, rel, inst["context"])
         assert len(universe) <= 12, (index, len(universe))
-        optimum, best_subset = exhaustive_optimum(universe, cfg, profile)
+        optimum, best_subset = exhaustive_optimum(universe, profile, draft_ms)
         inst["universe_size"] = len(universe)
         inst["oracle_objective"] = optimum
         inst["oracle_subset_size"] = len(best_subset)
