@@ -309,7 +309,7 @@ def build_tree(
     def expand(node_id: int) -> None:
         nonlocal draft_cost
         prefix = list(context) + tree.path_tokens(node_id)
-        cand = draft_candidates(draft, prefix, cfg.k, parent=node_id)
+        cand = draft_candidates(draft, prefix, cfg.k)
         candidate_sets[node_id] = cand
         draft_cost += draft_ms
         expansion_counts.append(1)

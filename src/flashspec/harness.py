@@ -73,6 +73,8 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.type not in ("tabular", "layered"):
             raise ConfigError(f"unknown model type {self.type!r}")
+        if self.vocab_size < 1 or self.order < 1:
+            raise ConfigError("vocab_size and order must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -154,11 +156,16 @@ class ExperimentConfig:
 
 
 def _from_fields(cls: type, payload: dict[str, Any], where: str) -> Any:
-    """``cls(**payload)``, refusing keys that are not fields of ``cls``."""
+    """``cls(**payload)``, refusing keys that are not fields of ``cls``; a
+    missing field or a wrongly typed value is a :class:`ConfigError` that
+    names the section."""
     unknown = set(payload) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    return cls(**payload)
+    try:
+        return cls(**payload)
+    except TypeError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -10,6 +10,12 @@ reads many prefixes at once: the layered target computes the passes of its
 missing tails as one batch, and the tabular model seeds its missing rows in
 one vectorized pass.  A memoized value is exactly what a fresh evaluation
 returns, which keeps the models usable as exact oracles.
+
+For the same reason :func:`draft_candidates` computes one immutable
+:class:`~flashspec.tree.CandidateSet` per ``(padded tail, k)`` and stores it
+with the model, so a tree that reaches a drafted tail again (in the same
+cycle or a later one) reuses the set instead of re-reading and re-sorting
+the distribution.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ class ProbModel(abc.ABC):
 
 def _padded_tail(prefix: Sequence[int], order: int) -> tuple[int, ...]:
     """Last ``order`` tokens, left-padded with token 0 for short prefixes."""
-    tail = tuple(int(t) for t in prefix[-order:])
+    tail = tuple(map(int, prefix[-order:]))
     if len(tail) < order:
         tail = (0,) * (order - len(tail)) + tail
     return tail
@@ -274,19 +280,30 @@ def derive_draft(
     return MixtureDraftModel(target, noise, agreement)
 
 
-def draft_candidates(
-    model: ProbModel, prefix: Sequence[int], k: int, parent: int | None = None
-) -> CandidateSet:
+def draft_candidates(model: ProbModel, prefix: Sequence[int], k: int) -> CandidateSet:
     """Top-k tokens by draft probability, descending; ties break toward the
-    smaller token id.  ``parent`` is the tree node the set expands."""
+    smaller token id.
+
+    The set depends only on ``k`` and the prefix's padded last-``order``
+    tokens, so it is computed once per ``(tail, k)`` and memoized with the
+    model; equal tails return the same object.
+    """
     if model.vocab_size < 1:
         raise ConfigError("model has an empty vocabulary")
     if not (1 <= k <= model.vocab_size):
         raise ContractError(f"k={k} outside [1, {model.vocab_size}]")
-    p = model.next_dist(prefix)
-    # Stable sort of -p keeps equal-probability tokens in ascending-id order.
-    order = np.argsort(-p, kind="stable")[:k]
-    return CandidateSet(tuple((int(t), float(p[t])) for t in order), parent=parent)
+    memo = getattr(model, "_candidate_sets", None)
+    if memo is None:
+        memo = model._candidate_sets = {}
+    key = (_padded_tail(prefix, model.order), k)
+    cand = memo.get(key)
+    if cand is None:
+        p = model.next_dist(prefix)
+        # Stable sort of -p keeps equal-probability tokens in ascending-id order.
+        order = np.argsort(-p, kind="stable")[:k]
+        cand = CandidateSet(tuple((int(t), float(p[t])) for t in order))
+        memo[key] = cand
+    return cand
 
 
 def target_greedy_decode(

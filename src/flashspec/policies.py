@@ -74,7 +74,7 @@ class ChainPolicy:
         reach = 1.0
         counts = []
         for _ in range(self.length):
-            cand = draft_candidates(self.draft, prefix, 1, parent=parent)
+            cand = draft_candidates(self.draft, prefix, 1)
             candidate_sets[parent] = cand
             counts.append(1)
             token, p = cand.entries[0]
@@ -133,7 +133,7 @@ class BalancedTreePolicy:
             next_level: list[int] = []
             for parent in level:
                 prefix = list(context) + tree.path_tokens(parent)
-                cand = draft_candidates(self.draft, prefix, self.fanout, parent=parent)
+                cand = draft_candidates(self.draft, prefix, self.fanout)
                 candidate_sets[parent] = cand
                 for token, p in cand.entries:
                     reach = tree.node(parent).reach * calibrate(p, rel)

@@ -13,6 +13,10 @@ Low-scoring edges are dropped subject to safeguards: the keep set stays
 ancestor-closed, a backbone path of per-depth best children is immune, the
 strongest children near the root survive, and decisions that strip the tree
 too bare are rejected wholesale.
+
+Pruning yields a keep set of node ids and the kept leaf count; the tree is
+never copied.  Verification walks the built tree restricted to the keep set
+(:func:`flashspec.verification.verify_tree`), which also validates it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .predictor import EarlyExitPredictor
-from .tree import ROOT_ID, TokenTree, compact_with_map, flatten
+from .tree import ROOT_ID, TokenTree, flatten
 from .verification import PruneSummary
 
 
@@ -53,6 +57,7 @@ class PruneDecision:
     rejected: bool
     scores: dict[tuple[int, int], float]  # (parent id, token) -> normalized score
     backbone: tuple[int, ...]
+    leaves: int                          # leaves of the kept subtree
 
 
 class HiddenSource(Protocol):
@@ -158,7 +163,8 @@ def prune(
     The keep set is the root, the backbone, the ``root_keep`` best depth-1
     children, and every edge scoring at least ``theta``, closed under
     ancestors.  Decisions keeping too few rows or too few leaves are rejected
-    and the full tree is retained.
+    and the full tree is retained.  ``leaves`` counts the kept subtree's
+    leaves.
     """
     backbone = backbone_path(tree, scores)
     keep: set[int] = {ROOT_ID}
@@ -191,7 +197,10 @@ def prune(
     )
     if rejected:
         keep = set(tree.ids())
-    return PruneDecision(frozenset(keep), rejected, scores, tuple(backbone))
+        kept_leaves = tree.leaf_count
+    return PruneDecision(
+        frozenset(keep), rejected, scores, tuple(backbone), kept_leaves
+    )
 
 
 class TreePruner:
@@ -208,9 +217,7 @@ class TreePruner:
         self.hidden_source = hidden_source
         self.cfg = cfg
 
-    def apply(
-        self, tree: TokenTree, context: Sequence[int]
-    ) -> tuple[TokenTree, PruneSummary]:
+    def apply(self, tree: TokenTree, context: Sequence[int]) -> PruneSummary:
         layout = flatten(tree)
         rows = [r for r, nid in enumerate(layout.rows) if not tree.is_leaf(nid)]
         ctx = list(context)
@@ -218,12 +225,10 @@ class TreePruner:
         parents = [layout.rows[r] for r in rows]
         scores = normalize_scores(self.pred, hidden, tree, parents, self.cfg.tau)
         decision = prune(tree, scores, self.cfg)
-        new_tree, old_to_new = compact_with_map(tree, decision.keep)
-        summary = PruneSummary(
+        return PruneSummary(
             keep=decision.keep,
             backbone=decision.backbone,
             rejected=decision.rejected,
-            new_to_old={new: old for old, new in old_to_new.items()},
+            leaves=decision.leaves,
             exit_fraction=self.hidden_source.exit_fraction,
         )
-        return new_tree, summary

@@ -1,25 +1,25 @@
-"""Token-tree data structures: construction, flattening, and compaction.
+"""Token-tree data structures: construction and flattening.
 
 A :class:`TokenTree` holds the branching draft produced during one speculative
-cycle.  Nodes are identified by stable integer handles assigned at insertion;
-the tree is append-only until :func:`compact_with_map` produces a reduced
-copy.  Shadow nodes (candidates kept only as scoring references) live in the
-same structure, flagged, and are excluded from flattened verification layouts
-and from the node/leaf counts that drive cost estimation.  A flattened layout
-is the row list verification prices plus each row's parent row and token; a
-row's path follows parent rows back to the root.
+cycle.  Nodes are identified by stable integer handles assigned at insertion,
+and the tree is append-only.  Shadow nodes (candidates kept only as scoring
+references) live in the same structure, flagged, and are excluded from
+flattened verification layouts, from :meth:`TokenTree.child` and from the
+node/leaf counts that drive cost estimation.  A flattened layout is the row
+list verification prices plus each row's parent row and token; a row's path
+follows parent rows back to the root.
 
 Every edge is indexed by ``(parent, token)``, children and shadows alike, so
-an insertion's duplicate and shadow checks are dict lookups.  Compaction validates the
-keep set once and then remaps the kept nodes into a fresh tree without
-re-running the insertion checks.
+an insertion's duplicate and shadow checks and a child lookup by token are
+dict lookups.  Pruning never copies a tree: it yields a keep set of node ids,
+and verification walks the built tree restricted to that set.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import ContractError, StructureError
 
@@ -48,7 +48,6 @@ class CandidateSet:
     """
 
     entries: tuple[tuple[int, float], ...]
-    parent: int | None = None
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -136,6 +135,13 @@ class TokenTree:
 
     def shadow_children(self, node_id: int) -> list[int]:
         return list(self._shadow_children[node_id])
+
+    def child(self, parent: int, token: int) -> int | None:
+        """The non-shadow child of ``parent`` drafted with ``token``, if any."""
+        edge = self._edges.get((parent, token))
+        if edge is None or edge[1]:
+            return None
+        return edge[0]
 
     def is_leaf(self, node_id: int) -> bool:
         return not self._nodes[node_id].shadow and not self._children[node_id]
@@ -272,38 +278,3 @@ def flatten(tree: TokenTree) -> TreeLayout:
         tokens.append(node.token)
     return TreeLayout(tuple(ids), tuple(parent_row), tuple(tokens))
 
-
-def compact_with_map(
-    tree: TokenTree, keep: Iterable[int]
-) -> tuple[TokenTree, dict[int, int]]:
-    """Return a new tree holding exactly ``keep`` and the old-id -> new-id
-    mapping; the input is unmodified.  Kept nodes keep their relative order.
-    """
-    keep_set = set(keep)
-    if ROOT_ID not in keep_set:
-        raise ContractError("keep set must contain the root")
-    for nid in keep_set:
-        if nid >= len(tree) or nid < 0:
-            raise ContractError(f"keep set references unknown node {nid}")
-        node = tree.node(nid)
-        if node.shadow:
-            raise ContractError(f"keep set contains shadow node {nid}")
-        if nid != ROOT_ID and node.parent not in keep_set:
-            raise ContractError(
-                f"keep set is not ancestor-closed: {nid} kept without {node.parent}"
-            )
-
-    # The kept nodes are an ancestor-closed set of a valid tree's non-shadow
-    # nodes, appended parents first: every parent is present and non-shadow,
-    # every (parent, token) edge was unique in the source tree and reaches
-    # never grow down a path, so insert's checks cannot fail and are skipped.
-    new_tree = TokenTree(root_token=tree.root.token)
-    mapping = {ROOT_ID: ROOT_ID}
-    for nid in sorted(keep_set):
-        if nid == ROOT_ID:
-            continue
-        node = tree.node(nid)
-        mapping[nid] = new_tree._append(
-            mapping[node.parent], node.token, node.reach, False
-        )
-    return new_tree, mapping

@@ -7,15 +7,17 @@ token is a target argmax conditioned on its realized prefix, the output is
 bit-identical to plain greedy decoding no matter what the draft proposed or
 what pruning removed.
 
-The simulator prices the whole flattened tree as one batched pass, but the
-walk reads the target only on the rows it reaches: ``accepted_len + 1``
-evaluations per cycle.
+A pruned cycle verifies the tree it built, restricted to the pruner's keep
+set: the walk stops at a child outside the set, and accepted nodes keep
+their ids in the built tree.  The simulator prices the kept rows as one
+batched pass, but the walk reads the target only on the rows it reaches:
+``accepted_len + 1`` evaluations per cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import AbstractSet, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -27,7 +29,9 @@ from .drafting import (
 )
 from .errors import ContractError
 from .models import ProbModel
-from .tree import ROOT_ID, TokenTree, flatten
+# Verification does not flatten, but ``flashbench/tracing.py`` wraps
+# ``verification.flatten`` by name, so the name stays importable here.
+from .tree import ROOT_ID, TokenTree, flatten  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -39,39 +43,57 @@ class VerificationResult:
 
 
 def verify_tree(
-    target: ProbModel, context: Sequence[int], tree: TokenTree
+    target: ProbModel,
+    context: Sequence[int],
+    tree: TokenTree,
+    keep: AbstractSet[int] | None = None,
 ) -> VerificationResult:
     """Argmax verification of a tree along its accepted path.
 
-    The tree's flattened rows are what one batched verification pass
-    prices.  The walk starts at row 0 and reads the target only on the rows
-    it reaches: it takes the argmax on the realized prefix, descends to the
-    child row drafted with that token, and otherwise stops and emits the
-    argmax as the fallback.
+    ``keep``, when given, restricts the tree to an ancestor-closed set of
+    its non-shadow nodes (a pruner's keep set); those rows are what one
+    batched verification pass prices.  The walk starts at the root and reads
+    the target only on the nodes it reaches: it takes the argmax on the
+    realized prefix, descends to the kept child drafted with that token, and
+    otherwise stops and emits the argmax as the fallback.
     """
     if not context:
         raise ContractError("context must be non-empty")
-    layout = flatten(tree)
-    child_row = {
-        (layout.parent_row[r], layout.tokens[r]): r for r in range(1, layout.n_rows)
-    }
+    if keep is not None:
+        _check_keep(tree, keep)
     prefix = list(context)
     accepted: list[int] = []
-    row = 0
+    node = ROOT_ID
     while True:
         want = int(np.argmax(target.next_dist(prefix)))
         prefix.append(want)
-        child = child_row.get((row, want))
-        if child is None:
+        node = tree.child(node, want)
+        if node is None or (keep is not None and node not in keep):
             break
-        accepted.append(layout.rows[child])
-        row = child
+        accepted.append(node)
     return VerificationResult(
         accepted_nodes=tuple(accepted),
         accepted_len=len(accepted),
         fallback=want,
         emitted=tuple(prefix[len(context):]),
     )
+
+
+def _check_keep(tree: TokenTree, keep: AbstractSet[int]) -> None:
+    """Raise :class:`ContractError` unless ``keep`` holds the root and is an
+    ancestor-closed set of the tree's non-shadow nodes."""
+    if ROOT_ID not in keep:
+        raise ContractError("keep set must contain the root")
+    for nid in keep:
+        if nid >= len(tree) or nid < 0:
+            raise ContractError(f"keep set references unknown node {nid}")
+        node = tree.node(nid)
+        if node.shadow:
+            raise ContractError(f"keep set contains shadow node {nid}")
+        if nid != ROOT_ID and node.parent not in keep:
+            raise ContractError(
+                f"keep set is not ancestor-closed: {nid} kept without {node.parent}"
+            )
 
 
 class TreePolicy(Protocol):
@@ -88,19 +110,17 @@ class TreePolicy(Protocol):
 
 
 class TreePrunerLike(Protocol):
-    def apply(
-        self, tree: TokenTree, context: Sequence[int]
-    ) -> tuple[TokenTree, "PruneSummary"]: ...
+    def apply(self, tree: TokenTree, context: Sequence[int]) -> "PruneSummary": ...
 
 
 @dataclass(frozen=True)
 class PruneSummary:
     """Per-cycle pruning outcome kept for audit and pricing."""
 
-    keep: frozenset[int]                 # node ids in the pre-prune tree
+    keep: frozenset[int]                 # verified node ids of the built tree
     backbone: tuple[int, ...]
     rejected: bool
-    new_to_old: dict[int, int]
+    leaves: int                          # leaves of the kept subtree
     exit_fraction: float
 
 
@@ -154,28 +174,30 @@ def run_decode(
     while len(tokens) < horizon:
         prefix = list(context) + tokens
         outcome = policy.build(prefix, rel, profile)
-        full_tree = outcome.tree
+        tree = outcome.tree
 
         prune_summary: PruneSummary | None = None
-        verify_target_tree = full_tree
+        keep = None
+        shape = tree.shape
         if pruner is not None:
-            verify_target_tree, prune_summary = pruner.apply(full_tree, prefix)
+            prune_summary = pruner.apply(tree, prefix)
+            keep = prune_summary.keep
+            shape = (len(keep), prune_summary.leaves)
 
-        result = verify_tree(target, prefix, verify_target_tree)
+        result = verify_tree(target, prefix, tree, keep)
         tokens.extend(result.emitted)
 
-        hit = _candidate_hit(result, verify_target_tree, prune_summary, outcome)
+        hit = _candidate_hit(result, outcome)
         if hit is not None:
             rel = update_reliability(rel, hit)
 
-        shape = (verify_target_tree.node_count, verify_target_tree.leaf_count)
         if verify_pricer is not None:
             profile.observe(shape, verify_pricer(shape))
 
         cycles.append(
             CycleRecord(
-                tree_nodes=full_tree.node_count,
-                tree_leaves=full_tree.leaf_count,
+                tree_nodes=tree.node_count,
+                tree_leaves=tree.leaf_count,
                 rows_verified=shape[0],
                 leaves_verified=shape[1],
                 accepted_len=result.accepted_len,
@@ -191,20 +213,10 @@ def run_decode(
     return DecodeResult(tokens[:horizon], cycles, rel)
 
 
-def _candidate_hit(
-    result: VerificationResult,
-    verified_tree: TokenTree,
-    prune_summary: PruneSummary | None,
-    outcome: BuildResult,
-) -> bool | None:
-    """Whether the fallback token was inside the stop node's candidate set.
-
-    The stop node is mapped back to the pre-prune tree when pruning renamed
-    handles; nodes that were never expanded give no feedback.
-    """
+def _candidate_hit(result: VerificationResult, outcome: BuildResult) -> bool | None:
+    """Whether the fallback token was inside the stop node's candidate set;
+    nodes that were never expanded give no feedback."""
     stop_node = result.accepted_nodes[-1] if result.accepted_nodes else ROOT_ID
-    if prune_summary is not None:
-        stop_node = prune_summary.new_to_old[stop_node]
     cand = outcome.candidate_sets.get(stop_node)
     if cand is None:
         return None

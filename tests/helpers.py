@@ -1,14 +1,14 @@
 """Test-side helpers over flashspec's public API: an affine latency
 profile, a tree's summed-reach gain, a child lookup by token, node and leaf
-counts recomputed from scratch, a frontier entry's marginal cost priced from
-two profile lookups, the probe's candidate-restricted top-1 agreement and a
-one-row projection calibration.  No engine stage needs them; tests use them
-as seeds and oracles."""
+counts recomputed from scratch, a pruned copy of a tree by compaction, a
+frontier entry's marginal cost priced from two profile lookups, the probe's
+candidate-restricted top-1 agreement and a one-row projection calibration.
+No engine stage needs them; tests use them as seeds and oracles."""
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,6 +63,46 @@ def recount(tree: TokenTree) -> tuple[int, int]:
     ignoring the tree's incremental counters."""
     ids = tree.ids()
     return len(ids), sum(1 for nid in ids if not tree.children(nid))
+
+
+def compact_with_map(
+    tree: TokenTree, keep: Iterable[int]
+) -> tuple[TokenTree, dict[int, int]]:
+    """Return a new tree holding exactly ``keep`` and the old-id -> new-id
+    mapping; the input is unmodified.  Kept nodes keep their relative order.
+
+    Tests verify this copy as the oracle for verifying the built tree
+    through the keep set; its keep-set checks raise the messages
+    ``verify_tree`` raises.
+    """
+    keep_set = set(keep)
+    if ROOT_ID not in keep_set:
+        raise ContractError("keep set must contain the root")
+    for nid in keep_set:
+        if nid >= len(tree) or nid < 0:
+            raise ContractError(f"keep set references unknown node {nid}")
+        node = tree.node(nid)
+        if node.shadow:
+            raise ContractError(f"keep set contains shadow node {nid}")
+        if nid != ROOT_ID and node.parent not in keep_set:
+            raise ContractError(
+                f"keep set is not ancestor-closed: {nid} kept without {node.parent}"
+            )
+
+    # The kept nodes are an ancestor-closed set of a valid tree's non-shadow
+    # nodes, appended parents first: every parent is present and non-shadow,
+    # every (parent, token) edge was unique in the source tree and reaches
+    # never grow down a path, so insert's checks cannot fail and are skipped.
+    new_tree = TokenTree(root_token=tree.root.token)
+    mapping = {ROOT_ID: ROOT_ID}
+    for nid in sorted(keep_set):
+        if nid == ROOT_ID:
+            continue
+        node = tree.node(nid)
+        mapping[nid] = new_tree._append(
+            mapping[node.parent], node.token, node.reach, False
+        )
+    return new_tree, mapping
 
 
 def shape_after_insert(tree: TokenTree, entry: FrontierEntry) -> tuple[int, int]:

@@ -2,7 +2,9 @@
 
 ``build_tree`` below is the builder as it stood before steps were priced by
 cost class: it rescores every frontier entry with :func:`marginal_cost`
-(two profile lookups each) and sorts the whole frontier at every step.  The
+(two profile lookups each) and sorts the whole frontier at every step.  Every
+expansion reads and sorts the draft distribution afresh, without the
+candidate-set memo of :func:`flashspec.models.draft_candidates`.  The
 property tests check that :func:`flashspec.drafting.build_tree` returns an
 identical :class:`BuildResult`.
 """
@@ -10,6 +12,8 @@ identical :class:`BuildResult`.
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from flashspec.drafting import (
     BuildResult,
@@ -25,7 +29,7 @@ from flashspec.drafting import (
     is_expandable,
 )
 from flashspec.errors import ContractError
-from flashspec.models import ProbModel, draft_candidates
+from flashspec.models import ProbModel
 from flashspec.tree import CandidateSet, ROOT_ID, TokenTree
 from helpers import marginal_cost
 
@@ -62,8 +66,9 @@ def build_tree(
     def expand(node_id: int) -> None:
         nonlocal draft_cost
         prefix = list(context) + tree.path_tokens(node_id)
-        cand = draft_candidates(draft, prefix, cfg.k)
-        cand = CandidateSet(cand.entries, parent=node_id)
+        p = draft.next_dist(prefix)
+        top = np.argsort(-p, kind="stable")[: cfg.k]
+        cand = CandidateSet(tuple((int(t), float(p[t])) for t in top))
         candidate_sets[node_id] = cand
         draft_cost += draft_ms
         expansion_counts.append(1)

@@ -10,11 +10,14 @@ checks), both by the all-rows ``normalize_scores`` and by
 ``normalize_parent_scores``, the per-parent form the engine had before it
 scored every edge in one pass.  ``prune`` and ``backbone_path`` look up
 each compared child's node once per key field and count kept leaves by
-scanning every kept node's children.  ``compact_with_map`` re-inserts every
-kept node through ``TokenTree.insert`` and its checks.  The property tests check
-that :mod:`flashspec.verification`, :mod:`flashspec.pruning` and
-:mod:`flashspec.tree` give identical accepted paths, emitted tokens, edge
-scores, prune decisions, pruned trees, id mappings and prune summaries.
+scanning every kept node's children.  ``TreePruner.apply`` copies the kept
+nodes into a new tree (``compact_with_map`` re-inserts every kept node
+through ``TokenTree.insert`` and its checks), which ``verify_tree`` then
+walks; the engine walks the built tree restricted to the keep set instead.
+The property tests check that :mod:`flashspec.verification`,
+:mod:`flashspec.pruning` and ``helpers.compact_with_map`` give identical
+accepted paths (mapped back to the built tree), emitted tokens, edge scores,
+prune decisions, compacted trees, id mappings and prune summaries.
 """
 
 from __future__ import annotations
@@ -320,16 +323,18 @@ def prune(
             keep.add(parent)
             parent = tree.node(parent).parent
 
-    kept_leaves = sum(
-        1 for nid in keep if not any(c in keep for c in tree.children(nid))
-    )
+    def kept_leaves() -> int:
+        return sum(1 for nid in keep if not any(c in keep for c in tree.children(nid)))
+
     rejected = (
         len(keep) < cfg.min_keep_frac * tree.node_count
-        or kept_leaves < min(cfg.min_leaves, tree.leaf_count)
+        or kept_leaves() < min(cfg.min_leaves, tree.leaf_count)
     )
     if rejected:
         keep = set(tree.ids())
-    return PruneDecision(frozenset(keep), rejected, scores, tuple(backbone))
+    return PruneDecision(
+        frozenset(keep), rejected, scores, tuple(backbone), kept_leaves()
+    )
 
 
 class TreePruner:
@@ -348,7 +353,9 @@ class TreePruner:
 
     def apply(
         self, tree: TokenTree, context: Sequence[int]
-    ) -> tuple[TokenTree, PruneSummary]:
+    ) -> tuple[TokenTree, dict[int, int], PruneSummary]:
+        """The compacted tree, its new-id -> old-id map and the summary;
+        the summary's kept leaves are the compacted tree's leaf count."""
         layout = flatten(tree)
         hidden = self.hidden_source.rows(context, layout)
         scores = normalize_scores(self.pred, hidden, tree, layout, self.cfg.tau)
@@ -358,7 +365,7 @@ class TreePruner:
             keep=decision.keep,
             backbone=decision.backbone,
             rejected=decision.rejected,
-            new_to_old={new: old for old, new in old_to_new.items()},
+            leaves=new_tree.leaf_count,
             exit_fraction=self.hidden_source.exit_fraction,
         )
-        return new_tree, summary
+        return new_tree, {new: old for old, new in old_to_new.items()}, summary

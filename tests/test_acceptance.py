@@ -89,9 +89,9 @@ class AuditingPruner:
 
     def apply(self, tree, context):
         parents = {nid: tree.node(nid).parent for nid in tree.ids()}
-        pruned, summary = self.pruner.apply(tree, context)
+        summary = self.pruner.apply(tree, context)
         self.audits.append((summary, parents))
-        return pruned, summary
+        return summary
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,7 @@ class CoarseDraft:
     def __init__(self, base):
         self.base = base
         self.vocab_size = base.vocab_size
+        self.order = base.order
 
     def next_dist(self, prefix):
         return np.round(self.base.next_dist(prefix) * 4) / 4

@@ -237,14 +237,16 @@ class TestMarginalCost:
 
 
 class DeterministicDraft:
-    """p=1 on token (depth mod V): a single certain continuation."""
+    """p=1 on the token after the last one (mod V): a single certain
+    continuation."""
 
     def __init__(self, vocab_size=8):
         self.vocab_size = vocab_size
+        self.order = 1
 
     def next_dist(self, prefix):
         p = np.zeros(self.vocab_size)
-        p[len(prefix) % self.vocab_size] = 1.0
+        p[(prefix[-1] + 1) % self.vocab_size] = 1.0
         return p
 
 

@@ -81,6 +81,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             ExperimentConfig.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "override, section",
+        [
+            ('hardware={"name":"x"}', "hardware"),
+            ('drafting.k="a"', "drafting"),
+            ('model={"type":"tabular","vocab_size":"x"}', "model"),
+        ],
+    )
+    def test_ill_typed_nested_config_rejected(self, override, section):
+        payload = apply_overrides(small_cfg().to_dict(), [override])
+        with pytest.raises(ConfigError, match=f"^invalid {section} config: "):
+            ExperimentConfig.from_dict(payload)
+
     def test_dotted_overrides(self):
         payload = small_cfg().to_dict()
         apply_overrides(
@@ -391,6 +404,13 @@ class TestCLI:
         rc = cli_main(["run", "--config", str(cfg_path)])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_ill_typed_nested_override_is_clean_error(self, capsys):
+        rc = cli_main(["run", "--set", 'hardware={"name":"x"}'])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid hardware config: ")
+        assert "Traceback" not in err
 
     def test_unknown_nested_override_is_clean_error(self, capsys):
         rc = cli_main(["run", "--set", "drafting.typo=1"])

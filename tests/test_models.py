@@ -25,6 +25,7 @@ class FixedModel:
         self.rows = {tuple(k): np.asarray(v, dtype=float) for k, v in rows.items()}
         first = next(iter(self.rows.values()))
         self.vocab_size = len(first)
+        self.order = 1
         self.default = (
             np.asarray(default, dtype=float)
             if default is not None
@@ -455,3 +456,101 @@ def test_batched_mixture_rows_equal_stacked_next_dist(case):
     want = np.stack([fresh.next_dist(p) for p in prefixes])
     assert got.tobytes() == want.tobytes()
     assert got.shape == want.shape
+
+
+@st.composite
+def candidate_sessions(draw):
+    """Recipes for a tabular, a layered and a mixture model over one
+    vocabulary, and interleaved ``draft_candidates`` calls over a small
+    prefix pool, so calls repeat tails, share a last token with a different
+    tail and include prefixes shorter than the order."""
+    vocab = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 10_000))
+    order = st.integers(1, 3)
+    tabular = ("tabular", vocab, draw(order), seed)
+    layered = ("layered", vocab, draw(order), seed, draw(st.integers(2, 4)), draw(st.integers(1, 6)))
+    mixture = (
+        draw(st.sampled_from([tabular, layered])),
+        (draw(st.sampled_from([0.0, 0.45, 1.0])), draw(st.integers(0, 10_000)), draw(order)),
+    )
+    recipes = [tabular, layered, mixture]
+    token = st.integers(0, vocab - 1)
+    pool = draw(st.lists(st.lists(token, max_size=4), min_size=1, max_size=4))
+    calls = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.one_of(st.sampled_from(pool), st.lists(token, max_size=4)),
+                token,
+                st.integers(1, vocab),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    return recipes, calls
+
+
+def _model(recipe):
+    if recipe[0] == "tabular":
+        _, vocab, order, seed = recipe
+        return TabularMarkovModel(vocab, order, seed)
+    if recipe[0] == "layered":
+        _, vocab, order, seed, depth, hidden = recipe
+        return LayeredTargetModel(vocab, order, depth, hidden, seed)
+    return _mixture(*recipe)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(candidate_sessions())
+def test_candidate_sets_are_memoized_per_padded_tail(session):
+    """Every call returns the top-k a separate model of the same recipe
+    drafts without the memo, and the same object for an equal padded tail
+    and ``k``."""
+    recipes, calls = session
+    models = [_model(r) for r in recipes]
+    fresh = [_model(r) for r in recipes]
+    first = {}
+    for i, prefix, last, k in calls:
+        prefix = prefix + [last]
+        model = models[i]
+        got = draft_candidates(model, prefix, k)
+        p = fresh[i].next_dist(prefix)
+        top = np.argsort(-p, kind="stable")[:k]
+        assert got.entries == tuple((int(t), float(p[t])) for t in top)
+        tail = tuple(([0] * model.order + prefix)[-model.order:])
+        assert got is first.setdefault((i, tail, k), got)
+
+
+def _outcome(model, prefix, k):
+    """A call's entries, or the ``ContractError`` it raised."""
+    try:
+        return draft_candidates(model, prefix, k).entries
+    except ContractError as exc:
+        return ContractError, str(exc)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(candidate_sessions())
+def test_out_of_vocabulary_tail_raises_with_a_warm_memo(session):
+    """A warm memo answers an out-of-vocabulary tail as a cold model does
+    (the tabular and layered models raise wherever the token sits in the
+    tail; a mixture raises when a component it reads does), and still checks
+    ``k``."""
+    recipes, calls = session
+    models = [_model(r) for r in recipes]
+    cold = [_model(r) for r in recipes]
+    for i, prefix, last, k in calls:
+        draft_candidates(models[i], prefix + [last], k)
+    for i, prefix, last, _ in calls:
+        model = models[i]
+        vocab = model.vocab_size
+        for bad in (vocab, -1):
+            for probe in (prefix + [bad], prefix + [bad, last]):
+                got = _outcome(model, probe, 1)
+                assert got == _outcome(cold[i], probe, 1)
+                if i < 2 and bad in probe[-model.order:]:
+                    assert got[0] is ContractError
+        for k in (0, vocab + 1):
+            with pytest.raises(ContractError):
+                draft_candidates(model, prefix + [last], k)

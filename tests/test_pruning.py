@@ -15,7 +15,7 @@ from flashspec.pruning import (
 )
 from flashspec.tree import ROOT_ID, TokenTree, flatten
 from flashspec.verification import run_decode, verify_tree
-from helpers import affine_profile
+from helpers import affine_profile, compact_with_map
 
 
 def one_hot_pred(vocab_size):
@@ -197,9 +197,12 @@ class TestTreePruner:
 
     def test_compacted_tree_has_no_shadows(self):
         target, tree, pruner = self._setup()
-        pruned, summary = pruner.apply(tree, [4, 9])
+        summary = pruner.apply(tree, [4, 9])
+        assert all(not tree.node(n).shadow for n in summary.keep)
+        pruned, _ = compact_with_map(tree, summary.keep)
         assert all(not pruned.node(n).shadow for n in range(len(pruned)))
         assert pruned.node_count <= tree.node_count
+        assert pruned.shape == (len(summary.keep), summary.leaves)
 
     def test_losslessness_with_pruning(self):
         target = TabularMarkovModel(16, 2, seed=43)
@@ -232,9 +235,9 @@ class TestTreePruner:
         rel = ReliabilityState()
         for _ in range(12):
             out = build_tree(prefix, draft, cfg, rel, profile)
-            pruned, _ = pruner.apply(out.tree, prefix)
+            summary = pruner.apply(out.tree, prefix)
             full = verify_tree(target, prefix, out.tree)
-            cut = verify_tree(target, prefix, pruned)
+            cut = verify_tree(target, prefix, out.tree, summary.keep)
             assert cut.accepted_len <= full.accepted_len
             prefix = prefix + list(full.emitted)
 
@@ -245,7 +248,10 @@ class TestTreePruner:
             pruner_base.hidden_source,
             PruneConfig(theta=0.95, min_keep_frac=0.99, min_leaves=2),
         )
-        pruned, summary = pruner.apply(tree, [4, 9])
+        summary = pruner.apply(tree, [4, 9])
         assert summary.rejected
+        assert summary.keep == frozenset(tree.ids())
+        assert summary.leaves == tree.leaf_count
+        pruned, _ = compact_with_map(tree, summary.keep)
         assert pruned.node_count == tree.node_count
         assert flatten(pruned).tokens == flatten(tree).tokens

@@ -213,7 +213,7 @@ class TestSimulateDecode:
         cfg = dataclasses.replace(load_preset("llama31-8b"), overlap="sum")
         summary = PruneSummary(
             keep=frozenset({0}), backbone=(0,), rejected=False,
-            new_to_old={0: 0}, exit_fraction=0.5,
+            leaves=1, exit_fraction=0.5,
         )
         rec = cycle(nodes=20, leaves=6, rows=10, accepted=2, prune=summary)
         cost = price_cycle(rec, cfg, "ondemand")

@@ -65,8 +65,8 @@ def test_probe_training_calls_the_traced_names(monkeypatch, attr):
 
 def test_decode_stages_call_the_traced_names(monkeypatch):
     """``tree.flatten`` and ``drafting.expand`` are measured only while the
-    pruner and verification flatten, and the builder drafts, through these
-    module globals."""
+    pruner flattens, and the builder drafts, through these module globals;
+    verification walks the tree without flattening it."""
     target = TabularMarkovModel(8, 1, 3)
     draft = derive_draft(target, 0.3, 5)
     context = [1, 2]
@@ -81,9 +81,10 @@ def test_decode_stages_call_the_traced_names(monkeypatch):
     pruner = TreePruner(
         EarlyExitPredictor.identity_probe(8), ExactProbeSource(target), PruneConfig()
     )
-    pruned, _ = pruner.apply(built.tree, context)
+    summary = pruner.apply(built.tree, context)
     assert prune_flattens == ["flatten"]
 
     verify_flattens = recording(monkeypatch, verification, "flatten")
-    verify_tree(target, context, pruned)
-    assert verify_flattens == ["flatten"]
+    verify_tree(target, context, built.tree, summary.keep)
+    assert verify_flattens == []
+    assert prune_flattens == ["flatten"]

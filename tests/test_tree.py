@@ -6,14 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flashspec.errors import ContractError, StructureError
-from flashspec.tree import (
-    ROOT_ID,
-    CandidateSet,
-    TokenTree,
-    compact_with_map,
-    flatten,
-)
-from helpers import recount
+from flashspec.tree import ROOT_ID, CandidateSet, TokenTree, flatten
+from helpers import compact_with_map, recount
 
 
 def chain_tree(tokens, reaches=None):

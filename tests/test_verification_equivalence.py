@@ -1,17 +1,20 @@
-"""Path-only verification, parent-only prune rows, one-pass edge scoring,
-the prune decision, compaction by remapping and the edge index against the
-slow references in ``reference_verification``."""
+"""Path-only verification through a keep set, parent-only prune rows,
+one-pass edge scoring, the prune decision, compaction by remapping, the edge
+index and child lookup against the slow references in
+``reference_verification`` and ``helpers``."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from flashspec.errors import ContractError
 from flashspec.models import LayeredTargetModel, TabularMarkovModel
 from flashspec.predictor import EarlyExitPredictor, ExactProbeSource, LayeredHiddenSource
 from flashspec.pruning import PruneConfig, TreePruner, normalize_scores, prune
-from flashspec.tree import ROOT_ID, TokenTree, compact_with_map
+from flashspec.tree import ROOT_ID, TokenTree
 from flashspec.verification import verify_tree
-from helpers import recount
+from helpers import child_by_token, compact_with_map, recount
 import reference_verification as ref
 
 
@@ -57,9 +60,9 @@ def targets(draw):
 
 
 @st.composite
-def cases(draw):
-    """A target, a context, a random tree with shadows (some tokens are the
-    target's greedy choice, so paths get accepted) and a pruner recipe."""
+def target_trees(draw):
+    """A target, a context and a random tree with shadows (some tokens are
+    the target's greedy choice, so paths get accepted)."""
     target = draw(targets())
     vocab = target.vocab_size
     context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=6))
@@ -79,7 +82,14 @@ def cases(draw):
             continue
         reach = tree.node(parent).reach * draw(st.sampled_from([0.25, 0.5, 0.9, 1.0]))
         handles.append(tree.insert(parent, token, reach, draw(st.booleans())))
+    return target, context, tree
 
+
+@st.composite
+def cases(draw):
+    """A target, a context, a random tree and a pruner recipe."""
+    target, context, tree = draw(target_trees())
+    vocab = target.vocab_size
     cfg = PruneConfig(
         theta=draw(st.sampled_from([0.1, 0.3, 0.5, 0.8])),
         tau=draw(st.sampled_from([0.5, 1.0, 2.0])),
@@ -104,23 +114,121 @@ def test_fast_stages_match_reference(case):
     target, context, tree, pred, (source, ref_source), cfg = case
 
     recording = RecordingSource(source)
-    pruned, summary = TreePruner(pred, recording, cfg).apply(tree, context)
-    ref_pruned, ref_summary = ref.TreePruner(pred, ref_source, cfg).apply(tree, context)
-    assert pruned.to_json() == ref_pruned.to_json()
+    summary = TreePruner(pred, recording, cfg).apply(tree, context)
+    ref_pruned, new_to_old, ref_summary = ref.TreePruner(pred, ref_source, cfg).apply(
+        tree, context
+    )
+    assert compact_with_map(tree, summary.keep)[0].to_json() == ref_pruned.to_json()
     assert summary == ref_summary
+    assert (len(summary.keep), summary.leaves) == ref_pruned.shape
     assert recording.prefixes == [
         context + tree.path_tokens(nid) for nid in tree.ids() if tree.children(nid)
     ]
 
-    for verified in (tree, pruned):
+    identity = {nid: nid for nid in tree.ids()}
+    for keep, verified, to_built in (
+        (None, tree, identity),
+        (summary.keep, ref_pruned, new_to_old),
+    ):
         counting = CountingTarget(target)
-        got = verify_tree(counting, context, verified)
+        got = verify_tree(counting, context, tree, keep)
         want = ref.verify_tree(target, context, verified)
-        assert got.accepted_nodes == want.accepted_nodes
+        assert got.accepted_nodes == tuple(to_built[n] for n in want.accepted_nodes)
         assert got.accepted_len == want.accepted_len
         assert got.emitted == want.emitted
         assert got.fallback == want.fallback
         assert counting.calls == got.accepted_len + 1
+
+
+def closed_keep(tree, rng):
+    """A random ancestor-closed set of the tree's non-shadow nodes."""
+    keep = {ROOT_ID}
+    for nid in tree.ids():
+        if rng.integers(2):
+            while nid not in keep:
+                keep.add(nid)
+                nid = tree.node(nid).parent
+    return keep
+
+
+@st.composite
+def walk_cases(draw):
+    """A target, a context, a random tree and an ancestor-closed keep set:
+    the root only, every non-shadow node, or a random closed subset."""
+    target, context, tree = draw(target_trees())
+    kind = draw(st.sampled_from(["root", "all", "random"]))
+    if kind == "root":
+        keep = {ROOT_ID}
+    elif kind == "all":
+        keep = set(tree.ids())
+    else:
+        keep = closed_keep(tree, np.random.default_rng(draw(st.integers(0, 10_000))))
+    return target, context, tree, frozenset(keep)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(walk_cases())
+def test_keep_set_walk_matches_verifying_the_compacted_tree(case):
+    """Walking the built tree restricted to a keep set accepts the nodes
+    that verifying the compacted copy accepts, mapped back to built ids."""
+    target, context, tree, keep = case
+    compacted, old_to_new = compact_with_map(tree, keep)
+    new_to_old = {new: old for old, new in old_to_new.items()}
+    counting = CountingTarget(target)
+    got = verify_tree(counting, context, tree, keep)
+    want = ref.verify_tree(target, context, compacted)
+    assert got.accepted_nodes == tuple(new_to_old[n] for n in want.accepted_nodes)
+    assert set(got.accepted_nodes) <= keep
+    assert got.accepted_len == want.accepted_len
+    assert got.emitted == want.emitted
+    assert got.fallback == want.fallback
+    assert counting.calls == got.accepted_len + 1
+
+
+def ancestors(tree, nid):
+    out = set()
+    while nid != ROOT_ID:
+        nid = tree.node(nid).parent
+        out.add(nid)
+    return out
+
+
+@st.composite
+def malformed_keeps(draw):
+    """A tree and a keep set with exactly one fault: the root missing, an
+    unknown id, a shadow node, or a node kept without its parent."""
+    tree = grow_tree(draw, draw(st.integers(2, 12)), 40)
+    keep = closed_keep(tree, np.random.default_rng(draw(st.integers(0, 10_000))))
+    fault = draw(st.sampled_from(["root", "unknown", "shadow", "ancestor"]))
+    if fault == "root":
+        keep.discard(ROOT_ID)
+    elif fault == "unknown":
+        keep.add(draw(st.sampled_from([len(tree), len(tree) + 7, -1, -3])))
+    elif fault == "shadow":
+        shadows = [nid for nid in tree.ids(include_shadow=True) if tree.node(nid).shadow]
+        assume(shadows)
+        keep.add(draw(st.sampled_from(shadows)))
+    else:
+        deep = [nid for nid in tree.ids() if tree.node(nid).depth >= 2]
+        assume(deep)
+        orphan = draw(st.sampled_from(deep))
+        cut = tree.node(orphan).parent
+        # drop the parent and everything kept below it, then keep the orphan
+        keep = {nid for nid in keep if cut not in ancestors(tree, nid) | {nid}}
+        keep.add(orphan)
+    return tree, frozenset(keep)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(malformed_keeps())
+def test_malformed_keep_set_raises_the_compaction_error(case):
+    tree, keep = case
+    with pytest.raises(ContractError) as compacting:
+        compact_with_map(tree, keep)
+    target = TabularMarkovModel(12, 1, 0)
+    with pytest.raises(ContractError) as verifying:
+        verify_tree(target, [0], tree, keep)
+    assert str(verifying.value) == str(compacting.value)
 
 
 def grow_tree(draw, vocab, max_inserts):
@@ -211,14 +319,7 @@ def test_prune_matches_reference(case):
 def keep_cases(draw):
     """A tree and a random ancestor-closed set of its non-shadow nodes."""
     tree = grow_tree(draw, draw(st.integers(2, 12)), 40)
-    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
-    keep = {ROOT_ID}
-    for nid in tree.ids():
-        if rng.integers(2):
-            while nid not in keep:
-                keep.add(nid)
-                nid = tree.node(nid).parent
-    return tree, keep
+    return tree, closed_keep(tree, np.random.default_rng(draw(st.integers(0, 10_000))))
 
 
 @settings(max_examples=200)
@@ -249,3 +350,14 @@ def test_edge_index_matches_linear_scan(case):
         for token in range(-1, vocab + 1):
             scan = [(c, tree.node(c).shadow) for c in members if tree.node(c).token == token]
             assert tree._edges.get((nid, token)) == (scan[0] if scan else None)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(indexed_trees())
+def test_child_matches_linear_scan(case):
+    """``TokenTree.child`` finds the non-shadow child a scan finds, and
+    nothing for shadow tokens, absent tokens and shadow parents."""
+    tree, vocab = case
+    for nid in tree.ids(include_shadow=True):
+        for token in range(-1, vocab + 1):
+            assert tree.child(nid, token) == child_by_token(tree, nid, token)
