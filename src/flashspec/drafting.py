@@ -23,15 +23,14 @@ entries; one pass over it scores every entry and keeps the best by
 :func:`_selection_key`, and the recorded frontier, when asked for, is the
 same scores sorted by that key.
 
-:class:`LatencyProfile` memoizes the nearest stored shape of every missed
-lookup, so a miss scans the table once; the memo is dropped whenever a new
-shape enters the table, because only then can a nearest key change.
+:class:`LatencyProfile` is a fixed table that memoizes the nearest stored
+shape of every missed lookup, so each missed shape scans the table once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, ContractError
 from .models import ProbModel, draft_candidates
@@ -77,63 +76,48 @@ def calibrate(p_draft: float, rel: ReliabilityState) -> float:
     return min(1.0, max(0.0, rel.value * p_draft))
 
 
-class LatencyProfile:
-    """Verification-latency table indexed by tree shape (nodes, leaves).
+MISS_PENALTY = 1.1   # conservative factor on a missed shape's nearest price
 
-    Exact hits return the stored running mean.  Misses return the nearest
-    entry by L1 shape distance (ties prefer the smaller node count, then the
-    smaller leaf count) multiplied by a conservative penalty.  The nearest
-    key of each missed shape is memoized until a new shape is stored.
+
+class LatencyProfile:
+    """Fixed verification-latency table indexed by tree shape (nodes, leaves).
+
+    Built once from a shape -> ms mapping and only read afterwards.  Exact
+    hits return the stored price.  Misses return the nearest entry by L1
+    shape distance (ties prefer the smaller node count, then the smaller
+    leaf count) multiplied by :data:`MISS_PENALTY`.  The nearest key of each
+    missed shape is memoized; the memo never goes stale because the table
+    never changes.
     """
 
-    def __init__(self, penalty: float = 1.1) -> None:
-        if penalty < 1.0:
-            raise ConfigError("penalty must be >= 1")
-        self.penalty = float(penalty)
-        self._entries: dict[tuple[int, int], tuple[int, float]] = {}
+    def __init__(self, entries: Mapping[tuple[int, int], float]) -> None:
+        if not entries:
+            raise ConfigError("latency profile is empty and has no offline seed")
+        for shape, ms in entries.items():
+            if shape[0] < 1 or shape[1] < 1:
+                raise ContractError(f"shape {shape} components must be >= 1")
+            if ms <= 0:
+                raise ContractError("latency must be positive")
+        self._entries = {shape: float(ms) for shape, ms in entries.items()}
         self._nearest: dict[tuple[int, int], tuple[int, int]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def entries(self) -> dict[tuple[int, int], float]:
-        return {shape: mean for shape, (_, mean) in self._entries.items()}
-
-    def copy(self) -> "LatencyProfile":
-        clone = LatencyProfile(self.penalty)
-        clone._entries = dict(self._entries)
-        return clone
-
-    def set_entry(self, shape: tuple[int, int], ms: float) -> None:
-        self._validate(shape, ms)
-        self._store(shape, (1, float(ms)))
-
-    def observe(self, shape: tuple[int, int], ms: float) -> None:
-        """Fold one measurement into the running mean for ``shape``."""
-        self._validate(shape, ms)
-        count, mean = self._entries.get(shape, (0, 0.0))
-        count += 1
-        mean += (ms - mean) / count
-        self._store(shape, (count, mean))
-
-    def _store(self, shape: tuple[int, int], value: tuple[int, float]) -> None:
-        if shape not in self._entries:
-            self._nearest.clear()
-        self._entries[shape] = value
+        return dict(self._entries)
 
     def lookup(self, shape: tuple[int, int]) -> float:
         nodes, leaves = shape
         if nodes < 1 or leaves < 1:
             raise ContractError(f"shape {shape} components must be >= 1")
-        if not self._entries:
-            raise ConfigError("latency profile is empty and has no offline seed")
         hit = self._entries.get(shape)
         if hit is not None:
-            return hit[1]
+            return hit
         best_key = self._nearest.get(shape)
         if best_key is None:
             best_key = self._nearest[shape] = self._scan_nearest(nodes, leaves)
-        return self._entries[best_key][1] * self.penalty
+        return self._entries[best_key] * MISS_PENALTY
 
     def _scan_nearest(self, nodes: int, leaves: int) -> tuple[int, int]:
         best_key = None
@@ -149,28 +133,22 @@ class LatencyProfile:
                 best_key = key
         return best_key
 
-    @staticmethod
-    def _validate(shape: tuple[int, int], ms: float) -> None:
-        if shape[0] < 1 or shape[1] < 1:
-            raise ContractError(f"shape {shape} components must be >= 1")
-        if ms <= 0:
-            raise ContractError("latency must be positive")
-
     @classmethod
     def grid(
         cls,
         price: Callable[[int, int], float],
         max_nodes: int,
         max_leaves: int,
-        penalty: float = 1.1,
     ) -> "LatencyProfile":
-        """Dense seed: every shape with ``nodes <= max_nodes`` and
+        """Dense table: every shape with ``nodes <= max_nodes`` and
         ``leaves <= min(nodes, max_leaves)``, priced by ``price(nodes, leaves)``."""
-        profile = cls(penalty=penalty)
-        for nodes in range(1, max_nodes + 1):
-            for leaves in range(1, min(nodes, max_leaves) + 1):
-                profile.set_entry((nodes, leaves), price(nodes, leaves))
-        return profile
+        return cls(
+            {
+                (nodes, leaves): price(nodes, leaves)
+                for nodes in range(1, max_nodes + 1)
+                for leaves in range(1, min(nodes, max_leaves) + 1)
+            }
+        )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Any, Sequence
+from types import UnionType
+from typing import Any, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -156,16 +157,43 @@ class ExperimentConfig:
 
 
 def _from_fields(cls: type, payload: dict[str, Any], where: str) -> Any:
-    """``cls(**payload)``, refusing keys that are not fields of ``cls``; a
-    missing field or a wrongly typed value is a :class:`ConfigError` that
-    names the section."""
-    unknown = set(payload) - set(cls.__dataclass_fields__)
+    """``cls(**payload)``, refusing keys that are not fields of ``cls`` and
+    values that do not fit their field's annotation; a missing field or a
+    wrongly typed value is a :class:`ConfigError` that names the section
+    (and the key, for a value that does not fit)."""
+    fields = cls.__dataclass_fields__
+    unknown = set(payload) - set(fields)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    hints = _field_types(cls)
+    for key, value in payload.items():
+        if not _fits(hints[key], value):
+            raise ConfigError(
+                f"invalid {where}: {key}={value!r} is not {fields[key].type}"
+            )
     try:
         return cls(**payload)
     except TypeError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
+@lru_cache(maxsize=None)
+def _field_types(cls: type) -> dict[str, Any]:
+    """``cls``'s evaluated field annotations, resolved once per class."""
+    return get_type_hints(cls)
+
+
+def _fits(annotation: Any, value: Any) -> bool:
+    """Whether ``value`` fits a field annotated ``annotation``: an ``int``
+    refuses ``bool`` and ``float``, a ``float`` also takes an ``int``, and
+    ``X | Y`` takes whatever fits ``X`` or ``Y``."""
+    if isinstance(annotation, UnionType):
+        return any(_fits(option, value) for option in get_args(annotation))
+    if annotation is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if annotation is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, annotation)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -232,19 +260,19 @@ def make_context(cfg: ExperimentConfig, trial: int) -> list[int]:
 
 
 def seed_profile(cfg: ExperimentConfig, hw: HardwareConfig) -> LatencyProfile:
-    """Offline profile seed over a dense shape grid, priced exactly like the
+    """Offline profile over a dense shape grid, priced exactly like the
     simulated timeline (the preset's own I/O-compute overlap policy), so
     planning estimates and pricing agree.
 
-    The grid is priced once per (hardware, grid size); each call returns a
-    private copy, because decoding folds measurements into its profile."""
-    return priced_grid(hw, cfg.profile_max_nodes, cfg.profile_max_leaves).copy()
+    The profile is a fixed table, so every trial and policy on one hardware
+    and grid size shares the one cached :func:`priced_grid`."""
+    return priced_grid(hw, cfg.profile_max_nodes, cfg.profile_max_leaves)
 
 
 @lru_cache(maxsize=8)
 def priced_grid(hw: HardwareConfig, max_nodes: int, max_leaves: int) -> LatencyProfile:
-    """The dense profile grid priced by :func:`verify_latency` on ``hw``.
-    Cached and shared: callers must copy it before changing it."""
+    """The dense profile grid priced by :func:`verify_latency` on ``hw``,
+    cached and shared by every caller."""
     return LatencyProfile.grid(partial(verify_latency, hw), max_nodes, max_leaves)
 
 
@@ -330,16 +358,8 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     policy = make_policy(cfg, draft, hw)
     pruner = make_pruner(cfg, target, draft, trial) if cfg.policy == "lever" else None
 
-    pricer = lambda shape: verify_latency(hw, shape[0], shape[1])  # noqa: E731
     decode = run_decode(
-        target,
-        context,
-        cfg.horizon,
-        policy,
-        rel,
-        profile,
-        pruner=pruner,
-        verify_pricer=pricer,
+        target, context, cfg.horizon, policy, rel, profile, pruner=pruner
     )
     mode = "flash_ar" if cfg.policy == "flash_ar" else "speculative"
     trace, metrics = simulate_decode(

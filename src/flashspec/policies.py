@@ -67,32 +67,7 @@ class ChainPolicy:
     ) -> BuildResult:
         if self.length < 1:
             raise ConfigError("chain length must be >= 1")
-        tree = TokenTree(root_token=int(context[-1]))
-        candidate_sets: dict[int, CandidateSet] = {}
-        prefix = list(context)
-        parent = ROOT_ID
-        reach = 1.0
-        counts = []
-        for _ in range(self.length):
-            cand = draft_candidates(self.draft, prefix, 1)
-            candidate_sets[parent] = cand
-            counts.append(1)
-            token, p = cand.entries[0]
-            reach *= calibrate(p, rel)
-            parent = tree.insert(parent, token, reach)
-            prefix.append(token)
-        return BuildResult(
-            tree=tree,
-            estimate=GainCostEstimate(
-                gain=1.0 + sum(tree.node(n).reach for n in tree.ids() if n != ROOT_ID),
-                draft_cost=self.draft_ms * self.length,
-                verify_cost=0.0,
-            ),
-            steps=[],
-            stop=StopRecord("frontier_empty", None, 0.0, 0.0),
-            expansion_counts=counts,
-            candidate_sets=candidate_sets,
-        )
+        return _grow_levels(self.draft, context, rel, 1, self.length, self.draft_ms)
 
 
 @dataclass
@@ -124,32 +99,8 @@ class BalancedTreePolicy:
     ) -> BuildResult:
         if self.fanout < 1 or self.node_budget < 1:
             raise ConfigError("fanout and node_budget must be >= 1")
-        tree = TokenTree(root_token=int(context[-1]))
-        candidate_sets: dict[int, CandidateSet] = {}
-        counts: list[int] = []
-        level = [ROOT_ID]
-        for _ in range(self.depth()):
-            counts.append(len(level))
-            next_level: list[int] = []
-            for parent in level:
-                prefix = list(context) + tree.path_tokens(parent)
-                cand = draft_candidates(self.draft, prefix, self.fanout)
-                candidate_sets[parent] = cand
-                for token, p in cand.entries:
-                    reach = tree.node(parent).reach * calibrate(p, rel)
-                    next_level.append(tree.insert(parent, token, reach))
-            level = next_level
-        return BuildResult(
-            tree=tree,
-            estimate=GainCostEstimate(
-                gain=1.0 + sum(tree.node(n).reach for n in tree.ids() if n != ROOT_ID),
-                draft_cost=self.draft_ms * sum(counts),
-                verify_cost=0.0,
-            ),
-            steps=[],
-            stop=StopRecord("frontier_empty", None, 0.0, 0.0),
-            expansion_counts=counts,
-            candidate_sets=candidate_sets,
+        return _grow_levels(
+            self.draft, context, rel, self.fanout, self.depth(), self.draft_ms
         )
 
 
@@ -171,3 +122,43 @@ class GainCostPolicy:
         return build_tree(
             context, self.draft, self.cfg, rel, profile, draft_ms=self.draft_ms
         )
+
+
+def _grow_levels(
+    draft: ProbModel,
+    context: Sequence[int],
+    rel: ReliabilityState,
+    fanout: int,
+    depth: int,
+    draft_ms: float,
+) -> BuildResult:
+    """The fixed-topology baselines' tree: ``depth`` levels, every node of a
+    level expanded with its top-``fanout`` draft candidates.  A chain is the
+    ``fanout=1`` case."""
+    tree = TokenTree(root_token=int(context[-1]))
+    candidate_sets: dict[int, CandidateSet] = {}
+    counts: list[int] = []
+    level = [ROOT_ID]
+    for _ in range(depth):
+        counts.append(len(level))
+        next_level: list[int] = []
+        for parent in level:
+            prefix = list(context) + tree.path_tokens(parent)
+            cand = draft_candidates(draft, prefix, fanout)
+            candidate_sets[parent] = cand
+            for token, p in cand.entries:
+                reach = tree.node(parent).reach * calibrate(p, rel)
+                next_level.append(tree.insert(parent, token, reach))
+        level = next_level
+    return BuildResult(
+        tree=tree,
+        estimate=GainCostEstimate(
+            gain=1.0 + sum(tree.node(n).reach for n in tree.ids() if n != ROOT_ID),
+            draft_cost=draft_ms * sum(counts),
+            verify_cost=0.0,
+        ),
+        steps=[],
+        stop=StopRecord("frontier_empty", None, 0.0, 0.0),
+        expansion_counts=counts,
+        candidate_sets=candidate_sets,
+    )

@@ -17,7 +17,7 @@ batched pass, but the walk reads the target only on the rows it reaches:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Protocol, Sequence
+from typing import AbstractSet, Protocol, Sequence
 
 import numpy as np
 
@@ -148,9 +148,6 @@ class DecodeResult:
     reliability: ReliabilityState
 
 
-VerifyPricer = Callable[[tuple[int, int]], float]
-
-
 def run_decode(
     target: ProbModel,
     context: Sequence[int],
@@ -159,12 +156,12 @@ def run_decode(
     rel: ReliabilityState,
     profile: LatencyProfile,
     pruner: TreePrunerLike | None = None,
-    verify_pricer: VerifyPricer | None = None,
 ) -> DecodeResult:
     """Repeat build -> (prune) -> verify until ``horizon`` tokens are out.
 
-    Reliability and the latency profile are updated between cycles from
-    verification feedback; the final cycle's surplus tokens are truncated.
+    Reliability is updated between cycles from verification feedback; the
+    latency profile is only read.  The final cycle's surplus tokens are
+    truncated.
     """
     if horizon < 1:
         raise ContractError("horizon must be >= 1")
@@ -190,9 +187,6 @@ def run_decode(
         hit = _candidate_hit(result, outcome)
         if hit is not None:
             rel = update_reliability(rel, hit)
-
-        if verify_pricer is not None:
-            profile.observe(shape, verify_pricer(shape))
 
         cycles.append(
             CycleRecord(

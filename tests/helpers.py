@@ -30,14 +30,12 @@ def affine_profile(
     c_leaf: float,
     max_nodes: int,
     max_leaves: int,
-    penalty: float = 1.1,
 ) -> LatencyProfile:
     """Dense monotone seed: ms = c0 + c_node*nodes + c_leaf*leaves."""
     return LatencyProfile.grid(
         lambda nodes, leaves: c0 + c_node * nodes + c_leaf * leaves,
         max_nodes,
         max_leaves,
-        penalty,
     )
 
 

@@ -31,7 +31,8 @@ class CoarseDraft:
 @st.composite
 def profiles(draw):
     """A recipe for a dense affine grid or a sparse table whose misses pay
-    a penalty; each builder gets its own profile from the same recipe."""
+    the miss penalty; each builder gets its own profile from the same
+    recipe."""
     if draw(st.booleans()):
         args = (
             draw(st.floats(50.0, 1000.0)),
@@ -41,22 +42,15 @@ def profiles(draw):
             draw(st.integers(1, 16)),
         )
         return lambda: affine_profile(*args)
-    penalty = draw(st.floats(1.01, 2.0))
     rows = draw(
-        st.lists(
-            st.tuples(st.integers(1, 14), st.integers(1, 6), st.floats(10.0, 2000.0)),
+        st.dictionaries(
+            st.tuples(st.integers(1, 14), st.integers(1, 6)),
+            st.floats(10.0, 2000.0),
             min_size=1,
             max_size=20,
         )
     )
-
-    def sparse() -> LatencyProfile:
-        profile = LatencyProfile(penalty=penalty)
-        for nodes, leaves, ms in rows:
-            profile.set_entry((nodes, leaves), ms)
-        return profile
-
-    return sparse
+    return lambda: LatencyProfile(rows)
 
 
 @st.composite

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flashspec.drafting import (
+    MISS_PENALTY,
     DraftConfig,
     FrontierEntry,
     LatencyProfile,
@@ -19,14 +20,14 @@ from flashspec.tree import ROOT_ID, TokenTree
 from helpers import affine_profile, estimate_gain, marginal_cost
 
 
-def scan_lookup(entries, q, penalty):
+def scan_lookup(entries, q):
     """Linear-scan oracle for LatencyProfile.lookup: the L1-nearest stored
     shape (ties to fewer nodes, then fewer leaves), penalized on a miss."""
     best = min(
         entries,
         key=lambda s: (abs(s[0] - q[0]) + abs(s[1] - q[1]), s[0], s[1]),
     )
-    return entries[best] * (penalty if best != q else 1.0)
+    return entries[best] * (MISS_PENALTY if best != q else 1.0)
 
 
 def rel(value=1.0, beta=0.9, floor=0.05):
@@ -106,71 +107,48 @@ class TestGain:
 
 class TestLatencyProfile:
     def test_exact_hit(self):
-        p = LatencyProfile()
-        p.set_entry((8, 3), 900.0)
+        p = LatencyProfile({(8, 3): 900.0})
         assert p.lookup((8, 3)) == 900.0
 
     def test_miss_applies_penalty(self):
-        p = LatencyProfile(penalty=1.1)
-        p.set_entry((8, 3), 900.0)
+        p = LatencyProfile({(8, 3): 900.0})
         assert p.lookup((9, 3)) == pytest.approx(990.0)
 
     def test_nearest_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(11)
-        p = LatencyProfile(penalty=1.25)
         entries = {}
         for _ in range(40):
             shape = (int(rng.integers(1, 30)), int(rng.integers(1, 12)))
-            ms = float(rng.uniform(100, 2000))
-            p.set_entry(shape, ms)
-            entries[shape] = ms
+            entries[shape] = float(rng.uniform(100, 2000))
+        p = LatencyProfile(entries)
         for _ in range(100):
             q = (int(rng.integers(1, 35)), int(rng.integers(1, 15)))
-            assert p.lookup(q) == pytest.approx(scan_lookup(entries, q, 1.25))
+            assert p.lookup(q) == pytest.approx(scan_lookup(entries, q))
 
     @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["set", "observe", "lookup"]),
-                st.integers(1, 12),
-                st.integers(1, 6),
-                st.floats(10.0, 1000.0),
-            ),
+        st.dictionaries(
+            st.tuples(st.integers(1, 12), st.integers(1, 6)),
+            st.floats(10.0, 1000.0),
             min_size=1,
-            max_size=30,
-        )
+            max_size=20,
+        ),
+        st.lists(st.tuples(st.integers(1, 14), st.integers(1, 7)), max_size=30),
     )
-    def test_memo_matches_linear_scan_after_every_operation(self, ops):
-        p = LatencyProfile(penalty=1.3)
-        for op, nodes, leaves, ms in ops:
-            if op == "set":
-                p.set_entry((nodes, leaves), ms)
-            elif op == "observe":
-                p.observe((nodes, leaves), ms)
-            elif len(p):
-                p.lookup((nodes, leaves))
-            if not len(p):
-                continue
-            entries = p.entries()
+    def test_memo_matches_linear_scan_after_every_operation(self, entries, queries):
+        p = LatencyProfile(entries)
+        for query in queries:
+            p.lookup(query)
             for q in ((n, l) for n in range(1, 15) for l in range(1, 8)):
-                assert p.lookup(q) == scan_lookup(entries, q, 1.3)
+                assert p.lookup(q) == scan_lookup(entries, q)
+        assert p.entries() == entries
 
     def test_tie_prefers_smaller_node_count(self):
-        p = LatencyProfile(penalty=2.0)
-        p.set_entry((4, 1), 100.0)
-        p.set_entry((6, 1), 500.0)
-        assert p.lookup((5, 1)) == pytest.approx(200.0)
+        p = LatencyProfile({(4, 1): 100.0, (6, 1): 500.0})
+        assert p.lookup((5, 1)) == pytest.approx(100.0 * MISS_PENALTY)
 
     def test_empty_profile_is_config_error(self):
         with pytest.raises(ConfigError):
-            LatencyProfile().lookup((1, 1))
-
-    def test_observe_running_mean(self):
-        p = LatencyProfile()
-        p.observe((4, 2), 100.0)
-        p.observe((4, 2), 200.0)
-        p.observe((4, 2), 300.0)
-        assert p.lookup((4, 2)) == pytest.approx(200.0)
+            LatencyProfile({})
 
     def test_affine_seed_monotone(self):
         p = affine_profile(100.0, 2.0, 1.0, 10, 5)
@@ -202,12 +180,14 @@ class TestMarginalCost:
 
     def test_matches_recompute_both_shapes_oracle(self):
         rng = np.random.default_rng(8)
-        profile = LatencyProfile(penalty=1.15)
-        for _ in range(30):
-            profile.set_entry(
-                (int(rng.integers(1, 20)), int(rng.integers(1, 8))),
-                float(rng.uniform(50, 500)),
-            )
+        profile = LatencyProfile(
+            {
+                (int(rng.integers(1, 20)), int(rng.integers(1, 8))): float(
+                    rng.uniform(50, 500)
+                )
+                for _ in range(30)
+            }
+        )
         tree = TokenTree()
         a = tree.insert(ROOT_ID, 1, 0.9)
         tree.insert(ROOT_ID, 2, 0.7)
@@ -226,10 +206,9 @@ class TestMarginalCost:
             assert marginal_cost(entry, tree, profile, 2.5, cfg) == pytest.approx(expect)
 
     def test_floor_applies_on_flat_profile(self):
-        profile = LatencyProfile()
-        for n in range(1, 10):
-            for l in range(1, n + 1):
-                profile.set_entry((n, l), 500.0)
+        profile = LatencyProfile(
+            {(n, l): 500.0 for n in range(1, 10) for l in range(1, n + 1)}
+        )
         tree = self._tree_one_child()
         cfg = DraftConfig(k=2, max_depth=2, b_min=0.0)
         entry = FrontierEntry(parent=1, token=5, p_draft=0.5, reach=0.3, depth=2)
@@ -252,9 +231,7 @@ class DeterministicDraft:
 
 class TestBuildTree:
     def test_immediate_stop_returns_root_only(self):
-        profile = LatencyProfile()
-        profile.set_entry((1, 1), 10.0)
-        profile.set_entry((2, 1), 10000.0)
+        profile = LatencyProfile({(1, 1): 10.0, (2, 1): 10000.0})
         draft = TabularMarkovModel(8, 1, seed=1)
         cfg = DraftConfig(k=2, max_depth=3, b_min=0.0)
         out = build_tree([3], draft, cfg, rel(), profile, draft_ms=2.0)

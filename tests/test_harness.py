@@ -2,13 +2,14 @@ import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flashspec import harness
 from flashspec.cli import main as cli_main
-from flashspec.drafting import build_tree
+from flashspec.drafting import MISS_PENALTY, build_tree
 from flashspec.errors import ConfigError
 from flashspec.harness import (
     DraftSpec,
@@ -30,7 +31,9 @@ from flashspec.harness import (
     train_predictor_for,
 )
 from flashspec.predictor import EarlyExitPredictor, load_checkpoint, save_checkpoint
-from flashspec.simulator import HardwareConfig, load_preset
+from flashspec.simulator import HardwareConfig, load_preset, verify_latency
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_cfg(**kw):
@@ -93,6 +96,15 @@ class TestConfig:
         payload = apply_overrides(small_cfg().to_dict(), [override])
         with pytest.raises(ConfigError, match=f"^invalid {section} config: "):
             ExperimentConfig.from_dict(payload)
+
+    def test_shipped_and_benchmark_configs_load(self, monkeypatch):
+        ExperimentConfig.from_json_file(str(ROOT / "configs" / "lever_default.json"))
+        monkeypatch.syspath_prepend(str(ROOT))
+        from flashbench.workloads import WORKLOADS, make_configs
+
+        for name in WORKLOADS:
+            for tiny in (False, True):
+                assert make_configs(name, 5, tiny=tiny)
 
     def test_dotted_overrides(self):
         payload = small_cfg().to_dict()
@@ -187,18 +199,51 @@ class TestGainCostDraftCost:
 
 
 class TestProfileGrid:
-    def test_observing_one_trial_profile_leaves_the_shared_grid_alone(self):
+    def test_every_trial_and_lever_policy_shares_one_profile(self, monkeypatch):
+        used = []
+        original = harness.seed_profile
+
+        def recording(cfg, hw):
+            used.append(original(cfg, hw))
+            return used[-1]
+
+        monkeypatch.setattr(harness, "seed_profile", recording)
+        for policy in ("lever", "lever_noprune"):
+            run_experiment(small_cfg(policy=policy, horizon=8))
+        assert len(used) == 4
+        assert all(profile is used[0] for profile in used)
+
+    def test_lookup_is_the_simulator_price(self):
         cfg = small_cfg()
         hw = cfg.resolve_hardware()
-        first = seed_profile(cfg, hw)
-        grid = first.entries()
-        first.observe((cfg.profile_max_nodes + 5, 3), 1.0)   # a new shape
-        first.observe((1, 1), 5.0)                           # an existing one
-        assert seed_profile(cfg, hw).entries() == grid
+        profile = seed_profile(cfg, hw)
+        max_nodes, max_leaves = cfg.profile_max_nodes, cfg.profile_max_leaves
+        for nodes, leaves in profile.entries():
+            assert profile.lookup((nodes, leaves)) == verify_latency(hw, nodes, leaves)
+        # off the grid: the nearest grid shape's price times the miss penalty
+        for (nodes, leaves), nearest in (
+            ((max_nodes + 5, 3), (max_nodes, 3)),
+            ((max_leaves + 10, max_leaves + 4), (max_leaves + 10, max_leaves)),
+        ):
+            assert profile.lookup((nodes, leaves)) == (
+                verify_latency(hw, *nearest) * MISS_PENALTY
+            )
+
+    def test_a_trial_leaves_its_profile_unchanged(self, monkeypatch):
+        # A one-shape grid, so verified shapes lie outside it.
+        cfg = small_cfg(policy="lever", profile_max_nodes=1, profile_max_leaves=1)
+        hw = cfg.resolve_hardware()
+        profile = seed_profile(cfg, hw)
+        before = profile.entries()
+        monkeypatch.setattr(harness, "seed_profile", lambda cfg, hw: profile)
+        result = run_trial(cfg, 0)
+        verified = {(c.rows_verified, c.leaves_verified) for c in result.decode.cycles}
+        assert verified - set(before)
+        assert profile.entries() == before
 
     def test_trial_alone_equals_trial_after_earlier_trials(self):
-        # A one-shape grid: every drafted tree is a miss, so each trial folds
-        # new shapes into its profile and its later builds depend on them.
+        # A one-shape grid: every drafted tree is a miss, and the trials
+        # share the grid and its nearest-shape memo.
         cfg = small_cfg(
             policy="lever", trials=4, profile_max_nodes=1, profile_max_leaves=1
         )
@@ -410,6 +455,24 @@ class TestCLI:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid hardware config: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ('model.seed="x"', "invalid model config: seed='x' is not int"),
+            ("drafting.k=1.5", "invalid drafting config: k=1.5 is not int"),
+            (
+                'model.concentration="x"',
+                "invalid model config: concentration='x' is not float",
+            ),
+        ],
+    )
+    def test_ill_typed_value_is_clean_error(self, capsys, override, message):
+        rc = cli_main(["run", "--set", override])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
         assert "Traceback" not in err
 
     def test_unknown_nested_override_is_clean_error(self, capsys):

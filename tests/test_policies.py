@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flashspec.drafting import ReliabilityState
 from flashspec.models import TabularMarkovModel, derive_draft
@@ -85,3 +87,27 @@ class TestBalanced:
         top2 = sorted(range(16), key=lambda t: (-p[t], t))[:2]
         got = [tree.node(c).token for c in tree.children(ROOT_ID)]
         assert got == top2
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 10_000),
+    agreement=st.floats(0.0, 1.0),
+    length=st.integers(1, 10),
+    r=st.floats(0.05, 1.0),
+    context=st.lists(st.integers(0, 15), min_size=1, max_size=4),
+    draft_ms=st.floats(0.0, 30.0),
+)
+def test_chain_is_the_one_wide_balanced_tree(seed, agreement, length, r, context, draft_ms):
+    _, draft = models(seed, agreement)
+    rel, prof = ReliabilityState(value=r), profile()
+    chain = ChainPolicy(draft, length, draft_ms=draft_ms).build(context, rel, prof)
+    tree = BalancedTreePolicy(draft, 1, length, draft_ms=draft_ms).build(
+        context, rel, prof
+    )
+    assert chain.tree.to_json() == tree.tree.to_json()
+    assert chain.estimate == tree.estimate
+    assert chain.steps == tree.steps
+    assert chain.stop == tree.stop
+    assert chain.expansion_counts == tree.expansion_counts
+    assert chain.candidate_sets == tree.candidate_sets

@@ -44,18 +44,13 @@ class TestDraftingValidation:
         with pytest.raises(ConfigError):
             ReliabilityState(**kw)
 
-    def test_profile_penalty_below_one(self):
-        with pytest.raises(ConfigError):
-            LatencyProfile(penalty=0.9)
-
     def test_profile_rejects_bad_entries(self):
-        p = LatencyProfile()
         with pytest.raises(ContractError):
-            p.set_entry((0, 1), 10.0)
+            LatencyProfile({(0, 1): 10.0})
         with pytest.raises(ContractError):
-            p.set_entry((1, 1), 0.0)
+            LatencyProfile({(1, 1): 0.0})
         with pytest.raises(ContractError):
-            p.lookup((1, 0))
+            LatencyProfile({(1, 1): 10.0}).lookup((1, 0))
 
 
 class TestModelValidation:

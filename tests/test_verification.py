@@ -44,11 +44,7 @@ class RecordingModel:
 
 
 def profile_flat():
-    p = LatencyProfile()
-    for n in range(1, 80):
-        for l in range(1, min(n, 20) + 1):
-            p.set_entry((n, l), 1000.0)
-    return p
+    return LatencyProfile.grid(lambda nodes, leaves: 1000.0, 79, 20)
 
 
 class TestVerifyTree:
@@ -181,19 +177,3 @@ class TestRunDecode:
         assert hits, "expected at least one reliability observation"
         assert res.reliability.value < 1.0 or all(hits)
 
-    def test_profile_observes_verified_shapes(self):
-        target = TabularMarkovModel(16, 2, seed=23)
-        draft = derive_draft(target, 0.5, noise_seed=7)
-        policy = GainCostPolicy(draft, DraftConfig(k=2, max_depth=3, b_min=0.01))
-        profile = profile_flat()
-        before = dict(profile.entries())
-        rng = np.random.default_rng(1)
-        ctx = rng.integers(0, 16, size=4).tolist()
-        run_decode(
-            target, ctx, 24, policy, ReliabilityState(), profile,
-            verify_pricer=lambda shape: 1234.5,
-        )
-        changed = {
-            s: ms for s, ms in profile.entries().items() if before.get(s) != ms
-        }
-        assert changed, "expected online profile updates"
