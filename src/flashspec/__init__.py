@@ -35,8 +35,6 @@ from .predictor import (
     LayeredHiddenSource,
     TrainConfig,
     TrainingExample,
-    cand_loss,
-    kd_loss,
     train,
 )
 from .pruning import PruneConfig, PruneDecision, TreePruner, backbone_path, normalize_scores, prune

@@ -19,9 +19,9 @@ expandable.  So a step looks up the current shape and at most two grown
 shapes, computes at most four class costs with :func:`_priced`, and scores
 every entry from that table.  Per-class ordered queues were prototyped and
 gained at most a few percent, because the frontier holds only a handful of
-entries; one pass over it scores every entry and keeps the best by
-:func:`_selection_key`, and the recorded frontier, when asked for, is the
-same scores sorted by that key.
+entries; one pass over it scores every entry and keeps the best ratio,
+ties broken towards higher reach, then the smaller token, then the smaller
+parent handle.
 
 :class:`LatencyProfile` is a fixed table that memoizes the nearest stored
 shape of every missed lookup, so each missed shape scans the table once.
@@ -182,7 +182,6 @@ class FrontierEntry(NamedTuple):
 
     parent: int
     token: int
-    p_draft: float
     reach: float
     depth: int
 
@@ -198,32 +197,18 @@ class GainCostEstimate:
         return self.draft_cost + self.verify_cost
 
 
-class StepRecord(NamedTuple):
-    """One insertion decision: the candidate ranking at that instant."""
-
-    chosen: tuple[int, int]                          # (parent, token)
-    chosen_ratio: float
-    gain_before: float
-    draft_cost_before: float
-    verify_cost_before: float
-    frontier: tuple[tuple[int, int, float, float, float], ...] | None
-    # frontier rows: (parent, token, reach, marginal cost, ratio)
-
-
 @dataclass(frozen=True)
 class StopRecord:
     reason: str                                      # frontier_empty | stop_rule | node_budget
     best_ratio: float | None
     gain: float
     cycle_cost: float
-    frontier: tuple[tuple[int, int, float, float, float], ...] | None = None
 
 
 @dataclass
 class BuildResult:
     tree: TokenTree
     estimate: GainCostEstimate
-    steps: list[StepRecord]
     stop: StopRecord
     expansion_counts: list[int]
     candidate_sets: dict[int, CandidateSet] = field(default_factory=dict)
@@ -242,13 +227,6 @@ def _priced(delta: float, expandable: bool, draft_ms: float, cfg: DraftConfig) -
     return max(delta, cfg.cost_floor_ms)
 
 
-def _selection_key(item: tuple[FrontierEntry, float, float]) -> tuple:
-    entry, _, ratio = item
-    # Best ratio first; ties prefer higher reach, then smaller token, then
-    # smaller parent handle (fully deterministic ordering).
-    return (-ratio, -entry.reach, entry.token, entry.parent)
-
-
 def build_tree(
     context: Sequence[int],
     draft: ProbModel,
@@ -256,7 +234,6 @@ def build_tree(
     rel: ReliabilityState,
     profile: LatencyProfile,
     draft_ms: float = 2.0,
-    record_frontier: bool = False,
 ) -> BuildResult:
     """Grow a token tree greedily by reach-per-marginal-latency.
 
@@ -266,9 +243,7 @@ def build_tree(
     the tree's average gain rate (gain / cycle latency).  Marginal costs are
     priced once per cost class and step (see the module docstring); each
     expansion costs ``draft_ms``.  Leftover candidates under parents that
-    kept a child are attached as shadows.  ``record_frontier`` keeps every
-    step's scored frontier, best first, in its :class:`StepRecord` and, on a
-    stop-rule exit, in the :class:`StopRecord`.
+    kept a child are attached as shadows.
     """
     if not context:
         raise ContractError("context must be non-empty")
@@ -280,7 +255,6 @@ def build_tree(
     branched: set[int] = set()       # nodes with inserted children
     candidate_sets: dict[int, CandidateSet] = {}
     expansion_counts: list[int] = []
-    steps: list[StepRecord] = []
     gain = 1.0
     draft_cost = 0.0
 
@@ -294,13 +268,12 @@ def build_tree(
         depth = tree.node(node_id).depth + 1
         for token, p in cand.entries:
             reach = reaches[node_id] * calibrate(p, rel)
-            entry = FrontierEntry(node_id, token, p, reach, depth)
+            entry = FrontierEntry(node_id, token, reach, depth)
             frontier[node_id, token] = (entry, is_expandable(entry, cfg))
 
     expand(ROOT_ID)
     stop_reason = "frontier_empty"
     stop_ratio: float | None = None
-    stop_rows = None
 
     while frontier:
         nodes, leaves = tree.shape
@@ -308,7 +281,6 @@ def build_tree(
         cycle_cost = draft_cost + verify_cost
         # cost class index: 2 * (parent already has children) + expandable
         costs: list[float | None] = [None] * 4
-        scored = []
         best = None
         best_ratio = 0.0
         for entry, expandable in frontier.values():
@@ -320,9 +292,7 @@ def build_tree(
                 mc = _priced(after - verify_cost, expandable, draft_ms, cfg)
                 costs[cls] = mc
             ratio = entry.reach / mc
-            if record_frontier:
-                scored.append((entry, mc, ratio))
-            # the minimum of _selection_key, in one pass
+            # best ratio; ties to higher reach, smaller token, smaller parent
             if (
                 best is None
                 or ratio > best_ratio
@@ -333,22 +303,11 @@ def build_tree(
                 )
             ):
                 best, best_ratio = entry, ratio
-        rows = _frontier_rows(scored) if record_frontier else None
 
         if best_ratio <= gain / cycle_cost:
-            stop_reason, stop_ratio, stop_rows = "stop_rule", best_ratio, rows
+            stop_reason, stop_ratio = "stop_rule", best_ratio
             break
 
-        steps.append(
-            StepRecord(
-                chosen=(best.parent, best.token),
-                chosen_ratio=best_ratio,
-                gain_before=gain,
-                draft_cost_before=draft_cost,
-                verify_cost_before=verify_cost,
-                frontier=rows,
-            )
-        )
         node_id = tree.insert(best.parent, best.token, best.reach)
         branched.add(best.parent)
         reaches[node_id] = best.reach
@@ -363,26 +322,14 @@ def build_tree(
     # No exit changes the tree after its last pricing: the stop and the
     # estimate are both priced at the final shape.
     verify_cost = profile.lookup(tree.shape)
-    stop = StopRecord(
-        stop_reason, stop_ratio, gain, draft_cost + verify_cost, frontier=stop_rows
-    )
+    stop = StopRecord(stop_reason, stop_ratio, gain, draft_cost + verify_cost)
 
     _attach_shadows(tree, (entry for entry, _ in frontier.values()))
 
     estimate = GainCostEstimate(
         gain=gain, draft_cost=draft_cost, verify_cost=verify_cost
     )
-    return BuildResult(tree, estimate, steps, stop, expansion_counts, candidate_sets)
-
-
-def _frontier_rows(
-    scored: list[tuple[FrontierEntry, float, float]],
-) -> tuple[tuple[int, int, float, float, float], ...]:
-    """The whole frontier as recorded rows, best first."""
-    return tuple(
-        (e.parent, e.token, e.reach, mc, ratio)
-        for e, mc, ratio in sorted(scored, key=_selection_key)
-    )
+    return BuildResult(tree, estimate, stop, expansion_counts, candidate_sets)
 
 
 def _attach_shadows(tree: TokenTree, frontier: Iterable[FrontierEntry]) -> None:

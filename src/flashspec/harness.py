@@ -76,6 +76,8 @@ class ModelSpec:
             raise ConfigError(f"unknown model type {self.type!r}")
         if self.vocab_size < 1 or self.order < 1:
             raise ConfigError("vocab_size and order must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("model seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,10 @@ class DraftSpec:
     agreement: float = 0.45
     noise_seed: int = 101
     noise_concentration: float = 0.3
+
+    def __post_init__(self) -> None:
+        if self.noise_seed < 0:
+            raise ConfigError("draft noise_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -116,6 +122,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown policy {self.policy!r}; one of {POLICIES}")
         if self.horizon < 1 or self.trials < 1 or self.context_len < 1:
             raise ConfigError("horizon, trials and context_len must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def resolve_hardware(self) -> HardwareConfig:
         if isinstance(self.hardware, HardwareConfig):
@@ -149,11 +157,6 @@ class ExperimentConfig:
             if key in data and isinstance(data[key], dict):
                 data[key] = _from_fields(sub, data[key], f"{key} config")
         return _from_fields(cls, data, "config")
-
-    @classmethod
-    def from_json_file(cls, path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _from_fields(cls: type, payload: dict[str, Any], where: str) -> Any:

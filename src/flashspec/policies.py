@@ -43,7 +43,6 @@ class RootOnlyPolicy:
         return BuildResult(
             tree=tree,
             estimate=GainCostEstimate(gain=1.0, draft_cost=0.0, verify_cost=0.0),
-            steps=[],
             stop=StopRecord("frontier_empty", None, 1.0, 0.0),
             expansion_counts=[],
             candidate_sets={},
@@ -157,7 +156,6 @@ def _grow_levels(
             draft_cost=draft_ms * sum(counts),
             verify_cost=0.0,
         ),
-        steps=[],
         stop=StopRecord("frontier_empty", None, 0.0, 0.0),
         expansion_counts=counts,
         candidate_sets=candidate_sets,

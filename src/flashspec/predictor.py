@@ -78,6 +78,8 @@ class TrainConfig:
             raise ConfigError("lambda_cand must be >= 0")
         if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("invalid optimization settings")
+        if self.seed < 0:
+            raise ConfigError("training seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -196,35 +198,6 @@ def _total_loss_grad(
         d = H.shape[1]
         np.add.at(grad.reshape(-1), (C[:, :, None] * d + np.arange(d)).ravel(), rows.ravel())
     return grad
-
-
-def kd_loss(pred: EarlyExitPredictor, batch: Sequence[TrainingExample], tau: float) -> float:
-    """Temperature-scaled full-vocabulary distillation loss (summed over the
-    batch), computed with log-sum-exp stabilization."""
-    H, Z, _ = _stacked(batch)
-    return _kd_loss(H @ pred.weights.T, *_soft(Z, tau), tau)
-
-
-def cand_loss(pred: EarlyExitPredictor, batch: Sequence[TrainingExample], tau: float) -> float:
-    """Distillation loss restricted to each example's candidate set."""
-    H, Z, C = _stacked(batch)
-    return _cand_loss(pred.weights, H, C, *_soft(np.take_along_axis(Z, C, 1), tau), tau)
-
-
-def total_loss(
-    pred: EarlyExitPredictor, batch: Sequence[TrainingExample], cfg: TrainConfig
-) -> float:
-    H, Z, C = _stacked(batch)
-    return _total_loss(pred.weights, H, C, _Teacher.of(Z, C, cfg), cfg)
-
-
-def total_loss_grad(
-    pred: EarlyExitPredictor, batch: Sequence[TrainingExample], cfg: TrainConfig
-) -> np.ndarray:
-    """Analytic gradient of the summed training loss with respect to the
-    probe weights."""
-    H, Z, C = _stacked(batch)
-    return _total_loss_grad(pred.weights, H, C, _Teacher.of(Z, C, cfg), cfg)
 
 
 def train(

@@ -55,7 +55,6 @@ class PruneConfig:
 class PruneDecision:
     keep: frozenset[int]
     rejected: bool
-    scores: dict[tuple[int, int], float]  # (parent id, token) -> normalized score
     backbone: tuple[int, ...]
     leaves: int                          # leaves of the kept subtree
 
@@ -70,20 +69,20 @@ class HiddenSource(Protocol):
 
 def normalize_scores(
     pred: EarlyExitPredictor,
-    hidden_rows: np.ndarray,
+    hidden: np.ndarray,
     tree: TokenTree,
     parents: Sequence[int],
     tau: float,
 ) -> dict[tuple[int, int], float]:
     """Per-edge softmax scores at temperature ``tau``.
 
-    ``parents`` are the nodes with inserted children and ``hidden_rows[i]``
+    ``parents`` are the nodes with inserted children and ``hidden[i]``
     is the hidden vector of ``parents[i]``.  Each parent's scores are
     normalized over every token in its candidate set: inserted children and
     shadow tokens alike.  Shadow edges receive scores too but are never kept
     as output.
     """
-    if hidden_rows.shape[0] != len(parents):
+    if hidden.shape[0] != len(parents):
         raise ContractError("hidden rows do not match the parents")
     edges: list[tuple[int, int]] = []          # (parent, token), parent by parent
     group: list[int] = []                      # each edge's index into parents
@@ -102,14 +101,14 @@ def normalize_scores(
     outside = tokens[(tokens < 0) | (tokens >= pred.vocab_size)]
     if outside.size:
         raise ContractError(f"token {outside[0]} outside vocabulary")
-    if hidden_rows.shape[1:] != (pred.hidden_dim,):
+    if hidden.shape[1:] != (pred.hidden_dim,):
         raise ContractError(
-            f"hidden state shape {hidden_rows.shape[1:]} != ({pred.hidden_dim},)"
+            f"hidden state shape {hidden.shape[1:]} != ({pred.hidden_dim},)"
         )
 
     # One dot product per edge (batched 1 x d by d x 1 products): a gather
     # from W[tokens] @ h rounds differently.
-    raw = (pred.weights[tokens][:, None, :] @ hidden_rows[group][:, :, None])[:, 0, 0]
+    raw = (pred.weights[tokens][:, None, :] @ hidden[group][:, :, None])[:, 0, 0]
     raw /= tau
     # The candidate sets of one size are normalized as one (sets, size)
     # block: a row sum of a block rounds like the 1-D sum of that row, where
@@ -198,9 +197,7 @@ def prune(
     if rejected:
         keep = set(tree.ids())
         kept_leaves = tree.leaf_count
-    return PruneDecision(
-        frozenset(keep), rejected, scores, tuple(backbone), kept_leaves
-    )
+    return PruneDecision(frozenset(keep), rejected, tuple(backbone), kept_leaves)
 
 
 class TreePruner:

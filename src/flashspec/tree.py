@@ -115,10 +115,6 @@ class TokenTree:
     def node(self, node_id: int) -> TreeNode:
         return self._nodes[node_id]
 
-    @property
-    def root(self) -> TreeNode:
-        return self._nodes[ROOT_ID]
-
     def __len__(self) -> int:
         return len(self._nodes)
 
@@ -221,19 +217,6 @@ class TokenTree:
         ]
         return json.dumps({"nodes": rows}, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "TokenTree":
-        payload = json.loads(text)
-        rows = sorted(payload["nodes"], key=lambda r: r["id"])
-        if not rows or rows[0]["id"] != ROOT_ID or rows[0]["parent"] != ROOT_PARENT:
-            raise StructureError("serialized tree lacks a root row")
-        tree = cls(root_token=rows[0]["token"])
-        for row in rows[1:]:
-            got = tree.insert(row["parent"], row["token"], row["reach"], row["shadow"])
-            if got != row["id"]:
-                raise StructureError("serialized node ids are not contiguous")
-        return tree
-
 
 @dataclass(frozen=True)
 class TreeLayout:
@@ -246,10 +229,6 @@ class TreeLayout:
     rows: tuple[int, ...]              # node ids, row 0 is the root
     parent_row: tuple[int, ...]        # row index of the parent, -1 for root
     tokens: tuple[int, ...]            # token per row, ROOT_TOKEN for root
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
 
     def path_tokens(self, row: int) -> list[int]:
         out: list[int] = []

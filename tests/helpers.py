@@ -1,12 +1,14 @@
 """Test-side helpers over flashspec's public API: an affine latency
 profile, a tree's summed-reach gain, a child lookup by token, node and leaf
 counts recomputed from scratch, a pruned copy of a tree by compaction, a
-frontier entry's marginal cost priced from two profile lookups, the probe's
+tree rebuilt from its JSON, a frontier entry's marginal cost priced from two
+profile lookups, the probe's losses and gradient on a list of examples, its
 candidate-restricted top-1 agreement and a one-row projection calibration.
 No engine stage needs them; tests use them as seeds and oracles."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from typing import Iterable, Sequence
 
@@ -18,10 +20,21 @@ from flashspec.drafting import (
     LatencyProfile,
     is_expandable,
 )
-from flashspec.errors import ConfigError, ContractError
-from flashspec.predictor import EarlyExitPredictor, TrainingExample
+from flashspec.errors import ConfigError, ContractError, StructureError
+from flashspec.predictor import (
+    EarlyExitPredictor,
+    TrainConfig,
+    TrainingExample,
+    _cand_loss,
+    _kd_loss,
+    _soft,
+    _stacked,
+    _Teacher,
+    _total_loss,
+    _total_loss_grad,
+)
 from flashspec.simulator import HardwareConfig, compute_ms
-from flashspec.tree import ROOT_ID, TokenTree
+from flashspec.tree import ROOT_ID, ROOT_PARENT, TokenTree
 
 
 def affine_profile(
@@ -91,7 +104,7 @@ def compact_with_map(
     # nodes, appended parents first: every parent is present and non-shadow,
     # every (parent, token) edge was unique in the source tree and reaches
     # never grow down a path, so insert's checks cannot fail and are skipped.
-    new_tree = TokenTree(root_token=tree.root.token)
+    new_tree = TokenTree(root_token=tree.node(ROOT_ID).token)
     mapping = {ROOT_ID: ROOT_ID}
     for nid in sorted(keep_set):
         if nid == ROOT_ID:
@@ -101,6 +114,20 @@ def compact_with_map(
             mapping[node.parent], node.token, node.reach, False
         )
     return new_tree, mapping
+
+
+def tree_from_json(text: str) -> TokenTree:
+    """The tree that ``TokenTree.to_json`` serialized, rebuilt by
+    inserting its rows in id order."""
+    rows = sorted(json.loads(text)["nodes"], key=lambda r: r["id"])
+    if not rows or rows[0]["id"] != ROOT_ID or rows[0]["parent"] != ROOT_PARENT:
+        raise StructureError("serialized tree lacks a root row")
+    tree = TokenTree(root_token=rows[0]["token"])
+    for row in rows[1:]:
+        got = tree.insert(row["parent"], row["token"], row["reach"], row["shadow"])
+        if got != row["id"]:
+            raise StructureError("serialized node ids are not contiguous")
+    return tree
 
 
 def shape_after_insert(tree: TokenTree, entry: FrontierEntry) -> tuple[int, int]:
@@ -127,6 +154,35 @@ def marginal_cost(
     if is_expandable(entry, cfg):
         delta += draft_ms
     return max(delta, cfg.cost_floor_ms)
+
+
+def kd_loss(pred: EarlyExitPredictor, batch: Sequence[TrainingExample], tau: float) -> float:
+    """Temperature-scaled full-vocabulary distillation loss (summed over the
+    batch), through the training core's array form."""
+    H, Z, _ = _stacked(batch)
+    return _kd_loss(H @ pred.weights.T, *_soft(Z, tau), tau)
+
+
+def cand_loss(pred: EarlyExitPredictor, batch: Sequence[TrainingExample], tau: float) -> float:
+    """Distillation loss restricted to each example's candidate set."""
+    H, Z, C = _stacked(batch)
+    return _cand_loss(pred.weights, H, C, *_soft(np.take_along_axis(Z, C, 1), tau), tau)
+
+
+def total_loss(
+    pred: EarlyExitPredictor, batch: Sequence[TrainingExample], cfg: TrainConfig
+) -> float:
+    H, Z, C = _stacked(batch)
+    return _total_loss(pred.weights, H, C, _Teacher.of(Z, C, cfg), cfg)
+
+
+def total_loss_grad(
+    pred: EarlyExitPredictor, batch: Sequence[TrainingExample], cfg: TrainConfig
+) -> np.ndarray:
+    """Analytic gradient of the summed training loss with respect to the
+    probe weights."""
+    H, Z, C = _stacked(batch)
+    return _total_loss_grad(pred.weights, H, C, _Teacher.of(Z, C, cfg), cfg)
 
 
 def candidate_top1_agreement(

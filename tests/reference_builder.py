@@ -7,11 +7,17 @@ expansion reads and sorts the draft distribution afresh, without the
 candidate-set memo of :func:`flashspec.models.draft_candidates`.  The
 property tests check that :func:`flashspec.drafting.build_tree` returns an
 identical :class:`BuildResult`.
+
+The reference also returns a :class:`BuildAudit`: every insertion's scored
+frontier and, on a stop-rule exit, the frontier the stop rule saw.  The
+fast builder keeps no such record; criterion 05 and the drafting tests
+replay this one, and the equal tree JSON (nodes in insertion order) ties it
+to the fast builder's decisions.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,9 +28,7 @@ from flashspec.drafting import (
     GainCostEstimate,
     LatencyProfile,
     ReliabilityState,
-    StepRecord,
     StopRecord,
-    _selection_key,
     calibrate,
     is_expandable,
 )
@@ -32,6 +36,29 @@ from flashspec.errors import ContractError
 from flashspec.models import ProbModel
 from flashspec.tree import CandidateSet, ROOT_ID, TokenTree
 from helpers import marginal_cost
+
+# one scored frontier entry: (parent, token, reach, marginal cost, ratio)
+Row = tuple[int, int, float, float, float]
+
+
+class StepRecord(NamedTuple):
+    """One insertion decision: the candidate ranking at that instant."""
+
+    chosen: tuple[int, int]                          # (parent, token)
+    chosen_ratio: float
+    frontier: tuple[Row, ...]                        # best first
+
+
+class BuildAudit(NamedTuple):
+    steps: list[StepRecord]
+    stop_frontier: tuple[Row, ...] | None            # set on a stop-rule exit
+
+
+def _selection_key(item: tuple[FrontierEntry, float, float]) -> tuple:
+    entry, _, ratio = item
+    # Best ratio first; ties prefer higher reach, then smaller token, then
+    # smaller parent handle (fully deterministic ordering).
+    return (-ratio, -entry.reach, entry.token, entry.parent)
 
 
 def build_tree(
@@ -41,8 +68,7 @@ def build_tree(
     rel: ReliabilityState,
     profile: LatencyProfile,
     draft_ms: float = 2.0,
-    record_frontier: bool = False,
-) -> BuildResult:
+) -> tuple[BuildResult, BuildAudit]:
     """Grow a token tree greedily by reach-per-marginal-latency.
 
     Every insertion maximizes reach/marginal-cost over the frontier at its
@@ -75,10 +101,11 @@ def build_tree(
         depth = tree.node(node_id).depth + 1
         for token, p in cand.entries:
             reach = reaches[node_id] * calibrate(p, rel)
-            frontier.append(FrontierEntry(node_id, token, p, reach, depth))
+            frontier.append(FrontierEntry(node_id, token, reach, depth))
 
     expand(ROOT_ID)
     stop: StopRecord | None = None
+    stop_frontier: tuple[Row, ...] | None = None
 
     while frontier:
         verify_cost = profile.lookup(tree.shape)
@@ -90,37 +117,14 @@ def build_tree(
         ]
         scored.sort(key=_selection_key)
         best, best_mc, best_ratio = scored[0]
+        rows = tuple((e.parent, e.token, e.reach, mc, ratio) for e, mc, ratio in scored)
 
         if best_ratio <= gain / cycle_cost:
-            stop = StopRecord(
-                "stop_rule",
-                best_ratio,
-                gain,
-                cycle_cost,
-                frontier=tuple(
-                    (e.parent, e.token, e.reach, mc, ratio)
-                    for e, mc, ratio in scored
-                )
-                if record_frontier
-                else None,
-            )
+            stop = StopRecord("stop_rule", best_ratio, gain, cycle_cost)
+            stop_frontier = rows
             break
 
-        steps.append(
-            StepRecord(
-                chosen=(best.parent, best.token),
-                chosen_ratio=best_ratio,
-                gain_before=gain,
-                draft_cost_before=draft_cost,
-                verify_cost_before=verify_cost,
-                frontier=tuple(
-                    (e.parent, e.token, e.reach, mc, ratio)
-                    for e, mc, ratio in scored
-                )
-                if record_frontier
-                else None,
-            )
-        )
+        steps.append(StepRecord((best.parent, best.token), best_ratio, rows))
         node_id = tree.insert(best.parent, best.token, best.reach)
         reaches[node_id] = best.reach
         frontier.remove(best)
@@ -145,7 +149,8 @@ def build_tree(
         draft_cost=draft_cost,
         verify_cost=profile.lookup(tree.shape),
     )
-    return BuildResult(tree, estimate, steps, stop, expansion_counts, candidate_sets)
+    result = BuildResult(tree, estimate, stop, expansion_counts, candidate_sets)
+    return result, BuildAudit(steps, stop_frontier)
 
 
 def _attach_shadows(tree: TokenTree, frontier: list[FrontierEntry]) -> None:

@@ -61,7 +61,7 @@ def verify_tree(
     ctx = list(context)
     per_row = {
         i: int(np.argmax(target.next_dist(ctx + layout.path_tokens(i))))
-        for i in range(layout.n_rows)
+        for i in range(len(layout.rows))
     }
 
     row_of = {nid: i for i, nid in enumerate(layout.rows)}
@@ -103,8 +103,8 @@ def hidden_states(
     if not (1 <= layer <= model.depth):
         raise ContractError(f"layer {layer} outside [1, {model.depth}]")
     ctx = list(context)
-    out = np.empty((layout.n_rows, model.hidden_dim))
-    for i in range(layout.n_rows):
+    out = np.empty((len(layout.rows), model.hidden_dim))
+    for i in range(len(layout.rows)):
         out[i] = model.hidden_at(layer, ctx + layout.path_tokens(i))
     return out
 
@@ -143,8 +143,8 @@ class ExactProbeSource:
 
     def rows(self, context: Sequence[int], layout: TreeLayout) -> np.ndarray:
         ctx = list(context)
-        out = np.empty((layout.n_rows, self.target.vocab_size))
-        for i in range(layout.n_rows):
+        out = np.empty((len(layout.rows), self.target.vocab_size))
+        for i in range(len(layout.rows)):
             dist = self.target.next_dist(ctx + layout.path_tokens(i))
             out[i] = np.log(np.maximum(dist, 1e-300))
         return out
@@ -163,7 +163,7 @@ def normalize_scores(
     token in its candidate set: inserted children and shadow tokens alike.
     Shadow edges receive scores too but are never kept as output.
     """
-    if hidden_rows.shape[0] != layout.n_rows:
+    if hidden_rows.shape[0] != len(layout.rows):
         raise ContractError("hidden rows do not match the flattened layout")
     row_of = {nid: i for i, nid in enumerate(layout.rows)}
     scores: dict[tuple[int, int], float] = {}
@@ -246,7 +246,7 @@ def compact_with_map(
                 f"keep set is not ancestor-closed: {nid} kept without {node.parent}"
             )
 
-    new_tree = TokenTree(root_token=tree.root.token)
+    new_tree = TokenTree(root_token=tree.node(ROOT_ID).token)
     mapping = {ROOT_ID: ROOT_ID}
     for nid in sorted(keep_set):
         if nid == ROOT_ID:
@@ -332,9 +332,7 @@ def prune(
     )
     if rejected:
         keep = set(tree.ids())
-    return PruneDecision(
-        frozenset(keep), rejected, scores, tuple(backbone), kept_leaves()
-    )
+    return PruneDecision(frozenset(keep), rejected, tuple(backbone), kept_leaves())
 
 
 class TreePruner:

@@ -33,8 +33,6 @@ from flashspec.predictor import (
     TrainingExample,
     build_distillation_dataset,
     default_exit_layer,
-    total_loss,
-    total_loss_grad,
     train,
 )
 from flashspec.pruning import PruneConfig, TreePruner
@@ -47,7 +45,10 @@ from helpers import (
     candidate_top1_agreement,
     child_by_token,
     marginal_cost,
+    total_loss,
+    total_loss_grad,
 )
+from reference_builder import build_tree as reference_build_tree
 from subtree_oracle import exhaustive_optimum, instance_parts, reachable_universe
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -261,20 +262,25 @@ def test_criterion_05_stopping_rule_soundness(greedy_suite, report):
     stop_rule_exits = 0
     for inst in greedy_suite:
         _, draft, cfg, rel, profile, draft_ms = instance_parts(inst)
-        out = build_tree(
-            inst["context"], draft, cfg, rel, profile,
-            draft_ms=draft_ms, record_frontier=True,
+        out = build_tree(inst["context"], draft, cfg, rel, profile, draft_ms=draft_ms)
+        ref, audit = reference_build_tree(
+            inst["context"], draft, cfg, rel, profile, draft_ms=draft_ms
         )
-        # replay the construction and re-derive each step's ranking
+        # tree JSON lists nodes in insertion order: equal JSON means the fast
+        # builder chose the reference's sequence of entries
+        assert out.tree.to_json() == ref.tree.to_json()
+        assert out.stop == ref.stop
+        assert out.estimate == ref.estimate
+        # replay the reference's record and re-derive each step's ranking
         tree = TokenTree(root_token=int(inst["context"][-1]))
         handles = {}
-        for step in out.steps:
+        for step in audit.steps:
             best_key = None
             best_row = None
             for parent, token, reach, rec_mc, rec_ratio in step.frontier:
                 parent_id = handles.get(parent, ROOT_ID if parent == 0 else None)
                 depth = tree.node(parent_id).depth + 1
-                entry = FrontierEntry(parent_id, token, 0.0, reach, depth)
+                entry = FrontierEntry(parent_id, token, reach, depth)
                 mc = marginal_cost(entry, tree, profile, draft_ms, cfg)
                 assert mc == pytest.approx(rec_mc, rel=1e-12)
                 ratio = reach / mc
@@ -295,8 +301,8 @@ def test_criterion_05_stopping_rule_soundness(greedy_suite, report):
             checked_steps += 1
         if out.stop.reason == "stop_rule":
             stop_rule_exits += 1
-            assert out.stop.frontier is not None
-            best = max(r for (_, _, _, _, r) in out.stop.frontier)
+            assert audit.stop_frontier is not None
+            best = max(r for (_, _, _, _, r) in audit.stop_frontier)
             assert best == pytest.approx(out.stop.best_ratio, rel=1e-12)
             assert out.stop.best_ratio <= out.stop.gain / out.stop.cycle_cost
     report(

@@ -79,21 +79,18 @@ def instances(draw):
     return draft, cfg, rel, context, draw(profiles()), draft_ms
 
 
-def _assert_same(fast, slow):
-    assert fast.tree.to_json() == slow.tree.to_json()
-    assert fast.steps == slow.steps
-    assert fast.stop == slow.stop
-    assert fast.estimate == slow.estimate
-    assert fast.expansion_counts == slow.expansion_counts
-    assert fast.candidate_sets == slow.candidate_sets
-
-
 @settings(max_examples=200)
 @given(instances())
 def test_fast_builder_matches_reference(instance):
     draft, cfg, rel, context, make_profile, draft_ms = instance
-    for record_frontier in (False, True):
-        kwargs = dict(draft_ms=draft_ms, record_frontier=record_frontier)
-        fast = build_tree(context, draft, cfg, rel, make_profile(), **kwargs)
-        slow = reference_build_tree(context, draft, cfg, rel, make_profile(), **kwargs)
-        _assert_same(fast, slow)
+    fast = build_tree(context, draft, cfg, rel, make_profile(), draft_ms=draft_ms)
+    slow, _ = reference_build_tree(
+        context, draft, cfg, rel, make_profile(), draft_ms=draft_ms
+    )
+    # tree JSON lists nodes in insertion order: equal JSON means the same
+    # sequence of chosen entries
+    assert fast.tree.to_json() == slow.tree.to_json()
+    assert fast.stop == slow.stop
+    assert fast.estimate == slow.estimate
+    assert fast.expansion_counts == slow.expansion_counts
+    assert fast.candidate_sets == slow.candidate_sets

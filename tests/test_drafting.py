@@ -18,6 +18,7 @@ from flashspec.errors import ConfigError
 from flashspec.models import TabularMarkovModel, derive_draft
 from flashspec.tree import ROOT_ID, TokenTree
 from helpers import affine_profile, estimate_gain, marginal_cost
+from reference_builder import build_tree as reference_build_tree
 
 
 def scan_lookup(entries, q):
@@ -167,14 +168,14 @@ class TestMarginalCost:
         tree = self._tree_one_child()
         cfg = DraftConfig(k=2, max_depth=4, b_min=0.0)
         # child under the current leaf: leaves unchanged, nodes +1
-        entry = FrontierEntry(parent=1, token=5, p_draft=0.5, reach=0.3, depth=2)
+        entry = FrontierEntry(parent=1, token=5, reach=0.3, depth=2)
         assert marginal_cost(entry, tree, profile, 3.0, cfg) == pytest.approx(2.0 + 3.0)
 
     def test_non_expandable_has_no_draft_term(self):
         profile = affine_profile(100.0, 2.0, 0.0, 20, 10)
         tree = self._tree_one_child()
         cfg = DraftConfig(k=2, max_depth=2, b_min=0.0)
-        entry = FrontierEntry(parent=1, token=5, p_draft=0.5, reach=0.3, depth=2)
+        entry = FrontierEntry(parent=1, token=5, reach=0.3, depth=2)
         assert not is_expandable(entry, cfg)
         assert marginal_cost(entry, tree, profile, 3.0, cfg) == pytest.approx(2.0)
 
@@ -194,7 +195,7 @@ class TestMarginalCost:
         tree.insert(a, 3, 0.5)
         cfg = DraftConfig(k=2, max_depth=5, b_min=0.01)
         for parent, depth in ((ROOT_ID, 1), (a, 2), (3, 3)):
-            entry = FrontierEntry(parent, 9, 0.4, 0.2, depth)
+            entry = FrontierEntry(parent, 9, 0.2, depth)
             nodes, leaves = tree.shape
             after_leaves = leaves + (1 if tree.children(parent) else 0)
             delta = profile.lookup((nodes + 1, after_leaves)) - profile.lookup(
@@ -211,7 +212,7 @@ class TestMarginalCost:
         )
         tree = self._tree_one_child()
         cfg = DraftConfig(k=2, max_depth=2, b_min=0.0)
-        entry = FrontierEntry(parent=1, token=5, p_draft=0.5, reach=0.3, depth=2)
+        entry = FrontierEntry(parent=1, token=5, reach=0.3, depth=2)
         assert marginal_cost(entry, tree, profile, 2.0, cfg) == cfg.cost_floor_ms
 
 
@@ -274,9 +275,13 @@ class TestBuildTree:
         draft = derive_draft(target, 0.7, noise_seed=5)
         profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
         cfg = DraftConfig(k=3, max_depth=4, b_min=0.01)
-        out = build_tree([4, 9], draft, cfg, rel(), profile, record_frontier=True)
-        assert out.steps, "expected at least one insertion"
-        for step in out.steps:
+        out = build_tree([4, 9], draft, cfg, rel(), profile)
+        ref, audit = reference_build_tree([4, 9], draft, cfg, rel(), profile)
+        # equal JSON (insertion order) means the fast builder made the
+        # reference's recorded choices
+        assert out.tree.to_json() == ref.tree.to_json()
+        assert audit.steps, "expected at least one insertion"
+        for step in audit.steps:
             best = max(step.frontier, key=lambda row: row[4])
             assert step.chosen_ratio == pytest.approx(best[4])
             # the chosen entry is ranked first under the full tie-break
@@ -302,8 +307,8 @@ class TestBuildTree:
         cfg = DraftConfig(k=3, max_depth=4, b_min=0.01)
         a = build_tree([4, 9], draft, cfg, rel(0.9), profile_a)
         b = build_tree([4, 9], draft, cfg, rel(0.9), profile_b)
-        assert [s.chosen for s in a.steps] == [s.chosen for s in b.steps]
         assert a.tree.to_json() == b.tree.to_json()
+        assert a.estimate == b.estimate
 
     def test_reach_monotone_along_edges(self):
         target = TabularMarkovModel(24, 2, seed=29)

@@ -52,7 +52,7 @@ class TestConfig:
         cfg = small_cfg()
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(cfg.to_dict()))
-        assert ExperimentConfig.from_json_file(str(path)) == cfg
+        assert ExperimentConfig.from_dict(json.loads(path.read_text())) == cfg
 
     def test_inline_hardware(self):
         hw = HardwareConfig(name="inline", io_ms_per_invocation=100.0, compute_c0=10.0)
@@ -98,7 +98,8 @@ class TestConfig:
             ExperimentConfig.from_dict(payload)
 
     def test_shipped_and_benchmark_configs_load(self, monkeypatch):
-        ExperimentConfig.from_json_file(str(ROOT / "configs" / "lever_default.json"))
+        shipped = ROOT / "configs" / "lever_default.json"
+        ExperimentConfig.from_dict(json.loads(shipped.read_text()))
         monkeypatch.syspath_prepend(str(ROOT))
         from flashbench.workloads import WORKLOADS, make_configs
 
@@ -466,6 +467,11 @@ class TestCLI:
                 'model.concentration="x"',
                 "invalid model config: concentration='x' is not float",
             ),
+            # negative seeds would reach numpy's seeding as a traceback
+            ("seed=-1", "seed must be >= 0"),
+            ("model.seed=-1", "model seed must be >= 0"),
+            ("draft.noise_seed=-1", "draft noise_seed must be >= 0"),
+            ("training.seed=-1", "training seed must be >= 0"),
         ],
     )
     def test_ill_typed_value_is_clean_error(self, capsys, override, message):

@@ -277,7 +277,7 @@ class TestHiddenStates:
 
     def _row_prefixes(self, ctx):
         layout = flatten(self._tree())
-        return [ctx + layout.path_tokens(i) for i in range(layout.n_rows)]
+        return [ctx + layout.path_tokens(i) for i in range(len(layout.rows))]
 
     def test_single_row_equals_direct_call(self):
         model = LayeredTargetModel(16, 2, depth=4, hidden_dim=8, seed=2)

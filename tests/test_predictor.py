@@ -10,18 +10,20 @@ from flashspec.predictor import (
     TrainConfig,
     TrainingExample,
     build_distillation_dataset,
-    cand_loss,
     default_exit_layer,
-    kd_loss,
     load_checkpoint,
     save_checkpoint,
-    total_loss,
-    total_loss_grad,
     train,
 )
 from flashspec.pruning import normalize_scores
 from flashspec.tree import ROOT_ID, TokenTree
-from helpers import candidate_top1_agreement
+from helpers import (
+    cand_loss,
+    candidate_top1_agreement,
+    kd_loss,
+    total_loss,
+    total_loss_grad,
+)
 
 
 def example(h, z, cands):

@@ -14,13 +14,10 @@ from flashspec.predictor import (
     TrainConfig,
     TrainingExample,
     build_distillation_dataset,
-    cand_loss,
     default_exit_layer,
-    kd_loss,
-    total_loss,
-    total_loss_grad,
     train,
 )
+from helpers import cand_loss, kd_loss, total_loss, total_loss_grad
 
 
 @st.composite

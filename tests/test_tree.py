@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flashspec.errors import ContractError, StructureError
 from flashspec.tree import ROOT_ID, CandidateSet, TokenTree, flatten
-from helpers import compact_with_map, recount
+from helpers import compact_with_map, recount, tree_from_json
 
 
 def chain_tree(tokens, reaches=None):
@@ -118,7 +118,7 @@ class TestFlatten:
         tree.insert(a, 2, 0.5)
         tree.insert(ROOT_ID, 3, 0.4)
         layout = flatten(tree)
-        for i in range(1, layout.n_rows):
+        for i in range(1, len(layout.rows)):
             assert layout.parent_row[i] < i
 
     def test_shadow_rows_excluded(self):
@@ -126,7 +126,7 @@ class TestFlatten:
         tree.insert(ROOT_ID, 1, 0.9)
         tree.insert(ROOT_ID, 7, 0.1, shadow=True)
         layout = flatten(tree)
-        assert layout.n_rows == 2
+        assert len(layout.rows) == 2
         assert 7 not in layout.tokens
 
 
@@ -264,7 +264,7 @@ class TestProperties:
                 continue
             handles.append(tree.insert(parent, token, tree.node(parent).reach * 0.9))
         layout = flatten(tree)
-        for i in range(1, layout.n_rows):
+        for i in range(1, len(layout.rows)):
             assert layout.parent_row[i] < i
         again = flatten(compact_with_map(tree, tree.ids())[0])
         assert sorted(again.tokens) == sorted(layout.tokens)
@@ -276,7 +276,7 @@ class TestSerialization:
         a = tree.insert(ROOT_ID, 1, 0.9)
         tree.insert(a, 2, 0.5)
         tree.insert(ROOT_ID, 7, 0.1, shadow=True)
-        again = TokenTree.from_json(tree.to_json())
+        again = tree_from_json(tree.to_json())
         assert again.to_json() == tree.to_json()
         assert again.shape == tree.shape
 
