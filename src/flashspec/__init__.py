@@ -30,11 +30,11 @@ from .models import (
     target_greedy_decode,
 )
 from .predictor import (
+    DistillationSet,
     EarlyExitPredictor,
     ExactProbeSource,
     LayeredHiddenSource,
     TrainConfig,
-    TrainingExample,
     train,
 )
 from .pruning import PruneConfig, PruneDecision, TreePruner, backbone_path, normalize_scores, prune

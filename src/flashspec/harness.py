@@ -124,6 +124,16 @@ class ExperimentConfig:
             raise ConfigError("horizon, trials and context_len must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if self.predictor_examples < 1:
+            raise ConfigError("predictor_examples must be >= 1")
+        # Candidate sets and balanced-tree levels hold distinct tokens.
+        vocab = self.model.vocab_size
+        if self.policy.startswith("lever") and self.drafting.k > vocab:
+            raise ConfigError(f"drafting.k={self.drafting.k} exceeds vocab_size={vocab}")
+        if self.policy == "balanced_tree" and self.balanced_fanout > vocab:
+            raise ConfigError(
+                f"balanced_fanout={self.balanced_fanout} exceeds vocab_size={vocab}"
+            )
 
     def resolve_hardware(self) -> HardwareConfig:
         if isinstance(self.hardware, HardwareConfig):
@@ -317,16 +327,11 @@ def train_predictor_for(
     layer: int,
 ) -> tuple[EarlyExitPredictor, list[float]]:
     """Probe for ``target`` trained from zero weights, and its loss curve."""
-    dataset = build_distillation_dataset(
-        target,
-        draft,
-        layer,
-        cfg.predictor_examples,
-        cfg.drafting.k,
-        seed=cfg.training.seed,
+    data = build_distillation_dataset(
+        target, draft, layer, cfg.predictor_examples, cfg.drafting.k, seed=cfg.training.seed
     )
     pred = EarlyExitPredictor.zeros(target.vocab_size, target.hidden_dim, layer)
-    return train(pred, dataset, cfg.training)
+    return train(pred, data, cfg.training)
 
 
 def make_policy(cfg: ExperimentConfig, draft: ProbModel, hw: HardwareConfig):

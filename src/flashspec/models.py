@@ -61,8 +61,9 @@ class TabularMarkovModel(ProbModel):
     (seed, row index): row ``idx`` is a gamma draw from
     ``default_rng([seed, idx])``, so evaluation order never affects results.
     ``next_dists`` derives the generator states of all its missing rows in
-    one vectorized pass (:func:`flashspec.seeding.default_rngs`) and draws
-    the same bytes.
+    one vectorized pass (:func:`flashspec.seeding.default_rngs`), draws each
+    gamma row from its generator and normalizes them all as one batch, with
+    the same bytes as single reads.
     The ``concentration`` parameter shapes row peakedness (gamma-normalized
     draws; small values give near-deterministic rows).
     """
@@ -118,8 +119,10 @@ class TabularMarkovModel(ProbModel):
             # flashspec otherwise does not.
             from .seeding import default_rngs
 
-            for idx, rng in zip(missing, default_rngs(self.seed, missing)):
-                self._rows[idx] = self._draw(rng)
+            gammas = [rng.gamma(self.concentration, size=self.vocab_size)
+                      for rng in default_rngs(self.seed, missing)]
+            raw = np.maximum(gammas, 1e-300)    # _draw's arithmetic, on all rows
+            self._rows.update(zip(missing, raw / raw.sum(axis=1, keepdims=True)))
         return np.stack([self._rows[i] for i in idxs])
 
 

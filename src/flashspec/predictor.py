@@ -5,14 +5,13 @@ is trained offline against the frozen target model with two distillation
 terms: a full-vocabulary KL and a candidate-set-restricted KL.  Training
 touches only the probe weights.
 
-Training stacks the dataset once into hidden states ``H (N, d)``, target
-logits ``Z (N, V)`` and candidate tokens ``C (N, k)`` (every candidate set
-has size k) and computes the teacher terms, the softmaxes of ``Z`` that do
-not depend on the probe weights, once; each mini-batch is a row slice of
-those arrays.  The losses and the gradient work on whole batches with the
-rounding of a per-example evaluation, so results do not depend on batching.
+Training reads a :class:`DistillationSet`: one (hidden state, logits,
+candidate set) row per distinct context tail and each example's row index.
+The teacher terms and the candidate loss are computed once per distinct row
+and expanded to the examples before any sum; each epoch gathers its permuted
+examples once, so a mini-batch is a slice.  Losses, gradients and weights
+keep the rounding of a per-example evaluation.
 """
-
 from __future__ import annotations
 
 import json
@@ -82,11 +81,14 @@ class TrainConfig:
             raise ConfigError("training seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class TrainingExample:
-    hidden: np.ndarray                   # layer-L hidden state, shape (d,)
-    logits: np.ndarray                   # final target logits, shape (V,)
-    candidates: tuple[int, ...]          # drafted candidate tokens, size k
+class DistillationSet(NamedTuple):
+    """(hidden state, final logits, drafted candidate set) rows, one per
+    distinct context tail, and the row of each training example."""
+
+    hidden: np.ndarray                   # layer-L hidden states, (U, d)
+    logits: np.ndarray                   # final target logits, (U, V)
+    candidates: np.ndarray               # drafted candidate tokens, (U, k)
+    example: np.ndarray                  # each example's row, (N,)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -95,26 +97,11 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
 
 
-def _stacked(
-    batch: Sequence[TrainingExample],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hidden states ``H (N, d)``, target logits ``Z (N, V)`` and candidate
-    tokens ``C (N, k)``; every candidate set must have the same size k."""
-    if not batch:
-        raise ContractError("batch must be non-empty")
-    if len({len(ex.candidates) for ex in batch}) != 1:
-        raise ContractError("candidate sets must all have the same size")
-    H = np.stack([ex.hidden for ex in batch])
-    Z = np.stack([ex.logits for ex in batch])
-    C = np.array([ex.candidates for ex in batch], dtype=np.intp)
-    return H, Z, C
-
-
 # The array core below works on stacked rows.  Its arithmetic follows the
 # per-example formulation operation for operation, so losses, gradients and
-# trained weights do not depend on how examples are grouped.  The teacher
-# terms (softmaxes of the target logits) do not depend on the weights; they
-# are computed once per dataset as a _Teacher and sliced per mini-batch.
+# trained weights do not depend on how examples are grouped or share rows.
+# The teacher terms (softmaxes of the target logits) do not depend on the
+# weights; they are computed once per distinct row as a _Teacher.
 
 
 def _soft(z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -124,116 +111,125 @@ def _soft(z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Teacher(NamedTuple):
-    """Weight-independent terms of the training loss, one row per example."""
+    """Weight-independent terms of the training loss, one row per distinct
+    row of a :class:`DistillationSet`."""
 
     log_p: np.ndarray                    # log_softmax(Z / tau_kd)
     p: np.ndarray
-    log_pc: np.ndarray | None            # log_softmax(Z[C] / tau_cand); None if unused
-    pc: np.ndarray | None
+    log_pc: np.ndarray                   # log_softmax(Z[C] / tau_cand)
+    pc: np.ndarray
 
     @classmethod
     def of(cls, Z: np.ndarray, C: np.ndarray, cfg: TrainConfig) -> "_Teacher":
-        cand = (None, None)
-        if cfg.lambda_cand > 0:
-            cand = _soft(np.take_along_axis(Z, C, 1), cfg.tau_cand)
-        return cls(*_soft(Z, cfg.tau_kd), *cand)
-
-    def rows(self, idx: np.ndarray) -> "_Teacher":
-        return _Teacher(*(None if a is None else a[idx] for a in self))
+        cand = np.take_along_axis(Z, C, 1)
+        return cls(*_soft(Z, cfg.tau_kd), *_soft(cand, cfg.tau_cand))
 
 
-def _kd_loss(S: np.ndarray, log_p: np.ndarray, p: np.ndarray, tau: float) -> float:
-    log_q = _log_softmax(S / tau)
-    kl = (p * (log_p - log_q)).sum(axis=1)
-    return float(tau * tau * kl.sum())
-
-
-def _cand_loss(
-    W: np.ndarray,
-    H: np.ndarray,
-    C: np.ndarray,
-    log_p: np.ndarray,
-    p: np.ndarray,
-    tau: float,
-) -> float:
-    # One matrix-vector product per example (batched), not a gather from
-    # H @ W.T: the two round differently.
-    s = (W[C] @ H[:, :, None])[:, :, 0] / tau
-    log_q = _log_softmax(s)
-    total = 0.0
-    # Sequential float sum: numpy's pairwise sum would round differently.
-    for kl in (p * (log_p - log_q)).sum(axis=1).tolist():
-        total += kl
-    return tau * tau * total
+def _kl(s: np.ndarray, log_p: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row-wise ``KL(p || softmax(s))`` for the teacher ``p``."""
+    return (p * (log_p - _log_softmax(s))).sum(axis=1)
 
 
 def _total_loss(
-    W: np.ndarray, H: np.ndarray, C: np.ndarray, teacher: _Teacher, cfg: TrainConfig
+    W: np.ndarray, data: DistillationSet, teacher: _Teacher, cfg: TrainConfig
 ) -> float:
-    loss = _kd_loss(H @ W.T, teacher.log_p, teacher.p, cfg.tau_kd)
+    """The training loss summed over the examples."""
+    H, _, C, example = data
+    # The full-vocabulary term takes one product over every example, as the
+    # per-example evaluation does: BLAS rounds a product's row differently
+    # with the row count and position, so rows that share a tail can differ.
+    kd = _kl(H[example] @ W.T / cfg.tau_kd, teacher.log_p[example], teacher.p[example])
+    loss = float(cfg.tau_kd * cfg.tau_kd * kd.sum())
     if cfg.lambda_cand > 0:
-        loss += cfg.lambda_cand * _cand_loss(
-            W, H, C, teacher.log_pc, teacher.pc, cfg.tau_cand
-        )
+        # One matrix-vector product per distinct row (batched), not a gather
+        # from H @ W.T: the two round differently.
+        s = (W[C] @ H[:, :, None])[:, :, 0] / cfg.tau_cand
+        kl = _kl(s, teacher.log_pc, teacher.pc)[example]
+        # Sequential float sum in example order (accumulate adds one value
+        # at a time): numpy's pairwise sum would round differently.
+        cand = float(np.add.accumulate(kl)[-1])
+        loss += cfg.lambda_cand * (cfg.tau_cand * cfg.tau_cand * cand)
     return loss
 
 
-def _total_loss_grad(
-    W: np.ndarray, H: np.ndarray, C: np.ndarray, teacher: _Teacher, cfg: TrainConfig
-) -> np.ndarray:
-    S = H @ W.T
+class _Batch(NamedTuple):
+    """Examples in training order: hidden states, teacher terms, and the
+    flat indices of the candidate scores in ``S.ravel()`` and of the
+    candidate gradient rows in ``grad.ravel()``.  Scores are indexed within
+    mini-batches of ``size`` rows, so a mini-batch is a slice."""
+
+    H: np.ndarray                        # (n, d)
+    p: np.ndarray                        # (n, V)
+    pc: np.ndarray                       # (n, k)
+    gather: np.ndarray                   # (n, k)
+    scatter: np.ndarray                  # (n, k, d)
+
+    @classmethod
+    def of(
+        cls, data: DistillationSet, teacher: _Teacher, rows: np.ndarray, size: int
+    ) -> "_Batch":
+        H, C = data.hidden[rows], data.candidates[rows]
+        gather = (np.arange(len(rows)) % size * data.logits.shape[1])[:, None] + C
+        scatter = C[:, :, None] * H.shape[1] + np.arange(H.shape[1])
+        return cls(H, teacher.p[rows], teacher.pc[rows], gather, scatter)
+
+    def slice(self, start: int, stop: int) -> "_Batch":
+        return _Batch(*(a[start:stop] for a in self))
+
+
+def _total_loss_grad(W: np.ndarray, b: _Batch, cfg: TrainConfig) -> np.ndarray:
+    S = b.H @ W.T
     q = np.exp(_log_softmax(S / cfg.tau_kd))
-    grad = cfg.tau_kd * (q - teacher.p).T @ H
+    grad = cfg.tau_kd * (q - b.p).T @ b.H
 
     if cfg.lambda_cand > 0:
-        s = np.take_along_axis(S, C, 1) / cfg.tau_cand
+        s = S.reshape(-1)[b.gather] / cfg.tau_cand
         q_e = np.exp(_log_softmax(s))
-        rows = (cfg.lambda_cand * cfg.tau_cand) * (
-            (q_e - teacher.pc)[:, :, None] * H[:, None, :]
-        )
-        # One scatter over the flat gradient (a fresh matmul result, so
-        # reshape(-1) is a view).  add.at applies its indices in order, so
-        # every element receives its additions example by example, as the
-        # per-example loop added them.
-        d = H.shape[1]
-        np.add.at(grad.reshape(-1), (C[:, :, None] * d + np.arange(d)).ravel(), rows.ravel())
+        scale = cfg.lambda_cand * cfg.tau_cand
+        rows = scale * ((q_e - b.pc)[:, :, None] * b.H[:, None, :])
+        # One scatter over the flat gradient (S and grad are fresh matmul
+        # results, so reshape(-1) is a view).  add.at applies its indices in
+        # order, so every element receives its additions example by
+        # example, as the per-example loop added them.
+        np.add.at(grad.reshape(-1), b.scatter.ravel(), rows.ravel())
     return grad
 
 
 def train(
-    pred: EarlyExitPredictor,
-    dataset: Sequence[TrainingExample],
-    cfg: TrainConfig,
+    pred: EarlyExitPredictor, data: DistillationSet, cfg: TrainConfig
 ) -> tuple[EarlyExitPredictor, list[float]]:
     """Mini-batch gradient descent on the probe weights only.
 
-    The dataset is stacked once and its teacher terms are computed once;
-    each mini-batch is a row slice of both.  Per-step updates use the
-    batch-mean gradient; the returned curve holds the summed dataset loss
-    before training and after every epoch.  Raises
-    :class:`TrainingDiverged` on a non-finite loss.
+    Teacher terms and the candidate part of the curve loss are computed
+    once per distinct row; each epoch gathers its permuted examples once and
+    slices every mini-batch from them.  Per-step updates use the batch-mean gradient; the returned
+    curve holds the summed loss over the examples before training and after
+    every epoch.  Raises :class:`TrainingDiverged` on a non-finite loss.
     """
-    if not dataset:
+    n, rows = len(data.example), len(data.hidden)
+    if n == 0:
         raise ContractError("dataset must be non-empty")
-    H, Z, C = _stacked(dataset)
-    teacher = _Teacher.of(Z, C, cfg)
+    if len(data.logits) != rows or len(data.candidates) != rows:
+        raise ContractError("hidden, logits and candidates need one row per tail")
+    if data.example.min() < 0 or data.example.max() >= rows:
+        raise ContractError(f"example index outside the {rows} rows")
+    teacher = _Teacher.of(data.logits, data.candidates, cfg)
     rng = np.random.default_rng(cfg.seed)
     W = pred.weights.copy()
-    curve = [_total_loss(W, H, C, teacher, cfg)]
+    curve = [_total_loss(W, data, teacher, cfg)]
 
-    n = len(dataset)
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
+        order = _Batch.of(data, teacher, data.example[rng.permutation(n)], cfg.batch_size)
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            grad = _total_loss_grad(W, H[idx], C[idx], teacher.rows(idx), cfg)
-            W = W - cfg.learning_rate * grad / len(idx)
+            batch = order.slice(start, start + cfg.batch_size)
+            grad = _total_loss_grad(W, batch, cfg)
+            W = W - cfg.learning_rate * grad / len(batch.H)
             if not np.all(np.isfinite(W)):
                 raise TrainingDiverged(
                     f"non-finite weights during epoch {epoch + 1} "
                     f"(lr={cfg.learning_rate}, batch={cfg.batch_size})"
                 )
-        loss = _total_loss(W, H, C, teacher, cfg)
+        loss = _total_loss(W, data, teacher, cfg)
         if not np.isfinite(loss):
             raise TrainingDiverged(
                 f"non-finite loss after epoch {epoch + 1} "
@@ -273,14 +269,14 @@ def build_distillation_dataset(
     seed: int,
     min_len: int = 1,
     max_len: int = 16,
-) -> list[TrainingExample]:
-    """Record (hidden state, final logits, drafted candidate set) triples
-    over seeded random prefixes.
+) -> DistillationSet:
+    """Record (hidden state, final logits, drafted candidate set) rows over
+    seeded random prefixes.
 
-    Both models read a prefix only through its padded tail, so each distinct
-    tail is evaluated once: one batched target forward pass, one batched
-    draft read and one stacked top-k sort of its rows.  Examples that share
-    a tail share one :class:`TrainingExample`."""
+    Both models read a prefix only through its padded tail, so the set
+    holds one row per distinct tail, in order of first occurrence: one
+    batched target forward pass, one batched draft read and one stacked
+    top-k sort of its rows."""
     if not (1 <= layer <= target.depth):
         raise ContractError(f"layer {layer} outside [1, {target.depth}]")
     if not (1 <= k <= draft.vocab_size):
@@ -289,25 +285,21 @@ def build_distillation_dataset(
         raise ContractError("n_examples must be >= 1")
     if not (1 <= min_len <= max_len):
         raise ContractError(f"need 1 <= min_len <= max_len, got {min_len}, {max_len}")
+    order = max(target.order, draft.order)
     tails, of_example = _sampled_tails(
-        seed,
-        n_examples,
-        target.vocab_size,
-        max(target.order, draft.order),
-        min_len,
-        max_len,
+        seed, n_examples, target.vocab_size, order, min_len, max_len
     )
     passes = target.forward_tails(tails)
     P = draft.next_dists(tails)
     # Top-k by draft probability with ties toward the smaller id (stable sort
     # of -P), then in token order: restriction is a set, and a neutral order
     # keeps the zero-initialized predictor at chance-level agreement.
-    C = np.sort(np.argsort(-P, axis=1, kind="stable")[:, :k], axis=1)
-    per_tail = [
-        TrainingExample(hidden=hidden[layer - 1], logits=z, candidates=tuple(cand))
-        for (hidden, z, _), cand in zip(passes, C.tolist())
-    ]
-    return [per_tail[i] for i in of_example]
+    return DistillationSet(
+        np.stack([hidden[layer - 1] for hidden, _, _ in passes]),
+        np.stack([z for _, z, _ in passes]),
+        np.sort(np.argsort(-P, axis=1, kind="stable")[:, :k], axis=1),
+        np.array(of_example, dtype=np.intp),
+    )
 
 
 def save_checkpoint(pred: EarlyExitPredictor, path: str) -> None:

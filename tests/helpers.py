@@ -2,14 +2,15 @@
 profile, a tree's summed-reach gain, a child lookup by token, node and leaf
 counts recomputed from scratch, a pruned copy of a tree by compaction, a
 tree rebuilt from its JSON, a frontier entry's marginal cost priced from two
-profile lookups, the probe's losses and gradient on a list of examples, its
+profile lookups, a per-example training record and its conversions to and
+from a distillation set, the probe's losses and gradient on a set, its
 candidate-restricted top-1 agreement and a one-row projection calibration.
 No engine stage needs them; tests use them as seeds and oracles."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,13 +23,12 @@ from flashspec.drafting import (
 )
 from flashspec.errors import ConfigError, ContractError, StructureError
 from flashspec.predictor import (
+    DistillationSet,
     EarlyExitPredictor,
     TrainConfig,
-    TrainingExample,
-    _cand_loss,
-    _kd_loss,
+    _Batch,
+    _kl,
     _soft,
-    _stacked,
     _Teacher,
     _total_loss,
     _total_loss_grad,
@@ -156,47 +156,84 @@ def marginal_cost(
     return max(delta, cfg.cost_floor_ms)
 
 
-def kd_loss(pred: EarlyExitPredictor, batch: Sequence[TrainingExample], tau: float) -> float:
+@dataclass(frozen=True)
+class TrainingExample:
+    """One training example on its own, as the per-example references read
+    it."""
+
+    hidden: np.ndarray                   # layer-L hidden state, shape (d,)
+    logits: np.ndarray                   # final target logits, shape (V,)
+    candidates: tuple[int, ...]          # drafted candidate tokens, size k
+
+
+def distillation_set(examples: Sequence[TrainingExample]) -> DistillationSet:
+    """The examples as a :class:`DistillationSet`: one row per distinct
+    example object, in order of first occurrence, so an object repeated in
+    the list is one row that several examples index."""
+    rows = {id(ex): ex for ex in examples}
+    index = {key: i for i, key in enumerate(rows)}
+    return DistillationSet(
+        np.stack([ex.hidden for ex in rows.values()]),
+        np.stack([ex.logits for ex in rows.values()]),
+        np.array([ex.candidates for ex in rows.values()], dtype=np.intp),
+        np.array([index[id(ex)] for ex in examples], dtype=np.intp),
+    )
+
+
+def training_examples(data: DistillationSet) -> list[TrainingExample]:
+    """The set expanded to one example per index; examples that share a row
+    share one object."""
+    rows = [
+        TrainingExample(h, z, tuple(c))
+        for h, z, c in zip(data.hidden, data.logits, data.candidates.tolist())
+    ]
+    return [rows[i] for i in data.example.tolist()]
+
+
+def kd_loss(pred: EarlyExitPredictor, data: DistillationSet, tau: float) -> float:
     """Temperature-scaled full-vocabulary distillation loss (summed over the
-    batch), through the training core's array form."""
-    H, Z, _ = _stacked(batch)
-    return _kd_loss(H @ pred.weights.T, *_soft(Z, tau), tau)
+    examples), through the training core's array form."""
+    cfg = TrainConfig(tau_kd=tau, lambda_cand=0.0)
+    teacher = _Teacher.of(data.logits, data.candidates, cfg)
+    return _total_loss(pred.weights, data, teacher, cfg)
 
 
-def cand_loss(pred: EarlyExitPredictor, batch: Sequence[TrainingExample], tau: float) -> float:
-    """Distillation loss restricted to each example's candidate set."""
-    H, Z, C = _stacked(batch)
-    return _cand_loss(pred.weights, H, C, *_soft(np.take_along_axis(Z, C, 1), tau), tau)
+def cand_loss(pred: EarlyExitPredictor, data: DistillationSet, tau: float) -> float:
+    """Distillation loss restricted to each example's candidate set, summed
+    in example order."""
+    H, Z, C, example = data
+    s = (pred.weights[C] @ H[:, :, None])[:, :, 0] / tau
+    kl = _kl(s, *_soft(np.take_along_axis(Z, C, 1), tau))[example]
+    return tau * tau * float(np.add.accumulate(kl)[-1])
 
 
 def total_loss(
-    pred: EarlyExitPredictor, batch: Sequence[TrainingExample], cfg: TrainConfig
+    pred: EarlyExitPredictor, data: DistillationSet, cfg: TrainConfig
 ) -> float:
-    H, Z, C = _stacked(batch)
-    return _total_loss(pred.weights, H, C, _Teacher.of(Z, C, cfg), cfg)
+    teacher = _Teacher.of(data.logits, data.candidates, cfg)
+    return _total_loss(pred.weights, data, teacher, cfg)
 
 
 def total_loss_grad(
-    pred: EarlyExitPredictor, batch: Sequence[TrainingExample], cfg: TrainConfig
+    pred: EarlyExitPredictor, data: DistillationSet, cfg: TrainConfig
 ) -> np.ndarray:
-    """Analytic gradient of the summed training loss with respect to the
-    probe weights."""
-    H, Z, C = _stacked(batch)
-    return _total_loss_grad(pred.weights, H, C, _Teacher.of(Z, C, cfg), cfg)
+    """Analytic gradient of the summed training loss over all the examples,
+    as one mini-batch, with respect to the probe weights."""
+    teacher = _Teacher.of(data.logits, data.candidates, cfg)
+    n = len(data.example)
+    return _total_loss_grad(pred.weights, _Batch.of(data, teacher, data.example, n), cfg)
 
 
-def candidate_top1_agreement(
-    pred: EarlyExitPredictor, dataset: Sequence[TrainingExample]
-) -> float:
+def candidate_top1_agreement(pred: EarlyExitPredictor, data: DistillationSet) -> float:
     """Fraction of examples where the probe and the final logits pick the
     same candidate-restricted top-1 token."""
     hits = 0
-    for ex in dataset:
-        idx = np.asarray(ex.candidates)
-        probe_pick = idx[int(np.argmax(pred.weights[idx] @ ex.hidden))]
-        target_pick = idx[int(np.argmax(ex.logits[idx]))]
+    for i in data.example:
+        idx = data.candidates[i]
+        probe_pick = idx[int(np.argmax(pred.weights[idx] @ data.hidden[i]))]
+        target_pick = idx[int(np.argmax(data.logits[i][idx]))]
         hits += int(probe_pick == target_pick)
-    return hits / len(dataset)
+    return hits / len(data.example)
 
 
 def calibrate_projection(

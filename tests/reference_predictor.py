@@ -1,16 +1,18 @@
 """Slow reference for probe training and its distillation dataset.
 
 The functions below are the loss, gradient and training loop as they stood
-before training ran on stacked (N, k) arrays: ``cand_loss`` and the
-candidate-restricted part of ``total_loss_grad`` loop over examples, and
-``train`` restacks every mini-batch from example objects.  The property
-tests check that :mod:`flashspec.predictor` returns identical losses,
-gradients, trained weights and loss curves.
+before training ran on stacked arrays: they read a list of per-example
+records, ``cand_loss`` and the candidate-restricted part of
+``total_loss_grad`` loop over examples, and ``train`` restacks every
+mini-batch and evaluates the loss curve over every example.  The property
+tests check that :mod:`flashspec.predictor`, training on a distillation set
+of distinct rows, returns identical losses, gradients, trained weights and
+loss curves.
 
 ``build_distillation_dataset`` is the builder as it stood before it worked
 per distinct context tail: one ``draft_candidates`` call and two target
-reads per example.  A property test checks that the per-tail builder
-returns identical examples.
+reads per example.  A property test checks that the per-tail builder's set,
+expanded to its examples, holds identical examples.
 """
 
 from __future__ import annotations
@@ -21,11 +23,8 @@ import numpy as np
 
 from flashspec.errors import ContractError, TrainingDiverged
 from flashspec.models import LayeredTargetModel, ProbModel, draft_candidates
-from flashspec.predictor import (
-    EarlyExitPredictor,
-    TrainConfig,
-    TrainingExample,
-)
+from flashspec.predictor import EarlyExitPredictor, TrainConfig
+from helpers import TrainingExample
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:

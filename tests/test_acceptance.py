@@ -30,7 +30,6 @@ from flashspec.predictor import (
     EarlyExitPredictor,
     ExactProbeSource,
     TrainConfig,
-    TrainingExample,
     build_distillation_dataset,
     default_exit_layer,
     train,
@@ -40,10 +39,12 @@ from flashspec.simulator import ar_step_latency, load_preset, simulate_decode
 from flashspec.tree import ROOT_ID, TokenTree
 from flashspec.verification import CycleRecord, run_decode
 from helpers import (
+    TrainingExample,
     affine_profile,
     calibrate_projection,
     candidate_top1_agreement,
     child_by_token,
+    distillation_set,
     marginal_cost,
     total_loss,
     total_loss_grad,
@@ -321,14 +322,16 @@ def test_criterion_06_predictor_gradients_and_training(report):
         v, d = 32, 16
         W = rng.standard_normal((v, d)) * 0.3
         pred = EarlyExitPredictor(W, layer=1)
-        batch = [
-            TrainingExample(
-                rng.standard_normal(d),
-                rng.standard_normal(v),
-                tuple(sorted(rng.choice(v, size=4, replace=False).tolist())),
-            )
-            for _ in range(8)
-        ]
+        batch = distillation_set(
+            [
+                TrainingExample(
+                    rng.standard_normal(d),
+                    rng.standard_normal(v),
+                    tuple(sorted(rng.choice(v, size=4, replace=False).tolist())),
+                )
+                for _ in range(8)
+            ]
+        )
         cfg = TrainConfig()
         grad = total_loss_grad(pred, batch, cfg)
         step = 1e-4
@@ -350,14 +353,14 @@ def test_criterion_06_predictor_gradients_and_training(report):
     target = LayeredTargetModel(32, 2, depth=6, hidden_dim=16, seed=5)
     draft = derive_draft(target, 0.8, noise_seed=6)
     layer = default_exit_layer(target.depth)
-    dataset = build_distillation_dataset(target, draft, layer, 2000, k=4, seed=5)
+    data = build_distillation_dataset(target, draft, layer, 2000, k=4, seed=5)
     pred0 = EarlyExitPredictor.zeros(32, 16, layer)
     cfg = TrainConfig(epochs=20, seed=1)
-    before_loss = total_loss(pred0, dataset, cfg)
-    before_agree = candidate_top1_agreement(pred0, dataset)
-    trained, curve = train(pred0, dataset, cfg)
-    after_loss = total_loss(trained, dataset, cfg)
-    after_agree = candidate_top1_agreement(trained, dataset)
+    before_loss = total_loss(pred0, data, cfg)
+    before_agree = candidate_top1_agreement(pred0, data)
+    trained, curve = train(pred0, data, cfg)
+    after_loss = total_loss(trained, data, cfg)
+    after_agree = candidate_top1_agreement(trained, data)
     train_ok = after_loss < before_loss and after_agree > before_agree
 
     report(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -480,6 +481,60 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                ["policy=lever", 'model.type="layered"', "predictor_examples=0"],
+                "predictor_examples must be >= 1",
+            ),
+            (["policy=lever", "drafting.k=64"], "drafting.k=64 exceeds vocab_size=32"),
+            (
+                ["policy=lever_noprune", "drafting.k=64"],
+                "drafting.k=64 exceeds vocab_size=32",
+            ),
+            (
+                ["policy=balanced_tree", "balanced_fanout=64"],
+                "balanced_fanout=64 exceeds vocab_size=32",
+            ),
+        ],
+        ids=["no-examples", "lever-k", "lever-noprune-k", "balanced-fanout"],
+    )
+    def test_size_beyond_its_bound_is_clean_error(self, capsys, overrides, message):
+        argv = ["run", "--set", "trials=1"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+
+    def test_train_predictor_outputs_are_pinned(self, tmp_path):
+        """Digests of a small layered probe's checkpoint and loss curve, so
+        a change to training rounding fails here.  Recorded with numpy 2.4
+        and OpenBLAS 0.3 on x86-64; another BLAS kernel may round otherwise."""
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(
+            json.dumps(
+                {"model": {"type": "layered"}, "predictor_examples": 300,
+                 "training": {"epochs": 2}}
+            )
+        )
+        out = tmp_path / "pred"
+        assert cli_main(
+            ["train-predictor", "--config", str(cfg_path), "--out", str(out)]
+        ) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("predictor.json", "loss_curve.csv")
+        }
+        assert digests == {
+            "predictor.json":
+                "6c03b08782724010d831e074352d6c4b66491e77ebd6e00cac7237f128ebb3d4",
+            "loss_curve.csv":
+                "5b0d55326124add5342e6d7d1a8bd3f48af84fd1020e331f3d54a465945ab9a5",
+        }
 
     def test_unknown_nested_override_is_clean_error(self, capsys):
         rc = cli_main(["run", "--set", "drafting.typo=1"])

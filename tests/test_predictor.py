@@ -6,9 +6,9 @@ import pytest
 from flashspec.errors import ContractError, TrainingDiverged
 from flashspec.models import LayeredTargetModel, derive_draft
 from flashspec.predictor import (
+    DistillationSet,
     EarlyExitPredictor,
     TrainConfig,
-    TrainingExample,
     build_distillation_dataset,
     default_exit_layer,
     load_checkpoint,
@@ -18,8 +18,10 @@ from flashspec.predictor import (
 from flashspec.pruning import normalize_scores
 from flashspec.tree import ROOT_ID, TokenTree
 from helpers import (
+    TrainingExample,
     cand_loss,
     candidate_top1_agreement,
+    distillation_set,
     kd_loss,
     total_loss,
     total_loss_grad,
@@ -28,6 +30,10 @@ from helpers import (
 
 def example(h, z, cands):
     return TrainingExample(np.asarray(h, float), np.asarray(z, float), tuple(cands))
+
+
+def one_example(h, z, cands):
+    return distillation_set([example(h, z, cands)])
 
 
 def root_scores(pred, h, tokens, tau=1.0):
@@ -81,13 +87,13 @@ class TestKDLoss:
         # probe output Wh equals the target logits for every example
         W = np.eye(3)
         pred = EarlyExitPredictor(W, layer=1)
-        batch = [example([1.0, 0.0, -1.0], [1.0, 0.0, -1.0], (0, 1))]
+        batch = one_example([1.0, 0.0, -1.0], [1.0, 0.0, -1.0], (0, 1))
         assert kd_loss(pred, batch, 2.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_token_closed_form(self):
         # teacher z=[1,0], student Wh=[0,0], tau=1
         pred = EarlyExitPredictor(np.zeros((2, 1)), layer=1)
-        batch = [example([1.0], [1.0, 0.0], (0, 1))]
+        batch = one_example([1.0], [1.0, 0.0], (0, 1))
         p = np.array([math.e / (math.e + 1), 1 / (math.e + 1)])
         expect = float((p * np.log(p / 0.5)).sum())
         assert kd_loss(pred, batch, 1.0) == pytest.approx(expect, rel=1e-12)
@@ -95,15 +101,16 @@ class TestKDLoss:
     def test_temperature_scaling_matches_reevaluation(self):
         rng = np.random.default_rng(1)
         pred = EarlyExitPredictor(rng.standard_normal((5, 3)), layer=1)
-        batch = [
+        examples = [
             example(rng.standard_normal(3), rng.standard_normal(5), (0, 1, 2))
             for _ in range(4)
         ]
+        batch = distillation_set(examples)
         for tau in (0.5, 1.0, 3.0):
             got = kd_loss(pred, batch, tau)
             # independent re-evaluation of tau^2 * sum KL(tempered || tempered)
             total = 0.0
-            for ex in batch:
+            for ex in examples:
                 p = np.exp(ex.logits / tau)
                 p /= p.sum()
                 s = pred.weights @ ex.hidden
@@ -118,12 +125,12 @@ class TestCandLoss:
         # values agree on the candidate set, differ elsewhere
         W = np.diag([1.0, 1.0, 5.0])
         pred = EarlyExitPredictor(W, layer=1)
-        batch = [example([1.0, 2.0, 3.0], [1.0, 2.0, 99.0], (0, 1))]
+        batch = one_example([1.0, 2.0, 3.0], [1.0, 2.0, 99.0], (0, 1))
         assert cand_loss(pred, batch, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_candidate_closed_form(self):
         pred = EarlyExitPredictor(np.zeros((3, 1)), layer=1)
-        batch = [example([1.0], [2.0, 0.0, -1.0], (0, 1))]
+        batch = one_example([1.0], [2.0, 0.0, -1.0], (0, 1))
         # restricted teacher softmax over {0,1} of [2,0]; student uniform
         p0 = math.exp(2.0) / (math.exp(2.0) + 1.0)
         p = np.array([p0, 1 - p0])
@@ -135,20 +142,22 @@ class TestCandLoss:
         W = rng.standard_normal((4, 4))
         h = rng.standard_normal(4)
         pred = EarlyExitPredictor(W, layer=1)
-        batch = [example(h, W @ h, (1, 2, 3))]
+        batch = one_example(h, W @ h, (1, 2, 3))
         assert cand_loss(pred, batch, 2.0) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestGradient:
     def _random_batch(self, rng, n, v, d, k):
-        return [
-            example(
-                rng.standard_normal(d),
-                rng.standard_normal(v),
-                tuple(sorted(rng.choice(v, size=k, replace=False).tolist())),
-            )
-            for _ in range(n)
-        ]
+        return distillation_set(
+            [
+                example(
+                    rng.standard_normal(d),
+                    rng.standard_normal(v),
+                    tuple(sorted(rng.choice(v, size=k, replace=False).tolist())),
+                )
+                for _ in range(n)
+            ]
+        )
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_matches_central_finite_differences(self, seed):
@@ -202,7 +211,7 @@ class TestDistillationDataset:
         target = LayeredTargetModel(8, 2, depth=4, hidden_dim=4, seed=1)
         draft = derive_draft(target, 0.5, noise_seed=2)
         args = dict(layer=2, n_examples=10, k=3, seed=0, min_len=1, max_len=5)
-        assert len(build_distillation_dataset(target, draft, **args)) == 10
+        assert len(build_distillation_dataset(target, draft, **args).example) == 10
         with pytest.raises(ContractError, match=message):
             build_distillation_dataset(target, draft, **{**args, **overrides})
 
@@ -212,55 +221,73 @@ class TestTraining:
         target = LayeredTargetModel(32, 2, depth=6, hidden_dim=16, seed=seed)
         draft = derive_draft(target, 0.8, noise_seed=seed + 1)
         layer = default_exit_layer(target.depth)
-        dataset = build_distillation_dataset(
-            target, draft, layer, n, k=4, seed=seed
-        )
-        return target, layer, dataset
+        data = build_distillation_dataset(target, draft, layer, n, k=4, seed=seed)
+        return target, layer, data
 
     def test_loss_decreases(self):
-        _, layer, dataset = self._setup()
+        _, layer, data = self._setup()
         pred = EarlyExitPredictor.zeros(32, 16, layer)
         cfg = TrainConfig(epochs=5, seed=1)
-        trained, curve = train(pred, dataset, cfg)
+        trained, curve = train(pred, data, cfg)
         assert curve[-1] < curve[0]
         assert len(curve) == cfg.epochs + 1
 
     def test_zero_init_initial_loss_is_uniform_student(self):
-        _, layer, dataset = self._setup(n=50)
+        _, layer, data = self._setup(n=50)
         pred = EarlyExitPredictor.zeros(32, 16, layer)
         cfg = TrainConfig(lambda_cand=0.0, tau_kd=2.0)
-        got = kd_loss(pred, dataset, cfg.tau_kd)
+        got = kd_loss(pred, data, cfg.tau_kd)
         # uniform student: KL(p || uniform) = log V - H(p)
         total = 0.0
-        for ex in dataset:
-            p = np.exp(ex.logits / cfg.tau_kd)
+        for z in data.logits[data.example]:
+            p = np.exp(z / cfg.tau_kd)
             p /= p.sum()
             total += math.log(32) + float((p * np.log(p)).sum())
         assert got == pytest.approx(cfg.tau_kd**2 * total, rel=1e-9)
 
     def test_agreement_improves_over_zero_init(self):
-        _, layer, dataset = self._setup(n=600)
+        _, layer, data = self._setup(n=600)
         pred = EarlyExitPredictor.zeros(32, 16, layer)
-        before = candidate_top1_agreement(pred, dataset)
-        trained, _ = train(pred, dataset, TrainConfig(epochs=10, seed=2))
-        after = candidate_top1_agreement(trained, dataset)
+        before = candidate_top1_agreement(pred, data)
+        trained, _ = train(pred, data, TrainConfig(epochs=10, seed=2))
+        after = candidate_top1_agreement(trained, data)
         assert after > before
 
     def test_training_deterministic(self):
-        _, layer, dataset = self._setup(n=100)
+        _, layer, data = self._setup(n=100)
         pred = EarlyExitPredictor.zeros(32, 16, layer)
         cfg = TrainConfig(epochs=3, seed=9)
-        a, curve_a = train(pred, dataset, cfg)
-        b, curve_b = train(pred, dataset, cfg)
+        a, curve_a = train(pred, data, cfg)
+        b, curve_b = train(pred, data, cfg)
         assert np.array_equal(a.weights, b.weights)
         assert curve_a == curve_b
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_aborts_with_diagnostic(self):
-        _, layer, dataset = self._setup(n=50)
+        _, layer, data = self._setup(n=50)
         pred = EarlyExitPredictor.zeros(32, 16, layer)
         with pytest.raises(TrainingDiverged, match="lr="):
-            train(pred, dataset, TrainConfig(epochs=3, learning_rate=1e308, seed=0))
+            train(pred, data, TrainConfig(epochs=3, learning_rate=1e308, seed=0))
+
+    @pytest.mark.parametrize(
+        "rows, logits_rows, example, message",
+        [
+            (2, 2, [], "non-empty"),
+            (3, 2, [0, 1], "one row per tail"),
+            (2, 2, [0, 2], "outside the 2 rows"),
+            (2, 2, [-1, 0], "outside the 2 rows"),
+        ],
+        ids=["empty", "rows-differ", "index-above", "index-negative"],
+    )
+    def test_set_contract(self, rows, logits_rows, example, message):
+        data = DistillationSet(
+            np.zeros((rows, 3)),
+            np.zeros((logits_rows, 4)),
+            np.zeros((rows, 2), dtype=np.intp),
+            np.array(example, dtype=np.intp),
+        )
+        with pytest.raises(ContractError, match=message):
+            train(EarlyExitPredictor.zeros(4, 3, layer=1), data, TrainConfig(epochs=1))
 
     def test_checkpoint_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)

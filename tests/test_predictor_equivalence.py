@@ -1,5 +1,5 @@
-"""Probe training on stacked arrays, and the distillation dataset built per
-distinct context tail, against the per-example references."""
+"""Probe training on a distillation set of distinct rows, and the set built
+per distinct context tail, against the per-example references."""
 
 import numpy as np
 import pytest
@@ -10,23 +10,30 @@ import reference_predictor as ref
 from flashspec.errors import TrainingDiverged
 from flashspec.models import LayeredTargetModel, derive_draft
 from flashspec.predictor import (
+    DistillationSet,
     EarlyExitPredictor,
     TrainConfig,
-    TrainingExample,
     build_distillation_dataset,
     default_exit_layer,
     train,
 )
-from helpers import cand_loss, kd_loss, total_loss, total_loss_grad
+from helpers import (
+    cand_loss,
+    kd_loss,
+    total_loss,
+    total_loss_grad,
+    training_examples,
+)
 
 
 @st.composite
 def problems(draw):
-    """A probe, a dataset and a training config.  Candidate sets draw k
-    tokens from a shared pool, so examples often share candidates; the
-    dataset size is a whole number of batches plus a drawn remainder.  Some
-    datasets repeat one example object at several positions, as
-    ``build_distillation_dataset`` returns examples that share a tail."""
+    """A probe, a distillation set and a training config.  Candidate sets
+    draw k tokens from a shared pool, so rows often share candidates; the
+    example count is a whole number of batches plus a drawn remainder, so
+    the final batch is often partial and ``batch_size`` often exceeds it.
+    Half the sets draw every example's row index, so rows repeat, in any
+    order (``build_distillation_dataset`` numbers rows by first occurrence)."""
     vocab = draw(st.integers(2, 12))
     dim = draw(st.integers(1, 8))
     k = draw(st.integers(1, min(5, vocab)))
@@ -36,18 +43,20 @@ def problems(draw):
     batch_size = draw(st.integers(1, 16))
     n = draw(st.integers(0, 3)) * batch_size + draw(st.integers(0, batch_size - 1))
     n = max(n, 1)
-    cands = [tuple(draw(st.permutations(pool))[:k]) for _ in range(n)]
+    example = list(range(n))
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, n))
+        example = draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n))
+    rows = max(example) + 1
+    cands = [tuple(draw(st.permutations(pool))[:k]) for _ in range(rows)]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([0.1, 1.0, 5.0]))
-    dataset = [
-        TrainingExample(
-            rng.standard_normal(dim) * scale, rng.standard_normal(vocab) * scale, c
-        )
-        for c in cands
-    ]
-    if draw(st.booleans()):
-        picks = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
-        dataset = [dataset[i] for i in draw(picks)]
+    data = DistillationSet(
+        rng.standard_normal((rows, dim)) * scale,
+        rng.standard_normal((rows, vocab)) * scale,
+        np.array(cands, dtype=np.intp),
+        np.array(example, dtype=np.intp),
+    )
     weights = np.zeros((vocab, dim))
     if draw(st.booleans()):
         weights = rng.standard_normal((vocab, dim)) * 0.3
@@ -60,26 +69,28 @@ def problems(draw):
         batch_size=batch_size,
         seed=draw(st.integers(0, 1000)),
     )
-    return EarlyExitPredictor(weights, layer=1), dataset, cfg
+    return EarlyExitPredictor(weights, layer=1), data, cfg
 
 
 @settings(max_examples=200)
 @given(problems())
 def test_array_core_matches_reference(problem):
-    pred, dataset, cfg = problem
-    assert kd_loss(pred, dataset, cfg.tau_kd) == ref.kd_loss(pred, dataset, cfg.tau_kd)
-    assert cand_loss(pred, dataset, cfg.tau_cand) == ref.cand_loss(
-        pred, dataset, cfg.tau_cand
+    pred, data, cfg = problem
+    examples = training_examples(data)
+    assert kd_loss(pred, data, cfg.tau_kd) == ref.kd_loss(pred, examples, cfg.tau_kd)
+    assert cand_loss(pred, data, cfg.tau_cand) == ref.cand_loss(
+        pred, examples, cfg.tau_cand
     )
-    assert total_loss(pred, dataset, cfg) == ref.total_loss(pred, dataset, cfg)
+    assert total_loss(pred, data, cfg) == ref.total_loss(pred, examples, cfg)
     assert np.array_equal(
-        total_loss_grad(pred, dataset, cfg), ref.total_loss_grad(pred, dataset, cfg)
+        total_loss_grad(pred, data, cfg), ref.total_loss_grad(pred, examples, cfg)
     )
-    fast, fast_curve = train(pred, dataset, cfg)
-    slow, slow_curve = ref.train(pred, dataset, cfg)
-    assert np.array_equal(fast.weights, slow.weights)
+    fast, fast_curve = train(pred, data, cfg)
+    slow, slow_curve = ref.train(pred, examples, cfg)
+    assert fast.weights.tobytes() == slow.weights.tobytes()
     assert fast.layer == slow.layer
     assert fast_curve == slow_curve
+    assert all(type(loss) is float for loss in fast_curve)
 
 
 def _outcome(train_fn, pred, dataset, cfg):
@@ -101,21 +112,20 @@ def _outcome(train_fn, pred, dataset, cfg):
 @pytest.mark.parametrize("lambda_cand", [0.0, 0.5])
 def test_divergence_matches_reference(lr, message, lambda_cand):
     rng = np.random.default_rng(4)
-    dataset = [
-        TrainingExample(
-            rng.standard_normal(6) * 3,
-            rng.standard_normal(10) * 3,
-            tuple(rng.choice(10, size=3, replace=False).tolist()),
-        )
-        for _ in range(21)
-    ]
+    # 21 examples over 9 distinct rows: repeats, in no particular order
+    data = DistillationSet(
+        rng.standard_normal((9, 6)) * 3,
+        rng.standard_normal((9, 10)) * 3,
+        np.array([rng.choice(10, size=3, replace=False) for _ in range(9)]),
+        rng.integers(0, 9, size=21),
+    )
     pred = EarlyExitPredictor.zeros(10, 6, layer=2)
     cfg = TrainConfig(
         learning_rate=lr, epochs=3, batch_size=8, seed=3, lambda_cand=lambda_cand
     )
-    fast = _outcome(train, pred, dataset, cfg)
+    fast = _outcome(train, pred, data, cfg)
     assert fast == (TrainingDiverged, f"{message} (lr={lr}, batch=8)")
-    assert fast == _outcome(ref.train, pred, dataset, cfg)
+    assert fast == _outcome(ref.train, pred, training_examples(data), cfg)
 
 
 def test_layered_dataset_matches_reference():
@@ -124,12 +134,13 @@ def test_layered_dataset_matches_reference():
     target = LayeredTargetModel(32, 2, depth=6, hidden_dim=32, seed=3)
     draft = derive_draft(target, 0.45, noise_seed=104)
     layer = default_exit_layer(target.depth)
-    dataset = build_distillation_dataset(target, draft, layer, 300, 4, seed=0)
+    data = build_distillation_dataset(target, draft, layer, 300, 4, seed=0)
+    assert len(data.hidden) < len(data.example)
     pred = EarlyExitPredictor.zeros(32, 32, layer)
     cfg = TrainConfig(epochs=2)
-    fast, fast_curve = train(pred, dataset, cfg)
-    slow, slow_curve = ref.train(pred, dataset, cfg)
-    assert np.array_equal(fast.weights, slow.weights)
+    fast, fast_curve = train(pred, data, cfg)
+    slow, slow_curve = ref.train(pred, training_examples(data), cfg)
+    assert fast.weights.tobytes() == slow.weights.tobytes()
     assert fast_curve == slow_curve
 
 
@@ -176,14 +187,17 @@ def _models(target_args, draft_args):
 def test_dataset_matches_reference(problem):
     target_args, draft_args, build_args, reads = problem
     target, draft = _models(target_args, draft_args)
-    fast = build_distillation_dataset(target, draft, **build_args)
+    data = build_distillation_dataset(target, draft, **build_args)
     slow = ref.build_distillation_dataset(*_models(target_args, draft_args), **build_args)
+    # one row per distinct tail, numbered in order of first occurrence
+    assert list(dict.fromkeys(data.example.tolist())) == list(range(len(data.hidden)))
+    assert data.candidates.dtype == np.intp
+    fast = training_examples(data)
     assert len(fast) == len(slow) == build_args["n_examples"]
     for a, b in zip(fast, slow):
         assert a.hidden.tobytes() == b.hidden.tobytes()
         assert a.logits.tobytes() == b.logits.tobytes()
         assert a.candidates == b.candidates
-        assert all(type(t) is int for t in a.candidates)
     # passes memoized by the batch read exactly as a fresh model computes them
     fresh = LayeredTargetModel(*target_args)
     for prefix in reads:
