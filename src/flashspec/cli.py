@@ -24,8 +24,13 @@ from .predictor import default_exit_layer, save_checkpoint, save_loss_curve
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     payload = {}
     if args.config:
-        with open(args.config) as fh:
-            payload = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                payload = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError(f"config {args.config} is not a JSON object")
     if args.seed is not None:
         payload["seed"] = args.seed
     if args.policy is not None:

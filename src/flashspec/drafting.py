@@ -30,7 +30,7 @@ shape of every missed lookup, so each missed shape scans the table once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, ContractError
 from .models import ProbModel, draft_candidates
@@ -133,23 +133,6 @@ class LatencyProfile:
                 best_key = key
         return best_key
 
-    @classmethod
-    def grid(
-        cls,
-        price: Callable[[int, int], float],
-        max_nodes: int,
-        max_leaves: int,
-    ) -> "LatencyProfile":
-        """Dense table: every shape with ``nodes <= max_nodes`` and
-        ``leaves <= min(nodes, max_leaves)``, priced by ``price(nodes, leaves)``."""
-        return cls(
-            {
-                (nodes, leaves): price(nodes, leaves)
-                for nodes in range(1, max_nodes + 1)
-                for leaves in range(1, min(nodes, max_leaves) + 1)
-            }
-        )
-
 
 @dataclass(frozen=True)
 class DraftConfig:
@@ -199,10 +182,12 @@ class GainCostEstimate:
 
 @dataclass(frozen=True)
 class StopRecord:
-    reason: str                                      # frontier_empty | stop_rule | node_budget
+    """Why construction ended: ``frontier_empty``, ``node_budget`` or
+    ``stop_rule``, and for ``stop_rule`` the best ratio the rule refused.
+    The gain and cycle cost at the stop are the build's estimate."""
+
+    reason: str
     best_ratio: float | None
-    gain: float
-    cycle_cost: float
 
 
 @dataclass
@@ -319,16 +304,13 @@ def build_tree(
             stop_reason = "node_budget"
             break
 
-    # No exit changes the tree after its last pricing: the stop and the
-    # estimate are both priced at the final shape.
-    verify_cost = profile.lookup(tree.shape)
-    stop = StopRecord(stop_reason, stop_ratio, gain, draft_cost + verify_cost)
-
-    _attach_shadows(tree, (entry for entry, _ in frontier.values()))
-
+    # No exit changes the tree after its last pricing, so the estimate is
+    # the gain and cost the stop was decided on.
     estimate = GainCostEstimate(
-        gain=gain, draft_cost=draft_cost, verify_cost=verify_cost
+        gain=gain, draft_cost=draft_cost, verify_cost=profile.lookup(tree.shape)
     )
+    _attach_shadows(tree, (entry for entry, _ in frontier.values()))
+    stop = StopRecord(stop_reason, stop_ratio)
     return BuildResult(tree, estimate, stop, expansion_counts, candidate_sets)
 
 

@@ -13,11 +13,11 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache, partial
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from types import UnionType
-from typing import Any, Sequence, get_args, get_type_hints
+from typing import Any, Iterable, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .predictor import (
 )
 from .pruning import PruneConfig, TreePruner
 from .simulator import (
+    CycleCost,
     HardwareConfig,
     Metrics,
     ScheduleTrace,
@@ -126,6 +127,8 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if self.predictor_examples < 1:
             raise ConfigError("predictor_examples must be >= 1")
+        if self.projection_mode not in (None, "eager", "ondemand"):
+            raise ConfigError(f"unknown projection mode {self.projection_mode!r}")
         # Candidate sets and balanced-tree levels hold distinct tokens.
         vocab = self.model.vocab_size
         if self.policy.startswith("lever") and self.drafting.k > vocab:
@@ -174,15 +177,15 @@ def _from_fields(cls: type, payload: dict[str, Any], where: str) -> Any:
     values that do not fit their field's annotation; a missing field or a
     wrongly typed value is a :class:`ConfigError` that names the section
     (and the key, for a value that does not fit)."""
-    fields = cls.__dataclass_fields__
-    unknown = set(payload) - set(fields)
+    known = cls.__dataclass_fields__
+    unknown = set(payload) - set(known)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
     hints = _field_types(cls)
     for key, value in payload.items():
         if not _fits(hints[key], value):
             raise ConfigError(
-                f"invalid {where}: {key}={value!r} is not {fields[key].type}"
+                f"invalid {where}: {key}={value!r} is not {known[key].type}"
             )
     try:
         return cls(**payload)
@@ -284,9 +287,16 @@ def seed_profile(cfg: ExperimentConfig, hw: HardwareConfig) -> LatencyProfile:
 
 @lru_cache(maxsize=8)
 def priced_grid(hw: HardwareConfig, max_nodes: int, max_leaves: int) -> LatencyProfile:
-    """The dense profile grid priced by :func:`verify_latency` on ``hw``,
-    cached and shared by every caller."""
-    return LatencyProfile.grid(partial(verify_latency, hw), max_nodes, max_leaves)
+    """The dense profile grid priced by :func:`verify_latency` on ``hw``:
+    every shape with ``nodes <= max_nodes`` and ``leaves <= min(nodes,
+    max_leaves)``, cached and shared by every caller."""
+    return LatencyProfile(
+        {
+            (nodes, leaves): verify_latency(hw, nodes, leaves)
+            for nodes in range(1, max_nodes + 1)
+            for leaves in range(1, min(nodes, max_leaves) + 1)
+        }
+    )
 
 
 def make_pruner(
@@ -301,7 +311,13 @@ def make_pruner(
                     f"target (seed model.seed + 0) only; trial {trial}'s target has "
                     f"seed model.seed + {trial}, so run one trial or train per trial"
                 )
-            pred = load_checkpoint(cfg.predictor_checkpoint)
+            try:
+                pred = load_checkpoint(cfg.predictor_checkpoint)
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(
+                    f"cannot read predictor checkpoint {cfg.predictor_checkpoint}: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
             got = (pred.vocab_size, pred.hidden_dim, pred.layer)
             want = (target.vocab_size, target.hidden_dim, layer)
             if got != want:
@@ -376,6 +392,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         mode=mode,
         projection_mode=cfg.resolved_projection_mode(),
         emitted_tokens=len(decode.tokens),
+        exit_fraction=pruner.exit_fraction if pruner is not None else None,
     )
     return TrialResult(trial, cfg.seed + trial, decode.tokens, metrics, trace, decode)
 
@@ -389,13 +406,9 @@ def geometric_mean(values: Sequence[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-METRIC_FIELDS = (
-    "tokens_per_s",
-    "mean_accepted_len",
-    "target_calls_per_token",
-    "waste_fraction",
-    "speedup_vs_flash_ar",
-)
+METRIC_FIELDS = tuple(f.name for f in fields(Metrics))
+# trace.csv columns after trial and cycle: every CycleCost field, then its total
+TRACE_FIELDS = (*(f.name for f in fields(CycleCost)), "total_ms")
 
 
 @dataclass
@@ -407,58 +420,42 @@ class Report:
     aggregate: dict[str, float]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": self.config,
-                "config_hash": self.config_hash,
-                "seeds": self.seeds,
-                "trials": self.trials,
-                "aggregate": self.aggregate,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def write(self, out_dir: str, traces: list[ScheduleTrace] | None = None) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(self.to_json() + "\n")
-        with open(out / "report.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "seed", *METRIC_FIELDS])
-            for row in self.trials:
-                writer.writerow(
-                    [row["trial"], row["seed"]]
-                    + [repr(row["metrics"][f]) for f in METRIC_FIELDS]
-                )
-        if traces is not None:
-            trace_payload = {
-                "trials": [json.loads(trace.to_json()) for trace in traces]
-            }
-            (out / "trace.json").write_text(
-                json.dumps(trace_payload, sort_keys=True, indent=2) + "\n"
-            )
-            with open(out / "trace.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(
-                    [
-                        "trial", "cycle", "draft_ms", "verify_io_ms",
-                        "verify_compute_ms", "verify_stage_ms", "projection_ms",
-                        "projections_eager", "projections_ondemand",
-                        "waste_proj_ms", "rows_after_prune", "tokens", "total_ms",
-                    ]
-                )
-                for trial, trace in enumerate(traces):
-                    for i, c in enumerate(trace.cycles):
-                        writer.writerow(
-                            [
-                                trial, i, repr(c.draft_ms), repr(c.verify_io_ms),
-                                repr(c.verify_compute_ms), repr(c.verify_stage_ms),
-                                repr(c.projection_ms), c.projections_eager,
-                                c.projections_ondemand, repr(c.waste_proj_ms),
-                                c.rows_after_prune, c.tokens, repr(c.total_ms),
-                            ]
-                        )
+        _write_csv(
+            out / "report.csv",
+            ("trial", "seed", *METRIC_FIELDS),
+            ([row["trial"], row["seed"], *(row["metrics"][f] for f in METRIC_FIELDS)]
+             for row in self.trials),
+        )
+        if traces is None:
+            return
+        payload = {
+            "trials": [
+                {"cycles": [asdict(c) for c in trace.cycles], "totals": trace.totals()}
+                for trace in traces
+            ]
+        }
+        (out / "trace.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_csv(
+            out / "trace.csv",
+            ("trial", "cycle", *TRACE_FIELDS),
+            ([trial, i, *(getattr(c, f) for f in TRACE_FIELDS)]
+             for trial, trace in enumerate(traces)
+             for i, c in enumerate(trace.cycles)),
+        )
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """One header line and the rows; floats are written as their ``repr``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[Report, list[TrialResult]]:
@@ -467,14 +464,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Report, list[TrialResult]]:
         {
             "trial": r.trial,
             "seed": r.seed,
-            "metrics": r.metrics.to_dict(),
+            "metrics": asdict(r.metrics),
             "emitted": r.emitted,
             "cycles": len(r.trace.cycles),
         }
         for r in results
     ]
     aggregate = {
-        f: geometric_mean([r.metrics.to_dict()[f] for r in results])
+        f: geometric_mean([getattr(r.metrics, f) for r in results])
         for f in METRIC_FIELDS
     }
     report = Report(
@@ -499,6 +496,9 @@ def compare_policies(
     tabulate their metrics with speedups normalized to one policy."""
     if not cfgs:
         raise ConfigError("need at least one config")
+    policies = [cfg.policy for cfg in cfgs]
+    if len(set(policies)) < len(policies):
+        raise ConfigError(f"policies {policies} repeat a policy; list each once")
     base = cfgs[0].to_dict()
     for cfg in cfgs[1:]:
         other = cfg.to_dict()

@@ -135,7 +135,7 @@ class LayeredTargetModel(ProbModel):
     tokens, exposing intermediate hidden states for early-exit probes.
 
     ``hidden_at(depth, prefix)`` followed by the output projection reproduces
-    ``logits(prefix)`` exactly.  Weights use unit-variance init scaled by
+    the forward pass's logits exactly.  Weights use unit-variance init scaled by
     1/sqrt(d) so activations stay tame.
     """
 
@@ -220,9 +220,6 @@ class LayeredTargetModel(ProbModel):
         if not (1 <= layer <= self.depth):
             raise ContractError(f"layer {layer} outside [1, {self.depth}]")
         return self._forward(prefix)[0][layer - 1]
-
-    def logits(self, prefix: Sequence[int]) -> np.ndarray:
-        return self._forward(prefix)[1]
 
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
         return self._forward(prefix)[2]

@@ -43,7 +43,7 @@ class RootOnlyPolicy:
         return BuildResult(
             tree=tree,
             estimate=GainCostEstimate(gain=1.0, draft_cost=0.0, verify_cost=0.0),
-            stop=StopRecord("frontier_empty", None, 1.0, 0.0),
+            stop=StopRecord("frontier_empty", None),
             expansion_counts=[],
             candidate_sets={},
         )
@@ -156,7 +156,7 @@ def _grow_levels(
             draft_cost=draft_ms * sum(counts),
             verify_cost=0.0,
         ),
-        stop=StopRecord("frontier_empty", None, 0.0, 0.0),
+        stop=StopRecord("frontier_empty", None),
         expansion_counts=counts,
         candidate_sets=candidate_sets,
     )

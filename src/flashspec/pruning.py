@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ConfigError, ContractError
 from .predictor import EarlyExitPredictor
 from .tree import ROOT_ID, TokenTree, flatten
-from .verification import PruneSummary
 
 
 @dataclass(frozen=True)
@@ -214,18 +213,17 @@ class TreePruner:
         self.hidden_source = hidden_source
         self.cfg = cfg
 
-    def apply(self, tree: TokenTree, context: Sequence[int]) -> PruneSummary:
+    @property
+    def exit_fraction(self) -> float:
+        """Share of the target's depth that scoring runs over the full tree;
+        the simulator charges it on every pruned cycle."""
+        return self.hidden_source.exit_fraction
+
+    def apply(self, tree: TokenTree, context: Sequence[int]) -> PruneDecision:
         layout = flatten(tree)
         rows = [r for r, nid in enumerate(layout.rows) if not tree.is_leaf(nid)]
         ctx = list(context)
         hidden = self.hidden_source.rows([ctx + layout.path_tokens(r) for r in rows])
         parents = [layout.rows[r] for r in rows]
         scores = normalize_scores(self.pred, hidden, tree, parents, self.cfg.tau)
-        decision = prune(tree, scores, self.cfg)
-        return PruneSummary(
-            keep=decision.keep,
-            backbone=decision.backbone,
-            rejected=decision.rejected,
-            leaves=decision.leaves,
-            exit_fraction=self.hidden_source.exit_fraction,
-        )
+        return prune(tree, scores, self.cfg)

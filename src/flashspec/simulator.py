@@ -7,6 +7,12 @@ in the tree shape; draft expansions run serially on the CPU below the
 batching threshold and as batches on the NPU above it; output projection is
 priced either eagerly for every verified row or on demand along the accepted
 path.
+
+A pruned cycle pays the early-exit scoring pass over the full tree for the
+trial's exit fraction of the target's depth, and the kept rows for the rest;
+the caller passes that fraction once per run.  Each priced cycle is one
+:class:`CycleCost`, whose fields are the per-cycle columns of a report's
+trace files.
 """
 
 from __future__ import annotations
@@ -151,9 +157,6 @@ class Metrics:
     waste_fraction: float
     speedup_vs_flash_ar: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ScheduleTrace:
@@ -175,32 +178,26 @@ class ScheduleTrace:
             "total_ms": self.total_ms,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"cycles": [asdict(c) for c in self.cycles], "totals": self.totals()},
-            sort_keys=True,
-        )
-
 
 def price_cycle(
     record: CycleRecord,
     cfg: HardwareConfig,
     projection_mode: str = "ondemand",
+    exit_fraction: float | None = None,
 ) -> CycleCost:
     """Charge one speculative cycle: draft scheduling, overlapped
-    verification (split at the early-exit layer when the cycle was pruned),
-    and output projection."""
+    verification (split at the early-exit layer, ``exit_fraction`` of the
+    target's depth, when the cycle was pruned), and output projection."""
     if projection_mode not in ("eager", "ondemand"):
         raise ConfigError(f"unknown projection mode {projection_mode!r}")
     draft_ms = draft_schedule(record.expansion_counts, cfg)
 
-    full_compute = compute_ms(cfg, record.tree_nodes, record.tree_leaves)
+    compute = compute_ms(cfg, record.rows_verified, record.leaves_verified)
     if record.prune is not None:
-        frac = record.prune.exit_fraction
-        kept_compute = compute_ms(cfg, record.rows_verified, record.leaves_verified)
-        compute = frac * full_compute + (1.0 - frac) * kept_compute
-    else:
-        compute = compute_ms(cfg, record.rows_verified, record.leaves_verified)
+        if exit_fraction is None:
+            raise ContractError("a pruned cycle is priced with an exit fraction")
+        full_compute = compute_ms(cfg, record.tree_nodes, record.tree_leaves)
+        compute = exit_fraction * full_compute + (1.0 - exit_fraction) * compute
 
     io = cfg.io_effective_ms
     stage = _combine(cfg, io, compute)
@@ -236,13 +233,15 @@ def simulate_decode(
     mode: str = "speculative",
     projection_mode: str = "ondemand",
     emitted_tokens: int | None = None,
+    exit_fraction: float | None = None,
 ) -> tuple[ScheduleTrace, Metrics]:
     """Price a decode run and derive throughput metrics.
 
     ``mode='flash_ar'`` charges each cycle the exact single-token step cost
-    (the anchor baseline); ``mode='speculative'`` prices the full pipeline.
-    ``emitted_tokens`` caps the token count at the decode horizon when the
-    final cycle overshot.
+    (the anchor baseline); ``mode='speculative'`` prices the full pipeline,
+    pruned cycles at the pruner's ``exit_fraction``.  ``emitted_tokens``
+    caps the token count at the decode horizon when the final cycle
+    overshot.
     """
     records = list(records)
     if mode == "flash_ar":
@@ -263,7 +262,7 @@ def simulate_decode(
             for r in records
         ]
     elif mode == "speculative":
-        cycles = [price_cycle(r, cfg, projection_mode) for r in records]
+        cycles = [price_cycle(r, cfg, projection_mode, exit_fraction) for r in records]
     else:
         raise ConfigError(f"unknown simulation mode {mode!r}")
 

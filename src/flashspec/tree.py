@@ -17,7 +17,6 @@ and verification walks the built tree restricted to that set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,19 +60,6 @@ class CandidateSet:
         for _, p in self.entries:
             if not (0.0 <= p <= 1.0):
                 raise ContractError(f"candidate probability {p} outside [0, 1]")
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def tokens(self) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.entries)
-
-    def probability(self, token: int) -> float:
-        for t, p in self.entries:
-            if t == token:
-                return p
-        raise KeyError(token)
 
     def __contains__(self, token: int) -> bool:
         return any(t == token for t, _ in self.entries)
@@ -201,21 +187,6 @@ class TokenTree:
             siblings.append(node_id)
             self._node_count += 1
         return node_id
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        rows = [
-            {
-                "id": n.node_id,
-                "parent": n.parent,
-                "token": n.token,
-                "reach": n.reach,
-                "shadow": n.shadow,
-            }
-            for n in self._nodes
-        ]
-        return json.dumps({"nodes": rows}, sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,12 @@ set: the walk stops at a child outside the set, and accepted nodes keep
 their ids in the built tree.  The simulator prices the kept rows as one
 batched pass, but the walk reads the target only on the rows it reaches:
 ``accepted_len + 1`` evaluations per cycle.
+
+Each cycle lands in one :class:`CycleRecord` for the simulator: the built
+and verified shapes, the verification outcome, the build's estimates and
+the pruner's :class:`~flashspec.pruning.PruneDecision`.  The pruner's exit
+fraction is the same for every cycle of a trial, so the harness passes it to
+the simulator once instead of storing it per cycle.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .drafting import (
 )
 from .errors import ContractError
 from .models import ProbModel
+from .pruning import PruneDecision
 # Verification does not flatten, but ``flashbench/tracing.py`` wraps
 # ``verification.flatten`` by name, so the name stays importable here.
 from .tree import ROOT_ID, TokenTree, flatten  # noqa: F401
@@ -110,18 +117,7 @@ class TreePolicy(Protocol):
 
 
 class TreePrunerLike(Protocol):
-    def apply(self, tree: TokenTree, context: Sequence[int]) -> "PruneSummary": ...
-
-
-@dataclass(frozen=True)
-class PruneSummary:
-    """Per-cycle pruning outcome kept for audit and pricing."""
-
-    keep: frozenset[int]                 # verified node ids of the built tree
-    backbone: tuple[int, ...]
-    rejected: bool
-    leaves: int                          # leaves of the kept subtree
-    exit_fraction: float
+    def apply(self, tree: TokenTree, context: Sequence[int]) -> PruneDecision: ...
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,7 @@ class CycleRecord:
     emitted: tuple[int, ...]
     expansion_counts: tuple[int, ...]
     hit: bool | None
-    prune: PruneSummary | None
+    prune: PruneDecision | None          # the pruner's decision, None when unpruned
     gain_estimate: float
     draft_cost_estimate: float
 
@@ -173,13 +169,13 @@ def run_decode(
         outcome = policy.build(prefix, rel, profile)
         tree = outcome.tree
 
-        prune_summary: PruneSummary | None = None
+        decision = None
         keep = None
         shape = tree.shape
         if pruner is not None:
-            prune_summary = pruner.apply(tree, prefix)
-            keep = prune_summary.keep
-            shape = (len(keep), prune_summary.leaves)
+            decision = pruner.apply(tree, prefix)
+            keep = decision.keep
+            shape = (len(keep), decision.leaves)
 
         result = verify_tree(target, prefix, tree, keep)
         tokens.extend(result.emitted)
@@ -198,7 +194,7 @@ def run_decode(
                 emitted=result.emitted,
                 expansion_counts=tuple(outcome.expansion_counts),
                 hit=hit,
-                prune=prune_summary,
+                prune=decision,
                 gain_estimate=outcome.estimate.gain,
                 draft_cost_estimate=outcome.estimate.draft_cost,
             )

@@ -1,7 +1,8 @@
 """Test-side helpers over flashspec's public API: an affine latency
 profile, a tree's summed-reach gain, a child lookup by token, node and leaf
 counts recomputed from scratch, a pruned copy of a tree by compaction, a
-tree rebuilt from its JSON, a frontier entry's marginal cost priced from two
+tree's JSON and the tree rebuilt from it, a candidate set's tokens, a
+layered target's final logits, a frontier entry's marginal cost priced from two
 profile lookups, a per-example training record and its conversions to and
 from a distillation set, the probe's losses and gradient on a set, its
 candidate-restricted top-1 agreement and a one-row projection calibration.
@@ -22,6 +23,7 @@ from flashspec.drafting import (
     is_expandable,
 )
 from flashspec.errors import ConfigError, ContractError, StructureError
+from flashspec.models import LayeredTargetModel
 from flashspec.predictor import (
     DistillationSet,
     EarlyExitPredictor,
@@ -34,7 +36,7 @@ from flashspec.predictor import (
     _total_loss_grad,
 )
 from flashspec.simulator import HardwareConfig, compute_ms
-from flashspec.tree import ROOT_ID, ROOT_PARENT, TokenTree
+from flashspec.tree import ROOT_ID, ROOT_PARENT, CandidateSet, TokenTree
 
 
 def affine_profile(
@@ -44,11 +46,15 @@ def affine_profile(
     max_nodes: int,
     max_leaves: int,
 ) -> LatencyProfile:
-    """Dense monotone seed: ms = c0 + c_node*nodes + c_leaf*leaves."""
-    return LatencyProfile.grid(
-        lambda nodes, leaves: c0 + c_node * nodes + c_leaf * leaves,
-        max_nodes,
-        max_leaves,
+    """Dense monotone seed: ms = c0 + c_node*nodes + c_leaf*leaves over
+    every shape with ``nodes <= max_nodes`` and ``leaves <= min(nodes,
+    max_leaves)``."""
+    return LatencyProfile(
+        {
+            (nodes, leaves): c0 + c_node * nodes + c_leaf * leaves
+            for nodes in range(1, max_nodes + 1)
+            for leaves in range(1, min(nodes, max_leaves) + 1)
+        }
     )
 
 
@@ -116,9 +122,20 @@ def compact_with_map(
     return new_tree, mapping
 
 
+def tree_json(tree: TokenTree) -> str:
+    """Every node of ``tree``, shadows included, in id order as sorted-key
+    JSON: equal trees give equal text, and a tree's insertion order shows."""
+    rows = [
+        {"id": n.node_id, "parent": n.parent, "token": n.token,
+         "reach": n.reach, "shadow": n.shadow}
+        for n in map(tree.node, range(len(tree)))
+    ]
+    return json.dumps({"nodes": rows}, sort_keys=True)
+
+
 def tree_from_json(text: str) -> TokenTree:
-    """The tree that ``TokenTree.to_json`` serialized, rebuilt by
-    inserting its rows in id order."""
+    """The tree that :func:`tree_json` serialized, rebuilt by inserting its
+    rows in id order."""
     rows = sorted(json.loads(text)["nodes"], key=lambda r: r["id"])
     if not rows or rows[0]["id"] != ROOT_ID or rows[0]["parent"] != ROOT_PARENT:
         raise StructureError("serialized tree lacks a root row")
@@ -128,6 +145,16 @@ def tree_from_json(text: str) -> TokenTree:
         if got != row["id"]:
             raise StructureError("serialized node ids are not contiguous")
     return tree
+
+
+def candidate_tokens(cand: CandidateSet) -> tuple[int, ...]:
+    """A candidate set's tokens in entry order."""
+    return tuple(t for t, _ in cand.entries)
+
+
+def layered_logits(model: LayeredTargetModel, prefix: Sequence[int]) -> np.ndarray:
+    """Final logits of ``model``'s memoized forward pass over ``prefix``."""
+    return model._forward(prefix)[1]
 
 
 def shape_after_insert(tree: TokenTree, entry: FrontierEntry) -> tuple[int, int]:

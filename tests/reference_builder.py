@@ -120,7 +120,7 @@ def build_tree(
         rows = tuple((e.parent, e.token, e.reach, mc, ratio) for e, mc, ratio in scored)
 
         if best_ratio <= gain / cycle_cost:
-            stop = StopRecord("stop_rule", best_ratio, gain, cycle_cost)
+            stop = StopRecord("stop_rule", best_ratio)
             stop_frontier = rows
             break
 
@@ -132,15 +132,11 @@ def build_tree(
         if is_expandable(best, cfg):
             expand(node_id)
         if cfg.max_nodes is not None and tree.node_count - 1 >= cfg.max_nodes:
-            stop = StopRecord(
-                "node_budget", None, gain, draft_cost + profile.lookup(tree.shape)
-            )
+            stop = StopRecord("node_budget", None)
             break
 
     if stop is None:
-        stop = StopRecord(
-            "frontier_empty", None, gain, draft_cost + profile.lookup(tree.shape)
-        )
+        stop = StopRecord("frontier_empty", None)
 
     _attach_shadows(tree, frontier)
 

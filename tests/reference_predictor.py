@@ -24,7 +24,7 @@ import numpy as np
 from flashspec.errors import ContractError, TrainingDiverged
 from flashspec.models import LayeredTargetModel, ProbModel, draft_candidates
 from flashspec.predictor import EarlyExitPredictor, TrainConfig
-from helpers import TrainingExample
+from helpers import TrainingExample, candidate_tokens, layered_logits
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -166,10 +166,10 @@ def build_distillation_dataset(
         out.append(
             TrainingExample(
                 hidden=target.hidden_at(layer, prefix),
-                logits=target.logits(prefix),
+                logits=layered_logits(target, prefix),
                 # token order: restriction is a set, and a neutral order keeps
                 # the zero-initialized predictor at chance-level agreement
-                candidates=tuple(sorted(cand.tokens())),
+                candidates=tuple(sorted(candidate_tokens(cand))),
             )
         )
     return out

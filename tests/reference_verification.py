@@ -17,7 +17,7 @@ walks; the engine walks the built tree restricted to the keep set instead.
 The property tests check that :mod:`flashspec.verification`,
 :mod:`flashspec.pruning` and ``helpers.compact_with_map`` give identical
 accepted paths (mapped back to the built tree), emitted tokens, edge scores,
-prune decisions, compacted trees, id mappings and prune summaries.
+prune decisions, compacted trees, id mappings and exit fractions.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from flashspec.models import LayeredTargetModel, ProbModel
 from flashspec.predictor import EarlyExitPredictor
 from flashspec.pruning import PruneConfig, PruneDecision
 from flashspec.tree import ROOT_ID, TokenTree, TreeLayout, flatten
-from flashspec.verification import PruneSummary
 from helpers import child_by_token
 
 
@@ -351,19 +350,15 @@ class TreePruner:
 
     def apply(
         self, tree: TokenTree, context: Sequence[int]
-    ) -> tuple[TokenTree, dict[int, int], PruneSummary]:
-        """The compacted tree, its new-id -> old-id map and the summary;
-        the summary's kept leaves are the compacted tree's leaf count."""
+    ) -> tuple[TokenTree, dict[int, int], PruneDecision]:
+        """The compacted tree, its new-id -> old-id map and the decision;
+        the decision's kept leaves are the compacted tree's leaf count."""
         layout = flatten(tree)
         hidden = self.hidden_source.rows(context, layout)
         scores = normalize_scores(self.pred, hidden, tree, layout, self.cfg.tau)
         decision = prune(tree, scores, self.cfg)
         new_tree, old_to_new = compact_with_map(tree, decision.keep)
-        summary = PruneSummary(
-            keep=decision.keep,
-            backbone=decision.backbone,
-            rejected=decision.rejected,
-            leaves=new_tree.leaf_count,
-            exit_fraction=self.hidden_source.exit_fraction,
+        decision = PruneDecision(
+            decision.keep, decision.rejected, decision.backbone, new_tree.leaf_count
         )
-        return new_tree, {new: old for old, new in old_to_new.items()}, summary
+        return new_tree, {new: old for old, new in old_to_new.items()}, decision

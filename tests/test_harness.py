@@ -33,8 +33,11 @@ from flashspec.harness import (
 )
 from flashspec.predictor import EarlyExitPredictor, load_checkpoint, save_checkpoint
 from flashspec.simulator import HardwareConfig, load_preset, verify_latency
+from helpers import tree_json
 
 ROOT = Path(__file__).resolve().parents[1]
+# CLI flags of a one-trial lever run on the layered target
+LAYERED_LEVER = ["--set", "trials=1", "--set", "policy=lever", "--set", 'model.type="layered"']
 
 
 def small_cfg(**kw):
@@ -64,6 +67,10 @@ class TestConfig:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError):
             small_cfg(policy="warp_drive")
+
+    def test_unknown_projection_mode_rejected_before_any_trial(self):
+        with pytest.raises(ConfigError, match="unknown projection mode 'bogus'"):
+            small_cfg(projection_mode="bogus")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -182,6 +189,31 @@ class TestRunExperiment:
         report, results = run_experiment(small_cfg(policy="flash_ar"))
         assert [r.seed for r in results] == [3, 4]
 
+    def test_report_outputs_are_pinned(self, tmp_path):
+        """Digests of the four files a short run of the shipped config
+        writes, so a writer change that moves a byte fails here.  Recorded
+        with numpy 2.4 on x86-64."""
+        shipped = json.loads((ROOT / "configs" / "lever_default.json").read_text())
+        cfg = replace(
+            ExperimentConfig.from_dict(shipped), trials=2, horizon=32, out_dir=None
+        )
+        report, results = run_experiment(cfg)
+        report.write(str(tmp_path), traces=[r.trace for r in results])
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("report.json", "report.csv", "trace.json", "trace.csv")
+        }
+        assert digests == {
+            "report.json":
+                "e69a301f71a0ca6e9b741518697d2b9fc36a936be1575e40017a6c7c65bc35e7",
+            "report.csv":
+                "3f351eb2d4b3ab4f421018a9cde3fa5bd8b6a07579caec8b682360e019c0d9d1",
+            "trace.json":
+                "9a2a1bc9da89d67d9ed6d3e27494b3f4581d9e1459ef14f83466a7ec0b7a71f4",
+            "trace.csv":
+                "dc5e8bbb97883490b7920ba3f0be453a230e706fe5f76fe021a4f246bf41305a",
+        }
+
 
 class TestGainCostDraftCost:
     def test_lever_plans_with_the_hardware_draft_latency(self):
@@ -195,7 +227,7 @@ class TestGainCostDraftCost:
         want = build_tree(
             context, draft, cfg.drafting, rel, seed_profile(cfg, hw), draft_ms=5.0
         )
-        assert got.tree.to_json() == want.tree.to_json()
+        assert tree_json(got.tree) == tree_json(want.tree)
         assert got.stop == want.stop
         assert got.estimate.draft_cost == 5.0 * len(got.expansion_counts)
 
@@ -255,7 +287,7 @@ class TestProfileGrid:
             run_trial(cfg, trial)
         after = run_trial(cfg, 3)
         assert after.emitted == alone.emitted
-        assert after.trace.to_json() == alone.trace.to_json()
+        assert after.trace == alone.trace
 
 
 class TestComparePolicies:
@@ -452,6 +484,44 @@ class TestCLI:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            (None, ["--config", "{path}"], "cannot read config {path}: "),
+            ("{not json", ["--config", "{path}"], "cannot read config {path}: "),
+            ("[1, 2]", ["--config", "{path}"], "config {path} is not a JSON object"),
+            (
+                None,
+                LAYERED_LEVER + ["--set", "predictor_checkpoint={path}"],
+                "cannot read predictor checkpoint {path}: FileNotFoundError",
+            ),
+            (
+                '{"vocab_size": 32, "layer": 3, "weights": []}',
+                LAYERED_LEVER + ["--set", "predictor_checkpoint={path}"],
+                "cannot read predictor checkpoint {path}: KeyError: 'hidden_dim'",
+            ),
+        ],
+        ids=[
+            "missing-config", "invalid-json", "json-list",
+            "missing-checkpoint", "checkpoint-without-hidden-dim",
+        ],
+    )
+    def test_bad_input_file_is_clean_error(self, tmp_path, capsys, text, argv, message):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        rc = cli_main(["run"] + [arg.format(path=path) for arg in argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(path=path))
+        assert "Traceback" not in err
+
+    def test_repeated_compare_policy_is_clean_error(self, capsys):
+        rc = cli_main(["compare", "--policies", "lever,lever", "--set", "trials=1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: policies ['lever', 'lever'] repeat a policy")
+
     def test_ill_typed_nested_override_is_clean_error(self, capsys):
         rc = cli_main(["run", "--set", 'hardware={"name":"x"}'])
         assert rc == 2
@@ -473,6 +543,7 @@ class TestCLI:
             ("model.seed=-1", "model seed must be >= 0"),
             ("draft.noise_seed=-1", "draft noise_seed must be >= 0"),
             ("training.seed=-1", "training seed must be >= 0"),
+            ("projection_mode=bogus", "unknown projection mode 'bogus'"),
         ],
     )
     def test_ill_typed_value_is_clean_error(self, capsys, override, message):

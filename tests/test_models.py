@@ -16,6 +16,7 @@ from flashspec.models import (
 from flashspec.predictor import ExactProbeSource, LayeredHiddenSource
 from flashspec.seeding import default_rngs, seed_states, uint32_words
 from flashspec.tree import ROOT_ID, TokenTree, flatten
+from helpers import candidate_tokens, layered_logits
 
 
 class FixedModel:
@@ -45,7 +46,7 @@ class TestDraftCandidates:
     def test_uniform_tie_break(self):
         m = FixedModel({(0,): [0.25, 0.25, 0.25, 0.25]})
         cand = draft_candidates(m, [0], 3)
-        assert cand.tokens() == (0, 1, 2)
+        assert candidate_tokens(cand) == (0, 1, 2)
 
     def test_matches_full_sort_oracle(self):
         model = TabularMarkovModel(16, 2, seed=3)
@@ -55,7 +56,7 @@ class TestDraftCandidates:
             cand = draft_candidates(model, prefix, 4)
             p = model.next_dist(prefix)
             oracle = sorted(range(16), key=lambda t: (-p[t], t))[:4]
-            assert list(cand.tokens()) == oracle
+            assert list(candidate_tokens(cand)) == oracle
 
     def test_k_bounds(self):
         model = TabularMarkovModel(8, 1, seed=1)
@@ -123,7 +124,7 @@ class TestLayeredModel:
         prefix = [1, 4, 2]
         h = model.hidden_at(model.depth, prefix)
         assert np.array_equal(model.logit_scale * (model.output_proj @ h),
-                              model.logits(prefix))
+                              layered_logits(model, prefix))
 
     def test_dist_sums_to_one(self):
         model = LayeredTargetModel(32, 2, depth=6, hidden_dim=16, seed=8)
@@ -247,7 +248,7 @@ class TestLayeredMemo:
                 got = model.hidden_at(layer, prefix)
                 expect = reference_hidden(model, layer, prefix)
             elif kind == "logits":
-                got, expect = model.logits(prefix), reference_logits(model, prefix)
+                got, expect = layered_logits(model, prefix), reference_logits(model, prefix)
             else:
                 got, expect = model.next_dist(prefix), reference_dist(model, prefix)
             assert np.array_equal(got, expect)
@@ -260,7 +261,7 @@ class TestLayeredMemo:
         dist = model.next_dist([5])
         assert model.next_dist([0, 5]) is dist
         assert model.next_dist([3, 0, 5]) is dist
-        assert model.logits([5]) is model.logits([1, 0, 5])
+        assert layered_logits(model, [5]) is layered_logits(model, [1, 0, 5])
         assert model.hidden_at(2, [0, 5]) is model.hidden_at(2, [7, 0, 5])
         assert model.next_dist([1, 5]) is not dist
 
@@ -301,7 +302,7 @@ class TestHiddenStates:
         for row, prefix in zip(rows, prefixes):
             h = np.tanh(model.layer_weights[-1] @ row + model.layer_biases[-1])
             logits = model.logit_scale * (model.output_proj @ h)
-            assert np.array_equal(logits, model.logits(prefix))
+            assert np.array_equal(logits, layered_logits(model, prefix))
             e = np.exp(logits - logits.max())
             assert np.array_equal(e / e.sum(), model.next_dist(prefix))
 

@@ -15,7 +15,8 @@ from flashspec.simulator import (
     simulate_decode,
     verify_latency,
 )
-from flashspec.verification import CycleRecord, PruneSummary
+from flashspec.pruning import PruneDecision
+from flashspec.verification import CycleRecord
 from helpers import calibrate_projection
 
 # Measured single-token totals per device preset (compute + I/O).
@@ -211,14 +212,22 @@ class TestSimulateDecode:
 
     def test_pruned_cycle_prices_split_compute(self):
         cfg = dataclasses.replace(load_preset("llama31-8b"), overlap="sum")
-        summary = PruneSummary(
-            keep=frozenset({0}), backbone=(0,), rejected=False,
-            leaves=1, exit_fraction=0.5,
+        decision = PruneDecision(
+            keep=frozenset({0}), rejected=False, backbone=(0,), leaves=1
         )
-        rec = cycle(nodes=20, leaves=6, rows=10, accepted=2, prune=summary)
-        cost = price_cycle(rec, cfg, "ondemand")
+        rec = cycle(nodes=20, leaves=6, rows=10, accepted=2, prune=decision)
+        cost = price_cycle(rec, cfg, "ondemand", exit_fraction=0.5)
         expect = 0.5 * compute_ms(cfg, 20, 6) + 0.5 * compute_ms(cfg, 10, 6)
         assert cost.verify_compute_ms == pytest.approx(expect, rel=1e-12)
+        trace, _ = simulate_decode([rec], cfg, exit_fraction=0.5)
+        assert trace.cycles == [cost]
+        # the split needs the pruner's exit fraction
+        for price in (
+            lambda: price_cycle(rec, cfg, "ondemand"),
+            lambda: simulate_decode([rec], cfg),
+        ):
+            with pytest.raises(ContractError, match="exit fraction"):
+                price()
 
     def test_emitted_token_cap(self):
         cfg = load_preset("llama31-8b")

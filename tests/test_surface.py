@@ -11,6 +11,11 @@ is the package's re-export of a name in ``src/flashspec/__init__.py``.
 Dunder methods, and methods that override a method of a class from outside
 the package (numpy calls ``generate_state`` on a seed sequence), are called
 by code this scan does not read and are skipped.
+
+The scan matches names only, so a test-only definition whose name collides
+with a name production code references escapes it: a test-only method
+``size`` passes because production code reads numpy's ``.size``, and a
+test-only ``to_json`` passes while ``Report.to_json`` is called.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from flashbench.tracing import _span_targets  # noqa: E402
 from flashspec import drafting, harness, pruning, verification  # noqa: E402
-from flashspec.drafting import DraftConfig, LatencyProfile, build_tree  # noqa: E402
+from flashspec.drafting import DraftConfig, build_tree  # noqa: E402
 from flashspec.harness import (  # noqa: E402
     ExperimentConfig,
     ModelSpec,
@@ -26,6 +26,7 @@ from flashspec.predictor import (  # noqa: E402
 )
 from flashspec.pruning import PruneConfig, TreePruner  # noqa: E402
 from flashspec.verification import verify_tree  # noqa: E402
+from helpers import affine_profile  # noqa: E402
 
 
 def recording(monkeypatch, module, attr):
@@ -73,7 +74,7 @@ def test_decode_stages_call_the_traced_names(monkeypatch):
     expands = recording(monkeypatch, drafting, "draft_candidates")
     built = build_tree(
         context, draft, DraftConfig(), DraftConfig().reliability(),
-        LatencyProfile.grid(lambda nodes, leaves: 10.0 + nodes, 64, 16),
+        affine_profile(10.0, 1.0, 0.0, 64, 16),
     )
     assert expands and len(expands) == len(built.expansion_counts)
 

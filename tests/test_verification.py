@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flashspec.drafting import DraftConfig, LatencyProfile, ReliabilityState
+from flashspec.drafting import DraftConfig, ReliabilityState
 from flashspec.models import (
     TabularMarkovModel,
     derive_draft,
@@ -10,6 +10,7 @@ from flashspec.models import (
 from flashspec.policies import ChainPolicy, GainCostPolicy, RootOnlyPolicy
 from flashspec.tree import ROOT_ID, TokenTree
 from flashspec.verification import run_decode, verify_tree
+from helpers import affine_profile
 
 
 class ScriptedModel:
@@ -44,7 +45,7 @@ class RecordingModel:
 
 
 def profile_flat():
-    return LatencyProfile.grid(lambda nodes, leaves: 1000.0, 79, 20)
+    return affine_profile(1000.0, 0.0, 0.0, 79, 20)
 
 
 class TestVerifyTree:

@@ -14,7 +14,7 @@ from flashspec.predictor import EarlyExitPredictor, ExactProbeSource, LayeredHid
 from flashspec.pruning import PruneConfig, TreePruner, normalize_scores, prune
 from flashspec.tree import ROOT_ID, TokenTree
 from flashspec.verification import verify_tree
-from helpers import child_by_token, compact_with_map, recount
+from helpers import child_by_token, compact_with_map, recount, tree_json
 import reference_verification as ref
 
 
@@ -114,13 +114,15 @@ def test_fast_stages_match_reference(case):
     target, context, tree, pred, (source, ref_source), cfg = case
 
     recording = RecordingSource(source)
-    summary = TreePruner(pred, recording, cfg).apply(tree, context)
-    ref_pruned, new_to_old, ref_summary = ref.TreePruner(pred, ref_source, cfg).apply(
+    pruner = TreePruner(pred, recording, cfg)
+    decision = pruner.apply(tree, context)
+    ref_pruned, new_to_old, ref_decision = ref.TreePruner(pred, ref_source, cfg).apply(
         tree, context
     )
-    assert compact_with_map(tree, summary.keep)[0].to_json() == ref_pruned.to_json()
-    assert summary == ref_summary
-    assert (len(summary.keep), summary.leaves) == ref_pruned.shape
+    assert tree_json(compact_with_map(tree, decision.keep)[0]) == tree_json(ref_pruned)
+    assert decision == ref_decision
+    assert (len(decision.keep), decision.leaves) == ref_pruned.shape
+    assert pruner.exit_fraction == ref_source.exit_fraction
     assert recording.prefixes == [
         context + tree.path_tokens(nid) for nid in tree.ids() if tree.children(nid)
     ]
@@ -128,7 +130,7 @@ def test_fast_stages_match_reference(case):
     identity = {nid: nid for nid in tree.ids()}
     for keep, verified, to_built in (
         (None, tree, identity),
-        (summary.keep, ref_pruned, new_to_old),
+        (decision.keep, ref_pruned, new_to_old),
     ):
         counting = CountingTarget(target)
         got = verify_tree(counting, context, tree, keep)
@@ -328,7 +330,7 @@ def test_compaction_by_remapping_matches_reinsertion(case):
     tree, keep = case
     got, mapping = compact_with_map(tree, keep)
     want, want_mapping = ref.compact_with_map(tree, keep)
-    assert got.to_json() == want.to_json()
+    assert tree_json(got) == tree_json(want)
     assert mapping == want_mapping
     assert got.shape == want.shape == recount(got)
 
