@@ -129,6 +129,11 @@ class ExperimentConfig:
             raise ConfigError("predictor_examples must be >= 1")
         if self.projection_mode not in (None, "eager", "ondemand"):
             raise ConfigError(f"unknown projection mode {self.projection_mode!r}")
+        if self.predictor_checkpoint and self.model.type != "layered":
+            raise ConfigError(
+                f"predictor_checkpoint needs a layered model; a {self.model.type} "
+                "target prunes with its exact probe"
+            )
         # Candidate sets and balanced-tree levels hold distinct tokens.
         vocab = self.model.vocab_size
         if self.policy.startswith("lever") and self.drafting.k > vocab:

@@ -7,8 +7,8 @@ the padded last-``order`` tokens of the prefix, so outputs are memoized per
 padded tail: tabular rows, and for the layered target one full forward pass
 (every layer's hidden state, the logits and the softmax).  ``next_dists``
 reads many prefixes at once: the layered target computes the passes of its
-missing tails as one batch, and the tabular model seeds its missing rows in
-one vectorized pass.  A memoized value is exactly what a fresh evaluation
+missing tails as one batch, and the tabular model normalizes its missing
+rows as one batch.  A memoized value is exactly what a fresh evaluation
 returns, which keeps the models usable as exact oracles.
 
 For the same reason :func:`draft_candidates` computes one immutable
@@ -21,6 +21,7 @@ the distribution.
 from __future__ import annotations
 
 import abc
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +47,11 @@ class ProbModel(abc.ABC):
         byte-equal to the stacked single reads."""
 
 
+def _stacked(rows: list[np.ndarray], width: int) -> np.ndarray:
+    """``rows`` as one (n, width) array; no rows give shape (0, width)."""
+    return np.stack(rows) if rows else np.empty((0, width))
+
+
 def _padded_tail(prefix: Sequence[int], order: int) -> tuple[int, ...]:
     """Last ``order`` tokens, left-padded with token 0 for short prefixes."""
     tail = tuple(map(int, prefix[-order:]))
@@ -54,16 +60,33 @@ def _padded_tail(prefix: Sequence[int], order: int) -> tuple[int, ...]:
     return tail
 
 
+@cache
+def _seeding():
+    """:mod:`flashspec.seeding`, imported on first use: it loads
+    numpy.random, which importing flashspec otherwise does not."""
+    from . import seeding
+
+    return seeding
+
+
+# Rows per block of tabular generator states.  A power of two, so no block
+# crosses a 2**32 boundary of the row index (where its entropy widens).
+ROW_BLOCK = 1024
+
+
 class TabularMarkovModel(ProbModel):
     """Order-m conditional table over a vocabulary of size V.
 
     Rows of the V^m x V table are materialized lazily but depend only on
-    (seed, row index): row ``idx`` is a gamma draw from
+    (seed, row index): row ``idx`` is a gamma draw from the stream of
     ``default_rng([seed, idx])``, so evaluation order never affects results.
-    ``next_dists`` derives the generator states of all its missing rows in
-    one vectorized pass (:func:`flashspec.seeding.default_rngs`), draws each
-    gamma row from its generator and normalizes them all as one batch, with
-    the same bytes as single reads.
+    The generator states come from a lazily built table, one per block of
+    ``ROW_BLOCK`` consecutive row indices: the first read in a block derives
+    the PCG64 state words of all its rows in one vectorized pass
+    (:func:`flashspec.seeding.block_states`), and every row of the block
+    then starts its generator from its own words.  ``row`` and
+    ``next_dists`` share this path; ``next_dists`` normalizes all its
+    missing rows as one batch, with the same bytes as single reads.
     The ``concentration`` parameter shapes row peakedness (gamma-normalized
     draws; small values give near-deterministic rows).
     """
@@ -86,6 +109,7 @@ class TabularMarkovModel(ProbModel):
         self.seed = int(seed)
         self.concentration = float(concentration)
         self._rows: dict[int, np.ndarray] = {}
+        self._states: dict[int, np.ndarray] = {}   # block -> (ROW_BLOCK, 4) words
 
     def row_index(self, key: tuple[int, ...]) -> int:
         idx = 0
@@ -95,17 +119,25 @@ class TabularMarkovModel(ProbModel):
             idx = idx * self.vocab_size + t
         return idx
 
-    def _draw(self, rng: np.random.Generator) -> np.ndarray:
-        raw = rng.gamma(self.concentration, size=self.vocab_size)
-        raw = np.maximum(raw, 1e-300)
-        return raw / raw.sum()
+    def _gamma(self, idx: int) -> np.ndarray:
+        """Unnormalized gamma row ``idx``, drawn from the generator that
+        ``default_rng([seed, idx])`` would build."""
+        seeding = _seeding()
+        block, offset = divmod(idx, ROW_BLOCK)
+        states = self._states.get(block)
+        if states is None:
+            start = block * ROW_BLOCK
+            count = min(ROW_BLOCK, self.vocab_size**self.order - start)
+            states = self._states[block] = seeding.block_states(self.seed, start, count)
+        return seeding.generator(states[offset]).gamma(self.concentration, size=self.vocab_size)
 
     def row(self, key: tuple[int, ...]) -> np.ndarray:
         idx = self.row_index(key)
         cached = self._rows.get(idx)
         if cached is None:
-            cached = self._draw(np.random.default_rng([self.seed, idx]))
-            self._rows[idx] = cached
+            cached = self._rows[idx] = self._gamma(idx)
+            np.maximum(cached, 1e-300, out=cached)
+            cached /= cached.sum()
         return cached
 
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
@@ -115,15 +147,10 @@ class TabularMarkovModel(ProbModel):
         idxs = [self.row_index(_padded_tail(p, self.order)) for p in prefixes]
         missing = list(dict.fromkeys(i for i in idxs if i not in self._rows))
         if missing:
-            # Imported on first use: it loads numpy.random, which importing
-            # flashspec otherwise does not.
-            from .seeding import default_rngs
-
-            gammas = [rng.gamma(self.concentration, size=self.vocab_size)
-                      for rng in default_rngs(self.seed, missing)]
-            raw = np.maximum(gammas, 1e-300)    # _draw's arithmetic, on all rows
-            self._rows.update(zip(missing, raw / raw.sum(axis=1, keepdims=True)))
-        return np.stack([self._rows[i] for i in idxs])
+            raw = np.maximum([self._gamma(i) for i in missing], 1e-300)   # row's arithmetic
+            raw /= raw.sum(axis=1, keepdims=True)
+            self._rows.update(zip(missing, raw))
+        return _stacked([self._rows[i] for i in idxs], self.vocab_size)
 
 
 # (hidden state after each layer, logits, softmax) of one layered forward pass
@@ -185,7 +212,7 @@ class LayeredTargetModel(ProbModel):
         return [self._passes[t] for t in tails]
 
     def next_dists(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        return np.stack([dist for _, _, dist in self.forward_tails(prefixes)])
+        return _stacked([dist for _, _, dist in self.forward_tails(prefixes)], self.vocab_size)
 
     def _forward(self, prefix: Sequence[int]) -> _ForwardPass:
         tail = _padded_tail(prefix, self.order)

@@ -1,21 +1,27 @@
-"""numpy's ``SeedSequence`` state derivation, vectorized over many seeds.
+"""numpy's ``SeedSequence`` state derivation, vectorized over a block of keys.
 
-``default_rngs(seed, keys)`` returns, for every key, a generator whose
-stream is byte-for-byte that of ``np.random.default_rng([seed, key])``.
-numpy hashes one entropy list at a time; here the hash runs once over all
-keys of one entropy width, because the hash constants advance the same way
-for every list of that width.  Only the gamma draws themselves stay per key.
+``block_states(seed, start, count)`` returns, for every key ``idx`` in
+``[start, start + count)``, the PCG64 state words that
+``np.random.default_rng([seed, idx])`` starts from, and ``generator(state)``
+builds a generator from one such row; its stream is byte-for-byte that of
+``default_rng([seed, idx])``.  numpy hashes one entropy list at a time; here
+the hash runs once over the whole block, because the hash constants advance
+the same way for every list of one entropy width, and the keys of a block
+share that width.  Only the draws themselves stay per key.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import cache
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-_MASK32 = np.uint64(0xFFFFFFFF)
-_SHIFT = np.uint64(16)
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
 
 
 def uint32_words(n: int) -> list[int]:
@@ -30,45 +36,69 @@ def uint32_words(n: int) -> list[int]:
     return words
 
 
-def seed_states(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of
-    ``entropy`` (n, w): 32-bit entropy words held in uint64.
+@cache
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count`` values of one of numpy's hash-constant sequences,
+    as a read-only (count, 1) uint32 column."""
+    values = [init]
+    for _ in range(count - 1):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    column = np.array(values, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
 
-    This is numpy's algorithm with its pool of four words; all arithmetic
-    is mod 2**32.
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """numpy's ``hashmix`` of each row of ``value`` (m, n), the i-th with
+    the (i, i + 1)-th of ``consts`` (m + 1, 1); uint32 arithmetic wraps
+    mod 2**32 as numpy's does."""
+    value = value ^ consts[:-1]
+    value *= consts[1:]
+    value ^= value >> _SHIFT
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's ``mix`` of two pool words, elementwise."""
+    r = _MIX_L * x - _MIX_R * y
+    r ^= r >> _SHIFT
+    return r
+
+
+def block_states(seed: int, start: int, count: int) -> np.ndarray:
+    """PCG64 state words of ``np.random.default_rng([seed, idx])`` for every
+    ``idx`` in ``[start, start + count)``: shape (count, 4), uint64.
+
+    The keys must differ only in their lowest 32-bit word, so that they
+    share one entropy width: an aligned block of a power-of-two size up to
+    2**32 always does.  This is ``SeedSequence([seed, idx]).generate_state(4,
+    np.uint64)`` with its pool of four words, each step run on all keys at
+    once and on every pool word it updates at once.
     """
-    n, width = entropy.shape
-    hash_a = 0x43B0D7E5
+    if count < 1:
+        raise ValueError(f"expected at least one key, got count={count}")
+    seed_words, key_words = uint32_words(seed), uint32_words(start)
+    if key_words[0] + count > 2**32:
+        raise ValueError(f"keys [{start}, {start + count}) cross a 2**32 boundary")
+    width = len(seed_words) + len(key_words)
+    entropy = np.zeros((max(width, 4), count), dtype=np.uint32)  # one key per column
+    entropy[:width] = np.array(seed_words + key_words, dtype=np.uint32)[:, None]
+    entropy[len(seed_words)] += np.arange(count, dtype=np.uint32)
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_a
-        value = value ^ np.uint64(hash_a)
-        hash_a = (hash_a * 0x931E8875) & 0xFFFFFFFF
-        value = (value * np.uint64(hash_a)) & _MASK32
-        return value ^ (value >> _SHIFT)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = (np.uint64(0xCA01F9DD) * x - np.uint64(0x4973F715) * y) & _MASK32
-        return r ^ (r >> _SHIFT)
-
-    zero = np.zeros(n, dtype=np.uint64)
-    pool = [hashmix(entropy[:, i] if i < width else zero) for i in range(4)]
+    a = _hash_constants(_INIT_A, _MULT_A, 4 * max(width, 4) + 1)
+    pool = _hashmix(entropy[:4], a[:5])
+    at = 4
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        # pool[src] stays fixed while it mixes into the other three words,
+        # so those three updates run together.
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[at:at + 4]))
+        at += 3
     for src in range(4, width):
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-
-    hash_b = 0x8B51F9DD
-    state = np.empty((n, 8), dtype="<u4")
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint64(hash_b)
-        hash_b = (hash_b * 0x58F38DED) & 0xFFFFFFFF
-        value = (value * np.uint64(hash_b)) & _MASK32
-        state[:, i] = value ^ (value >> _SHIFT)
-    return state.view("<u8")
+        pool = _mix(pool, _hashmix(entropy[src], a[at:at + 5]))
+        at += 4
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 9))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
 
 
 class _FixedSeed(ISeedSequence):
@@ -83,14 +113,6 @@ class _FixedSeed(ISeedSequence):
         return self.state
 
 
-def default_rngs(seed: int, keys: Sequence[int]) -> list[np.random.Generator]:
-    """``np.random.default_rng([seed, key])`` for every key, in order."""
-    seed_words = uint32_words(seed)
-    entropy = [seed_words + uint32_words(key) for key in keys]
-    rngs: dict[int, np.random.Generator] = {}
-    for width in {len(words) for words in entropy}:
-        at = [i for i, words in enumerate(entropy) if len(words) == width]
-        states = seed_states(np.array([entropy[i] for i in at], dtype=np.uint64))
-        for i, state in zip(at, states):
-            rngs[i] = np.random.Generator(np.random.PCG64(_FixedSeed(state)))
-    return [rngs[i] for i in range(len(keys))]
+def generator(state: np.ndarray) -> np.random.Generator:
+    """A PCG64 generator started from one row of :func:`block_states`."""
+    return np.random.Generator(np.random.PCG64(_FixedSeed(state)))

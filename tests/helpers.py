@@ -2,10 +2,11 @@
 profile, a tree's summed-reach gain, a child lookup by token, node and leaf
 counts recomputed from scratch, a pruned copy of a tree by compaction, a
 tree's JSON and the tree rebuilt from it, a candidate set's tokens, a
-layered target's final logits, a frontier entry's marginal cost priced from two
-profile lookups, a per-example training record and its conversions to and
-from a distillation set, the probe's losses and gradient on a set, its
-candidate-restricted top-1 agreement and a one-row projection calibration.
+tabular row drawn from its own ``default_rng``, a layered target's final
+logits, a frontier entry's marginal cost priced from two profile lookups, a
+per-example training record and its conversions to and from a distillation
+set, the probe's losses and gradient on a set, its candidate-restricted
+top-1 agreement and a one-row projection calibration.
 No engine stage needs them; tests use them as seeds and oracles."""
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from flashspec.drafting import (
     is_expandable,
 )
 from flashspec.errors import ConfigError, ContractError, StructureError
-from flashspec.models import LayeredTargetModel
+from flashspec.models import LayeredTargetModel, TabularMarkovModel
 from flashspec.predictor import (
     DistillationSet,
     EarlyExitPredictor,
@@ -150,6 +151,14 @@ def tree_from_json(text: str) -> TokenTree:
 def candidate_tokens(cand: CandidateSet) -> tuple[int, ...]:
     """A candidate set's tokens in entry order."""
     return tuple(t for t, _ in cand.entries)
+
+
+def tabular_row(model: TabularMarkovModel, idx: int) -> np.ndarray:
+    """Row ``idx`` of ``model`` drawn as it is specified: a gamma row from
+    ``np.random.default_rng([seed, idx])``, floored at 1e-300 and normalized."""
+    raw = np.random.default_rng([model.seed, idx]).gamma(model.concentration, size=model.vocab_size)
+    raw = np.maximum(raw, 1e-300)
+    return raw / raw.sum()
 
 
 def layered_logits(model: LayeredTargetModel, prefix: Sequence[int]) -> np.ndarray:

@@ -516,6 +516,17 @@ class TestCLI:
         assert err.startswith("error: " + message.format(path=path))
         assert "Traceback" not in err
 
+    def test_checkpoint_on_tabular_model_is_clean_error(self, tmp_path, capsys):
+        # a tabular target prunes with its exact probe, which would ignore
+        # the checkpoint without a word
+        path = tmp_path / "missing.json"
+        rc = cli_main(["run", "--set", "policy=lever", "--set", f"predictor_checkpoint={path}",
+                       "--set", "trials=1", "--set", "horizon=4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: predictor_checkpoint needs a layered model")
+        assert "Traceback" not in err
+
     def test_repeated_compare_policy_is_clean_error(self, capsys):
         rc = cli_main(["compare", "--policies", "lever,lever", "--set", "trials=1"])
         assert rc == 2

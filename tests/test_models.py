@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from flashspec.errors import ConfigError, ContractError
 from flashspec.models import (
+    ROW_BLOCK,
     LayeredTargetModel,
     MixtureDraftModel,
     TabularMarkovModel,
@@ -14,9 +15,9 @@ from flashspec.models import (
     target_greedy_decode,
 )
 from flashspec.predictor import ExactProbeSource, LayeredHiddenSource
-from flashspec.seeding import default_rngs, seed_states, uint32_words
+from flashspec.seeding import block_states, generator
 from flashspec.tree import ROOT_ID, TokenTree, flatten
-from helpers import candidate_tokens, layered_logits
+from helpers import candidate_tokens, layered_logits, tabular_row
 
 
 class FixedModel:
@@ -384,37 +385,104 @@ def test_batched_tabular_rows_equal_single_reads(session):
             rows = [model.next_dist(p) for p in prefixes]
         for row, p in zip(rows, prefixes):
             assert row.tobytes() == fresh.next_dist(p).tobytes()
+            idx = model.row_index(_padded_tail(p, model.order))
+            assert row.tobytes() == tabular_row(model, idx).tobytes()
         # every row read, by either path, is drawn once and cached by index
         read |= {model.row_index(_padded_tail(p, model.order)) for p in prefixes}
         assert set(model._rows) == read
+
+
+def _tail_of(idx, vocab, order):
+    """The padded tail whose row index is ``idx``."""
+    return tuple((idx // vocab**i) % vocab for i in reversed(range(order)))
+
+
+@st.composite
+def tabular_block_reads(draw):
+    """A tabular model and row indices at block edges: the last row of the
+    first block and both ends of the second, a partial last block (V^m not a
+    multiple of the block) and indices at or above 2**32, where the key's
+    entropy widens to two words."""
+    vocab, order = draw(
+        st.one_of(
+            st.sampled_from([(40, 2), (13, 3), (2, 11), (2, 33), (3, 21), (5, 14)]),
+            st.tuples(st.integers(1, 40), st.integers(1, 3)),
+        )
+    )
+    seed = draw(st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**64)))
+    last = vocab**order - 1
+    edges = [0, 1023, 1024, 2047, 2048, last - ROW_BLOCK, last - 1, last,
+             2**32 - 1, 2**32, 2**32 + 1023, 2**32 + 1024]
+    index = st.one_of(
+        st.sampled_from([i for i in edges if 0 <= i <= last]), st.integers(0, last)
+    )
+    return (vocab, order, seed), draw(st.lists(index, min_size=1, max_size=8))
+
+
+@settings(max_examples=200)
+@given(tabular_block_reads())
+def test_tabular_rows_equal_their_default_rng_reference(case):
+    """Single and batched reads give, byte for byte, row idx drawn from its
+    own ``np.random.default_rng([seed, idx])``."""
+    args, idxs = case
+    vocab, order, _ = args
+    tails = [_tail_of(i, vocab, order) for i in idxs]
+    single = TabularMarkovModel(*args)
+    batched = TabularMarkovModel(*args).next_dists(tails)
+    assert batched.shape == (len(idxs), vocab)
+    for idx, tail, row in zip(idxs, tails, batched):
+        want = tabular_row(single, idx).tobytes()
+        assert single.row(tail).tobytes() == want
+        assert row.tobytes() == want
 
 
 @settings(max_examples=200)
 @given(
     st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**140)),
     st.lists(
-        st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1), st.integers(0, 2**80)),
+        st.tuples(
+            st.one_of(
+                st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1), st.integers(0, 2**80)
+            ),
+            st.integers(0, 10),
+        ),
         min_size=1,
         max_size=8,
     ),
 )
-def test_state_words_match_seed_sequence(seed, idxs):
-    """The vectorized pass gives the PCG64 state words numpy derives from
-    ``SeedSequence([seed, idx])``, and the generators built from them start
-    where ``default_rng([seed, idx])`` does, in key order across entropy
-    widths; a change in numpy's seeding fails here."""
-    rows = [uint32_words(seed) + uint32_words(i) for i in idxs]
-    for width in {len(r) for r in rows}:
-        group = [(i, r) for i, r in zip(idxs, rows) if len(r) == width]
-        states = seed_states(np.array([r for _, r in group], dtype=np.uint64))
-        for (i, _), state in zip(group, states):
+def test_block_states_match_seed_sequence(seed, keys):
+    """The vectorized pass over an aligned block of 2**bits keys gives, for
+    the drawn key and both ends of its block, the PCG64 state words numpy
+    derives from ``SeedSequence([seed, idx])``, and the generators built
+    from them start where ``default_rng([seed, idx])`` does; a change in
+    numpy's seeding fails here."""
+    for idx, bits in keys:
+        start, count = idx - idx % 2**bits, 2**bits
+        states = block_states(seed, start, count)
+        assert states.shape == (count, 4)
+        for i in dict.fromkeys((idx, start, start + count - 1)):
             want = np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
-            assert state.dtype == want.dtype
-            assert state.tobytes() == want.tobytes()
-    rngs = default_rngs(seed, idxs)
-    assert len(rngs) == len(idxs)
-    for i, rng in zip(idxs, rngs):
-        assert rng.bit_generator.state == np.random.default_rng([seed, i]).bit_generator.state
+            assert states[i - start].dtype == want.dtype
+            assert states[i - start].tobytes() == want.tobytes()
+            got = generator(states[i - start]).bit_generator.state
+            assert got == np.random.default_rng([seed, i]).bit_generator.state
+
+
+@pytest.mark.parametrize("start, count", [(2**32 - 1, 2), (2**64 - 512, 1024), (0, 0)])
+def test_block_states_refuse_a_range_of_two_widths_or_none(start, count):
+    with pytest.raises(ValueError):
+        block_states(7, start, count)
+
+
+@pytest.mark.parametrize("agreement", [0.0, 0.45, 1.0])
+def test_empty_read_gives_zero_rows(agreement):
+    tabular = TabularMarkovModel(16, 2, seed=1)
+    layered = LayeredTargetModel(16, 2, depth=4, hidden_dim=8, seed=2)
+    for model in (tabular, layered, derive_draft(tabular, agreement, 3),
+                  derive_draft(layered, agreement, 3)):
+        rows = model.next_dists([])
+        assert rows.shape == (0, 16)
+        assert rows.dtype == np.float64
 
 
 @st.composite
