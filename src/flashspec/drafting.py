@@ -153,6 +153,10 @@ class DraftConfig:
             raise ConfigError("max_depth must be >= 1")
         if not (0.0 <= self.b_min < 1.0):
             raise ConfigError("b_min must lie in [0, 1)")
+        if not (0.0 < self.beta < 1.0):
+            raise ConfigError("beta must lie in (0, 1)")
+        if not (0.0 < self.r_min <= 1.0):
+            raise ConfigError("r_min must lie in (0, 1]")
         if self.cost_floor_ms <= 0:
             raise ConfigError("cost_floor_ms must be > 0")
 
@@ -196,6 +200,7 @@ class BuildResult:
     estimate: GainCostEstimate
     stop: StopRecord
     expansion_counts: list[int]
+    # per expanded node; the gain-cost policy's feedback reads them
     candidate_sets: dict[int, CandidateSet] = field(default_factory=dict)
 
 

@@ -355,7 +355,9 @@ def train_predictor_for(
     return train(pred, data, cfg.training)
 
 
-def make_policy(cfg: ExperimentConfig, draft: ProbModel, hw: HardwareConfig):
+def make_policy(
+    cfg: ExperimentConfig, draft: ProbModel, hw: HardwareConfig, profile: LatencyProfile
+):
     if cfg.policy == "flash_ar":
         return RootOnlyPolicy()
     if cfg.policy == "chain_sd":
@@ -364,7 +366,9 @@ def make_policy(cfg: ExperimentConfig, draft: ProbModel, hw: HardwareConfig):
         return BalancedTreePolicy(
             draft, cfg.balanced_fanout, cfg.balanced_budget, draft_ms=hw.draft_cpu_ms
         )
-    return GainCostPolicy(draft, cfg.drafting, draft_ms=hw.draft_cpu_ms, name=cfg.policy)
+    return GainCostPolicy(
+        draft, cfg.drafting, profile, draft_ms=hw.draft_cpu_ms, name=cfg.policy
+    )
 
 
 @dataclass
@@ -382,14 +386,10 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     target = make_target(cfg.model, trial)
     draft = make_draft(cfg, target, trial)
     context = make_context(cfg, trial)
-    profile = seed_profile(cfg, hw)
-    rel = cfg.drafting.reliability()
-    policy = make_policy(cfg, draft, hw)
+    policy = make_policy(cfg, draft, hw, seed_profile(cfg, hw))
     pruner = make_pruner(cfg, target, draft, trial) if cfg.policy == "lever" else None
 
-    decode = run_decode(
-        target, context, cfg.horizon, policy, rel, profile, pruner=pruner
-    )
+    decode = run_decode(target, context, cfg.horizon, policy, pruner=pruner)
     mode = "flash_ar" if cfg.policy == "flash_ar" else "speculative"
     trace, metrics = simulate_decode(
         decode.cycles,

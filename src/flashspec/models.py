@@ -325,7 +325,7 @@ def draft_candidates(model: ProbModel, prefix: Sequence[int], k: int) -> Candida
     key = (_padded_tail(prefix, model.order), k)
     cand = memo.get(key)
     if cand is None:
-        p = model.next_dist(prefix)
+        p = model.next_dist(key[0])   # the padded tail: all the model reads
         # Stable sort of -p keeps equal-probability tokens in ascending-id order.
         order = np.argsort(-p, kind="stable")[:k]
         cand = CandidateSet(tuple((int(t), float(p[t])) for t in order))

@@ -13,11 +13,15 @@ their ids in the built tree.  The simulator prices the kept rows as one
 batched pass, but the walk reads the target only on the rows it reaches:
 ``accepted_len + 1`` evaluations per cycle.
 
-Each cycle lands in one :class:`CycleRecord` for the simulator: the built
-and verified shapes, the verification outcome, the build's estimates and
-the pruner's :class:`~flashspec.pruning.PruneDecision`.  The pruner's exit
-fraction is the same for every cycle of a trial, so the harness passes it to
-the simulator once instead of storing it per cycle.
+The decode loop hands every :class:`VerificationResult` back to the policy
+through ``observe``; whatever planning state a policy keeps between cycles
+is its own.  Each cycle lands in one :class:`CycleRecord` for the
+simulator: the built shape, the emitted tokens, the build's expansion
+counts and gain estimate, and the pruner's
+:class:`~flashspec.pruning.PruneDecision`; the accepted length and the
+verified shape are derived from these.  The pruner's exit fraction is the
+same for every cycle of a trial, so the harness passes it to the simulator
+once instead of storing it per cycle.
 """
 
 from __future__ import annotations
@@ -27,12 +31,7 @@ from typing import AbstractSet, Protocol, Sequence
 
 import numpy as np
 
-from .drafting import (
-    BuildResult,
-    LatencyProfile,
-    ReliabilityState,
-    update_reliability,
-)
+from .drafting import BuildResult
 from .errors import ContractError
 from .models import ProbModel
 from .pruning import PruneDecision
@@ -44,9 +43,15 @@ from .tree import ROOT_ID, TokenTree, flatten  # noqa: F401
 @dataclass(frozen=True)
 class VerificationResult:
     accepted_nodes: tuple[int, ...]      # accepted node ids, root excluded
-    accepted_len: int
-    fallback: int
     emitted: tuple[int, ...]             # accepted tokens then the fallback
+
+    @property
+    def accepted_len(self) -> int:
+        return len(self.accepted_nodes)
+
+    @property
+    def fallback(self) -> int:
+        return self.emitted[-1]
 
 
 def verify_tree(
@@ -78,12 +83,7 @@ def verify_tree(
         if node is None or (keep is not None and node not in keep):
             break
         accepted.append(node)
-    return VerificationResult(
-        accepted_nodes=tuple(accepted),
-        accepted_len=len(accepted),
-        fallback=want,
-        emitted=tuple(prefix[len(context):]),
-    )
+    return VerificationResult(tuple(accepted), tuple(prefix[len(context):]))
 
 
 def _check_keep(tree: TokenTree, keep: AbstractSet[int]) -> None:
@@ -104,16 +104,14 @@ def _check_keep(tree: TokenTree, keep: AbstractSet[int]) -> None:
 
 
 class TreePolicy(Protocol):
-    """Anything that can produce the cycle's draft tree."""
+    """Anything that can produce the cycle's draft tree and learn from how
+    verification went."""
 
     name: str
 
-    def build(
-        self,
-        context: Sequence[int],
-        rel: ReliabilityState,
-        profile: LatencyProfile,
-    ) -> BuildResult: ...
+    def build(self, context: Sequence[int]) -> BuildResult: ...
+
+    def observe(self, result: VerificationResult) -> None: ...
 
 
 class TreePrunerLike(Protocol):
@@ -126,22 +124,29 @@ class CycleRecord:
 
     tree_nodes: int                      # pre-prune verification rows
     tree_leaves: int
-    rows_verified: int                   # post-prune rows (== tree_nodes when unpruned)
-    leaves_verified: int
-    accepted_len: int
     emitted: tuple[int, ...]
     expansion_counts: tuple[int, ...]
-    hit: bool | None
     prune: PruneDecision | None          # the pruner's decision, None when unpruned
     gain_estimate: float
-    draft_cost_estimate: float
+
+    @property
+    def accepted_len(self) -> int:
+        return len(self.emitted) - 1
+
+    @property
+    def rows_verified(self) -> int:
+        """Post-prune rows (``tree_nodes`` when unpruned)."""
+        return self.tree_nodes if self.prune is None else len(self.prune.keep)
+
+    @property
+    def leaves_verified(self) -> int:
+        return self.tree_leaves if self.prune is None else self.prune.leaves
 
 
 @dataclass
 class DecodeResult:
     tokens: list[int]
     cycles: list[CycleRecord]
-    reliability: ReliabilityState
 
 
 def run_decode(
@@ -149,16 +154,10 @@ def run_decode(
     context: Sequence[int],
     horizon: int,
     policy: TreePolicy,
-    rel: ReliabilityState,
-    profile: LatencyProfile,
     pruner: TreePrunerLike | None = None,
 ) -> DecodeResult:
-    """Repeat build -> (prune) -> verify until ``horizon`` tokens are out.
-
-    Reliability is updated between cycles from verification feedback; the
-    latency profile is only read.  The final cycle's surplus tokens are
-    truncated.
-    """
+    """Repeat build -> (prune) -> verify -> observe until ``horizon`` tokens
+    are out.  The final cycle's surplus tokens are truncated."""
     if horizon < 1:
         raise ContractError("horizon must be >= 1")
     tokens: list[int] = []
@@ -166,48 +165,23 @@ def run_decode(
 
     while len(tokens) < horizon:
         prefix = list(context) + tokens
-        outcome = policy.build(prefix, rel, profile)
+        outcome = policy.build(prefix)
         tree = outcome.tree
-
-        decision = None
-        keep = None
-        shape = tree.shape
-        if pruner is not None:
-            decision = pruner.apply(tree, prefix)
-            keep = decision.keep
-            shape = (len(keep), decision.leaves)
-
-        result = verify_tree(target, prefix, tree, keep)
+        decision = pruner.apply(tree, prefix) if pruner is not None else None
+        result = verify_tree(
+            target, prefix, tree, decision.keep if decision is not None else None
+        )
+        policy.observe(result)
         tokens.extend(result.emitted)
-
-        hit = _candidate_hit(result, outcome)
-        if hit is not None:
-            rel = update_reliability(rel, hit)
-
         cycles.append(
             CycleRecord(
                 tree_nodes=tree.node_count,
                 tree_leaves=tree.leaf_count,
-                rows_verified=shape[0],
-                leaves_verified=shape[1],
-                accepted_len=result.accepted_len,
                 emitted=result.emitted,
                 expansion_counts=tuple(outcome.expansion_counts),
-                hit=hit,
                 prune=decision,
                 gain_estimate=outcome.estimate.gain,
-                draft_cost_estimate=outcome.estimate.draft_cost,
             )
         )
 
-    return DecodeResult(tokens[:horizon], cycles, rel)
-
-
-def _candidate_hit(result: VerificationResult, outcome: BuildResult) -> bool | None:
-    """Whether the fallback token was inside the stop node's candidate set;
-    nodes that were never expanded give no feedback."""
-    stop_node = result.accepted_nodes[-1] if result.accepted_nodes else ROOT_ID
-    cand = outcome.candidate_sets.get(stop_node)
-    if cand is None:
-        return None
-    return result.fallback in cand
+    return DecodeResult(tokens[:horizon], cycles)

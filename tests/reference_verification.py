@@ -18,6 +18,16 @@ The property tests check that :mod:`flashspec.verification`,
 :mod:`flashspec.pruning` and ``helpers.compact_with_map`` give identical
 accepted paths (mapped back to the built tree), emitted tokens, edge scores,
 prune decisions, compacted trees, id mappings and exit fractions.
+
+``run_decode`` is the decode loop as it stood while the loop owned the
+planning state: it takes the reliability and the latency profile, hands
+both to every ``build(context, rel, profile)``, and updates the reliability
+itself (``_candidate_hit`` and ``update_reliability``) from each cycle's
+outcome.  Its records keep every per-cycle fact as a stored field.  The
+engine's gain-cost policy holds that state and applies the same rule in
+``observe``; the property tests check that both loops build the same trees,
+make the same prune decisions, emit the same tokens and end on the same
+reliability.
 """
 
 from __future__ import annotations
@@ -27,11 +37,21 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from flashspec.drafting import (
+    BuildResult,
+    DraftConfig,
+    LatencyProfile,
+    ReliabilityState,
+    build_tree,
+    update_reliability,
+)
 from flashspec.errors import ConfigError, ContractError
 from flashspec.models import LayeredTargetModel, ProbModel
 from flashspec.predictor import EarlyExitPredictor
 from flashspec.pruning import PruneConfig, PruneDecision
 from flashspec.tree import ROOT_ID, TokenTree, TreeLayout, flatten
+from flashspec.verification import VerificationResult as WalkResult
+from flashspec.verification import verify_tree as walk_tree
 from helpers import child_by_token
 
 
@@ -362,3 +382,109 @@ class TreePruner:
             decision.keep, decision.rejected, decision.backbone, new_tree.leaf_count
         )
         return new_tree, {new: old for old, new in old_to_new.items()}, decision
+
+
+@dataclass
+class GainCostBuild:
+    """The gain-cost policy as the old loop called it: the reliability and
+    the profile arrive with every build."""
+
+    draft: ProbModel
+    cfg: DraftConfig
+    draft_ms: float = 2.0
+
+    def build(
+        self, context: Sequence[int], rel: ReliabilityState, profile: LatencyProfile
+    ) -> BuildResult:
+        return build_tree(context, self.draft, self.cfg, rel, profile, draft_ms=self.draft_ms)
+
+
+@dataclass(frozen=True)
+class CycleRecord:
+    tree_nodes: int
+    tree_leaves: int
+    rows_verified: int
+    leaves_verified: int
+    accepted_len: int
+    emitted: tuple[int, ...]
+    expansion_counts: tuple[int, ...]
+    hit: bool | None
+    prune: PruneDecision | None
+    gain_estimate: float
+    draft_cost_estimate: float
+
+
+@dataclass
+class DecodeResult:
+    tokens: list[int]
+    cycles: list[CycleRecord]
+    reliability: ReliabilityState
+    builds: list[BuildResult]            # every cycle's build, in order
+
+
+def run_decode(
+    target: ProbModel,
+    context: Sequence[int],
+    horizon: int,
+    policy: GainCostBuild,
+    rel: ReliabilityState,
+    profile: LatencyProfile,
+    pruner=None,
+) -> DecodeResult:
+    """build -> (prune) -> verify, with the reliability updated between
+    cycles from verification feedback; the final cycle's surplus tokens are
+    truncated."""
+    if horizon < 1:
+        raise ContractError("horizon must be >= 1")
+    tokens: list[int] = []
+    cycles: list[CycleRecord] = []
+    builds: list[BuildResult] = []
+
+    while len(tokens) < horizon:
+        prefix = list(context) + tokens
+        outcome = policy.build(prefix, rel, profile)
+        builds.append(outcome)
+        tree = outcome.tree
+
+        decision = None
+        keep = None
+        shape = tree.shape
+        if pruner is not None:
+            decision = pruner.apply(tree, prefix)
+            keep = decision.keep
+            shape = (len(keep), decision.leaves)
+
+        result = walk_tree(target, prefix, tree, keep)
+        tokens.extend(result.emitted)
+
+        hit = _candidate_hit(result, outcome)
+        if hit is not None:
+            rel = update_reliability(rel, hit)
+
+        cycles.append(
+            CycleRecord(
+                tree_nodes=tree.node_count,
+                tree_leaves=tree.leaf_count,
+                rows_verified=shape[0],
+                leaves_verified=shape[1],
+                accepted_len=len(result.accepted_nodes),
+                emitted=result.emitted,
+                expansion_counts=tuple(outcome.expansion_counts),
+                hit=hit,
+                prune=decision,
+                gain_estimate=outcome.estimate.gain,
+                draft_cost_estimate=outcome.estimate.draft_cost,
+            )
+        )
+
+    return DecodeResult(tokens[:horizon], cycles, rel, builds)
+
+
+def _candidate_hit(result: WalkResult, outcome: BuildResult) -> bool | None:
+    """Whether the fallback token was inside the stop node's candidate set;
+    nodes that were never expanded give no feedback."""
+    stop_node = result.accepted_nodes[-1] if result.accepted_nodes else ROOT_ID
+    cand = outcome.candidate_sets.get(stop_node)
+    if cand is None:
+        return None
+    return result.fallback in cand

@@ -119,14 +119,14 @@ def lossless_sweep():
 
         for alpha in (0.0, 0.5, 1.0):
             draft = derive_draft(target, alpha, int(rng.integers(2**31)))
+            profile = affine_profile(1000.0, 3.0, 1.0, 48, 16)
             policies = {
                 "chain_sd": ChainPolicy(draft, 8),
                 "balanced_tree": BalancedTreePolicy(draft, 2, 16),
-                "lever": GainCostPolicy(draft, cfg),
-                "lever_noprune": GainCostPolicy(draft, cfg),
+                "lever": GainCostPolicy(draft, cfg, profile),
+                "lever_noprune": GainCostPolicy(draft, cfg, profile),
             }
             for name, policy in policies.items():
-                profile = affine_profile(1000.0, 3.0, 1.0, 48, 16)
                 pruner = None
                 if name == "lever":
                     pruner = AuditingPruner(
@@ -137,10 +137,7 @@ def lossless_sweep():
                         ),
                         prune_audits,
                     )
-                res = run_decode(
-                    target, ctx, horizon, policy,
-                    ReliabilityState(), profile, pruner=pruner,
-                )
+                res = run_decode(target, ctx, horizon, policy, pruner=pruner)
                 runs += 1
                 if res.tokens != oracle:
                     mismatches.append((i, alpha, name))
@@ -405,9 +402,8 @@ def test_criterion_08_projection_waste(report):
     )
     records = [
         CycleRecord(
-            tree_nodes=16, tree_leaves=4, rows_verified=16, leaves_verified=4,
-            accepted_len=3, emitted=(0, 1, 2, 3), expansion_counts=(1, 1, 1),
-            hit=None, prune=None, gain_estimate=4.0, draft_cost_estimate=0.0,
+            tree_nodes=16, tree_leaves=4, emitted=(0, 1, 2, 3),
+            expansion_counts=(1, 1, 1), prune=None, gain_estimate=4.0,
         )
         for _ in range(25)
     ]
@@ -418,11 +414,11 @@ def test_criterion_08_projection_waste(report):
     # checked on real decode records
     target = TabularMarkovModel(16, 2, seed=77)
     draft = derive_draft(target, 0.5, noise_seed=78)
-    policy = GainCostPolicy(draft, DraftConfig(k=3, max_depth=4, b_min=0.02))
-    res = run_decode(
-        target, [3, 9], 32, policy, ReliabilityState(),
+    policy = GainCostPolicy(
+        draft, DraftConfig(k=3, max_depth=4, b_min=0.02),
         affine_profile(1000.0, 3.0, 1.0, 64, 16),
     )
+    res = run_decode(target, [3, 9], 32, policy)
     trace, _ = simulate_decode(res.cycles, base, projection_mode="ondemand")
     counts_ok = all(
         cost.projections_ondemand == rec.accepted_len + 1

@@ -222,10 +222,10 @@ class TestGainCostDraftCost:
         target = make_target(cfg.model, 0)
         draft = make_draft(cfg, target, 0)
         context = make_context(cfg, 0)
-        rel = cfg.drafting.reliability()
-        got = make_policy(cfg, draft, hw).build(context, rel, seed_profile(cfg, hw))
+        got = make_policy(cfg, draft, hw, seed_profile(cfg, hw)).build(context)
         want = build_tree(
-            context, draft, cfg.drafting, rel, seed_profile(cfg, hw), draft_ms=5.0
+            context, draft, cfg.drafting, cfg.drafting.reliability(),
+            seed_profile(cfg, hw), draft_ms=5.0,
         )
         assert tree_json(got.tree) == tree_json(want.tree)
         assert got.stop == want.stop
@@ -580,14 +580,45 @@ class TestCLI:
                 ["policy=balanced_tree", "balanced_fanout=64"],
                 "balanced_fanout=64 exceeds vocab_size=32",
             ),
+            (["policy=chain_sd", "chain_length=0"], "chain length must be >= 1"),
+            (
+                ["policy=balanced_tree", "balanced_budget=0"],
+                "fanout and node_budget must be >= 1",
+            ),
+            (
+                ["policy=balanced_tree", "balanced_fanout=0"],
+                "fanout and node_budget must be >= 1",
+            ),
         ],
-        ids=["no-examples", "lever-k", "lever-noprune-k", "balanced-fanout"],
+        ids=[
+            "no-examples", "lever-k", "lever-noprune-k", "balanced-fanout",
+            "chain-length-zero", "balanced-budget-zero", "balanced-fanout-zero",
+        ],
     )
     def test_size_beyond_its_bound_is_clean_error(self, capsys, overrides, message):
         argv = ["run", "--set", "trials=1"]
         for item in overrides:
             argv += ["--set", item]
         assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("policy", ["chain_sd", "balanced_tree", "lever"])
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("drafting.beta=1.5", "beta must lie in (0, 1)"),
+            ("drafting.beta=0", "beta must lie in (0, 1)"),
+            ("drafting.r_min=0", "r_min must lie in (0, 1]"),
+            ("drafting.r_min=1.5", "r_min must lie in (0, 1]"),
+        ],
+    )
+    def test_bad_drafting_feedback_knob_is_clean_error_for_every_policy(
+        self, capsys, policy, override, message
+    ):
+        rc = cli_main(["run", "--policy", policy, "--set", override, "--set", "trials=1"])
+        assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert "Traceback" not in err

@@ -8,6 +8,7 @@ from flashspec.models import (
     ROW_BLOCK,
     LayeredTargetModel,
     MixtureDraftModel,
+    ProbModel,
     TabularMarkovModel,
     _padded_tail,
     derive_draft,
@@ -589,6 +590,43 @@ def test_candidate_sets_are_memoized_per_padded_tail(session):
         assert got.entries == tuple((int(t), float(p[t])) for t in top)
         tail = tuple(([0] * model.order + prefix)[-model.order:])
         assert got is first.setdefault((i, tail, k), got)
+
+
+class RecordingModel(ProbModel):
+    """A tabular model that records every prefix ``next_dist`` reads."""
+
+    def __init__(self, model):
+        self.model = model
+        self.vocab_size = model.vocab_size
+        self.order = model.order
+        self.reads = []
+
+    def next_dist(self, prefix):
+        self.reads.append(prefix)
+        return self.model.next_dist(prefix)
+
+    def next_dists(self, prefixes):
+        return self.model.next_dists(prefixes)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_cold_candidate_set_reads_the_padded_tail(order):
+    """A cold read hands the model the padded tail the memo is keyed by, a
+    tuple of ``order`` tokens; a warm read of an equal tail reads nothing
+    and returns the same object."""
+    model = RecordingModel(TabularMarkovModel(8, order, 5))
+    cases = [([3], 2), ([6, 1, 2, 7], 3), ([5, 1, 2, 7], 3), ([2, 7], 2)]
+    for prefix, k in cases:
+        reads = len(model.reads)
+        got = draft_candidates(model, prefix, k)
+        tail = tuple(([0] * order + prefix)[-order:])
+        if len(model.reads) > reads:
+            assert model.reads[-1] == tail
+            assert type(model.reads[-1]) is tuple and len(model.reads[-1]) == order
+        assert got is draft_candidates(model, list(tail), k)
+        assert got.entries == draft_candidates(model.model, prefix, k).entries
+    # at either order the third prefix's tail and k equal the second's
+    assert len(model.reads) == 3
 
 
 def _outcome(model, prefix, k):

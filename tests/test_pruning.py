@@ -207,17 +207,15 @@ class TestTreePruner:
     def test_losslessness_with_pruning(self):
         target = TabularMarkovModel(16, 2, seed=43)
         draft = derive_draft(target, 0.5, noise_seed=44)
-        policy = GainCostPolicy(draft, DraftConfig(k=3, max_depth=4, b_min=0.01))
+        profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
+        policy = GainCostPolicy(draft, DraftConfig(k=3, max_depth=4, b_min=0.01), profile)
         pruner = TreePruner(
             EarlyExitPredictor.identity_probe(16),
             ExactProbeSource(target),
             PruneConfig(),
         )
-        profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
         ctx = [2, 7, 1]
-        res = run_decode(
-            target, ctx, 48, policy, ReliabilityState(), profile, pruner=pruner
-        )
+        res = run_decode(target, ctx, 48, policy, pruner=pruner)
         assert res.tokens == target_greedy_decode(target, ctx, 48)
 
     def test_pruned_accept_never_exceeds_full_accept(self):

@@ -31,26 +31,19 @@ ANCHORS = {
 def cycle(
     nodes=8,
     leaves=3,
-    rows=None,
     accepted=2,
     counts=(1, 1, 1),
     prune=None,
     tokens=None,
 ):
-    rows = rows if rows is not None else nodes
     emitted = tuple(range(accepted + 1)) if tokens is None else tokens
     return CycleRecord(
         tree_nodes=nodes,
         tree_leaves=leaves,
-        rows_verified=rows,
-        leaves_verified=min(leaves, rows),
-        accepted_len=accepted,
         emitted=emitted,
         expansion_counts=tuple(counts),
-        hit=None,
         prune=prune,
         gain_estimate=1.0,
-        draft_cost_estimate=0.0,
     )
 
 
@@ -213,9 +206,10 @@ class TestSimulateDecode:
     def test_pruned_cycle_prices_split_compute(self):
         cfg = dataclasses.replace(load_preset("llama31-8b"), overlap="sum")
         decision = PruneDecision(
-            keep=frozenset({0}), rejected=False, backbone=(0,), leaves=1
+            keep=frozenset(range(10)), rejected=False, backbone=(0,), leaves=6
         )
-        rec = cycle(nodes=20, leaves=6, rows=10, accepted=2, prune=decision)
+        rec = cycle(nodes=20, leaves=6, accepted=2, prune=decision)
+        assert (rec.rows_verified, rec.leaves_verified) == (10, 6)
         cost = price_cycle(rec, cfg, "ondemand", exit_fraction=0.5)
         expect = 0.5 * compute_ms(cfg, 20, 6) + 0.5 * compute_ms(cfg, 10, 6)
         assert cost.verify_compute_ms == pytest.approx(expect, rel=1e-12)

@@ -24,6 +24,10 @@ class TestDraftingValidation:
             {"b_min": 1.0},
             {"b_min": -0.1},
             {"cost_floor_ms": 0.0},
+            {"beta": 0.0},
+            {"beta": 1.5},
+            {"r_min": 0.0},
+            {"r_min": 1.5},
         ],
     )
     def test_bad_draft_config(self, kw):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from flashspec.drafting import DraftConfig, ReliabilityState
+from flashspec import policies
+from flashspec.drafting import DraftConfig, ReliabilityState, update_reliability
 from flashspec.models import (
     TabularMarkovModel,
     derive_draft,
@@ -122,16 +123,13 @@ class TestRunDecode:
     def _run(self, policy, target, horizon=40, seed=0):
         rng = np.random.default_rng(seed)
         ctx = rng.integers(0, target.vocab_size, size=4).tolist()
-        res = run_decode(
-            target, ctx, horizon, policy,
-            ReliabilityState(), profile_flat(),
-        )
+        res = run_decode(target, ctx, horizon, policy)
         return ctx, res
 
     def test_noise_draft_still_lossless(self):
         target = TabularMarkovModel(16, 2, seed=17)
         draft = derive_draft(target, 0.0, noise_seed=4)
-        policy = GainCostPolicy(draft, DraftConfig(k=3, max_depth=4, b_min=0.01))
+        policy = GainCostPolicy(draft, DraftConfig(k=3, max_depth=4, b_min=0.01), profile_flat())
         ctx, res = self._run(policy, target)
         assert res.tokens == target_greedy_decode(target, ctx, 40)
 
@@ -150,15 +148,13 @@ class TestRunDecode:
         for horizon in (1, 5, 128):
             rng = np.random.default_rng(2)
             ctx = rng.integers(0, 16, size=4).tolist()
-            res = run_decode(
-                target, ctx, horizon, policy, ReliabilityState(), profile_flat()
-            )
+            res = run_decode(target, ctx, horizon, policy)
             assert len(res.tokens) == horizon
 
     def test_tokens_per_cycle_at_least_one(self):
         target = TabularMarkovModel(16, 2, seed=20)
         draft = derive_draft(target, 0.3, noise_seed=5)
-        policy = GainCostPolicy(draft, DraftConfig(k=2, max_depth=3, b_min=0.01))
+        policy = GainCostPolicy(draft, DraftConfig(k=2, max_depth=3, b_min=0.01), profile_flat())
         _, res = self._run(policy, target)
         assert all(len(c.emitted) >= 1 for c in res.cycles)
         assert len(res.cycles) <= 40
@@ -169,12 +165,17 @@ class TestRunDecode:
         assert len(res.cycles) == 16
         assert res.tokens == target_greedy_decode(target, ctx, 16)
 
-    def test_reliability_updates_from_feedback(self):
+    def test_reliability_updates_from_feedback(self, monkeypatch):
         target = TabularMarkovModel(16, 2, seed=22)
         draft = derive_draft(target, 0.2, noise_seed=6)
-        policy = GainCostPolicy(draft, DraftConfig(k=2, max_depth=3, b_min=0.01))
-        _, res = self._run(policy, target)
-        hits = [c.hit for c in res.cycles if c.hit is not None]
-        assert hits, "expected at least one reliability observation"
-        assert res.reliability.value < 1.0 or all(hits)
+        policy = GainCostPolicy(draft, DraftConfig(k=2, max_depth=3, b_min=0.01), profile_flat())
+        hits = []
 
+        def recording(rel, hit):
+            hits.append(hit)
+            return update_reliability(rel, hit)
+
+        monkeypatch.setattr(policies, "update_reliability", recording)
+        self._run(policy, target)
+        assert hits, "expected at least one reliability observation"
+        assert policy.rel.value < 1.0 or all(hits)

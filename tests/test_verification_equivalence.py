@@ -1,20 +1,22 @@
 """Path-only verification through a keep set, parent-only prune rows,
 one-pass edge scoring, the prune decision, compaction by remapping, the edge
-index and child lookup against the slow references in
-``reference_verification`` and ``helpers``."""
+index, child lookup and the decode loop with policy-owned feedback against
+the slow references in ``reference_verification`` and ``helpers``."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from flashspec.drafting import DraftConfig
 from flashspec.errors import ContractError
-from flashspec.models import LayeredTargetModel, TabularMarkovModel
+from flashspec.models import LayeredTargetModel, TabularMarkovModel, derive_draft
+from flashspec.policies import GainCostPolicy
 from flashspec.predictor import EarlyExitPredictor, ExactProbeSource, LayeredHiddenSource
 from flashspec.pruning import PruneConfig, TreePruner, normalize_scores, prune
 from flashspec.tree import ROOT_ID, TokenTree
-from flashspec.verification import verify_tree
-from helpers import child_by_token, compact_with_map, recount, tree_json
+from flashspec.verification import run_decode, verify_tree
+from helpers import affine_profile, child_by_token, compact_with_map, recount, tree_json
 import reference_verification as ref
 
 
@@ -363,3 +365,96 @@ def test_child_matches_linear_scan(case):
     for nid in tree.ids(include_shadow=True):
         for token in range(-1, vocab + 1):
             assert tree.child(nid, token) == child_by_token(tree, nid, token)
+
+
+class RecordingPolicy:
+    """Passes build and observe through to a policy and keeps every build."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.name = policy.name
+        self.builds = []
+
+    def build(self, context):
+        self.builds.append(self.policy.build(context))
+        return self.builds[-1]
+
+    def observe(self, result):
+        self.policy.observe(result)
+
+
+@st.composite
+def decode_cases(draw):
+    """A tabular or layered target, a mixture draft, a lever drafting
+    config, a profile recipe, a context and horizon, and whether (and with
+    which probe) the cycle is pruned."""
+    target = draw(targets())
+    vocab = target.vocab_size
+    draft = derive_draft(
+        target,
+        draw(st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0])),
+        draw(st.integers(0, 10_000)),
+        noise_concentration=draw(st.sampled_from([0.1, 0.3, 1.0])),
+    )
+    cfg = DraftConfig(
+        k=draw(st.integers(1, vocab)),
+        max_depth=draw(st.integers(1, 5)),
+        b_min=draw(st.sampled_from([0.0, 0.01, 0.1])),
+        r_min=draw(st.sampled_from([0.05, 0.3, 1.0])),
+        beta=draw(st.sampled_from([0.5, 0.9])),
+        max_nodes=draw(st.sampled_from([None, 4, 16])),
+    )
+    profile_args = (
+        draw(st.floats(50.0, 1000.0)),
+        draw(st.sampled_from([0.0, 3.0, 10.0])),
+        draw(st.sampled_from([0.0, 1.0])),
+        draw(st.integers(2, 40)),
+        draw(st.integers(1, 16)),
+    )
+    draft_ms = draw(st.sampled_from([0.0, 2.0, 20.0]))
+    context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=5))
+    horizon = draw(st.integers(1, 24))
+    prune_kind = draw(st.sampled_from(["none", "exact", "probe"]))
+    pruner = None
+    if prune_kind == "probe" and isinstance(target, LayeredTargetModel):
+        layer = draw(st.integers(1, target.depth - 1))
+        rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+        pred = EarlyExitPredictor(rng.standard_normal((vocab, target.hidden_dim)), layer)
+        pruner = TreePruner(pred, LayeredHiddenSource(target, layer), PruneConfig())
+    elif prune_kind != "none":
+        pruner = TreePruner(
+            EarlyExitPredictor.identity_probe(vocab), ExactProbeSource(target), PruneConfig()
+        )
+    return target, draft, cfg, profile_args, draft_ms, context, horizon, pruner
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(decode_cases())
+def test_policy_owned_feedback_matches_the_loop_owned_reference(case):
+    """The gain-cost policy that keeps its reliability and learns in
+    ``observe`` decodes exactly as the old loop that passed the reliability
+    and profile to every build and updated the reliability itself."""
+    target, draft, cfg, profile_args, draft_ms, context, horizon, pruner = case
+    policy = RecordingPolicy(
+        GainCostPolicy(draft, cfg, affine_profile(*profile_args), draft_ms=draft_ms)
+    )
+    got = run_decode(target, context, horizon, policy, pruner=pruner)
+    want = ref.run_decode(
+        target, context, horizon, ref.GainCostBuild(draft, cfg, draft_ms=draft_ms),
+        cfg.reliability(), affine_profile(*profile_args), pruner=pruner,
+    )
+    assert got.tokens == want.tokens
+    assert len(got.cycles) == len(want.cycles) == len(policy.builds)
+    for new, old, built, ref_built in zip(got.cycles, want.cycles, policy.builds, want.builds):
+        assert tree_json(built.tree) == tree_json(ref_built.tree)
+        assert built.stop == ref_built.stop
+        assert built.estimate == ref_built.estimate
+        assert new.prune == old.prune
+        assert new.expansion_counts == old.expansion_counts
+        assert new.emitted == old.emitted
+        assert (new.tree_nodes, new.tree_leaves) == (old.tree_nodes, old.tree_leaves)
+        assert (new.rows_verified, new.leaves_verified, new.accepted_len) == (
+            old.rows_verified, old.leaves_verified, old.accepted_len
+        )
+        assert new.gain_estimate == old.gain_estimate
+    assert policy.policy.rel == want.reliability
