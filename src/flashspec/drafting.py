@@ -30,7 +30,7 @@ shape of every missed lookup, so each missed shape scans the table once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, ContractError
 from .models import ProbModel, draft_candidates
@@ -200,7 +200,8 @@ class BuildResult:
     estimate: GainCostEstimate
     stop: StopRecord
     expansion_counts: list[int]
-    # per expanded node; the gain-cost policy's feedback reads them
+    # per expanded node; pruning normalizes each parent's scores over its set,
+    # and the gain-cost policy's feedback reads the stop node's set
     candidate_sets: dict[int, CandidateSet] = field(default_factory=dict)
 
 
@@ -232,8 +233,7 @@ def build_tree(
     node budget is hit, or when the best remaining candidate cannot improve
     the tree's average gain rate (gain / cycle latency).  Marginal costs are
     priced once per cost class and step (see the module docstring); each
-    expansion costs ``draft_ms``.  Leftover candidates under parents that
-    kept a child are attached as shadows.
+    expansion costs ``draft_ms``.
     """
     if not context:
         raise ContractError("context must be non-empty")
@@ -314,17 +314,6 @@ def build_tree(
     estimate = GainCostEstimate(
         gain=gain, draft_cost=draft_cost, verify_cost=profile.lookup(tree.shape)
     )
-    _attach_shadows(tree, (entry for entry, _ in frontier.values()))
     stop = StopRecord(stop_reason, stop_ratio)
     return BuildResult(tree, estimate, stop, expansion_counts, candidate_sets)
 
-
-def _attach_shadows(tree: TokenTree, frontier: Iterable[FrontierEntry]) -> None:
-    """Flag leftover candidates under parents that kept at least one child.
-
-    These shadow nodes complete each parent's candidate set for pruning-score
-    normalization; they never enter verification.
-    """
-    for entry in frontier:
-        if tree.children(entry.parent):
-            tree.insert(entry.parent, entry.token, entry.reach, shadow=True)

@@ -28,7 +28,7 @@ from .drafting import (
 )
 from .errors import ConfigError
 from .models import ProbModel, draft_candidates
-from .tree import ROOT_ID, TokenTree
+from .tree import ROOT_ID, CandidateSet, TokenTree
 from .verification import VerificationResult
 
 
@@ -146,16 +146,19 @@ def _grow_levels(
     """The fixed-topology baselines' tree: ``depth`` levels, every node of a
     level expanded with its top-``fanout`` draft candidates; a node's reach
     is its parent's times its draft probability.  A chain is the
-    ``fanout=1`` case."""
+    ``fanout=1`` case.  Each expanded node's candidate set is recorded for
+    pruning."""
     tree = TokenTree(root_token=int(context[-1]))
     counts: list[int] = []
+    candidate_sets: dict[int, CandidateSet] = {}
     level = [ROOT_ID]
     for _ in range(depth):
         counts.append(len(level))
         next_level: list[int] = []
         for parent in level:
             prefix = list(context) + tree.path_tokens(parent)
-            for token, p in draft_candidates(draft, prefix, fanout).entries:
+            cand = candidate_sets[parent] = draft_candidates(draft, prefix, fanout)
+            for token, p in cand.entries:
                 reach = tree.node(parent).reach * p
                 next_level.append(tree.insert(parent, token, reach))
         level = next_level
@@ -168,4 +171,5 @@ def _grow_levels(
         ),
         stop=StopRecord("frontier_empty", None),
         expansion_counts=counts,
+        candidate_sets=candidate_sets,
     )

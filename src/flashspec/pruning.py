@@ -2,12 +2,13 @@
 
 Only parents (nodes with inserted children) are scored, so the hidden-state
 source is asked for one row per parent, in flattened row order.  Edge scores
-are normalized within each parent's full candidate set (inserted children
-and shadow tokens alike; shadows exist only to make the comparison
-meaningful).  Every edge of the tree is scored in one pass: the members of
-all parents are gathered into one token array, scored by one batched
-matrix-vector product, and softmax-normalized per parent with the rounding
-of a per-parent evaluation.
+are normalized within each parent's full candidate set, as the build
+recorded it: the inserted children in insertion order, then the candidate
+tokens that have no child in candidate order.  The tokens without a child
+are never kept; they only make the comparison meaningful.  Every edge of the
+tree is scored in one pass: the members of all parents are gathered into one
+token array, scored by one batched matrix-vector product, and
+softmax-normalized per parent with the rounding of a per-parent evaluation.
 
 Low-scoring edges are dropped subject to safeguards: the keep set stays
 ancestor-closed, a backbone path of per-depth best children is immune, the
@@ -22,13 +23,13 @@ never copied.  Verification walks the built tree restricted to the keep set
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
 from .predictor import EarlyExitPredictor
-from .tree import ROOT_ID, TokenTree, flatten
+from .tree import ROOT_ID, CandidateSet, TokenTree, flatten
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,17 @@ def normalize_scores(
     hidden: np.ndarray,
     tree: TokenTree,
     parents: Sequence[int],
+    candidate_sets: Mapping[int, CandidateSet],
     tau: float,
 ) -> dict[tuple[int, int], float]:
     """Per-edge softmax scores at temperature ``tau``.
 
     ``parents`` are the nodes with inserted children and ``hidden[i]``
     is the hidden vector of ``parents[i]``.  Each parent's scores are
-    normalized over every token in its candidate set: inserted children and
-    shadow tokens alike.  Shadow edges receive scores too but are never kept
-    as output.
+    normalized over its members: its children's tokens in insertion order,
+    then the tokens of its candidate set in ``candidate_sets`` that have no
+    child, in candidate order.  Those childless tokens receive scores too
+    but are never kept as output.
     """
     if hidden.shape[0] != len(parents):
         raise ContractError("hidden rows do not match the parents")
@@ -87,12 +90,16 @@ def normalize_scores(
     group: list[int] = []                      # each edge's index into parents
     firsts: dict[int, list[int]] = {}          # set size -> each set's first edge
     for i, parent in enumerate(parents):
-        members = tree.children(parent)
-        if not members:
+        children = tree.children(parent)
+        if not children:
             raise ContractError(f"node {parent} has no inserted children")
-        members += tree.shadow_children(parent)
+        cand = candidate_sets.get(parent)
+        if cand is None:
+            raise ContractError(f"node {parent} has no recorded candidate set")
+        members = [tree.node(cid).token for cid in children]
+        members += [t for t, _ in cand.entries if tree.child(parent, t) is None]
         firsts.setdefault(len(members), []).append(len(edges))
-        edges.extend((parent, tree.node(cid).token) for cid in members)
+        edges.extend((parent, token) for token in members)
         group += [i] * len(members)
     if not edges:
         return {}
@@ -178,7 +185,7 @@ def prune(
         if scores[(node.parent, node.token)] >= cfg.theta:
             keep.add(nid)
 
-    # Ancestor closure (ancestors of non-shadow nodes are non-shadow).
+    # Ancestor closure.
     for nid in sorted(keep):
         parent = tree.node(nid).parent
         while parent not in keep and parent != -1:
@@ -219,11 +226,20 @@ class TreePruner:
         the simulator charges it on every pruned cycle."""
         return self.hidden_source.exit_fraction
 
-    def apply(self, tree: TokenTree, context: Sequence[int]) -> PruneDecision:
+    def apply(
+        self,
+        tree: TokenTree,
+        candidate_sets: Mapping[int, CandidateSet],
+        context: Sequence[int],
+    ) -> PruneDecision:
+        """Score ``tree``'s edges over the build's ``candidate_sets`` and
+        decide which nodes to keep."""
         layout = flatten(tree)
         rows = [r for r, nid in enumerate(layout.rows) if not tree.is_leaf(nid)]
         ctx = list(context)
         hidden = self.hidden_source.rows([ctx + layout.path_tokens(r) for r in rows])
         parents = [layout.rows[r] for r in rows]
-        scores = normalize_scores(self.pred, hidden, tree, parents, self.cfg.tau)
+        scores = normalize_scores(
+            self.pred, hidden, tree, parents, candidate_sets, self.cfg.tau
+        )
         return prune(tree, scores, self.cfg)

@@ -2,17 +2,14 @@
 
 A :class:`TokenTree` holds the branching draft produced during one speculative
 cycle.  Nodes are identified by stable integer handles assigned at insertion,
-and the tree is append-only.  Shadow nodes (candidates kept only as scoring
-references) live in the same structure, flagged, and are excluded from
-flattened verification layouts, from :meth:`TokenTree.child` and from the
-node/leaf counts that drive cost estimation.  A flattened layout is the row
-list verification prices plus each row's parent row and token; a row's path
-follows parent rows back to the root.
+and the tree is append-only.  Every node is a verification row.  A
+flattened layout is the row list verification prices plus each row's parent
+row and token; a row's path follows parent rows back to the root.
 
-Every edge is indexed by ``(parent, token)``, children and shadows alike, so
-an insertion's duplicate and shadow checks and a child lookup by token are
-dict lookups.  Pruning never copies a tree: it yields a keep set of node ids,
-and verification walks the built tree restricted to that set.
+Every edge is indexed by ``(parent, token)``, so an insertion's duplicate
+check and a child lookup by token are dict lookups.  Pruning never copies a
+tree: it yields a keep set of node ids, and verification walks the built
+tree restricted to that set.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ class TreeNode(NamedTuple):
     parent: int
     depth: int
     reach: float
-    shadow: bool = False
 
 
 @dataclass(frozen=True)
@@ -68,27 +64,23 @@ class CandidateSet:
 class TokenTree:
     """Branching draft structure with incremental node/leaf accounting.
 
-    ``node_count`` counts non-shadow nodes including the root (each one is a
-    verification row); ``leaf_count`` counts non-shadow nodes without
-    non-shadow children.  Both are maintained incrementally.
+    ``node_count`` counts the nodes including the root (each one is a
+    verification row); ``leaf_count`` counts the nodes without children and
+    is maintained incrementally.
     """
 
     def __init__(self, root_token: int = ROOT_TOKEN) -> None:
-        self._nodes: list[TreeNode] = [
-            TreeNode(ROOT_ID, root_token, ROOT_PARENT, 0, 1.0, False)
-        ]
+        self._nodes: list[TreeNode] = [TreeNode(ROOT_ID, root_token, ROOT_PARENT, 0, 1.0)]
         self._children: dict[int, list[int]] = {ROOT_ID: []}
-        self._shadow_children: dict[int, list[int]] = {ROOT_ID: []}
-        # (parent, token) -> (node id, shadow) for every non-root node
-        self._edges: dict[tuple[int, int], tuple[int, bool]] = {}
-        self._node_count = 1
+        # (parent, token) -> node id for every non-root node
+        self._edges: dict[tuple[int, int], int] = {}
         self._leaf_count = 1
 
     # -- accessors ---------------------------------------------------------
 
     @property
     def node_count(self) -> int:
-        return self._node_count
+        return len(self._nodes)
 
     @property
     def leaf_count(self) -> int:
@@ -96,37 +88,24 @@ class TokenTree:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self._node_count, self._leaf_count)
+        return (len(self._nodes), self._leaf_count)
 
     def node(self, node_id: int) -> TreeNode:
         return self._nodes[node_id]
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def ids(self, include_shadow: bool = False) -> list[int]:
-        return [
-            n.node_id
-            for n in self._nodes
-            if include_shadow or not n.shadow
-        ]
+    def ids(self) -> list[int]:
+        return list(range(len(self._nodes)))
 
     def children(self, node_id: int) -> list[int]:
-        """Non-shadow child ids in insertion order."""
+        """Child ids in insertion order."""
         return list(self._children[node_id])
 
-    def shadow_children(self, node_id: int) -> list[int]:
-        return list(self._shadow_children[node_id])
-
     def child(self, parent: int, token: int) -> int | None:
-        """The non-shadow child of ``parent`` drafted with ``token``, if any."""
-        edge = self._edges.get((parent, token))
-        if edge is None or edge[1]:
-            return None
-        return edge[0]
+        """The child of ``parent`` drafted with ``token``, if any."""
+        return self._edges.get((parent, token))
 
     def is_leaf(self, node_id: int) -> bool:
-        return not self._nodes[node_id].shadow and not self._children[node_id]
+        return not self._children[node_id]
 
     def path_tokens(self, node_id: int) -> list[int]:
         """Tokens along root -> node, excluding the root sentinel."""
@@ -141,23 +120,15 @@ class TokenTree:
 
     # -- mutation ----------------------------------------------------------
 
-    def insert(self, parent: int, token: int, reach: float, shadow: bool = False) -> int:
+    def insert(self, parent: int, token: int, reach: float) -> int:
         """Append a node under ``parent`` and return its stable handle.
 
-        A token appears at most once under a parent, as a child or as a
-        shadow.
+        A token appears at most once under a parent.
         """
         if parent < 0 or parent >= len(self._nodes):
             raise StructureError(f"parent {parent} is not in the tree")
         pnode = self._nodes[parent]
-        if pnode.shadow:
-            raise StructureError("shadow nodes cannot have children")
-        edge = self._edges.get((parent, token))
-        if edge is not None:
-            if edge[1]:
-                raise StructureError(
-                    f"token {token} already present as a shadow under node {parent}"
-                )
+        if (parent, token) in self._edges:
             raise StructureError(
                 f"token {token} already inserted under node {parent}"
             )
@@ -165,27 +136,20 @@ class TokenTree:
             raise StructureError(
                 f"child reach {reach} exceeds parent reach {pnode.reach}"
             )
-        return self._append(parent, token, reach, shadow)
+        return self._append(parent, token, reach)
 
-    def _append(self, parent: int, token: int, reach: float, shadow: bool) -> int:
+    def _append(self, parent: int, token: int, reach: float) -> int:
         """Append a node that has passed :meth:`insert`'s checks."""
         node_id = len(self._nodes)
         depth = self._nodes[parent].depth + 1
-        self._nodes.append(
-            TreeNode(node_id, token, parent, depth, float(reach), shadow)
-        )
+        self._nodes.append(TreeNode(node_id, token, parent, depth, float(reach)))
         self._children[node_id] = []
-        self._shadow_children[node_id] = []
-        self._edges[parent, token] = (node_id, shadow)
-        if shadow:
-            self._shadow_children[parent].append(node_id)
-        else:
-            siblings = self._children[parent]
-            if siblings:
-                self._leaf_count += 1
-            # else: parent stops being a leaf, the new node starts; net zero
-            siblings.append(node_id)
-            self._node_count += 1
+        self._edges[parent, token] = node_id
+        siblings = self._children[parent]
+        if siblings:
+            self._leaf_count += 1
+        # else: parent stops being a leaf, the new node starts; net zero
+        siblings.append(node_id)
         return node_id
 
 
@@ -193,7 +157,7 @@ class TokenTree:
 class TreeLayout:
     """Immutable flattened view of a tree for batched verification.
 
-    Rows are non-shadow nodes in topological order (parents precede
+    Rows are the tree's nodes in topological order (parents precede
     children); a row's ancestors are found by following ``parent_row``.
     """
 
@@ -214,11 +178,10 @@ class TreeLayout:
 def flatten(tree: TokenTree) -> TreeLayout:
     """Flatten a tree into verification rows with parent rows and tokens.
 
-    Shadow nodes are excluded.  Node handles are assigned in insertion order
-    with parents inserted first, so ascending id order is already
-    topological.
+    Node handles are assigned in insertion order with parents inserted
+    first, so ascending id order is already topological.
     """
-    ids = tree.ids(include_shadow=False)
+    ids = tree.ids()
     row_index = {nid: i for i, nid in enumerate(ids)}
     parent_row = []
     tokens = []

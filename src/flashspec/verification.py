@@ -27,7 +27,7 @@ once instead of storing it per cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Protocol, Sequence
+from typing import AbstractSet, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .models import ProbModel
 from .pruning import PruneDecision
 # Verification does not flatten, but ``flashbench/tracing.py`` wraps
 # ``verification.flatten`` by name, so the name stays importable here.
-from .tree import ROOT_ID, TokenTree, flatten  # noqa: F401
+from .tree import ROOT_ID, CandidateSet, TokenTree, flatten  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def verify_tree(
     """Argmax verification of a tree along its accepted path.
 
     ``keep``, when given, restricts the tree to an ancestor-closed set of
-    its non-shadow nodes (a pruner's keep set); those rows are what one
+    its nodes (a pruner's keep set); those rows are what one
     batched verification pass prices.  The walk starts at the root and reads
     the target only on the nodes it reaches: it takes the argmax on the
     realized prefix, descends to the kept child drafted with that token, and
@@ -88,15 +88,13 @@ def verify_tree(
 
 def _check_keep(tree: TokenTree, keep: AbstractSet[int]) -> None:
     """Raise :class:`ContractError` unless ``keep`` holds the root and is an
-    ancestor-closed set of the tree's non-shadow nodes."""
+    ancestor-closed set of the tree's nodes."""
     if ROOT_ID not in keep:
         raise ContractError("keep set must contain the root")
     for nid in keep:
-        if nid >= len(tree) or nid < 0:
+        if nid >= tree.node_count or nid < 0:
             raise ContractError(f"keep set references unknown node {nid}")
         node = tree.node(nid)
-        if node.shadow:
-            raise ContractError(f"keep set contains shadow node {nid}")
         if nid != ROOT_ID and node.parent not in keep:
             raise ContractError(
                 f"keep set is not ancestor-closed: {nid} kept without {node.parent}"
@@ -115,7 +113,12 @@ class TreePolicy(Protocol):
 
 
 class TreePrunerLike(Protocol):
-    def apply(self, tree: TokenTree, context: Sequence[int]) -> PruneDecision: ...
+    def apply(
+        self,
+        tree: TokenTree,
+        candidate_sets: Mapping[int, CandidateSet],
+        context: Sequence[int],
+    ) -> PruneDecision: ...
 
 
 @dataclass(frozen=True)
@@ -167,7 +170,9 @@ def run_decode(
         prefix = list(context) + tokens
         outcome = policy.build(prefix)
         tree = outcome.tree
-        decision = pruner.apply(tree, prefix) if pruner is not None else None
+        decision = None
+        if pruner is not None:
+            decision = pruner.apply(tree, outcome.candidate_sets, prefix)
         result = verify_tree(
             target, prefix, tree, decision.keep if decision is not None else None
         )

@@ -1,7 +1,8 @@
 """Test-side helpers over flashspec's public API: an affine latency
 profile, a tree's summed-reach gain, a child lookup by token, node and leaf
 counts recomputed from scratch, a pruned copy of a tree by compaction, a
-tree's JSON and the tree rebuilt from it, a candidate set's tokens, a
+tree's JSON and the tree rebuilt from it, a candidate set's tokens and a
+candidate set of given tokens, a
 tabular row drawn from its own ``default_rng``, a layered target's final
 logits, a frontier entry's marginal cost priced from two profile lookups, a
 per-example training record and its conversions to and from a distillation
@@ -69,7 +70,8 @@ def estimate_gain(tree: TokenTree) -> float:
 
 
 def child_by_token(tree: TokenTree, node_id: int, token: int) -> int | None:
-    """The non-shadow child of ``node_id`` drafted with ``token``."""
+    """The child of ``node_id`` drafted with ``token``, by a scan of its
+    children."""
     for cid in tree.children(node_id):
         if tree.node(cid).token == token:
             return cid
@@ -77,8 +79,8 @@ def child_by_token(tree: TokenTree, node_id: int, token: int) -> int | None:
 
 
 def recount(tree: TokenTree) -> tuple[int, int]:
-    """(node_count, leaf_count) recomputed from the non-shadow nodes,
-    ignoring the tree's incremental counters."""
+    """(node_count, leaf_count) recomputed from the nodes, ignoring the
+    tree's incremental leaf counter."""
     ids = tree.ids()
     return len(ids), sum(1 for nid in ids if not tree.children(nid))
 
@@ -97,19 +99,16 @@ def compact_with_map(
     if ROOT_ID not in keep_set:
         raise ContractError("keep set must contain the root")
     for nid in keep_set:
-        if nid >= len(tree) or nid < 0:
+        if nid >= tree.node_count or nid < 0:
             raise ContractError(f"keep set references unknown node {nid}")
         node = tree.node(nid)
-        if node.shadow:
-            raise ContractError(f"keep set contains shadow node {nid}")
         if nid != ROOT_ID and node.parent not in keep_set:
             raise ContractError(
                 f"keep set is not ancestor-closed: {nid} kept without {node.parent}"
             )
 
-    # The kept nodes are an ancestor-closed set of a valid tree's non-shadow
-    # nodes, appended parents first: every parent is present and non-shadow,
-    # every (parent, token) edge was unique in the source tree and reaches
+    # The kept nodes are an ancestor-closed set of a valid tree's nodes,
+    # appended parents first: every parent is present, every (parent, token) edge was unique in the source tree and reaches
     # never grow down a path, so insert's checks cannot fail and are skipped.
     new_tree = TokenTree(root_token=tree.node(ROOT_ID).token)
     mapping = {ROOT_ID: ROOT_ID}
@@ -117,19 +116,16 @@ def compact_with_map(
         if nid == ROOT_ID:
             continue
         node = tree.node(nid)
-        mapping[nid] = new_tree._append(
-            mapping[node.parent], node.token, node.reach, False
-        )
+        mapping[nid] = new_tree._append(mapping[node.parent], node.token, node.reach)
     return new_tree, mapping
 
 
 def tree_json(tree: TokenTree) -> str:
-    """Every node of ``tree``, shadows included, in id order as sorted-key
-    JSON: equal trees give equal text, and a tree's insertion order shows."""
+    """Every node of ``tree`` in id order as sorted-key JSON: equal trees
+    give equal text, and a tree's insertion order shows."""
     rows = [
-        {"id": n.node_id, "parent": n.parent, "token": n.token,
-         "reach": n.reach, "shadow": n.shadow}
-        for n in map(tree.node, range(len(tree)))
+        {"id": n.node_id, "parent": n.parent, "token": n.token, "reach": n.reach}
+        for n in map(tree.node, tree.ids())
     ]
     return json.dumps({"nodes": rows}, sort_keys=True)
 
@@ -142,7 +138,7 @@ def tree_from_json(text: str) -> TokenTree:
         raise StructureError("serialized tree lacks a root row")
     tree = TokenTree(root_token=rows[0]["token"])
     for row in rows[1:]:
-        got = tree.insert(row["parent"], row["token"], row["reach"], row["shadow"])
+        got = tree.insert(row["parent"], row["token"], row["reach"])
         if got != row["id"]:
             raise StructureError("serialized node ids are not contiguous")
     return tree
@@ -151,6 +147,12 @@ def tree_from_json(text: str) -> TokenTree:
 def candidate_tokens(cand: CandidateSet) -> tuple[int, ...]:
     """A candidate set's tokens in entry order."""
     return tuple(t for t, _ in cand.entries)
+
+
+def candidate_set(tokens: Iterable[int]) -> CandidateSet:
+    """A candidate set of ``tokens`` in the given order; halving
+    probabilities keep any order sorted."""
+    return CandidateSet(tuple((int(t), 0.5 ** (i + 1)) for i, t in enumerate(tokens)))
 
 
 def tabular_row(model: TabularMarkovModel, idx: int) -> np.ndarray:

@@ -9,10 +9,13 @@ property tests check that :func:`flashspec.drafting.build_tree` returns an
 identical :class:`BuildResult`.
 
 The reference also returns a :class:`BuildAudit`: every insertion's scored
-frontier and, on a stop-rule exit, the frontier the stop rule saw.  The
-fast builder keeps no such record; criterion 05 and the drafting tests
-replay this one, and the equal tree JSON (nodes in insertion order) ties it
-to the fast builder's decisions.
+frontier, on a stop-rule exit the frontier the stop rule saw, and the
+frontier left when construction ended.  The fast builder keeps no such
+record; criterion 05 and the drafting tests replay this one, and the equal
+tree JSON (nodes in insertion order) ties it to the fast builder's
+decisions.  The leftover frontier is the oracle for the order in which
+pruning normalizes each parent's candidates: the children, then the
+leftover entries under that parent in frontier order.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ class StepRecord(NamedTuple):
 class BuildAudit(NamedTuple):
     steps: list[StepRecord]
     stop_frontier: tuple[Row, ...] | None            # set on a stop-rule exit
+    leftover: list[FrontierEntry]                    # uninserted, in frontier order
 
 
 def _selection_key(item: tuple[FrontierEntry, float, float]) -> tuple:
@@ -138,23 +142,11 @@ def build_tree(
     if stop is None:
         stop = StopRecord("frontier_empty", None)
 
-    _attach_shadows(tree, frontier)
-
     estimate = GainCostEstimate(
         gain=gain,
         draft_cost=draft_cost,
         verify_cost=profile.lookup(tree.shape),
     )
     result = BuildResult(tree, estimate, stop, expansion_counts, candidate_sets)
-    return result, BuildAudit(steps, stop_frontier)
+    return result, BuildAudit(steps, stop_frontier, frontier)
 
-
-def _attach_shadows(tree: TokenTree, frontier: list[FrontierEntry]) -> None:
-    """Flag leftover candidates under parents that kept at least one child.
-
-    These shadow nodes complete each parent's candidate set for pruning-score
-    normalization; they never enter verification.
-    """
-    for entry in frontier:
-        if tree.children(entry.parent):
-            tree.insert(entry.parent, entry.token, entry.reach, shadow=True)

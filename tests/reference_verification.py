@@ -8,7 +8,11 @@ parents are scored.  Edge scores are computed one edge at a time by
 ``score`` (the probe's per-edge dot product with its shape and range
 checks), both by the all-rows ``normalize_scores`` and by
 ``normalize_parent_scores``, the per-parent form the engine had before it
-scored every edge in one pass.  ``prune`` and ``backbone_path`` look up
+scored every edge in one pass.  Both normalize a parent's scores over its
+children and the ``extras`` given for it: the candidate tokens that have no
+child, which the engine derives from the build's candidate sets and
+``leftovers`` finds by a scan of the children (a reference build's leftover
+frontier gives them too).  ``prune`` and ``backbone_path`` look up
 each compared child's node once per key field and count kept leaves by
 scanning every kept node's children.  ``TreePruner.apply`` copies the kept
 nodes into a new tree (``compact_with_map`` re-inserts every kept node
@@ -33,7 +37,7 @@ reliability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,7 +53,7 @@ from flashspec.errors import ConfigError, ContractError
 from flashspec.models import LayeredTargetModel, ProbModel
 from flashspec.predictor import EarlyExitPredictor
 from flashspec.pruning import PruneConfig, PruneDecision
-from flashspec.tree import ROOT_ID, TokenTree, TreeLayout, flatten
+from flashspec.tree import ROOT_ID, CandidateSet, TokenTree, TreeLayout, flatten
 from flashspec.verification import VerificationResult as WalkResult
 from flashspec.verification import verify_tree as walk_tree
 from helpers import child_by_token
@@ -175,22 +179,23 @@ def normalize_scores(
     tree: TokenTree,
     layout: TreeLayout,
     tau: float,
+    extras: Mapping[int, Sequence[int]],
 ) -> dict[tuple[int, int], float]:
     """Per-edge softmax scores at temperature ``tau``.
 
-    For each parent with inserted children, scores are normalized over every
-    token in its candidate set: inserted children and shadow tokens alike.
-    Shadow edges receive scores too but are never kept as output.
+    For each parent with inserted children, scores are normalized over its
+    children's tokens followed by ``extras[parent]``.  The extra edges
+    receive scores too but are never kept as output.
     """
     if hidden_rows.shape[0] != len(layout.rows):
         raise ContractError("hidden rows do not match the flattened layout")
     row_of = {nid: i for i, nid in enumerate(layout.rows)}
     scores: dict[tuple[int, int], float] = {}
     for parent in layout.rows:
-        member_ids = tree.children(parent) + tree.shadow_children(parent)
         if not tree.children(parent):
             continue
-        tokens = [tree.node(cid).token for cid in member_ids]
+        tokens = [tree.node(cid).token for cid in tree.children(parent)]
+        tokens += extras.get(parent, [])
         if not tokens:
             raise ContractError(f"node {parent} has an empty candidate set")
         h = hidden_rows[row_of[parent]]
@@ -220,14 +225,14 @@ def normalize_parent_scores(
     tree: TokenTree,
     parents: Sequence[int],
     tau: float,
+    extras: Mapping[int, Sequence[int]],
 ) -> dict[tuple[int, int], float]:
     """Per-edge softmax scores at temperature ``tau``.
 
     ``parents`` are the nodes with inserted children and ``hidden_rows[i]``
     is the hidden vector of ``parents[i]``.  Each parent's scores are
-    normalized over every token in its candidate set: inserted children and
-    shadow tokens alike.  Shadow edges receive scores too but are never kept
-    as output.
+    normalized over its children's tokens followed by ``extras[parent]``.
+    The extra edges receive scores too but are never kept as output.
     """
     if hidden_rows.shape[0] != len(parents):
         raise ContractError("hidden rows do not match the parents")
@@ -236,8 +241,8 @@ def normalize_parent_scores(
         children = tree.children(parent)
         if not children:
             raise ContractError(f"node {parent} has no inserted children")
-        member_ids = children + tree.shadow_children(parent)
-        tokens = [tree.node(cid).token for cid in member_ids]
+        tokens = [tree.node(cid).token for cid in children]
+        tokens += extras.get(parent, [])
         raw = np.array([score(pred, h, t) for t in tokens]) / tau
         raw -= raw.max()
         e = np.exp(raw)
@@ -245,6 +250,17 @@ def normalize_parent_scores(
         for token, s in zip(tokens, norm):
             scores[(parent, token)] = float(s)
     return scores
+
+
+def leftovers(
+    tree: TokenTree, candidate_sets: Mapping[int, CandidateSet]
+) -> dict[int, list[int]]:
+    """Each recorded parent's candidate tokens that have no child, in
+    candidate order, found by a scan of the parent's children."""
+    return {
+        parent: [t for t, _ in cand.entries if child_by_token(tree, parent, t) is None]
+        for parent, cand in candidate_sets.items()
+    }
 
 
 def compact_with_map(
@@ -255,11 +271,9 @@ def compact_with_map(
     if ROOT_ID not in keep_set:
         raise ContractError("keep set must contain the root")
     for nid in keep_set:
-        if nid >= len(tree) or nid < 0:
+        if nid >= tree.node_count or nid < 0:
             raise ContractError(f"keep set references unknown node {nid}")
         node = tree.node(nid)
-        if node.shadow:
-            raise ContractError(f"keep set contains shadow node {nid}")
         if nid != ROOT_ID and node.parent not in keep_set:
             raise ContractError(
                 f"keep set is not ancestor-closed: {nid} kept without {node.parent}"
@@ -335,7 +349,7 @@ def prune(
         if scores[(node.parent, node.token)] >= cfg.theta:
             keep.add(nid)
 
-    # Ancestor closure (ancestors of non-shadow nodes are non-shadow).
+    # Ancestor closure.
     for nid in sorted(keep):
         parent = tree.node(nid).parent
         while parent not in keep and parent != -1:
@@ -369,13 +383,16 @@ class TreePruner:
         self.cfg = cfg
 
     def apply(
-        self, tree: TokenTree, context: Sequence[int]
+        self,
+        tree: TokenTree,
+        extras: Mapping[int, Sequence[int]],
+        context: Sequence[int],
     ) -> tuple[TokenTree, dict[int, int], PruneDecision]:
         """The compacted tree, its new-id -> old-id map and the decision;
         the decision's kept leaves are the compacted tree's leaf count."""
         layout = flatten(tree)
         hidden = self.hidden_source.rows(context, layout)
-        scores = normalize_scores(self.pred, hidden, tree, layout, self.cfg.tau)
+        scores = normalize_scores(self.pred, hidden, tree, layout, self.cfg.tau, extras)
         decision = prune(tree, scores, self.cfg)
         new_tree, old_to_new = compact_with_map(tree, decision.keep)
         decision = PruneDecision(
@@ -450,7 +467,7 @@ def run_decode(
         keep = None
         shape = tree.shape
         if pruner is not None:
-            decision = pruner.apply(tree, prefix)
+            decision = pruner.apply(tree, outcome.candidate_sets, prefix)
             keep = decision.keep
             shape = (len(keep), decision.leaves)
 

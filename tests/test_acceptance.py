@@ -84,15 +84,15 @@ def report(capsys):
 
 class AuditingPruner:
     """Passes every prune step through and records its summary together with
-    the pre-prune tree's parent map (non-shadow nodes)."""
+    the pre-prune tree's parent map."""
 
     def __init__(self, pruner, audits):
         self.pruner = pruner
         self.audits = audits
 
-    def apply(self, tree, context):
+    def apply(self, tree, candidate_sets, context):
         parents = {nid: tree.node(nid).parent for nid in tree.ids()}
-        summary = self.pruner.apply(tree, context)
+        summary = self.pruner.apply(tree, candidate_sets, context)
         self.audits.append((summary, parents))
         return summary
 

@@ -189,13 +189,57 @@ class TestRunExperiment:
         report, results = run_experiment(small_cfg(policy="flash_ar"))
         assert [r.seed for r in results] == [3, 4]
 
-    def test_report_outputs_are_pinned(self, tmp_path):
+    @pytest.mark.parametrize(
+        "overrides, horizon, trials, want",
+        [
+            (
+                {},
+                32,
+                2,
+                {
+                    "report.json":
+                        "e69a301f71a0ca6e9b741518697d2b9fc36a936be1575e40017a6c7c65bc35e7",
+                    "report.csv":
+                        "3f351eb2d4b3ab4f421018a9cde3fa5bd8b6a07579caec8b682360e019c0d9d1",
+                    "trace.json":
+                        "9a2a1bc9da89d67d9ed6d3e27494b3f4581d9e1459ef14f83466a7ec0b7a71f4",
+                    "trace.csv":
+                        "dc5e8bbb97883490b7920ba3f0be453a230e706fe5f76fe021a4f246bf41305a",
+                },
+            ),
+            (
+                # the learned-probe prune path: a layered target trains its probe
+                {"model": {"type": "layered"}, "predictor_examples": 300,
+                 "training": {"epochs": 2}},
+                24,
+                1,
+                {
+                    "report.json":
+                        "6d5a51de37f77e93f848a7043ebd801d889a6354e30164b27d5f8639ab5617fd",
+                    "report.csv":
+                        "8268a301c924283e745072306b35d9d4b65adc00026950fa11a65d64c920c3bf",
+                    "trace.json":
+                        "397c0082a080fe7f338a33588dbb309565f8f4f6a879fec17152f9ead550732a",
+                    "trace.csv":
+                        "29d79bfa498f1c41b93ed19428038142dbf0ff9ddc7083682902b0c86c14ae17",
+                },
+            ),
+        ],
+        ids=["tabular", "layered-probe"],
+    )
+    def test_report_outputs_are_pinned(self, tmp_path, overrides, horizon, trials, want):
         """Digests of the four files a short run of the shipped config
         writes, so a writer change that moves a byte fails here.  Recorded
         with numpy 2.4 on x86-64."""
         shipped = json.loads((ROOT / "configs" / "lever_default.json").read_text())
+        for key, value in overrides.items():
+            if isinstance(value, dict):
+                shipped[key].update(value)
+            else:
+                shipped[key] = value
         cfg = replace(
-            ExperimentConfig.from_dict(shipped), trials=2, horizon=32, out_dir=None
+            ExperimentConfig.from_dict(shipped), trials=trials, horizon=horizon,
+            out_dir=None,
         )
         report, results = run_experiment(cfg)
         report.write(str(tmp_path), traces=[r.trace for r in results])
@@ -203,16 +247,7 @@ class TestRunExperiment:
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("report.json", "report.csv", "trace.json", "trace.csv")
         }
-        assert digests == {
-            "report.json":
-                "e69a301f71a0ca6e9b741518697d2b9fc36a936be1575e40017a6c7c65bc35e7",
-            "report.csv":
-                "3f351eb2d4b3ab4f421018a9cde3fa5bd8b6a07579caec8b682360e019c0d9d1",
-            "trace.json":
-                "9a2a1bc9da89d67d9ed6d3e27494b3f4581d9e1459ef14f83466a7ec0b7a71f4",
-            "trace.csv":
-                "dc5e8bbb97883490b7920ba3f0be453a230e706fe5f76fe021a4f246bf41305a",
-        }
+        assert digests == want
 
 
 class TestGainCostDraftCost:

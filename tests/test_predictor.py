@@ -20,6 +20,7 @@ from flashspec.tree import ROOT_ID, TokenTree
 from helpers import (
     TrainingExample,
     cand_loss,
+    candidate_set,
     candidate_top1_agreement,
     distillation_set,
     kd_loss,
@@ -42,7 +43,8 @@ def root_scores(pred, h, tokens, tau=1.0):
     tree = TokenTree()
     for t in tokens:
         tree.insert(ROOT_ID, t, 0.5)
-    scores = normalize_scores(pred, np.atleast_2d(h), tree, [ROOT_ID], tau)
+    sets = {ROOT_ID: candidate_set(tokens)}
+    scores = normalize_scores(pred, np.atleast_2d(h), tree, [ROOT_ID], sets, tau)
     return [scores[(ROOT_ID, t)] for t in tokens]
 
 

@@ -4,7 +4,7 @@ import pytest
 from flashspec.drafting import DraftConfig, ReliabilityState, build_tree
 from flashspec.errors import ContractError
 from flashspec.models import TabularMarkovModel, derive_draft, target_greedy_decode
-from flashspec.policies import GainCostPolicy
+from flashspec.policies import BalancedTreePolicy, GainCostPolicy
 from flashspec.predictor import EarlyExitPredictor, ExactProbeSource
 from flashspec.pruning import (
     PruneConfig,
@@ -15,7 +15,7 @@ from flashspec.pruning import (
 )
 from flashspec.tree import ROOT_ID, TokenTree, flatten
 from flashspec.verification import run_decode, verify_tree
-from helpers import affine_profile, compact_with_map
+from helpers import affine_profile, candidate_set, compact_with_map
 
 
 def one_hot_pred(vocab_size):
@@ -30,19 +30,33 @@ class TestNormalizeScores:
         tree.insert(ROOT_ID, 1, 0.8)
         pred = one_hot_pred(2)
         hidden = np.array([[2.0, 1.0]])
-        scores = normalize_scores(pred, hidden, tree, [ROOT_ID], 1.0)
+        scores = normalize_scores(
+            pred, hidden, tree, [ROOT_ID], {ROOT_ID: candidate_set([0, 1])}, 1.0
+        )
         assert scores[(ROOT_ID, 0)] == pytest.approx(0.73105857, abs=1e-6)
         assert scores[(ROOT_ID, 1)] == pytest.approx(0.26894143, abs=1e-6)
 
-    def test_shadow_token_balances_single_child(self):
+    def test_childless_candidate_balances_single_child(self):
         tree = TokenTree()
         tree.insert(ROOT_ID, 0, 0.9)
-        tree.insert(ROOT_ID, 1, 0.5, shadow=True)
         pred = one_hot_pred(2)
         hidden = np.array([[1.5, 1.5]])
-        scores = normalize_scores(pred, hidden, tree, [ROOT_ID], 1.0)
+        scores = normalize_scores(
+            pred, hidden, tree, [ROOT_ID], {ROOT_ID: candidate_set([1, 0])}, 1.0
+        )
         assert scores[(ROOT_ID, 0)] == pytest.approx(0.5)
         assert scores[(ROOT_ID, 1)] == pytest.approx(0.5)
+
+    def test_members_are_children_then_childless_candidates(self):
+        tree = TokenTree()
+        tree.insert(ROOT_ID, 2, 0.9)
+        tree.insert(ROOT_ID, 0, 0.8)
+        pred = one_hot_pred(4)
+        scores = normalize_scores(
+            pred, np.zeros((1, 4)), tree, [ROOT_ID],
+            {ROOT_ID: candidate_set([3, 0, 1, 2])}, 1.0,
+        )
+        assert list(scores) == [(ROOT_ID, 2), (ROOT_ID, 0), (ROOT_ID, 3), (ROOT_ID, 1)]
 
     def test_high_temperature_flattens(self):
         tree = TokenTree()
@@ -50,7 +64,9 @@ class TestNormalizeScores:
             tree.insert(ROOT_ID, t, 0.9)
         pred = one_hot_pred(3)
         hidden = np.array([[3.0, 1.0, 1.0]])
-        scores = normalize_scores(pred, hidden, tree, [ROOT_ID], 1e6)
+        scores = normalize_scores(
+            pred, hidden, tree, [ROOT_ID], {ROOT_ID: candidate_set([0, 1, 2])}, 1e6
+        )
         for t in range(3):
             assert scores[(ROOT_ID, t)] == pytest.approx(1 / 3, abs=1e-6)
 
@@ -58,17 +74,30 @@ class TestNormalizeScores:
         tree = TokenTree()
         tree.insert(ROOT_ID, 0, 0.9)
         pred = one_hot_pred(2)
+        sets = {ROOT_ID: candidate_set([0])}
         with pytest.raises(ContractError):
-            normalize_scores(pred, np.zeros((0, 2)), tree, [ROOT_ID], 1.0)
+            normalize_scores(pred, np.zeros((0, 2)), tree, [ROOT_ID], sets, 1.0)
         with pytest.raises(ContractError):
-            normalize_scores(pred, np.zeros((2, 2)), tree, [ROOT_ID], 1.0)
+            normalize_scores(pred, np.zeros((2, 2)), tree, [ROOT_ID], sets, 1.0)
 
     def test_parent_without_children_rejected(self):
         tree = TokenTree()
         leaf = tree.insert(ROOT_ID, 0, 0.9)
         pred = one_hot_pred(2)
         with pytest.raises(ContractError):
-            normalize_scores(pred, np.zeros((1, 2)), tree, [leaf], 1.0)
+            normalize_scores(
+                pred, np.zeros((1, 2)), tree, [leaf], {leaf: candidate_set([1])}, 1.0
+            )
+
+    def test_parent_without_candidate_set_rejected(self):
+        tree = TokenTree()
+        a = tree.insert(ROOT_ID, 0, 0.9)
+        tree.insert(a, 1, 0.5)
+        pred = one_hot_pred(2)
+        with pytest.raises(ContractError, match=f"node {a} has no recorded candidate set"):
+            normalize_scores(
+                pred, np.zeros((2, 2)), tree, [ROOT_ID, a], {ROOT_ID: candidate_set([0])}, 1.0
+            )
 
 
 class TestBackbone:
@@ -193,14 +222,13 @@ class TestTreePruner:
             ExactProbeSource(target),
             PruneConfig(),
         )
-        return target, out.tree, pruner
+        return target, out, pruner
 
-    def test_compacted_tree_has_no_shadows(self):
-        target, tree, pruner = self._setup()
-        summary = pruner.apply(tree, [4, 9])
-        assert all(not tree.node(n).shadow for n in summary.keep)
+    def test_decision_shape_is_the_compacted_tree_shape(self):
+        target, out, pruner = self._setup()
+        tree = out.tree
+        summary = pruner.apply(tree, out.candidate_sets, [4, 9])
         pruned, _ = compact_with_map(tree, summary.keep)
-        assert all(not pruned.node(n).shadow for n in range(len(pruned)))
         assert pruned.node_count <= tree.node_count
         assert pruned.shape == (len(summary.keep), summary.leaves)
 
@@ -218,6 +246,22 @@ class TestTreePruner:
         res = run_decode(target, ctx, 48, policy, pruner=pruner)
         assert res.tokens == target_greedy_decode(target, ctx, 48)
 
+    @pytest.mark.parametrize("fanout, budget", [(2, 16), (3, 30)])
+    def test_balanced_tree_pruning_is_lossless(self, fanout, budget):
+        # the fixed-shape builds record their candidate sets, so their trees prune
+        target = TabularMarkovModel(16, 2, seed=47)
+        draft = derive_draft(target, 0.5, noise_seed=48)
+        policy = BalancedTreePolicy(draft, fanout=fanout, node_budget=budget)
+        pruner = TreePruner(
+            EarlyExitPredictor.identity_probe(16),
+            ExactProbeSource(target),
+            PruneConfig(theta=0.3, min_keep_frac=0.0, min_leaves=1),
+        )
+        ctx = [5, 1, 8]
+        res = run_decode(target, ctx, 48, policy, pruner=pruner)
+        assert res.tokens == target_greedy_decode(target, ctx, 48)
+        assert any(c.rows_verified < c.tree_nodes for c in res.cycles)
+
     def test_pruned_accept_never_exceeds_full_accept(self):
         # replay both verifications on identical cycles
         target = TabularMarkovModel(16, 2, seed=45)
@@ -233,20 +277,21 @@ class TestTreePruner:
         rel = ReliabilityState()
         for _ in range(12):
             out = build_tree(prefix, draft, cfg, rel, profile)
-            summary = pruner.apply(out.tree, prefix)
+            summary = pruner.apply(out.tree, out.candidate_sets, prefix)
             full = verify_tree(target, prefix, out.tree)
             cut = verify_tree(target, prefix, out.tree, summary.keep)
             assert cut.accepted_len <= full.accepted_len
             prefix = prefix + list(full.emitted)
 
     def test_rejected_decision_keeps_identical_rows(self):
-        target, tree, pruner_base = self._setup()
+        target, out, pruner_base = self._setup()
+        tree = out.tree
         pruner = TreePruner(
             pruner_base.pred,
             pruner_base.hidden_source,
             PruneConfig(theta=0.95, min_keep_frac=0.99, min_leaves=2),
         )
-        summary = pruner.apply(tree, [4, 9])
+        summary = pruner.apply(tree, out.candidate_sets, [4, 9])
         assert summary.rejected
         assert summary.keep == frozenset(tree.ids())
         assert summary.leaves == tree.leaf_count

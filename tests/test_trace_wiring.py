@@ -82,7 +82,7 @@ def test_decode_stages_call_the_traced_names(monkeypatch):
     pruner = TreePruner(
         EarlyExitPredictor.identity_probe(8), ExactProbeSource(target), PruneConfig()
     )
-    summary = pruner.apply(built.tree, context)
+    summary = pruner.apply(built.tree, built.candidate_sets, context)
     assert prune_flattens == ["flatten"]
 
     verify_flattens = recording(monkeypatch, verification, "flatten")

@@ -53,46 +53,11 @@ class TestInsert:
         with pytest.raises(StructureError):
             tree.insert(ROOT_ID, 3, 0.5)
 
-    def test_child_matching_a_shadow_rejected(self):
-        tree = TokenTree()
-        tree.insert(ROOT_ID, 3, 0.6)
-        tree.insert(ROOT_ID, 5, 0.3, shadow=True)
-        with pytest.raises(StructureError, match="already present as a shadow"):
-            tree.insert(ROOT_ID, 5, 0.3)
-
-    def test_second_shadow_with_same_token_rejected(self):
-        # a repeated shadow token would count twice in its parent's softmax
-        tree = TokenTree()
-        tree.insert(ROOT_ID, 3, 0.6)
-        tree.insert(ROOT_ID, 5, 0.3, shadow=True)
-        with pytest.raises(StructureError, match="already present as a shadow"):
-            tree.insert(ROOT_ID, 5, 0.2, shadow=True)
-        assert tree.shadow_children(ROOT_ID) == [2]
-
-    def test_shadow_matching_a_child_rejected(self):
-        tree = TokenTree()
-        tree.insert(ROOT_ID, 3, 0.6)
-        with pytest.raises(StructureError, match="already inserted"):
-            tree.insert(ROOT_ID, 3, 0.3, shadow=True)
-
     def test_reach_above_parent_rejected(self):
         tree = TokenTree()
         a = tree.insert(ROOT_ID, 3, 0.6)
         with pytest.raises(StructureError):
             tree.insert(a, 4, 0.7)
-
-    def test_shadow_nodes_not_counted(self):
-        tree = TokenTree()
-        tree.insert(ROOT_ID, 3, 0.6)
-        tree.insert(ROOT_ID, 5, 0.3, shadow=True)
-        assert tree.node_count == 2
-        assert tree.leaf_count == 1
-
-    def test_shadow_cannot_have_children(self):
-        tree = TokenTree()
-        s = tree.insert(ROOT_ID, 5, 0.3, shadow=True)
-        with pytest.raises(StructureError):
-            tree.insert(s, 1, 0.1)
 
 
 class TestFlatten:
@@ -120,14 +85,6 @@ class TestFlatten:
         layout = flatten(tree)
         for i in range(1, len(layout.rows)):
             assert layout.parent_row[i] < i
-
-    def test_shadow_rows_excluded(self):
-        tree = TokenTree()
-        tree.insert(ROOT_ID, 1, 0.9)
-        tree.insert(ROOT_ID, 7, 0.1, shadow=True)
-        layout = flatten(tree)
-        assert len(layout.rows) == 2
-        assert 7 not in layout.tokens
 
 
 class TestCompact:
@@ -182,13 +139,6 @@ class TestCompact:
         with pytest.raises(ContractError):
             compact_with_map(tree, [1])
 
-    def test_shadow_in_keep_rejected(self):
-        tree = TokenTree()
-        tree.insert(ROOT_ID, 1, 0.9)
-        s = tree.insert(ROOT_ID, 7, 0.1, shadow=True)
-        with pytest.raises(ContractError):
-            compact_with_map(tree, [ROOT_ID, s])
-
     def test_mapping_follows_insertion_order(self):
         tree = TokenTree()
         a = tree.insert(ROOT_ID, 1, 0.9)
@@ -199,53 +149,39 @@ class TestCompact:
 
 @st.composite
 def tree_builds(draw):
-    """A random sequence of (parent-index, token, shadow) insertions."""
+    """A random sequence of (parent-index, token) insertions."""
     n = draw(st.integers(min_value=0, max_value=24))
     ops = []
     for i in range(n):
         parent_idx = draw(st.integers(min_value=0, max_value=i))
         token = draw(st.integers(min_value=0, max_value=200))
-        shadow = draw(st.booleans())
-        ops.append((parent_idx, token, shadow))
+        ops.append((parent_idx, token))
     return ops
+
+
+def grow(ops):
+    """The tree ``ops`` insert, skipping a token its parent already has."""
+    tree = TokenTree()
+    handles = [ROOT_ID]
+    for parent_idx, token in ops:
+        parent = handles[parent_idx % len(handles)]
+        if any(tree.node(c).token == token for c in tree.children(parent)):
+            continue
+        handles.append(tree.insert(parent, token, tree.node(parent).reach * 0.9))
+    return tree
 
 
 class TestProperties:
     @given(tree_builds())
     @settings(max_examples=120, deadline=None)
     def test_counts_match_recount(self, ops):
-        tree = TokenTree()
-        handles = [ROOT_ID]
-        for parent_idx, token, shadow in ops:
-            parent = handles[parent_idx % len(handles)]
-            if tree.node(parent).shadow:
-                continue
-            if any(
-                tree.node(c).token == token
-                for c in tree.children(parent) + tree.shadow_children(parent)
-            ):
-                continue
-            reach = tree.node(parent).reach * 0.9
-            handles.append(tree.insert(parent, token, reach, shadow))
+        tree = grow(ops)
         assert (tree.node_count, tree.leaf_count) == recount(tree)
 
     @given(tree_builds())
     @settings(max_examples=60, deadline=None)
     def test_row_paths_match_tree_paths(self, ops):
-        tree = TokenTree()
-        handles = [ROOT_ID]
-        for parent_idx, token, shadow in ops:
-            parent = handles[parent_idx % len(handles)]
-            if tree.node(parent).shadow:
-                continue
-            if any(
-                tree.node(c).token == token
-                for c in tree.children(parent) + tree.shadow_children(parent)
-            ):
-                continue
-            handles.append(
-                tree.insert(parent, token, tree.node(parent).reach * 0.9, shadow)
-            )
+        tree = grow(ops)
         layout = flatten(tree)
         assert list(layout.rows) == tree.ids()
         for i, nid in enumerate(layout.rows):
@@ -256,13 +192,7 @@ class TestProperties:
     @given(tree_builds())
     @settings(max_examples=60, deadline=None)
     def test_flatten_topological_and_compact_all_roundtrip(self, ops):
-        tree = TokenTree()
-        handles = [ROOT_ID]
-        for parent_idx, token, _ in ops:
-            parent = handles[parent_idx % len(handles)]
-            if any(tree.node(c).token == token for c in tree.children(parent)):
-                continue
-            handles.append(tree.insert(parent, token, tree.node(parent).reach * 0.9))
+        tree = grow(ops)
         layout = flatten(tree)
         for i in range(1, len(layout.rows)):
             assert layout.parent_row[i] < i
@@ -275,7 +205,7 @@ class TestSerialization:
         tree = TokenTree(root_token=9)
         a = tree.insert(ROOT_ID, 1, 0.9)
         tree.insert(a, 2, 0.5)
-        tree.insert(ROOT_ID, 7, 0.1, shadow=True)
+        tree.insert(ROOT_ID, 7, 0.1)
         again = tree_from_json(tree_json(tree))
         assert tree_json(again) == tree_json(tree)
         assert again.shape == tree.shape
@@ -283,7 +213,7 @@ class TestSerialization:
     def test_json_shape_documented_fields(self):
         tree = chain_tree([1])
         payload = json.loads(tree_json(tree))
-        assert set(payload["nodes"][0]) == {"id", "parent", "token", "reach", "shadow"}
+        assert set(payload["nodes"][0]) == {"id", "parent", "token", "reach"}
 
 
 class TestCandidateSet:

@@ -83,16 +83,6 @@ class TestVerifyTree:
         assert res.accepted_len == 2
         assert res.emitted == (5, 6, 0)
 
-    def test_shadow_children_never_accepted(self):
-        target = ScriptedModel([5])
-        target.base_len = 1
-        tree = TokenTree()
-        tree.insert(ROOT_ID, 5, 0.9, shadow=True)
-        tree.insert(ROOT_ID, 3, 0.8)
-        res = verify_tree(target, [0], tree)
-        assert res.accepted_len == 0
-        assert res.emitted == (5,)
-
     def test_target_read_only_on_the_walked_path(self):
         target = RecordingModel(TabularMarkovModel(16, 2, seed=14))
         tree = TokenTree()

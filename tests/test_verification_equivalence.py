@@ -1,14 +1,15 @@
 """Path-only verification through a keep set, parent-only prune rows,
-one-pass edge scoring, the prune decision, compaction by remapping, the edge
-index, child lookup and the decode loop with policy-owned feedback against
-the slow references in ``reference_verification`` and ``helpers``."""
+one-pass edge scoring over recorded candidate sets, the prune decision,
+compaction by remapping, the edge index, child lookup and the decode loop
+with policy-owned feedback against the slow references in
+``reference_verification``, ``reference_builder`` and ``helpers``."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flashspec.drafting import DraftConfig
+from flashspec.drafting import DraftConfig, ReliabilityState, build_tree
 from flashspec.errors import ContractError
 from flashspec.models import LayeredTargetModel, TabularMarkovModel, derive_draft
 from flashspec.policies import GainCostPolicy
@@ -16,7 +17,15 @@ from flashspec.predictor import EarlyExitPredictor, ExactProbeSource, LayeredHid
 from flashspec.pruning import PruneConfig, TreePruner, normalize_scores, prune
 from flashspec.tree import ROOT_ID, TokenTree
 from flashspec.verification import run_decode, verify_tree
-from helpers import affine_profile, child_by_token, compact_with_map, recount, tree_json
+from helpers import (
+    affine_profile,
+    candidate_set,
+    child_by_token,
+    compact_with_map,
+    recount,
+    tree_json,
+)
+from reference_builder import build_tree as reference_build_tree
 import reference_verification as ref
 
 
@@ -61,10 +70,28 @@ def targets(draw):
     )
 
 
+def candidate_sets_for(tree, vocab, rng):
+    """A valid candidate set for every parent: its children's tokens plus a
+    random number of other tokens, in random order.  Some leaves get a set
+    of their own, as a builder's expanded leaves do."""
+    sets = {}
+    for nid in tree.ids():
+        tokens = [tree.node(c).token for c in tree.children(nid)]
+        if not tokens and rng.integers(2):
+            continue
+        others = [t for t in range(vocab) if t not in tokens]
+        tokens += [int(t) for t in rng.permutation(others)[: rng.integers(len(others) + 1)]]
+        if not tokens:
+            continue
+        rng.shuffle(tokens)
+        sets[nid] = candidate_set(tokens)
+    return sets
+
+
 @st.composite
 def target_trees(draw):
-    """A target, a context and a random tree with shadows (some tokens are
-    the target's greedy choice, so paths get accepted)."""
+    """A target, a context, a random tree (some tokens are the target's
+    greedy choice, so paths get accepted) and its candidate sets."""
     target = draw(targets())
     vocab = target.vocab_size
     context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=6))
@@ -72,25 +99,23 @@ def target_trees(draw):
     handles = [ROOT_ID]
     for _ in range(draw(st.integers(0, 30))):
         parent = handles[draw(st.integers(0, len(handles) - 1))]
-        if tree.node(parent).shadow:
-            continue
         if draw(st.booleans()):
             prefix = context + tree.path_tokens(parent)
             token = int(np.argmax(target.next_dist(prefix)))
         else:
             token = draw(st.integers(0, vocab - 1))
-        taken = tree.children(parent) + tree.shadow_children(parent)
-        if any(tree.node(c).token == token for c in taken):
+        if tree.child(parent, token) is not None:
             continue
         reach = tree.node(parent).reach * draw(st.sampled_from([0.25, 0.5, 0.9, 1.0]))
-        handles.append(tree.insert(parent, token, reach, draw(st.booleans())))
-    return target, context, tree
+        handles.append(tree.insert(parent, token, reach))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    return target, context, tree, candidate_sets_for(tree, vocab, rng)
 
 
-@st.composite
-def cases(draw):
-    """A target, a context, a random tree and a pruner recipe."""
-    target, context, tree = draw(target_trees())
+def draw_pruner(draw, target):
+    """A prune config, a probe and its engine and reference hidden sources:
+    a random probe on a layered target's intermediate layer, or the
+    identity probe on exact log-probabilities."""
     vocab = target.vocab_size
     cfg = PruneConfig(
         theta=draw(st.sampled_from([0.1, 0.3, 0.5, 0.8])),
@@ -107,19 +132,28 @@ def cases(draw):
     else:
         pred = EarlyExitPredictor.identity_probe(vocab)
         sources = (ExactProbeSource(target), ref.ExactProbeSource(target))
-    return target, context, tree, pred, sources, cfg
+    return cfg, pred, sources
+
+
+@st.composite
+def cases(draw):
+    """A target, a context, a random tree, its candidate sets and a pruner
+    recipe."""
+    target, context, tree, sets = draw(target_trees())
+    cfg, pred, sources = draw_pruner(draw, target)
+    return target, context, tree, sets, pred, sources, cfg
 
 
 @settings(max_examples=250)
 @given(cases())
 def test_fast_stages_match_reference(case):
-    target, context, tree, pred, (source, ref_source), cfg = case
+    target, context, tree, sets, pred, (source, ref_source), cfg = case
 
     recording = RecordingSource(source)
     pruner = TreePruner(pred, recording, cfg)
-    decision = pruner.apply(tree, context)
+    decision = pruner.apply(tree, sets, context)
     ref_pruned, new_to_old, ref_decision = ref.TreePruner(pred, ref_source, cfg).apply(
-        tree, context
+        tree, ref.leftovers(tree, sets), context
     )
     assert tree_json(compact_with_map(tree, decision.keep)[0]) == tree_json(ref_pruned)
     assert decision == ref_decision
@@ -145,7 +179,7 @@ def test_fast_stages_match_reference(case):
 
 
 def closed_keep(tree, rng):
-    """A random ancestor-closed set of the tree's non-shadow nodes."""
+    """A random ancestor-closed set of the tree's nodes."""
     keep = {ROOT_ID}
     for nid in tree.ids():
         if rng.integers(2):
@@ -158,8 +192,8 @@ def closed_keep(tree, rng):
 @st.composite
 def walk_cases(draw):
     """A target, a context, a random tree and an ancestor-closed keep set:
-    the root only, every non-shadow node, or a random closed subset."""
-    target, context, tree = draw(target_trees())
+    the root only, every node, or a random closed subset."""
+    target, context, tree, _ = draw(target_trees())
     kind = draw(st.sampled_from(["root", "all", "random"]))
     if kind == "root":
         keep = {ROOT_ID}
@@ -200,18 +234,15 @@ def ancestors(tree, nid):
 @st.composite
 def malformed_keeps(draw):
     """A tree and a keep set with exactly one fault: the root missing, an
-    unknown id, a shadow node, or a node kept without its parent."""
+    unknown id, or a node kept without its parent."""
     tree = grow_tree(draw, draw(st.integers(2, 12)), 40)
     keep = closed_keep(tree, np.random.default_rng(draw(st.integers(0, 10_000))))
-    fault = draw(st.sampled_from(["root", "unknown", "shadow", "ancestor"]))
+    fault = draw(st.sampled_from(["root", "unknown", "ancestor"]))
     if fault == "root":
         keep.discard(ROOT_ID)
     elif fault == "unknown":
-        keep.add(draw(st.sampled_from([len(tree), len(tree) + 7, -1, -3])))
-    elif fault == "shadow":
-        shadows = [nid for nid in tree.ids(include_shadow=True) if tree.node(nid).shadow]
-        assume(shadows)
-        keep.add(draw(st.sampled_from(shadows)))
+        n = tree.node_count
+        keep.add(draw(st.sampled_from([n, n + 7, -1, -3])))
     else:
         deep = [nid for nid in tree.ids() if tree.node(nid).depth >= 2]
         assume(deep)
@@ -236,8 +267,7 @@ def test_malformed_keep_set_raises_the_compaction_error(case):
 
 
 def grow_tree(draw, vocab, max_inserts):
-    """A random tree with shadows: parents get uneven candidate groups
-    (children only, children plus some shadows, shadows only)."""
+    """A random tree whose parents get uneven numbers of children."""
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
     tree = TokenTree()
     handles = [ROOT_ID]
@@ -245,22 +275,23 @@ def grow_tree(draw, vocab, max_inserts):
         # favour early handles so that some parents get wide groups
         parent = handles[int(rng.integers(len(handles))) // 2]
         token = int(rng.integers(vocab))
-        taken = tree.children(parent) + tree.shadow_children(parent)
-        if tree.node(parent).shadow or any(tree.node(c).token == token for c in taken):
+        if tree.child(parent, token) is not None:
             continue
         reach = tree.node(parent).reach * float(rng.choice([0.5, 0.9, 1.0]))
-        handles.append(tree.insert(parent, token, reach, bool(rng.integers(2))))
+        handles.append(tree.insert(parent, token, reach))
     return tree
 
 
 @st.composite
 def score_cases(draw):
-    """A tree, its parents' hidden rows from a real source, a probe on
+    """A tree, candidate sets that add uneven numbers of childless tokens to
+    its parents, the parents' hidden rows from a real source, a probe on
     them (identity on log-probabilities, or a random probe on a layered
     target's intermediate layer) and a temperature."""
     vocab = draw(st.integers(2, 24))
     seed = draw(st.integers(0, 10_000))
     tree = grow_tree(draw, vocab, 60)
+    sets = candidate_sets_for(tree, vocab, np.random.default_rng(seed))
     context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=4))
     if draw(st.booleans()):
         target = TabularMarkovModel(vocab, draw(st.integers(1, 2)), seed, concentration=0.3)
@@ -278,17 +309,86 @@ def score_cases(draw):
     parents = [nid for nid in tree.ids() if tree.children(nid)]
     hidden = source.rows([context + tree.path_tokens(p) for p in parents])
     tau = draw(st.sampled_from([0.5, 1.0, 2.0]))
-    return pred, hidden, tree, parents, tau
+    return pred, hidden, tree, parents, sets, tau
 
 
 @settings(max_examples=200)
 @given(score_cases())
 def test_one_pass_scores_match_per_edge_reference(case):
-    pred, hidden, tree, parents, tau = case
-    got = normalize_scores(pred, hidden, tree, parents, tau)
-    want = ref.normalize_parent_scores(pred, hidden, tree, parents, tau)
+    pred, hidden, tree, parents, sets, tau = case
+    got = normalize_scores(pred, hidden, tree, parents, sets, tau)
+    want = ref.normalize_parent_scores(
+        pred, hidden, tree, parents, tau, ref.leftovers(tree, sets)
+    )
     assert got == want
     assert list(got) == list(want)
+
+
+@st.composite
+def build_cases(draw):
+    """A gain-cost build recipe on a tabular or layered target (mixture
+    draft, drafting config, reliability, profile, draft cost, context) and
+    a pruner recipe."""
+    target = draw(targets())
+    vocab = target.vocab_size
+    draft = derive_draft(
+        target,
+        draw(st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0])),
+        draw(st.integers(0, 10_000)),
+        noise_concentration=draw(st.sampled_from([0.1, 0.3, 1.0])),
+    )
+    cfg = DraftConfig(
+        k=draw(st.integers(1, vocab)),
+        max_depth=draw(st.integers(1, 5)),
+        b_min=draw(st.sampled_from([0.0, 0.01, 0.1])),
+        max_nodes=draw(st.sampled_from([None, 4, 16])),
+    )
+    rel = ReliabilityState(value=draw(st.sampled_from([0.05, 0.5, 1.0])))
+    profile_args = (
+        draw(st.floats(50.0, 1000.0)),
+        draw(st.sampled_from([0.0, 3.0, 10.0])),
+        draw(st.sampled_from([0.0, 1.0])),
+        draw(st.integers(2, 40)),
+        draw(st.integers(1, 16)),
+    )
+    draft_ms = draw(st.sampled_from([0.0, 2.0, 20.0]))
+    context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=5))
+    build = (draft, cfg, rel, profile_args, draft_ms)
+    return (build, context, *draw_pruner(draw, target))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(build_cases())
+def test_candidate_set_scores_match_the_leftover_frontier_reference(case):
+    """Scoring a build over its recorded candidate sets matches the
+    reference's scores over each parent's children plus its leftover
+    frontier entries, byte for byte and in key order, and so do the prune
+    decisions."""
+    (draft, cfg, rel, profile_args, draft_ms), context, prune_cfg, pred, sources = case
+    source, ref_source = sources
+    fast = build_tree(context, draft, cfg, rel, affine_profile(*profile_args), draft_ms)
+    slow, audit = reference_build_tree(
+        context, draft, cfg, rel, affine_profile(*profile_args), draft_ms
+    )
+    assert tree_json(fast.tree) == tree_json(slow.tree)
+    extras = {}
+    for entry in audit.leftover:
+        extras.setdefault(entry.parent, []).append(entry.token)
+
+    tree = fast.tree
+    parents = [nid for nid in tree.ids() if tree.children(nid)]
+    hidden = source.rows([context + tree.path_tokens(p) for p in parents])
+    got = normalize_scores(pred, hidden, tree, parents, fast.candidate_sets, prune_cfg.tau)
+    want = ref.normalize_parent_scores(pred, hidden, slow.tree, parents, prune_cfg.tau, extras)
+    assert list(got) == list(want)
+    assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+    assert prune(tree, got, prune_cfg) == ref.prune(slow.tree, want, prune_cfg)
+
+    decision = TreePruner(pred, source, prune_cfg).apply(tree, fast.candidate_sets, context)
+    _, _, ref_decision = ref.TreePruner(pred, ref_source, prune_cfg).apply(
+        slow.tree, extras, context
+    )
+    assert decision == ref_decision
 
 
 @st.composite
@@ -300,7 +400,7 @@ def prune_cases(draw):
     levels = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)))
     scores = {
         (tree.node(nid).parent, tree.node(nid).token): float(rng.choice(levels))
-        for nid in tree.ids(include_shadow=True)
+        for nid in tree.ids()
         if nid != ROOT_ID
     }
     cfg = PruneConfig(
@@ -321,7 +421,7 @@ def test_prune_matches_reference(case):
 
 @st.composite
 def keep_cases(draw):
-    """A tree and a random ancestor-closed set of its non-shadow nodes."""
+    """A tree and a random ancestor-closed set of its nodes."""
     tree = grow_tree(draw, draw(st.integers(2, 12)), 40)
     return tree, closed_keep(tree, np.random.default_rng(draw(st.integers(0, 10_000))))
 
@@ -346,23 +446,22 @@ def indexed_trees(draw):
 @settings(max_examples=200)
 @given(indexed_trees())
 def test_edge_index_matches_linear_scan(case):
-    """The ``(parent, token)`` index behind insertion's duplicate and shadow
-    checks agrees with a scan of the child and shadow lists."""
+    """The ``(parent, token)`` index behind insertion's duplicate check
+    agrees with a scan of the child lists."""
     tree, vocab = case
-    for nid in tree.ids(include_shadow=True):
-        members = tree.children(nid) + tree.shadow_children(nid)
+    for nid in tree.ids():
         for token in range(-1, vocab + 1):
-            scan = [(c, tree.node(c).shadow) for c in members if tree.node(c).token == token]
+            scan = [c for c in tree.children(nid) if tree.node(c).token == token]
             assert tree._edges.get((nid, token)) == (scan[0] if scan else None)
 
 
 @settings(max_examples=200, derandomize=True)
 @given(indexed_trees())
 def test_child_matches_linear_scan(case):
-    """``TokenTree.child`` finds the non-shadow child a scan finds, and
-    nothing for shadow tokens, absent tokens and shadow parents."""
+    """``TokenTree.child`` finds the child a scan finds, and nothing for
+    absent tokens."""
     tree, vocab = case
-    for nid in tree.ids(include_shadow=True):
+    for nid in tree.ids():
         for token in range(-1, vocab + 1):
             assert tree.child(nid, token) == child_by_token(tree, nid, token)
 
