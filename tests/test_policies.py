@@ -6,7 +6,7 @@ from flashspec.errors import ConfigError
 from flashspec.models import TabularMarkovModel, derive_draft
 from flashspec.policies import BalancedTreePolicy, ChainPolicy, RootOnlyPolicy
 from flashspec.tree import ROOT_ID, flatten
-from helpers import tree_json
+from helpers import candidate_tokens, tree_json
 
 
 def models(seed=9, agreement=0.8):
@@ -89,6 +89,17 @@ class TestBalanced:
         top2 = sorted(range(16), key=lambda t: (-p[t], t))[:2]
         got = [tree.node(c).token for c in tree.children(ROOT_ID)]
         assert got == top2
+
+    def test_every_parent_records_its_candidate_set(self):
+        # pruning normalizes each parent's scores over its recorded set
+        _, draft = models()
+        out = BalancedTreePolicy(draft, 2, 16).build([4, 2])
+        tree = out.tree
+        parents = [nid for nid in tree.ids() if tree.children(nid)]
+        assert sorted(out.candidate_sets) == parents
+        for parent in parents:
+            kids = tuple(tree.node(c).token for c in tree.children(parent))
+            assert kids == candidate_tokens(out.candidate_sets[parent])
 
     @pytest.mark.parametrize("fanout,budget", [(0, 16), (2, 0)])
     def test_bad_shape_is_refused_at_construction(self, fanout, budget):

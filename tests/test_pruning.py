@@ -15,7 +15,7 @@ from flashspec.pruning import (
 )
 from flashspec.tree import ROOT_ID, TokenTree, flatten
 from flashspec.verification import run_decode, verify_tree
-from helpers import affine_profile, candidate_set, compact_with_map
+from helpers import affine_profile, candidate_set, candidate_tokens, compact_with_map
 
 
 def one_hot_pred(vocab_size):
@@ -231,6 +231,27 @@ class TestTreePruner:
         pruned, _ = compact_with_map(tree, summary.keep)
         assert pruned.node_count <= tree.node_count
         assert pruned.shape == (len(summary.keep), summary.leaves)
+
+    def test_childless_candidates_share_each_parents_softmax(self):
+        # the tokens a parent left without a child take part of its mass
+        target, out, pruner = self._setup()
+        tree = out.tree
+        parents = [nid for nid in flatten(tree).rows if tree.children(nid)]
+        hidden = pruner.hidden_source.rows(
+            [[4, 9] + tree.path_tokens(nid) for nid in parents]
+        )
+        scores = normalize_scores(
+            pruner.pred, hidden, tree, parents, out.candidate_sets, pruner.cfg.tau
+        )
+        short = 0
+        for parent in parents:
+            members = candidate_tokens(out.candidate_sets[parent])
+            assert sum(scores[(parent, t)] for t in members) == pytest.approx(1.0)
+            kids = [tree.node(c).token for c in tree.children(parent)]
+            if len(kids) < len(members):
+                short += 1
+                assert sum(scores[(parent, t)] for t in kids) < 1.0
+        assert short > 0
 
     def test_losslessness_with_pruning(self):
         target = TabularMarkovModel(16, 2, seed=43)

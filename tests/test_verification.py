@@ -83,6 +83,27 @@ class TestVerifyTree:
         assert res.accepted_len == 2
         assert res.emitted == (5, 6, 0)
 
+    def test_childless_candidate_never_accepted(self):
+        # a candidate token the build left without a child is not a row
+        draft = derive_draft(TabularMarkovModel(16, 2, seed=16), 0.7, noise_seed=5)
+        cfg = DraftConfig(k=3, max_depth=3, b_min=0.01)
+        from flashspec.drafting import build_tree
+
+        out = build_tree([1, 2], draft, cfg, ReliabilityState(), profile_flat())
+        tree = out.tree
+        parent, leftover = next(
+            (parent, token)
+            for parent, cand in out.candidate_sets.items()
+            for token, _ in cand.entries
+            if tree.child(parent, token) is None
+        )
+        path = tree.path_tokens(parent)
+        target = ScriptedModel(path + [leftover])
+        target.base_len = 2
+        res = verify_tree(target, [1, 2], tree)
+        assert res.accepted_len == len(path)
+        assert res.emitted == tuple(path) + (leftover,)
+
     def test_target_read_only_on_the_walked_path(self):
         target = RecordingModel(TabularMarkovModel(16, 2, seed=14))
         tree = TokenTree()
