@@ -23,14 +23,14 @@ entries; one pass over it scores every entry and keeps the best ratio,
 ties broken towards higher reach, then the smaller token, then the smaller
 parent handle.
 
-:class:`LatencyProfile` is a fixed table that memoizes the nearest stored
-shape of every missed lookup, so each missed shape scans the table once.
+:class:`LatencyProfile` prices each shape the first time a build looks it
+up and clamps a shape off its grid to the grid's edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConfigError, ContractError
 from .models import ProbModel, draft_candidates
@@ -76,62 +76,63 @@ def calibrate(p_draft: float, rel: ReliabilityState) -> float:
     return min(1.0, max(0.0, rel.value * p_draft))
 
 
-MISS_PENALTY = 1.1   # conservative factor on a missed shape's nearest price
+MISS_PENALTY = 1.1   # conservative factor on an off-grid shape's clamped price
 
 
 class LatencyProfile:
-    """Fixed verification-latency table indexed by tree shape (nodes, leaves).
+    """Verification-latency table over tree shapes (nodes, leaves), priced
+    lazily by ``price(nodes, leaves)``.
 
-    Built once from a shape -> ms mapping and only read afterwards.  Exact
-    hits return the stored price.  Misses return the nearest entry by L1
-    shape distance (ties prefer the smaller node count, then the smaller
-    leaf count) multiplied by :data:`MISS_PENALTY`.  The nearest key of each
-    missed shape is memoized; the memo never goes stale because the table
-    never changes.
+    The grid is every shape with ``nodes <= max_nodes`` and ``leaves <=
+    min(nodes, max_leaves)``.  Each looked-up shape is priced once into a
+    memo.  A shape off the grid is priced at its clamp ``(n', min(leaves,
+    max_leaves, n'))`` with ``n' = min(nodes, max_nodes)``, times
+    :data:`MISS_PENALTY`; on this dense grid the clamp is the L1-nearest
+    grid shape, ties to fewer nodes, then fewer leaves.
     """
 
-    def __init__(self, entries: Mapping[tuple[int, int], float]) -> None:
-        if not entries:
-            raise ConfigError("latency profile is empty and has no offline seed")
-        for shape, ms in entries.items():
-            if shape[0] < 1 or shape[1] < 1:
-                raise ContractError(f"shape {shape} components must be >= 1")
-            if ms <= 0:
-                raise ContractError("latency must be positive")
-        self._entries = {shape: float(ms) for shape, ms in entries.items()}
-        self._nearest: dict[tuple[int, int], tuple[int, int]] = {}
+    def __init__(self, price: Callable[[int, int], float], max_nodes: int, max_leaves: int):
+        if max_nodes < 1 or max_leaves < 1:
+            raise ConfigError(f"profile bounds {max_nodes}, {max_leaves} must be >= 1")
+        self._price = price
+        self._max_nodes = max_nodes
+        self._max_leaves = max_leaves
+        self._memo: dict[tuple[int, int], float] = {}
+        self._size = sum(min(nodes, max_leaves) for nodes in range(1, max_nodes + 1))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._size
 
     def entries(self) -> dict[tuple[int, int], float]:
-        return dict(self._entries)
+        """Every grid shape and its price; never goes through :meth:`lookup`."""
+        return {
+            (nodes, leaves): self._on_grid((nodes, leaves))
+            for nodes in range(1, self._max_nodes + 1)
+            for leaves in range(1, min(nodes, self._max_leaves) + 1)
+        }
 
     def lookup(self, shape: tuple[int, int]) -> float:
+        ms = self._memo.get(shape)
+        if ms is not None:
+            return ms
         nodes, leaves = shape
         if nodes < 1 or leaves < 1:
             raise ContractError(f"shape {shape} components must be >= 1")
-        hit = self._entries.get(shape)
-        if hit is not None:
-            return hit
-        best_key = self._nearest.get(shape)
-        if best_key is None:
-            best_key = self._nearest[shape] = self._scan_nearest(nodes, leaves)
-        return self._entries[best_key] * MISS_PENALTY
+        clamped = min(nodes, self._max_nodes)
+        clamp = (clamped, min(leaves, self._max_leaves, clamped))
+        ms = self._on_grid(clamp)
+        if clamp != shape:
+            ms = self._memo[shape] = ms * MISS_PENALTY
+        return ms
 
-    def _scan_nearest(self, nodes: int, leaves: int) -> tuple[int, int]:
-        best_key = None
-        best_dist = None
-        for key in self._entries:
-            dist = abs(key[0] - nodes) + abs(key[1] - leaves)
-            if (
-                best_dist is None
-                or dist < best_dist
-                or (dist == best_dist and key < best_key)
-            ):
-                best_dist = dist
-                best_key = key
-        return best_key
+    def _on_grid(self, shape: tuple[int, int]) -> float:
+        ms = self._memo.get(shape)
+        if ms is None:
+            ms = float(self._price(*shape))
+            if ms <= 0:
+                raise ContractError(f"latency of shape {shape} must be positive")
+            self._memo[shape] = ms
+        return ms
 
 
 @dataclass(frozen=True)
@@ -159,6 +160,8 @@ class DraftConfig:
             raise ConfigError("r_min must lie in (0, 1]")
         if self.cost_floor_ms <= 0:
             raise ConfigError("cost_floor_ms must be > 0")
+        if self.max_nodes is not None and self.max_nodes < 1:
+            raise ConfigError("max_nodes must be >= 1, or None for no budget")
 
     def reliability(self) -> ReliabilityState:
         return ReliabilityState(value=1.0, beta=self.beta, floor=self.r_min)

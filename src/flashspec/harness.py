@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from types import UnionType
 from typing import Any, Iterable, Sequence, get_args, get_type_hints
@@ -127,6 +127,9 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if self.predictor_examples < 1:
             raise ConfigError("predictor_examples must be >= 1")
+        for key in ("profile_max_nodes", "profile_max_leaves"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key}={getattr(self, key)} must be >= 1")
         if self.projection_mode not in (None, "eager", "ondemand"):
             raise ConfigError(f"unknown projection mode {self.projection_mode!r}")
         if self.predictor_checkpoint and self.model.type != "layered":
@@ -281,27 +284,17 @@ def make_context(cfg: ExperimentConfig, trial: int) -> list[int]:
 
 
 def seed_profile(cfg: ExperimentConfig, hw: HardwareConfig) -> LatencyProfile:
-    """Offline profile over a dense shape grid, priced exactly like the
-    simulated timeline (the preset's own I/O-compute overlap policy), so
-    planning estimates and pricing agree.
-
-    The profile is a fixed table, so every trial and policy on one hardware
-    and grid size shares the one cached :func:`priced_grid`."""
+    """The planning profile, priced exactly like the simulated timeline (the
+    preset's own I/O-compute overlap policy) so planning estimates and pricing
+    agree; every trial and policy on one hardware and grid size shares it."""
     return priced_grid(hw, cfg.profile_max_nodes, cfg.profile_max_leaves)
 
 
 @lru_cache(maxsize=8)
 def priced_grid(hw: HardwareConfig, max_nodes: int, max_leaves: int) -> LatencyProfile:
-    """The dense profile grid priced by :func:`verify_latency` on ``hw``:
-    every shape with ``nodes <= max_nodes`` and ``leaves <= min(nodes,
-    max_leaves)``, cached and shared by every caller."""
-    return LatencyProfile(
-        {
-            (nodes, leaves): verify_latency(hw, nodes, leaves)
-            for nodes in range(1, max_nodes + 1)
-            for leaves in range(1, min(nodes, max_leaves) + 1)
-        }
-    )
+    """The profile grid priced by :func:`verify_latency` on ``hw`` as its
+    shapes are looked up, cached and shared by every caller."""
+    return LatencyProfile(partial(verify_latency, hw), max_nodes, max_leaves)
 
 
 def make_pruner(

@@ -1,5 +1,5 @@
 """Test-side helpers over flashspec's public API: an affine latency
-profile, a tree's summed-reach gain, a child lookup by token, node and leaf
+profile and the shapes of a profile grid, a tree's summed-reach gain, a child lookup by token, node and leaf
 counts recomputed from scratch, a pruned copy of a tree by compaction, a
 tree's JSON and the tree rebuilt from it, a candidate set's tokens and a
 candidate set of given tokens, a
@@ -48,16 +48,19 @@ def affine_profile(
     max_nodes: int,
     max_leaves: int,
 ) -> LatencyProfile:
-    """Dense monotone seed: ms = c0 + c_node*nodes + c_leaf*leaves over
-    every shape with ``nodes <= max_nodes`` and ``leaves <= min(nodes,
-    max_leaves)``."""
+    """Monotone seed: ms = c0 + c_node*nodes + c_leaf*leaves on the
+    ``max_nodes`` by ``max_leaves`` profile grid."""
     return LatencyProfile(
-        {
-            (nodes, leaves): c0 + c_node * nodes + c_leaf * leaves
-            for nodes in range(1, max_nodes + 1)
-            for leaves in range(1, min(nodes, max_leaves) + 1)
-        }
+        lambda nodes, leaves: c0 + c_node * nodes + c_leaf * leaves, max_nodes, max_leaves
     )
+
+
+def grid_shapes(max_nodes: int, max_leaves: int) -> list[tuple[int, int]]:
+    """A profile grid written out: every shape with ``nodes <= max_nodes``
+    and ``leaves <= min(nodes, max_leaves)``."""
+    return [
+        (n, l) for n in range(1, max_nodes + 1) for l in range(1, min(n, max_leaves) + 1)
+    ]
 
 
 def estimate_gain(tree: TokenTree) -> float:

@@ -11,7 +11,7 @@ from flashspec.drafting import (
     build_tree,
 )
 from flashspec.models import TabularMarkovModel, derive_draft
-from helpers import affine_profile, tree_json
+from helpers import affine_profile, grid_shapes, tree_json
 from reference_builder import build_tree as reference_build_tree
 
 
@@ -30,9 +30,9 @@ class CoarseDraft:
 
 @st.composite
 def profiles(draw):
-    """A recipe for a dense affine grid or a sparse table whose misses pay
-    the miss penalty; each builder gets its own profile from the same
-    recipe."""
+    """A recipe for a dense affine grid or a grid of random, non-affine
+    prices, both small enough that builds run off their edges and pay the
+    miss penalty; each builder gets its own profile from the same recipe."""
     if draw(st.booleans()):
         args = (
             draw(st.floats(50.0, 1000.0)),
@@ -42,15 +42,9 @@ def profiles(draw):
             draw(st.integers(1, 16)),
         )
         return lambda: affine_profile(*args)
-    rows = draw(
-        st.dictionaries(
-            st.tuples(st.integers(1, 14), st.integers(1, 6)),
-            st.floats(10.0, 2000.0),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    return lambda: LatencyProfile(rows)
+    max_nodes, max_leaves = draw(st.integers(1, 14)), draw(st.integers(1, 6))
+    prices = {s: draw(st.floats(10.0, 2000.0)) for s in grid_shapes(max_nodes, max_leaves)}
+    return lambda: LatencyProfile(lambda n, l: prices[n, l], max_nodes, max_leaves)
 
 
 @st.composite

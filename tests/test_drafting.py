@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +16,13 @@ from flashspec.drafting import (
     is_expandable,
     update_reliability,
 )
-from flashspec.errors import ConfigError
 from flashspec.models import TabularMarkovModel, derive_draft
 from flashspec.tree import ROOT_ID, TokenTree
 from helpers import (
     affine_profile,
     candidate_tokens,
     estimate_gain,
+    grid_shapes,
     marginal_cost,
     tree_json,
 )
@@ -112,50 +114,60 @@ class TestGain:
         assert estimate_gain(tree) == pytest.approx(oracle, rel=1e-12)
 
 
+@st.composite
+def random_grids(draw):
+    """Random bounds (<= 12) and random positive, non-affine prices."""
+    max_nodes, max_leaves = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    table = {s: draw(st.floats(1.0, 2000.0)) for s in grid_shapes(max_nodes, max_leaves)}
+    return table, max_nodes, max_leaves
+
+
 class TestLatencyProfile:
     def test_exact_hit(self):
-        p = LatencyProfile({(8, 3): 900.0})
+        p = LatencyProfile(lambda n, l: 900.0, 8, 3)
         assert p.lookup((8, 3)) == 900.0
 
     def test_miss_applies_penalty(self):
-        p = LatencyProfile({(8, 3): 900.0})
+        p = LatencyProfile(lambda n, l: 900.0, 8, 3)
         assert p.lookup((9, 3)) == pytest.approx(990.0)
 
-    def test_nearest_matches_linear_scan_oracle(self):
-        rng = np.random.default_rng(11)
-        entries = {}
-        for _ in range(40):
-            shape = (int(rng.integers(1, 30)), int(rng.integers(1, 12)))
-            entries[shape] = float(rng.uniform(100, 2000))
-        p = LatencyProfile(entries)
-        for _ in range(100):
-            q = (int(rng.integers(1, 35)), int(rng.integers(1, 15)))
-            assert p.lookup(q) == pytest.approx(scan_lookup(entries, q))
-
+    @settings(max_examples=150)
     @given(
-        st.dictionaries(
-            st.tuples(st.integers(1, 12), st.integers(1, 6)),
-            st.floats(10.0, 1000.0),
-            min_size=1,
-            max_size=20,
-        ),
-        st.lists(st.tuples(st.integers(1, 14), st.integers(1, 7)), max_size=30),
+        random_grids(),
+        st.lists(st.tuples(st.integers(1, 19), st.integers(1, 19)), max_size=30),
     )
-    def test_memo_matches_linear_scan_after_every_operation(self, entries, queries):
-        p = LatencyProfile(entries)
-        for query in queries:
-            p.lookup(query)
-            for q in ((n, l) for n in range(1, 15) for l in range(1, 8)):
-                assert p.lookup(q) == scan_lookup(entries, q)
-        assert p.entries() == entries
+    def test_clamp_matches_nearest_scan_over_the_grid(self, grid, queries):
+        table, max_nodes, max_leaves = grid
+        p = LatencyProfile(lambda n, l: table[n, l], max_nodes, max_leaves)
+        # on the grid, just off each edge, and leaves > nodes; the second pass
+        # over the queries reads the memo
+        edge = [(n, l) for n in range(1, max_nodes + 3) for l in range(1, max_leaves + 3)]
+        for q in queries + edge + queries:
+            assert p.lookup(q) == scan_lookup(table, q)
+        assert len(p) == len(table)
+        assert p.entries() == table
+
+    def test_each_shape_is_priced_once(self):
+        calls = Counter()
+
+        def cost(n, l):
+            return 100.0 + n * n + 3.0 * l
+
+        def price(n, l):
+            calls[n, l] += 1
+            return cost(n, l)
+
+        p = LatencyProfile(price, 6, 3)
+        queries = [(1, 1), (6, 3), (9, 3), (9, 5), (6, 3), (4, 6), (2, 1), (9, 5)]
+        for q in queries * 2:
+            p.lookup(q)
+        assert p.entries() == {s: cost(*s) for s in grid_shapes(6, 3)}
+        assert len(calls) == len(p) and set(calls.values()) == {1}
 
     def test_tie_prefers_smaller_node_count(self):
-        p = LatencyProfile({(4, 1): 100.0, (6, 1): 500.0})
-        assert p.lookup((5, 1)) == pytest.approx(100.0 * MISS_PENALTY)
-
-    def test_empty_profile_is_config_error(self):
-        with pytest.raises(ConfigError):
-            LatencyProfile({})
+        # (3, 3), (4, 4) and (5, 5) all lie at L1 distance 2 from (3, 5)
+        p = LatencyProfile(lambda n, l: 100.0 * n, 10, 10)
+        assert p.lookup((3, 5)) == pytest.approx(300.0 * MISS_PENALTY)
 
     def test_affine_seed_monotone(self):
         p = affine_profile(100.0, 2.0, 1.0, 10, 5)
@@ -187,14 +199,8 @@ class TestMarginalCost:
 
     def test_matches_recompute_both_shapes_oracle(self):
         rng = np.random.default_rng(8)
-        profile = LatencyProfile(
-            {
-                (int(rng.integers(1, 20)), int(rng.integers(1, 8))): float(
-                    rng.uniform(50, 500)
-                )
-                for _ in range(30)
-            }
-        )
+        prices = rng.uniform(50, 500, size=(21, 9))
+        profile = LatencyProfile(lambda n, l: prices[n, l], 20, 8)
         tree = TokenTree()
         a = tree.insert(ROOT_ID, 1, 0.9)
         tree.insert(ROOT_ID, 2, 0.7)
@@ -213,9 +219,7 @@ class TestMarginalCost:
             assert marginal_cost(entry, tree, profile, 2.5, cfg) == pytest.approx(expect)
 
     def test_floor_applies_on_flat_profile(self):
-        profile = LatencyProfile(
-            {(n, l): 500.0 for n in range(1, 10) for l in range(1, n + 1)}
-        )
+        profile = LatencyProfile(lambda n, l: 500.0, 9, 9)
         tree = self._tree_one_child()
         cfg = DraftConfig(k=2, max_depth=2, b_min=0.0)
         entry = FrontierEntry(parent=1, token=5, reach=0.3, depth=2)
@@ -238,7 +242,7 @@ class DeterministicDraft:
 
 class TestBuildTree:
     def test_immediate_stop_returns_root_only(self):
-        profile = LatencyProfile({(1, 1): 10.0, (2, 1): 10000.0})
+        profile = LatencyProfile(lambda n, l: 10.0 if n == 1 else 10000.0, 2, 1)
         draft = TabularMarkovModel(8, 1, seed=1)
         cfg = DraftConfig(k=2, max_depth=3, b_min=0.0)
         out = build_tree([3], draft, cfg, rel(), profile, draft_ms=2.0)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from subtree_oracle import exhaustive_optimum, instance_parts, reachable_universe
+
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "fixtures" / "greedy_suite.json"
 
@@ -45,3 +47,15 @@ def test_greedy_objective_is_bounded_by_the_committed_optimum(gen, committed, in
     inst = committed[index]
     ratio = gen.greedy_objective(inst) / inst["oracle_objective"]
     assert 0.0 < ratio <= 1.0 + 1e-12
+
+
+def test_committed_oracle_values_are_recomputed_exactly(committed):
+    """Every committed instance's universe and exhaustive optimum, recomputed
+    by the oracle the fixture was generated with, bit for bit."""
+    for inst in committed:
+        _, draft, cfg, rel, profile, draft_ms = instance_parts(inst)
+        universe = reachable_universe(draft, cfg, rel, inst["context"])
+        optimum, best_subset = exhaustive_optimum(universe, profile, draft_ms)
+        assert (len(universe), optimum, len(best_subset)) == (
+            inst["universe_size"], inst["oracle_objective"], inst["oracle_subset_size"]
+        ), inst["index"]

@@ -289,17 +289,18 @@ class TestProfileGrid:
         max_nodes, max_leaves = cfg.profile_max_nodes, cfg.profile_max_leaves
         for nodes, leaves in profile.entries():
             assert profile.lookup((nodes, leaves)) == verify_latency(hw, nodes, leaves)
-        # off the grid: the nearest grid shape's price times the miss penalty
-        for (nodes, leaves), nearest in (
+        # off the grid: the clamped grid shape's price times the miss penalty
+        for (nodes, leaves), clamp in (
             ((max_nodes + 5, 3), (max_nodes, 3)),
             ((max_leaves + 10, max_leaves + 4), (max_leaves + 10, max_leaves)),
         ):
             assert profile.lookup((nodes, leaves)) == (
-                verify_latency(hw, *nearest) * MISS_PENALTY
+                verify_latency(hw, *clamp) * MISS_PENALTY
             )
 
     def test_a_trial_leaves_its_profile_unchanged(self, monkeypatch):
-        # A one-shape grid, so verified shapes lie outside it.
+        # A one-shape grid, so verified shapes lie outside it.  Lookups fill
+        # the profile's memo but change no price.
         cfg = small_cfg(policy="lever", profile_max_nodes=1, profile_max_leaves=1)
         hw = cfg.resolve_hardware()
         profile = seed_profile(cfg, hw)
@@ -312,7 +313,7 @@ class TestProfileGrid:
 
     def test_trial_alone_equals_trial_after_earlier_trials(self):
         # A one-shape grid: every drafted tree is a miss, and the trials
-        # share the grid and its nearest-shape memo.
+        # share the grid and its memo of priced shapes.
         cfg = small_cfg(
             policy="lever", trials=4, profile_max_nodes=1, profile_max_leaves=1
         )
@@ -624,10 +625,16 @@ class TestCLI:
                 ["policy=balanced_tree", "balanced_fanout=0"],
                 "fanout and node_budget must be >= 1",
             ),
+            (["policy=lever", "drafting.max_nodes=0"], "max_nodes must be >= 1"),
+            (["policy=lever", "drafting.max_nodes=-3"], "max_nodes must be >= 1"),
+            (["profile_max_nodes=0"], "profile_max_nodes=0 must be >= 1"),
+            (["profile_max_leaves=0"], "profile_max_leaves=0 must be >= 1"),
         ],
         ids=[
             "no-examples", "lever-k", "lever-noprune-k", "balanced-fanout",
             "chain-length-zero", "balanced-budget-zero", "balanced-fanout-zero",
+            "node-budget-zero", "node-budget-negative", "profile-nodes-zero",
+            "profile-leaves-zero",
         ],
     )
     def test_size_beyond_its_bound_is_clean_error(self, capsys, overrides, message):

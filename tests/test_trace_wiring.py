@@ -9,9 +9,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from flashbench.tracing import _span_targets  # noqa: E402
+from flashbench.tracing import Tracer, _span_targets  # noqa: E402
 from flashspec import drafting, harness, pruning, verification  # noqa: E402
-from flashspec.drafting import DraftConfig, build_tree  # noqa: E402
+from flashspec.drafting import DraftConfig, LatencyProfile, build_tree  # noqa: E402
 from flashspec.harness import (  # noqa: E402
     ExperimentConfig,
     ModelSpec,
@@ -26,7 +26,7 @@ from flashspec.predictor import (  # noqa: E402
 )
 from flashspec.pruning import PruneConfig, TreePruner  # noqa: E402
 from flashspec.verification import verify_tree  # noqa: E402
-from helpers import affine_profile  # noqa: E402
+from helpers import affine_profile, grid_shapes  # noqa: E402
 
 
 def recording(monkeypatch, module, attr):
@@ -89,3 +89,40 @@ def test_decode_stages_call_the_traced_names(monkeypatch):
     verify_tree(target, context, built.tree, summary.keep)
     assert verify_flattens == []
     assert prune_flattens == ["flatten"]
+
+
+def test_tracer_counts_the_off_grid_lookups_of_a_lever_trial(monkeypatch):
+    """The tracer wraps ``LatencyProfile.lookup`` and, inside that wrapper,
+    reads the grid once per profile from ``entries()``, re-reading only when
+    ``len(profile)`` changes.  So ``entries()`` must not call ``lookup``,
+    and ``len`` must stay the grid's size."""
+    cfg = ExperimentConfig(
+        policy="lever", horizon=24, trials=1, seed=3,
+        profile_max_nodes=12, profile_max_leaves=3,
+    )
+    untraced = harness.run_trial(cfg, 0)
+    shapes, reads = [], []
+    lookup, entries = LatencyProfile.lookup, LatencyProfile.entries
+
+    def recorded_lookup(profile, shape):
+        shapes.append(shape)
+        return lookup(profile, shape)
+
+    def recorded_entries(profile):
+        reads.append(profile)
+        return entries(profile)
+
+    monkeypatch.setattr(LatencyProfile, "lookup", recorded_lookup)
+    monkeypatch.setattr(LatencyProfile, "entries", recorded_entries)
+    tracer = Tracer()
+    with tracer.installed():
+        traced = harness.run_trial(cfg, 0)  # the tracer patches this name
+    counts = tracer.counts[(0, "lever", 0)]
+    grid = set(grid_shapes(cfg.profile_max_nodes, cfg.profile_max_leaves))
+    off_grid = [shape for shape in shapes if shape not in grid]
+    assert off_grid
+    assert counts["profile_misses"] == len(off_grid)
+    assert counts["profile_lookups"] == len(shapes)
+    assert len(reads) == 1
+    assert traced.emitted == untraced.emitted
+    assert traced.trace == untraced.trace

@@ -28,6 +28,8 @@ class TestDraftingValidation:
             {"beta": 1.5},
             {"r_min": 0.0},
             {"r_min": 1.5},
+            {"max_nodes": 0},
+            {"max_nodes": -3},
         ],
     )
     def test_bad_draft_config(self, kw):
@@ -48,13 +50,24 @@ class TestDraftingValidation:
         with pytest.raises(ConfigError):
             ReliabilityState(**kw)
 
-    def test_profile_rejects_bad_entries(self):
-        with pytest.raises(ContractError):
-            LatencyProfile({(0, 1): 10.0})
-        with pytest.raises(ContractError):
-            LatencyProfile({(1, 1): 0.0})
-        with pytest.raises(ContractError):
-            LatencyProfile({(1, 1): 10.0}).lookup((1, 0))
+    @pytest.mark.parametrize("bounds", [(0, 1), (1, 0), (-3, 4)])
+    def test_profile_rejects_bounds_below_one(self, bounds):
+        with pytest.raises(ConfigError):
+            LatencyProfile(lambda n, l: 10.0, *bounds)
+
+    def test_profile_rejects_bad_prices_and_shapes(self):
+        for price in (0.0, -5.0):
+            bad = LatencyProfile(lambda n, l: price, 4, 2)
+            with pytest.raises(ContractError):
+                bad.lookup((1, 1))
+            with pytest.raises(ContractError):  # priced at its clamp (4, 2)
+                bad.lookup((9, 7))
+            with pytest.raises(ContractError):
+                bad.entries()
+        good = LatencyProfile(lambda n, l: 10.0, 4, 2)
+        for shape in ((1, 0), (0, 1), (0, 0), (-2, 3)):
+            with pytest.raises(ContractError):
+                good.lookup(shape)
 
 
 class TestModelValidation:
