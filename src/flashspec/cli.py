@@ -97,7 +97,10 @@ def cmd_train_predictor(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(trained, str(out / "predictor.json"))
     save_loss_curve(curve, str(out / "loss_curve.csv"))
-    print(f"trained predictor: loss {curve[0]:.4f} -> {curve[-1]:.4f}")
+    print(
+        f"trained predictor: loss {curve[0]:.4f} -> {curve[-1]:.4f} "
+        f"after {len(curve) - 1} of {cfg.training.epochs} epochs"
+    )
     print(f"checkpoint written to {out / 'predictor.json'}")
     return 0
 

@@ -340,12 +340,12 @@ def train_predictor_for(
     draft: ProbModel,
     layer: int,
 ) -> tuple[EarlyExitPredictor, list[float]]:
-    """Probe for ``target`` trained from zero weights, and its loss curve."""
+    """Probe for ``target``, refined by SGD from the closed-form fit, and
+    its loss curve."""
     data = build_distillation_dataset(
         target, draft, layer, cfg.predictor_examples, cfg.drafting.k, seed=cfg.training.seed
     )
-    pred = EarlyExitPredictor.zeros(target.vocab_size, target.hidden_dim, layer)
-    return train(pred, data, cfg.training)
+    return train(EarlyExitPredictor.fit(data, layer), data, cfg.training)
 
 
 def make_policy(

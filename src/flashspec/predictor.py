@@ -7,10 +7,13 @@ touches only the probe weights.
 
 Training reads a :class:`DistillationSet`: one (hidden state, logits,
 candidate set) row per distinct context tail and each example's row index.
-The teacher terms and the candidate loss are computed once per distinct row
-and expanded to the examples before any sum; each epoch gathers its permuted
-examples once, so a mini-batch is a slice.  Losses, gradients and weights
-keep the rounding of a per-example evaluation.
+:meth:`EarlyExitPredictor.fit` gives the closed-form start: a ridge
+least-squares fit of the mean-centred target logits on the hidden states.
+:func:`train` refines a probe by mini-batch SGD.  The teacher terms and the
+candidate loss are computed once per distinct row and expanded to the
+examples before any sum; each epoch gathers its permuted examples once, so a
+mini-batch is a slice.  Losses, gradients and weights keep the rounding of a
+per-example evaluation.
 """
 from __future__ import annotations
 
@@ -23,6 +26,13 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, TrainingDiverged
 from .models import LayeredTargetModel, ProbModel, _padded_tail
+
+# Ridge penalty of the closed-form fit, per training example: lambda is
+# RIDGE_PER_EXAMPLE * N for a set of N examples.
+RIDGE_PER_EXAMPLE = 1e-4
+# SGD stops after the first epoch whose loss drop is at least 0 but below
+# this fraction of the loss before it.  A rising loss never stops it.
+CONVERGED_DROP = 0.01
 
 
 @dataclass(frozen=True)
@@ -49,8 +59,19 @@ class EarlyExitPredictor:
         return self.weights.shape[1]
 
     @classmethod
-    def zeros(cls, vocab_size: int, hidden_dim: int, layer: int) -> "EarlyExitPredictor":
-        return cls(np.zeros((vocab_size, hidden_dim)), layer)
+    def fit(cls, data: "DistillationSet", layer: int) -> "EarlyExitPredictor":
+        """Ridge least-squares fit of the mean-centred target logits on the
+        hidden states, each distinct row weighted by its example count, with
+        penalty ``RIDGE_PER_EXAMPLE * N`` on the weights.  Softmax ignores a
+        per-row shift, so centring spends no weight on one."""
+        _check_set(data)
+        H, Z, _, example = data
+        n, d = len(example), H.shape[1]
+        root = np.sqrt(np.bincount(example, minlength=len(H)))[:, None]
+        A = np.vstack([root * H, np.sqrt(RIDGE_PER_EXAMPLE * n) * np.eye(d)])
+        Y = Z - Z.mean(axis=1, keepdims=True)
+        B = np.vstack([root * Y, np.zeros((d, Z.shape[1]))])
+        return cls(np.linalg.lstsq(A, B, rcond=None)[0].T, layer)
 
     @classmethod
     def identity_probe(cls, vocab_size: int) -> "EarlyExitPredictor":
@@ -195,6 +216,16 @@ def _total_loss_grad(W: np.ndarray, b: _Batch, cfg: TrainConfig) -> np.ndarray:
     return grad
 
 
+def _check_set(data: DistillationSet) -> None:
+    rows = len(data.hidden)
+    if len(data.example) == 0:
+        raise ContractError("dataset must be non-empty")
+    if len(data.logits) != rows or len(data.candidates) != rows:
+        raise ContractError("hidden, logits and candidates need one row per tail")
+    if data.example.min() < 0 or data.example.max() >= rows:
+        raise ContractError(f"example index outside the {rows} rows")
+
+
 def train(
     pred: EarlyExitPredictor, data: DistillationSet, cfg: TrainConfig
 ) -> tuple[EarlyExitPredictor, list[float]]:
@@ -202,17 +233,15 @@ def train(
 
     Teacher terms and the candidate part of the curve loss are computed
     once per distinct row; each epoch gathers its permuted examples once and
-    slices every mini-batch from them.  Per-step updates use the batch-mean gradient; the returned
-    curve holds the summed loss over the examples before training and after
-    every epoch.  Raises :class:`TrainingDiverged` on a non-finite loss.
+    slices every mini-batch from them.  Per-step updates use the batch-mean
+    gradient.  ``cfg.epochs`` is a cap: training stops after the first
+    epoch whose loss drop is at least 0 but below ``CONVERGED_DROP`` of the
+    loss before it.  The returned curve holds the summed loss over the
+    examples before training and after every epoch run.  Raises
+    :class:`TrainingDiverged` on a non-finite loss.
     """
-    n, rows = len(data.example), len(data.hidden)
-    if n == 0:
-        raise ContractError("dataset must be non-empty")
-    if len(data.logits) != rows or len(data.candidates) != rows:
-        raise ContractError("hidden, logits and candidates need one row per tail")
-    if data.example.min() < 0 or data.example.max() >= rows:
-        raise ContractError(f"example index outside the {rows} rows")
+    _check_set(data)
+    n = len(data.example)
     teacher = _Teacher.of(data.logits, data.candidates, cfg)
     rng = np.random.default_rng(cfg.seed)
     W = pred.weights.copy()
@@ -236,6 +265,8 @@ def train(
                 f"(lr={cfg.learning_rate}, batch={cfg.batch_size})"
             )
         curve.append(loss)
+        if 0 <= curve[-2] - loss < CONVERGED_DROP * curve[-2]:
+            break
     return EarlyExitPredictor(W, pred.layer), curve
 
 

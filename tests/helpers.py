@@ -6,8 +6,8 @@ candidate set of given tokens, a
 tabular row drawn from its own ``default_rng``, a layered target's final
 logits, a frontier entry's marginal cost priced from two profile lookups, a
 per-example training record and its conversions to and from a distillation
-set, the probe's losses and gradient on a set, its candidate-restricted
-top-1 agreement and a one-row projection calibration.
+set, a zero-weight probe, the probe's losses and gradient on a set, its
+candidate-restricted top-1 agreement and a one-row projection calibration.
 No engine stage needs them; tests use them as seeds and oracles."""
 
 from __future__ import annotations
@@ -229,6 +229,11 @@ def training_examples(data: DistillationSet) -> list[TrainingExample]:
         for h, z, c in zip(data.hidden, data.logits, data.candidates.tolist())
     ]
     return [rows[i] for i in data.example.tolist()]
+
+
+def zero_probe(vocab_size: int, hidden_dim: int, layer: int) -> EarlyExitPredictor:
+    """The probe with all-zero weights: a uniform student."""
+    return EarlyExitPredictor(np.zeros((vocab_size, hidden_dim)), layer)
 
 
 def kd_loss(pred: EarlyExitPredictor, data: DistillationSet, tau: float) -> float:

@@ -7,7 +7,13 @@ records, ``cand_loss`` and the candidate-restricted part of
 mini-batch and evaluates the loss curve over every example.  The property
 tests check that :mod:`flashspec.predictor`, training on a distillation set
 of distinct rows, returns identical losses, gradients, trained weights and
-loss curves.
+loss curves.  ``train`` stops at the same converged epoch as
+:func:`flashspec.predictor.train`: the first whose loss drop is at least 0
+but below ``CONVERGED_DROP`` of the loss before it.
+
+``fit`` is the closed-form probe as the textbook states it: one ridge
+least-squares problem over every example, solved by ``np.linalg.lstsq`` on
+the examples stacked with sqrt(lambda) times the identity.
 
 ``build_distillation_dataset`` is the builder as it stood before it worked
 per distinct context tail: one ``draft_candidates`` call and two target
@@ -23,7 +29,12 @@ import numpy as np
 
 from flashspec.errors import ContractError, TrainingDiverged
 from flashspec.models import LayeredTargetModel, ProbModel, draft_candidates
-from flashspec.predictor import EarlyExitPredictor, TrainConfig
+from flashspec.predictor import (
+    CONVERGED_DROP,
+    RIDGE_PER_EXAMPLE,
+    EarlyExitPredictor,
+    TrainConfig,
+)
 from helpers import TrainingExample, candidate_tokens, layered_logits
 
 
@@ -140,7 +151,21 @@ def train(
                 f"(lr={cfg.learning_rate}, batch={cfg.batch_size})"
             )
         curve.append(loss)
+        drop = curve[-2] - loss
+        if drop >= 0 and drop < CONVERGED_DROP * curve[-2]:
+            break
     return current, curve
+
+
+def fit(dataset: Sequence[TrainingExample], layer: int) -> EarlyExitPredictor:
+    """Weights minimising sum_i ||W h_i - (z_i - mean(z_i))||^2 + lambda ||W||^2
+    over the examples, with lambda = RIDGE_PER_EXAMPLE * N."""
+    H, Z = _stack(dataset)
+    n, d = H.shape
+    lam = RIDGE_PER_EXAMPLE * n
+    A = np.vstack([H, np.sqrt(lam) * np.eye(d)])
+    B = np.vstack([Z - Z.mean(axis=1, keepdims=True), np.zeros((d, Z.shape[1]))])
+    return EarlyExitPredictor(np.linalg.lstsq(A, B, rcond=None)[0].T, layer)
 
 
 def build_distillation_dataset(

@@ -49,6 +49,7 @@ from helpers import (
     total_loss,
     total_loss_grad,
     tree_json,
+    zero_probe,
 )
 from reference_builder import build_tree as reference_build_tree
 from subtree_oracle import exhaustive_optimum, instance_parts, reachable_universe
@@ -352,7 +353,7 @@ def test_criterion_06_predictor_gradients_and_training(report):
     draft = derive_draft(target, 0.8, noise_seed=6)
     layer = default_exit_layer(target.depth)
     data = build_distillation_dataset(target, draft, layer, 2000, k=4, seed=5)
-    pred0 = EarlyExitPredictor.zeros(32, 16, layer)
+    pred0 = zero_probe(32, 16, layer)
     cfg = TrainConfig(epochs=20, seed=1)
     before_loss = total_loss(pred0, data, cfg)
     before_agree = candidate_top1_agreement(pred0, data)

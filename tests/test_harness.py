@@ -31,9 +31,9 @@ from flashspec.harness import (
     seed_profile,
     train_predictor_for,
 )
-from flashspec.predictor import EarlyExitPredictor, load_checkpoint, save_checkpoint
+from flashspec.predictor import load_checkpoint, save_checkpoint
 from flashspec.simulator import HardwareConfig, load_preset, verify_latency
-from helpers import tree_json
+from helpers import tree_json, zero_probe
 
 ROOT = Path(__file__).resolve().parents[1]
 # CLI flags of a one-trial lever run on the layered target
@@ -219,9 +219,9 @@ class TestRunExperiment:
                     "report.csv":
                         "8268a301c924283e745072306b35d9d4b65adc00026950fa11a65d64c920c3bf",
                     "trace.json":
-                        "397c0082a080fe7f338a33588dbb309565f8f4f6a879fec17152f9ead550732a",
+                        "1ddc0e4b3a808ff71835869162c453fa8a79632e15fbbfb22e8618bb6067f48d",
                     "trace.csv":
-                        "29d79bfa498f1c41b93ed19428038142dbf0ff9ddc7083682902b0c86c14ae17",
+                        "e2eb2696117e40086502ad29f698d4aa506bdccf4144b93f83cc786da6ee1fd9",
                 },
             ),
         ],
@@ -386,6 +386,22 @@ class TestLayeredEndToEnd:
         assert results[0].emitted == target_greedy_decode(target, ctx, 16)
 
 
+class TestProbeTraining:
+    def test_sgd_from_the_fit_stops_after_one_epoch(self):
+        """At the benchmark's layered-probe setting (2000 examples, hidden
+        32, five epochs) the first SGD epoch from the closed-form fit lowers
+        the loss by less than 1%, so training stops there."""
+        shipped = json.loads((ROOT / "configs" / "lever_default.json").read_text())
+        shipped["model"]["type"] = "layered"
+        shipped["training"]["epochs"] = 5
+        cfg = ExperimentConfig.from_dict(shipped)
+        target = make_target(cfg.model, 0)
+        layer = harness.default_exit_layer(target.depth)
+        _, curve = train_predictor_for(cfg, target, make_draft(cfg, target, 0), layer)
+        assert len(curve) == 2
+        assert 0 <= curve[0] - curve[1] < 0.01 * curve[0]
+
+
 class TestCLI:
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.json"
@@ -468,7 +484,7 @@ class TestCLI:
     )
     def test_mismatched_checkpoint_rejected(self, tmp_path, vocab_size, hidden_dim, layer):
         path = str(tmp_path / "predictor.json")
-        save_checkpoint(EarlyExitPredictor.zeros(vocab_size, hidden_dim, layer), path)
+        save_checkpoint(zero_probe(vocab_size, hidden_dim, layer), path)
         cfg = small_cfg(
             policy="lever",
             model=ModelSpec(type="layered", vocab_size=16, order=2, seed=4,
@@ -479,12 +495,12 @@ class TestCLI:
         with pytest.raises(ConfigError, match="checkpoint"):
             make_pruner(cfg, target, make_draft(cfg, target, 0), 0)
         # the matching shape loads
-        save_checkpoint(EarlyExitPredictor.zeros(16, 8, 2), path)
+        save_checkpoint(zero_probe(16, 8, 2), path)
         assert make_pruner(cfg, target, make_draft(cfg, target, 0), 0) is not None
 
     def test_checkpoint_rejected_after_trial_zero(self, tmp_path):
         path = str(tmp_path / "predictor.json")
-        save_checkpoint(EarlyExitPredictor.zeros(16, 8, 2), path)
+        save_checkpoint(zero_probe(16, 8, 2), path)
         cfg = small_cfg(
             policy="lever",
             trials=2,
@@ -665,10 +681,11 @@ class TestCLI:
         assert err.startswith(f"error: {message}")
         assert "Traceback" not in err
 
-    def test_train_predictor_outputs_are_pinned(self, tmp_path):
-        """Digests of a small layered probe's checkpoint and loss curve, so
-        a change to training rounding fails here.  Recorded with numpy 2.4
-        and OpenBLAS 0.3 on x86-64; another BLAS kernel may round otherwise."""
+    def test_train_predictor_outputs_are_pinned(self, tmp_path, capsys):
+        """Digests of a small layered probe's checkpoint and loss curve, and
+        the summary line, so a change to training rounding fails here.
+        Recorded with numpy 2.4 and OpenBLAS 0.3 on x86-64; another BLAS
+        kernel may round otherwise."""
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(
             json.dumps(
@@ -686,10 +703,14 @@ class TestCLI:
         }
         assert digests == {
             "predictor.json":
-                "6c03b08782724010d831e074352d6c4b66491e77ebd6e00cac7237f128ebb3d4",
+                "7b323324ce2f50a5b8cb2f25032a67d7fe0579a81164d6bd1bcdf52dd7bfdc42",
             "loss_curve.csv":
-                "5b0d55326124add5342e6d7d1a8bd3f48af84fd1020e331f3d54a465945ab9a5",
+                "672fccd75a00f8e1306c3e2032814fea48bc749c1ad57692d9f220d87dc67b16",
         }
+        # SGD from the closed-form fit converges after one of the two epochs
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "trained predictor: loss 1.4590 -> 1.4581 after 1 of 2 epochs"
+        )
 
     def test_unknown_nested_override_is_clean_error(self, capsys):
         rc = cli_main(["run", "--set", "drafting.typo=1"])

@@ -6,6 +6,7 @@ import pytest
 from flashspec.errors import ContractError, TrainingDiverged
 from flashspec.models import LayeredTargetModel, derive_draft
 from flashspec.predictor import (
+    CONVERGED_DROP,
     DistillationSet,
     EarlyExitPredictor,
     TrainConfig,
@@ -26,6 +27,7 @@ from helpers import (
     kd_loss,
     total_loss,
     total_loss_grad,
+    zero_probe,
 )
 
 
@@ -59,7 +61,7 @@ class TestScore:
         assert got[1] == pytest.approx(math.exp(4.0) / (math.exp(0.5) + math.exp(4.0)))
 
     def test_zero_matrix_scores_zero(self):
-        pred = EarlyExitPredictor.zeros(4, 3, layer=1)
+        pred = zero_probe(4, 3, layer=1)
         h = np.array([1.0, -2.0, 3.0])
         assert root_scores(pred, h, range(4)) == [0.25] * 4
 
@@ -74,12 +76,12 @@ class TestScore:
             assert abs(got - want / sum(e)) < 1e-12
 
     def test_dimension_mismatch(self):
-        pred = EarlyExitPredictor.zeros(4, 3, layer=1)
+        pred = zero_probe(4, 3, layer=1)
         with pytest.raises(ContractError, match="hidden state shape"):
             root_scores(pred, np.zeros(2), [0])
 
     def test_token_outside_vocabulary(self):
-        pred = EarlyExitPredictor.zeros(4, 3, layer=1)
+        pred = zero_probe(4, 3, layer=1)
         with pytest.raises(ContractError, match="outside vocabulary"):
             root_scores(pred, np.zeros(3), [1, 4])
 
@@ -228,7 +230,7 @@ class TestTraining:
 
     def test_loss_decreases(self):
         _, layer, data = self._setup()
-        pred = EarlyExitPredictor.zeros(32, 16, layer)
+        pred = zero_probe(32, 16, layer)
         cfg = TrainConfig(epochs=5, seed=1)
         trained, curve = train(pred, data, cfg)
         assert curve[-1] < curve[0]
@@ -236,7 +238,7 @@ class TestTraining:
 
     def test_zero_init_initial_loss_is_uniform_student(self):
         _, layer, data = self._setup(n=50)
-        pred = EarlyExitPredictor.zeros(32, 16, layer)
+        pred = zero_probe(32, 16, layer)
         cfg = TrainConfig(lambda_cand=0.0, tau_kd=2.0)
         got = kd_loss(pred, data, cfg.tau_kd)
         # uniform student: KL(p || uniform) = log V - H(p)
@@ -249,7 +251,7 @@ class TestTraining:
 
     def test_agreement_improves_over_zero_init(self):
         _, layer, data = self._setup(n=600)
-        pred = EarlyExitPredictor.zeros(32, 16, layer)
+        pred = zero_probe(32, 16, layer)
         before = candidate_top1_agreement(pred, data)
         trained, _ = train(pred, data, TrainConfig(epochs=10, seed=2))
         after = candidate_top1_agreement(trained, data)
@@ -257,7 +259,7 @@ class TestTraining:
 
     def test_training_deterministic(self):
         _, layer, data = self._setup(n=100)
-        pred = EarlyExitPredictor.zeros(32, 16, layer)
+        pred = zero_probe(32, 16, layer)
         cfg = TrainConfig(epochs=3, seed=9)
         a, curve_a = train(pred, data, cfg)
         b, curve_b = train(pred, data, cfg)
@@ -267,7 +269,7 @@ class TestTraining:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_aborts_with_diagnostic(self):
         _, layer, data = self._setup(n=50)
-        pred = EarlyExitPredictor.zeros(32, 16, layer)
+        pred = zero_probe(32, 16, layer)
         with pytest.raises(TrainingDiverged, match="lr="):
             train(pred, data, TrainConfig(epochs=3, learning_rate=1e308, seed=0))
 
@@ -289,7 +291,9 @@ class TestTraining:
             np.array(example, dtype=np.intp),
         )
         with pytest.raises(ContractError, match=message):
-            train(EarlyExitPredictor.zeros(4, 3, layer=1), data, TrainConfig(epochs=1))
+            train(zero_probe(4, 3, layer=1), data, TrainConfig(epochs=1))
+        with pytest.raises(ContractError, match=message):
+            EarlyExitPredictor.fit(data, layer=1)
 
     def test_checkpoint_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -299,3 +303,40 @@ class TestTraining:
         again = load_checkpoint(path)
         assert np.array_equal(again.weights, pred.weights)
         assert again.layer == 3
+
+
+@pytest.fixture(scope="module")
+def criterion_06():
+    """Criterion 06's probe problem (seed 5, hidden 16, 2000 examples) and
+    its 20 SGD epochs from zero weights."""
+    target = LayeredTargetModel(32, 2, depth=6, hidden_dim=16, seed=5)
+    draft = derive_draft(target, 0.8, noise_seed=6)
+    layer = default_exit_layer(target.depth)
+    data = build_distillation_dataset(target, draft, layer, 2000, k=4, seed=5)
+    cfg = TrainConfig(epochs=20, seed=1)
+    trained, curve = train(zero_probe(32, 16, layer), data, cfg)
+    return data, layer, cfg, trained, curve
+
+
+class TestFit:
+    def test_fit_beats_twenty_sgd_epochs_from_zero(self, criterion_06):
+        data, layer, cfg, sgd, _ = criterion_06
+        fitted = EarlyExitPredictor.fit(data, layer)
+        assert fitted.layer == layer
+        assert total_loss(fitted, data, cfg) < total_loss(sgd, data, cfg)
+        assert candidate_top1_agreement(fitted, data) >= 0.9
+
+    def test_sgd_from_zero_runs_every_epoch(self, criterion_06):
+        # every epoch from zero weights lowers the loss by more than 1%
+        *_, curve = criterion_06
+        assert len(curve) == 21
+        assert all(b < (1 - CONVERGED_DROP) * a for a, b in zip(curve, curve[1:]))
+
+    def test_rising_loss_does_not_stop_training(self):
+        # one example, so each step is a full-batch step; a rate this large
+        # overshoots and the loss rises, which is not convergence
+        data = one_example([3.0, -2.0], [4.0, 0.0, -4.0], (0, 1))
+        pred = zero_probe(3, 2, layer=1)
+        _, curve = train(pred, data, TrainConfig(learning_rate=50.0, epochs=4))
+        assert curve[1] > curve[0]
+        assert len(curve) == 5

@@ -23,6 +23,7 @@ from helpers import (
     total_loss,
     total_loss_grad,
     training_examples,
+    zero_probe,
 )
 
 
@@ -93,6 +94,24 @@ def test_array_core_matches_reference(problem):
     assert all(type(loss) is float for loss in fast_curve)
 
 
+@settings(max_examples=200)
+@given(problems())
+def test_fit_matches_reference(problem):
+    """The fit over distinct rows weighted by example count solves the
+    ridge problem over every example; so does a set with one row per
+    example.  Weights agree to 1e-9 of the largest weight."""
+    _, data, _ = problem
+    want = ref.fit(training_examples(data), layer=2).weights
+    tol = dict(rtol=1e-9, atol=1e-9 * np.abs(want).max())
+    got = EarlyExitPredictor.fit(data, layer=2)
+    assert got.layer == 2
+    assert np.allclose(got.weights, want, **tol)
+    own_rows = DistillationSet(
+        *(a[data.example] for a in data[:3]), np.arange(len(data.example))
+    )
+    assert np.allclose(EarlyExitPredictor.fit(own_rows, layer=2).weights, want, **tol)
+
+
 def _outcome(train_fn, pred, dataset, cfg):
     try:
         trained, curve = train_fn(pred, dataset, cfg)
@@ -119,7 +138,7 @@ def test_divergence_matches_reference(lr, message, lambda_cand):
         np.array([rng.choice(10, size=3, replace=False) for _ in range(9)]),
         rng.integers(0, 9, size=21),
     )
-    pred = EarlyExitPredictor.zeros(10, 6, layer=2)
+    pred = zero_probe(10, 6, layer=2)
     cfg = TrainConfig(
         learning_rate=lr, epochs=3, batch_size=8, seed=3, lambda_cand=lambda_cand
     )
@@ -136,7 +155,7 @@ def test_layered_dataset_matches_reference():
     layer = default_exit_layer(target.depth)
     data = build_distillation_dataset(target, draft, layer, 300, 4, seed=0)
     assert len(data.hidden) < len(data.example)
-    pred = EarlyExitPredictor.zeros(32, 32, layer)
+    pred = zero_probe(32, 32, layer)
     cfg = TrainConfig(epochs=2)
     fast, fast_curve = train(pred, data, cfg)
     slow, slow_curve = ref.train(pred, training_examples(data), cfg)
