@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .errors import ConfigError, TrainingDiverged
 from .harness import (
+    POLICIES,
     ExperimentConfig,
     apply_overrides,
     compare_policies,
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_cmp)
     p_cmp.add_argument(
         "--policies",
-        default="flash_ar,chain_sd,balanced_tree,lever,lever_noprune",
+        default=",".join(POLICIES),
         help="comma-separated policy list",
     )
     p_cmp.add_argument("--normalize-to", help="policy used as the 1.0 anchor")

@@ -242,7 +242,6 @@ def build_tree(
         raise ContractError("context must be non-empty")
 
     tree = TokenTree(root_token=int(context[-1]))
-    reaches = {ROOT_ID: 1.0}
     # (parent, token) -> (entry, expandable), in insertion order
     frontier: dict[tuple[int, int], tuple[FrontierEntry, bool]] = {}
     branched: set[int] = set()       # nodes with inserted children
@@ -258,10 +257,10 @@ def build_tree(
         candidate_sets[node_id] = cand
         draft_cost += draft_ms
         expansion_counts.append(1)
-        depth = tree.node(node_id).depth + 1
+        node = tree.node(node_id)
         for token, p in cand.entries:
-            reach = reaches[node_id] * calibrate(p, rel)
-            entry = FrontierEntry(node_id, token, reach, depth)
+            reach = node.reach * calibrate(p, rel)
+            entry = FrontierEntry(node_id, token, reach, node.depth + 1)
             frontier[node_id, token] = (entry, is_expandable(entry, cfg))
 
     expand(ROOT_ID)
@@ -303,7 +302,6 @@ def build_tree(
 
         node_id = tree.insert(best.parent, best.token, best.reach)
         branched.add(best.parent)
-        reaches[node_id] = best.reach
         _, expandable = frontier.pop((best.parent, best.token))
         gain += best.reach
         if expandable:

@@ -166,7 +166,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ExperimentConfig":
+        """A section given as an object overrides only the keys it names, on
+        top of that field's default (an inline hardware has none)."""
         data = dict(payload)
+        defaults = cls()
         for key, sub in (
             ("model", ModelSpec),
             ("draft", DraftSpec),
@@ -176,7 +179,9 @@ class ExperimentConfig:
             ("hardware", HardwareConfig),
         ):
             if key in data and isinstance(data[key], dict):
-                data[key] = _from_fields(sub, data[key], f"{key} config")
+                base = getattr(defaults, key)
+                section = {**asdict(base), **data[key]} if isinstance(base, sub) else data[key]
+                data[key] = _from_fields(sub, section, f"{key} config")
         return _from_fields(cls, data, "config")
 
 
@@ -359,9 +364,7 @@ def make_policy(
         return BalancedTreePolicy(
             draft, cfg.balanced_fanout, cfg.balanced_budget, draft_ms=hw.draft_cpu_ms
         )
-    return GainCostPolicy(
-        draft, cfg.drafting, profile, draft_ms=hw.draft_cpu_ms, name=cfg.policy
-    )
+    return GainCostPolicy(draft, cfg.drafting, profile, draft_ms=hw.draft_cpu_ms)
 
 
 @dataclass

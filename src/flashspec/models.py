@@ -60,6 +60,13 @@ def _padded_tail(prefix: Sequence[int], order: int) -> tuple[int, ...]:
     return tail
 
 
+def _normalized(raw: np.ndarray) -> np.ndarray:
+    """Rows of ``raw`` floored at 1e-300 and scaled to sum to 1, in place."""
+    np.maximum(raw, 1e-300, out=raw)
+    raw /= raw.sum(axis=-1, keepdims=True)
+    return raw
+
+
 @cache
 def _seeding():
     """:mod:`flashspec.seeding`, imported on first use: it loads
@@ -85,8 +92,8 @@ class TabularMarkovModel(ProbModel):
     the PCG64 state words of all its rows in one vectorized pass
     (:func:`flashspec.seeding.block_states`), and every row of the block
     then starts its generator from its own words.  ``row`` and
-    ``next_dists`` share this path; ``next_dists`` normalizes all its
-    missing rows as one batch, with the same bytes as single reads.
+    ``next_dists`` share this path and :func:`_normalized`, one row or all
+    missing rows at once, so a batch has the bytes of single reads.
     The ``concentration`` parameter shapes row peakedness (gamma-normalized
     draws; small values give near-deterministic rows).
     """
@@ -135,9 +142,7 @@ class TabularMarkovModel(ProbModel):
         idx = self.row_index(key)
         cached = self._rows.get(idx)
         if cached is None:
-            cached = self._rows[idx] = self._gamma(idx)
-            np.maximum(cached, 1e-300, out=cached)
-            cached /= cached.sum()
+            cached = self._rows[idx] = _normalized(self._gamma(idx))
         return cached
 
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
@@ -147,9 +152,8 @@ class TabularMarkovModel(ProbModel):
         idxs = [self.row_index(_padded_tail(p, self.order)) for p in prefixes]
         missing = list(dict.fromkeys(i for i in idxs if i not in self._rows))
         if missing:
-            raw = np.maximum([self._gamma(i) for i in missing], 1e-300)   # row's arithmetic
-            raw /= raw.sum(axis=1, keepdims=True)
-            self._rows.update(zip(missing, raw))
+            raw = np.array([self._gamma(i) for i in missing])
+            self._rows.update(zip(missing, _normalized(raw)))
         return _stacked([self._rows[i] for i in idxs], self.vocab_size)
 
 
@@ -161,8 +165,7 @@ class LayeredTargetModel(ProbModel):
     """Deterministic D-layer tanh network over an embedding of the last m
     tokens, exposing intermediate hidden states for early-exit probes.
 
-    ``hidden_at(depth, prefix)`` followed by the output projection reproduces
-    the forward pass's logits exactly.  Weights use unit-variance init scaled by
+    Layers have no bias.  Weights use unit-variance init scaled by
     1/sqrt(d) so activations stay tame.
     """
 
@@ -197,7 +200,6 @@ class LayeredTargetModel(ProbModel):
             rng.standard_normal((hidden_dim, hidden_dim)) * scale
             for _ in range(depth)
         ]
-        self.layer_biases = [np.zeros(hidden_dim) for _ in range(depth)]
         self.output_proj = rng.standard_normal((vocab_size, hidden_dim)) * scale
         self._passes: dict[tuple[int, ...], _ForwardPass] = {}
 
@@ -232,8 +234,8 @@ class LayeredTargetModel(ProbModel):
         # round differently, and a batch must equal a batch of one.
         h = self.embedding[np.array(tails, dtype=np.intp)].mean(axis=1)
         hidden = []
-        for W, b in zip(self.layer_weights, self.layer_biases):
-            h = np.tanh((W @ h[:, :, None])[:, :, 0] + b)
+        for W in self.layer_weights:
+            h = np.tanh((W @ h[:, :, None])[:, :, 0])
             hidden.append(h)
         z = self.logit_scale * (self.output_proj @ h[:, :, None])[:, :, 0]
         e = np.exp(z - z.max(axis=1, keepdims=True))
@@ -242,11 +244,6 @@ class LayeredTargetModel(ProbModel):
             arr.flags.writeable = False
         for i, tail in enumerate(tails):
             self._passes[tail] = (tuple(layer[i] for layer in hidden), z[i], dist[i])
-
-    def hidden_at(self, layer: int, prefix: Sequence[int]) -> np.ndarray:
-        if not (1 <= layer <= self.depth):
-            raise ContractError(f"layer {layer} outside [1, {self.depth}]")
-        return self._forward(prefix)[0][layer - 1]
 
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
         return self._forward(prefix)[2]

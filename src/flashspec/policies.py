@@ -39,11 +39,8 @@ class FixedShapePolicy:
         """Fixed shapes read no feedback."""
 
 
-@dataclass
 class RootOnlyPolicy(FixedShapePolicy):
     """Plain flash-backed autoregressive decoding: no drafting at all."""
-
-    name: str = "flash_ar"
 
     def build(self, context: Sequence[int]) -> BuildResult:
         tree = TokenTree(root_token=int(context[-1]))
@@ -62,7 +59,6 @@ class ChainPolicy(FixedShapePolicy):
     draft: ProbModel
     length: int = 8
     draft_ms: float = 2.0
-    name: str = "chain_sd"
 
     def __post_init__(self) -> None:
         if self.length < 1:
@@ -82,7 +78,6 @@ class BalancedTreePolicy(FixedShapePolicy):
     fanout: int = 2
     node_budget: int = 16
     draft_ms: float = 2.0
-    name: str = "balanced_tree"
 
     def __post_init__(self) -> None:
         if self.fanout < 1 or self.node_budget < 1:
@@ -116,7 +111,6 @@ class GainCostPolicy:
     cfg: DraftConfig
     profile: LatencyProfile
     draft_ms: float = 2.0
-    name: str = "gain_cost"
     rel: ReliabilityState = field(init=False)
     _last: BuildResult = field(init=False, repr=False)
 

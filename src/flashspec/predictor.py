@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, TrainingDiverged
-from .models import LayeredTargetModel, ProbModel, _padded_tail
+from .models import LayeredTargetModel, ProbModel, _padded_tail, _stacked
 
 # Ridge penalty of the closed-form fit, per training example: lambda is
 # RIDGE_PER_EXAMPLE * N for a set of N examples.
@@ -373,11 +373,11 @@ class LayeredHiddenSource:
         return self.layer / self.model.depth
 
     def rows(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        """Layer-``layer`` hidden state of each prefix, one row per prefix."""
-        out = np.empty((len(prefixes), self.model.hidden_dim))
-        for i, prefix in enumerate(prefixes):
-            out[i] = self.model.hidden_at(self.layer, prefix)
-        return out
+        """Layer-``layer`` hidden state of each prefix, one row per prefix,
+        from one batched forward-pass read."""
+        passes = self.model.forward_tails(prefixes)
+        rows = [hidden[self.layer - 1] for hidden, _, _ in passes]
+        return _stacked(rows, self.model.hidden_dim)
 
 
 class ExactProbeSource:

@@ -25,9 +25,9 @@ ROOT_TOKEN = -1
 
 
 class TreeNode(NamedTuple):
-    """One tree node; ``token`` is ``ROOT_TOKEN`` for the root sentinel."""
+    """One tree node; ``token`` is ``ROOT_TOKEN`` for the root sentinel.  Its
+    handle is its index in the tree."""
 
-    node_id: int
     token: int
     parent: int
     depth: int
@@ -70,7 +70,7 @@ class TokenTree:
     """
 
     def __init__(self, root_token: int = ROOT_TOKEN) -> None:
-        self._nodes: list[TreeNode] = [TreeNode(ROOT_ID, root_token, ROOT_PARENT, 0, 1.0)]
+        self._nodes: list[TreeNode] = [TreeNode(root_token, ROOT_PARENT, 0, 1.0)]
         self._children: dict[int, list[int]] = {ROOT_ID: []}
         # (parent, token) -> node id for every non-root node
         self._edges: dict[tuple[int, int], int] = {}
@@ -136,13 +136,8 @@ class TokenTree:
             raise StructureError(
                 f"child reach {reach} exceeds parent reach {pnode.reach}"
             )
-        return self._append(parent, token, reach)
-
-    def _append(self, parent: int, token: int, reach: float) -> int:
-        """Append a node that has passed :meth:`insert`'s checks."""
         node_id = len(self._nodes)
-        depth = self._nodes[parent].depth + 1
-        self._nodes.append(TreeNode(node_id, token, parent, depth, float(reach)))
+        self._nodes.append(TreeNode(token, parent, pnode.depth + 1, float(reach)))
         self._children[node_id] = []
         self._edges[parent, token] = node_id
         siblings = self._children[parent]

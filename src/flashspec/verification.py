@@ -105,8 +105,6 @@ class TreePolicy(Protocol):
     """Anything that can produce the cycle's draft tree and learn from how
     verification went."""
 
-    name: str
-
     def build(self, context: Sequence[int]) -> BuildResult: ...
 
     def observe(self, result: VerificationResult) -> None: ...

@@ -1,13 +1,14 @@
 """Test-side helpers over flashspec's public API: an affine latency
-profile and the shapes of a profile grid, a tree's summed-reach gain, a child lookup by token, node and leaf
-counts recomputed from scratch, a pruned copy of a tree by compaction, a
-tree's JSON and the tree rebuilt from it, a candidate set's tokens and a
-candidate set of given tokens, a
-tabular row drawn from its own ``default_rng``, a layered target's final
-logits, a frontier entry's marginal cost priced from two profile lookups, a
-per-example training record and its conversions to and from a distillation
-set, a zero-weight probe, the probe's losses and gradient on a set, its
-candidate-restricted top-1 agreement and a one-row projection calibration.
+profile and the shapes of a profile grid, a tree's summed-reach gain, a
+child lookup by token, node and leaf counts recomputed from scratch, a
+pruned copy of a tree by compaction, a tree's JSON and the tree rebuilt
+from it, a candidate set's tokens and a candidate set of given tokens, a
+tabular row drawn from its own ``default_rng``, a layered target's hidden
+state at one layer and its final logits, a frontier entry's marginal cost
+priced from two profile lookups, a per-example training record and its
+conversions to and from a distillation set, a zero-weight probe, the
+probe's losses and gradient on a set, its candidate-restricted top-1
+agreement and a one-row projection calibration.
 No engine stage needs them; tests use them as seeds and oracles."""
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def compact_with_map(
     tree: TokenTree, keep: Iterable[int]
 ) -> tuple[TokenTree, dict[int, int]]:
     """Return a new tree holding exactly ``keep`` and the old-id -> new-id
-    mapping; the input is unmodified.  Kept nodes keep their relative order.
+    mapping; the input is unmodified.  Kept nodes keep their relative order
+    and are re-inserted through ``TokenTree.insert`` and its checks.
 
     Tests verify this copy as the oracle for verifying the built tree
     through the keep set; its keep-set checks raise the messages
@@ -110,16 +112,13 @@ def compact_with_map(
                 f"keep set is not ancestor-closed: {nid} kept without {node.parent}"
             )
 
-    # The kept nodes are an ancestor-closed set of a valid tree's nodes,
-    # appended parents first: every parent is present, every (parent, token) edge was unique in the source tree and reaches
-    # never grow down a path, so insert's checks cannot fail and are skipped.
     new_tree = TokenTree(root_token=tree.node(ROOT_ID).token)
     mapping = {ROOT_ID: ROOT_ID}
     for nid in sorted(keep_set):
         if nid == ROOT_ID:
             continue
         node = tree.node(nid)
-        mapping[nid] = new_tree._append(mapping[node.parent], node.token, node.reach)
+        mapping[nid] = new_tree.insert(mapping[node.parent], node.token, node.reach)
     return new_tree, mapping
 
 
@@ -127,8 +126,8 @@ def tree_json(tree: TokenTree) -> str:
     """Every node of ``tree`` in id order as sorted-key JSON: equal trees
     give equal text, and a tree's insertion order shows."""
     rows = [
-        {"id": n.node_id, "parent": n.parent, "token": n.token, "reach": n.reach}
-        for n in map(tree.node, tree.ids())
+        {"id": nid, "parent": n.parent, "token": n.token, "reach": n.reach}
+        for nid, n in enumerate(map(tree.node, tree.ids()))
     ]
     return json.dumps({"nodes": rows}, sort_keys=True)
 
@@ -164,6 +163,12 @@ def tabular_row(model: TabularMarkovModel, idx: int) -> np.ndarray:
     raw = np.random.default_rng([model.seed, idx]).gamma(model.concentration, size=model.vocab_size)
     raw = np.maximum(raw, 1e-300)
     return raw / raw.sum()
+
+
+def hidden_at(model: LayeredTargetModel, layer: int, prefix: Sequence[int]) -> np.ndarray:
+    """Hidden state after ``layer`` (1 to ``depth``) of ``model``'s memoized
+    forward pass over ``prefix``."""
+    return model._forward(prefix)[0][layer - 1]
 
 
 def layered_logits(model: LayeredTargetModel, prefix: Sequence[int]) -> np.ndarray:

@@ -35,7 +35,7 @@ from flashspec.predictor import (
     EarlyExitPredictor,
     TrainConfig,
 )
-from helpers import TrainingExample, candidate_tokens, layered_logits
+from helpers import TrainingExample, candidate_tokens, hidden_at, layered_logits
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -190,7 +190,7 @@ def build_distillation_dataset(
         cand = draft_candidates(draft, prefix, k)
         out.append(
             TrainingExample(
-                hidden=target.hidden_at(layer, prefix),
+                hidden=hidden_at(target, layer, prefix),
                 logits=layered_logits(target, prefix),
                 # token order: restriction is a set, and a neutral order keeps
                 # the zero-initialized predictor at chance-level agreement

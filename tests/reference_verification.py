@@ -15,13 +15,13 @@ child, which the engine derives from the build's candidate sets and
 frontier gives them too).  ``prune`` and ``backbone_path`` look up
 each compared child's node once per key field and count kept leaves by
 scanning every kept node's children.  ``TreePruner.apply`` copies the kept
-nodes into a new tree (``compact_with_map`` re-inserts every kept node
-through ``TokenTree.insert`` and its checks), which ``verify_tree`` then
-walks; the engine walks the built tree restricted to the keep set instead.
-The property tests check that :mod:`flashspec.verification`,
-:mod:`flashspec.pruning` and ``helpers.compact_with_map`` give identical
-accepted paths (mapped back to the built tree), emitted tokens, edge scores,
-prune decisions, compacted trees, id mappings and exit fractions.
+nodes into a new tree (``helpers.compact_with_map`` re-inserts every kept
+node through ``TokenTree.insert`` and its checks), which ``verify_tree``
+then walks; the engine walks the built tree restricted to the keep set
+instead.  The property tests check that :mod:`flashspec.verification` and
+:mod:`flashspec.pruning` give identical accepted paths (mapped back to the
+built tree), emitted tokens, edge scores, prune decisions and exit
+fractions.
 
 ``run_decode`` is the decode loop as it stood while the loop owned the
 planning state: it takes the reliability and the latency profile, hands
@@ -37,7 +37,7 @@ reliability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from flashspec.pruning import PruneConfig, PruneDecision
 from flashspec.tree import ROOT_ID, CandidateSet, TokenTree, TreeLayout, flatten
 from flashspec.verification import VerificationResult as WalkResult
 from flashspec.verification import verify_tree as walk_tree
-from helpers import child_by_token
+from helpers import child_by_token, compact_with_map, hidden_at
 
 
 @dataclass(frozen=True)
@@ -119,16 +119,16 @@ def hidden_states(
 ) -> np.ndarray:
     """Per-row hidden vectors at ``layer`` for a flattened tree.
 
-    Row i equals ``hidden_at(layer, context + path-of-row-i)`` exactly; rows
-    are evaluated independently so the batch matches sequential evaluation
-    bit-for-bit.
+    Row i equals ``hidden_at(model, layer, context + path-of-row-i)``
+    exactly; rows are evaluated independently so the batch matches
+    sequential evaluation bit-for-bit.
     """
     if not (1 <= layer <= model.depth):
         raise ContractError(f"layer {layer} outside [1, {model.depth}]")
     ctx = list(context)
     out = np.empty((len(layout.rows), model.hidden_dim))
     for i in range(len(layout.rows)):
-        out[i] = model.hidden_at(layer, ctx + layout.path_tokens(i))
+        out[i] = hidden_at(model, layer, ctx + layout.path_tokens(i))
     return out
 
 
@@ -261,32 +261,6 @@ def leftovers(
         parent: [t for t, _ in cand.entries if child_by_token(tree, parent, t) is None]
         for parent, cand in candidate_sets.items()
     }
-
-
-def compact_with_map(
-    tree: TokenTree, keep: Iterable[int]
-) -> tuple[TokenTree, dict[int, int]]:
-    """A new tree holding exactly ``keep`` and the old-id -> new-id mapping."""
-    keep_set = set(keep)
-    if ROOT_ID not in keep_set:
-        raise ContractError("keep set must contain the root")
-    for nid in keep_set:
-        if nid >= tree.node_count or nid < 0:
-            raise ContractError(f"keep set references unknown node {nid}")
-        node = tree.node(nid)
-        if nid != ROOT_ID and node.parent not in keep_set:
-            raise ContractError(
-                f"keep set is not ancestor-closed: {nid} kept without {node.parent}"
-            )
-
-    new_tree = TokenTree(root_token=tree.node(ROOT_ID).token)
-    mapping = {ROOT_ID: ROOT_ID}
-    for nid in sorted(keep_set):
-        if nid == ROOT_ID:
-            continue
-        node = tree.node(nid)
-        mapping[nid] = new_tree.insert(mapping[node.parent], node.token, node.reach)
-    return new_tree, mapping
 
 
 def backbone_path(

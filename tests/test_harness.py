@@ -105,10 +105,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^invalid {section} config: "):
             ExperimentConfig.from_dict(payload)
 
-    def test_shipped_and_benchmark_configs_load(self, monkeypatch):
+    def test_shipped_and_benchmark_configs_load(self):
         shipped = ROOT / "configs" / "lever_default.json"
         ExperimentConfig.from_dict(json.loads(shipped.read_text()))
-        monkeypatch.syspath_prepend(str(ROOT))
         from flashbench.workloads import WORKLOADS, make_configs
 
         for name in WORKLOADS:
@@ -126,6 +125,11 @@ class TestConfig:
         assert cfg.model.vocab_size == 16
         assert cfg.policy == "chain_sd"
         assert cfg.horizon == 8
+
+    def test_partial_section_overrides_only_its_keys(self):
+        default = ExperimentConfig().drafting
+        cfg = ExperimentConfig.from_dict({"drafting": {"k": 3}})
+        assert cfg.drafting == replace(default, k=3)
 
     def test_hash_changes_with_config(self):
         a = config_hash(small_cfg())
@@ -711,6 +715,18 @@ class TestCLI:
         assert capsys.readouterr().out.splitlines()[0] == (
             "trained predictor: loss 1.4590 -> 1.4581 after 1 of 2 epochs"
         )
+
+    def test_partial_drafting_override_keeps_the_experiment_defaults(self, tmp_path):
+        """``--set drafting.k=4`` names the default k, so a config-less run
+        with it writes the bytes of the run without it: the drafting keys it
+        does not name keep the experiment's defaults, not DraftConfig's."""
+        out = tmp_path / "out"
+        argv = ["run", "--out", str(out), "--set", "trials=1", "--set", "horizon=16"]
+        names = ("report.json", "report.csv", "trace.json", "trace.csv")
+        assert cli_main(argv) == 0
+        plain = {name: (out / name).read_bytes() for name in names}
+        assert cli_main(argv + ["--set", "drafting.k=4"]) == 0
+        assert {name: (out / name).read_bytes() for name in names} == plain
 
     def test_unknown_nested_override_is_clean_error(self, capsys):
         rc = cli_main(["run", "--set", "drafting.typo=1"])

@@ -19,6 +19,7 @@ from flashspec.predictor import (
 )
 from helpers import (
     cand_loss,
+    hidden_at,
     kd_loss,
     total_loss,
     total_loss_grad,
@@ -223,6 +224,6 @@ def test_dataset_matches_reference(problem):
         assert target.next_dist(prefix).tobytes() == fresh.next_dist(prefix).tobytes()
         for layer in range(1, target.depth + 1):
             assert (
-                target.hidden_at(layer, prefix).tobytes()
-                == fresh.hidden_at(layer, prefix).tobytes()
+                hidden_at(target, layer, prefix).tobytes()
+                == hidden_at(fresh, layer, prefix).tobytes()
             )

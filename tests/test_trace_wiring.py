@@ -2,31 +2,26 @@
 (``flashbench/tracing.py``); a rename in ``src`` must fail here, not only
 when the benchmark runs."""
 
-import sys
-from pathlib import Path
-
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-
-from flashbench.tracing import Tracer, _span_targets  # noqa: E402
-from flashspec import drafting, harness, pruning, verification  # noqa: E402
-from flashspec.drafting import DraftConfig, LatencyProfile, build_tree  # noqa: E402
-from flashspec.harness import (  # noqa: E402
+from flashbench.tracing import Tracer, _span_targets
+from flashspec import drafting, harness, pruning, verification
+from flashspec.drafting import DraftConfig, LatencyProfile, build_tree
+from flashspec.harness import (
     ExperimentConfig,
     ModelSpec,
     make_draft,
     make_target,
 )
-from flashspec.models import TabularMarkovModel, derive_draft  # noqa: E402
-from flashspec.predictor import (  # noqa: E402
+from flashspec.models import TabularMarkovModel, derive_draft
+from flashspec.predictor import (
     EarlyExitPredictor,
     ExactProbeSource,
     default_exit_layer,
 )
-from flashspec.pruning import PruneConfig, TreePruner  # noqa: E402
-from flashspec.verification import verify_tree  # noqa: E402
-from helpers import affine_profile, grid_shapes  # noqa: E402
+from flashspec.pruning import PruneConfig, TreePruner
+from flashspec.verification import verify_tree
+from helpers import affine_profile, grid_shapes
 
 
 def recording(monkeypatch, module, attr):

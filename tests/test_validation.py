@@ -10,7 +10,12 @@ from flashspec.models import (
     MixtureDraftModel,
     TabularMarkovModel,
 )
-from flashspec.predictor import EarlyExitPredictor, ExactProbeSource, TrainConfig
+from flashspec.predictor import (
+    EarlyExitPredictor,
+    ExactProbeSource,
+    LayeredHiddenSource,
+    TrainConfig,
+)
 from flashspec.pruning import PruneConfig
 from flashspec.simulator import HardwareConfig, verify_latency
 
@@ -118,6 +123,15 @@ class TestPredictorValidation:
             ExactProbeSource(target, exit_fraction=0.0)
         with pytest.raises(ConfigError):
             ExactProbeSource(target, exit_fraction=1.5)
+
+    def test_exit_layer_range(self):
+        # the exit layer lies strictly inside the network: 1 to depth - 1
+        target = LayeredTargetModel(8, 1, depth=4, hidden_dim=4, seed=1)
+        for layer in (0, target.depth):
+            with pytest.raises(ConfigError, match="exit layer"):
+                LayeredHiddenSource(target, layer)
+        for layer in (1, target.depth - 1):
+            assert LayeredHiddenSource(target, layer).layer == layer
 
 
 class TestPruneValidation:

@@ -1,7 +1,7 @@
 """Path-only verification through a keep set, parent-only prune rows,
 one-pass edge scoring over recorded candidate sets, the prune decision,
-compaction by remapping, the edge index, child lookup and the decode loop
-with policy-owned feedback against the slow references in
+the edge index, child lookup and the decode loop with policy-owned feedback
+against the slow references in
 ``reference_verification``, ``reference_builder`` and ``helpers``."""
 
 import numpy as np
@@ -22,7 +22,6 @@ from helpers import (
     candidate_set,
     child_by_token,
     compact_with_map,
-    recount,
     tree_json,
 )
 from reference_builder import build_tree as reference_build_tree
@@ -420,24 +419,6 @@ def test_prune_matches_reference(case):
 
 
 @st.composite
-def keep_cases(draw):
-    """A tree and a random ancestor-closed set of its nodes."""
-    tree = grow_tree(draw, draw(st.integers(2, 12)), 40)
-    return tree, closed_keep(tree, np.random.default_rng(draw(st.integers(0, 10_000))))
-
-
-@settings(max_examples=200)
-@given(keep_cases())
-def test_compaction_by_remapping_matches_reinsertion(case):
-    tree, keep = case
-    got, mapping = compact_with_map(tree, keep)
-    want, want_mapping = ref.compact_with_map(tree, keep)
-    assert tree_json(got) == tree_json(want)
-    assert mapping == want_mapping
-    assert got.shape == want.shape == recount(got)
-
-
-@st.composite
 def indexed_trees(draw):
     vocab = draw(st.integers(2, 12))
     return grow_tree(draw, vocab, 40), vocab
@@ -471,7 +452,6 @@ class RecordingPolicy:
 
     def __init__(self, policy):
         self.policy = policy
-        self.name = policy.name
         self.builds = []
 
     def build(self, context):
