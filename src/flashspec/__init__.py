@@ -7,10 +7,7 @@ from .drafting import (
     DraftConfig,
     GainCostEstimate,
     LatencyProfile,
-    ReliabilityState,
     build_tree,
-    calibrate,
-    update_reliability,
 )
 from .errors import ConfigError, ContractError, StructureError, TrainingDiverged
 from .harness import (

@@ -2,9 +2,11 @@
 
 A tree is grown one node at a time from a frontier of drafted candidates.
 Each candidate carries a reach estimate (the probability that verification
-gets that far); each insertion is charged its marginal latency: the change
-in verification latency read from the shape-keyed :class:`LatencyProfile`,
-plus one draft expansion of ``draft_ms`` when the inserted node will itself
+gets that far): its parent's reach times ``rel * p_draft``, where ``rel`` in
+(0, 1] is the caller's reliability factor for raw draft probabilities.  Each
+insertion is charged its marginal latency: the change in verification
+latency read from the shape-keyed :class:`LatencyProfile`, plus one draft
+expansion of ``draft_ms`` when the inserted node will itself
 be expanded.  ``draft_ms`` is the device's per-expansion draft cost (the
 harness passes the hardware preset's ``draft_cpu_ms``, the value the
 simulator charges for a one-node expansion step), so every expansion adds
@@ -29,51 +31,12 @@ up and clamps a shape off its grid to the grid's edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConfigError, ContractError
 from .models import ProbModel, draft_candidates
 from .tree import CandidateSet, ROOT_ID, TokenTree
-
-
-
-@dataclass(frozen=True)
-class ReliabilityState:
-    """Feedback-driven confidence factor for raw draft probabilities.
-
-    ``value`` is an exponential moving average (decay ``beta``) of the
-    per-cycle indicator "the target's token at the point where acceptance
-    stopped was inside the drafted candidate set", clamped to
-    [``floor``, 1].
-    """
-
-    value: float = 1.0
-    beta: float = 0.9
-    floor: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.beta < 1.0):
-            raise ConfigError("beta must lie in (0, 1)")
-        if not (0.0 < self.floor <= 1.0):
-            raise ConfigError("floor must lie in (0, 1]")
-        if not (self.floor <= self.value <= 1.0):
-            raise ConfigError("value must lie in [floor, 1]")
-
-
-def update_reliability(rel: ReliabilityState, hit: bool) -> ReliabilityState:
-    """EMA update from one verification outcome."""
-    raw = rel.beta * rel.value + (1.0 - rel.beta) * (1.0 if hit else 0.0)
-    return replace(rel, value=min(1.0, max(rel.floor, raw)))
-
-
-def calibrate(p_draft: float, rel: ReliabilityState) -> float:
-    """Map a raw draft probability to an estimated acceptance probability.
-
-    Multiplicative down-weighting by the reliability factor, clamped to
-    [0, 1]; strictly order-preserving within a candidate set.
-    """
-    return min(1.0, max(0.0, rel.value * p_draft))
 
 
 MISS_PENALTY = 1.1   # conservative factor on an off-grid shape's clamped price
@@ -142,8 +105,8 @@ class DraftConfig:
     k: int = 3
     max_depth: int = 6
     b_min: float = 0.02            # expandability floor on reach
-    r_min: float = 0.05
-    beta: float = 0.9
+    r_min: float = 0.05            # reliability floor (GainCostPolicy)
+    beta: float = 0.9              # reliability EMA decay (GainCostPolicy)
     cost_floor_ms: float = 0.01    # marginal-cost floor; keeps ratios finite
     max_nodes: int | None = None   # optional safety budget on non-root nodes
 
@@ -162,9 +125,6 @@ class DraftConfig:
             raise ConfigError("cost_floor_ms must be > 0")
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ConfigError("max_nodes must be >= 1, or None for no budget")
-
-    def reliability(self) -> ReliabilityState:
-        return ReliabilityState(value=1.0, beta=self.beta, floor=self.r_min)
 
 
 class FrontierEntry(NamedTuple):
@@ -225,7 +185,7 @@ def build_tree(
     context: Sequence[int],
     draft: ProbModel,
     cfg: DraftConfig,
-    rel: ReliabilityState,
+    rel: float,
     profile: LatencyProfile,
     draft_ms: float = 2.0,
 ) -> BuildResult:
@@ -236,10 +196,12 @@ def build_tree(
     node budget is hit, or when the best remaining candidate cannot improve
     the tree's average gain rate (gain / cycle latency).  Marginal costs are
     priced once per cost class and step (see the module docstring); each
-    expansion costs ``draft_ms``.
+    expansion costs ``draft_ms``.  ``rel`` must lie in (0, 1].
     """
     if not context:
         raise ContractError("context must be non-empty")
+    if not (0.0 < rel <= 1.0):
+        raise ContractError(f"reliability {rel} outside (0, 1]")
 
     tree = TokenTree(root_token=int(context[-1]))
     # (parent, token) -> (entry, expandable), in insertion order
@@ -259,7 +221,7 @@ def build_tree(
         expansion_counts.append(1)
         node = tree.node(node_id)
         for token, p in cand.entries:
-            reach = node.reach * calibrate(p, rel)
+            reach = node.reach * (rel * p)
             entry = FrontierEntry(node_id, token, reach, node.depth + 1)
             frontier[node_id, token] = (entry, is_expandable(entry, cfg))
 

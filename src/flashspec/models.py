@@ -216,14 +216,6 @@ class LayeredTargetModel(ProbModel):
     def next_dists(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
         return _stacked([dist for _, _, dist in self.forward_tails(prefixes)], self.vocab_size)
 
-    def _forward(self, prefix: Sequence[int]) -> _ForwardPass:
-        tail = _padded_tail(prefix, self.order)
-        cached = self._passes.get(tail)
-        if cached is None:
-            self._compute([tail])
-            cached = self._passes[tail]
-        return cached
-
     def _compute(self, tails: list[tuple[int, ...]]) -> None:
         """Memoize the forward pass of each tail, computed as one batch."""
         for tail in tails:
@@ -246,7 +238,7 @@ class LayeredTargetModel(ProbModel):
             self._passes[tail] = (tuple(layer[i] for layer in hidden), z[i], dist[i])
 
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
-        return self._forward(prefix)[2]
+        return self.forward_tails((prefix,))[0][2]
 
 
 class MixtureDraftModel(ProbModel):

@@ -8,7 +8,7 @@ state.  The chain baseline is the degenerate tree (k=1, fixed depth, no
 stopping rule); the balanced baseline expands a fixed branching factor level
 by level, which is what makes its expansion steps batchable.  Neither reads
 feedback.  The gain-cost policy wraps the greedy builder and owns the
-reliability state that calibrates its reach estimates.
+reliability factor that scales its reach estimates.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from .drafting import (
     DraftConfig,
     GainCostEstimate,
     LatencyProfile,
-    ReliabilityState,
     StopRecord,
     build_tree,
-    update_reliability,
 )
 from .errors import ConfigError
 from .models import ProbModel, draft_candidates
@@ -100,22 +98,19 @@ class BalancedTreePolicy(FixedShapePolicy):
 class GainCostPolicy:
     """Greedy reach-per-marginal-latency construction with the stopping rule.
 
-    Reaches are calibrated by ``rel``, which starts at ``cfg.reliability()``
-    and moves with verification feedback: after each cycle, whether the
-    target's fallback token was in the candidate set of the node where
-    acceptance stopped.  A stop node that was never expanded gives no
-    feedback.
+    Draft probabilities are scaled by the reliability ``rel``, which starts
+    at 1 and is an exponential moving average (decay ``cfg.beta``, clamped
+    to [``cfg.r_min``, 1]) of one hit per cycle: whether the target's
+    fallback token was in the candidate set of the node where acceptance
+    stopped.  A stop node that was never expanded gives no feedback.
     """
 
     draft: ProbModel
     cfg: DraftConfig
     profile: LatencyProfile
     draft_ms: float = 2.0
-    rel: ReliabilityState = field(init=False)
+    rel: float = field(default=1.0, init=False)
     _last: BuildResult = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.rel = self.cfg.reliability()
 
     def build(self, context: Sequence[int]) -> BuildResult:
         self._last = build_tree(
@@ -127,7 +122,9 @@ class GainCostPolicy:
         stop_node = result.accepted_nodes[-1] if result.accepted_nodes else ROOT_ID
         cand = self._last.candidate_sets.get(stop_node)
         if cand is not None:
-            self.rel = update_reliability(self.rel, result.fallback in cand)
+            beta = self.cfg.beta
+            raw = beta * self.rel + (1.0 - beta) * (result.fallback in cand)
+            self.rel = min(1.0, max(self.cfg.r_min, raw))
 
 
 def _grow_levels(

@@ -30,9 +30,7 @@ from flashspec.drafting import (
     FrontierEntry,
     GainCostEstimate,
     LatencyProfile,
-    ReliabilityState,
     StopRecord,
-    calibrate,
     is_expandable,
 )
 from flashspec.errors import ContractError
@@ -69,7 +67,7 @@ def build_tree(
     context: Sequence[int],
     draft: ProbModel,
     cfg: DraftConfig,
-    rel: ReliabilityState,
+    rel: float,
     profile: LatencyProfile,
     draft_ms: float = 2.0,
 ) -> tuple[BuildResult, BuildAudit]:
@@ -104,7 +102,8 @@ def build_tree(
         expansion_counts.append(1)
         depth = tree.node(node_id).depth + 1
         for token, p in cand.entries:
-            reach = reaches[node_id] * calibrate(p, rel)
+            # the raw probability scaled by the reliability, clamped to [0, 1]
+            reach = reaches[node_id] * min(1.0, max(0.0, rel * p))
             frontier.append(FrontierEntry(node_id, token, reach, depth))
 
     expand(ROOT_ID)

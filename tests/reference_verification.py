@@ -26,7 +26,7 @@ fractions.
 ``run_decode`` is the decode loop as it stood while the loop owned the
 planning state: it takes the reliability and the latency profile, hands
 both to every ``build(context, rel, profile)``, and updates the reliability
-itself (``_candidate_hit`` and ``update_reliability``) from each cycle's
+itself (``_candidate_hit`` and the EMA of ``_updated``) from each cycle's
 outcome.  Its records keep every per-cycle fact as a stored field.  The
 engine's gain-cost policy holds that state and applies the same rule in
 ``observe``; the property tests check that both loops build the same trees,
@@ -45,9 +45,7 @@ from flashspec.drafting import (
     BuildResult,
     DraftConfig,
     LatencyProfile,
-    ReliabilityState,
     build_tree,
-    update_reliability,
 )
 from flashspec.errors import ConfigError, ContractError
 from flashspec.models import LayeredTargetModel, ProbModel
@@ -385,7 +383,7 @@ class GainCostBuild:
     draft_ms: float = 2.0
 
     def build(
-        self, context: Sequence[int], rel: ReliabilityState, profile: LatencyProfile
+        self, context: Sequence[int], rel: float, profile: LatencyProfile
     ) -> BuildResult:
         return build_tree(context, self.draft, self.cfg, rel, profile, draft_ms=self.draft_ms)
 
@@ -409,7 +407,7 @@ class CycleRecord:
 class DecodeResult:
     tokens: list[int]
     cycles: list[CycleRecord]
-    reliability: ReliabilityState
+    reliability: float
     builds: list[BuildResult]            # every cycle's build, in order
 
 
@@ -418,7 +416,7 @@ def run_decode(
     context: Sequence[int],
     horizon: int,
     policy: GainCostBuild,
-    rel: ReliabilityState,
+    rel: float,
     profile: LatencyProfile,
     pruner=None,
 ) -> DecodeResult:
@@ -450,7 +448,7 @@ def run_decode(
 
         hit = _candidate_hit(result, outcome)
         if hit is not None:
-            rel = update_reliability(rel, hit)
+            rel = _updated(rel, hit, policy.cfg)
 
         cycles.append(
             CycleRecord(
@@ -469,6 +467,13 @@ def run_decode(
         )
 
     return DecodeResult(tokens[:horizon], cycles, rel, builds)
+
+
+def _updated(rel: float, hit: bool, cfg: DraftConfig) -> float:
+    """EMA update from one verification outcome: decay ``cfg.beta``,
+    clamped to [``cfg.r_min``, 1]."""
+    raw = cfg.beta * rel + (1.0 - cfg.beta) * (1.0 if hit else 0.0)
+    return min(1.0, max(cfg.r_min, raw))
 
 
 def _candidate_hit(result: WalkResult, outcome: BuildResult) -> bool | None:

@@ -10,12 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from flashspec.drafting import (
-    DraftConfig,
-    LatencyProfile,
-    ReliabilityState,
-    calibrate,
-)
+from flashspec.drafting import DraftConfig, LatencyProfile
 from flashspec.models import TabularMarkovModel, derive_draft, draft_candidates
 from helpers import affine_profile
 
@@ -33,7 +28,7 @@ def instance_parts(inst: dict):
         max_depth=inst["max_depth"],
         b_min=inst["b_min"],
     )
-    rel = ReliabilityState(value=inst["reliability"])
+    rel = float(inst["reliability"])
     profile = affine_profile(
         inst["profile_c0"], inst["profile_c_node"], inst["profile_c_leaf"],
         max_nodes=16, max_leaves=16,
@@ -41,7 +36,7 @@ def instance_parts(inst: dict):
     return target, draft, cfg, rel, profile, inst["draft_ms"]
 
 
-def reachable_universe(draft, cfg: DraftConfig, rel: ReliabilityState, context):
+def reachable_universe(draft, cfg: DraftConfig, rel: float, context):
     """Every candidate the builder could ever insert, with reach estimates,
     found by expanding all expandable nodes exhaustively."""
     nodes: list[dict] = []
@@ -49,7 +44,7 @@ def reachable_universe(draft, cfg: DraftConfig, rel: ReliabilityState, context):
     def expand(parent_id, prefix, parent_reach, depth):
         cand = draft_candidates(draft, prefix, cfg.k)
         for token, p in cand.entries:
-            reach = parent_reach * calibrate(p, rel)
+            reach = parent_reach * min(1.0, max(0.0, rel * p))
             nid = len(nodes)
             expandable = (depth < cfg.max_depth) and (reach >= cfg.b_min)
             nodes.append(

@@ -15,7 +15,6 @@ import pytest
 from flashspec.drafting import (
     DraftConfig,
     FrontierEntry,
-    ReliabilityState,
     build_tree,
 )
 from flashspec.harness import ExperimentConfig, config_hash, run_experiment
@@ -199,7 +198,7 @@ def test_criterion_03_gain_estimate_calibration(report):
     cfg = DraftConfig(k=3, max_depth=5, b_min=0.01)
     profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
     ctx = [5, 17, 2]
-    out = build_tree(ctx, draft, cfg, ReliabilityState(value=1.0), profile)
+    out = build_tree(ctx, draft, cfg, 1.0, profile)
     tree, gain = out.tree, out.estimate.gain
 
     cumsums = {}

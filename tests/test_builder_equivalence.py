@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from flashspec.drafting import (
     DraftConfig,
     LatencyProfile,
-    ReliabilityState,
     build_tree,
 )
 from flashspec.models import TabularMarkovModel, derive_draft
@@ -67,7 +66,7 @@ def instances(draw):
         b_min=draw(st.floats(0.0 if max_nodes else 0.01, 0.2)),
         max_nodes=max_nodes,
     )
-    rel = ReliabilityState(value=draw(st.floats(0.05, 1.0)))
+    rel = draw(st.floats(0.05, 1.0))
     context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=4))
     draft_ms = draw(st.floats(0.0, 30.0))
     return draft, cfg, rel, context, draw(profiles()), draft_ms

@@ -10,11 +10,8 @@ from flashspec.drafting import (
     DraftConfig,
     FrontierEntry,
     LatencyProfile,
-    ReliabilityState,
     build_tree,
-    calibrate,
     is_expandable,
-    update_reliability,
 )
 from flashspec.models import TabularMarkovModel, derive_draft
 from flashspec.tree import ROOT_ID, TokenTree
@@ -39,50 +36,57 @@ def scan_lookup(entries, q):
     return entries[best] * (MISS_PENALTY if best != q else 1.0)
 
 
-def rel(value=1.0, beta=0.9, floor=0.05):
-    return ReliabilityState(value=value, beta=beta, floor=floor)
+class TestReach:
+    """A child's reach is its parent's times ``rel * p_draft``."""
 
+    def _built(self, rel, seed=21, agreement=0.7):
+        target = TabularMarkovModel(16, 2, seed=seed)
+        draft = derive_draft(target, agreement, noise_seed=5)
+        cfg = DraftConfig(k=3, max_depth=4, b_min=0.01)
+        return build_tree([4, 9], draft, cfg, rel, affine_profile(900.0, 3.0, 1.0, 64, 32))
 
-class TestCalibrate:
-    def test_r_one_identity(self):
-        assert calibrate(0.6, rel(1.0)) == 0.6
+    def _children(self, out, parent):
+        """(reach, draft probability) of each inserted child, in candidate order."""
+        tree = out.tree
+        return [
+            (tree.node(child).reach, p)
+            for token, p in out.candidate_sets[parent].entries
+            for child in (tree.child(parent, token),)
+            if child is not None
+        ]
+
+    def test_rel_one_keeps_draft_probabilities(self):
+        out = self._built(1.0)
+        children = self._children(out, ROOT_ID)
+        assert children
+        assert all(reach == p for reach, p in children)
 
     def test_multiplicative(self):
-        assert calibrate(0.5, rel(0.8)) == pytest.approx(0.4)
+        out = self._built(0.8)
+        tree = out.tree
+        assert tree.node_count > 2
+        for parent in out.candidate_sets:
+            base = tree.node(parent).reach
+            for reach, p in self._children(out, parent):
+                assert reach == base * (0.8 * p)
 
     def test_preserves_ranking(self):
         for r in (0.05, 0.3, 0.77, 1.0):
-            out = [calibrate(p, rel(r)) for p in (0.5, 0.3, 0.2)]
-            assert out[0] > out[1] > out[2]
+            out = self._built(r)
+            for parent in out.candidate_sets:
+                reaches = [reach for reach, _ in self._children(out, parent)]
+                assert reaches == sorted(reaches, reverse=True)
 
-    @given(st.floats(0.0, 1.0), st.floats(0.05, 1.0))
-    def test_stays_in_unit_interval(self, p, r):
-        assert 0.0 <= calibrate(p, rel(r)) <= 1.0
-
-
-class TestReliability:
-    def test_hit_update(self):
-        out = update_reliability(rel(0.5), True)
-        assert out.value == pytest.approx(0.55)
-
-    def test_miss_update(self):
-        out = update_reliability(rel(1.0), False)
-        assert out.value == pytest.approx(0.90)
-
-    def test_all_hit_stream_converges_geometrically(self):
-        state = rel(0.3)
-        gaps = []
-        for _ in range(30):
-            state = update_reliability(state, True)
-            gaps.append(1.0 - state.value)
-        for a, b in zip(gaps, gaps[1:]):
-            assert b == pytest.approx(0.9 * a, rel=1e-9)
-
-    def test_floor_clamp(self):
-        state = rel(0.06, floor=0.05)
-        for _ in range(50):
-            state = update_reliability(state, False)
-        assert state.value == 0.05
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(0.05, 1.0), st.integers(0, 200), st.floats(0.0, 1.0))
+    def test_stays_in_unit_interval(self, r, seed, agreement):
+        out = self._built(r, seed, agreement)
+        tree = out.tree
+        for nid in tree.ids():
+            node = tree.node(nid)
+            assert 0.0 <= node.reach <= 1.0
+            if nid != ROOT_ID:
+                assert node.reach <= tree.node(node.parent).reach
 
 
 class TestGain:
@@ -245,7 +249,7 @@ class TestBuildTree:
         profile = LatencyProfile(lambda n, l: 10.0 if n == 1 else 10000.0, 2, 1)
         draft = TabularMarkovModel(8, 1, seed=1)
         cfg = DraftConfig(k=2, max_depth=3, b_min=0.0)
-        out = build_tree([3], draft, cfg, rel(), profile, draft_ms=2.0)
+        out = build_tree([3], draft, cfg, 1.0, profile, draft_ms=2.0)
         assert out.tree.node_count == 1
         assert out.estimate.gain == 1.0
         assert out.stop.reason == "stop_rule"
@@ -259,7 +263,7 @@ class TestBuildTree:
         profile = affine_profile(c0, c_node, 0.0, 40, 40)
         cfg = DraftConfig(k=1, max_depth=30, b_min=0.0)
         draft = DeterministicDraft()
-        out = build_tree([0], draft, cfg, rel(r), profile, draft_ms=draft_ms)
+        out = build_tree([0], draft, cfg, r, profile, draft_ms=draft_ms)
 
         depth = 0
         gain = 1.0
@@ -285,8 +289,8 @@ class TestBuildTree:
         draft = derive_draft(target, 0.7, noise_seed=5)
         profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
         cfg = DraftConfig(k=3, max_depth=4, b_min=0.01)
-        out = build_tree([4, 9], draft, cfg, rel(), profile)
-        ref, audit = reference_build_tree([4, 9], draft, cfg, rel(), profile)
+        out = build_tree([4, 9], draft, cfg, 1.0, profile)
+        ref, audit = reference_build_tree([4, 9], draft, cfg, 1.0, profile)
         # equal JSON (insertion order) means the fast builder made the
         # reference's recorded choices
         assert tree_json(out.tree) == tree_json(ref.tree)
@@ -305,7 +309,7 @@ class TestBuildTree:
         draft = derive_draft(target, 0.6, noise_seed=6)
         profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
         cfg = DraftConfig(k=3, max_depth=4, b_min=0.01)
-        out = build_tree([4, 9], draft, cfg, rel(), profile)
+        out = build_tree([4, 9], draft, cfg, 1.0, profile)
         if out.stop.reason == "stop_rule":
             assert out.stop.best_ratio <= out.estimate.gain / out.estimate.cycle_cost
 
@@ -315,8 +319,8 @@ class TestBuildTree:
         profile_a = affine_profile(900.0, 3.0, 1.0, 64, 32)
         profile_b = affine_profile(900.0, 3.0, 1.0, 64, 32)
         cfg = DraftConfig(k=3, max_depth=4, b_min=0.01)
-        a = build_tree([4, 9], draft, cfg, rel(0.9), profile_a)
-        b = build_tree([4, 9], draft, cfg, rel(0.9), profile_b)
+        a = build_tree([4, 9], draft, cfg, 0.9, profile_a)
+        b = build_tree([4, 9], draft, cfg, 0.9, profile_b)
         assert tree_json(a.tree) == tree_json(b.tree)
         assert a.estimate == b.estimate
 
@@ -325,7 +329,7 @@ class TestBuildTree:
         draft = derive_draft(target, 0.6, noise_seed=8)
         profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
         cfg = DraftConfig(k=3, max_depth=5, b_min=0.005)
-        out = build_tree([4, 9, 2], draft, cfg, rel(0.8), profile)
+        out = build_tree([4, 9, 2], draft, cfg, 0.8, profile)
         tree = out.tree
         for nid in tree.ids():
             node = tree.node(nid)
@@ -338,7 +342,7 @@ class TestBuildTree:
         draft = derive_draft(target, 0.7, noise_seed=9)
         profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
         cfg = DraftConfig(k=3, max_depth=4, b_min=0.01)
-        out = build_tree([4, 9], draft, cfg, rel(), profile)
+        out = build_tree([4, 9], draft, cfg, 1.0, profile)
         tree = out.tree
         parents = [nid for nid in tree.ids() if tree.children(nid)]
         assert len(parents) > 1
@@ -351,7 +355,7 @@ class TestBuildTree:
         draft = derive_draft(target, 0.9, noise_seed=10)
         profile = affine_profile(900.0, 0.1, 0.0, 128, 64)
         cfg = DraftConfig(k=3, max_depth=6, b_min=0.005, max_nodes=5)
-        out = build_tree([4, 9], draft, cfg, rel(), profile)
+        out = build_tree([4, 9], draft, cfg, 1.0, profile)
         assert out.tree.node_count - 1 <= 5
 
     # dyadic latencies: n repeated additions equal one product exactly
@@ -361,7 +365,7 @@ class TestBuildTree:
         draft = derive_draft(target, 0.7, noise_seed=11)
         profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
         cfg = DraftConfig(k=3, max_depth=5, b_min=0.01)
-        out = build_tree([4, 9], draft, cfg, rel(0.8), profile, draft_ms=draft_ms)
+        out = build_tree([4, 9], draft, cfg, 0.8, profile, draft_ms=draft_ms)
         assert len(out.expansion_counts) > 1
         assert out.expansion_counts == [1] * len(out.expansion_counts)
         assert out.estimate.draft_cost == draft_ms * len(out.expansion_counts)

@@ -263,7 +263,7 @@ class TestGainCostDraftCost:
         context = make_context(cfg, 0)
         got = make_policy(cfg, draft, hw, seed_profile(cfg, hw)).build(context)
         want = build_tree(
-            context, draft, cfg.drafting, cfg.drafting.reliability(),
+            context, draft, cfg.drafting, 1.0,
             seed_profile(cfg, hw), draft_ms=5.0,
         )
         assert tree_json(got.tree) == tree_json(want.tree)

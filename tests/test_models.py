@@ -386,6 +386,21 @@ def test_batched_tabular_rows_equal_single_reads(session):
         assert set(model._rows) == read
 
 
+@settings(max_examples=100)
+@given(tabular_sessions())
+def test_exact_probe_rows_equal_per_row_log_reads(session):
+    """The exact probe's one batched read, logged at once, has the bytes of
+    a per-row ``np.log(np.maximum(next_dist(p), 1e-300))`` on a fresh model."""
+    args, steps = session
+    source = ExactProbeSource(TabularMarkovModel(*args))
+    fresh = TabularMarkovModel(*args)
+    for _, prefixes in steps:
+        rows = source.rows(prefixes)
+        assert rows.shape == (len(prefixes), fresh.vocab_size)
+        for row, p in zip(rows, prefixes):
+            assert row.tobytes() == np.log(np.maximum(fresh.next_dist(p), 1e-300)).tobytes()
+
+
 def _tail_of(idx, vocab, order):
     """The padded tail whose row index is ``idx``."""
     return tuple((idx // vocab**i) % vocab for i in reversed(range(order)))

@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashspec.drafting import DraftConfig
 from flashspec.errors import ConfigError
 from flashspec.models import TabularMarkovModel, derive_draft
-from flashspec.policies import BalancedTreePolicy, ChainPolicy, RootOnlyPolicy
+from flashspec.policies import BalancedTreePolicy, ChainPolicy, GainCostPolicy, RootOnlyPolicy
 from flashspec.tree import ROOT_ID, flatten
-from helpers import candidate_tokens, tree_json
+from flashspec.verification import VerificationResult
+from helpers import affine_profile, candidate_tokens, tree_json
 
 
 def models(seed=9, agreement=0.8):
@@ -21,6 +23,80 @@ class TestRootOnly:
         assert out.tree.node_count == 1
         assert out.expansion_counts == []
         assert out.estimate.gain == 1.0
+
+
+class TestGainCostObserve:
+    """The reliability is an EMA of candidate-set hits: decay ``cfg.beta``,
+    clamped to [``cfg.r_min``, 1]."""
+
+    def _policy(self, **cfg):
+        _, draft = models()
+        policy = GainCostPolicy(
+            draft, DraftConfig(k=3, max_depth=3, b_min=0.01, **cfg),
+            affine_profile(900.0, 3.0, 1.0, 64, 32),
+        )
+        out = policy.build([4, 2])
+        root = candidate_tokens(out.candidate_sets[ROOT_ID])
+        miss = next(t for t in range(16) if t not in root)
+        # acceptance stopped at the root, where the fallback was drafted or not
+        return policy, VerificationResult((), (root[0],)), VerificationResult((), (miss,))
+
+    def test_starts_at_one(self):
+        policy, _, _ = self._policy()
+        assert policy.rel == 1.0
+
+    def test_hit_moves_toward_one(self):
+        policy, hit, _ = self._policy()
+        policy.rel = 0.5
+        policy.observe(hit)
+        assert policy.rel == pytest.approx(0.55)
+
+    def test_miss_decays(self):
+        policy, _, miss = self._policy()
+        policy.observe(miss)
+        assert policy.rel == pytest.approx(0.90)
+
+    def test_all_hit_stream_converges_geometrically(self):
+        policy, hit, _ = self._policy()
+        policy.rel = 0.3
+        gaps = []
+        for _ in range(30):
+            policy.observe(hit)
+            gaps.append(1.0 - policy.rel)
+        for a, b in zip(gaps, gaps[1:]):
+            assert b == pytest.approx(0.9 * a, rel=1e-9)
+
+    def test_floor_clamp(self):
+        policy, _, miss = self._policy(r_min=0.05)
+        policy.rel = 0.06
+        for _ in range(50):
+            policy.observe(miss)
+        assert policy.rel == 0.05
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(0.01, 0.99), st.lists(st.booleans(), max_size=30))
+    def test_stays_within_floor_and_one(self, beta, hits):
+        policy, hit, miss = self._policy(beta=beta, r_min=0.2)
+        for h in hits:
+            policy.observe(hit if h else miss)
+            assert 0.2 <= policy.rel <= 1.0
+        policy.rel = 1.0
+        policy.observe(hit)
+        assert policy.rel == 1.0
+
+    def test_never_expanded_stop_node_gives_no_update(self):
+        policy, _, miss = self._policy()
+        tree, sets = policy._last.tree, policy._last.candidate_sets
+        leaf = next(n for n in tree.ids() if n != ROOT_ID and n not in sets)
+        path = []
+        node = leaf
+        while node != ROOT_ID:
+            path.append(node)
+            node = tree.node(node).parent
+        emitted = (*tree.path_tokens(leaf), miss.fallback)
+        policy.rel = 0.5
+        policy.observe(VerificationResult(tuple(reversed(path)), emitted))
+        assert policy.rel == 0.5
 
 
 class TestChain:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flashspec.drafting import DraftConfig, ReliabilityState, build_tree
+from flashspec.drafting import DraftConfig, build_tree
 from flashspec.errors import ContractError
 from flashspec.models import TabularMarkovModel, derive_draft, target_greedy_decode
 from flashspec.policies import BalancedTreePolicy, GainCostPolicy
@@ -216,7 +216,7 @@ class TestTreePruner:
         draft = derive_draft(target, agreement, noise_seed=seed + 1)
         profile = affine_profile(900.0, 3.0, 1.0, 64, 32)
         cfg = DraftConfig(k=3, max_depth=4, b_min=0.01)
-        out = build_tree([4, 9], draft, cfg, ReliabilityState(), profile)
+        out = build_tree([4, 9], draft, cfg, 1.0, profile)
         pruner = TreePruner(
             EarlyExitPredictor.identity_probe(16),
             ExactProbeSource(target),
@@ -295,9 +295,8 @@ class TestTreePruner:
             PruneConfig(theta=0.3, min_keep_frac=0.0, min_leaves=1),
         )
         prefix = [3, 3]
-        rel = ReliabilityState()
         for _ in range(12):
-            out = build_tree(prefix, draft, cfg, rel, profile)
+            out = build_tree(prefix, draft, cfg, 1.0, profile)
             summary = pruner.apply(out.tree, out.candidate_sets, prefix)
             full = verify_tree(target, prefix, out.tree)
             cut = verify_tree(target, prefix, out.tree, summary.keep)

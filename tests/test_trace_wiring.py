@@ -41,6 +41,10 @@ def test_every_span_target_exists():
     for owner, attr, name in _span_targets():
         # the tracer saves and restores vars(owner)[attr]
         assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr} ({name})"
+    # the count patches too: the three next_dists, LatencyProfile.lookup,
+    # GainCostPolicy.build, run_trial and run_decode
+    for owner, attr, _ in Tracer()._patches():
+        assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr}"
 
 
 @pytest.mark.parametrize("attr", ["build_distillation_dataset", "train"])
@@ -68,7 +72,7 @@ def test_decode_stages_call_the_traced_names(monkeypatch):
     context = [1, 2]
     expands = recording(monkeypatch, drafting, "draft_candidates")
     built = build_tree(
-        context, draft, DraftConfig(), DraftConfig().reliability(),
+        context, draft, DraftConfig(), 1.0,
         affine_profile(10.0, 1.0, 0.0, 64, 16),
     )
     assert expands and len(expands) == len(built.expansion_counts)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flashspec.drafting import DraftConfig, LatencyProfile, ReliabilityState
+from flashspec.drafting import DraftConfig, LatencyProfile, build_tree
 from flashspec.errors import ConfigError, ContractError
 from flashspec.models import (
     LayeredTargetModel,
@@ -41,19 +41,12 @@ class TestDraftingValidation:
         with pytest.raises(ConfigError):
             DraftConfig(**kw)
 
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"beta": 0.0},
-            {"beta": 1.0},
-            {"floor": 0.0},
-            {"value": 0.01, "floor": 0.05},
-            {"value": 1.5},
-        ],
-    )
-    def test_bad_reliability(self, kw):
-        with pytest.raises(ConfigError):
-            ReliabilityState(**kw)
+    @pytest.mark.parametrize("rel", [0.0, -0.5, 1.0 + 1e-12, 1.5, float("nan")])
+    def test_bad_reliability(self, rel):
+        draft = TabularMarkovModel(8, 1, seed=1)
+        profile = LatencyProfile(lambda n, l: 10.0, 4, 2)
+        with pytest.raises(ContractError, match="reliability"):
+            build_tree([3], draft, DraftConfig(), rel, profile)
 
     @pytest.mark.parametrize("bounds", [(0, 1), (1, 0), (-3, 4)])
     def test_profile_rejects_bounds_below_one(self, bounds):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from flashspec import policies
-from flashspec.drafting import DraftConfig, ReliabilityState, update_reliability
+from flashspec.drafting import DraftConfig
 from flashspec.models import (
     TabularMarkovModel,
     derive_draft,
@@ -89,7 +88,7 @@ class TestVerifyTree:
         cfg = DraftConfig(k=3, max_depth=3, b_min=0.01)
         from flashspec.drafting import build_tree
 
-        out = build_tree([1, 2], draft, cfg, ReliabilityState(), profile_flat())
+        out = build_tree([1, 2], draft, cfg, 1.0, profile_flat())
         tree = out.tree
         parent, leftover = next(
             (parent, token)
@@ -125,7 +124,7 @@ class TestVerifyTree:
         cfg = DraftConfig(k=3, max_depth=4, b_min=0.01)
         from flashspec.drafting import build_tree
 
-        out = build_tree([1, 2], draft, cfg, ReliabilityState(), profile_flat())
+        out = build_tree([1, 2], draft, cfg, 1.0, profile_flat())
         res = verify_tree(target, [1, 2], out.tree)
         assert len(res.emitted) == res.accepted_len + 1
 
@@ -180,13 +179,15 @@ class TestRunDecode:
         target = TabularMarkovModel(16, 2, seed=22)
         draft = derive_draft(target, 0.2, noise_seed=6)
         policy = GainCostPolicy(draft, DraftConfig(k=2, max_depth=3, b_min=0.01), profile_flat())
-        hits = []
+        observe = policy.observe
+        rels = []
 
-        def recording(rel, hit):
-            hits.append(hit)
-            return update_reliability(rel, hit)
+        def recording(result):
+            observe(result)
+            rels.append(policy.rel)
 
-        monkeypatch.setattr(policies, "update_reliability", recording)
+        monkeypatch.setattr(policy, "observe", recording)
         self._run(policy, target)
-        assert hits, "expected at least one reliability observation"
-        assert policy.rel.value < 1.0 or all(hits)
+        assert rels, "expected at least one reliability observation"
+        assert all(0.05 <= r <= 1.0 for r in rels)
+        assert min(rels) < 1.0, "a weak draft should miss at least once"

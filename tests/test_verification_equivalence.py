@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flashspec.drafting import DraftConfig, ReliabilityState, build_tree
+from flashspec.drafting import DraftConfig, build_tree
 from flashspec.errors import ContractError
 from flashspec.models import LayeredTargetModel, TabularMarkovModel, derive_draft
 from flashspec.policies import GainCostPolicy
@@ -342,7 +342,7 @@ def build_cases(draw):
         b_min=draw(st.sampled_from([0.0, 0.01, 0.1])),
         max_nodes=draw(st.sampled_from([None, 4, 16])),
     )
-    rel = ReliabilityState(value=draw(st.sampled_from([0.05, 0.5, 1.0])))
+    rel = draw(st.sampled_from([0.05, 0.5, 1.0]))
     profile_args = (
         draw(st.floats(50.0, 1000.0)),
         draw(st.sampled_from([0.0, 3.0, 10.0])),
@@ -520,7 +520,7 @@ def test_policy_owned_feedback_matches_the_loop_owned_reference(case):
     got = run_decode(target, context, horizon, policy, pruner=pruner)
     want = ref.run_decode(
         target, context, horizon, ref.GainCostBuild(draft, cfg, draft_ms=draft_ms),
-        cfg.reliability(), affine_profile(*profile_args), pruner=pruner,
+        1.0, affine_profile(*profile_args), pruner=pruner,
     )
     assert got.tokens == want.tokens
     assert len(got.cycles) == len(want.cycles) == len(policy.builds)
