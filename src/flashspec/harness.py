@@ -145,6 +145,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"balanced_fanout={self.balanced_fanout} exceeds vocab_size={vocab}"
             )
+        # The first level alone would overrun the budget (a budget below 1 is
+        # the policy's own error).
+        if self.policy == "balanced_tree" and 1 <= self.balanced_budget < self.balanced_fanout:
+            raise ConfigError(
+                f"balanced_fanout={self.balanced_fanout} exceeds "
+                f"balanced_budget={self.balanced_budget}"
+            )
 
     def resolve_hardware(self) -> HardwareConfig:
         if isinstance(self.hardware, HardwareConfig):

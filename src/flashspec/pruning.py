@@ -1,4 +1,4 @@
-"""Conservative predictor-based branch pruning.
+"""Predictor-based branch pruning by path posterior.
 
 Only parents (nodes with inserted children) are scored, so the hidden-state
 source is asked for one row per parent, in flattened row order.  Edge scores
@@ -10,10 +10,11 @@ tree is scored in one pass: the members of all parents are gathered into one
 token array, scored by one batched matrix-vector product, and
 softmax-normalized per parent with the rounding of a per-parent evaluation.
 
-Low-scoring edges are dropped subject to safeguards: the keep set stays
-ancestor-closed, a backbone path of per-depth best children is immune, the
-strongest children near the root survive, and decisions that strip the tree
-too bare are rejected wholesale.
+A node's path posterior is the product of its path's normalized edge
+scores: the chance that verification reaches it, as the probe sees it.
+Pruning keeps the root, a backbone path of per-depth best children, and
+every node whose posterior is at least ``theta``.  Scores are at most 1, so
+the posterior never rises with depth and the keep set is ancestor-closed.
 
 Pruning yields a keep set of node ids and the kept leaf count; the tree is
 never copied.  Verification walks the built tree restricted to the keep set
@@ -23,7 +24,7 @@ never copied.  Verification walks the built tree restricted to the keep set
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import ClassVar, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -34,29 +35,24 @@ from .tree import ROOT_ID, CandidateSet, TokenTree, flatten
 
 @dataclass(frozen=True)
 class PruneConfig:
-    theta: float = 0.1                   # normalized-score keep threshold
+    theta: float = 0.1                   # path-posterior keep threshold
     tau: float = 1.0                     # normalization temperature
-    root_keep: int = 2                   # depth-1 children always retained
-    min_keep_frac: float = 0.25          # reject below this fraction of rows
-    min_leaves: int = 2                  # reject below this many leaves
 
     def __post_init__(self) -> None:
         if not (0.0 < self.theta < 1.0):
             raise ConfigError("theta must lie in (0, 1)")
         if self.tau <= 0:
             raise ConfigError("tau must be positive")
-        if self.root_keep < 0 or self.min_leaves < 0:
-            raise ConfigError("root_keep and min_leaves must be >= 0")
-        if not (0.0 <= self.min_keep_frac <= 1.0):
-            raise ConfigError("min_keep_frac must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
 class PruneDecision:
     keep: frozenset[int]
-    rejected: bool
     backbone: tuple[int, ...]
     leaves: int                          # leaves of the kept subtree
+    # Pruning has no reject path; the bench's pruning.rejected_frac still
+    # reads this field (ROADMAP item 7 drops both).
+    rejected: ClassVar[bool] = False
 
 
 class HiddenSource(Protocol):
@@ -129,17 +125,6 @@ def normalize_scores(
     return dict(zip(edges, norm.tolist()))
 
 
-def _rank_key(tree: TokenTree, scores: dict[tuple[int, int], float], parent: int):
-    """Sort key over ``parent``'s children: best normalized score first, ties
-    to higher reach, then to the smaller token."""
-
-    def key(cid: int) -> tuple[float, float, int]:
-        node = tree.node(cid)
-        return (-scores[(parent, node.token)], -node.reach, node.token)
-
-    return key
-
-
 def backbone_path(
     tree: TokenTree,
     scores: dict[tuple[int, int], float],
@@ -148,13 +133,11 @@ def backbone_path(
     with the best normalized score (ties prefer higher reach, then the
     smaller token)."""
     path = [ROOT_ID]
-    cur = ROOT_ID
-    while True:
-        children = tree.children(cur)
-        if not children:
-            break
-        cur = min(children, key=_rank_key(tree, scores, cur))
-        path.append(cur)
+    while children := tree.children(path[-1]):
+        parent = path[-1]
+        path.append(min(children, key=lambda cid: (
+            -scores[(parent, tree.node(cid).token)], -tree.node(cid).reach, tree.node(cid).token
+        )))
     return path
 
 
@@ -163,47 +146,25 @@ def prune(
     scores: dict[tuple[int, int], float],
     cfg: PruneConfig,
 ) -> PruneDecision:
-    """Threshold pruning with backbone, root-coverage, and size safeguards.
+    """Keep the root, the backbone, and every node whose path posterior is
+    at least ``theta``.  ``leaves`` counts the kept subtree's leaves.
 
-    The keep set is the root, the backbone, the ``root_keep`` best depth-1
-    children, and every edge scoring at least ``theta``, closed under
-    ancestors.  Decisions keeping too few rows or too few leaves are rejected
-    and the full tree is retained.  ``leaves`` counts the kept subtree's
-    leaves.
+    A node's posterior is its parent's times the score of the edge between
+    them, and the root's is 1; parents precede children in id order, so one
+    pass computes them all.
     """
     backbone = backbone_path(tree, scores)
-    keep: set[int] = {ROOT_ID}
-    keep.update(backbone)
-
-    ranked = sorted(tree.children(ROOT_ID), key=_rank_key(tree, scores, ROOT_ID))
-    keep.update(ranked[: cfg.root_keep])
-
-    for nid in tree.ids():
-        if nid == ROOT_ID:
-            continue
+    keep = set(backbone)
+    post = [1.0] * tree.node_count
+    for nid in tree.ids()[1:]:           # the root, id 0, keeps 1.0
         node = tree.node(nid)
-        if scores[(node.parent, node.token)] >= cfg.theta:
+        post[nid] = post[node.parent] * scores[(node.parent, node.token)]
+        if post[nid] >= cfg.theta:
             keep.add(nid)
-
-    # Ancestor closure.
-    for nid in sorted(keep):
-        parent = tree.node(nid).parent
-        while parent not in keep and parent != -1:
-            keep.add(parent)
-            parent = tree.node(parent).parent
-
     # In an ancestor-closed set, the kept nodes with a kept child are exactly
     # the parents of the kept non-root nodes.
     kept_parents = {tree.node(nid).parent for nid in keep if nid != ROOT_ID}
-    kept_leaves = len(keep) - len(kept_parents)
-    rejected = (
-        len(keep) < cfg.min_keep_frac * tree.node_count
-        or kept_leaves < min(cfg.min_leaves, tree.leaf_count)
-    )
-    if rejected:
-        keep = set(tree.ids())
-        kept_leaves = tree.leaf_count
-    return PruneDecision(frozenset(keep), rejected, tuple(backbone), kept_leaves)
+    return PruneDecision(frozenset(keep), tuple(backbone), len(keep) - len(kept_parents))
 
 
 class TreePruner:

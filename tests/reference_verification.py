@@ -12,8 +12,10 @@ scored every edge in one pass.  Both normalize a parent's scores over its
 children and the ``extras`` given for it: the candidate tokens that have no
 child, which the engine derives from the build's candidate sets and
 ``leftovers`` finds by a scan of the children (a reference build's leftover
-frontier gives them too).  ``prune`` and ``backbone_path`` look up
-each compared child's node once per key field and count kept leaves by
+frontier gives them too).  ``backbone_path`` looks up each compared
+child's node once per key field.  ``prune`` recomputes every node's path
+posterior from its own path (``path_posterior``), where the engine carries
+each parent's posterior to its children, and counts kept leaves by
 scanning every kept node's children.  ``TreePruner.apply`` copies the kept
 nodes into a new tree (``helpers.compact_with_map`` re-inserts every kept
 node through ``TokenTree.insert`` and its checks), which ``verify_tree``
@@ -287,57 +289,37 @@ def backbone_path(
     return path
 
 
+def path_posterior(
+    tree: TokenTree, scores: dict[tuple[int, int], float], nid: int
+) -> float:
+    """The product of the edge scores on root -> ``nid``, multiplied root
+    first; the root's is 1."""
+    edges = []
+    cur = nid
+    while cur != ROOT_ID:
+        node = tree.node(cur)
+        edges.append(scores[(node.parent, node.token)])
+        cur = node.parent
+    posterior = 1.0
+    for score in reversed(edges):
+        posterior *= score
+    return posterior
+
+
 def prune(
     tree: TokenTree,
     scores: dict[tuple[int, int], float],
     cfg: PruneConfig,
 ) -> PruneDecision:
-    """Threshold pruning with backbone, root-coverage, and size safeguards.
-
-    The keep set is the root, the backbone, the ``root_keep`` best depth-1
-    children, and every edge scoring at least ``theta``, closed under
-    ancestors.  Decisions keeping too few rows or too few leaves are rejected
-    and the full tree is retained.
-    """
-    backbone = backbone_path(tree, scores)
+    """Path-posterior pruning by brute force: each node's posterior is
+    recomputed from its own path, and the node is kept if that reaches
+    ``theta``.  The root and the backbone are kept whatever their
+    posterior."""
     keep: set[int] = {ROOT_ID}
-    keep.update(backbone)
-
-    depth1 = tree.children(ROOT_ID)
-    ranked = sorted(
-        depth1,
-        key=lambda cid: (
-            -scores[(ROOT_ID, tree.node(cid).token)],
-            -tree.node(cid).reach,
-            tree.node(cid).token,
-        ),
-    )
-    keep.update(ranked[: cfg.root_keep])
-
-    for nid in tree.ids():
-        if nid == ROOT_ID:
-            continue
-        node = tree.node(nid)
-        if scores[(node.parent, node.token)] >= cfg.theta:
-            keep.add(nid)
-
-    # Ancestor closure.
-    for nid in sorted(keep):
-        parent = tree.node(nid).parent
-        while parent not in keep and parent != -1:
-            keep.add(parent)
-            parent = tree.node(parent).parent
-
-    def kept_leaves() -> int:
-        return sum(1 for nid in keep if not any(c in keep for c in tree.children(nid)))
-
-    rejected = (
-        len(keep) < cfg.min_keep_frac * tree.node_count
-        or kept_leaves() < min(cfg.min_leaves, tree.leaf_count)
-    )
-    if rejected:
-        keep = set(tree.ids())
-    return PruneDecision(frozenset(keep), rejected, tuple(backbone), kept_leaves())
+    keep.update(backbone_path(tree, scores))
+    keep.update(nid for nid in tree.ids() if path_posterior(tree, scores, nid) >= cfg.theta)
+    leaves = sum(1 for nid in keep if not any(c in keep for c in tree.children(nid)))
+    return PruneDecision(frozenset(keep), tuple(backbone_path(tree, scores)), leaves)
 
 
 class TreePruner:
@@ -367,9 +349,7 @@ class TreePruner:
         scores = normalize_scores(self.pred, hidden, tree, layout, self.cfg.tau, extras)
         decision = prune(tree, scores, self.cfg)
         new_tree, old_to_new = compact_with_map(tree, decision.keep)
-        decision = PruneDecision(
-            decision.keep, decision.rejected, decision.backbone, new_tree.leaf_count
-        )
+        decision = PruneDecision(decision.keep, decision.backbone, new_tree.leaf_count)
         return new_tree, {new: old for old, new in old_to_new.items()}, decision
 
 

@@ -202,13 +202,13 @@ class TestRunExperiment:
                 2,
                 {
                     "report.json":
-                        "e69a301f71a0ca6e9b741518697d2b9fc36a936be1575e40017a6c7c65bc35e7",
+                        "c22d22f6fa26f9c4dd1ba5d13fc51a17945bcb63b585f3fa3b0007dadc9710da",
                     "report.csv":
                         "3f351eb2d4b3ab4f421018a9cde3fa5bd8b6a07579caec8b682360e019c0d9d1",
                     "trace.json":
-                        "9a2a1bc9da89d67d9ed6d3e27494b3f4581d9e1459ef14f83466a7ec0b7a71f4",
+                        "4d2002bee931cd4a93a34ec8f55aa9f586582ccf2efcb6450a2f2825fd626ef4",
                     "trace.csv":
-                        "dc5e8bbb97883490b7920ba3f0be453a230e706fe5f76fe021a4f246bf41305a",
+                        "e514f8419b6056989331918344a7e64a88694d44dcf815d3b6138001d9ae517c",
                 },
             ),
             (
@@ -219,13 +219,13 @@ class TestRunExperiment:
                 1,
                 {
                     "report.json":
-                        "6d5a51de37f77e93f848a7043ebd801d889a6354e30164b27d5f8639ab5617fd",
+                        "e7956c1292389bbbcd1abd70b26134dae52226c3fe868a92e3027480e0f580a8",
                     "report.csv":
                         "8268a301c924283e745072306b35d9d4b65adc00026950fa11a65d64c920c3bf",
                     "trace.json":
-                        "1ddc0e4b3a808ff71835869162c453fa8a79632e15fbbfb22e8618bb6067f48d",
+                        "2970780366c98b33ef79a270e4f78684277db9e4f12148e1cf857a32d61b6647",
                     "trace.csv":
-                        "e2eb2696117e40086502ad29f698d4aa506bdccf4144b93f83cc786da6ee1fd9",
+                        "cdd0e44876e06ca46e022e9a483f2cc63d179593e7f20891979179d647b4340a",
                 },
             ),
         ],
@@ -636,6 +636,11 @@ class TestCLI:
                 ["policy=balanced_tree", "balanced_fanout=64"],
                 "balanced_fanout=64 exceeds vocab_size=32",
             ),
+            (
+                # a first level of 4 nodes would overrun the 3-node budget
+                ["policy=balanced_tree", "balanced_fanout=4", "balanced_budget=3"],
+                "balanced_fanout=4 exceeds balanced_budget=3",
+            ),
             (["policy=chain_sd", "chain_length=0"], "chain length must be >= 1"),
             (
                 ["policy=balanced_tree", "balanced_budget=0"],
@@ -652,6 +657,7 @@ class TestCLI:
         ],
         ids=[
             "no-examples", "lever-k", "lever-noprune-k", "balanced-fanout",
+            "balanced-fanout-over-budget",
             "chain-length-zero", "balanced-budget-zero", "balanced-fanout-zero",
             "node-budget-zero", "node-budget-negative", "profile-nodes-zero",
             "profile-leaves-zero",

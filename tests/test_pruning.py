@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flashspec.drafting import DraftConfig, build_tree
 from flashspec.errors import ContractError
@@ -15,7 +17,8 @@ from flashspec.pruning import (
 )
 from flashspec.tree import ROOT_ID, TokenTree, flatten
 from flashspec.verification import run_decode, verify_tree
-from helpers import affine_profile, candidate_set, candidate_tokens, compact_with_map
+from helpers import affine_profile, candidate_set, candidate_tokens, compact_with_map, recount
+from reference_verification import path_posterior
 
 
 def one_hot_pred(vocab_size):
@@ -163,51 +166,103 @@ def scored_tree():
 class TestPrune:
     def test_all_above_threshold_keeps_everything(self):
         tree, scores, _ = scored_tree()
-        cfg = PruneConfig(theta=0.01, root_keep=2, min_keep_frac=0.0, min_leaves=1)
-        decision = prune(tree, scores, cfg)
+        decision = prune(tree, scores, PruneConfig(theta=0.01))
         assert decision.keep == frozenset(tree.ids())
-        assert not decision.rejected
+        assert decision.leaves == tree.leaf_count
 
     def test_single_low_edge_removed(self):
         tree, scores, (a, b, c, d) = scored_tree()
-        cfg = PruneConfig(theta=0.1, root_keep=2, min_keep_frac=0.0, min_leaves=1)
-        decision = prune(tree, scores, cfg)
+        decision = prune(tree, scores, PruneConfig(theta=0.1))
         assert d not in decision.keep
         assert decision.keep == frozenset({ROOT_ID, a, b, c})
-        assert not decision.rejected
+        assert decision.leaves == 2
 
-    def test_aggressive_threshold_rejected(self):
-        tree, scores, _ = scored_tree()
-        cfg = PruneConfig(theta=0.95, root_keep=0, min_keep_frac=0.0, min_leaves=2)
-        decision = prune(tree, scores, cfg)
-        assert decision.rejected
-        assert decision.keep == frozenset(tree.ids())
-
-    def test_min_keep_frac_safeguard(self):
-        tree, scores, _ = scored_tree()
-        cfg = PruneConfig(theta=0.85, root_keep=1, min_keep_frac=0.9, min_leaves=1)
-        decision = prune(tree, scores, cfg)
-        assert decision.rejected
+    def test_threshold_reads_the_path_not_the_edge(self):
+        # e's own edge scores 0.95, but verification reaches it only
+        # through b: its posterior is 0.2 * 0.95 = 0.19
+        tree, scores, (a, b, c, d) = scored_tree()
+        e = tree.insert(b, 5, 0.4)
+        scores[(b, 5)] = 0.95
+        assert e in prune(tree, scores, PruneConfig(theta=0.15)).keep
+        decision = prune(tree, scores, PruneConfig(theta=0.3))
+        assert decision.keep == frozenset({ROOT_ID, a, c})
+        assert decision.leaves == 1
 
     def test_backbone_immune_for_any_threshold(self):
-        tree, scores, _ = scored_tree()
+        tree, scores, (a, b, c, d) = scored_tree()
         for theta in (0.1, 0.5, 0.9, 0.99):
-            cfg = PruneConfig(
-                theta=theta, root_keep=0, min_keep_frac=0.0, min_leaves=1
-            )
-            decision = prune(tree, scores, cfg)
+            decision = prune(tree, scores, PruneConfig(theta=theta))
             assert set(decision.backbone) <= decision.keep
+        assert decision.keep == frozenset({ROOT_ID, a, c})
 
     def test_keep_always_ancestor_closed(self):
         tree, scores, _ = scored_tree()
         for theta in (0.05, 0.3, 0.6, 0.9):
-            cfg = PruneConfig(
-                theta=theta, root_keep=1, min_keep_frac=0.0, min_leaves=1
-            )
-            decision = prune(tree, scores, cfg)
+            decision = prune(tree, scores, PruneConfig(theta=theta))
             for nid in decision.keep:
                 if nid != ROOT_ID:
                     assert tree.node(nid).parent in decision.keep
+
+
+@st.composite
+def scored_trees(draw):
+    """A random tree and a score in [0, 1] for every edge."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    tree = TokenTree()
+    for _ in range(draw(st.integers(0, 30))):
+        parent = int(rng.integers(tree.node_count))
+        token = int(rng.integers(6))
+        if tree.child(parent, token) is None:
+            tree.insert(parent, token, tree.node(parent).reach * 0.9)
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    scores = {
+        (tree.node(nid).parent, tree.node(nid).token): float(rng.choice(levels))
+        for nid in tree.ids()
+        if nid != ROOT_ID
+    }
+    return tree, scores
+
+
+thetas = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+class TestPruneProperties:
+    @settings(max_examples=100)
+    @given(scored_trees(), thetas)
+    def test_keep_is_ancestor_closed(self, case, theta):
+        tree, scores = case
+        keep = prune(tree, scores, PruneConfig(theta=theta)).keep
+        assert ROOT_ID in keep
+        for nid in keep - {ROOT_ID}:
+            assert tree.node(nid).parent in keep
+
+    @settings(max_examples=100)
+    @given(scored_trees(), thetas, thetas)
+    def test_raising_theta_never_adds_a_node(self, case, t1, t2):
+        tree, scores = case
+        low, high = sorted((t1, t2))
+        assert (
+            prune(tree, scores, PruneConfig(theta=high)).keep
+            <= prune(tree, scores, PruneConfig(theta=low)).keep
+        )
+
+    @settings(max_examples=100)
+    @given(scored_trees(), thetas)
+    def test_kept_off_backbone_iff_posterior_reaches_theta(self, case, theta):
+        tree, scores = case
+        decision = prune(tree, scores, PruneConfig(theta=theta))
+        assert set(decision.backbone) <= decision.keep
+        for nid in set(tree.ids()) - set(decision.backbone):
+            posterior = path_posterior(tree, scores, nid)
+            assert (nid in decision.keep) == (posterior >= theta)
+
+    @settings(max_examples=100)
+    @given(scored_trees(), thetas)
+    def test_leaves_equal_a_recount(self, case, theta):
+        tree, scores = case
+        decision = prune(tree, scores, PruneConfig(theta=theta))
+        kept, _ = compact_with_map(tree, decision.keep)
+        assert recount(kept) == (len(decision.keep), decision.leaves)
 
 
 class TestTreePruner:
@@ -276,7 +331,7 @@ class TestTreePruner:
         pruner = TreePruner(
             EarlyExitPredictor.identity_probe(16),
             ExactProbeSource(target),
-            PruneConfig(theta=0.3, min_keep_frac=0.0, min_leaves=1),
+            PruneConfig(theta=0.3),
         )
         ctx = [5, 1, 8]
         res = run_decode(target, ctx, 48, policy, pruner=pruner)
@@ -292,7 +347,7 @@ class TestTreePruner:
         pruner = TreePruner(
             EarlyExitPredictor.identity_probe(16),
             ExactProbeSource(target),
-            PruneConfig(theta=0.3, min_keep_frac=0.0, min_leaves=1),
+            PruneConfig(theta=0.3),
         )
         prefix = [3, 3]
         for _ in range(12):
@@ -302,19 +357,3 @@ class TestTreePruner:
             cut = verify_tree(target, prefix, out.tree, summary.keep)
             assert cut.accepted_len <= full.accepted_len
             prefix = prefix + list(full.emitted)
-
-    def test_rejected_decision_keeps_identical_rows(self):
-        target, out, pruner_base = self._setup()
-        tree = out.tree
-        pruner = TreePruner(
-            pruner_base.pred,
-            pruner_base.hidden_source,
-            PruneConfig(theta=0.95, min_keep_frac=0.99, min_leaves=2),
-        )
-        summary = pruner.apply(tree, out.candidate_sets, [4, 9])
-        assert summary.rejected
-        assert summary.keep == frozenset(tree.ids())
-        assert summary.leaves == tree.leaf_count
-        pruned, _ = compact_with_map(tree, summary.keep)
-        assert pruned.node_count == tree.node_count
-        assert flatten(pruned).tokens == flatten(tree).tokens

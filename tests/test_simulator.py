@@ -205,9 +205,7 @@ class TestSimulateDecode:
 
     def test_pruned_cycle_prices_split_compute(self):
         cfg = dataclasses.replace(load_preset("llama31-8b"), overlap="sum")
-        decision = PruneDecision(
-            keep=frozenset(range(10)), rejected=False, backbone=(0,), leaves=6
-        )
+        decision = PruneDecision(keep=frozenset(range(10)), backbone=(0,), leaves=6)
         rec = cycle(nodes=20, leaves=6, accepted=2, prune=decision)
         assert (rec.rows_verified, rec.leaves_verified) == (10, 6)
         cost = price_cycle(rec, cfg, "ondemand", exit_fraction=0.5)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from flashspec.cli import main as cli_main
 from flashspec.drafting import DraftConfig, LatencyProfile, build_tree
 from flashspec.errors import ConfigError, ContractError
+from flashspec.harness import ExperimentConfig
 from flashspec.models import (
     LayeredTargetModel,
     MixtureDraftModel,
@@ -130,11 +132,23 @@ class TestPredictorValidation:
 class TestPruneValidation:
     @pytest.mark.parametrize(
         "kw",
-        [{"theta": 0.0}, {"theta": 1.0}, {"tau": 0.0}, {"min_keep_frac": 1.5}],
+        [{"theta": 0.0}, {"theta": 1.0}, {"tau": 0.0}, {"tau": -1.0}],
     )
     def test_bad_prune_config(self, kw):
         with pytest.raises(ConfigError):
             PruneConfig(**kw)
+
+    @pytest.mark.parametrize("key", ["root_keep", "min_keep_frac", "min_leaves"])
+    def test_removed_prune_keys_are_clean_errors(self, key, capsys):
+        # path-posterior pruning has one threshold; the old guards' keys
+        # must not load and then do nothing
+        payload = ExperimentConfig().to_dict()
+        payload["pruning"][key] = 1
+        with pytest.raises(ConfigError, match=f"unknown pruning config keys: \\['{key}'\\]"):
+            ExperimentConfig.from_dict(payload)
+        assert cli_main(["run", "--set", f"pruning.{key}=1", "--set", "trials=1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown pruning config keys: ['{key}']")
 
 
 class TestHardwareValidation:

@@ -117,11 +117,8 @@ def draw_pruner(draw, target):
     identity probe on exact log-probabilities."""
     vocab = target.vocab_size
     cfg = PruneConfig(
-        theta=draw(st.sampled_from([0.1, 0.3, 0.5, 0.8])),
+        theta=draw(st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.5, 0.8])),
         tau=draw(st.sampled_from([0.5, 1.0, 2.0])),
-        root_keep=draw(st.integers(0, 2)),
-        min_keep_frac=draw(st.sampled_from([0.0, 0.1, 0.4])),
-        min_leaves=draw(st.integers(0, 2)),
     )
     if isinstance(target, LayeredTargetModel) and draw(st.booleans()):
         layer = draw(st.integers(1, target.depth - 1))
@@ -393,22 +390,18 @@ def test_candidate_set_scores_match_the_leftover_frontier_reference(case):
 @st.composite
 def prune_cases(draw):
     """A tree, a score for every edge (drawn from a few values, so ties on
-    score and on reach are common) and a prune config."""
+    score and on reach are common) and a prune config whose threshold may
+    equal a score, so that posteriors land on it."""
     tree = grow_tree(draw, draw(st.integers(2, 12)), 40)
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
-    levels = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)))
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
     scores = {
         (tree.node(nid).parent, tree.node(nid).token): float(rng.choice(levels))
         for nid in tree.ids()
         if nid != ROOT_ID
     }
-    cfg = PruneConfig(
-        theta=draw(st.sampled_from([0.1, 0.3, 0.5, 0.8])),
-        root_keep=draw(st.integers(0, 3)),
-        min_keep_frac=draw(st.sampled_from([0.0, 0.1, 0.4, 0.9])),
-        min_leaves=draw(st.integers(0, 4)),
-    )
-    return tree, scores, cfg
+    thetas = [0.01, 0.05, 0.1, 0.3, 0.5, 0.8] + [x for x in levels if 0.0 < x < 1.0]
+    return tree, scores, PruneConfig(theta=draw(st.sampled_from(thetas)))
 
 
 @settings(max_examples=200)
