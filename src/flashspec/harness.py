@@ -103,7 +103,7 @@ class ExperimentConfig:
     pruning: PruneConfig = field(default_factory=PruneConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
     hardware: str | HardwareConfig = "llama31-8b"
-    projection_mode: str | None = None   # default: ondemand for lever*, else eager
+    projection_mode: str = "ondemand"    # {"eager", "ondemand"}, every policy
     horizon: int = 64
     trials: int = 3
     seed: int = 0
@@ -115,7 +115,6 @@ class ExperimentConfig:
     profile_max_leaves: int = 32
     predictor_checkpoint: str | None = None
     predictor_examples: int = 2000
-    surrogate_exit_fraction: float = 0.5
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -130,7 +129,7 @@ class ExperimentConfig:
         for key in ("profile_max_nodes", "profile_max_leaves"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key}={getattr(self, key)} must be >= 1")
-        if self.projection_mode not in (None, "eager", "ondemand"):
+        if self.projection_mode not in ("eager", "ondemand"):
             raise ConfigError(f"unknown projection mode {self.projection_mode!r}")
         if self.predictor_checkpoint and self.model.type != "layered":
             raise ConfigError(
@@ -157,11 +156,6 @@ class ExperimentConfig:
         if isinstance(self.hardware, HardwareConfig):
             return self.hardware
         return load_preset(self.hardware)
-
-    def resolved_projection_mode(self) -> str:
-        if self.projection_mode is not None:
-            return self.projection_mode
-        return "ondemand" if self.policy.startswith("lever") else "eager"
 
     # -- serialization -----------------------------------------------------
 
@@ -342,7 +336,7 @@ def make_pruner(
     # Models without intermediate layers score with the exact probe:
     # identity weights over log target probabilities.
     pred = EarlyExitPredictor.identity_probe(target.vocab_size)
-    source = ExactProbeSource(target, cfg.surrogate_exit_fraction)
+    source = ExactProbeSource(target)
     return TreePruner(pred, source, cfg.pruning)
 
 
@@ -393,12 +387,10 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     pruner = make_pruner(cfg, target, draft, trial) if cfg.policy == "lever" else None
 
     decode = run_decode(target, context, cfg.horizon, policy, pruner=pruner)
-    mode = "flash_ar" if cfg.policy == "flash_ar" else "speculative"
     trace, metrics = simulate_decode(
         decode.cycles,
         hw,
-        mode=mode,
-        projection_mode=cfg.resolved_projection_mode(),
+        projection_mode=cfg.projection_mode,
         emitted_tokens=len(decode.tokens),
         exit_fraction=pruner.exit_fraction if pruner is not None else None,
     )

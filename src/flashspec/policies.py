@@ -80,14 +80,19 @@ class BalancedTreePolicy(FixedShapePolicy):
     def __post_init__(self) -> None:
         if self.fanout < 1 or self.node_budget < 1:
             raise ConfigError("fanout and node_budget must be >= 1")
+        if self.fanout > self.node_budget:
+            raise ConfigError(
+                f"fanout={self.fanout} exceeds node_budget={self.node_budget}"
+            )
 
     def depth(self) -> int:
+        """Levels that fit the budget; at least one, since the first does."""
         total = 0
         d = 0
         while True:
             total += self.fanout ** (d + 1)
             if total > self.node_budget:
-                return max(d, 1)
+                return d
             d += 1
 
     def build(self, context: Sequence[int]) -> BuildResult:

@@ -8,9 +8,11 @@ batching threshold and as batches on the NPU above it; output projection is
 priced either eagerly for every verified row or on demand along the accepted
 path.
 
-A pruned cycle pays the early-exit scoring pass over the full tree for the
-trial's exit fraction of the target's depth, and the kept rows for the rest;
-the caller passes that fraction once per run.  Each priced cycle is one
+A cycle is priced from its record alone, whichever policy produced it.  A
+cycle that drafted nothing is an autoregressive step.  A pruned cycle pays
+the early-exit scoring pass over the full tree for the trial's exit fraction
+of the target's depth, and the kept rows for the rest; the caller passes
+that fraction once per run.  Each priced cycle is one
 :class:`CycleCost`, whose fields are the per-cycle columns of a report's
 trace files.
 """
@@ -185,11 +187,26 @@ def price_cycle(
     projection_mode: str = "ondemand",
     exit_fraction: float | None = None,
 ) -> CycleCost:
-    """Charge one speculative cycle: draft scheduling, overlapped
-    verification (split at the early-exit layer, ``exit_fraction`` of the
-    target's depth, when the cycle was pruned), and output projection."""
+    """Charge one cycle from what it did.  A cycle that drafted nothing is
+    an autoregressive step at :func:`ar_step_latency`; any other cycle pays
+    draft scheduling, overlapped verification (split at the early-exit
+    layer, ``exit_fraction`` of the target's depth, when the cycle was
+    pruned), and output projection."""
     if projection_mode not in ("eager", "ondemand"):
         raise ConfigError(f"unknown projection mode {projection_mode!r}")
+    if not record.expansion_counts:
+        return CycleCost(
+            draft_ms=0.0,
+            verify_io_ms=cfg.io_effective_ms,
+            verify_compute_ms=compute_ms(cfg, 1, 1),
+            verify_stage_ms=ar_step_latency(cfg),
+            projection_ms=0.0,
+            projections_eager=0,
+            projections_ondemand=0,
+            waste_proj_ms=0.0,
+            rows_after_prune=1,
+            tokens=len(record.emitted),
+        )
     draft_ms = draft_schedule(record.expansion_counts, cfg)
 
     compute = compute_ms(cfg, record.rows_verified, record.leaves_verified)
@@ -230,41 +247,17 @@ def price_cycle(
 def simulate_decode(
     records: Iterable[CycleRecord],
     cfg: HardwareConfig,
-    mode: str = "speculative",
     projection_mode: str = "ondemand",
     emitted_tokens: int | None = None,
     exit_fraction: float | None = None,
 ) -> tuple[ScheduleTrace, Metrics]:
-    """Price a decode run and derive throughput metrics.
-
-    ``mode='flash_ar'`` charges each cycle the exact single-token step cost
-    (the anchor baseline); ``mode='speculative'`` prices the full pipeline,
-    pruned cycles at the pruner's ``exit_fraction``.  ``emitted_tokens``
-    caps the token count at the decode horizon when the final cycle
-    overshot.
+    """Price a decode run cycle by cycle with :func:`price_cycle`, pruned
+    cycles at the pruner's ``exit_fraction``, and derive throughput
+    metrics.  ``emitted_tokens`` caps the token count at the decode horizon
+    when the final cycle overshot.
     """
     records = list(records)
-    if mode == "flash_ar":
-        step = ar_step_latency(cfg)
-        cycles = [
-            CycleCost(
-                draft_ms=0.0,
-                verify_io_ms=cfg.io_effective_ms,
-                verify_compute_ms=compute_ms(cfg, 1, 1),
-                verify_stage_ms=step,
-                projection_ms=0.0,
-                projections_eager=0,
-                projections_ondemand=0,
-                waste_proj_ms=0.0,
-                rows_after_prune=1,
-                tokens=len(r.emitted),
-            )
-            for r in records
-        ]
-    elif mode == "speculative":
-        cycles = [price_cycle(r, cfg, projection_mode, exit_fraction) for r in records]
-    else:
-        raise ConfigError(f"unknown simulation mode {mode!r}")
+    cycles = [price_cycle(r, cfg, projection_mode, exit_fraction) for r in records]
 
     trace = ScheduleTrace(cycles)
     tokens = emitted_tokens if emitted_tokens is not None else trace.total_tokens

@@ -154,15 +154,14 @@ class ExactProbeSource:
 
     Paired with :meth:`EarlyExitPredictor.identity_probe`, edge scores equal
     log target probabilities, so score normalization reduces to renormalized
-    target probabilities over each candidate set.  ``exit_fraction`` is a
-    pricing surrogate only.
+    target probabilities over each candidate set.  Those rows are the
+    target's final distributions, so scoring is priced at the full depth.
     """
 
-    def __init__(self, target: ProbModel, exit_fraction: float = 0.5) -> None:
-        if not (0.0 < exit_fraction <= 1.0):
-            raise ConfigError("exit_fraction must lie in (0, 1]")
+    exit_fraction = 1.0
+
+    def __init__(self, target: ProbModel) -> None:
         self.target = target
-        self.exit_fraction = exit_fraction
 
     def rows(self, context: Sequence[int], layout: TreeLayout) -> np.ndarray:
         ctx = list(context)

@@ -105,6 +105,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^invalid {section} config: "):
             ExperimentConfig.from_dict(payload)
 
+    def test_shipped_config_lists_exactly_the_fields(self):
+        # a deleted knob cannot linger in the sample config, and a new field
+        # shows up there
+        shipped = json.loads((ROOT / "configs" / "lever_default.json").read_text())
+        assert ExperimentConfig.from_dict(shipped).to_dict() == shipped
+
     def test_shipped_and_benchmark_configs_load(self):
         shipped = ROOT / "configs" / "lever_default.json"
         ExperimentConfig.from_dict(json.loads(shipped.read_text()))
@@ -162,6 +168,17 @@ class TestRunExperiment:
             assert rec.tree_leaves == 1
             assert rec.expansion_counts == (1,) * 8
 
+    @pytest.mark.parametrize("policy", harness.POLICIES)
+    def test_only_flash_ar_cycles_draft_nothing(self, policy):
+        # the simulator prices a cycle that drafted nothing as an AR step
+        _, results = run_experiment(small_cfg(policy=policy, trials=1))
+        counts = [rec.expansion_counts for rec in results[0].decode.cycles]
+        assert counts
+        if policy == "flash_ar":
+            assert all(c == () for c in counts)
+        else:
+            assert all(c for c in counts)
+
     def test_reports_byte_identical_across_reruns(self, tmp_path):
         cfg = small_cfg(policy="lever", out_dir=str(tmp_path / "a"))
         run_experiment(cfg)
@@ -202,13 +219,13 @@ class TestRunExperiment:
                 2,
                 {
                     "report.json":
-                        "c22d22f6fa26f9c4dd1ba5d13fc51a17945bcb63b585f3fa3b0007dadc9710da",
+                        "1c55dc089f9fd4cb4a0bcf04ab2e9556b7ff093873a2decf6bccf3144746b523",
                     "report.csv":
                         "3f351eb2d4b3ab4f421018a9cde3fa5bd8b6a07579caec8b682360e019c0d9d1",
                     "trace.json":
-                        "4d2002bee931cd4a93a34ec8f55aa9f586582ccf2efcb6450a2f2825fd626ef4",
+                        "e74ac4217c165d7fafdd190aa8ddb0cee9cdf4d627b21d55db6adb225d3d2385",
                     "trace.csv":
-                        "e514f8419b6056989331918344a7e64a88694d44dcf815d3b6138001d9ae517c",
+                        "8a3bf880d666cb831edba54f4dc93a2f205d5825549397b4b30a4b5a62b49c01",
                 },
             ),
             (
@@ -219,7 +236,7 @@ class TestRunExperiment:
                 1,
                 {
                     "report.json":
-                        "e7956c1292389bbbcd1abd70b26134dae52226c3fe868a92e3027480e0f580a8",
+                        "321181726ad45be8944307fa24dd476b80587bfc66c1faf765b704651de127bd",
                     "report.csv":
                         "8268a301c924283e745072306b35d9d4b65adc00026950fa11a65d64c920c3bf",
                     "trace.json":
@@ -337,19 +354,30 @@ class TestComparePolicies:
         with pytest.raises(ConfigError):
             compare_policies([a, b])
 
-    def test_lever_vs_noprune_same_tokens_different_latency(self):
-        # sum overlap makes the early-exit compute saving visible
-        hw = replace(
-            __import__("flashspec.simulator", fromlist=["load_preset"]).load_preset(
-                "llama31-8b"
-            ),
-            overlap="sum",
-        )
-        base = small_cfg(hardware=hw, trials=1, horizon=32)
+    @staticmethod
+    def _lever_and_noprune(**kw):
+        """One 32-token trial of lever and of lever_noprune under sum
+        overlap, which makes any verify-compute saving visible."""
+        hw = replace(load_preset("llama31-8b"), overlap="sum")
+        base = small_cfg(hardware=hw, trials=1, horizon=32, **kw)
         _, lever = run_experiment(replace(base, policy="lever"))
         _, noprune = run_experiment(replace(base, policy="lever_noprune"))
         assert lever[0].emitted == noprune[0].emitted
-        assert lever[0].trace.total_ms < noprune[0].trace.total_ms
+        return lever[0].trace.total_ms, noprune[0].trace.total_ms
+
+    def test_learned_probe_pruning_saves_verify_compute(self):
+        lever_ms, noprune_ms = self._lever_and_noprune(
+            model=ModelSpec(type="layered"), predictor_examples=300
+        )
+        assert lever_ms < noprune_ms
+
+    def test_exact_probe_pruning_saves_only_eager_projection(self):
+        # The exact probe reads the target's final distribution, so scoring
+        # is priced at full depth: on demand, pruning saves nothing.
+        lever_ms, noprune_ms = self._lever_and_noprune(projection_mode="ondemand")
+        assert lever_ms == noprune_ms
+        lever_ms, noprune_ms = self._lever_and_noprune(projection_mode="eager")
+        assert lever_ms < noprune_ms
 
     def test_chain_beats_flash_ar_with_perfect_draft(self):
         cfg = small_cfg(draft=DraftSpec(agreement=1.0), trials=1)

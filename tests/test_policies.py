@@ -146,7 +146,7 @@ class TestBalanced:
         policy = BalancedTreePolicy(draft, fanout, budget)
         assert policy.depth() == depth
         nodes = sum(fanout ** (d + 1) for d in range(depth))
-        assert nodes <= max(budget, fanout)
+        assert nodes <= budget
 
     def test_level_counts_are_batchable(self):
         _, draft = models()
@@ -181,6 +181,15 @@ class TestBalanced:
     def test_bad_shape_is_refused_at_construction(self, fanout, budget):
         _, draft = models()
         with pytest.raises(ConfigError, match="fanout and node_budget"):
+            BalancedTreePolicy(draft, fanout, budget)
+
+    @pytest.mark.parametrize("fanout,budget", [(4, 3), (2, 1), (16, 15)])
+    def test_first_level_over_budget_is_refused(self, fanout, budget):
+        # a first level wider than the budget would draft past it
+        _, draft = models()
+        with pytest.raises(
+            ConfigError, match=f"fanout={fanout} exceeds node_budget={budget}"
+        ):
             BalancedTreePolicy(draft, fanout, budget)
 
 

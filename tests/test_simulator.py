@@ -165,7 +165,7 @@ class TestSimulateDecode:
     def test_flash_ar_reciprocal_of_step_latency(self):
         cfg = load_preset("llama31-8b")
         records = [cycle(nodes=1, leaves=1, accepted=0, counts=(), tokens=(3,))] * 50
-        _, metrics = simulate_decode(records, cfg, mode="flash_ar")
+        _, metrics = simulate_decode(records, cfg)
         assert metrics.tokens_per_s == pytest.approx(1000.0 / 1083.8, rel=1e-9)
         assert metrics.speedup_vs_flash_ar == pytest.approx(1.0, rel=1e-9)
 
@@ -228,10 +228,19 @@ class TestSimulateDecode:
         _, uncapped = simulate_decode(records, cfg)
         assert metrics.tokens_per_s < uncapped.tokens_per_s
 
-    def test_unknown_mode_rejected(self):
+    @pytest.mark.parametrize("projection_mode", ["eager", "ondemand"])
+    def test_a_cycle_that_drafted_nothing_is_an_ar_step(self, projection_mode):
         cfg = load_preset("llama31-8b")
-        with pytest.raises(ConfigError):
-            simulate_decode([], cfg, mode="warp")
+        record = cycle(nodes=1, leaves=1, accepted=0, counts=())
+        ar = price_cycle(record, cfg, projection_mode)
+        assert ar.total_ms == ar_step_latency(cfg)
+        assert (ar.draft_ms, ar.projection_ms, ar.rows_after_prune) == (0.0, 0.0, 1)
+        assert ar.verify_io_ms + ar.verify_compute_ms == ar_step_latency(cfg)
+        # one drafted node is a speculative cycle, priced by its stages
+        record = cycle(nodes=2, leaves=1, accepted=0, counts=(1,))
+        drafted = price_cycle(record, cfg, projection_mode)
+        assert drafted.draft_ms == cfg.draft_cpu_ms
+        assert drafted.total_ms != ar_step_latency(cfg)
 
 
 class TestHardwareConfig:

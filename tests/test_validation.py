@@ -14,7 +14,6 @@ from flashspec.models import (
 )
 from flashspec.predictor import (
     EarlyExitPredictor,
-    ExactProbeSource,
     LayeredHiddenSource,
     TrainConfig,
 )
@@ -111,13 +110,6 @@ class TestPredictorValidation:
         W[0, 0] = np.inf
         with pytest.raises(ConfigError):
             EarlyExitPredictor(W, layer=1)
-
-    def test_probe_exit_fraction_range(self):
-        target = TabularMarkovModel(8, 1, seed=1)
-        with pytest.raises(ConfigError):
-            ExactProbeSource(target, exit_fraction=0.0)
-        with pytest.raises(ConfigError):
-            ExactProbeSource(target, exit_fraction=1.5)
 
     def test_exit_layer_range(self):
         # the exit layer lies strictly inside the network: 1 to depth - 1
