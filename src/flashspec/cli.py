@@ -85,10 +85,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_train_predictor(args: argparse.Namespace) -> int:
-    """Train the probe that ``run`` would train for trial 0 of the config."""
+    """Refine trial 0's run probe by SGD on its full distillation set."""
     cfg = _load_config(args)
     if cfg.model.type != "layered":
         raise ConfigError("train-predictor requires a layered model config")
+    k, vocab = cfg.drafting.k, cfg.model.vocab_size
+    if k > vocab:
+        raise ConfigError(f"drafting.k={k} exceeds model.vocab_size={vocab}")
     target = make_target(cfg.model, 0)
     layer = default_exit_layer(target.depth)
     trained, curve = train_predictor_for(
@@ -128,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--normalize-to", help="policy used as the 1.0 anchor")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_train = sub.add_parser("train-predictor", help="train an early-exit probe")
+    p_train = sub.add_parser("train-predictor", help="refine trial 0's probe by SGD")
     _add_config_flags(p_train)
     p_train.set_defaults(func=cmd_train_predictor)
 

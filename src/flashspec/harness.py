@@ -43,6 +43,7 @@ from .predictor import (
     TrainConfig,
     build_distillation_dataset,
     default_exit_layer,
+    distillation_rows,
     load_checkpoint,
     train,
 )
@@ -59,6 +60,8 @@ from .simulator import (
 from .verification import DecodeResult, run_decode
 
 POLICIES = ("flash_ar", "chain_sd", "balanced_tree", "lever", "lever_noprune")
+# The run path's probe fit, looked up here by name so that a tracer can wrap it.
+fit_probe = EarlyExitPredictor.fit
 
 
 @dataclass(frozen=True)
@@ -303,9 +306,7 @@ def priced_grid(hw: HardwareConfig, max_nodes: int, max_leaves: int) -> LatencyP
     return LatencyProfile(partial(verify_latency, hw), max_nodes, max_leaves)
 
 
-def make_pruner(
-    cfg: ExperimentConfig, target: ProbModel, draft: ProbModel, trial: int
-) -> TreePruner:
+def make_pruner(cfg: ExperimentConfig, target: ProbModel, trial: int) -> TreePruner:
     if isinstance(target, LayeredTargetModel):
         layer = default_exit_layer(target.depth)
         if cfg.predictor_checkpoint:
@@ -330,14 +331,15 @@ def make_pruner(
                     f"(vocab_size, hidden_dim, layer) = {got}; the target needs {want}"
                 )
         else:
-            pred, _curve = train_predictor_for(cfg, target, draft, layer)
-        source = LayeredHiddenSource(target, layer)
-        return TreePruner(pred, source, cfg.pruning)
+            rows, _ = distillation_rows(
+                target, layer, cfg.predictor_examples, cfg.training.seed, target.order
+            )
+            pred = fit_probe(rows, layer)
+        return TreePruner(pred, LayeredHiddenSource(target, layer), cfg.pruning)
     # Models without intermediate layers score with the exact probe:
     # identity weights over log target probabilities.
     pred = EarlyExitPredictor.identity_probe(target.vocab_size)
-    source = ExactProbeSource(target)
-    return TreePruner(pred, source, cfg.pruning)
+    return TreePruner(pred, ExactProbeSource(target), cfg.pruning)
 
 
 def train_predictor_for(
@@ -346,8 +348,8 @@ def train_predictor_for(
     draft: ProbModel,
     layer: int,
 ) -> tuple[EarlyExitPredictor, list[float]]:
-    """Probe for ``target``, refined by SGD from the closed-form fit, and
-    its loss curve."""
+    """The run path's probe for ``target`` refined by SGD on the full
+    distillation set, and its loss curve."""
     data = build_distillation_dataset(
         target, draft, layer, cfg.predictor_examples, cfg.drafting.k, seed=cfg.training.seed
     )
@@ -384,7 +386,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     draft = make_draft(cfg, target, trial)
     context = make_context(cfg, trial)
     policy = make_policy(cfg, draft, hw, seed_profile(cfg, hw))
-    pruner = make_pruner(cfg, target, draft, trial) if cfg.policy == "lever" else None
+    pruner = make_pruner(cfg, target, trial) if cfg.policy == "lever" else None
 
     decode = run_decode(target, context, cfg.horizon, policy, pruner=pruner)
     trace, metrics = simulate_decode(

@@ -7,13 +7,13 @@ touches only the probe weights.
 
 Training reads a :class:`DistillationSet`: one (hidden state, logits,
 candidate set) row per distinct context tail and each example's row index.
-:meth:`EarlyExitPredictor.fit` gives the closed-form start: a ridge
-least-squares fit of the mean-centred target logits on the hidden states.
-:func:`train` refines a probe by mini-batch SGD.  The teacher terms and the
-candidate loss are computed once per distinct row and expanded to the
-examples before any sum; each epoch gathers its permuted examples once, so a
-mini-batch is a slice.  Losses, gradients and weights keep the rounding of a
-per-example evaluation.
+:meth:`EarlyExitPredictor.fit` is a ridge least-squares fit of the
+mean-centred target logits on the hidden states; it reads no candidate sets,
+so the run path fits on :func:`distillation_rows`.  :func:`train` refines a
+probe by mini-batch SGD.  The teacher terms and the candidate loss are
+computed once per distinct row and expanded to the examples before any sum;
+each epoch gathers its permuted examples once, so a mini-batch is a slice.
+Losses, gradients and weights keep the rounding of a per-example evaluation.
 """
 from __future__ import annotations
 
@@ -241,6 +241,8 @@ def train(
     :class:`TrainingDiverged` on a non-finite loss.
     """
     _check_set(data)
+    if data.candidates.shape[1] == 0:
+        raise ContractError("train needs candidate sets; these rows have none")
     n = len(data.example)
     teacher = _Teacher.of(data.logits, data.candidates, cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -291,6 +293,31 @@ def _sampled_tails(
     return tuple(index), tuple(of_example)
 
 
+def distillation_rows(
+    target: LayeredTargetModel, layer: int, n_examples: int, seed: int, order: int,
+    min_len: int = 1, max_len: int = 16,
+) -> tuple[DistillationSet, tuple[tuple[int, ...], ...]]:
+    """The rows that :meth:`EarlyExitPredictor.fit` reads, with empty candidate
+    columns, and their tails: one row per distinct tail of the seeded prefixes
+    padded to ``order``, in order of first occurrence, from one forward pass."""
+    if not (1 <= layer <= target.depth):
+        raise ContractError(f"layer {layer} outside [1, {target.depth}]")
+    if n_examples < 1:
+        raise ContractError("n_examples must be >= 1")
+    if not (1 <= min_len <= max_len):
+        raise ContractError(f"need 1 <= min_len <= max_len, got {min_len}, {max_len}")
+    tails, of_example = _sampled_tails(
+        seed, n_examples, target.vocab_size, order, min_len, max_len
+    )
+    passes = target.forward_tails(tails)
+    return DistillationSet(
+        np.stack([hidden[layer - 1] for hidden, _, _ in passes]),
+        np.stack([z for _, z, _ in passes]),
+        np.zeros((len(tails), 0), dtype=np.intp),
+        np.array(of_example, dtype=np.intp),
+    ), tails
+
+
 def build_distillation_dataset(
     target: LayeredTargetModel,
     draft: ProbModel,
@@ -301,36 +328,19 @@ def build_distillation_dataset(
     min_len: int = 1,
     max_len: int = 16,
 ) -> DistillationSet:
-    """Record (hidden state, final logits, drafted candidate set) rows over
-    seeded random prefixes.
-
-    Both models read a prefix only through its padded tail, so the set
-    holds one row per distinct tail, in order of first occurrence: one
-    batched target forward pass, one batched draft read and one stacked
-    top-k sort of its rows."""
-    if not (1 <= layer <= target.depth):
-        raise ContractError(f"layer {layer} outside [1, {target.depth}]")
+    """:func:`distillation_rows` at tails padded for both models, with each
+    row's drafted candidate set: the top ``k`` of one batched draft read."""
     if not (1 <= k <= draft.vocab_size):
         raise ContractError(f"k={k} outside [1, {draft.vocab_size}]")
-    if n_examples < 1:
-        raise ContractError("n_examples must be >= 1")
-    if not (1 <= min_len <= max_len):
-        raise ContractError(f"need 1 <= min_len <= max_len, got {min_len}, {max_len}")
-    order = max(target.order, draft.order)
-    tails, of_example = _sampled_tails(
-        seed, n_examples, target.vocab_size, order, min_len, max_len
+    rows, tails = distillation_rows(
+        target, layer, n_examples, seed, max(target.order, draft.order), min_len, max_len
     )
-    passes = target.forward_tails(tails)
     P = draft.next_dists(tails)
     # Top-k by draft probability with ties toward the smaller id (stable sort
     # of -P), then in token order: restriction is a set, and a neutral order
     # keeps the zero-initialized predictor at chance-level agreement.
-    return DistillationSet(
-        np.stack([hidden[layer - 1] for hidden, _, _ in passes]),
-        np.stack([z for _, z, _ in passes]),
-        np.sort(np.argsort(-P, axis=1, kind="stable")[:, :k], axis=1),
-        np.array(of_example, dtype=np.intp),
-    )
+    top_k = np.argsort(-P, axis=1, kind="stable")[:, :k]
+    return rows._replace(candidates=np.sort(top_k, axis=1))
 
 
 def save_checkpoint(pred: EarlyExitPredictor, path: str) -> None:

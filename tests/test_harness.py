@@ -31,7 +31,16 @@ from flashspec.harness import (
     seed_profile,
     train_predictor_for,
 )
-from flashspec.predictor import load_checkpoint, save_checkpoint
+from flashspec.models import MixtureDraftModel
+from flashspec.predictor import (
+    DistillationSet,
+    EarlyExitPredictor,
+    build_distillation_dataset,
+    default_exit_layer,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
 from flashspec.simulator import HardwareConfig, load_preset, verify_latency
 from helpers import tree_json, zero_probe
 
@@ -418,20 +427,120 @@ class TestLayeredEndToEnd:
         assert results[0].emitted == target_greedy_decode(target, ctx, 16)
 
 
+def shipped_layered(**training):
+    """The shipped config with a layered target."""
+    shipped = json.loads((ROOT / "configs" / "lever_default.json").read_text())
+    shipped["model"]["type"] = "layered"
+    shipped["training"].update(training)
+    return ExperimentConfig.from_dict(shipped)
+
+
 class TestProbeTraining:
     def test_sgd_from_the_fit_stops_after_one_epoch(self):
         """At the benchmark's layered-probe setting (2000 examples, hidden
-        32, five epochs) the first SGD epoch from the closed-form fit lowers
-        the loss by less than 1%, so training stops there."""
-        shipped = json.loads((ROOT / "configs" / "lever_default.json").read_text())
-        shipped["model"]["type"] = "layered"
-        shipped["training"]["epochs"] = 5
-        cfg = ExperimentConfig.from_dict(shipped)
+        32, five epochs) the first SGD epoch that ``train-predictor`` runs
+        from the run path's closed-form fit lowers the loss by less than 1%,
+        so training stops there."""
+        cfg = shipped_layered(epochs=5)
         target = make_target(cfg.model, 0)
         layer = harness.default_exit_layer(target.depth)
         _, curve = train_predictor_for(cfg, target, make_draft(cfg, target, 0), layer)
         assert len(curve) == 2
         assert 0 <= curve[0] - curve[1] < 0.01 * curve[0]
+
+
+def held_out_agreement(rows: DistillationSet, layer: int, seed: int) -> float:
+    """Top-1 agreement of the probe and the final logits over the examples
+    of half the distinct tails, for the probe fit on the other half's
+    examples; a seeded permutation of the tails picks the halves."""
+    H, Z, C, example = rows
+    order = np.random.default_rng(seed).permutation(len(H))
+    fit_rows, held = order[: len(H) // 2], order[len(H) // 2:]
+    renumber = np.full(len(H), -1)
+    renumber[fit_rows] = np.arange(len(fit_rows))
+    fit_examples = renumber[example][renumber[example] >= 0]
+    half = DistillationSet(H[fit_rows], Z[fit_rows], C[fit_rows], fit_examples)
+    W = EarlyExitPredictor.fit(half, layer).weights
+    hits = np.argmax(H[held] @ W.T, axis=1) == np.argmax(Z[held], axis=1)
+    counts = np.bincount(example, minlength=len(H))[held]
+    return float((counts * hits).sum() / counts.sum())
+
+
+class TestRunProbe:
+    """``run`` fits a layered target's probe in closed form from the
+    target's rows alone: no SGD, no draft read."""
+
+    def test_layered_lever_trial_never_trains(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the run path called train")
+
+        monkeypatch.setattr(harness, "train", refuse)
+        cfg = small_cfg(policy="lever", trials=1, horizon=8,
+                        model=ModelSpec(type="layered"), predictor_examples=100)
+        assert run_trial(cfg, 0).emitted
+
+    def test_building_the_pruner_reads_no_draft(self, monkeypatch):
+        reads, building = [], []
+        for attr in ("next_dist", "next_dists"):
+            def counted(model, prefix, _original=getattr(MixtureDraftModel, attr)):
+                if building:
+                    reads.append(prefix)
+                return _original(model, prefix)
+
+            monkeypatch.setattr(MixtureDraftModel, attr, counted)
+
+        def flagged(*args):
+            building.append(True)
+            try:
+                return make_pruner(*args)
+            finally:
+                building.clear()
+
+        monkeypatch.setattr(harness, "make_pruner", flagged)
+        cfg = small_cfg(policy="lever", trials=1, horizon=8,
+                        model=ModelSpec(type="layered"), predictor_examples=100)
+        run_trial(cfg, 0)
+        assert reads == []
+
+    @pytest.mark.parametrize("trial", range(4))
+    def test_run_probe_is_the_fit_of_the_full_distillation_set(self, trial):
+        """The rows the run fits equal the full set's: every harness draft
+        has its target's order, so both pad tails alike."""
+        cfg = shipped_layered()
+        target = make_target(cfg.model, trial)
+        layer = default_exit_layer(target.depth)
+        full = build_distillation_dataset(
+            target, make_draft(cfg, target, trial), layer,
+            cfg.predictor_examples, cfg.drafting.k, seed=cfg.training.seed,
+        )
+        run_probe = make_pruner(cfg, target, trial).pred
+        assert run_probe.layer == layer
+        assert np.array_equal(run_probe.weights, EarlyExitPredictor.fit(full, layer).weights)
+
+    @pytest.mark.parametrize("trial", range(4))
+    def test_fit_agrees_with_the_target_on_held_out_tails(self, trial):
+        """Held-out top-1 agreement is 0.899-0.911 on these trials (chance
+        is 1/32)."""
+        cfg = shipped_layered()
+        target = make_target(cfg.model, trial)
+        layer = default_exit_layer(target.depth)
+        rows, _ = harness.distillation_rows(
+            target, layer, cfg.predictor_examples, cfg.training.seed, target.order
+        )
+        assert held_out_agreement(rows, layer, seed=0) >= 0.8
+
+    def test_training_settings_leave_a_run_unchanged(self, tmp_path):
+        """SGD at these settings would change which rows lever keeps."""
+        out = tmp_path / "out"
+        argv = ["run", "--out", str(out), "--set", "policy=lever", "--set", "trials=2",
+                "--set", "horizon=32", "--set", 'model.type="layered"']
+        names = ("report.csv", "trace.json", "trace.csv")
+        assert cli_main(argv) == 0
+        plain = {name: (out / name).read_bytes() for name in names}
+        assert cli_main(
+            argv + ["--set", "training.epochs=3", "--set", "training.learning_rate=20.0"]
+        ) == 0
+        assert {name: (out / name).read_bytes() for name in names} == plain
 
 
 class TestCLI:
@@ -498,18 +607,25 @@ class TestCLI:
         assert rc == 0
         saved = load_checkpoint(str(tmp_path / "pred" / "predictor.json"))
 
-        trained = []
+        fitted = []
 
         def recording(*args):
-            pred, curve = train_predictor_for(*args)
-            trained.append(pred)
-            return pred, curve
+            fitted.append(harness.EarlyExitPredictor.fit(*args))
+            return fitted[-1]
 
-        monkeypatch.setattr(harness, "train_predictor_for", recording)
+        monkeypatch.setattr(harness, "fit_probe", recording)
         run_trial(cfg, 0)
-        assert len(trained) == 1
-        assert np.array_equal(saved.weights, trained[0].weights)
-        assert saved.layer == trained[0].layer
+        assert len(fitted) == 1
+        # the checkpoint is the run's probe refined by SGD on trial 0's full
+        # distillation set
+        target = make_target(cfg.model, 0)
+        full = build_distillation_dataset(
+            target, make_draft(cfg, target, 0), fitted[0].layer,
+            cfg.predictor_examples, cfg.drafting.k, seed=cfg.training.seed,
+        )
+        refined, _ = train(fitted[0], full, cfg.training)
+        assert np.array_equal(saved.weights, refined.weights)
+        assert saved.layer == refined.layer
 
     @pytest.mark.parametrize(
         "vocab_size, hidden_dim, layer", [(12, 8, 2), (16, 6, 2), (16, 8, 3)]
@@ -525,10 +641,10 @@ class TestCLI:
         )
         target = make_target(cfg.model, 0)
         with pytest.raises(ConfigError, match="checkpoint"):
-            make_pruner(cfg, target, make_draft(cfg, target, 0), 0)
+            make_pruner(cfg, target, 0)
         # the matching shape loads
         save_checkpoint(zero_probe(16, 8, 2), path)
-        assert make_pruner(cfg, target, make_draft(cfg, target, 0), 0) is not None
+        assert make_pruner(cfg, target, 0) is not None
 
     def test_checkpoint_rejected_after_trial_zero(self, tmp_path):
         path = str(tmp_path / "predictor.json")
@@ -542,7 +658,7 @@ class TestCLI:
         )
         target = make_target(cfg.model, 1)
         with pytest.raises(ConfigError, match="fits trial 0's target"):
-            make_pruner(cfg, target, make_draft(cfg, target, 1), 1)
+            make_pruner(cfg, target, 1)
         with pytest.raises(ConfigError, match="trial 1's target"):
             run_experiment(cfg)
 
@@ -560,6 +676,20 @@ class TestCLI:
                        "--out", str(tmp_path / "pred")])
         assert rc == 3
         assert "diverged" in capsys.readouterr().err
+
+    def test_train_predictor_refuses_k_beyond_the_vocabulary(self, tmp_path, capsys):
+        # chain_sd does not read drafting.k, so the config accepts it; the
+        # distillation set's candidate sets do read it
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(
+            {"model": {"type": "layered", "vocab_size": 8}, "policy": "chain_sd"}
+        ))
+        rc = cli_main(["train-predictor", "--config", str(cfg_path), "--set", "drafting.k=9",
+                       "--out", str(tmp_path / "pred")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: drafting.k=9 exceeds model.vocab_size=8")
+        assert "Traceback" not in err
 
     def test_bad_config_is_clean_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.json"

@@ -12,6 +12,7 @@ from flashspec.predictor import (
     TrainConfig,
     build_distillation_dataset,
     default_exit_layer,
+    distillation_rows,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -205,11 +206,16 @@ class TestDistillationDataset:
         [
             (dict(k=0), "k=0"),
             (dict(k=9), "k=9"),
+            (dict(layer=0), "layer 0"),
+            (dict(layer=5), "layer 5"),
             (dict(n_examples=0), "n_examples"),
             (dict(min_len=0), "min_len"),
             (dict(min_len=4, max_len=3), "min_len"),
         ],
-        ids=["k-zero", "k-above-vocab", "no-examples", "min-len-zero", "max-below-min"],
+        ids=[
+            "k-zero", "k-above-vocab", "layer-zero", "layer-past-depth", "no-examples",
+            "min-len-zero", "max-below-min",
+        ],
     )
     def test_argument_contract(self, overrides, message):
         target = LayeredTargetModel(8, 2, depth=4, hidden_dim=4, seed=1)
@@ -218,6 +224,19 @@ class TestDistillationDataset:
         assert len(build_distillation_dataset(target, draft, **args).example) == 10
         with pytest.raises(ContractError, match=message):
             build_distillation_dataset(target, draft, **{**args, **overrides})
+
+    def test_the_set_is_the_rows_with_candidate_sets(self):
+        """The full set's hidden states, logits and example rows are the
+        fit's rows at the same padding; only the candidate columns differ."""
+        target = LayeredTargetModel(8, 2, depth=4, hidden_dim=4, seed=1)
+        draft = derive_draft(target, 0.5, noise_seed=2, noise_order=3)
+        data = build_distillation_dataset(target, draft, 2, 50, k=3, seed=4)
+        rows, tails = distillation_rows(target, 2, 50, seed=4, order=3)
+        assert len(tails) == len(rows.hidden)
+        assert rows.candidates.shape == (len(tails), 0)
+        assert data.candidates.shape == (len(tails), 3)
+        for name in ("hidden", "logits", "example"):
+            assert np.array_equal(getattr(data, name), getattr(rows, name))
 
 
 class TestTraining:
@@ -294,6 +313,13 @@ class TestTraining:
             train(zero_probe(4, 3, layer=1), data, TrainConfig(epochs=1))
         with pytest.raises(ContractError, match=message):
             EarlyExitPredictor.fit(data, layer=1)
+
+    def test_rows_without_candidate_sets_fit_but_do_not_train(self):
+        target = LayeredTargetModel(8, 2, depth=4, hidden_dim=4, seed=1)
+        rows, _ = distillation_rows(target, 2, 20, seed=0, order=2)
+        assert EarlyExitPredictor.fit(rows, layer=2).weights.shape == (8, 4)
+        with pytest.raises(ContractError, match="candidate sets"):
+            train(zero_probe(8, 4, layer=2), rows, TrainConfig(epochs=1))
 
     def test_checkpoint_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -63,6 +63,19 @@ def test_probe_training_calls_the_traced_names(monkeypatch, attr):
     assert calls == [attr]
 
 
+@pytest.mark.parametrize("attr", ["distillation_rows", "fit_probe"])
+def test_run_probe_calls_harness_names(monkeypatch, attr):
+    """A run builds its layered probe through these harness globals, so a
+    tracer can wrap them by name."""
+    calls = recording(monkeypatch, harness, attr)
+    cfg = ExperimentConfig(
+        model=ModelSpec(type="layered", vocab_size=8, order=1, seed=4, depth=2, hidden_dim=4),
+        predictor_examples=10,
+    )
+    harness.make_pruner(cfg, make_target(cfg.model, 0), 0)
+    assert calls == [attr]
+
+
 def test_decode_stages_call_the_traced_names(monkeypatch):
     """``tree.flatten`` and ``drafting.expand`` are measured only while the
     pruner flattens, and the builder drafts, through these module globals;
