@@ -18,12 +18,17 @@ Each step is priced once.  A frontier entry's marginal cost depends only on
 its cost class: whether its parent already has children (the insertion adds
 a leaf, or the child replaces its parent as a leaf) and whether the entry is
 expandable.  So a step looks up the current shape and at most two grown
-shapes, computes at most four class costs with :func:`_priced`, and scores
-every entry from that table.  Per-class ordered queues were prototyped and
-gained at most a few percent, because the frontier holds only a handful of
-entries; one pass over it scores every entry and keeps the best ratio,
-ties broken towards higher reach, then the smaller token, then the smaller
-parent handle.
+shapes, computes at most four class costs, and scores every entry from that
+table.  Per-class ordered queues were prototyped and gained at most a few
+percent, because the frontier holds only a handful of entries; one pass
+over its plain ``(parent, token, reach, expandable)`` tuples scores every
+entry and keeps the best ratio, ties broken towards higher reach, then the
+smaller token, then the smaller parent handle.
+
+An expansion drafts from the node's padded tail, the last ``draft.order``
+tokens of context plus path, which is all the draft reads.  Each expanded
+node keeps its tail and a child's is its parent's shifted by one token, so
+no expansion rebuilds the decoded prefix.
 
 :class:`LatencyProfile` prices each shape the first time a build looks it
 up and clamps a shape off its grid to the grid's edge.
@@ -35,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConfigError, ContractError
-from .models import ProbModel, draft_candidates
+from .models import ProbModel, _padded_tail, draft_candidates
 from .tree import CandidateSet, ROOT_ID, TokenTree
 
 
@@ -128,7 +133,7 @@ class DraftConfig:
 
 
 class FrontierEntry(NamedTuple):
-    """A drafted candidate whose parent is in the tree but which is not."""
+    """A drafted candidate outside the tree; build_tree's frontier tuples use this order."""
 
     parent: int
     token: int
@@ -170,15 +175,8 @@ class BuildResult:
 
 def is_expandable(entry: FrontierEntry, cfg: DraftConfig) -> bool:
     """Whether inserting this node would trigger a further draft expansion."""
-    return entry.depth < cfg.max_depth and entry.reach >= cfg.b_min
-
-
-def _priced(delta: float, expandable: bool, draft_ms: float, cfg: DraftConfig) -> float:
-    """Marginal cost from a verify-latency delta: plus one expansion when
-    the inserted node will be expanded, floored to keep ratios finite."""
-    if expandable:
-        delta += draft_ms
-    return max(delta, cfg.cost_floor_ms)
+    _, _, reach, depth = entry
+    return depth < cfg.max_depth and reach >= cfg.b_min
 
 
 def build_tree(
@@ -204,79 +202,72 @@ def build_tree(
         raise ContractError(f"reliability {rel} outside (0, 1]")
 
     tree = TokenTree(root_token=int(context[-1]))
-    # (parent, token) -> (entry, expandable), in insertion order
-    frontier: dict[tuple[int, int], tuple[FrontierEntry, bool]] = {}
+    # (parent, token) -> (parent, token, reach, expandable), in insertion order
+    frontier: dict[tuple[int, int], tuple[int, int, float, bool]] = {}
+    tails: dict[int, tuple[int, ...]] = {}   # expanded node -> padded draft tail
     branched: set[int] = set()       # nodes with inserted children
     candidate_sets: dict[int, CandidateSet] = {}
     expansion_counts: list[int] = []
     gain = 1.0
     draft_cost = 0.0
 
-    def expand(node_id: int) -> None:
+    def expand(node_id: int, tail: tuple[int, ...]) -> None:
         nonlocal draft_cost
-        prefix = list(context) + tree.path_tokens(node_id)
-        cand = draft_candidates(draft, prefix, cfg.k)
-        candidate_sets[node_id] = cand
+        tails[node_id] = tail
+        cand = candidate_sets[node_id] = draft_candidates(draft, tail, cfg.k)
         draft_cost += draft_ms
         expansion_counts.append(1)
-        node = tree.node(node_id)
+        _, _, depth, reach = tree.node(node_id)
         for token, p in cand.entries:
-            reach = node.reach * (rel * p)
-            entry = FrontierEntry(node_id, token, reach, node.depth + 1)
-            frontier[node_id, token] = (entry, is_expandable(entry, cfg))
+            child = reach * (rel * p)
+            expandable = is_expandable((node_id, token, child, depth + 1), cfg)
+            frontier[node_id, token] = (node_id, token, child, expandable)
 
-    expand(ROOT_ID)
+    expand(ROOT_ID, _padded_tail(context, draft.order))
     stop_reason = "frontier_empty"
     stop_ratio: float | None = None
 
     while frontier:
         nodes, leaves = tree.shape
         verify_cost = profile.lookup((nodes, leaves))
-        cycle_cost = draft_cost + verify_cost
         # cost class index: 2 * (parent already has children) + expandable
         costs: list[float | None] = [None] * 4
-        best = None
-        best_ratio = 0.0
-        for entry, expandable in frontier.values():
-            branching = entry.parent in branched
+        best_ratio = -1.0                # below every ratio: the first entry wins
+        for entry in frontier.values():
+            parent, token, reach, expandable = entry
+            branching = parent in branched
             cls = 2 * branching + expandable
             mc = costs[cls]
             if mc is None:
-                after = profile.lookup((nodes + 1, leaves + branching))
-                mc = _priced(after - verify_cost, expandable, draft_ms, cfg)
-                costs[cls] = mc
-            ratio = entry.reach / mc
+                # the verify-latency delta, plus one expansion when the node
+                # will be expanded, floored to keep ratios finite
+                delta = profile.lookup((nodes + 1, leaves + branching)) - verify_cost
+                mc = costs[cls] = max(delta + draft_ms * expandable, cfg.cost_floor_ms)
+            ratio = reach / mc
             # best ratio; ties to higher reach, smaller token, smaller parent
-            if (
-                best is None
-                or ratio > best_ratio
-                or (
-                    ratio == best_ratio
-                    and (-entry.reach, entry.token, entry.parent)
-                    < (-best.reach, best.token, best.parent)
-                )
+            if ratio > best_ratio or (
+                ratio == best_ratio and (-reach, token, parent) < (-best[2], best[1], best[0])
             ):
                 best, best_ratio = entry, ratio
 
-        if best_ratio <= gain / cycle_cost:
+        if best_ratio <= gain / (draft_cost + verify_cost):
             stop_reason, stop_ratio = "stop_rule", best_ratio
             break
 
-        node_id = tree.insert(best.parent, best.token, best.reach)
-        branched.add(best.parent)
-        _, expandable = frontier.pop((best.parent, best.token))
-        gain += best.reach
+        parent, token, reach, expandable = best
+        node_id = tree.insert(parent, token, reach)
+        branched.add(parent)
+        del frontier[parent, token]
+        gain += reach
         if expandable:
-            expand(node_id)
-        if cfg.max_nodes is not None and tree.node_count - 1 >= cfg.max_nodes:
+            expand(node_id, tails[parent][1:] + (token,))
+        if nodes == cfg.max_nodes:       # ``nodes`` now counts the non-root nodes
             stop_reason = "node_budget"
             break
 
     # No exit changes the tree after its last pricing, so the estimate is
     # the gain and cost the stop was decided on.
-    estimate = GainCostEstimate(
-        gain=gain, draft_cost=draft_cost, verify_cost=profile.lookup(tree.shape)
-    )
+    estimate = GainCostEstimate(gain, draft_cost, profile.lookup(tree.shape))
     stop = StopRecord(stop_reason, stop_ratio)
     return BuildResult(tree, estimate, stop, expansion_counts, candidate_sets)
 

@@ -53,7 +53,14 @@ def _stacked(rows: list[np.ndarray], width: int) -> np.ndarray:
 
 
 def _padded_tail(prefix: Sequence[int], order: int) -> tuple[int, ...]:
-    """Last ``order`` tokens, left-padded with token 0 for short prefixes."""
+    """Last ``order`` tokens, left-padded with token 0 for short prefixes.
+
+    A tuple of exactly ``order`` tokens is a padded tail already (every
+    tail this function returns is one) and comes back as it is, so a tail
+    handed on to another model is not padded again.
+    """
+    if type(prefix) is tuple and len(prefix) == order:
+        return prefix
     tail = tuple(map(int, prefix[-order:]))
     if len(tail) < order:
         tail = (0,) * (order - len(tail)) + tail
@@ -260,12 +267,16 @@ class MixtureDraftModel(ProbModel):
         self.order = max(target.order, noise.order)
 
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
+        # Pad once; each component reads its own last ``order`` tokens of
+        # the tail, which is already its padded tail.
+        tail = _padded_tail(prefix, self.order)
         a = self.agreement
         if a >= 1.0:
-            return self.target.next_dist(prefix)
+            return self.target.next_dist(tail[-self.target.order:])
         if a <= 0.0:
-            return self.noise.next_dist(prefix)
-        return a * self.target.next_dist(prefix) + (1.0 - a) * self.noise.next_dist(prefix)
+            return self.noise.next_dist(tail[-self.noise.order:])
+        target = self.target.next_dist(tail[-self.target.order:])
+        return a * target + (1.0 - a) * self.noise.next_dist(tail[-self.noise.order:])
 
     def next_dists(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
         a = self.agreement

@@ -1,14 +1,17 @@
 """Predictor-based branch pruning by path posterior.
 
 Only parents (nodes with inserted children) are scored, so the hidden-state
-source is asked for one row per parent, in flattened row order.  Edge scores
-are normalized within each parent's full candidate set, as the build
+source is asked for one row per parent, in flattened row order; one pass
+over the flattened rows builds each parent's prefix from its parent's.  Edge
+scores are normalized within each parent's full candidate set, as the build
 recorded it: the inserted children in insertion order, then the candidate
 tokens that have no child in candidate order.  The tokens without a child
 are never kept; they only make the comparison meaningful.  Every edge of the
 tree is scored in one pass: the members of all parents are gathered into one
-token array, scored by one batched matrix-vector product, and
-softmax-normalized per parent with the rounding of a per-parent evaluation.
+token list, scored by one batched matrix-vector product, and
+softmax-normalized per parent with the rounding of a per-parent evaluation;
+when every set has one size, as in every lever and balanced build, the
+scores form a single (parents, k) block.
 
 A node's path posterior is the product of its path's normalized edge
 scores: the chance that verification reaches it, as the probe sees it.
@@ -82,47 +85,51 @@ def normalize_scores(
     """
     if hidden.shape[0] != len(parents):
         raise ContractError("hidden rows do not match the parents")
-    edges: list[tuple[int, int]] = []          # (parent, token), parent by parent
-    group: list[int] = []                      # each edge's index into parents
-    firsts: dict[int, list[int]] = {}          # set size -> each set's first edge
-    for i, parent in enumerate(parents):
-        children = tree.children(parent)
-        if not children:
+    owners: list[int] = []                     # each edge's parent, parent by parent
+    members: list[int] = []                    # each edge's token
+    sizes: list[int] = []                      # each parent's member count
+    for parent in parents:
+        kids = [tree.node(cid).token for cid in tree.children(parent)]
+        if not kids:
             raise ContractError(f"node {parent} has no inserted children")
         cand = candidate_sets.get(parent)
         if cand is None:
             raise ContractError(f"node {parent} has no recorded candidate set")
-        members = [tree.node(cid).token for cid in children]
-        members += [t for t, _ in cand.entries if tree.child(parent, t) is None]
-        firsts.setdefault(len(members), []).append(len(edges))
-        edges.extend((parent, token) for token in members)
-        group += [i] * len(members)
-    if not edges:
+        taken = set(kids)
+        kids += [t for t, _ in cand.entries if t not in taken]
+        owners += [parent] * len(kids)
+        members += kids
+        sizes.append(len(kids))
+    if not members:
         return {}
-    tokens = np.array([token for _, token in edges])
-    outside = tokens[(tokens < 0) | (tokens >= pred.vocab_size)]
-    if outside.size:
-        raise ContractError(f"token {outside[0]} outside vocabulary")
+    if min(members) < 0 or max(members) >= pred.vocab_size:
+        outside = next(t for t in members if not 0 <= t < pred.vocab_size)
+        raise ContractError(f"token {outside} outside vocabulary")
     if hidden.shape[1:] != (pred.hidden_dim,):
-        raise ContractError(
-            f"hidden state shape {hidden.shape[1:]} != ({pred.hidden_dim},)"
-        )
+        raise ContractError(f"hidden state shape {hidden.shape[1:]} != ({pred.hidden_dim},)")
 
     # One dot product per edge (batched 1 x d by d x 1 products): a gather
     # from W[tokens] @ h rounds differently.
-    raw = (pred.weights[tokens][:, None, :] @ hidden[group][:, :, None])[:, 0, 0]
+    rows = np.repeat(hidden, sizes, axis=0)
+    raw = (pred.weights[members][:, None, :] @ rows[:, :, None])[:, 0, 0]
     raw /= tau
     # The candidate sets of one size are normalized as one (sets, size)
     # block: a row sum of a block rounds like the 1-D sum of that row, where
-    # np.add.reduceat over the flat array does not.
+    # np.add.reduceat over the flat array does not.  Lever and balanced
+    # builds record k tokens for every parent: one block, the scores reshaped.
+    if sizes.count(sizes[0]) == len(sizes):
+        blocks = [(sizes[0], slice(None))]
+    else:
+        starts = np.cumsum(sizes) - sizes
+        blocks = [(n, (starts[np.equal(sizes, n)][:, None] + np.arange(n)).ravel())
+                  for n in set(sizes)]
     norm = np.empty_like(raw)
-    for size, starts in firsts.items():
-        at = np.array(starts)[:, None] + np.arange(size)
-        block = raw[at]
+    for size, at in blocks:
+        block = raw[at].reshape(-1, size)
         block -= block.max(axis=1, keepdims=True)
         e = np.exp(block)
-        norm[at] = e / e.sum(axis=1, keepdims=True)
-    return dict(zip(edges, norm.tolist()))
+        norm[at] = (e / e.sum(axis=1, keepdims=True)).ravel()
+    return dict(zip(zip(owners, members), norm.tolist()))
 
 
 def backbone_path(
@@ -134,10 +141,11 @@ def backbone_path(
     smaller token)."""
     path = [ROOT_ID]
     while children := tree.children(path[-1]):
-        parent = path[-1]
-        path.append(min(children, key=lambda cid: (
-            -scores[(parent, tree.node(cid).token)], -tree.node(cid).reach, tree.node(cid).token
-        )))
+        ranked = []
+        for cid in children:
+            token, _, _, reach = tree.node(cid)
+            ranked.append((-scores[path[-1], token], -reach, token, cid))
+        path.append(min(ranked)[-1])   # sibling tokens differ: the id never decides
     return path
 
 
@@ -155,15 +163,16 @@ def prune(
     """
     backbone = backbone_path(tree, scores)
     keep = set(backbone)
-    post = [1.0] * tree.node_count
-    for nid in tree.ids()[1:]:           # the root, id 0, keeps 1.0
-        node = tree.node(nid)
-        post[nid] = post[node.parent] * scores[(node.parent, node.token)]
-        if post[nid] >= cfg.theta:
-            keep.add(nid)
     # In an ancestor-closed set, the kept nodes with a kept child are exactly
     # the parents of the kept non-root nodes.
-    kept_parents = {tree.node(nid).parent for nid in keep if nid != ROOT_ID}
+    kept_parents = set(backbone[:-1])
+    post = [1.0] * tree.node_count       # the root, id 0, keeps 1.0
+    for nid in range(1, tree.node_count):
+        token, parent, _, _ = tree.node(nid)
+        post[nid] = post[parent] * scores[parent, token]
+        if post[nid] >= cfg.theta:
+            keep.add(nid)
+            kept_parents.add(parent)
     return PruneDecision(frozenset(keep), tuple(backbone), len(keep) - len(kept_parents))
 
 
@@ -196,11 +205,11 @@ class TreePruner:
         """Score ``tree``'s edges over the build's ``candidate_sets`` and
         decide which nodes to keep."""
         layout = flatten(tree)
-        rows = [r for r, nid in enumerate(layout.rows) if not tree.is_leaf(nid)]
-        ctx = list(context)
-        hidden = self.hidden_source.rows([ctx + layout.path_tokens(r) for r in rows])
-        parents = [layout.rows[r] for r in rows]
-        scores = normalize_scores(
-            self.pred, hidden, tree, parents, candidate_sets, self.cfg.tau
-        )
+        up, tokens = layout.parent_row, layout.tokens
+        prefixes: dict[int, list[int]] = {}    # rows with children, in row order
+        for r in sorted(set(up[1:])):
+            prefixes[r] = prefixes[up[r]] + [tokens[r]] if r else list(context)
+        hidden = self.hidden_source.rows(list(prefixes.values()))
+        parents = [layout.rows[r] for r in prefixes]
+        scores = normalize_scores(self.pred, hidden, tree, parents, candidate_sets, self.cfg.tau)
         return prune(tree, scores, self.cfg)

@@ -104,9 +104,6 @@ class TokenTree:
         """The child of ``parent`` drafted with ``token``, if any."""
         return self._edges.get((parent, token))
 
-    def is_leaf(self, node_id: int) -> bool:
-        return not self._children[node_id]
-
     def path_tokens(self, node_id: int) -> list[int]:
         """Tokens along root -> node, excluding the root sentinel."""
         out: list[int] = []
@@ -125,19 +122,20 @@ class TokenTree:
 
         A token appears at most once under a parent.
         """
-        if parent < 0 or parent >= len(self._nodes):
+        nodes = self._nodes
+        node_id = len(nodes)
+        if not 0 <= parent < node_id:
             raise StructureError(f"parent {parent} is not in the tree")
-        pnode = self._nodes[parent]
+        _, _, depth, parent_reach = nodes[parent]
         if (parent, token) in self._edges:
             raise StructureError(
                 f"token {token} already inserted under node {parent}"
             )
-        if reach > pnode.reach + 1e-12:
+        if reach > parent_reach + 1e-12:
             raise StructureError(
-                f"child reach {reach} exceeds parent reach {pnode.reach}"
+                f"child reach {reach} exceeds parent reach {parent_reach}"
             )
-        node_id = len(self._nodes)
-        self._nodes.append(TreeNode(token, parent, pnode.depth + 1, float(reach)))
+        nodes.append(TreeNode._make((token, parent, depth + 1, float(reach))))
         self._children[node_id] = []
         self._edges[parent, token] = node_id
         siblings = self._children[parent]
@@ -174,15 +172,8 @@ def flatten(tree: TokenTree) -> TreeLayout:
     """Flatten a tree into verification rows with parent rows and tokens.
 
     Node handles are assigned in insertion order with parents inserted
-    first, so ascending id order is already topological.
+    first, so ascending id order is already topological and a node's row is
+    its id.
     """
-    ids = tree.ids()
-    row_index = {nid: i for i, nid in enumerate(ids)}
-    parent_row = []
-    tokens = []
-    for nid in ids:
-        node = tree.node(nid)
-        parent_row.append(-1 if nid == ROOT_ID else row_index[node.parent])
-        tokens.append(node.token)
-    return TreeLayout(tuple(ids), tuple(parent_row), tuple(tokens))
-
+    tokens, parents, _, _ = zip(*tree._nodes)
+    return TreeLayout(tuple(range(len(tokens))), parents, tokens)

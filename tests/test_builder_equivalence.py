@@ -50,7 +50,7 @@ def profiles(draw):
 def instances(draw):
     vocab = draw(st.integers(6, 12))
     target = TabularMarkovModel(
-        vocab, draw(st.integers(1, 2)), draw(st.integers(0, 10_000)),
+        vocab, draw(st.integers(1, 3)), draw(st.integers(0, 10_000)),
         concentration=draw(st.sampled_from([0.1, 0.3, 1.0])),
     )
     draft = derive_draft(
@@ -67,7 +67,10 @@ def instances(draw):
         max_nodes=max_nodes,
     )
     rel = draw(st.floats(0.05, 1.0))
-    context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=4))
+    # Contexts shorter than the draft order (padded) and far longer: the
+    # builder drafts from each node's carried tail, the reference from the
+    # full prefix.
+    context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=40))
     draft_ms = draw(st.floats(0.0, 30.0))
     return draft, cfg, rel, context, draw(profiles()), draft_ms
 

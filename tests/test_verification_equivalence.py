@@ -70,16 +70,21 @@ def targets(draw):
 
 
 def candidate_sets_for(tree, vocab, rng):
-    """A valid candidate set for every parent: its children's tokens plus a
-    random number of other tokens, in random order.  Some leaves get a set
-    of their own, as a builder's expanded leaves do."""
+    """A valid candidate set for every parent: its children's tokens plus
+    other tokens, in random order.  Half the time every set has one size k,
+    as lever and balanced builds record them; otherwise each set adds a
+    random number of other tokens.  Some leaves get a set of their own, as a
+    builder's expanded leaves do."""
+    widest = max(len(tree.children(nid)) for nid in tree.ids())
+    k = int(rng.integers(max(widest, 1), vocab + 1)) if rng.integers(2) else None
     sets = {}
     for nid in tree.ids():
         tokens = [tree.node(c).token for c in tree.children(nid)]
         if not tokens and rng.integers(2):
             continue
         others = [t for t in range(vocab) if t not in tokens]
-        tokens += [int(t) for t in rng.permutation(others)[: rng.integers(len(others) + 1)]]
+        extra = rng.integers(len(others) + 1) if k is None else k - len(tokens)
+        tokens += [int(t) for t in rng.permutation(others)[:extra]]
         if not tokens:
             continue
         rng.shuffle(tokens)
