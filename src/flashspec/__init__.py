@@ -46,7 +46,7 @@ from .simulator import (
     simulate_decode,
     verify_latency,
 )
-from .tree import CandidateSet, TokenTree, TreeLayout, flatten
+from .tree import CandidateSet, TokenTree, flatten
 from .verification import VerificationResult, run_decode, verify_tree
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,11 +8,11 @@ insertion is charged its marginal latency: the change in verification
 latency read from the shape-keyed :class:`LatencyProfile`, plus one draft
 expansion of ``draft_ms`` when the inserted node will itself
 be expanded.  ``draft_ms`` is the device's per-expansion draft cost (the
-harness passes the hardware preset's ``draft_cpu_ms``, the value the
-simulator charges for a one-node expansion step), so every expansion adds
-exactly that to the tree's draft cost.  The builder always picks the
-frontier node with the best reach-per-marginal-latency ratio and stops as
-soon as even the best candidate cannot improve the tree's average gain rate.
+harness passes the simulator's price of a one-node expansion step,
+``draft_schedule((1,), hw)``), so every expansion adds exactly that to the
+tree's draft cost.  The builder always picks the frontier node with the best
+reach-per-marginal-latency ratio and stops as soon as even the best
+candidate cannot improve the tree's average gain rate.
 
 Each step is priced once.  A frontier entry's marginal cost depends only on
 its cost class: whether its parent already has children (the insertion adds
@@ -133,7 +133,7 @@ class DraftConfig:
 
 
 class FrontierEntry(NamedTuple):
-    """A drafted candidate outside the tree; build_tree's frontier tuples use this order."""
+    """A drafted candidate outside the tree, in the order ``is_expandable`` reads."""
 
     parent: int
     token: int

@@ -53,6 +53,7 @@ from .simulator import (
     HardwareConfig,
     Metrics,
     ScheduleTrace,
+    draft_schedule,
     load_preset,
     simulate_decode,
     verify_latency,
@@ -361,13 +362,15 @@ def make_policy(
 ):
     if cfg.policy == "flash_ar":
         return RootOnlyPolicy()
+    # the simulator's price of a one-node expansion step
+    draft_ms = draft_schedule((1,), hw)
     if cfg.policy == "chain_sd":
-        return ChainPolicy(draft, cfg.chain_length, draft_ms=hw.draft_cpu_ms)
+        return ChainPolicy(draft, cfg.chain_length, draft_ms=draft_ms)
     if cfg.policy == "balanced_tree":
         return BalancedTreePolicy(
-            draft, cfg.balanced_fanout, cfg.balanced_budget, draft_ms=hw.draft_cpu_ms
+            draft, cfg.balanced_fanout, cfg.balanced_budget, draft_ms=draft_ms
         )
-    return GainCostPolicy(draft, cfg.drafting, profile, draft_ms=hw.draft_cpu_ms)
+    return GainCostPolicy(draft, cfg.drafting, profile, draft_ms=draft_ms)
 
 
 @dataclass

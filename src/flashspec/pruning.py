@@ -1,8 +1,8 @@
 """Predictor-based branch pruning by path posterior.
 
 Only parents (nodes with inserted children) are scored, so the hidden-state
-source is asked for one row per parent, in flattened row order; one pass
-over the flattened rows builds each parent's prefix from its parent's.  Edge
+source is asked for one row per parent, in id order; one pass over the
+parents' ids builds each parent's prefix from its parent's.  Edge
 scores are normalized within each parent's full candidate set, as the build
 recorded it: the inserted children in insertion order, then the candidate
 tokens that have no child in candidate order.  The tokens without a child
@@ -204,12 +204,11 @@ class TreePruner:
     ) -> PruneDecision:
         """Score ``tree``'s edges over the build's ``candidate_sets`` and
         decide which nodes to keep."""
-        layout = flatten(tree)
-        up, tokens = layout.parent_row, layout.tokens
-        prefixes: dict[int, list[int]] = {}    # rows with children, in row order
-        for r in sorted(set(up[1:])):
-            prefixes[r] = prefixes[up[r]] + [tokens[r]] if r else list(context)
+        up, tokens = flatten(tree)
+        prefixes: dict[int, list[int]] = {}    # ids with children, ascending
+        for nid in sorted(set(up[1:])):
+            prefixes[nid] = prefixes[up[nid]] + [tokens[nid]] if nid else list(context)
         hidden = self.hidden_source.rows(list(prefixes.values()))
-        parents = [layout.rows[r] for r in prefixes]
+        parents = list(prefixes)
         scores = normalize_scores(self.pred, hidden, tree, parents, candidate_sets, self.cfg.tau)
         return prune(tree, scores, self.cfg)

@@ -58,6 +58,9 @@ class HardwareConfig:
         ):
             if getattr(self, field_name) < 0:
                 raise ConfigError(f"{field_name} must be >= 0")
+        # every coefficient is >= 0, so this also makes each verify latency > 0
+        if ar_step_latency(self) <= 0:
+            raise ConfigError("a single-token step must take positive time, not 0 ms")
 
     @property
     def io_effective_ms(self) -> float:

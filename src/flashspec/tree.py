@@ -2,9 +2,9 @@
 
 A :class:`TokenTree` holds the branching draft produced during one speculative
 cycle.  Nodes are identified by stable integer handles assigned at insertion,
-and the tree is append-only.  Every node is a verification row.  A
-flattened layout is the row list verification prices plus each row's parent
-row and token; a row's path follows parent rows back to the root.
+and the tree is append-only.  Every node is a verification row, and a node's
+row is its id: :func:`flatten` gives each id's parent and token, and a node's
+path follows parents back to the root.
 
 Every edge is indexed by ``(parent, token)``, so an insertion's duplicate
 check and a child lookup by token are dict lookups.  Pruning never copies a
@@ -146,34 +146,12 @@ class TokenTree:
         return node_id
 
 
-@dataclass(frozen=True)
-class TreeLayout:
-    """Immutable flattened view of a tree for batched verification.
+def flatten(tree: TokenTree) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each node's parent and token, indexed by node id: ``(parents, tokens)``.
 
-    Rows are the tree's nodes in topological order (parents precede
-    children); a row's ancestors are found by following ``parent_row``.
-    """
-
-    rows: tuple[int, ...]              # node ids, row 0 is the root
-    parent_row: tuple[int, ...]        # row index of the parent, -1 for root
-    tokens: tuple[int, ...]            # token per row, ROOT_TOKEN for root
-
-    def path_tokens(self, row: int) -> list[int]:
-        out: list[int] = []
-        r = row
-        while r > 0:
-            out.append(self.tokens[r])
-            r = self.parent_row[r]
-        out.reverse()
-        return out
-
-
-def flatten(tree: TokenTree) -> TreeLayout:
-    """Flatten a tree into verification rows with parent rows and tokens.
-
-    Node handles are assigned in insertion order with parents inserted
-    first, so ascending id order is already topological and a node's row is
-    its id.
+    The root's parent is ``ROOT_PARENT``.  Node handles are assigned in
+    insertion order with parents inserted first, so ascending id order is
+    already topological.
     """
     tokens, parents, _, _ = zip(*tree._nodes)
-    return TreeLayout(tuple(range(len(tokens))), parents, tokens)
+    return parents, tokens

@@ -2,8 +2,8 @@
 
 The code below is verification and pruning as they stood before each stage
 read only the rows it uses: ``verify_tree`` takes the target argmax of every
-flattened row before walking the tree, and the prune step asks its hidden
-source for a feature row per flattened row although only the rows of
+row (a node's row is its id) before walking the tree, and the prune step
+asks its hidden source for a feature row per node although only the rows of
 parents are scored.  Edge scores are computed one edge at a time by
 ``score`` (the probe's per-edge dot product with its shape and range
 checks), both by the all-rows ``normalize_scores`` and by
@@ -53,7 +53,7 @@ from flashspec.errors import ConfigError, ContractError
 from flashspec.models import LayeredTargetModel, ProbModel
 from flashspec.predictor import EarlyExitPredictor
 from flashspec.pruning import PruneConfig, PruneDecision
-from flashspec.tree import ROOT_ID, CandidateSet, TokenTree, TreeLayout, flatten
+from flashspec.tree import ROOT_ID, CandidateSet, TokenTree
 from flashspec.verification import VerificationResult as WalkResult
 from flashspec.verification import verify_tree as walk_tree
 from helpers import child_by_token, compact_with_map, hidden_at
@@ -65,8 +65,7 @@ class VerificationResult:
     accepted_len: int
     fallback: int
     emitted: tuple[int, ...]             # accepted tokens then the fallback
-    per_row_argmax: dict[int, int]       # row index -> target argmax token
-    layout: TreeLayout
+    per_row_argmax: dict[int, int]       # row (node id) -> target argmax token
 
 
 def verify_tree(
@@ -74,25 +73,23 @@ def verify_tree(
 ) -> VerificationResult:
     """Batched argmax verification of a whole tree in one pass.
 
-    ``per_row_argmax`` holds the target argmax for every flattened row; the
+    ``per_row_argmax`` holds the target argmax for every node's row; the
     accepted path is the longest root chain whose tokens match those argmax
     decisions, and the fallback is the argmax at the stopping node.
     """
     if not context:
         raise ContractError("context must be non-empty")
-    layout = flatten(tree)
     ctx = list(context)
     per_row = {
-        i: int(np.argmax(target.next_dist(ctx + layout.path_tokens(i))))
-        for i in range(len(layout.rows))
+        nid: int(np.argmax(target.next_dist(ctx + tree.path_tokens(nid))))
+        for nid in tree.ids()
     }
 
-    row_of = {nid: i for i, nid in enumerate(layout.rows)}
     accepted: list[int] = []
     emitted: list[int] = []
     cur = ROOT_ID
     while True:
-        want = per_row[row_of[cur]]
+        want = per_row[cur]
         child = child_by_token(tree, cur, want)
         if child is None:
             fallback = want
@@ -107,28 +104,27 @@ def verify_tree(
         fallback=fallback,
         emitted=tuple(emitted),
         per_row_argmax=per_row,
-        layout=layout,
     )
 
 
 def hidden_states(
     model: LayeredTargetModel,
-    layout: TreeLayout,
+    tree: TokenTree,
     layer: int,
     context: Sequence[int],
 ) -> np.ndarray:
-    """Per-row hidden vectors at ``layer`` for a flattened tree.
+    """Per-node hidden vectors at ``layer``, row i for node i.
 
-    Row i equals ``hidden_at(model, layer, context + path-of-row-i)``
+    Row i equals ``hidden_at(model, layer, context + path-of-node-i)``
     exactly; rows are evaluated independently so the batch matches
     sequential evaluation bit-for-bit.
     """
     if not (1 <= layer <= model.depth):
         raise ContractError(f"layer {layer} outside [1, {model.depth}]")
     ctx = list(context)
-    out = np.empty((len(layout.rows), model.hidden_dim))
-    for i in range(len(layout.rows)):
-        out[i] = hidden_at(model, layer, ctx + layout.path_tokens(i))
+    out = np.empty((tree.node_count, model.hidden_dim))
+    for nid in tree.ids():
+        out[nid] = hidden_at(model, layer, ctx + tree.path_tokens(nid))
     return out
 
 
@@ -145,8 +141,8 @@ class LayeredHiddenSource:
     def exit_fraction(self) -> float:
         return self.layer / self.model.depth
 
-    def rows(self, context: Sequence[int], layout: TreeLayout) -> np.ndarray:
-        return hidden_states(self.model, layout, self.layer, context)
+    def rows(self, context: Sequence[int], tree: TokenTree) -> np.ndarray:
+        return hidden_states(self.model, tree, self.layer, context)
 
 
 class ExactProbeSource:
@@ -163,12 +159,12 @@ class ExactProbeSource:
     def __init__(self, target: ProbModel) -> None:
         self.target = target
 
-    def rows(self, context: Sequence[int], layout: TreeLayout) -> np.ndarray:
+    def rows(self, context: Sequence[int], tree: TokenTree) -> np.ndarray:
         ctx = list(context)
-        out = np.empty((len(layout.rows), self.target.vocab_size))
-        for i in range(len(layout.rows)):
-            dist = self.target.next_dist(ctx + layout.path_tokens(i))
-            out[i] = np.log(np.maximum(dist, 1e-300))
+        out = np.empty((tree.node_count, self.target.vocab_size))
+        for nid in tree.ids():
+            dist = self.target.next_dist(ctx + tree.path_tokens(nid))
+            out[nid] = np.log(np.maximum(dist, 1e-300))
         return out
 
 
@@ -176,28 +172,27 @@ def normalize_scores(
     pred: EarlyExitPredictor,
     hidden_rows: np.ndarray,
     tree: TokenTree,
-    layout: TreeLayout,
     tau: float,
     extras: Mapping[int, Sequence[int]],
 ) -> dict[tuple[int, int], float]:
-    """Per-edge softmax scores at temperature ``tau``.
+    """Per-edge softmax scores at temperature ``tau``; ``hidden_rows[i]`` is
+    node i's hidden vector.
 
     For each parent with inserted children, scores are normalized over its
     children's tokens followed by ``extras[parent]``.  The extra edges
     receive scores too but are never kept as output.
     """
-    if hidden_rows.shape[0] != len(layout.rows):
-        raise ContractError("hidden rows do not match the flattened layout")
-    row_of = {nid: i for i, nid in enumerate(layout.rows)}
+    if hidden_rows.shape[0] != tree.node_count:
+        raise ContractError("hidden rows do not match the tree's nodes")
     scores: dict[tuple[int, int], float] = {}
-    for parent in layout.rows:
+    for parent in tree.ids():
         if not tree.children(parent):
             continue
         tokens = [tree.node(cid).token for cid in tree.children(parent)]
         tokens += extras.get(parent, [])
         if not tokens:
             raise ContractError(f"node {parent} has an empty candidate set")
-        h = hidden_rows[row_of[parent]]
+        h = hidden_rows[parent]
         raw = np.array([score(pred, h, t) for t in tokens]) / tau
         raw -= raw.max()
         e = np.exp(raw)
@@ -343,9 +338,8 @@ class TreePruner:
     ) -> tuple[TokenTree, dict[int, int], PruneDecision]:
         """The compacted tree, its new-id -> old-id map and the decision;
         the decision's kept leaves are the compacted tree's leaf count."""
-        layout = flatten(tree)
-        hidden = self.hidden_source.rows(context, layout)
-        scores = normalize_scores(self.pred, hidden, tree, layout, self.cfg.tau, extras)
+        hidden = self.hidden_source.rows(context, tree)
+        scores = normalize_scores(self.pred, hidden, tree, self.cfg.tau, extras)
         decision = prune(tree, scores, self.cfg)
         new_tree, old_to_new = compact_with_map(tree, decision.keep)
         decision = PruneDecision(decision.keep, decision.backbone, new_tree.leaf_count)

@@ -41,7 +41,8 @@ from flashspec.predictor import (
     save_checkpoint,
     train,
 )
-from flashspec.simulator import HardwareConfig, load_preset, verify_latency
+from flashspec.simulator import HardwareConfig, load_preset, simulate_decode, verify_latency
+from flashspec.verification import run_decode
 from helpers import tree_json, zero_probe
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -295,6 +296,33 @@ class TestGainCostDraftCost:
         assert tree_json(got.tree) == tree_json(want.tree)
         assert got.stop == want.stop
         assert got.estimate.draft_cost == 5.0 * len(got.expansion_counts)
+
+
+class TestPlannedDraftPrice:
+    def test_lever_plans_each_expansion_at_its_simulated_price(self):
+        # below batch_min a one-node step runs on the CPU at draft_cpu_ms;
+        # at batch_min=1 it is one NPU batch, 6.5 ms on this preset
+        hw = replace(load_preset("llama31-8b"), batch_min=1)
+        cfg = small_cfg(policy="lever", hardware=hw, trials=1)
+        target = make_target(cfg.model, 0)
+        policy = make_policy(cfg, make_draft(cfg, target, 0), hw, seed_profile(cfg, hw))
+        pruner = make_pruner(cfg, target, 0)
+        builds = []
+
+        def build(context, _build=policy.build):
+            builds.append(_build(context))
+            return builds[-1]
+
+        policy.build = build
+        decode = run_decode(target, make_context(cfg, 0), cfg.horizon, policy, pruner=pruner)
+        trace, _ = simulate_decode(
+            decode.cycles, hw, emitted_tokens=len(decode.tokens),
+            exit_fraction=pruner.exit_fraction,
+        )
+        assert len(builds) == len(trace.cycles) > 1
+        for out, cost in zip(builds, trace.cycles):
+            assert out.expansion_counts
+            assert out.estimate.draft_cost == cost.draft_ms
 
 
 class TestProfileGrid:
@@ -752,6 +780,27 @@ class TestCLI:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid hardware config: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "policy, hardware",
+        [
+            ("chain_sd", '{"name":"x","io_ms_per_invocation":0}'),
+            ("lever", '{"name":"x","io_ms_per_invocation":0}'),
+            ("chain_sd", '{"name":"x","io_ms_per_invocation":990,"dram_resident_frac":1}'),
+            ("lever", '{"name":"x","io_ms_per_invocation":990,"dram_resident_frac":1}'),
+        ],
+        ids=["chain-no-io", "lever-no-io", "chain-all-in-dram", "lever-all-in-dram"],
+    )
+    def test_free_single_token_step_is_clean_error(self, tmp_path, capsys, policy, hardware):
+        # with no compute and no flash I/O a step takes 0 ms, which the
+        # simulator would divide by and the latency profile refuses
+        rc = cli_main(["run", "--set", "trials=1", "--set", "horizon=4",
+                       "--set", f"policy={policy}", "--set", f"hardware={hardware}",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a single-token step must take positive time")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

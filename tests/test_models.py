@@ -17,7 +17,7 @@ from flashspec.models import (
 )
 from flashspec.predictor import ExactProbeSource, LayeredHiddenSource
 from flashspec.seeding import block_states, generator
-from flashspec.tree import ROOT_ID, TokenTree, flatten
+from flashspec.tree import ROOT_ID, TokenTree
 from helpers import candidate_tokens, hidden_at, layered_logits, tabular_row
 
 
@@ -272,8 +272,8 @@ class TestHiddenStates:
         return tree
 
     def _row_prefixes(self, ctx):
-        layout = flatten(self._tree())
-        return [ctx + layout.path_tokens(i) for i in range(len(layout.rows))]
+        tree = self._tree()
+        return [ctx + tree.path_tokens(nid) for nid in tree.ids()]
 
     def test_single_row_equals_direct_call(self):
         model = LayeredTargetModel(16, 2, depth=4, hidden_dim=8, seed=2)

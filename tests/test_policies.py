@@ -110,11 +110,11 @@ class TestChain:
     def test_chain_follows_draft_argmax(self):
         target, draft = models()
         out = ChainPolicy(draft, length=4).build([4, 2])
-        layout = flatten(out.tree)
+        _, tokens = flatten(out.tree)
         prefix = [4, 2]
         import numpy as np
 
-        for token in layout.tokens[1:]:
+        for token in tokens[1:]:
             assert token == int(np.argmax(draft.next_dist(prefix)))
             prefix.append(token)
 

@@ -1,12 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashspec import pruning
 from flashspec.drafting import DraftConfig, build_tree
 from flashspec.errors import ContractError
 from flashspec.models import TabularMarkovModel, derive_draft, target_greedy_decode
-from flashspec.policies import BalancedTreePolicy, GainCostPolicy
+from flashspec.policies import BalancedTreePolicy, ChainPolicy, GainCostPolicy, RootOnlyPolicy
 from flashspec.predictor import EarlyExitPredictor, ExactProbeSource
 from flashspec.pruning import (
     PruneConfig,
@@ -15,7 +18,7 @@ from flashspec.pruning import (
     normalize_scores,
     prune,
 )
-from flashspec.tree import ROOT_ID, TokenTree, flatten
+from flashspec.tree import ROOT_ID, ROOT_PARENT, TokenTree, flatten
 from flashspec.verification import run_decode, verify_tree
 from helpers import affine_profile, candidate_set, candidate_tokens, compact_with_map, recount
 from reference_verification import path_posterior
@@ -291,7 +294,7 @@ class TestTreePruner:
         # the tokens a parent left without a child take part of its mass
         target, out, pruner = self._setup()
         tree = out.tree
-        parents = [nid for nid in flatten(tree).rows if tree.children(nid)]
+        parents = [nid for nid in tree.ids() if tree.children(nid)]
         hidden = pruner.hidden_source.rows(
             [[4, 9] + tree.path_tokens(nid) for nid in parents]
         )
@@ -357,3 +360,52 @@ class TestTreePruner:
             cut = verify_tree(target, prefix, out.tree, summary.keep)
             assert cut.accepted_len <= full.accepted_len
             prefix = prefix + list(full.emitted)
+
+
+@st.composite
+def policy_builds(draw):
+    """A tabular target, a context and one build of a random policy: root
+    only, chain, balanced tree or gain-cost."""
+    vocab = draw(st.integers(4, 10))
+    seed = draw(st.integers(0, 10_000))
+    target = TabularMarkovModel(vocab, draw(st.integers(1, 2)), seed=seed)
+    draft = derive_draft(target, draw(st.sampled_from([0.3, 0.8])), noise_seed=seed + 1)
+    context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=5))
+    kind = draw(st.sampled_from(["root_only", "chain", "balanced", "gain_cost"]))
+    if kind == "root_only":
+        policy = RootOnlyPolicy()
+    elif kind == "chain":
+        policy = ChainPolicy(draft, length=draw(st.integers(1, 6)))
+    elif kind == "balanced":
+        fanout = draw(st.integers(1, 3))
+        policy = BalancedTreePolicy(draft, fanout, draw(st.integers(fanout, 24)))
+    else:
+        cfg = DraftConfig(k=draw(st.integers(1, 4)), max_depth=draw(st.integers(1, 5)),
+                          b_min=0.01)
+        policy = GainCostPolicy(draft, cfg, affine_profile(900.0, 3.0, 1.0, 64, 32))
+    return target, context, policy.build(context)
+
+
+class TestFlattenContract:
+    @given(policy_builds())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_are_ids_and_the_scored_parents_are_the_branching_ids(self, case):
+        target, context, out = case
+        tree = out.tree
+        nodes = [tree.node(nid) for nid in tree.ids()]
+        assert list(zip(*flatten(tree))) == [(node.parent, node.token) for node in nodes]
+        assert flatten(tree)[0][ROOT_ID] == ROOT_PARENT
+        scored = []
+
+        def recording(pred, hidden, scored_tree, parents, *rest):
+            scored.append(list(parents))
+            return normalize_scores(pred, hidden, scored_tree, parents, *rest)
+
+        pruner = TreePruner(
+            EarlyExitPredictor.identity_probe(target.vocab_size),
+            ExactProbeSource(target),
+            PruneConfig(),
+        )
+        with mock.patch.object(pruning, "normalize_scores", recording):
+            pruner.apply(tree, out.candidate_sets, context)
+        assert scored == [[nid for nid in tree.ids() if tree.children(nid)]]

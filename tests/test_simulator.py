@@ -88,18 +88,18 @@ class TestVerifyLatency:
 
 class TestDraftSchedule:
     def test_all_cpu_below_threshold(self):
-        cfg = HardwareConfig(name="t", io_ms_per_invocation=0.0, batch_min=4)
+        cfg = HardwareConfig(name="t", io_ms_per_invocation=1.0, batch_min=4)
         assert draft_schedule([1, 1, 1], cfg) == pytest.approx(3 * cfg.draft_cpu_ms)
 
     def test_single_npu_batch(self):
-        cfg = HardwareConfig(name="t", io_ms_per_invocation=0.0, batch_min=4)
+        cfg = HardwareConfig(name="t", io_ms_per_invocation=1.0, batch_min=4)
         assert draft_schedule([6], cfg) == pytest.approx(
             cfg.draft_npu_base + 6 * cfg.draft_npu_per_item
         )
 
     def test_mixed_trace_matches_case_analysis(self):
         cfg = HardwareConfig(
-            name="t", io_ms_per_invocation=0.0, batch_min=3,
+            name="t", io_ms_per_invocation=1.0, batch_min=3,
             draft_cpu_ms=1.5, draft_npu_base=4.0, draft_npu_per_item=0.25,
         )
         counts = [1, 2, 3, 7, 1, 4]
@@ -112,7 +112,7 @@ class TestDraftSchedule:
         assert draft_schedule(counts, cfg) == pytest.approx(expect)
 
     def test_zero_counts_free(self):
-        cfg = HardwareConfig(name="t", io_ms_per_invocation=0.0)
+        cfg = HardwareConfig(name="t", io_ms_per_invocation=1.0)
         assert draft_schedule([], cfg) == 0.0
         assert draft_schedule([0], cfg) == 0.0
 
@@ -120,7 +120,7 @@ class TestDraftSchedule:
 class TestProjectionAccounting:
     def test_row_counting(self):
         cfg = HardwareConfig(
-            name="t", io_ms_per_invocation=0.0,
+            name="t", io_ms_per_invocation=1.0,
             proj_ms_per_row=2.0, proj_cpu_ms_per_row=3.0,
         )
         eager, ondemand, waste = projection_accounting(16, 3, cfg)
@@ -129,12 +129,12 @@ class TestProjectionAccounting:
         assert waste == 12
 
     def test_full_acceptance_wastes_nothing(self):
-        cfg = HardwareConfig(name="t", io_ms_per_invocation=0.0)
+        cfg = HardwareConfig(name="t", io_ms_per_invocation=1.0)
         _, _, waste = projection_accounting(8, 7, cfg)
         assert waste == 0
 
     def test_precondition(self):
-        cfg = HardwareConfig(name="t", io_ms_per_invocation=0.0)
+        cfg = HardwareConfig(name="t", io_ms_per_invocation=1.0)
         with pytest.raises(ContractError):
             projection_accounting(4, 4, cfg)
 
@@ -256,6 +256,21 @@ class TestHardwareConfig:
     def test_overlap_validation(self):
         with pytest.raises(ConfigError):
             HardwareConfig(name="t", io_ms_per_invocation=1.0, overlap="avg")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"io_ms_per_invocation": 0.0},
+            {"io_ms_per_invocation": 990.6, "dram_resident_frac": 1.0},
+        ],
+        ids=["no-io", "all-in-dram"],
+    )
+    def test_free_single_token_step_refused(self, fields):
+        with pytest.raises(ConfigError, match="single-token step"):
+            HardwareConfig(name="t", **fields)
+        # any compute makes the step, and every verify shape, cost time
+        cfg = HardwareConfig(name="t", compute_c_row=0.5, **fields)
+        assert ar_step_latency(cfg) > 0 and verify_latency(cfg, 1, 1) > 0
 
     def test_dram_fraction_scales_io(self):
         cfg = dataclasses.replace(

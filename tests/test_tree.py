@@ -63,28 +63,26 @@ class TestInsert:
 class TestFlatten:
     def test_chain_rows_follow_the_path(self):
         tree = chain_tree([1, 2])
-        layout = flatten(tree)
-        assert layout.tokens == (-1, 1, 2)
-        assert layout.parent_row == (-1, 0, 1)
-        assert layout.path_tokens(2) == [1, 2]
+        assert flatten(tree) == ((-1, 0, 1), (-1, 1, 2))
+        assert tree.path_tokens(2) == [1, 2]
 
     def test_siblings_are_independent(self):
         tree = TokenTree()
         tree.insert(ROOT_ID, 1, 0.5)
         tree.insert(ROOT_ID, 2, 0.4)
-        layout = flatten(tree)
-        assert layout.parent_row == (-1, 0, 0)
-        assert layout.path_tokens(1) == [1]
-        assert layout.path_tokens(2) == [2]
+        parents, _ = flatten(tree)
+        assert parents == (-1, 0, 0)
+        assert tree.path_tokens(1) == [1]
+        assert tree.path_tokens(2) == [2]
 
     def test_parent_rows_precede_children(self):
         tree = TokenTree()
         a = tree.insert(ROOT_ID, 1, 0.9)
         tree.insert(a, 2, 0.5)
         tree.insert(ROOT_ID, 3, 0.4)
-        layout = flatten(tree)
-        for i in range(1, len(layout.rows)):
-            assert layout.parent_row[i] < i
+        parents, _ = flatten(tree)
+        for i in range(1, len(parents)):
+            assert parents[i] < i
 
 
 class TestCompact:
@@ -96,7 +94,7 @@ class TestCompact:
         out = compact_with_map(tree, tree.ids())[0]
         assert out.node_count == tree.node_count
         assert out.leaf_count == tree.leaf_count
-        assert flatten(out).tokens == flatten(tree).tokens
+        assert flatten(out) == flatten(tree)
 
     def test_keep_root_only(self):
         tree = chain_tree([1, 2, 3])
@@ -120,7 +118,7 @@ class TestCompact:
         out = compact_with_map(tree, keep)[0]
         # oracle: explicit parent walk of the kept path
         expected_tokens = tree.path_tokens(leaf)
-        assert flatten(out).tokens[1:] == tuple(expected_tokens)
+        assert flatten(out)[1][1:] == tuple(expected_tokens)
         assert out.leaf_count == 1
 
     def test_original_unmodified(self):
@@ -182,22 +180,20 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_row_paths_match_tree_paths(self, ops):
         tree = grow(ops)
-        layout = flatten(tree)
-        assert list(layout.rows) == tree.ids()
-        for i, nid in enumerate(layout.rows):
-            assert layout.path_tokens(i) == tree.path_tokens(nid)
-            if i:
-                assert layout.rows[layout.parent_row[i]] == tree.node(nid).parent
+        parents, tokens = flatten(tree)
+        assert len(parents) == tree.node_count
+        for nid in tree.ids()[1:]:
+            assert tree.path_tokens(nid) == tree.path_tokens(parents[nid]) + [tokens[nid]]
 
     @given(tree_builds())
     @settings(max_examples=60, deadline=None)
     def test_flatten_topological_and_compact_all_roundtrip(self, ops):
         tree = grow(ops)
-        layout = flatten(tree)
-        for i in range(1, len(layout.rows)):
-            assert layout.parent_row[i] < i
+        parents, tokens = flatten(tree)
+        for i in range(1, len(parents)):
+            assert parents[i] < i
         again = flatten(compact_with_map(tree, tree.ids())[0])
-        assert sorted(again.tokens) == sorted(layout.tokens)
+        assert sorted(again[1]) == sorted(tokens)
 
 
 class TestSerialization:
