@@ -361,16 +361,13 @@ def make_policy(
     cfg: ExperimentConfig, draft: ProbModel, hw: HardwareConfig, profile: LatencyProfile
 ):
     if cfg.policy == "flash_ar":
-        return RootOnlyPolicy()
-    # the simulator's price of a one-node expansion step
-    draft_ms = draft_schedule((1,), hw)
+        return RootOnlyPolicy(hw)
     if cfg.policy == "chain_sd":
-        return ChainPolicy(draft, cfg.chain_length, draft_ms=draft_ms)
+        return ChainPolicy(draft, hw, cfg.chain_length)
     if cfg.policy == "balanced_tree":
-        return BalancedTreePolicy(
-            draft, cfg.balanced_fanout, cfg.balanced_budget, draft_ms=draft_ms
-        )
-    return GainCostPolicy(draft, cfg.drafting, profile, draft_ms=draft_ms)
+        return BalancedTreePolicy(draft, hw, cfg.balanced_fanout, cfg.balanced_budget)
+    # lever plans each expansion at the simulator's price of a one-node step
+    return GainCostPolicy(draft, cfg.drafting, profile, draft_ms=draft_schedule((1,), hw))
 
 
 @dataclass
@@ -491,7 +488,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Report, list[TrialResult]]:
     return report, results
 
 
-SHARED_FIELDS = ("model", "draft", "hardware", "horizon", "trials", "seed", "context_len")
+SHARED_FIELDS = (
+    "model", "draft", "hardware", "projection_mode", "horizon", "trials", "seed", "context_len"
+)
 
 
 def compare_policies(
@@ -512,13 +511,13 @@ def compare_policies(
                 raise ConfigError(
                     f"configs disagree on shared field {key!r}; refusing to compare"
                 )
+    anchor = normalize_to or ("lever" if "lever" in policies else policies[0])
+    if anchor not in policies:
+        raise ConfigError(f"normalization policy {anchor!r} is not among {policies}")
     rows = {}
     for cfg in cfgs:
         report, _ = run_experiment(replace(cfg, out_dir=None))
         rows[cfg.policy] = report.aggregate
-    anchor = normalize_to or ("lever" if "lever" in rows else cfgs[0].policy)
-    if anchor not in rows:
-        raise ConfigError(f"normalization policy {anchor!r} was not run")
     anchor_tps = rows[anchor]["tokens_per_s"]
     table = {
         policy: {

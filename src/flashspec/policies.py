@@ -8,7 +8,13 @@ state.  The chain baseline is the degenerate tree (k=1, fixed depth, no
 stopping rule); the balanced baseline expands a fixed branching factor level
 by level, which is what makes its expansion steps batchable.  Neither reads
 feedback.  The gain-cost policy wraps the greedy builder and owns the
-reliability factor that scales its reach estimates.
+reliability factor that scales its reach estimates.  Like the greedy
+builder, the fixed-shape builds draft from each node's carried padded tail.
+
+Every estimate is the simulator's price of its cycle on the trial's
+hardware (the gain-cost builder reads it through its profile), without
+projection: on-demand projection charges the accepted path, known only
+after verification, and an expected term would change the gain-cost trees.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from .drafting import (
     build_tree,
 )
 from .errors import ConfigError
-from .models import ProbModel, draft_candidates
+from .models import ProbModel, _padded_tail, draft_candidates
+from .simulator import HardwareConfig, ar_step_latency, draft_schedule, verify_latency
 from .tree import ROOT_ID, CandidateSet, TokenTree
 from .verification import VerificationResult
 
@@ -37,14 +44,16 @@ class FixedShapePolicy:
         """Fixed shapes read no feedback."""
 
 
+@dataclass
 class RootOnlyPolicy(FixedShapePolicy):
     """Plain flash-backed autoregressive decoding: no drafting at all."""
 
+    hw: HardwareConfig
+
     def build(self, context: Sequence[int]) -> BuildResult:
-        tree = TokenTree(root_token=int(context[-1]))
         return BuildResult(
-            tree=tree,
-            estimate=GainCostEstimate(gain=1.0, draft_cost=0.0, verify_cost=0.0),
+            tree=TokenTree(root_token=int(context[-1])),
+            estimate=GainCostEstimate(1.0, draft_cost=0.0, verify_cost=ar_step_latency(self.hw)),
             stop=StopRecord("frontier_empty", None),
             expansion_counts=[],
         )
@@ -55,15 +64,15 @@ class ChainPolicy(FixedShapePolicy):
     """Fixed-length single-sequence drafting (one greedy chain per cycle)."""
 
     draft: ProbModel
+    hw: HardwareConfig
     length: int = 8
-    draft_ms: float = 2.0
 
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ConfigError("chain length must be >= 1")
 
     def build(self, context: Sequence[int]) -> BuildResult:
-        return _grow_levels(self.draft, context, 1, self.length, self.draft_ms)
+        return _grow_levels(self.draft, context, 1, self.length, self.hw)
 
 
 @dataclass
@@ -73,9 +82,9 @@ class BalancedTreePolicy(FixedShapePolicy):
     batchable draft step."""
 
     draft: ProbModel
+    hw: HardwareConfig
     fanout: int = 2
     node_budget: int = 16
-    draft_ms: float = 2.0
 
     def __post_init__(self) -> None:
         if self.fanout < 1 or self.node_budget < 1:
@@ -96,7 +105,7 @@ class BalancedTreePolicy(FixedShapePolicy):
             d += 1
 
     def build(self, context: Sequence[int]) -> BuildResult:
-        return _grow_levels(self.draft, context, self.fanout, self.depth(), self.draft_ms)
+        return _grow_levels(self.draft, context, self.fanout, self.depth(), self.hw)
 
 
 @dataclass
@@ -137,33 +146,33 @@ def _grow_levels(
     context: Sequence[int],
     fanout: int,
     depth: int,
-    draft_ms: float,
+    hw: HardwareConfig,
 ) -> BuildResult:
     """The fixed-topology baselines' tree: ``depth`` levels, every node of a
     level expanded with its top-``fanout`` draft candidates; a node's reach
     is its parent's times its draft probability.  A chain is the
-    ``fanout=1`` case.  Each expanded node's candidate set is recorded for
-    pruning."""
+    ``fanout=1`` case.  A child's tail is its parent's shifted by its
+    token.  Each expanded node's candidate set is recorded for pruning."""
     tree = TokenTree(root_token=int(context[-1]))
     counts: list[int] = []
     candidate_sets: dict[int, CandidateSet] = {}
-    level = [ROOT_ID]
+    level = [(ROOT_ID, _padded_tail(context, draft.order))]
     for _ in range(depth):
         counts.append(len(level))
-        next_level: list[int] = []
-        for parent in level:
-            prefix = list(context) + tree.path_tokens(parent)
-            cand = candidate_sets[parent] = draft_candidates(draft, prefix, fanout)
+        next_level: list[tuple[int, tuple[int, ...]]] = []
+        for parent, tail in level:
+            cand = candidate_sets[parent] = draft_candidates(draft, tail, fanout)
+            reach = tree.node(parent).reach
             for token, p in cand.entries:
-                reach = tree.node(parent).reach * p
-                next_level.append(tree.insert(parent, token, reach))
+                child = tree.insert(parent, token, reach * p)
+                next_level.append((child, tail[1:] + (token,)))
         level = next_level
     return BuildResult(
         tree=tree,
         estimate=GainCostEstimate(
             gain=1.0 + sum(tree.node(n).reach for n in tree.ids() if n != ROOT_ID),
-            draft_cost=draft_ms * sum(counts),
-            verify_cost=0.0,
+            draft_cost=draft_schedule(counts, hw),
+            verify_cost=verify_latency(hw, *tree.shape),
         ),
         stop=StopRecord("frontier_empty", None),
         expansion_counts=counts,

@@ -4,7 +4,8 @@ A :class:`TokenTree` holds the branching draft produced during one speculative
 cycle.  Nodes are identified by stable integer handles assigned at insertion,
 and the tree is append-only.  Every node is a verification row, and a node's
 row is its id: :func:`flatten` gives each id's parent and token, and a node's
-path follows parents back to the root.
+path follows parents back to the root.  No stage walks a path: builders
+carry each node's draft tail, and pruning builds prefixes in one pass.
 
 Every edge is indexed by ``(parent, token)``, so an insertion's duplicate
 check and a child lookup by token are dict lookups.  Pruning never copies a
@@ -103,17 +104,6 @@ class TokenTree:
     def child(self, parent: int, token: int) -> int | None:
         """The child of ``parent`` drafted with ``token``, if any."""
         return self._edges.get((parent, token))
-
-    def path_tokens(self, node_id: int) -> list[int]:
-        """Tokens along root -> node, excluding the root sentinel."""
-        out: list[int] = []
-        nid = node_id
-        while nid != ROOT_ID:
-            node = self._nodes[nid]
-            out.append(node.token)
-            nid = node.parent
-        out.reverse()
-        return out
 
     # -- mutation ----------------------------------------------------------
 

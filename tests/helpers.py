@@ -1,7 +1,7 @@
 """Test-side helpers over flashspec's public API: an affine latency
 profile and the shapes of a profile grid, a tree's summed-reach gain, a
-child lookup by token, node and leaf counts recomputed from scratch, a
-pruned copy of a tree by compaction, a tree's JSON and the tree rebuilt
+node's path tokens, a child lookup by token, node and leaf counts
+recomputed from scratch, a pruned copy of a tree by compaction, a tree's JSON and the tree rebuilt
 from it, a candidate set's tokens and a candidate set of given tokens, a
 tabular row drawn from its own ``default_rng``, a layered target's hidden
 state at one layer and its final logits, a frontier entry's marginal cost
@@ -71,6 +71,17 @@ def estimate_gain(tree: TokenTree) -> float:
         if nid != ROOT_ID:
             total += tree.node(nid).reach
     return total
+
+
+def path_tokens(tree: TokenTree, node_id: int) -> list[int]:
+    """Tokens along root -> node, excluding the root sentinel."""
+    out: list[int] = []
+    while node_id != ROOT_ID:
+        node = tree.node(node_id)
+        out.append(node.token)
+        node_id = node.parent
+    out.reverse()
+    return out
 
 
 def child_by_token(tree: TokenTree, node_id: int, token: int) -> int | None:

@@ -1,4 +1,4 @@
-"""Slow reference for the gain-cost builder.
+"""Slow references for the tree builders.
 
 ``build_tree`` below is the builder as it stood before steps were priced by
 cost class: it rescores every frontier entry with :func:`marginal_cost`
@@ -16,6 +16,10 @@ tree JSON (nodes in insertion order) ties it to the fast builder's
 decisions.  The leftover frontier is the oracle for the order in which
 pruning normalizes each parent's candidates: the children, then the
 leftover entries under that parent in frontier order.
+
+``grow_levels`` is the fixed-shape baselines' level-by-level build as it
+stood before nodes carried their draft tails: every expansion drafts from
+the full prefix, context plus path.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from flashspec.drafting import (
 from flashspec.errors import ContractError
 from flashspec.models import ProbModel
 from flashspec.tree import CandidateSet, ROOT_ID, TokenTree
-from helpers import marginal_cost
+from helpers import marginal_cost, path_tokens
 
 # one scored frontier entry: (parent, token, reach, marginal cost, ratio)
 Row = tuple[int, int, float, float, float]
@@ -93,7 +97,7 @@ def build_tree(
 
     def expand(node_id: int) -> None:
         nonlocal draft_cost
-        prefix = list(context) + tree.path_tokens(node_id)
+        prefix = list(context) + path_tokens(tree, node_id)
         p = draft.next_dist(prefix)
         top = np.argsort(-p, kind="stable")[: cfg.k]
         cand = CandidateSet(tuple((int(t), float(p[t])) for t in top))
@@ -149,3 +153,32 @@ def build_tree(
     result = BuildResult(tree, estimate, stop, expansion_counts, candidate_sets)
     return result, BuildAudit(steps, stop_frontier, frontier)
 
+
+
+def grow_levels(
+    draft: ProbModel, context: Sequence[int], fanout: int, depth: int
+) -> tuple[TokenTree, dict[int, CandidateSet], list[int], float]:
+    """``depth`` levels, every node of a level expanded with the top-``fanout``
+    tokens of the draft distribution at its full prefix, read and sorted
+    afresh; a node's reach is its parent's times its draft probability.
+    Returns the tree, each expanded node's candidate set, the expansion
+    count of each level and the gain, one plus the summed reach."""
+    tree = TokenTree(root_token=int(context[-1]))
+    counts: list[int] = []
+    candidate_sets: dict[int, CandidateSet] = {}
+    level = [ROOT_ID]
+    for _ in range(depth):
+        counts.append(len(level))
+        next_level: list[int] = []
+        for parent in level:
+            p = draft.next_dist(list(context) + path_tokens(tree, parent))
+            top = np.argsort(-p, kind="stable")[:fanout]
+            cand = candidate_sets[parent] = CandidateSet(
+                tuple((int(t), float(p[t])) for t in top)
+            )
+            for token, q in cand.entries:
+                reach = tree.node(parent).reach * q
+                next_level.append(tree.insert(parent, token, reach))
+        level = next_level
+    gain = 1.0 + sum(tree.node(n).reach for n in tree.ids() if n != ROOT_ID)
+    return tree, candidate_sets, counts, gain

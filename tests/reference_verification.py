@@ -56,7 +56,7 @@ from flashspec.pruning import PruneConfig, PruneDecision
 from flashspec.tree import ROOT_ID, CandidateSet, TokenTree
 from flashspec.verification import VerificationResult as WalkResult
 from flashspec.verification import verify_tree as walk_tree
-from helpers import child_by_token, compact_with_map, hidden_at
+from helpers import child_by_token, compact_with_map, hidden_at, path_tokens
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def verify_tree(
         raise ContractError("context must be non-empty")
     ctx = list(context)
     per_row = {
-        nid: int(np.argmax(target.next_dist(ctx + tree.path_tokens(nid))))
+        nid: int(np.argmax(target.next_dist(ctx + path_tokens(tree, nid))))
         for nid in tree.ids()
     }
 
@@ -124,7 +124,7 @@ def hidden_states(
     ctx = list(context)
     out = np.empty((tree.node_count, model.hidden_dim))
     for nid in tree.ids():
-        out[nid] = hidden_at(model, layer, ctx + tree.path_tokens(nid))
+        out[nid] = hidden_at(model, layer, ctx + path_tokens(tree, nid))
     return out
 
 
@@ -163,7 +163,7 @@ class ExactProbeSource:
         ctx = list(context)
         out = np.empty((tree.node_count, self.target.vocab_size))
         for nid in tree.ids():
-            dist = self.target.next_dist(ctx + tree.path_tokens(nid))
+            dist = self.target.next_dist(ctx + path_tokens(tree, nid))
             out[nid] = np.log(np.maximum(dist, 1e-300))
         return out
 

@@ -45,6 +45,7 @@ from helpers import (
     child_by_token,
     distillation_set,
     marginal_cost,
+    path_tokens,
     total_loss,
     total_loss_grad,
     tree_json,
@@ -103,6 +104,7 @@ def lossless_sweep():
     mismatches = []
     prune_audits = []
     runs = 0
+    hw = load_preset("llama31-8b")
 
     for i in range(n_instances):
         rng = np.random.default_rng([42, i])
@@ -121,8 +123,8 @@ def lossless_sweep():
             draft = derive_draft(target, alpha, int(rng.integers(2**31)))
             profile = affine_profile(1000.0, 3.0, 1.0, 48, 16)
             policies = {
-                "chain_sd": ChainPolicy(draft, 8),
-                "balanced_tree": BalancedTreePolicy(draft, 2, 16),
+                "chain_sd": ChainPolicy(draft, hw, 8),
+                "balanced_tree": BalancedTreePolicy(draft, hw, 2, 16),
                 "lever": GainCostPolicy(draft, cfg, profile),
                 "lever_noprune": GainCostPolicy(draft, cfg, profile),
             }
@@ -203,7 +205,7 @@ def test_criterion_03_gain_estimate_calibration(report):
 
     cumsums = {}
     for nid in tree.ids():
-        dist = target.next_dist(ctx + tree.path_tokens(nid))
+        dist = target.next_dist(ctx + path_tokens(tree, nid))
         cumsums[nid] = np.cumsum(dist)
     rng = np.random.default_rng(2024)
     n_cycles = 12000

@@ -1,4 +1,6 @@
-"""The cost-class builder against the per-entry reference builder."""
+"""The cost-class builder against the per-entry reference builder, and the
+fixed-shape builds, which carry draft tails, against the full-prefix
+reference."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,8 +12,11 @@ from flashspec.drafting import (
     build_tree,
 )
 from flashspec.models import TabularMarkovModel, derive_draft
+from flashspec.policies import BalancedTreePolicy, ChainPolicy
+from flashspec.simulator import load_preset
 from helpers import affine_profile, grid_shapes, tree_json
 from reference_builder import build_tree as reference_build_tree
+from reference_builder import grow_levels
 
 
 class CoarseDraft:
@@ -90,3 +95,40 @@ def test_fast_builder_matches_reference(instance):
     assert fast.estimate == slow.estimate
     assert fast.expansion_counts == slow.expansion_counts
     assert fast.candidate_sets == slow.candidate_sets
+
+
+@st.composite
+def fixed_shape_instances(draw):
+    vocab = draw(st.integers(6, 12))
+    target = TabularMarkovModel(
+        vocab, draw(st.integers(1, 3)), draw(st.integers(0, 10_000)),
+        concentration=draw(st.sampled_from([0.1, 0.3, 1.0])),
+    )
+    draft = derive_draft(
+        target, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 10_000))
+    )
+    if draw(st.booleans()):
+        draft = CoarseDraft(draft)
+    hw = load_preset("llama31-8b")
+    if draw(st.booleans()):
+        policy = ChainPolicy(draft, hw, draw(st.integers(1, 8)))
+        fanout, depth = 1, policy.length
+    else:
+        fanout = draw(st.integers(1, 4))
+        policy = BalancedTreePolicy(draft, hw, fanout, draw(st.integers(fanout, 40)))
+        depth = policy.depth()
+    # contexts shorter than the draft order (padded) and far longer
+    context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=40))
+    return policy, draft, context, fanout, depth
+
+
+@settings(max_examples=100)
+@given(fixed_shape_instances())
+def test_fixed_shape_tails_match_full_prefix_reference(instance):
+    policy, draft, context, fanout, depth = instance
+    out = policy.build(context)
+    tree, candidate_sets, counts, gain = grow_levels(draft, context, fanout, depth)
+    assert tree_json(out.tree) == tree_json(tree)
+    assert out.candidate_sets == candidate_sets
+    assert out.expansion_counts == counts
+    assert out.estimate.gain == gain

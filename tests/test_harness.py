@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flashspec import harness
 from flashspec.cli import main as cli_main
@@ -41,7 +43,14 @@ from flashspec.predictor import (
     save_checkpoint,
     train,
 )
-from flashspec.simulator import HardwareConfig, load_preset, simulate_decode, verify_latency
+from flashspec.simulator import (
+    PRESET_DIR,
+    HardwareConfig,
+    load_preset,
+    price_cycle,
+    simulate_decode,
+    verify_latency,
+)
 from flashspec.verification import run_decode
 from helpers import tree_json, zero_probe
 
@@ -255,8 +264,39 @@ class TestRunExperiment:
                         "cdd0e44876e06ca46e022e9a483f2cc63d179593e7f20891979179d647b4340a",
                 },
             ),
+            (
+                # the fixed-shape baselines: drafts from carried tails, no pruner
+                {"policy": "chain_sd"},
+                32,
+                2,
+                {
+                    "report.json":
+                        "5f1089832fa3860bbb47089539a975ae9fe2b976da249e40ea09888275443465",
+                    "report.csv":
+                        "49e1d6a9dfe0579d48e49a2e6d432b999e5bc9ebd4138626a39497ecaa69e549",
+                    "trace.json":
+                        "28bbd4bab5547910557acc554e2e1cc83510108a6780e77de7609e93a453875a",
+                    "trace.csv":
+                        "e765750e2003d7d5e9bf45102d09609f55790ca5cdfac0085a228919fc1d0673",
+                },
+            ),
+            (
+                {"policy": "balanced_tree"},
+                32,
+                2,
+                {
+                    "report.json":
+                        "1c30934cb4c3fa09e3523a735e3ed2030b7df2d93aaf83197c8becdaf29e354a",
+                    "report.csv":
+                        "61bcbdaeb4b991891f08f322993dd998af3b1d794ae1b181ed7d79e0df34692c",
+                    "trace.json":
+                        "0fbeac11ec5020311ae3a1a9dfffc67e6c7c0a53515c9f629d8459b95bc7e003",
+                    "trace.csv":
+                        "25cd4de304bfe5af05f4f7fbefaefc16508a9e501fd613d3cf482e4130cb6610",
+                },
+            ),
         ],
-        ids=["tabular", "layered-probe"],
+        ids=["tabular", "layered-probe", "chain_sd", "balanced_tree"],
     )
     def test_report_outputs_are_pinned(self, tmp_path, overrides, horizon, trials, want):
         """Digests of the four files a short run of the shipped config
@@ -323,6 +363,67 @@ class TestPlannedDraftPrice:
         for out, cost in zip(builds, trace.cycles):
             assert out.expansion_counts
             assert out.estimate.draft_cost == cost.draft_ms
+
+
+def hardware_regimes() -> list[HardwareConfig]:
+    """Every shipped preset as shipped, in the compute-bound regime
+    (``dram_resident_frac`` 0.8, ``overlap`` sum), and each of those with
+    every expansion step batched (``batch_min`` 1)."""
+    out = []
+    for path in sorted(PRESET_DIR.glob("*.json")):
+        for hw in (
+            load_preset(path.stem),
+            replace(load_preset(path.stem), dram_resident_frac=0.8, overlap="sum"),
+        ):
+            out += [hw, replace(hw, batch_min=1)]
+    return out
+
+
+class TestEstimateIsPrice:
+    @pytest.mark.parametrize(
+        "policy, fanout",
+        [("flash_ar", 2), ("chain_sd", 2), ("lever_noprune", 2)]
+        + [("balanced_tree", fanout) for fanout in range(1, 5)],
+    )
+    @settings(max_examples=3, deadline=None)
+    @given(
+        budget=st.integers(4, 40),
+        agreement=st.floats(0.0, 1.0),
+        seed=st.integers(0, 1000),
+    )
+    def test_every_cycle_estimate_is_its_price(self, policy, fanout, budget, agreement, seed):
+        """Draft estimate = priced draft ms, verify estimate = priced verify
+        stage, on every cycle.  Lever's verify estimate reads its profile,
+        so it is checked where the built shape lies on the profile grid."""
+        base = small_cfg(
+            policy=policy, trials=1, horizon=16, seed=seed,
+            draft=DraftSpec(agreement=agreement),
+            balanced_fanout=fanout, balanced_budget=budget,
+        )
+        # the models do not depend on the hardware, so every regime shares them
+        target = make_target(base.model, 0)
+        draft = make_draft(base, target, 0)
+        for hw in hardware_regimes():
+            cfg = replace(base, hardware=hw)
+            policy_obj = make_policy(cfg, draft, hw, seed_profile(cfg, hw))
+            builds = []
+
+            def build(context, _build=policy_obj.build):
+                builds.append(_build(context))
+                return builds[-1]
+
+            policy_obj.build = build
+            decode = run_decode(target, make_context(cfg, 0), cfg.horizon, policy_obj)
+            assert len(builds) == len(decode.cycles)
+            for out, record in zip(builds, decode.cycles):
+                cost = price_cycle(record, hw, cfg.projection_mode)
+                assert out.estimate.draft_cost == cost.draft_ms
+                nodes, leaves = out.tree.shape
+                if policy == "lever_noprune" and (
+                    nodes > cfg.profile_max_nodes or leaves > cfg.profile_max_leaves
+                ):
+                    continue
+                assert out.estimate.verify_cost == cost.verify_stage_ms
 
 
 class TestProfileGrid:
@@ -415,6 +516,26 @@ class TestComparePolicies:
         assert lever_ms == noprune_ms
         lever_ms, noprune_ms = self._lever_and_noprune(projection_mode="eager")
         assert lever_ms < noprune_ms
+
+    def test_mismatched_projection_mode_refused(self):
+        # every policy's projection is priced, so a mode that differs between
+        # two configs would move the comparison by itself
+        a = small_cfg(policy="lever", projection_mode="ondemand")
+        b = small_cfg(policy="lever_noprune", projection_mode="eager")
+        with pytest.raises(ConfigError, match="projection_mode"):
+            compare_policies([a, b])
+
+    @pytest.mark.parametrize("normalize_to", ["flash_ar", "lever_noprune"])
+    def test_absent_anchor_refused_before_any_run(self, monkeypatch, normalize_to):
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", lambda cfg: runs.append(cfg))
+        cfg = small_cfg(trials=1)
+        with pytest.raises(ConfigError, match=repr(normalize_to)):
+            compare_policies(
+                [replace(cfg, policy="lever"), replace(cfg, policy="chain_sd")],
+                normalize_to=normalize_to,
+            )
+        assert runs == []
 
     def test_chain_beats_flash_ar_with_perfect_draft(self):
         cfg = small_cfg(draft=DraftSpec(agreement=1.0), trials=1)

@@ -18,7 +18,7 @@ from flashspec.models import (
 from flashspec.predictor import ExactProbeSource, LayeredHiddenSource
 from flashspec.seeding import block_states, generator
 from flashspec.tree import ROOT_ID, TokenTree
-from helpers import candidate_tokens, hidden_at, layered_logits, tabular_row
+from helpers import candidate_tokens, hidden_at, layered_logits, path_tokens, tabular_row
 
 
 class FixedModel:
@@ -273,7 +273,7 @@ class TestHiddenStates:
 
     def _row_prefixes(self, ctx):
         tree = self._tree()
-        return [ctx + tree.path_tokens(nid) for nid in tree.ids()]
+        return [ctx + path_tokens(tree, nid) for nid in tree.ids()]
 
     def test_single_row_equals_direct_call(self):
         model = LayeredTargetModel(16, 2, depth=4, hidden_dim=8, seed=2)

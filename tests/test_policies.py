@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,9 +8,12 @@ from flashspec.drafting import DraftConfig
 from flashspec.errors import ConfigError
 from flashspec.models import TabularMarkovModel, derive_draft
 from flashspec.policies import BalancedTreePolicy, ChainPolicy, GainCostPolicy, RootOnlyPolicy
+from flashspec.simulator import load_preset
 from flashspec.tree import ROOT_ID, flatten
 from flashspec.verification import VerificationResult
-from helpers import affine_profile, candidate_tokens, tree_json
+from helpers import affine_profile, candidate_tokens, path_tokens, tree_json
+
+HW = load_preset("llama31-8b")
 
 
 def models(seed=9, agreement=0.8):
@@ -18,7 +23,7 @@ def models(seed=9, agreement=0.8):
 
 class TestRootOnly:
     def test_builds_bare_root(self):
-        policy = RootOnlyPolicy()
+        policy = RootOnlyPolicy(HW)
         out = policy.build([4, 2])
         assert out.tree.node_count == 1
         assert out.expansion_counts == []
@@ -93,7 +98,7 @@ class TestGainCostObserve:
         while node != ROOT_ID:
             path.append(node)
             node = tree.node(node).parent
-        emitted = (*tree.path_tokens(leaf), miss.fallback)
+        emitted = (*path_tokens(tree, leaf), miss.fallback)
         policy.rel = 0.5
         policy.observe(VerificationResult(tuple(reversed(path)), emitted))
         assert policy.rel == 0.5
@@ -102,14 +107,14 @@ class TestGainCostObserve:
 class TestChain:
     def test_chain_shape_and_counts(self):
         _, draft = models()
-        out = ChainPolicy(draft, length=8).build([4, 2])
+        out = ChainPolicy(draft, HW, length=8).build([4, 2])
         assert out.tree.node_count == 9
         assert out.tree.leaf_count == 1
         assert out.expansion_counts == [1] * 8
 
     def test_chain_follows_draft_argmax(self):
         target, draft = models()
-        out = ChainPolicy(draft, length=4).build([4, 2])
+        out = ChainPolicy(draft, HW, length=4).build([4, 2])
         _, tokens = flatten(out.tree)
         prefix = [4, 2]
         import numpy as np
@@ -120,7 +125,7 @@ class TestChain:
 
     def test_reaches_are_path_draft_probabilities(self):
         _, draft = models()
-        out = ChainPolicy(draft, length=3).build([4, 2])
+        out = ChainPolicy(draft, HW, length=3).build([4, 2])
         tree = out.tree
         prefix, reach = [4, 2], 1.0
         for nid in tree.ids():
@@ -134,7 +139,7 @@ class TestChain:
     def test_bad_length_is_refused_at_construction(self):
         _, draft = models()
         with pytest.raises(ConfigError, match="chain length"):
-            ChainPolicy(draft, length=0)
+            ChainPolicy(draft, HW, length=0)
 
 
 class TestBalanced:
@@ -143,14 +148,14 @@ class TestBalanced:
     )
     def test_depth_fits_budget(self, fanout, budget, depth):
         _, draft = models()
-        policy = BalancedTreePolicy(draft, fanout, budget)
+        policy = BalancedTreePolicy(draft, HW, fanout, budget)
         assert policy.depth() == depth
         nodes = sum(fanout ** (d + 1) for d in range(depth))
         assert nodes <= budget
 
     def test_level_counts_are_batchable(self):
         _, draft = models()
-        out = BalancedTreePolicy(draft, 2, 16).build([4, 2])
+        out = BalancedTreePolicy(draft, HW, 2, 16).build([4, 2])
         assert out.expansion_counts == [1, 2, 4]
         assert out.tree.node_count == 15   # root + 2 + 4 + 8
         assert out.tree.leaf_count == 8
@@ -159,7 +164,7 @@ class TestBalanced:
         import numpy as np
 
         _, draft = models()
-        out = BalancedTreePolicy(draft, 2, 6).build([4, 2])
+        out = BalancedTreePolicy(draft, HW, 2, 6).build([4, 2])
         tree = out.tree
         p = draft.next_dist([4, 2])
         top2 = sorted(range(16), key=lambda t: (-p[t], t))[:2]
@@ -169,7 +174,7 @@ class TestBalanced:
     def test_every_parent_records_its_candidate_set(self):
         # pruning normalizes each parent's scores over its recorded set
         _, draft = models()
-        out = BalancedTreePolicy(draft, 2, 16).build([4, 2])
+        out = BalancedTreePolicy(draft, HW, 2, 16).build([4, 2])
         tree = out.tree
         parents = [nid for nid in tree.ids() if tree.children(nid)]
         assert sorted(out.candidate_sets) == parents
@@ -181,7 +186,7 @@ class TestBalanced:
     def test_bad_shape_is_refused_at_construction(self, fanout, budget):
         _, draft = models()
         with pytest.raises(ConfigError, match="fanout and node_budget"):
-            BalancedTreePolicy(draft, fanout, budget)
+            BalancedTreePolicy(draft, HW, fanout, budget)
 
     @pytest.mark.parametrize("fanout,budget", [(4, 3), (2, 1), (16, 15)])
     def test_first_level_over_budget_is_refused(self, fanout, budget):
@@ -190,7 +195,7 @@ class TestBalanced:
         with pytest.raises(
             ConfigError, match=f"fanout={fanout} exceeds node_budget={budget}"
         ):
-            BalancedTreePolicy(draft, fanout, budget)
+            BalancedTreePolicy(draft, HW, fanout, budget)
 
 
 @settings(max_examples=200)
@@ -199,12 +204,13 @@ class TestBalanced:
     agreement=st.floats(0.0, 1.0),
     length=st.integers(1, 10),
     context=st.lists(st.integers(0, 15), min_size=1, max_size=4),
-    draft_ms=st.floats(0.0, 30.0),
+    draft_cpu_ms=st.floats(0.0, 30.0),
 )
-def test_chain_is_the_one_wide_balanced_tree(seed, agreement, length, context, draft_ms):
+def test_chain_is_the_one_wide_balanced_tree(seed, agreement, length, context, draft_cpu_ms):
     _, draft = models(seed, agreement)
-    chain = ChainPolicy(draft, length, draft_ms=draft_ms).build(context)
-    tree = BalancedTreePolicy(draft, 1, length, draft_ms=draft_ms).build(context)
+    hw = replace(HW, draft_cpu_ms=draft_cpu_ms)
+    chain = ChainPolicy(draft, hw, length).build(context)
+    tree = BalancedTreePolicy(draft, hw, 1, length).build(context)
     assert tree_json(chain.tree) == tree_json(tree.tree)
     assert chain.estimate == tree.estimate
     assert chain.stop == tree.stop

@@ -18,10 +18,20 @@ from flashspec.pruning import (
     normalize_scores,
     prune,
 )
+from flashspec.simulator import load_preset
 from flashspec.tree import ROOT_ID, ROOT_PARENT, TokenTree, flatten
 from flashspec.verification import run_decode, verify_tree
-from helpers import affine_profile, candidate_set, candidate_tokens, compact_with_map, recount
+from helpers import (
+    affine_profile,
+    candidate_set,
+    candidate_tokens,
+    compact_with_map,
+    path_tokens,
+    recount,
+)
 from reference_verification import path_posterior
+
+HW = load_preset("llama31-8b")
 
 
 def one_hot_pred(vocab_size):
@@ -296,7 +306,7 @@ class TestTreePruner:
         tree = out.tree
         parents = [nid for nid in tree.ids() if tree.children(nid)]
         hidden = pruner.hidden_source.rows(
-            [[4, 9] + tree.path_tokens(nid) for nid in parents]
+            [[4, 9] + path_tokens(tree, nid) for nid in parents]
         )
         scores = normalize_scores(
             pruner.pred, hidden, tree, parents, out.candidate_sets, pruner.cfg.tau
@@ -330,7 +340,7 @@ class TestTreePruner:
         # the fixed-shape builds record their candidate sets, so their trees prune
         target = TabularMarkovModel(16, 2, seed=47)
         draft = derive_draft(target, 0.5, noise_seed=48)
-        policy = BalancedTreePolicy(draft, fanout=fanout, node_budget=budget)
+        policy = BalancedTreePolicy(draft, HW, fanout=fanout, node_budget=budget)
         pruner = TreePruner(
             EarlyExitPredictor.identity_probe(16),
             ExactProbeSource(target),
@@ -373,12 +383,12 @@ def policy_builds(draw):
     context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=5))
     kind = draw(st.sampled_from(["root_only", "chain", "balanced", "gain_cost"]))
     if kind == "root_only":
-        policy = RootOnlyPolicy()
+        policy = RootOnlyPolicy(HW)
     elif kind == "chain":
-        policy = ChainPolicy(draft, length=draw(st.integers(1, 6)))
+        policy = ChainPolicy(draft, HW, length=draw(st.integers(1, 6)))
     elif kind == "balanced":
         fanout = draw(st.integers(1, 3))
-        policy = BalancedTreePolicy(draft, fanout, draw(st.integers(fanout, 24)))
+        policy = BalancedTreePolicy(draft, HW, fanout, draw(st.integers(fanout, 24)))
     else:
         cfg = DraftConfig(k=draw(st.integers(1, 4)), max_depth=draw(st.integers(1, 5)),
                           b_min=0.01)

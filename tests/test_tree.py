@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flashspec.errors import ContractError, StructureError
 from flashspec.tree import ROOT_ID, CandidateSet, TokenTree, flatten
-from helpers import compact_with_map, recount, tree_from_json, tree_json
+from helpers import compact_with_map, path_tokens, recount, tree_from_json, tree_json
 
 
 def chain_tree(tokens, reaches=None):
@@ -64,7 +64,7 @@ class TestFlatten:
     def test_chain_rows_follow_the_path(self):
         tree = chain_tree([1, 2])
         assert flatten(tree) == ((-1, 0, 1), (-1, 1, 2))
-        assert tree.path_tokens(2) == [1, 2]
+        assert path_tokens(tree, 2) == [1, 2]
 
     def test_siblings_are_independent(self):
         tree = TokenTree()
@@ -72,8 +72,8 @@ class TestFlatten:
         tree.insert(ROOT_ID, 2, 0.4)
         parents, _ = flatten(tree)
         assert parents == (-1, 0, 0)
-        assert tree.path_tokens(1) == [1]
-        assert tree.path_tokens(2) == [2]
+        assert path_tokens(tree, 1) == [1]
+        assert path_tokens(tree, 2) == [2]
 
     def test_parent_rows_precede_children(self):
         tree = TokenTree()
@@ -117,7 +117,7 @@ class TestCompact:
             keep.append(tree.node(keep[-1]).parent)
         out = compact_with_map(tree, keep)[0]
         # oracle: explicit parent walk of the kept path
-        expected_tokens = tree.path_tokens(leaf)
+        expected_tokens = path_tokens(tree, leaf)
         assert flatten(out)[1][1:] == tuple(expected_tokens)
         assert out.leaf_count == 1
 
@@ -183,7 +183,7 @@ class TestProperties:
         parents, tokens = flatten(tree)
         assert len(parents) == tree.node_count
         for nid in tree.ids()[1:]:
-            assert tree.path_tokens(nid) == tree.path_tokens(parents[nid]) + [tokens[nid]]
+            assert path_tokens(tree, nid) == path_tokens(tree, parents[nid]) + [tokens[nid]]
 
     @given(tree_builds())
     @settings(max_examples=60, deadline=None)

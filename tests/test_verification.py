@@ -8,9 +8,12 @@ from flashspec.models import (
     target_greedy_decode,
 )
 from flashspec.policies import ChainPolicy, GainCostPolicy, RootOnlyPolicy
+from flashspec.simulator import load_preset
 from flashspec.tree import ROOT_ID, TokenTree
 from flashspec.verification import run_decode, verify_tree
-from helpers import affine_profile
+from helpers import affine_profile, path_tokens
+
+HW = load_preset("llama31-8b")
 
 
 class ScriptedModel:
@@ -96,7 +99,7 @@ class TestVerifyTree:
             for token, _ in cand.entries
             if tree.child(parent, token) is None
         )
-        path = tree.path_tokens(parent)
+        path = path_tokens(tree, parent)
         target = ScriptedModel(path + [leftover])
         target.base_len = 2
         res = verify_tree(target, [1, 2], tree)
@@ -146,7 +149,7 @@ class TestRunDecode:
     def test_identical_draft_accepts_more_than_one(self):
         target = TabularMarkovModel(16, 2, seed=18, concentration=0.3)
         draft = derive_draft(target, 1.0, noise_seed=4)
-        policy = ChainPolicy(draft, length=8)
+        policy = ChainPolicy(draft, HW, length=8)
         ctx, res = self._run(policy, target)
         mean_accepted = sum(c.accepted_len for c in res.cycles) / len(res.cycles)
         assert mean_accepted > 1.0
@@ -154,7 +157,7 @@ class TestRunDecode:
     def test_horizon_truncation(self):
         target = TabularMarkovModel(16, 2, seed=19, concentration=0.3)
         draft = derive_draft(target, 1.0, noise_seed=4)
-        policy = ChainPolicy(draft, length=8)
+        policy = ChainPolicy(draft, HW, length=8)
         for horizon in (1, 5, 128):
             rng = np.random.default_rng(2)
             ctx = rng.integers(0, 16, size=4).tolist()
@@ -171,7 +174,7 @@ class TestRunDecode:
 
     def test_flash_ar_one_token_per_cycle(self):
         target = TabularMarkovModel(16, 2, seed=21)
-        ctx, res = self._run(RootOnlyPolicy(), target, horizon=16)
+        ctx, res = self._run(RootOnlyPolicy(HW), target, horizon=16)
         assert len(res.cycles) == 16
         assert res.tokens == target_greedy_decode(target, ctx, 16)
 

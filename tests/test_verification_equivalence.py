@@ -22,6 +22,7 @@ from helpers import (
     candidate_set,
     child_by_token,
     compact_with_map,
+    path_tokens,
     tree_json,
 )
 from reference_builder import build_tree as reference_build_tree
@@ -104,7 +105,7 @@ def target_trees(draw):
     for _ in range(draw(st.integers(0, 30))):
         parent = handles[draw(st.integers(0, len(handles) - 1))]
         if draw(st.booleans()):
-            prefix = context + tree.path_tokens(parent)
+            prefix = context + path_tokens(tree, parent)
             token = int(np.argmax(target.next_dist(prefix)))
         else:
             token = draw(st.integers(0, vocab - 1))
@@ -161,7 +162,7 @@ def test_fast_stages_match_reference(case):
     assert (len(decision.keep), decision.leaves) == ref_pruned.shape
     assert pruner.exit_fraction == ref_source.exit_fraction
     assert recording.prefixes == [
-        context + tree.path_tokens(nid) for nid in tree.ids() if tree.children(nid)
+        context + path_tokens(tree, nid) for nid in tree.ids() if tree.children(nid)
     ]
 
     identity = {nid: nid for nid in tree.ids()}
@@ -308,7 +309,7 @@ def score_cases(draw):
         pred = EarlyExitPredictor(rng.standard_normal((vocab, target.hidden_dim)), layer)
         source = LayeredHiddenSource(target, layer)
     parents = [nid for nid in tree.ids() if tree.children(nid)]
-    hidden = source.rows([context + tree.path_tokens(p) for p in parents])
+    hidden = source.rows([context + path_tokens(tree, p) for p in parents])
     tau = draw(st.sampled_from([0.5, 1.0, 2.0]))
     return pred, hidden, tree, parents, sets, tau
 
@@ -378,7 +379,7 @@ def test_candidate_set_scores_match_the_leftover_frontier_reference(case):
 
     tree = fast.tree
     parents = [nid for nid in tree.ids() if tree.children(nid)]
-    hidden = source.rows([context + tree.path_tokens(p) for p in parents])
+    hidden = source.rows([context + path_tokens(tree, p) for p in parents])
     got = normalize_scores(pred, hidden, tree, parents, fast.candidate_sets, prune_cfg.tau)
     want = ref.normalize_parent_scores(pred, hidden, slow.tree, parents, prune_cfg.tau, extras)
     assert list(got) == list(want)
