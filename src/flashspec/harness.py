@@ -307,7 +307,18 @@ def priced_grid(hw: HardwareConfig, max_nodes: int, max_leaves: int) -> LatencyP
     return LatencyProfile(partial(verify_latency, hw), max_nodes, max_leaves)
 
 
-def make_pruner(cfg: ExperimentConfig, target: ProbModel, trial: int) -> TreePruner:
+def make_pruner(cfg: ExperimentConfig, target: ProbModel, trial: int) -> TreePruner | None:
+    """Lever's pruner for ``target``, or ``None`` where no keep set can
+    change a price.
+
+    A layered target prunes with its exit-layer probe, loaded from
+    ``cfg.predictor_checkpoint`` or fitted to trial ``trial``'s target.  Any
+    other target scores with the exact probe, which reads the final
+    distribution: its exit fraction is 1.0, so a pruned cycle pays compute
+    for the whole tree.  Under on-demand projection, which charges only the
+    accepted path, the keep set then reaches no priced number, and no
+    pruner is built; under eager projection it saves projected rows.
+    """
     if isinstance(target, LayeredTargetModel):
         layer = default_exit_layer(target.depth)
         if cfg.predictor_checkpoint:
@@ -338,7 +349,11 @@ def make_pruner(cfg: ExperimentConfig, target: ProbModel, trial: int) -> TreePru
             pred = fit_probe(rows, layer)
         return TreePruner(pred, LayeredHiddenSource(target, layer), cfg.pruning)
     # Models without intermediate layers score with the exact probe:
-    # identity weights over log target probabilities.
+    # identity weights over log target probabilities.  Its edge scores are
+    # renormalized target probabilities, so the verification walk stays on
+    # the always-kept backbone: pruning changes no accepted node either.
+    if cfg.projection_mode == "ondemand":
+        return None
     pred = EarlyExitPredictor.identity_probe(target.vocab_size)
     return TreePruner(pred, ExactProbeSource(target), cfg.pruning)
 

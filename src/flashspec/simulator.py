@@ -138,6 +138,16 @@ def projection_accounting(
 
 @dataclass(frozen=True)
 class CycleCost:
+    """One priced cycle; its fields are the per-cycle trace columns.
+
+    ``rows_after_prune`` counts the rows the cycle verified: the pruner's
+    keep set on a pruned cycle, every tree row otherwise (1 on an
+    autoregressive step).  Eager projection charges exactly those rows.
+    Compute charges the kept rows past the exit layer only, so at exit
+    fraction 1.0 (the tabular exact probe, pruned only under eager
+    projection) it pays for the whole tree, more rows than this column.
+    """
+
     draft_ms: float
     verify_io_ms: float                  # pre-overlap I/O component
     verify_compute_ms: float             # pre-overlap compute component

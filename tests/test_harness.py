@@ -37,12 +37,15 @@ from flashspec.models import MixtureDraftModel
 from flashspec.predictor import (
     DistillationSet,
     EarlyExitPredictor,
+    ExactProbeSource,
+    LayeredHiddenSource,
     build_distillation_dataset,
     default_exit_layer,
     load_checkpoint,
     save_checkpoint,
     train,
 )
+from flashspec.pruning import TreePruner
 from flashspec.simulator import (
     PRESET_DIR,
     HardwareConfig,
@@ -233,6 +236,7 @@ class TestRunExperiment:
         "overrides, horizon, trials, want",
         [
             (
+                # the shipped tabular lever projects on demand: no pruner
                 {},
                 32,
                 2,
@@ -242,9 +246,9 @@ class TestRunExperiment:
                     "report.csv":
                         "3f351eb2d4b3ab4f421018a9cde3fa5bd8b6a07579caec8b682360e019c0d9d1",
                     "trace.json":
-                        "e74ac4217c165d7fafdd190aa8ddb0cee9cdf4d627b21d55db6adb225d3d2385",
+                        "f8b493e53b19427a94724318f107f5c1bbcf564cb6f7674d7d37690e7e235472",
                     "trace.csv":
-                        "8a3bf880d666cb831edba54f4dc93a2f205d5825549397b4b30a4b5a62b49c01",
+                        "493a4a153e9f0ff9ce63e51cf5153fd6fd112ce4135eb3c942d27a5e0b84f42a",
                 },
             ),
             (
@@ -357,7 +361,7 @@ class TestPlannedDraftPrice:
         decode = run_decode(target, make_context(cfg, 0), cfg.horizon, policy, pruner=pruner)
         trace, _ = simulate_decode(
             decode.cycles, hw, emitted_tokens=len(decode.tokens),
-            exit_fraction=pruner.exit_fraction,
+            exit_fraction=pruner.exit_fraction if pruner is not None else None,
         )
         assert len(builds) == len(trace.cycles) > 1
         for out, cost in zip(builds, trace.cycles):
@@ -382,7 +386,7 @@ def hardware_regimes() -> list[HardwareConfig]:
 class TestEstimateIsPrice:
     @pytest.mark.parametrize(
         "policy, fanout",
-        [("flash_ar", 2), ("chain_sd", 2), ("lever_noprune", 2)]
+        [("flash_ar", 2), ("chain_sd", 2), ("lever", 2), ("lever_noprune", 2)]
         + [("balanced_tree", fanout) for fanout in range(1, 5)],
     )
     @settings(max_examples=3, deadline=None)
@@ -394,7 +398,8 @@ class TestEstimateIsPrice:
     def test_every_cycle_estimate_is_its_price(self, policy, fanout, budget, agreement, seed):
         """Draft estimate = priced draft ms, verify estimate = priced verify
         stage, on every cycle.  Lever's verify estimate reads its profile,
-        so it is checked where the built shape lies on the profile grid."""
+        so it is checked where the built shape lies on the profile grid.
+        Lever runs with the pruner its trial builds, none on demand."""
         base = small_cfg(
             policy=policy, trials=1, horizon=16, seed=seed,
             draft=DraftSpec(agreement=agreement),
@@ -413,13 +418,16 @@ class TestEstimateIsPrice:
                 return builds[-1]
 
             policy_obj.build = build
-            decode = run_decode(target, make_context(cfg, 0), cfg.horizon, policy_obj)
+            pruner = make_pruner(cfg, target, 0) if policy == "lever" else None
+            decode = run_decode(
+                target, make_context(cfg, 0), cfg.horizon, policy_obj, pruner=pruner
+            )
             assert len(builds) == len(decode.cycles)
             for out, record in zip(builds, decode.cycles):
                 cost = price_cycle(record, hw, cfg.projection_mode)
                 assert out.estimate.draft_cost == cost.draft_ms
                 nodes, leaves = out.tree.shape
-                if policy == "lever_noprune" and (
+                if policy.startswith("lever") and (
                     nodes > cfg.profile_max_nodes or leaves > cfg.profile_max_leaves
                 ):
                     continue
@@ -501,21 +509,22 @@ class TestComparePolicies:
         _, lever = run_experiment(replace(base, policy="lever"))
         _, noprune = run_experiment(replace(base, policy="lever_noprune"))
         assert lever[0].emitted == noprune[0].emitted
-        return lever[0].trace.total_ms, noprune[0].trace.total_ms
+        return lever[0].trace, noprune[0].trace
 
     def test_learned_probe_pruning_saves_verify_compute(self):
-        lever_ms, noprune_ms = self._lever_and_noprune(
+        lever, noprune = self._lever_and_noprune(
             model=ModelSpec(type="layered"), predictor_examples=300
         )
-        assert lever_ms < noprune_ms
+        assert lever.total_ms < noprune.total_ms
 
     def test_exact_probe_pruning_saves_only_eager_projection(self):
         # The exact probe reads the target's final distribution, so scoring
-        # is priced at full depth: on demand, pruning saves nothing.
-        lever_ms, noprune_ms = self._lever_and_noprune(projection_mode="ondemand")
-        assert lever_ms == noprune_ms
-        lever_ms, noprune_ms = self._lever_and_noprune(projection_mode="eager")
-        assert lever_ms < noprune_ms
+        # is priced at full depth: on demand, lever builds no pruner and its
+        # trace is lever_noprune's, cycle by cycle.
+        lever, noprune = self._lever_and_noprune(projection_mode="ondemand")
+        assert lever == noprune
+        lever, noprune = self._lever_and_noprune(projection_mode="eager")
+        assert lever.total_ms < noprune.total_ms
 
     def test_mismatched_projection_mode_refused(self):
         # every policy's projection is priced, so a mode that differs between
@@ -553,6 +562,90 @@ class TestComparePolicies:
             normalize_to="lever",
         )
         assert table["policies"]["lever"]["normalized_tokens_per_s"] == pytest.approx(1.0)
+
+
+class TestMakePruner:
+    """Lever prunes only where a keep set can change a price: on a layered
+    target, or under eager projection."""
+
+    def test_tabular_on_demand_builds_no_pruner(self):
+        cfg = small_cfg(policy="lever", projection_mode="ondemand")
+        assert make_pruner(cfg, make_target(cfg.model, 0), 0) is None
+
+    def test_tabular_eager_prunes_with_the_exact_probe(self):
+        cfg = small_cfg(policy="lever", projection_mode="eager")
+        pruner = make_pruner(cfg, make_target(cfg.model, 0), 0)
+        assert isinstance(pruner, TreePruner)
+        assert isinstance(pruner.hidden_source, ExactProbeSource)
+        assert pruner.exit_fraction == 1.0
+
+    @pytest.mark.parametrize("mode", ["eager", "ondemand"])
+    def test_layered_prunes_at_the_exit_layer_in_both_modes(self, mode):
+        cfg = small_cfg(
+            policy="lever", projection_mode=mode, predictor_examples=10,
+            model=ModelSpec(type="layered", vocab_size=8, order=1, seed=4, depth=2, hidden_dim=4),
+        )
+        pruner = make_pruner(cfg, make_target(cfg.model, 0), 0)
+        assert isinstance(pruner, TreePruner)
+        assert isinstance(pruner.hidden_source, LayeredHiddenSource)
+        assert pruner.exit_fraction < 1.0
+
+    def test_tabular_on_demand_lever_trial_is_lever_noprune(self):
+        cfg = small_cfg(trials=1, horizon=32)
+        lever = run_trial(replace(cfg, policy="lever"), 0)
+        noprune = run_trial(replace(cfg, policy="lever_noprune"), 0)
+        assert lever.metrics == noprune.metrics
+        assert lever.trace == noprune.trace
+        assert lever.decode == noprune.decode
+
+
+class TestExactProbeSkipOracle:
+    """The exact-probe prune stays the reference for the skip: under
+    on-demand projection, pruning a tabular lever run changes no token, no
+    accepted node and no price, only the verified-row count."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        model_seed=st.integers(0, 1000),
+        agreement=st.floats(0.0, 1.0),
+        seed=st.integers(0, 1000),
+    )
+    def test_pruned_and_unpruned_runs_agree_on_every_price(self, model_seed, agreement, seed):
+        base = small_cfg(
+            policy="lever", trials=1, horizon=24, seed=seed,
+            model=ModelSpec(seed=model_seed), draft=DraftSpec(agreement=agreement),
+        )
+        target = make_target(base.model, 0)
+        draft = make_draft(base, target, 0)
+        context = make_context(base, 0)
+        exact = TreePruner(
+            EarlyExitPredictor.identity_probe(target.vocab_size),
+            ExactProbeSource(target),
+            base.pruning,
+        )
+        for hw in hardware_regimes():
+            cfg = replace(base, hardware=hw)
+            runs = []
+            for pruner in (exact, None):
+                policy = make_policy(cfg, draft, hw, seed_profile(cfg, hw))
+                accepted = []
+
+                def observe(result, _observe=policy.observe, _accepted=accepted):
+                    _accepted.append(result.accepted_nodes)
+                    _observe(result)
+
+                policy.observe = observe
+                decode = run_decode(target, context, cfg.horizon, policy, pruner=pruner)
+                costs = [
+                    replace(
+                        price_cycle(r, hw, "ondemand", exact.exit_fraction),
+                        rows_after_prune=0,
+                    )
+                    for r in decode.cycles
+                ]
+                runs.append((decode.tokens, accepted, costs))
+            pruned, unpruned = runs
+            assert pruned == unpruned
 
 
 class TestLayeredEndToEnd:
