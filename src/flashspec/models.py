@@ -5,11 +5,11 @@ Every model is immutable after construction and reproducible bit-for-bit
 given its seed.  Every model exposes ``order``: its output depends only on
 the padded last-``order`` tokens of the prefix, so outputs are memoized per
 padded tail: tabular rows, and for the layered target one full forward pass
-(every layer's hidden state, the logits and the softmax).  ``next_dists``
-reads many prefixes at once: the layered target computes the passes of its
-missing tails as one batch, and the tabular model normalizes its missing
-rows as one batch.  A memoized value is exactly what a fresh evaluation
-returns, which keeps the models usable as exact oracles.
+(every layer's hidden state, the logits and the softmax).  Every model is
+read one prefix at a time through ``next_dist``; only the layered target's
+``forward_tails`` computes the passes of many missing tails as one batch.
+A memoized value is exactly what a fresh evaluation returns, which keeps
+the models usable as exact oracles.
 
 For the same reason :func:`draft_candidates` computes one immutable
 :class:`~flashspec.tree.CandidateSet` per ``(padded tail, k)`` and stores it
@@ -41,11 +41,6 @@ class ProbModel(abc.ABC):
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
         """Probability vector over the vocabulary; non-negative, sums to 1."""
 
-    @abc.abstractmethod
-    def next_dists(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        """``next_dist`` of each prefix, one row per prefix: shape (n, V),
-        byte-equal to the stacked single reads."""
-
 
 def _stacked(rows: list[np.ndarray], width: int) -> np.ndarray:
     """``rows`` as one (n, width) array; no rows give shape (0, width)."""
@@ -65,13 +60,6 @@ def _padded_tail(prefix: Sequence[int], order: int) -> tuple[int, ...]:
     if len(tail) < order:
         tail = (0,) * (order - len(tail)) + tail
     return tail
-
-
-def _normalized(raw: np.ndarray) -> np.ndarray:
-    """Rows of ``raw`` floored at 1e-300 and scaled to sum to 1, in place."""
-    np.maximum(raw, 1e-300, out=raw)
-    raw /= raw.sum(axis=-1, keepdims=True)
-    return raw
 
 
 @cache
@@ -98,9 +86,7 @@ class TabularMarkovModel(ProbModel):
     ``ROW_BLOCK`` consecutive row indices: the first read in a block derives
     the PCG64 state words of all its rows in one vectorized pass
     (:func:`flashspec.seeding.block_states`), and every row of the block
-    then starts its generator from its own words.  ``row`` and
-    ``next_dists`` share this path and :func:`_normalized`, one row or all
-    missing rows at once, so a batch has the bytes of single reads.
+    then starts its generator from its own words.
     The ``concentration`` parameter shapes row peakedness (gamma-normalized
     draws; small values give near-deterministic rows).
     """
@@ -149,19 +135,12 @@ class TabularMarkovModel(ProbModel):
         idx = self.row_index(key)
         cached = self._rows.get(idx)
         if cached is None:
-            cached = self._rows[idx] = _normalized(self._gamma(idx))
+            raw = np.maximum(self._gamma(idx), 1e-300)
+            cached = self._rows[idx] = raw / raw.sum()
         return cached
 
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
         return self.row(_padded_tail(prefix, self.order))
-
-    def next_dists(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        idxs = [self.row_index(_padded_tail(p, self.order)) for p in prefixes]
-        missing = list(dict.fromkeys(i for i in idxs if i not in self._rows))
-        if missing:
-            raw = np.array([self._gamma(i) for i in missing])
-            self._rows.update(zip(missing, _normalized(raw)))
-        return _stacked([self._rows[i] for i in idxs], self.vocab_size)
 
 
 # (hidden state after each layer, logits, softmax) of one layered forward pass
@@ -220,9 +199,6 @@ class LayeredTargetModel(ProbModel):
             self._compute(missing)
         return [self._passes[t] for t in tails]
 
-    def next_dists(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        return _stacked([dist for _, _, dist in self.forward_tails(prefixes)], self.vocab_size)
-
     def _compute(self, tails: list[tuple[int, ...]]) -> None:
         """Memoize the forward pass of each tail, computed as one batch."""
         for tail in tails:
@@ -277,15 +253,6 @@ class MixtureDraftModel(ProbModel):
             return self.noise.next_dist(tail[-self.noise.order:])
         target = self.target.next_dist(tail[-self.target.order:])
         return a * target + (1.0 - a) * self.noise.next_dist(tail[-self.noise.order:])
-
-    def next_dists(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        a = self.agreement
-        if a >= 1.0:
-            return self.target.next_dists(prefixes)
-        if a <= 0.0:
-            return self.noise.next_dists(prefixes)
-        target, noise = self.target.next_dists(prefixes), self.noise.next_dists(prefixes)
-        return a * target + (1.0 - a) * noise
 
 
 def derive_draft(

@@ -329,13 +329,13 @@ def build_distillation_dataset(
     max_len: int = 16,
 ) -> DistillationSet:
     """:func:`distillation_rows` at tails padded for both models, with each
-    row's drafted candidate set: the top ``k`` of one batched draft read."""
+    row's drafted candidate set: the top ``k`` of the draft's read of the tail."""
     if not (1 <= k <= draft.vocab_size):
         raise ContractError(f"k={k} outside [1, {draft.vocab_size}]")
     rows, tails = distillation_rows(
         target, layer, n_examples, seed, max(target.order, draft.order), min_len, max_len
     )
-    P = draft.next_dists(tails)
+    P = _stacked([draft.next_dist(tail) for tail in tails], draft.vocab_size)
     # Top-k by draft probability with ties toward the smaller id (stable sort
     # of -P), then in token order: restriction is a set, and a neutral order
     # keeps the zero-initialized predictor at chance-level agreement.
@@ -396,7 +396,8 @@ class ExactProbeSource:
     Paired with :meth:`EarlyExitPredictor.identity_probe`, edge scores equal
     log target probabilities, so score normalization reduces to renormalized
     target probabilities over each candidate set.  Those rows are the
-    target's final distributions, so scoring is priced at the full depth.
+    target's final distributions, read one prefix at a time through
+    ``next_dist``, so scoring is priced at the full depth.
     """
 
     exit_fraction = 1.0
@@ -405,6 +406,6 @@ class ExactProbeSource:
         self.target = target
 
     def rows(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        """Log target probabilities after each prefix, one row per prefix,
-        from one batched read."""
-        return np.log(np.maximum(self.target.next_dists(prefixes), 1e-300))
+        """Log target probabilities after each prefix, one row per prefix."""
+        dists = [self.target.next_dist(p) for p in prefixes]
+        return np.log(np.maximum(_stacked(dists, self.target.vocab_size), 1e-300))

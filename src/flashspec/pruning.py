@@ -6,12 +6,12 @@ parents' ids builds each parent's prefix from its parent's.  Edge
 scores are normalized within each parent's full candidate set, as the build
 recorded it: the inserted children in insertion order, then the candidate
 tokens that have no child in candidate order.  The tokens without a child
-are never kept; they only make the comparison meaningful.  Every edge of the
-tree is scored in one pass: the members of all parents are gathered into one
-token list, scored by one batched matrix-vector product, and
-softmax-normalized per parent with the rounding of a per-parent evaluation;
-when every set has one size, as in every lever and balanced build, the
-scores form a single (parents, k) block.
+are never kept; they only make the comparison meaningful.  Every build
+records one candidate count per tree (lever ``k``, balanced ``fanout``,
+chain 1), so the members of all parents form one (parents, k) block: it is
+scored by one batched matrix-vector product and softmax-normalized row by
+row, with the rounding of a per-parent evaluation.  The scores come back as
+one list indexed by node id, the score of the edge into each node.
 
 A node's path posterior is the product of its path's normalized edge
 scores: the chance that verification reaches it, as the probe sees it.
@@ -73,21 +73,22 @@ def normalize_scores(
     parents: Sequence[int],
     candidate_sets: Mapping[int, CandidateSet],
     tau: float,
-) -> dict[tuple[int, int], float]:
-    """Per-edge softmax scores at temperature ``tau``.
+) -> list[float]:
+    """Softmax edge scores at temperature ``tau``, one per node id: the
+    score of the edge into the node; 1.0 for the root and for children of
+    nodes not in ``parents``.
 
     ``parents`` are the nodes with inserted children and ``hidden[i]``
     is the hidden vector of ``parents[i]``.  Each parent's scores are
     normalized over its members: its children's tokens in insertion order,
     then the tokens of its candidate set in ``candidate_sets`` that have no
-    child, in candidate order.  Those childless tokens receive scores too
-    but are never kept as output.
+    child, in candidate order.  Every parent must have as many members as
+    the first.
     """
     if hidden.shape[0] != len(parents):
         raise ContractError("hidden rows do not match the parents")
-    owners: list[int] = []                     # each edge's parent, parent by parent
-    members: list[int] = []                    # each edge's token
-    sizes: list[int] = []                      # each parent's member count
+    scores = [1.0] * tree.node_count
+    members: list[int] = []                    # each parent's member tokens, parent by parent
     for parent in parents:
         kids = [tree.node(cid).token for cid in tree.children(parent)]
         if not kids:
@@ -97,11 +98,14 @@ def normalize_scores(
             raise ContractError(f"node {parent} has no recorded candidate set")
         taken = set(kids)
         kids += [t for t, _ in cand.entries if t not in taken]
-        owners += [parent] * len(kids)
+        if members and len(kids) != width:
+            raise ContractError(
+                f"node {parent} has {len(kids)} members, node {parents[0]} has {width}"
+            )
+        width = len(kids)
         members += kids
-        sizes.append(len(kids))
     if not members:
-        return {}
+        return scores
     if min(members) < 0 or max(members) >= pred.vocab_size:
         outside = next(t for t in members if not 0 <= t < pred.vocab_size)
         raise ContractError(f"token {outside} outside vocabulary")
@@ -110,31 +114,24 @@ def normalize_scores(
 
     # One dot product per edge (batched 1 x d by d x 1 products): a gather
     # from W[tokens] @ h rounds differently.
-    rows = np.repeat(hidden, sizes, axis=0)
+    rows = np.repeat(hidden, width, axis=0)
     raw = (pred.weights[members][:, None, :] @ rows[:, :, None])[:, 0, 0]
     raw /= tau
-    # The candidate sets of one size are normalized as one (sets, size)
-    # block: a row sum of a block rounds like the 1-D sum of that row, where
-    # np.add.reduceat over the flat array does not.  Lever and balanced
-    # builds record k tokens for every parent: one block, the scores reshaped.
-    if sizes.count(sizes[0]) == len(sizes):
-        blocks = [(sizes[0], slice(None))]
-    else:
-        starts = np.cumsum(sizes) - sizes
-        blocks = [(n, (starts[np.equal(sizes, n)][:, None] + np.arange(n)).ravel())
-                  for n in set(sizes)]
-    norm = np.empty_like(raw)
-    for size, at in blocks:
-        block = raw[at].reshape(-1, size)
-        block -= block.max(axis=1, keepdims=True)
-        e = np.exp(block)
-        norm[at] = (e / e.sum(axis=1, keepdims=True)).ravel()
-    return dict(zip(zip(owners, members), norm.tolist()))
+    # One (parents, width) block: its row sums round like the 1-D sum of
+    # each parent's members, where np.add.reduceat over the flat array
+    # does not.
+    block = raw.reshape(-1, width)
+    block -= block.max(axis=1, keepdims=True)
+    e = np.exp(block)
+    for parent, row in zip(parents, (e / e.sum(axis=1, keepdims=True)).tolist()):
+        for cid, s in zip(tree.children(parent), row):   # the children lead each row
+            scores[cid] = s
+    return scores
 
 
 def backbone_path(
     tree: TokenTree,
-    scores: dict[tuple[int, int], float],
+    scores: Sequence[float],
 ) -> list[int]:
     """Most-reliable chain from the root: at each depth descend to the child
     with the best normalized score (ties prefer higher reach, then the
@@ -144,14 +141,14 @@ def backbone_path(
         ranked = []
         for cid in children:
             token, _, _, reach = tree.node(cid)
-            ranked.append((-scores[path[-1], token], -reach, token, cid))
+            ranked.append((-scores[cid], -reach, token, cid))
         path.append(min(ranked)[-1])   # sibling tokens differ: the id never decides
     return path
 
 
 def prune(
     tree: TokenTree,
-    scores: dict[tuple[int, int], float],
+    scores: Sequence[float],
     cfg: PruneConfig,
 ) -> PruneDecision:
     """Keep the root, the backbone, and every node whose path posterior is
@@ -168,8 +165,8 @@ def prune(
     kept_parents = set(backbone[:-1])
     post = [1.0] * tree.node_count       # the root, id 0, keeps 1.0
     for nid in range(1, tree.node_count):
-        token, parent, _, _ = tree.node(nid)
-        post[nid] = post[parent] * scores[parent, token]
+        parent = tree.node(nid).parent
+        post[nid] = post[parent] * scores[nid]
         if post[nid] >= cfg.theta:
             keep.add(nid)
             kept_parents.add(parent)

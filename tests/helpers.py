@@ -2,8 +2,9 @@
 profile and the shapes of a profile grid, a tree's summed-reach gain, a
 node's path tokens, a child lookup by token, node and leaf counts
 recomputed from scratch, a pruned copy of a tree by compaction, a tree's JSON and the tree rebuilt
-from it, a candidate set's tokens and a candidate set of given tokens, a
-tabular row drawn from its own ``default_rng``, a layered target's hidden
+from it, a candidate set's tokens and a candidate set of given tokens,
+edge scores keyed by ``(parent, token)`` as a list by node id, a tabular
+row drawn from its own ``default_rng``, a layered target's hidden
 state at one layer and its final logits, a frontier entry's marginal cost
 priced from two profile lookups, a per-example training record and its
 conversions to and from a distillation set, a zero-weight probe, the
@@ -166,6 +167,13 @@ def candidate_set(tokens: Iterable[int]) -> CandidateSet:
     """A candidate set of ``tokens`` in the given order; halving
     probabilities keep any order sorted."""
     return CandidateSet(tuple((int(t), 0.5 ** (i + 1)) for i, t in enumerate(tokens)))
+
+
+def scores_by_id(tree: TokenTree, scores: dict[tuple[int, int], float]) -> list[float]:
+    """Edge scores keyed by ``(parent, token)`` as the engine indexes them:
+    one per node id, the score of the edge into it, and 1.0 for the root."""
+    edges = (tree.node(nid) for nid in tree.ids() if nid != ROOT_ID)
+    return [1.0] + [scores[node.parent, node.token] for node in edges]
 
 
 def tabular_row(model: TabularMarkovModel, idx: int) -> np.ndarray:

@@ -723,13 +723,13 @@ class TestRunProbe:
 
     def test_building_the_pruner_reads_no_draft(self, monkeypatch):
         reads, building = [], []
-        for attr in ("next_dist", "next_dists"):
-            def counted(model, prefix, _original=getattr(MixtureDraftModel, attr)):
-                if building:
-                    reads.append(prefix)
-                return _original(model, prefix)
 
-            monkeypatch.setattr(MixtureDraftModel, attr, counted)
+        def counted(model, prefix, _original=MixtureDraftModel.next_dist):
+            if building:
+                reads.append(prefix)
+            return _original(model, prefix)
+
+        monkeypatch.setattr(MixtureDraftModel, "next_dist", counted)
 
         def flagged(*args):
             building.append(True)

@@ -364,28 +364,6 @@ def tabular_sessions(draw):
     return (vocab, order, seed), steps
 
 
-@settings(max_examples=200)
-@given(tabular_sessions())
-def test_batched_tabular_rows_equal_single_reads(session):
-    args, steps = session
-    model = TabularMarkovModel(*args)
-    fresh = TabularMarkovModel(*args)
-    read = set()
-    for batched, prefixes in steps:
-        if batched:
-            rows = model.next_dists(prefixes)
-            assert rows.shape == (len(prefixes), model.vocab_size)
-        else:
-            rows = [model.next_dist(p) for p in prefixes]
-        for row, p in zip(rows, prefixes):
-            assert row.tobytes() == fresh.next_dist(p).tobytes()
-            idx = model.row_index(_padded_tail(p, model.order))
-            assert row.tobytes() == tabular_row(model, idx).tobytes()
-        # every row read, by either path, is drawn once and cached by index
-        read |= {model.row_index(_padded_tail(p, model.order)) for p in prefixes}
-        assert set(model._rows) == read
-
-
 @settings(max_examples=100)
 @given(tabular_sessions())
 def test_exact_probe_rows_equal_per_row_log_reads(session):
@@ -431,17 +409,18 @@ def tabular_block_reads(draw):
 @settings(max_examples=200)
 @given(tabular_block_reads())
 def test_tabular_rows_equal_their_default_rng_reference(case):
-    """Single and batched reads give, byte for byte, row idx drawn from its
-    own ``np.random.default_rng([seed, idx])``."""
+    """Reads by ``row`` and by ``next_dist`` give, byte for byte, row idx
+    drawn from its own ``np.random.default_rng([seed, idx])``."""
     args, idxs = case
     vocab, order, _ = args
     tails = [_tail_of(i, vocab, order) for i in idxs]
     single = TabularMarkovModel(*args)
-    batched = TabularMarkovModel(*args).next_dists(tails)
-    assert batched.shape == (len(idxs), vocab)
-    for idx, tail, row in zip(idxs, tails, batched):
+    read = TabularMarkovModel(*args)
+    rows = [read.next_dist(tail) for tail in tails]
+    for idx, tail, row in zip(idxs, tails, rows):
         want = tabular_row(single, idx).tobytes()
         assert single.row(tail).tobytes() == want
+        assert row.shape == (vocab,)
         assert row.tobytes() == want
 
 
@@ -489,29 +468,12 @@ def test_empty_read_gives_zero_rows(agreement):
     layered = LayeredTargetModel(16, 2, depth=4, hidden_dim=8, seed=2)
     for model in (tabular, layered, derive_draft(tabular, agreement, 3),
                   derive_draft(layered, agreement, 3)):
-        rows = model.next_dists([])
+        rows = ExactProbeSource(model).rows([])
         assert rows.shape == (0, 16)
         assert rows.dtype == np.float64
-
-
-@st.composite
-def mixture_reads(draw):
-    vocab = draw(st.integers(2, 16))
-    order = draw(st.integers(1, 3))
-    seed = draw(st.integers(0, 10_000))
-    if draw(st.booleans()):
-        target_args = ("tabular", vocab, order, seed)
-    else:
-        target_args = ("layered", vocab, order, seed, draw(st.integers(2, 4)), draw(st.integers(1, 8)))
-    draft_args = (
-        draw(st.sampled_from([0.0, 0.45, 1.0])),
-        draw(st.one_of(st.sampled_from(SEEDS), st.integers(0, 10_000))),
-        draw(st.integers(1, 3)),
-    )
-    prefixes = draw(
-        st.lists(st.lists(st.integers(0, vocab - 1), max_size=5), min_size=1, max_size=10)
-    )
-    return target_args, draft_args, prefixes
+    rows = LayeredHiddenSource(layered, 2).rows([])
+    assert rows.shape == (0, 8)
+    assert rows.dtype == np.float64
 
 
 def _mixture(target_args, draft_args):
@@ -522,18 +484,6 @@ def _mixture(target_args, draft_args):
         target = LayeredTargetModel(vocab, order, layered[0], layered[1], seed)
     agreement, noise_seed, noise_order = draft_args
     return derive_draft(target, agreement, noise_seed, noise_order=noise_order)
-
-
-@settings(max_examples=200)
-@given(mixture_reads())
-def test_batched_mixture_rows_equal_stacked_next_dist(case):
-    target_args, draft_args, prefixes = case
-    draft = _mixture(target_args, draft_args)
-    fresh = _mixture(target_args, draft_args)
-    got = draft.next_dists(prefixes)
-    want = np.stack([fresh.next_dist(p) for p in prefixes])
-    assert got.tobytes() == want.tobytes()
-    assert got.shape == want.shape
 
 
 @st.composite
@@ -612,9 +562,6 @@ class RecordingModel(ProbModel):
     def next_dist(self, prefix):
         self.reads.append(prefix)
         return self.model.next_dist(prefix)
-
-    def next_dists(self, prefixes):
-        return self.model.next_dists(prefixes)
 
 
 @pytest.mark.parametrize("order", [1, 3])

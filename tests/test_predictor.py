@@ -44,11 +44,10 @@ def root_scores(pred, h, tokens, tau=1.0):
     """Normalized scores of ``tokens`` drafted under the root, whose hidden
     row is ``h``."""
     tree = TokenTree()
-    for t in tokens:
-        tree.insert(ROOT_ID, t, 0.5)
+    kids = [tree.insert(ROOT_ID, t, 0.5) for t in tokens]
     sets = {ROOT_ID: candidate_set(tokens)}
     scores = normalize_scores(pred, np.atleast_2d(h), tree, [ROOT_ID], sets, tau)
-    return [scores[(ROOT_ID, t)] for t in tokens]
+    return [scores[cid] for cid in kids]
 
 
 class TestScore:

@@ -28,7 +28,9 @@ from helpers import (
     compact_with_map,
     path_tokens,
     recount,
+    scores_by_id,
 )
+import reference_verification as ref
 from reference_verification import path_posterior
 
 HW = load_preset("llama31-8b")
@@ -42,49 +44,56 @@ class TestNormalizeScores:
     def test_direct_softmax_values(self):
         # two children with raw scores 2 and 1 at tau=1
         tree = TokenTree()
-        tree.insert(ROOT_ID, 0, 0.9)
-        tree.insert(ROOT_ID, 1, 0.8)
+        a = tree.insert(ROOT_ID, 0, 0.9)
+        b = tree.insert(ROOT_ID, 1, 0.8)
         pred = one_hot_pred(2)
         hidden = np.array([[2.0, 1.0]])
         scores = normalize_scores(
             pred, hidden, tree, [ROOT_ID], {ROOT_ID: candidate_set([0, 1])}, 1.0
         )
-        assert scores[(ROOT_ID, 0)] == pytest.approx(0.73105857, abs=1e-6)
-        assert scores[(ROOT_ID, 1)] == pytest.approx(0.26894143, abs=1e-6)
+        assert scores[ROOT_ID] == 1.0
+        assert scores[a] == pytest.approx(0.73105857, abs=1e-6)
+        assert scores[b] == pytest.approx(0.26894143, abs=1e-6)
 
     def test_childless_candidate_balances_single_child(self):
         tree = TokenTree()
-        tree.insert(ROOT_ID, 0, 0.9)
+        a = tree.insert(ROOT_ID, 0, 0.9)
         pred = one_hot_pred(2)
         hidden = np.array([[1.5, 1.5]])
         scores = normalize_scores(
             pred, hidden, tree, [ROOT_ID], {ROOT_ID: candidate_set([1, 0])}, 1.0
         )
-        assert scores[(ROOT_ID, 0)] == pytest.approx(0.5)
-        assert scores[(ROOT_ID, 1)] == pytest.approx(0.5)
+        assert len(scores) == tree.node_count
+        assert scores[a] == pytest.approx(0.5)
+        # the childless token 1 holds the rest of the root's mass
+        assert 1.0 - scores[a] == pytest.approx(0.5)
 
     def test_members_are_children_then_childless_candidates(self):
+        # the member order fixes the rounding of the softmax sum: the bytes
+        # are those of the reference's children, then leftovers, in order
         tree = TokenTree()
         tree.insert(ROOT_ID, 2, 0.9)
         tree.insert(ROOT_ID, 0, 0.8)
         pred = one_hot_pred(4)
-        scores = normalize_scores(
-            pred, np.zeros((1, 4)), tree, [ROOT_ID],
-            {ROOT_ID: candidate_set([3, 0, 1, 2])}, 1.0,
-        )
-        assert list(scores) == [(ROOT_ID, 2), (ROOT_ID, 0), (ROOT_ID, 3), (ROOT_ID, 1)]
+        hidden = np.array([[0.5, 0.25, 1.5, 2.0]])   # the leftover order shows in the bytes
+        sets = {ROOT_ID: candidate_set([3, 0, 1, 2])}
+        scores = normalize_scores(pred, hidden, tree, [ROOT_ID], sets, 1.0)
+        extras = ref.leftovers(tree, sets)
+        assert extras == {ROOT_ID: [3, 1]}
+        want = ref.normalize_parent_scores(pred, hidden, tree, [ROOT_ID], 1.0, extras)
+        assert list(want) == [(ROOT_ID, 2), (ROOT_ID, 0), (ROOT_ID, 3), (ROOT_ID, 1)]
+        assert np.array(scores).tobytes() == np.array(scores_by_id(tree, want)).tobytes()
 
     def test_high_temperature_flattens(self):
         tree = TokenTree()
-        for t in range(3):
-            tree.insert(ROOT_ID, t, 0.9)
+        kids = [tree.insert(ROOT_ID, t, 0.9) for t in range(3)]
         pred = one_hot_pred(3)
         hidden = np.array([[3.0, 1.0, 1.0]])
         scores = normalize_scores(
             pred, hidden, tree, [ROOT_ID], {ROOT_ID: candidate_set([0, 1, 2])}, 1e6
         )
-        for t in range(3):
-            assert scores[(ROOT_ID, t)] == pytest.approx(1 / 3, abs=1e-6)
+        for cid in kids:
+            assert scores[cid] == pytest.approx(1 / 3, abs=1e-6)
 
     def test_mismatched_hidden_rows_rejected(self):
         tree = TokenTree()
@@ -115,6 +124,18 @@ class TestNormalizeScores:
                 pred, np.zeros((2, 2)), tree, [ROOT_ID, a], {ROOT_ID: candidate_set([0])}, 1.0
             )
 
+    def test_parents_with_different_member_counts_rejected(self):
+        # the root has two members (child 0, childless 2), a has one
+        tree = TokenTree()
+        a = tree.insert(ROOT_ID, 0, 0.9)
+        tree.insert(a, 1, 0.5)
+        pred = one_hot_pred(3)
+        sets = {ROOT_ID: candidate_set([0, 2]), a: candidate_set([1])}
+        with pytest.raises(ContractError, match=f"node {a} has 1 members, node 0 has 2"):
+            normalize_scores(pred, np.zeros((2, 3)), tree, [ROOT_ID, a], sets, 1.0)
+        sets[a] = candidate_set([1, 2])
+        assert len(normalize_scores(pred, np.zeros((2, 3)), tree, [ROOT_ID, a], sets, 1.0)) == 3
+
 
 class TestBackbone:
     def test_chain_tree_entire_chain(self):
@@ -122,14 +143,14 @@ class TestBackbone:
         a = tree.insert(ROOT_ID, 0, 0.9)
         b = tree.insert(a, 1, 0.8)
         scores = {(ROOT_ID, 0): 1.0, (a, 1): 1.0}
-        assert backbone_path(tree, scores) == [ROOT_ID, a, b]
+        assert backbone_path(tree, scores_by_id(tree, scores)) == [ROOT_ID, a, b]
 
     def test_takes_higher_scored_child(self):
         tree = TokenTree()
         a = tree.insert(ROOT_ID, 0, 0.9)
         b = tree.insert(ROOT_ID, 1, 0.8)
         scores = {(ROOT_ID, 0): 0.3, (ROOT_ID, 1): 0.7}
-        assert backbone_path(tree, scores) == [ROOT_ID, b]
+        assert backbone_path(tree, scores_by_id(tree, scores)) == [ROOT_ID, b]
 
     def test_matches_per_depth_argmax_walk_oracle(self):
         rng = np.random.default_rng(4)
@@ -142,7 +163,7 @@ class TestBackbone:
         for nid in ids:
             for c in tree.children(nid):
                 scores[(nid, tree.node(c).token)] = float(rng.uniform())
-        got = backbone_path(tree, scores)
+        got = backbone_path(tree, scores_by_id(tree, scores))
         # oracle: explicit best-first walk
         cur, path = ROOT_ID, [ROOT_ID]
         while tree.children(cur):
@@ -179,13 +200,13 @@ def scored_tree():
 class TestPrune:
     def test_all_above_threshold_keeps_everything(self):
         tree, scores, _ = scored_tree()
-        decision = prune(tree, scores, PruneConfig(theta=0.01))
+        decision = prune(tree, scores_by_id(tree, scores), PruneConfig(theta=0.01))
         assert decision.keep == frozenset(tree.ids())
         assert decision.leaves == tree.leaf_count
 
     def test_single_low_edge_removed(self):
         tree, scores, (a, b, c, d) = scored_tree()
-        decision = prune(tree, scores, PruneConfig(theta=0.1))
+        decision = prune(tree, scores_by_id(tree, scores), PruneConfig(theta=0.1))
         assert d not in decision.keep
         assert decision.keep == frozenset({ROOT_ID, a, b, c})
         assert decision.leaves == 2
@@ -196,22 +217,22 @@ class TestPrune:
         tree, scores, (a, b, c, d) = scored_tree()
         e = tree.insert(b, 5, 0.4)
         scores[(b, 5)] = 0.95
-        assert e in prune(tree, scores, PruneConfig(theta=0.15)).keep
-        decision = prune(tree, scores, PruneConfig(theta=0.3))
+        assert e in prune(tree, scores_by_id(tree, scores), PruneConfig(theta=0.15)).keep
+        decision = prune(tree, scores_by_id(tree, scores), PruneConfig(theta=0.3))
         assert decision.keep == frozenset({ROOT_ID, a, c})
         assert decision.leaves == 1
 
     def test_backbone_immune_for_any_threshold(self):
         tree, scores, (a, b, c, d) = scored_tree()
         for theta in (0.1, 0.5, 0.9, 0.99):
-            decision = prune(tree, scores, PruneConfig(theta=theta))
+            decision = prune(tree, scores_by_id(tree, scores), PruneConfig(theta=theta))
             assert set(decision.backbone) <= decision.keep
         assert decision.keep == frozenset({ROOT_ID, a, c})
 
     def test_keep_always_ancestor_closed(self):
         tree, scores, _ = scored_tree()
         for theta in (0.05, 0.3, 0.6, 0.9):
-            decision = prune(tree, scores, PruneConfig(theta=theta))
+            decision = prune(tree, scores_by_id(tree, scores), PruneConfig(theta=theta))
             for nid in decision.keep:
                 if nid != ROOT_ID:
                     assert tree.node(nid).parent in decision.keep
@@ -244,7 +265,7 @@ class TestPruneProperties:
     @given(scored_trees(), thetas)
     def test_keep_is_ancestor_closed(self, case, theta):
         tree, scores = case
-        keep = prune(tree, scores, PruneConfig(theta=theta)).keep
+        keep = prune(tree, scores_by_id(tree, scores), PruneConfig(theta=theta)).keep
         assert ROOT_ID in keep
         for nid in keep - {ROOT_ID}:
             assert tree.node(nid).parent in keep
@@ -255,15 +276,15 @@ class TestPruneProperties:
         tree, scores = case
         low, high = sorted((t1, t2))
         assert (
-            prune(tree, scores, PruneConfig(theta=high)).keep
-            <= prune(tree, scores, PruneConfig(theta=low)).keep
+            prune(tree, scores_by_id(tree, scores), PruneConfig(theta=high)).keep
+            <= prune(tree, scores_by_id(tree, scores), PruneConfig(theta=low)).keep
         )
 
     @settings(max_examples=100)
     @given(scored_trees(), thetas)
     def test_kept_off_backbone_iff_posterior_reaches_theta(self, case, theta):
         tree, scores = case
-        decision = prune(tree, scores, PruneConfig(theta=theta))
+        decision = prune(tree, scores_by_id(tree, scores), PruneConfig(theta=theta))
         assert set(decision.backbone) <= decision.keep
         for nid in set(tree.ids()) - set(decision.backbone):
             posterior = path_posterior(tree, scores, nid)
@@ -273,7 +294,7 @@ class TestPruneProperties:
     @given(scored_trees(), thetas)
     def test_leaves_equal_a_recount(self, case, theta):
         tree, scores = case
-        decision = prune(tree, scores, PruneConfig(theta=theta))
+        decision = prune(tree, scores_by_id(tree, scores), PruneConfig(theta=theta))
         kept, _ = compact_with_map(tree, decision.keep)
         assert recount(kept) == (len(decision.keep), decision.leaves)
 
@@ -311,14 +332,22 @@ class TestTreePruner:
         scores = normalize_scores(
             pruner.pred, hidden, tree, parents, out.candidate_sets, pruner.cfg.tau
         )
+        extras = ref.leftovers(tree, out.candidate_sets)
+        want = ref.normalize_parent_scores(
+            pruner.pred, hidden, tree, parents, pruner.cfg.tau, extras
+        )
         short = 0
         for parent in parents:
             members = candidate_tokens(out.candidate_sets[parent])
-            assert sum(scores[(parent, t)] for t in members) == pytest.approx(1.0)
-            kids = [tree.node(c).token for c in tree.children(parent)]
-            if len(kids) < len(members):
+            kids = sum(scores[c] for c in tree.children(parent))
+            # the childless tokens hold the rest of the parent's mass
+            rest = sum(want[(parent, t)] for t in extras[parent])
+            assert kids + rest == pytest.approx(1.0)
+            if len(tree.children(parent)) < len(members):
                 short += 1
-                assert sum(scores[(parent, t)] for t in kids) < 1.0
+                assert kids < 1.0
+            else:
+                assert kids == pytest.approx(1.0)
         assert short > 0
 
     def test_losslessness_with_pruning(self):

@@ -41,7 +41,7 @@ def test_every_span_target_exists():
     for owner, attr, name in _span_targets():
         # the tracer saves and restores vars(owner)[attr]
         assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr} ({name})"
-    # the count patches too: the three next_dists, LatencyProfile.lookup,
+    # the count patches too: the three models' next_dist, LatencyProfile.lookup,
     # GainCostPolicy.build, run_trial and run_decode
     for owner, attr, _ in Tracer()._patches():
         assert callable(vars(owner).get(attr)), f"{owner.__name__}.{attr}"

@@ -23,6 +23,7 @@ from helpers import (
     child_by_token,
     compact_with_map,
     path_tokens,
+    scores_by_id,
     tree_json,
 )
 from reference_builder import build_tree as reference_build_tree
@@ -70,21 +71,21 @@ def targets(draw):
     )
 
 
-def candidate_sets_for(tree, vocab, rng):
+def candidate_sets_for(tree, vocab, rng, mixed=False):
     """A valid candidate set for every parent: its children's tokens plus
-    other tokens, in random order.  Half the time every set has one size k,
-    as lever and balanced builds record them; otherwise each set adds a
-    random number of other tokens.  Some leaves get a set of their own, as a
+    other tokens, in random order.  Every set has one size k, as every
+    build records them, unless ``mixed``: then each set adds a random
+    number of other tokens.  Some leaves get a set of their own, as a
     builder's expanded leaves do."""
     widest = max(len(tree.children(nid)) for nid in tree.ids())
-    k = int(rng.integers(max(widest, 1), vocab + 1)) if rng.integers(2) else None
+    k = int(rng.integers(max(widest, 1), vocab + 1))
     sets = {}
     for nid in tree.ids():
         tokens = [tree.node(c).token for c in tree.children(nid)]
         if not tokens and rng.integers(2):
             continue
         others = [t for t in range(vocab) if t not in tokens]
-        extra = rng.integers(len(others) + 1) if k is None else k - len(tokens)
+        extra = rng.integers(len(others) + 1) if mixed else k - len(tokens)
         tokens += [int(t) for t in rng.permutation(others)[:extra]]
         if not tokens:
             continue
@@ -93,10 +94,24 @@ def candidate_sets_for(tree, vocab, rng):
     return sets
 
 
+def member_counts_differ(tree, sets):
+    """Whether two parents have different member counts: each parent's set
+    holds its children's tokens, so its size is the count."""
+    return len({len(sets[nid].entries) for nid in tree.ids() if tree.children(nid)}) > 1
+
+
+def assert_scores_match(tree, got, want):
+    """``got[nid]`` has the bytes of the reference's ``want[(parent, token)]``
+    for every non-root node, and the root scores 1.0."""
+    assert len(got) == tree.node_count
+    assert np.array(got).tobytes() == np.array(scores_by_id(tree, want)).tobytes()
+
+
 @st.composite
 def target_trees(draw):
     """A target, a context, a random tree (some tokens are the target's
-    greedy choice, so paths get accepted) and its candidate sets."""
+    greedy choice, so paths get accepted) and its candidate sets, of one
+    size or, half the time, of mixed sizes."""
     target = draw(targets())
     vocab = target.vocab_size
     context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=6))
@@ -114,7 +129,7 @@ def target_trees(draw):
         reach = tree.node(parent).reach * draw(st.sampled_from([0.25, 0.5, 0.9, 1.0]))
         handles.append(tree.insert(parent, token, reach))
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
-    return target, context, tree, candidate_sets_for(tree, vocab, rng)
+    return target, context, tree, candidate_sets_for(tree, vocab, rng, draw(st.booleans()))
 
 
 def draw_pruner(draw, target):
@@ -153,23 +168,26 @@ def test_fast_stages_match_reference(case):
 
     recording = RecordingSource(source)
     pruner = TreePruner(pred, recording, cfg)
-    decision = pruner.apply(tree, sets, context)
-    ref_pruned, new_to_old, ref_decision = ref.TreePruner(pred, ref_source, cfg).apply(
-        tree, ref.leftovers(tree, sets), context
-    )
-    assert tree_json(compact_with_map(tree, decision.keep)[0]) == tree_json(ref_pruned)
-    assert decision == ref_decision
-    assert (len(decision.keep), decision.leaves) == ref_pruned.shape
+    identity = {nid: nid for nid in tree.ids()}
+    walks = [(None, tree, identity)]
+    if member_counts_differ(tree, sets):
+        with pytest.raises(ContractError, match="members"):
+            pruner.apply(tree, sets, context)
+    else:
+        decision = pruner.apply(tree, sets, context)
+        ref_pruned, new_to_old, ref_decision = ref.TreePruner(pred, ref_source, cfg).apply(
+            tree, ref.leftovers(tree, sets), context
+        )
+        assert tree_json(compact_with_map(tree, decision.keep)[0]) == tree_json(ref_pruned)
+        assert decision == ref_decision
+        assert (len(decision.keep), decision.leaves) == ref_pruned.shape
+        walks.append((decision.keep, ref_pruned, new_to_old))
     assert pruner.exit_fraction == ref_source.exit_fraction
     assert recording.prefixes == [
         context + path_tokens(tree, nid) for nid in tree.ids() if tree.children(nid)
     ]
 
-    identity = {nid: nid for nid in tree.ids()}
-    for keep, verified, to_built in (
-        (None, tree, identity),
-        (decision.keep, ref_pruned, new_to_old),
-    ):
+    for keep, verified, to_built in walks:
         counting = CountingTarget(target)
         got = verify_tree(counting, context, tree, keep)
         want = ref.verify_tree(target, context, verified)
@@ -286,14 +304,15 @@ def grow_tree(draw, vocab, max_inserts):
 
 @st.composite
 def score_cases(draw):
-    """A tree, candidate sets that add uneven numbers of childless tokens to
-    its parents, the parents' hidden rows from a real source, a probe on
-    them (identity on log-probabilities, or a random probe on a layered
-    target's intermediate layer) and a temperature."""
+    """A tree, candidate sets of one size or, half the time, sets that add
+    uneven numbers of childless tokens to its parents, the parents' hidden
+    rows from a real source, a probe on them (identity on log-probabilities,
+    or a random probe on a layered target's intermediate layer) and a
+    temperature."""
     vocab = draw(st.integers(2, 24))
     seed = draw(st.integers(0, 10_000))
     tree = grow_tree(draw, vocab, 60)
-    sets = candidate_sets_for(tree, vocab, np.random.default_rng(seed))
+    sets = candidate_sets_for(tree, vocab, np.random.default_rng(seed), draw(st.booleans()))
     context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=4))
     if draw(st.booleans()):
         target = TabularMarkovModel(vocab, draw(st.integers(1, 2)), seed, concentration=0.3)
@@ -318,12 +337,15 @@ def score_cases(draw):
 @given(score_cases())
 def test_one_pass_scores_match_per_edge_reference(case):
     pred, hidden, tree, parents, sets, tau = case
+    if member_counts_differ(tree, sets):
+        with pytest.raises(ContractError, match="members"):
+            normalize_scores(pred, hidden, tree, parents, sets, tau)
+        return
     got = normalize_scores(pred, hidden, tree, parents, sets, tau)
     want = ref.normalize_parent_scores(
         pred, hidden, tree, parents, tau, ref.leftovers(tree, sets)
     )
-    assert got == want
-    assert list(got) == list(want)
+    assert_scores_match(tree, got, want)
 
 
 @st.composite
@@ -364,7 +386,7 @@ def build_cases(draw):
 def test_candidate_set_scores_match_the_leftover_frontier_reference(case):
     """Scoring a build over its recorded candidate sets matches the
     reference's scores over each parent's children plus its leftover
-    frontier entries, byte for byte and in key order, and so do the prune
+    frontier entries, byte for byte at every node id, and so do the prune
     decisions."""
     (draft, cfg, rel, profile_args, draft_ms), context, prune_cfg, pred, sources = case
     source, ref_source = sources
@@ -382,8 +404,7 @@ def test_candidate_set_scores_match_the_leftover_frontier_reference(case):
     hidden = source.rows([context + path_tokens(tree, p) for p in parents])
     got = normalize_scores(pred, hidden, tree, parents, fast.candidate_sets, prune_cfg.tau)
     want = ref.normalize_parent_scores(pred, hidden, slow.tree, parents, prune_cfg.tau, extras)
-    assert list(got) == list(want)
-    assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+    assert_scores_match(tree, got, want)
     assert prune(tree, got, prune_cfg) == ref.prune(slow.tree, want, prune_cfg)
 
     decision = TreePruner(pred, source, prune_cfg).apply(tree, fast.candidate_sets, context)
@@ -414,7 +435,7 @@ def prune_cases(draw):
 @given(prune_cases())
 def test_prune_matches_reference(case):
     tree, scores, cfg = case
-    assert prune(tree, scores, cfg) == ref.prune(tree, scores, cfg)
+    assert prune(tree, scores_by_id(tree, scores), cfg) == ref.prune(tree, scores, cfg)
 
 
 @st.composite
