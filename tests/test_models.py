@@ -364,6 +364,35 @@ def tabular_sessions(draw):
     return (vocab, order, seed), steps
 
 
+@settings(max_examples=200)
+@given(tabular_sessions())
+def test_batched_tabular_rows_equal_single_reads(session):
+    """Batched reads (the exact probe's stacked rows) interleaved with
+    single ``next_dist`` reads on one model have the bytes of a fresh
+    model's rows, and every row read by either path is drawn once and
+    cached by its index."""
+    args, steps = session
+    model = TabularMarkovModel(*args)
+    fresh = TabularMarkovModel(*args)
+    source = ExactProbeSource(model)
+    read = set()
+    for batched, prefixes in steps:
+        if batched:
+            rows = source.rows(prefixes)
+            assert rows.shape == (len(prefixes), model.vocab_size)
+        else:
+            rows = [model.next_dist(p) for p in prefixes]
+        for row, p in zip(rows, prefixes):
+            idx = model.row_index(_padded_tail(p, model.order))
+            want = tabular_row(model, idx)
+            assert want.tobytes() == fresh.next_dist(p).tobytes()
+            if batched:
+                want = np.log(np.maximum(want, 1e-300))
+            assert row.tobytes() == want.tobytes()
+        read |= {model.row_index(_padded_tail(p, model.order)) for p in prefixes}
+        assert set(model._rows) == read
+
+
 @settings(max_examples=100)
 @given(tabular_sessions())
 def test_exact_probe_rows_equal_per_row_log_reads(session):
@@ -484,6 +513,43 @@ def _mixture(target_args, draft_args):
         target = LayeredTargetModel(vocab, order, layered[0], layered[1], seed)
     agreement, noise_seed, noise_order = draft_args
     return derive_draft(target, agreement, noise_seed, noise_order=noise_order)
+
+
+@st.composite
+def mixture_reads(draw):
+    vocab = draw(st.integers(2, 16))
+    order = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        target_args = ("tabular", vocab, order, seed)
+    else:
+        target_args = ("layered", vocab, order, seed, draw(st.integers(2, 4)), draw(st.integers(1, 8)))
+    draft_args = (
+        draw(st.sampled_from([0.0, 0.45, 1.0])),
+        draw(st.one_of(st.sampled_from(SEEDS), st.integers(0, 10_000))),
+        draw(st.integers(1, 3)),
+    )
+    prefixes = draw(
+        st.lists(st.lists(st.integers(0, vocab - 1), max_size=5), min_size=1, max_size=10)
+    )
+    return target_args, draft_args, prefixes
+
+
+@settings(max_examples=200)
+@given(mixture_reads())
+def test_batched_mixture_rows_equal_stacked_next_dist(case):
+    """A mixture draft read as one stacked block, over a layered target
+    whose passes were first computed as one ``forward_tails`` batch, has
+    the bytes of a fresh draft's single reads."""
+    target_args, draft_args, prefixes = case
+    draft = _mixture(target_args, draft_args)
+    fresh = _mixture(target_args, draft_args)
+    if isinstance(draft.target, LayeredTargetModel):
+        draft.target.forward_tails(prefixes)
+    got = ExactProbeSource(draft).rows(prefixes)
+    want = np.log(np.maximum(np.stack([fresh.next_dist(p) for p in prefixes]), 1e-300))
+    assert got.tobytes() == want.tobytes()
+    assert got.shape == want.shape
 
 
 @st.composite
