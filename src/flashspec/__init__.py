@@ -42,7 +42,6 @@ from .simulator import (
     ar_step_latency,
     draft_schedule,
     load_preset,
-    projection_accounting,
     simulate_decode,
     verify_latency,
 )

@@ -4,17 +4,20 @@ All functions are pure pricing over recorded decode traces: the engine runs
 at desk speed while the simulator charges each action.  Flash streaming time
 per target invocation is shape-independent; verification compute is affine
 in the tree shape; draft expansions run serially on the CPU below the
-batching threshold and as batches on the NPU above it; output projection is
-priced either eagerly for every verified row or on demand along the accepted
-path.
+batching threshold and as batches on the NPU above it.
 
-A cycle is priced from its record alone, whichever policy produced it.  A
-cycle that drafted nothing is an autoregressive step.  A pruned cycle pays
-the early-exit scoring pass over the full tree for the trial's exit fraction
-of the target's depth, and the kept rows for the rest; the caller passes
-that fraction once per run.  Each priced cycle is one
-:class:`CycleCost`, whose fields are the per-cycle columns of a report's
-trace files.
+Output projection is priced in the configured mode only.  Eager charges
+every verified row at ``proj_ms_per_row`` on the NPU and wastes the rows
+beyond the accepted path plus its fallback, ``accepted_len + 1``; on demand
+charges just those rows at ``proj_cpu_ms_per_row`` on the CPU and wastes
+nothing.  An ``accepted_len + 1`` above the verified rows is a ContractError.
+
+:func:`price_cycle` prices a cycle from its record alone, whichever policy
+produced it.  A cycle that drafted nothing is an autoregressive step.  A
+pruned cycle pays the early-exit scoring pass over the full tree for the
+trial's exit fraction of the target's depth, and the kept rows for the
+rest.  Each priced cycle is one :class:`CycleCost`, whose fields are the
+per-cycle columns of a report's trace files.
 """
 
 from __future__ import annotations
@@ -118,34 +121,15 @@ def draft_schedule(expansion_counts: Sequence[int], cfg: HardwareConfig) -> floa
     return total
 
 
-def projection_accounting(
-    rows_after_prune: int, accepted_len: int, cfg: HardwareConfig
-) -> tuple[float, float, int]:
-    """(eager ms, on-demand ms, wasted rows) for one cycle's projections.
-
-    Eager mode projects every verified row on the NPU; on-demand projects
-    exactly the accepted path plus the fallback position on the CPU.
-    """
-    used = accepted_len + 1
-    if used > rows_after_prune:
-        raise ContractError(
-            f"accepted_len+1 = {used} exceeds verified rows {rows_after_prune}"
-        )
-    eager = rows_after_prune * cfg.proj_ms_per_row
-    ondemand = used * cfg.proj_cpu_ms_per_row
-    return eager, ondemand, rows_after_prune - used
-
-
 @dataclass(frozen=True)
 class CycleCost:
     """One priced cycle; its fields are the per-cycle trace columns.
 
     ``rows_after_prune`` counts the rows the cycle verified: the pruner's
     keep set on a pruned cycle, every tree row otherwise (1 on an
-    autoregressive step).  Eager projection charges exactly those rows.
-    Compute charges the kept rows past the exit layer only, so at exit
-    fraction 1.0 (the tabular exact probe, pruned only under eager
-    projection) it pays for the whole tree, more rows than this column.
+    autoregressive step).  Compute charges the kept rows past the exit layer
+    only, so at exit fraction 1.0 (the tabular exact probe, pruned only under
+    eager projection) it pays for the whole tree, more rows than this column.
     """
 
     draft_ms: float
@@ -200,59 +184,51 @@ def price_cycle(
     projection_mode: str = "ondemand",
     exit_fraction: float | None = None,
 ) -> CycleCost:
-    """Charge one cycle from what it did.  A cycle that drafted nothing is
-    an autoregressive step at :func:`ar_step_latency`; any other cycle pays
-    draft scheduling, overlapped verification (split at the early-exit
-    layer, ``exit_fraction`` of the target's depth, when the cycle was
-    pruned), and output projection."""
+    """Charge one cycle from what it did; the only place a cycle is priced.
+
+    A cycle that drafted nothing is an autoregressive step at
+    :func:`ar_step_latency`, with no projection.  Any other cycle pays draft
+    scheduling, overlapped verification (split at ``exit_fraction`` of the
+    target's depth when pruned) and projection in the configured mode.  Of
+    ``rows`` verified, ``used = accepted_len + 1`` (more is a ContractError):
+    eager charges ``rows`` and wastes ``rows - used`` at ``proj_ms_per_row``;
+    on demand charges ``used`` at ``proj_cpu_ms_per_row`` and wastes none."""
     if projection_mode not in ("eager", "ondemand"):
         raise ConfigError(f"unknown projection mode {projection_mode!r}")
-    if not record.expansion_counts:
-        return CycleCost(
-            draft_ms=0.0,
-            verify_io_ms=cfg.io_effective_ms,
-            verify_compute_ms=compute_ms(cfg, 1, 1),
-            verify_stage_ms=ar_step_latency(cfg),
-            projection_ms=0.0,
-            projections_eager=0,
-            projections_ondemand=0,
-            waste_proj_ms=0.0,
-            rows_after_prune=1,
-            tokens=len(record.emitted),
-        )
-    draft_ms = draft_schedule(record.expansion_counts, cfg)
-
-    compute = compute_ms(cfg, record.rows_verified, record.leaves_verified)
-    if record.prune is not None:
-        if exit_fraction is None:
-            raise ContractError("a pruned cycle is priced with an exit fraction")
-        full_compute = compute_ms(cfg, record.tree_nodes, record.tree_leaves)
-        compute = exit_fraction * full_compute + (1.0 - exit_fraction) * compute
-
-    io = cfg.io_effective_ms
-    stage = _combine(cfg, io, compute)
-
-    eager, ondemand, waste_rows = projection_accounting(
-        record.rows_verified, record.accepted_len, cfg
-    )
+    rows = record.rows_verified
     used = record.accepted_len + 1
-    if projection_mode == "eager":
-        proj, n_eager, n_ondemand = eager, record.rows_verified, 0
-        waste_ms = waste_rows * cfg.proj_ms_per_row
+    io = cfg.io_effective_ms
+    if not record.expansion_counts:
+        rows = 1
+        draft, compute, stage = 0.0, compute_ms(cfg, 1, 1), ar_step_latency(cfg)
+        proj, n_eager, n_ondemand, waste = 0.0, 0, 0, 0.0
     else:
-        proj, n_eager, n_ondemand = ondemand, 0, used
-        waste_ms = 0.0
-
+        draft = draft_schedule(record.expansion_counts, cfg)
+        compute = compute_ms(cfg, rows, record.leaves_verified)
+        if record.prune is not None:
+            if exit_fraction is None:
+                raise ContractError("a pruned cycle is priced with an exit fraction")
+            full_compute = compute_ms(cfg, record.tree_nodes, record.tree_leaves)
+            compute = exit_fraction * full_compute + (1.0 - exit_fraction) * compute
+        stage = _combine(cfg, io, compute)
+        if used > rows:
+            raise ContractError(f"accepted_len+1 = {used} exceeds verified rows {rows}")
+        if projection_mode == "eager":
+            proj, n_eager, n_ondemand = rows * cfg.proj_ms_per_row, rows, 0
+            waste = (rows - used) * cfg.proj_ms_per_row
+        else:
+            proj, n_eager, n_ondemand = used * cfg.proj_cpu_ms_per_row, 0, used
+            waste = 0.0
     return CycleCost(
-        draft_ms=draft_ms,
+        draft_ms=draft,
         verify_io_ms=io,
         verify_compute_ms=compute,
         verify_stage_ms=stage,
         projection_ms=proj,
         projections_eager=n_eager,
         projections_ondemand=n_ondemand,
-        waste_proj_ms=waste_ms,
-        rows_after_prune=record.rows_verified,
+        waste_proj_ms=waste,
+        rows_after_prune=rows,
         tokens=len(record.emitted),
     )
 

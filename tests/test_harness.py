@@ -299,8 +299,45 @@ class TestRunExperiment:
                         "25cd4de304bfe5af05f4f7fbefaefc16508a9e501fd613d3cf482e4130cb6610",
                 },
             ),
+            (
+                # eager projection: lever prunes with the tabular exact probe
+                # and every verified row pays projection and waste
+                {"projection_mode": "eager"},
+                32,
+                2,
+                {
+                    "report.json":
+                        "4fd02ea37192a28dd70150d78c9b97637778e352cf63f481c7e3d1ffef73e422",
+                    "report.csv":
+                        "d4ec9520d83d089f14d13d1c60b0ede8d2b682c82c1982dba3b62c19f98968cb",
+                    "trace.json":
+                        "540a22b931d725f93aa131fe3d1d51bfa4fadb034773046dbcb2400d0fbd5931",
+                    "trace.csv":
+                        "e3c1c86ec6815a5943317747648c1e54d5840ba36c0b804bd0143ad4605efc79",
+                },
+            ),
+            (
+                # eager projection with the learned probe of a layered target
+                {"projection_mode": "eager", "model": {"type": "layered"},
+                 "predictor_examples": 300, "training": {"epochs": 2}},
+                24,
+                1,
+                {
+                    "report.json":
+                        "dc821e4a9c031d819b4c9addf5982ca4a9f0b0f151ea3564dc3857a99a18c5ef",
+                    "report.csv":
+                        "bb3cc041fb7f8d2ebf982e609e8ebd249782ca7d42281117b541b5fae7d889fd",
+                    "trace.json":
+                        "e9bc6e036cf2bc501db495163ace568ed90b24b1905e53928c0916cdd48f56bf",
+                    "trace.csv":
+                        "57d4c86eb81cd1c5f0950947d7f049d8cbd0d064824037e89bccc5e41f542199",
+                },
+            ),
         ],
-        ids=["tabular", "layered-probe", "chain_sd", "balanced_tree"],
+        ids=[
+            "tabular", "layered-probe", "chain_sd", "balanced_tree",
+            "tabular-eager", "layered-eager",
+        ],
     )
     def test_report_outputs_are_pinned(self, tmp_path, overrides, horizon, trials, want):
         """Digests of the four files a short run of the shipped config

@@ -11,7 +11,6 @@ from flashspec.simulator import (
     draft_schedule,
     load_preset,
     price_cycle,
-    projection_accounting,
     simulate_decode,
     verify_latency,
 )
@@ -123,20 +122,25 @@ class TestProjectionAccounting:
             name="t", io_ms_per_invocation=1.0,
             proj_ms_per_row=2.0, proj_cpu_ms_per_row=3.0,
         )
-        eager, ondemand, waste = projection_accounting(16, 3, cfg)
-        assert eager == pytest.approx(32.0)
-        assert ondemand == pytest.approx(12.0)
-        assert waste == 12
+        rec = cycle(nodes=16, accepted=3)
+        eager = price_cycle(rec, cfg, "eager")
+        assert eager.projection_ms == pytest.approx(32.0)
+        assert eager.projections_eager == 16
+        assert eager.waste_proj_ms == pytest.approx(12 * 2.0)
+        ondemand = price_cycle(rec, cfg, "ondemand")
+        assert ondemand.projection_ms == pytest.approx(12.0)
+        assert ondemand.projections_ondemand == 4
 
     def test_full_acceptance_wastes_nothing(self):
         cfg = HardwareConfig(name="t", io_ms_per_invocation=1.0)
-        _, _, waste = projection_accounting(8, 7, cfg)
-        assert waste == 0
+        cost = price_cycle(cycle(nodes=8, accepted=7), cfg, "eager")
+        assert cost.waste_proj_ms == 0
 
     def test_precondition(self):
         cfg = HardwareConfig(name="t", io_ms_per_invocation=1.0)
-        with pytest.raises(ContractError):
-            projection_accounting(4, 4, cfg)
+        for mode in ("eager", "ondemand"):
+            with pytest.raises(ContractError):
+                price_cycle(cycle(nodes=4, accepted=4), cfg, mode)
 
 
 class TestCalibratedWaste:
