@@ -4,12 +4,13 @@ synthetic realizations used as draft/target pairs.
 Every model is immutable after construction and reproducible bit-for-bit
 given its seed.  Every model exposes ``order``: its output depends only on
 the padded last-``order`` tokens of the prefix, so outputs are memoized per
-padded tail: tabular rows, and for the layered target one full forward pass
-(every layer's hidden state, the logits and the softmax).  Every model is
-read one prefix at a time through ``next_dist``; only the layered target's
-``forward_tails`` computes the passes of many missing tails as one batch.
-A memoized value is exactly what a fresh evaluation returns, which keeps
-the models usable as exact oracles.
+padded tail: tabular rows, and for the layered target one row of a pass
+table (every layer's hidden state, the logits and the softmax of each
+computed tail).  Every model is read one prefix at a time through
+``next_dist``; the layered target's table is also read many rows at a time
+by index (:meth:`LayeredTargetModel.slots`), which computes the passes of
+the missing tails as one batch.  A memoized value is exactly what a fresh
+evaluation returns, which keeps the models usable as exact oracles.
 
 For the same reason :func:`draft_candidates` computes one immutable
 :class:`~flashspec.tree.CandidateSet` per ``(padded tail, k)`` and stores it
@@ -143,16 +144,18 @@ class TabularMarkovModel(ProbModel):
         return self.row(_padded_tail(prefix, self.order))
 
 
-# (hidden state after each layer, logits, softmax) of one layered forward pass
-_ForwardPass = tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]
-
-
 class LayeredTargetModel(ProbModel):
     """Deterministic D-layer tanh network over an embedding of the last m
     tokens, exposing intermediate hidden states for early-exit probes.
 
     Layers have no bias.  Weights use unit-variance init scaled by
     1/sqrt(d) so activations stay tame.
+
+    Forward passes are memoized in one table: each computed padded tail
+    has a slot, a row of the arrays ``hidden`` (depth, slots, d),
+    ``logits`` (slots, V) and ``dist`` (slots, V).  The arrays grow by
+    reallocation and a slot is never rewritten, so a row handed out before
+    a growth keeps its values.
     """
 
     def __init__(
@@ -187,41 +190,86 @@ class LayeredTargetModel(ProbModel):
             for _ in range(depth)
         ]
         self.output_proj = rng.standard_normal((vocab_size, hidden_dim)) * scale
-        self._passes: dict[tuple[int, ...], _ForwardPass] = {}
+        self._slot: dict[tuple[int, ...], int] = {}
+        self._grow(0)
 
-    def forward_tails(self, prefixes: Sequence[Sequence[int]]) -> list[_ForwardPass]:
-        """(hidden state of every layer, logits, softmax) for each prefix's
-        padded tail.  Tails without a memoized pass are computed together in
-        one batch, once each; the arrays are read-only."""
+    def _grow(self, slots: int) -> None:
+        """Reallocate the table with room for twice ``slots`` rows, copying
+        the filled rows.  The old arrays are never written again, so rows
+        read from them stay valid."""
+        used = len(self._slot)
+        hidden = np.empty((self.depth, 2 * slots, self.hidden_dim))
+        logits = np.empty((2 * slots, self.vocab_size))
+        dist = np.empty((2 * slots, self.vocab_size))
+        if used:
+            hidden[:, :used] = self._hidden[:, :used]
+            logits[:used] = self._logits[:used]
+            dist[:used] = self._dist[:used]
+        self._hidden, self._logits, self._dist = hidden, logits, dist
+
+    def slots(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        """Table slot of each prefix's padded tail.  Tails without a slot
+        are computed together in one batch, once each.  Read the arrays
+        only after this call: it may reallocate them."""
         tails = [_padded_tail(p, self.order) for p in prefixes]
-        missing = list(dict.fromkeys(t for t in tails if t not in self._passes))
-        if missing:
-            self._compute(missing)
-        return [self._passes[t] for t in tails]
+        slot = self._slot
+        try:
+            found = [slot[t] for t in tails]
+        except KeyError:
+            self._compute([t for t in dict.fromkeys(tails) if t not in slot])
+            found = [slot[t] for t in tails]
+        return np.array(found, dtype=np.intp)
+
+    def hidden_rows(self, layer: int, slots: np.ndarray) -> np.ndarray:
+        """Hidden state after ``layer`` (1 to ``depth``) at each slot, one
+        read-only row per slot."""
+        rows = self._hidden[layer - 1].take(slots, axis=0)
+        rows.flags.writeable = False
+        return rows
+
+    def logit_rows(self, slots: np.ndarray) -> np.ndarray:
+        """Final logits at each slot, one read-only row per slot."""
+        rows = self._logits.take(slots, axis=0)
+        rows.flags.writeable = False
+        return rows
 
     def _compute(self, tails: list[tuple[int, ...]]) -> None:
-        """Memoize the forward pass of each tail, computed as one batch."""
-        for tail in tails:
-            for t in tail:
-                if not (0 <= t < self.vocab_size):
-                    raise ContractError(f"token {t} outside vocabulary")
+        """Give each tail (distinct, none with a slot yet) the next slot and
+        write its forward pass there, all computed as one batch."""
+        try:
+            idx = np.array(tails, dtype=np.intp)
+            inside = bool(((idx >= 0) & (idx < self.vocab_size)).all())
+        except OverflowError:   # a token beyond the index type
+            inside = False
+        if not inside:
+            bad = next(t for tail in tails for t in tail if not 0 <= t < self.vocab_size)
+            raise ContractError(f"token {bad} outside vocabulary")
+        lo = len(self._slot)
+        hi = lo + len(tails)
+        if hi > len(self._dist):
+            self._grow(hi)
         # One matrix-vector product per tail (batched), not H @ W.T: the two
         # round differently, and a batch must equal a batch of one.
-        h = self.embedding[np.array(tails, dtype=np.intp)].mean(axis=1)
-        hidden = []
-        for W in self.layer_weights:
+        h = self.embedding[idx].mean(axis=1)
+        for ell, W in enumerate(self.layer_weights):
             h = np.tanh((W @ h[:, :, None])[:, :, 0])
-            hidden.append(h)
+            self._hidden[ell, lo:hi] = h
         z = self.logit_scale * (self.output_proj @ h[:, :, None])[:, :, 0]
         e = np.exp(z - z.max(axis=1, keepdims=True))
-        dist = e / e.sum(axis=1, keepdims=True)
-        for arr in (*hidden, z, dist):
-            arr.flags.writeable = False
-        for i, tail in enumerate(tails):
-            self._passes[tail] = (tuple(layer[i] for layer in hidden), z[i], dist[i])
+        self._logits[lo:hi] = z
+        self._dist[lo:hi] = e / e.sum(axis=1, keepdims=True)
+        self._slot.update(zip(tails, range(lo, hi)))
 
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
-        return self.forward_tails((prefix,))[0][2]
+        """The softmax row of the prefix's padded tail, read-only."""
+        tail = _padded_tail(prefix, self.order)
+        slot = self._slot.get(tail)
+        if slot is None:
+            self._compute([tail])
+            slot = self._slot[tail]
+        row = self._dist[slot]
+        row.flags.writeable = False
+        return row
 
 
 class MixtureDraftModel(ProbModel):

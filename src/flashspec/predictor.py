@@ -299,7 +299,9 @@ def distillation_rows(
 ) -> tuple[DistillationSet, tuple[tuple[int, ...], ...]]:
     """The rows that :meth:`EarlyExitPredictor.fit` reads, with empty candidate
     columns, and their tails: one row per distinct tail of the seeded prefixes
-    padded to ``order``, in order of first occurrence, from one forward pass."""
+    padded to ``order``, in order of first occurrence.  The hidden and logit
+    rows are read from the target's pass table by slot, one index each, and
+    are read-only."""
     if not (1 <= layer <= target.depth):
         raise ContractError(f"layer {layer} outside [1, {target.depth}]")
     if n_examples < 1:
@@ -309,10 +311,10 @@ def distillation_rows(
     tails, of_example = _sampled_tails(
         seed, n_examples, target.vocab_size, order, min_len, max_len
     )
-    passes = target.forward_tails(tails)
+    slots = target.slots(tails)
     return DistillationSet(
-        np.stack([hidden[layer - 1] for hidden, _, _ in passes]),
-        np.stack([z for _, z, _ in passes]),
+        target.hidden_rows(layer, slots),
+        target.logit_rows(slots),
         np.zeros((len(tails), 0), dtype=np.intp),
         np.array(of_example, dtype=np.intp),
     ), tails
@@ -383,11 +385,9 @@ class LayeredHiddenSource:
         return self.layer / self.model.depth
 
     def rows(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        """Layer-``layer`` hidden state of each prefix, one row per prefix,
-        from one batched forward-pass read."""
-        passes = self.model.forward_tails(prefixes)
-        rows = [hidden[self.layer - 1] for hidden, _, _ in passes]
-        return _stacked(rows, self.model.hidden_dim)
+        """Layer-``layer`` hidden state of each prefix, one read-only row
+        per prefix, read from the model's pass table by slot with one index."""
+        return self.model.hidden_rows(self.layer, self.model.slots(prefixes))
 
 
 class ExactProbeSource:

@@ -187,12 +187,12 @@ def tabular_row(model: TabularMarkovModel, idx: int) -> np.ndarray:
 def hidden_at(model: LayeredTargetModel, layer: int, prefix: Sequence[int]) -> np.ndarray:
     """Hidden state after ``layer`` (1 to ``depth``) of ``model``'s memoized
     forward pass over ``prefix``."""
-    return model.forward_tails((prefix,))[0][0][layer - 1]
+    return model.hidden_rows(layer, model.slots((prefix,)))[0]
 
 
 def layered_logits(model: LayeredTargetModel, prefix: Sequence[int]) -> np.ndarray:
     """Final logits of ``model``'s memoized forward pass over ``prefix``."""
-    return model.forward_tails((prefix,))[0][1]
+    return model.logit_rows(model.slots((prefix,)))[0]
 
 
 def shape_after_insert(tree: TokenTree, entry: FrontierEntry) -> tuple[int, int]:

@@ -15,7 +15,7 @@ from flashspec.models import (
     draft_candidates,
     target_greedy_decode,
 )
-from flashspec.predictor import ExactProbeSource, LayeredHiddenSource
+from flashspec.predictor import ExactProbeSource, LayeredHiddenSource, distillation_rows
 from flashspec.seeding import block_states, generator
 from flashspec.tree import ROOT_ID, TokenTree
 from helpers import candidate_tokens, hidden_at, layered_logits, path_tokens, tabular_row
@@ -137,16 +137,17 @@ class TestLayeredModel:
             assert abs(p.sum() - 1.0) < 1e-9
             assert p.min() >= 0
 
-    @pytest.mark.parametrize("token", [-1, 8])
+    @pytest.mark.parametrize("token", [-1, 8, 2**64])
     def test_out_of_vocabulary_token_rejected(self, token):
         model = LayeredTargetModel(8, 2, depth=4, hidden_dim=4, seed=1)
         with pytest.raises(ContractError, match="outside vocabulary"):
             model.next_dist([3, token])
         with pytest.raises(ContractError, match="outside vocabulary"):
-            model.forward_tails([[1, 2], [token, 3], [4]])
-        # the valid tails of a rejected batch still evaluate
-        for p, (_, _, dist) in zip([[1, 2], [4]], model.forward_tails([[1, 2], [4]])):
-            assert np.array_equal(dist, reference_dist(model, p))
+            model.slots([[1, 2], [token, 3], [4]])
+        # a rejected batch stores nothing, and its valid tails still evaluate
+        assert model.slots([[1, 2], [4]]).tolist() == [0, 1]
+        for p in ([1, 2], [4]):
+            assert np.array_equal(model.next_dist(p), reference_dist(model, p))
 
     def test_order_below_one_rejected(self):
         with pytest.raises(ConfigError, match="order"):
@@ -183,7 +184,10 @@ def reference_dist(model, prefix):
 @st.composite
 def memo_sessions(draw):
     """A layered model and a call sequence over a small prefix pool, so calls
-    repeat tails, extend them and include prefixes shorter than the order."""
+    repeat tails, extend them and include prefixes shorter than the order.
+    Hidden-source reads take zero to three prefixes, so some are empty, and
+    distillation reads bring up to 48 seeded prefixes at once, so the pass
+    table grows mid-session."""
     vocab = draw(st.integers(2, 8))
     model = LayeredTargetModel(
         vocab,
@@ -198,11 +202,12 @@ def memo_sessions(draw):
         st.lists(
             st.tuples(
                 st.sampled_from(
-                    ["hidden_at", "logits", "next_dist", "source_rows", "forward_tails"]
+                    ["hidden_at", "logits", "next_dist", "source_rows", "distillation_rows"]
                 ),
                 st.one_of(st.sampled_from(pool), st.lists(token, max_size=5)),
                 st.integers(1, model.depth),
-                st.lists(token, min_size=1, max_size=3),
+                st.lists(token, max_size=3),
+                st.integers(1, 48),
             ),
             min_size=1,
             max_size=12,
@@ -216,49 +221,77 @@ class TestLayeredMemo:
     @given(memo_sessions())
     def test_every_call_matches_a_fresh_forward_pass(self, session):
         model, calls = session
-        for kind, prefix, layer, path in calls:
+        handed_out = []    # (array, its fresh-pass value) of every read so far
+        for kind, prefix, layer, path, n in calls:
             if kind == "source_rows":
                 # the exit layer must lie strictly before the final layer
                 source = LayeredHiddenSource(model, min(layer, model.depth - 1))
-                prefixes = [prefix + path[:i] for i in range(len(path) + 1)]
+                prefixes = [prefix + path[:i] for i in range(len(path))]
                 rows = source.rows(prefixes)
-                assert rows.shape == (len(prefixes), model.hidden_dim)
-                for row, p in zip(rows, prefixes):
-                    assert np.array_equal(row, reference_hidden(model, source.layer, p))
-                continue
-            if kind == "forward_tails":
-                prefixes = [prefix + path[:i] for i in range(len(path) + 1)]
-                passes = model.forward_tails(prefixes)
-                assert len(passes) == len(prefixes)
-                for (hidden, z, dist), p in zip(passes, prefixes):
-                    assert len(hidden) == model.depth
-                    for ell, h in enumerate(hidden, start=1):
-                        assert np.array_equal(h, reference_hidden(model, ell, p))
-                    assert np.array_equal(z, reference_logits(model, p))
-                    assert np.array_equal(dist, reference_dist(model, p))
-                    for arr in (*hidden, z, dist):
-                        assert not arr.flags.writeable
-                continue
-            if kind == "hidden_at":
-                got = hidden_at(model, layer, prefix)
-                expect = reference_hidden(model, layer, prefix)
+                expect = [reference_hidden(model, source.layer, p) for p in prefixes]
+                handed_out.append((rows, np.reshape(expect, (len(prefixes), model.hidden_dim))))
+            elif kind == "distillation_rows":
+                # seeded prefixes padded to the model's order or one more
+                order = model.order + n % 2
+                data, tails = distillation_rows(model, layer, n, len(path), order)
+                assert len(tails) == len(set(tails)) == len(data.hidden) == len(data.logits)
+                handed_out.append(
+                    (data.hidden, np.stack([reference_hidden(model, layer, t) for t in tails]))
+                )
+                handed_out.append(
+                    (data.logits, np.stack([reference_logits(model, t) for t in tails]))
+                )
+            elif kind == "hidden_at":
+                handed_out.append(
+                    (hidden_at(model, layer, prefix), reference_hidden(model, layer, prefix))
+                )
             elif kind == "logits":
-                got, expect = layered_logits(model, prefix), reference_logits(model, prefix)
+                handed_out.append((layered_logits(model, prefix), reference_logits(model, prefix)))
             else:
-                got, expect = model.next_dist(prefix), reference_dist(model, prefix)
-            assert np.array_equal(got, expect)
-            with pytest.raises(ValueError):
-                got[0] = 0.0
-            assert np.array_equal(got, expect)
+                handed_out.append((model.next_dist(prefix), reference_dist(model, prefix)))
+            # every array read so far, before any growth of the table too,
+            # still holds its fresh-pass bytes and is still read-only
+            for got, expect in handed_out:
+                assert got.shape == expect.shape
+                assert np.array_equal(got, expect)
+                assert not got.flags.writeable
 
-    def test_one_forward_pass_per_padded_tail(self):
+    def test_a_memoized_tail_is_computed_once(self):
         model = LayeredTargetModel(8, 2, depth=4, hidden_dim=4, seed=1)
+        computed = []
+        compute = model._compute
+
+        def counted(tails):
+            computed.extend(tails)
+            compute(tails)
+
+        model._compute = counted
         dist = model.next_dist([5])
-        assert model.next_dist([0, 5]) is dist
-        assert model.next_dist([3, 0, 5]) is dist
-        assert layered_logits(model, [5]) is layered_logits(model, [1, 0, 5])
-        assert hidden_at(model, 2, [0, 5]) is hidden_at(model, 2, [7, 0, 5])
-        assert model.next_dist([1, 5]) is not dist
+        assert np.array_equal(model.next_dist([0, 5]), dist)
+        assert np.array_equal(model.next_dist([3, 0, 5]), dist)
+        assert np.array_equal(layered_logits(model, [5]), layered_logits(model, [1, 0, 5]))
+        assert np.array_equal(hidden_at(model, 2, [0, 5]), hidden_at(model, 2, [7, 0, 5]))
+        assert computed == [(0, 5)]
+        # a batch computes only its tails without a slot, each once
+        LayeredHiddenSource(model, 2).rows([[5], [2, 3], [4, 0, 5], [1, 2, 3]])
+        assert computed == [(0, 5), (2, 3)]
+        _, tails = distillation_rows(model, 2, 200, 0, model.order)
+        distillation_rows(model, 3, 200, 0, model.order)
+        assert sorted(computed) == sorted({(0, 5), (2, 3), *tails})
+        assert not np.array_equal(model.next_dist([1, 5]), dist)
+
+    def test_rows_read_before_a_growth_keep_their_values(self):
+        model = LayeredTargetModel(8, 2, depth=4, hidden_dim=4, seed=1)
+        before = [
+            (model.next_dist([1]), reference_dist(model, [1])),
+            (hidden_at(model, 4, [1]), reference_hidden(model, 4, [1])),
+        ]
+        model.slots([[a, b] for a in range(8) for b in range(8)])
+        # the table moved: a fresh read of the same tail is a new array
+        assert not np.shares_memory(model.next_dist([1]), before[0][0])
+        for got, expect in before:
+            assert np.array_equal(got, expect)
+            assert not got.flags.writeable
 
 
 class TestHiddenStates:
@@ -539,13 +572,13 @@ def mixture_reads(draw):
 @given(mixture_reads())
 def test_batched_mixture_rows_equal_stacked_next_dist(case):
     """A mixture draft read as one stacked block, over a layered target
-    whose passes were first computed as one ``forward_tails`` batch, has
-    the bytes of a fresh draft's single reads."""
+    whose passes were first computed as one batch by ``slots``, has the
+    bytes of a fresh draft's single reads."""
     target_args, draft_args, prefixes = case
     draft = _mixture(target_args, draft_args)
     fresh = _mixture(target_args, draft_args)
     if isinstance(draft.target, LayeredTargetModel):
-        draft.target.forward_tails(prefixes)
+        draft.target.slots(prefixes)
     got = ExactProbeSource(draft).rows(prefixes)
     want = np.log(np.maximum(np.stack([fresh.next_dist(p) for p in prefixes]), 1e-300))
     assert got.tobytes() == want.tobytes()
