@@ -9,8 +9,11 @@ table (every layer's hidden state, the logits and the softmax of each
 computed tail).  Every model is read one prefix at a time through
 ``next_dist``; the layered target's table is also read many rows at a time
 by index (:meth:`LayeredTargetModel.slots`), which computes the passes of
-the missing tails as one batch.  A memoized value is exactly what a fresh
-evaluation returns, which keeps the models usable as exact oracles.
+the missing tails as one batch.  A single missing tail (every cold
+``next_dist``) is computed on 1-D vectors with the same matrix-vector
+product per layer, so it equals a batch row bitwise.  A memoized value is
+exactly what a fresh evaluation returns, which keeps the models usable as
+exact oracles.
 
 For the same reason :func:`draft_candidates` computes one immutable
 :class:`~flashspec.tree.CandidateSet` per ``(padded tail, k)`` and stores it
@@ -155,7 +158,10 @@ class LayeredTargetModel(ProbModel):
     has a slot, a row of the arrays ``hidden`` (depth, slots, d),
     ``logits`` (slots, V) and ``dist`` (slots, V).  The arrays grow by
     reallocation and a slot is never rewritten, so a row handed out before
-    a growth keeps its values.
+    a growth keeps its values.  Missing tails are computed as one stacked
+    batch; a single missing tail is computed on 1-D vectors instead, one
+    ``W @ h`` per layer, the same product the batch makes per tail, so its
+    row equals a batch row bitwise.
     """
 
     def __init__(
@@ -235,7 +241,11 @@ class LayeredTargetModel(ProbModel):
 
     def _compute(self, tails: list[tuple[int, ...]]) -> None:
         """Give each tail (distinct, none with a slot yet) the next slot and
-        write its forward pass there, all computed as one batch."""
+        write its forward pass there, all computed as one batch; a batch of
+        one is computed on 1-D vectors."""
+        if len(tails) == 1:
+            self._compute_one(tails[0])
+            return
         try:
             idx = np.array(tails, dtype=np.intp)
             inside = bool(((idx >= 0) & (idx < self.vocab_size)).all())
@@ -249,7 +259,8 @@ class LayeredTargetModel(ProbModel):
         if hi > len(self._dist):
             self._grow(hi)
         # One matrix-vector product per tail (batched), not H @ W.T: the two
-        # round differently, and a batch must equal a batch of one.
+        # round differently, and a batch must equal a batch of one, which
+        # _compute_one makes with the same product on 1-D vectors.
         h = self.embedding[idx].mean(axis=1)
         for ell, W in enumerate(self.layer_weights):
             h = np.tanh((W @ h[:, :, None])[:, :, 0])
@@ -259,6 +270,32 @@ class LayeredTargetModel(ProbModel):
         self._logits[lo:hi] = z
         self._dist[lo:hi] = e / e.sum(axis=1, keepdims=True)
         self._slot.update(zip(tails, range(lo, hi)))
+
+    def _compute_one(self, tail: tuple[int, ...]) -> None:
+        """The batch pass of :meth:`_compute` for a single tail, without its
+        per-call array overhead.  The embedding rows are summed in tail
+        order and divided by ``order``, which is what ``mean`` does, and each
+        layer is the same matrix-vector product the batch makes per tail, so
+        the row equals a batch row bitwise."""
+        for t in tail:
+            if not 0 <= t < self.vocab_size:
+                raise ContractError(f"token {t} outside vocabulary")
+        slot = len(self._slot)
+        if slot == len(self._dist):
+            self._grow(slot + 1)
+        emb = self.embedding
+        h = emb[tail[0]]
+        for t in tail[1:]:
+            h = h + emb[t]
+        h = h / self.order
+        for ell, W in enumerate(self.layer_weights):
+            h = np.tanh(W @ h)
+            self._hidden[ell, slot] = h
+        z = self.logit_scale * (self.output_proj @ h)
+        e = np.exp(z - z.max())
+        self._logits[slot] = z
+        self._dist[slot] = e / e.sum()
+        self._slot[tail] = slot
 
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:
         """The softmax row of the prefix's padded tail, read-only."""
@@ -343,7 +380,7 @@ def draft_candidates(model: ProbModel, prefix: Sequence[int], k: int) -> Candida
         p = model.next_dist(key[0])   # the padded tail: all the model reads
         # Stable sort of -p keeps equal-probability tokens in ascending-id order.
         order = np.argsort(-p, kind="stable")[:k]
-        cand = CandidateSet(tuple((int(t), float(p[t])) for t in order))
+        cand = CandidateSet(tuple(zip(order.tolist(), p[order].tolist())))
         memo[key] = cand
     return cand
 

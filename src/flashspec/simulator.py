@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -77,7 +78,11 @@ class HardwareConfig:
         return cls(**payload)
 
 
+@cache
 def load_preset(name: str) -> HardwareConfig:
+    """The named preset, read and parsed once per process (the config is
+    frozen, so every caller can share it).  An unknown name raises on every
+    call: a raised call is not memoized."""
     path = PRESET_DIR / f"{name}.json"
     if not path.exists():
         known = sorted(p.stem for p in PRESET_DIR.glob("*.json"))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flashspec.errors import ConfigError, ContractError
@@ -140,13 +140,15 @@ class TestLayeredModel:
     @pytest.mark.parametrize("token", [-1, 8, 2**64])
     def test_out_of_vocabulary_token_rejected(self, token):
         model = LayeredTargetModel(8, 2, depth=4, hidden_dim=4, seed=1)
-        with pytest.raises(ContractError, match="outside vocabulary"):
+        with pytest.raises(ContractError, match=f"token {token} outside vocabulary"):
             model.next_dist([3, token])
-        with pytest.raises(ContractError, match="outside vocabulary"):
-            model.slots([[1, 2], [token, 3], [4]])
+        # a rejected one-tail pass stores nothing: the next valid tail takes slot 0
+        assert model.slots([[1, 2]]).tolist() == [0]
+        with pytest.raises(ContractError, match=f"token {token} outside vocabulary"):
+            model.slots([[1, 2], [token, 3], [4], [5]])
         # a rejected batch stores nothing, and its valid tails still evaluate
-        assert model.slots([[1, 2], [4]]).tolist() == [0, 1]
-        for p in ([1, 2], [4]):
+        assert model.slots([[1, 2], [4], [5]]).tolist() == [0, 1, 2]
+        for p in ([1, 2], [4], [5]):
             assert np.array_equal(model.next_dist(p), reference_dist(model, p))
 
     def test_order_below_one_rejected(self):
@@ -279,6 +281,44 @@ class TestLayeredMemo:
         distillation_rows(model, 3, 200, 0, model.order)
         assert sorted(computed) == sorted({(0, 5), (2, 3), *tails})
         assert not np.array_equal(model.next_dist([1, 5]), dist)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.integers(1, 3),
+        st.integers(2, 6),
+        st.integers(1, 40),
+        st.integers(0, 10_000),
+        st.integers(2, 9),
+    )
+    @example(vocab=39, order=3, depth=6, hidden_dim=39, seed=1, n=9)
+    @example(vocab=7, order=3, depth=3, hidden_dim=1, seed=2, n=5)
+    def test_one_tail_passes_equal_batch_rows(self, vocab, order, depth, hidden_dim, seed, n):
+        """A tail computed alone (every cold ``next_dist``) is byte-equal to
+        the same tail's row of a stacked batch and to a fresh forward pass,
+        at odd sizes too, where BLAS kernels take their remainder paths."""
+        single, batch = (
+            LayeredTargetModel(vocab, order, depth=depth, hidden_dim=hidden_dim, seed=seed)
+            for _ in range(2)
+        )
+        # distinct tails, so the batch twin computes them all in one stacked pass
+        rows = np.random.default_rng(seed).choice(vocab**order, min(n, vocab**order), replace=False)
+        tails = [[r // vocab**i % vocab for i in range(order)] for r in rows.tolist()]
+        for tail in tails:
+            single.next_dist(tail)
+        slots = batch.slots(tails)
+        assert slots.tolist() == list(range(len(tails)))
+        for layer in range(1, depth + 1):
+            expect = np.stack([reference_hidden(single, layer, t) for t in tails])
+            assert single.hidden_rows(layer, slots).tobytes() == expect.tobytes()
+            assert batch.hidden_rows(layer, slots).tobytes() == expect.tobytes()
+        expect = np.stack([reference_logits(single, t) for t in tails])
+        assert single.logit_rows(slots).tobytes() == expect.tobytes()
+        assert batch.logit_rows(slots).tobytes() == expect.tobytes()
+        for tail in tails:
+            expect = reference_dist(single, tail).tobytes()
+            assert single.next_dist(tail).tobytes() == expect
+            assert batch.next_dist(tail).tobytes() == expect
 
     def test_rows_read_before_a_growth_keep_their_values(self):
         model = LayeredTargetModel(8, 2, depth=4, hidden_dim=4, seed=1)

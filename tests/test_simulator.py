@@ -252,6 +252,12 @@ class TestHardwareConfig:
         with pytest.raises(ConfigError, match="llama31-8b"):
             load_preset("nokia-3310")
 
+    def test_a_preset_is_parsed_once_and_an_unknown_name_raises_every_time(self):
+        assert load_preset("qwen3-4b") is load_preset("qwen3-4b")
+        for _ in range(3):
+            with pytest.raises(ConfigError, match="unknown hardware preset"):
+                load_preset("nokia-3310")
+
     def test_roundtrip(self):
         cfg = load_preset("qwen3-14b")
         again = HardwareConfig.from_dict(cfg.to_dict())
