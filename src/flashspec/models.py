@@ -160,8 +160,9 @@ class LayeredTargetModel(ProbModel):
     reallocation and a slot is never rewritten, so a row handed out before
     a growth keeps its values.  Missing tails are computed as one stacked
     batch; a single missing tail is computed on 1-D vectors instead, one
-    ``W @ h`` per layer, the same product the batch makes per tail, so its
-    row equals a batch row bitwise.
+    matrix-vector product per layer, the same product the batch makes per
+    tail, so its row equals a batch row bitwise; its results are written
+    straight into the tail's row.
     """
 
     def __init__(
@@ -288,13 +289,14 @@ class LayeredTargetModel(ProbModel):
         for t in tail[1:]:
             h = h + emb[t]
         h = h / self.order
+        # Each result is written straight into its table row.  For these
+        # C-contiguous weights np.dot reaches the gemv that ``W @ h`` does.
+        hidden = self._hidden
         for ell, W in enumerate(self.layer_weights):
-            h = np.tanh(W @ h)
-            self._hidden[ell, slot] = h
-        z = self.logit_scale * (self.output_proj @ h)
+            h = np.tanh(np.dot(W, h), out=hidden[ell, slot])
+        z = np.multiply(self.logit_scale, np.dot(self.output_proj, h), out=self._logits[slot])
         e = np.exp(z - z.max())
-        self._logits[slot] = z
-        self._dist[slot] = e / e.sum()
+        np.divide(e, e.sum(), out=self._dist[slot])
         self._slot[tail] = slot
 
     def next_dist(self, prefix: Sequence[int]) -> np.ndarray:

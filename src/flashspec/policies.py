@@ -7,9 +7,14 @@ all of them share one verification path and each keeps its own planning
 state.  The chain baseline is the degenerate tree (k=1, fixed depth, no
 stopping rule); the balanced baseline expands a fixed branching factor level
 by level, which is what makes its expansion steps batchable.  Neither reads
-feedback.  The gain-cost policy wraps the greedy builder and owns the
-reliability factor that scales its reach estimates.  Like the greedy
-builder, the fixed-shape builds draft from each node's carried padded tail.
+feedback, so a fixed-shape tree depends only on the root's padded draft
+tail: each policy instance builds it once per tail and returns the stored
+result when the tail comes back (a harness trial makes a fresh policy, so
+nothing is shared across trials).  The gain-cost policy wraps the greedy
+builder and owns the reliability factor that scales its reach estimates;
+its trees depend on that factor too and are built every cycle.  Like the
+greedy builder, the fixed-shape builds draft from each node's carried
+padded tail.
 
 Every estimate is the simulator's price of its cycle on the trial's
 hardware (the gain-cost builder reads it through its profile), without
@@ -38,10 +43,25 @@ from .verification import VerificationResult
 
 
 class FixedShapePolicy:
-    """A policy whose trees do not depend on verification feedback."""
+    """A policy whose trees do not depend on verification feedback.
+
+    A grown fixed shape (:meth:`_grown`) depends only on the root's padded
+    draft tail, so it is built once per tail and kept in the instance's
+    ``_builds``; a repeated tail returns the same :class:`BuildResult`,
+    which no later stage mutates, and reads the draft zero times.
+    """
 
     def observe(self, result: VerificationResult) -> None:
         """Fixed shapes read no feedback."""
+
+    def _grown(self, context: Sequence[int], fanout: int, depth: int) -> BuildResult:
+        """The ``(fanout, depth)`` level tree of ``context``'s padded tail,
+        grown on the tail's first build only."""
+        tail = _padded_tail(context, self.draft.order)
+        out = self._builds.get(tail)
+        if out is None:
+            out = self._builds[tail] = _grow_levels(self.draft, tail, fanout, depth, self.hw)
+        return out
 
 
 @dataclass
@@ -66,13 +86,16 @@ class ChainPolicy(FixedShapePolicy):
     draft: ProbModel
     hw: HardwareConfig
     length: int = 8
+    _builds: dict[tuple[int, ...], BuildResult] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ConfigError("chain length must be >= 1")
 
     def build(self, context: Sequence[int]) -> BuildResult:
-        return _grow_levels(self.draft, context, 1, self.length, self.hw)
+        return self._grown(context, 1, self.length)
 
 
 @dataclass
@@ -85,6 +108,10 @@ class BalancedTreePolicy(FixedShapePolicy):
     hw: HardwareConfig
     fanout: int = 2
     node_budget: int = 16
+    _builds: dict[tuple[int, ...], BuildResult] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.fanout < 1 or self.node_budget < 1:
@@ -93,6 +120,7 @@ class BalancedTreePolicy(FixedShapePolicy):
             raise ConfigError(
                 f"fanout={self.fanout} exceeds node_budget={self.node_budget}"
             )
+        self._depth = self.depth()
 
     def depth(self) -> int:
         """Levels that fit the budget; at least one, since the first does."""
@@ -105,7 +133,7 @@ class BalancedTreePolicy(FixedShapePolicy):
             d += 1
 
     def build(self, context: Sequence[int]) -> BuildResult:
-        return _grow_levels(self.draft, context, self.fanout, self.depth(), self.hw)
+        return self._grown(context, self.fanout, self._depth)
 
 
 @dataclass
@@ -143,20 +171,21 @@ class GainCostPolicy:
 
 def _grow_levels(
     draft: ProbModel,
-    context: Sequence[int],
+    tail: tuple[int, ...],
     fanout: int,
     depth: int,
     hw: HardwareConfig,
 ) -> BuildResult:
-    """The fixed-topology baselines' tree: ``depth`` levels, every node of a
-    level expanded with its top-``fanout`` draft candidates; a node's reach
-    is its parent's times its draft probability.  A chain is the
-    ``fanout=1`` case.  A child's tail is its parent's shifted by its
-    token.  Each expanded node's candidate set is recorded for pruning."""
-    tree = TokenTree(root_token=int(context[-1]))
+    """The fixed-topology baselines' tree over the root's padded draft
+    ``tail``: ``depth`` levels, every node of a level expanded with its
+    top-``fanout`` draft candidates; a node's reach is its parent's times
+    its draft probability.  A chain is the ``fanout=1`` case.  A child's
+    tail is its parent's shifted by its token.  Each expanded node's
+    candidate set is recorded for pruning."""
+    tree = TokenTree(root_token=int(tail[-1]))
     counts: list[int] = []
     candidate_sets: dict[int, CandidateSet] = {}
-    level = [(ROOT_ID, _padded_tail(context, draft.order))]
+    level = [(ROOT_ID, tail)]
     for _ in range(depth):
         counts.append(len(level))
         next_level: list[tuple[int, tuple[int, ...]]] = []

@@ -5,7 +5,8 @@ recomputed from scratch, a pruned copy of a tree by compaction, a tree's JSON an
 from it, a candidate set's tokens and a candidate set of given tokens,
 edge scores keyed by ``(parent, token)`` as a list by node id, a tabular
 row drawn from its own ``default_rng``, a layered target's hidden
-state at one layer and its final logits, a frontier entry's marginal cost
+state at one layer and its final logits (each alone, or both from one
+slot read), a frontier entry's marginal cost
 priced from two profile lookups, a per-example training record and its
 conversions to and from a distillation set, a zero-weight probe, the
 probe's losses and gradient on a set, its candidate-restricted top-1
@@ -193,6 +194,15 @@ def hidden_at(model: LayeredTargetModel, layer: int, prefix: Sequence[int]) -> n
 def layered_logits(model: LayeredTargetModel, prefix: Sequence[int]) -> np.ndarray:
     """Final logits of ``model``'s memoized forward pass over ``prefix``."""
     return model.logit_rows(model.slots((prefix,)))[0]
+
+
+def hidden_and_logits(
+    model: LayeredTargetModel, layer: int, prefix: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``hidden_at(model, layer, prefix)`` and ``layered_logits(model,
+    prefix)`` from a single slot read."""
+    slot = model.slots((prefix,))
+    return model.hidden_rows(layer, slot)[0], model.logit_rows(slot)[0]
 
 
 def shape_after_insert(tree: TokenTree, entry: FrontierEntry) -> tuple[int, int]:

@@ -35,7 +35,7 @@ from flashspec.predictor import (
     EarlyExitPredictor,
     TrainConfig,
 )
-from helpers import TrainingExample, candidate_tokens, hidden_at, layered_logits
+from helpers import TrainingExample, candidate_tokens, hidden_and_logits
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -188,10 +188,11 @@ def build_distillation_dataset(
         length = int(rng.integers(min_len, max_len + 1))
         prefix = rng.integers(0, target.vocab_size, size=length).tolist()
         cand = draft_candidates(draft, prefix, k)
+        hidden, logits = hidden_and_logits(target, layer, prefix)
         out.append(
             TrainingExample(
-                hidden=hidden_at(target, layer, prefix),
-                logits=layered_logits(target, prefix),
+                hidden=hidden,
+                logits=logits,
                 # token order: restriction is a set, and a neutral order keeps
                 # the zero-initialized predictor at chance-level agreement
                 candidates=tuple(sorted(candidate_tokens(cand))),

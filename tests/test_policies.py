@@ -6,11 +6,17 @@ from hypothesis import strategies as st
 
 from flashspec.drafting import DraftConfig
 from flashspec.errors import ConfigError
-from flashspec.models import TabularMarkovModel, derive_draft
+from flashspec.models import (
+    LayeredTargetModel,
+    TabularMarkovModel,
+    _padded_tail,
+    derive_draft,
+    target_greedy_decode,
+)
 from flashspec.policies import BalancedTreePolicy, ChainPolicy, GainCostPolicy, RootOnlyPolicy
 from flashspec.simulator import load_preset
 from flashspec.tree import ROOT_ID, flatten
-from flashspec.verification import VerificationResult
+from flashspec.verification import VerificationResult, run_decode
 from helpers import affine_profile, candidate_tokens, path_tokens, tree_json
 
 HW = load_preset("llama31-8b")
@@ -215,3 +221,131 @@ def test_chain_is_the_one_wide_balanced_tree(seed, agreement, length, context, d
     assert chain.estimate == tree.estimate
     assert chain.stop == tree.stop
     assert chain.expansion_counts == tree.expansion_counts
+
+
+class RecordingDraft:
+    """A draft that logs the padded tail of every ``next_dist`` read.  It
+    keeps no candidate-set memo (``draft_candidates`` stores its sets in a
+    dict that this property hands out fresh on each access), so every
+    expansion of a build shows up as one read."""
+
+    def __init__(self, base):
+        self.base = base
+        self.vocab_size = base.vocab_size
+        self.order = base.order
+        self.reads: list[tuple[int, ...]] = []
+
+    @property
+    def _candidate_sets(self):
+        return {}
+
+    def next_dist(self, prefix):
+        self.reads.append(tuple(prefix))
+        return self.base.next_dist(prefix)
+
+
+class FreshEachCycle:
+    """A fixed-shape policy that never memoizes: every cycle builds with a
+    new policy made by ``make``."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def build(self, context):
+        return self.make().build(context)
+
+    def observe(self, result):
+        pass
+
+
+@st.composite
+def fixed_shape_trials(draw):
+    """A tabular or layered target, its mixture draft, a chain or balanced
+    policy factory, and contexts whose padded draft tails repeat: each is a
+    random head (possibly empty, so short contexts pad) followed by one of a
+    few shared endings."""
+    vocab = draw(st.integers(3, 8))
+    seed = draw(st.integers(0, 10_000))
+    order = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        target = TabularMarkovModel(vocab, order, seed=seed)
+    else:
+        target = LayeredTargetModel(
+            vocab, order, depth=draw(st.integers(2, 3)), hidden_dim=draw(st.integers(2, 6)),
+            seed=seed,
+        )
+    draft = derive_draft(
+        target, draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])), noise_seed=seed + 1,
+        noise_order=draw(st.integers(1, 3)),
+    )
+    if draw(st.booleans()):
+        length = draw(st.integers(1, 6))
+        make = lambda d: ChainPolicy(d, HW, length)  # noqa: E731
+    else:
+        fanout = draw(st.integers(1, min(3, vocab)))
+        budget = draw(st.integers(fanout, 24))
+        make = lambda d: BalancedTreePolicy(d, HW, fanout, budget)  # noqa: E731
+    token = st.integers(0, vocab - 1)
+    endings = draw(st.lists(st.lists(token, min_size=1, max_size=3), min_size=1, max_size=4))
+    contexts = draw(
+        st.lists(
+            st.builds(lambda head, end: head + end,
+                      st.lists(token, max_size=5), st.sampled_from(endings)),
+            min_size=2, max_size=12,
+        )
+    )
+    return target, draft, make, contexts
+
+
+def build_fields(out):
+    return (
+        tree_json(out.tree), out.candidate_sets, out.estimate, out.stop, out.expansion_counts
+    )
+
+
+class TestFixedShapeMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(fixed_shape_trials())
+    def test_every_build_equals_a_fresh_first_build(self, trial):
+        _, draft, make, contexts = trial
+        policy = make(draft)
+        for context in contexts:
+            got = policy.build(context)
+            want = make(draft).build(context)
+            assert build_fields(got) == build_fields(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fixed_shape_trials())
+    def test_a_repeated_tail_reads_the_draft_zero_times(self, trial):
+        _, draft, make, contexts = trial
+        recording = RecordingDraft(draft)
+        policy = make(recording)
+        seen = set()
+        for context in contexts:
+            tail = _padded_tail(context, draft.order)
+            before = len(recording.reads)
+            policy.build(context)
+            reads = len(recording.reads) - before
+            if tail in seen:
+                assert reads == 0
+            else:
+                # the root is expanded first, from the tail itself
+                assert reads >= 1 and recording.reads[before] == tail
+            seen.add(tail)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fixed_shape_trials(), st.integers(1, 40))
+    def test_decode_equals_a_policy_that_never_memoizes(self, trial, horizon):
+        target, draft, make, contexts = trial
+        memo = run_decode(target, contexts[0], horizon, make(draft))
+        fresh = run_decode(target, contexts[0], horizon, FreshEachCycle(lambda: make(draft)))
+        assert memo.tokens == fresh.tokens == target_greedy_decode(target, contexts[0], horizon)
+        assert memo.cycles == fresh.cycles
+
+    def test_each_policy_instance_keeps_its_own_builds(self):
+        _, draft = models()
+        first, second = ChainPolicy(draft, HW, 4), ChainPolicy(draft, HW, 4)
+        out = first.build([4, 2])
+        assert first.build([7, 4, 2]) is out
+        assert second.build([4, 2]) is not out
+        assert build_fields(second.build([4, 2])) == build_fields(out)

@@ -29,6 +29,7 @@ from helpers import (
     path_tokens,
     recount,
     scores_by_id,
+    tree_json,
 )
 import reference_verification as ref
 from reference_verification import path_posterior
@@ -379,6 +380,50 @@ class TestTreePruner:
         res = run_decode(target, ctx, 48, policy, pruner=pruner)
         assert res.tokens == target_greedy_decode(target, ctx, 48)
         assert any(c.rows_verified < c.tree_nodes for c in res.cycles)
+
+    @pytest.mark.parametrize("shape", ["chain", "balanced"])
+    def test_served_fixed_shape_builds_stay_unchanged(self, shape):
+        # a fixed-shape policy serves one BuildResult object for every cycle
+        # whose tail repeats; neither the pruner nor verification may change it
+        target = TabularMarkovModel(6, 2, seed=49)
+        draft = derive_draft(target, 0.5, noise_seed=50)
+        if shape == "chain":
+            policy = ChainPolicy(draft, HW, length=4)
+        else:
+            policy = BalancedTreePolicy(draft, HW, fanout=2, node_budget=14)
+        served = {}                  # id -> (result, snapshot at first serve, serves)
+
+        def snapshot(out):
+            return (
+                tree_json(out.tree), out.tree.shape, dict(out.candidate_sets),
+                list(out.expansion_counts), out.estimate, out.stop,
+            )
+
+        class Serving:
+            def build(self, context):
+                out = policy.build(context)
+                first = served.setdefault(id(out), [out, snapshot(out), 0])
+                first[2] += 1
+                return out
+
+            def observe(self, result):
+                policy.observe(result)
+
+        pruner = TreePruner(
+            EarlyExitPredictor.identity_probe(6),
+            ExactProbeSource(target),
+            PruneConfig(theta=0.3),
+        )
+        ctx = [3, 1]
+        pruned = run_decode(target, ctx, 96, Serving(), pruner=pruner)
+        full = run_decode(target, ctx, 96, Serving())
+        assert pruned.tokens == full.tokens == target_greedy_decode(target, ctx, 96)
+        assert all(c.prune is not None for c in pruned.cycles)
+        # a chain is its own backbone, so only the balanced tree loses rows
+        assert any(c.rows_verified < c.tree_nodes for c in pruned.cycles) == (shape == "balanced")
+        assert max(serves for _, _, serves in served.values()) > 2
+        for out, before, _ in served.values():
+            assert snapshot(out) == before
 
     def test_pruned_accept_never_exceeds_full_accept(self):
         # replay both verifications on identical cycles
