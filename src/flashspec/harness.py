@@ -44,7 +44,6 @@ from .predictor import (
     build_distillation_dataset,
     default_exit_layer,
     distillation_rows,
-    load_checkpoint,
     train,
 )
 from .pruning import PruneConfig, TreePruner
@@ -117,7 +116,6 @@ class ExperimentConfig:
     balanced_budget: int = 16
     profile_max_nodes: int = 96
     profile_max_leaves: int = 32
-    predictor_checkpoint: str | None = None
     predictor_examples: int = 2000
     out_dir: str | None = None
 
@@ -135,11 +133,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}={getattr(self, key)} must be >= 1")
         if self.projection_mode not in ("eager", "ondemand"):
             raise ConfigError(f"unknown projection mode {self.projection_mode!r}")
-        if self.predictor_checkpoint and self.model.type != "layered":
-            raise ConfigError(
-                f"predictor_checkpoint needs a layered model; a {self.model.type} "
-                "target prunes with its exact probe"
-            )
         # Candidate sets and balanced-tree levels hold distinct tokens.
         vocab = self.model.vocab_size
         if self.policy.startswith("lever") and self.drafting.k > vocab:
@@ -307,13 +300,13 @@ def priced_grid(hw: HardwareConfig, max_nodes: int, max_leaves: int) -> LatencyP
     return LatencyProfile(partial(verify_latency, hw), max_nodes, max_leaves)
 
 
-def make_pruner(cfg: ExperimentConfig, target: ProbModel, trial: int) -> TreePruner | None:
+def make_pruner(cfg: ExperimentConfig, target: ProbModel) -> TreePruner | None:
     """Lever's pruner for ``target``, or ``None`` where no keep set can
     change a price.
 
-    A layered target prunes with its exit-layer probe, loaded from
-    ``cfg.predictor_checkpoint`` or fitted to trial ``trial``'s target.  Any
-    other target scores with the exact probe, which reads the final
+    A layered target prunes with its exit-layer probe, fitted in closed form
+    to ``target`` itself, so the probe matches its target by construction.
+    Any other target scores with the exact probe, which reads the final
     distribution: its exit fraction is 1.0, so a pruned cycle pays compute
     for the whole tree.  Under on-demand projection, which charges only the
     accepted path, the keep set then reaches no priced number, and no
@@ -321,32 +314,10 @@ def make_pruner(cfg: ExperimentConfig, target: ProbModel, trial: int) -> TreePru
     """
     if isinstance(target, LayeredTargetModel):
         layer = default_exit_layer(target.depth)
-        if cfg.predictor_checkpoint:
-            if trial != 0:
-                raise ConfigError(
-                    f"predictor checkpoint {cfg.predictor_checkpoint} fits trial 0's "
-                    f"target (seed model.seed + 0) only; trial {trial}'s target has "
-                    f"seed model.seed + {trial}, so run one trial or train per trial"
-                )
-            try:
-                pred = load_checkpoint(cfg.predictor_checkpoint)
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(
-                    f"cannot read predictor checkpoint {cfg.predictor_checkpoint}: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            got = (pred.vocab_size, pred.hidden_dim, pred.layer)
-            want = (target.vocab_size, target.hidden_dim, layer)
-            if got != want:
-                raise ConfigError(
-                    f"predictor checkpoint {cfg.predictor_checkpoint} has "
-                    f"(vocab_size, hidden_dim, layer) = {got}; the target needs {want}"
-                )
-        else:
-            rows, _ = distillation_rows(
-                target, layer, cfg.predictor_examples, cfg.training.seed, target.order
-            )
-            pred = fit_probe(rows, layer)
+        rows, _ = distillation_rows(
+            target, layer, cfg.predictor_examples, cfg.training.seed, target.order
+        )
+        pred = fit_probe(rows, layer)
         return TreePruner(pred, LayeredHiddenSource(target, layer), cfg.pruning)
     # Models without intermediate layers score with the exact probe:
     # identity weights over log target probabilities.  Its edge scores are
@@ -401,7 +372,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     draft = make_draft(cfg, target, trial)
     context = make_context(cfg, trial)
     policy = make_policy(cfg, draft, hw, seed_profile(cfg, hw))
-    pruner = make_pruner(cfg, target, trial) if cfg.policy == "lever" else None
+    pruner = make_pruner(cfg, target) if cfg.policy == "lever" else None
 
     decode = run_decode(target, context, cfg.horizon, policy, pruner=pruner)
     trace, metrics = simulate_decode(

@@ -356,14 +356,6 @@ def save_checkpoint(pred: EarlyExitPredictor, path: str) -> None:
         json.dump(payload, fh, sort_keys=True)
 
 
-def load_checkpoint(path: str) -> EarlyExitPredictor:
-    with open(path) as fh:
-        payload = json.load(fh)
-    v, d = int(payload["vocab_size"]), int(payload["hidden_dim"])
-    W = np.asarray(payload["weights"], dtype=float).reshape(v, d)
-    return EarlyExitPredictor(W, int(payload["layer"]))
-
-
 def save_loss_curve(curve: Sequence[float], path: str) -> None:
     with open(path, "w") as fh:
         fh.write("epoch,loss\n")

@@ -54,7 +54,7 @@ class PruneDecision:
     backbone: tuple[int, ...]
     leaves: int                          # leaves of the kept subtree
     # Pruning has no reject path; the bench's pruning.rejected_frac still
-    # reads this field (ROADMAP item 7 drops both).
+    # reads this field (ROADMAP item 17 drops both).
     rejected: ClassVar[bool] = False
 
 

@@ -8,7 +8,8 @@ row drawn from its own ``default_rng``, a layered target's hidden
 state at one layer and its final logits (each alone, or both from one
 slot read), a frontier entry's marginal cost
 priced from two profile lookups, a per-example training record and its
-conversions to and from a distillation set, a zero-weight probe, the
+conversions to and from a distillation set, a zero-weight probe, a probe
+read back from its saved JSON, the
 probe's losses and gradient on a set, its candidate-restricted top-1
 agreement and a one-row projection calibration.
 No engine stage needs them; tests use them as seeds and oracles."""
@@ -268,6 +269,15 @@ def training_examples(data: DistillationSet) -> list[TrainingExample]:
 def zero_probe(vocab_size: int, hidden_dim: int, layer: int) -> EarlyExitPredictor:
     """The probe with all-zero weights: a uniform student."""
     return EarlyExitPredictor(np.zeros((vocab_size, hidden_dim)), layer)
+
+
+def load_checkpoint(path: str) -> EarlyExitPredictor:
+    """The probe that ``save_checkpoint`` wrote to ``path``."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    v, d = int(payload["vocab_size"]), int(payload["hidden_dim"])
+    W = np.asarray(payload["weights"], dtype=float).reshape(v, d)
+    return EarlyExitPredictor(W, int(payload["layer"]))
 
 
 def kd_loss(pred: EarlyExitPredictor, data: DistillationSet, tau: float) -> float:

@@ -41,8 +41,6 @@ from flashspec.predictor import (
     LayeredHiddenSource,
     build_distillation_dataset,
     default_exit_layer,
-    load_checkpoint,
-    save_checkpoint,
     train,
 )
 from flashspec.pruning import TreePruner
@@ -55,11 +53,9 @@ from flashspec.simulator import (
     verify_latency,
 )
 from flashspec.verification import run_decode
-from helpers import tree_json, zero_probe
+from helpers import load_checkpoint, tree_json
 
 ROOT = Path(__file__).resolve().parents[1]
-# CLI flags of a one-trial lever run on the layered target
-LAYERED_LEVER = ["--set", "trials=1", "--set", "policy=lever", "--set", 'model.type="layered"']
 
 
 def small_cfg(**kw):
@@ -242,7 +238,7 @@ class TestRunExperiment:
                 2,
                 {
                     "report.json":
-                        "1c55dc089f9fd4cb4a0bcf04ab2e9556b7ff093873a2decf6bccf3144746b523",
+                        "2bf89d63f9a0276567f5fc4c34ae236cb14c07f4459817f0af58f1ba9040ab7c",
                     "report.csv":
                         "3f351eb2d4b3ab4f421018a9cde3fa5bd8b6a07579caec8b682360e019c0d9d1",
                     "trace.json":
@@ -259,7 +255,7 @@ class TestRunExperiment:
                 1,
                 {
                     "report.json":
-                        "321181726ad45be8944307fa24dd476b80587bfc66c1faf765b704651de127bd",
+                        "067f8ee35ba04c89b00cbcc3d7eb186fe979bd7135085793ccfbbe59a8ce1215",
                     "report.csv":
                         "8268a301c924283e745072306b35d9d4b65adc00026950fa11a65d64c920c3bf",
                     "trace.json":
@@ -275,7 +271,7 @@ class TestRunExperiment:
                 2,
                 {
                     "report.json":
-                        "5f1089832fa3860bbb47089539a975ae9fe2b976da249e40ea09888275443465",
+                        "2e9fbc76dff3454ca17bf708a336e6ac7e2e2aaf83c6aa56ef02652918239ac1",
                     "report.csv":
                         "49e1d6a9dfe0579d48e49a2e6d432b999e5bc9ebd4138626a39497ecaa69e549",
                     "trace.json":
@@ -290,7 +286,7 @@ class TestRunExperiment:
                 2,
                 {
                     "report.json":
-                        "1c30934cb4c3fa09e3523a735e3ed2030b7df2d93aaf83197c8becdaf29e354a",
+                        "5a47b6fc60f7423cc6f80df4cb78a7177d7573666f85ce34529f9587012e3f67",
                     "report.csv":
                         "61bcbdaeb4b991891f08f322993dd998af3b1d794ae1b181ed7d79e0df34692c",
                     "trace.json":
@@ -307,7 +303,7 @@ class TestRunExperiment:
                 2,
                 {
                     "report.json":
-                        "4fd02ea37192a28dd70150d78c9b97637778e352cf63f481c7e3d1ffef73e422",
+                        "c45a935e9a73586a3fe9e22a6775bd33979770b3b6fbdc27cc7660e94072aba2",
                     "report.csv":
                         "d4ec9520d83d089f14d13d1c60b0ede8d2b682c82c1982dba3b62c19f98968cb",
                     "trace.json":
@@ -324,7 +320,7 @@ class TestRunExperiment:
                 1,
                 {
                     "report.json":
-                        "dc821e4a9c031d819b4c9addf5982ca4a9f0b0f151ea3564dc3857a99a18c5ef",
+                        "eba254e84f021710a7ccf0fc9aec27ebf89241867290e7411502f73978da55ad",
                     "report.csv":
                         "bb3cc041fb7f8d2ebf982e609e8ebd249782ca7d42281117b541b5fae7d889fd",
                     "trace.json":
@@ -387,7 +383,7 @@ class TestPlannedDraftPrice:
         cfg = small_cfg(policy="lever", hardware=hw, trials=1)
         target = make_target(cfg.model, 0)
         policy = make_policy(cfg, make_draft(cfg, target, 0), hw, seed_profile(cfg, hw))
-        pruner = make_pruner(cfg, target, 0)
+        pruner = make_pruner(cfg, target)
         builds = []
 
         def build(context, _build=policy.build):
@@ -455,7 +451,7 @@ class TestEstimateIsPrice:
                 return builds[-1]
 
             policy_obj.build = build
-            pruner = make_pruner(cfg, target, 0) if policy == "lever" else None
+            pruner = make_pruner(cfg, target) if policy == "lever" else None
             decode = run_decode(
                 target, make_context(cfg, 0), cfg.horizon, policy_obj, pruner=pruner
             )
@@ -607,11 +603,11 @@ class TestMakePruner:
 
     def test_tabular_on_demand_builds_no_pruner(self):
         cfg = small_cfg(policy="lever", projection_mode="ondemand")
-        assert make_pruner(cfg, make_target(cfg.model, 0), 0) is None
+        assert make_pruner(cfg, make_target(cfg.model, 0)) is None
 
     def test_tabular_eager_prunes_with_the_exact_probe(self):
         cfg = small_cfg(policy="lever", projection_mode="eager")
-        pruner = make_pruner(cfg, make_target(cfg.model, 0), 0)
+        pruner = make_pruner(cfg, make_target(cfg.model, 0))
         assert isinstance(pruner, TreePruner)
         assert isinstance(pruner.hidden_source, ExactProbeSource)
         assert pruner.exit_fraction == 1.0
@@ -622,7 +618,7 @@ class TestMakePruner:
             policy="lever", projection_mode=mode, predictor_examples=10,
             model=ModelSpec(type="layered", vocab_size=8, order=1, seed=4, depth=2, hidden_dim=4),
         )
-        pruner = make_pruner(cfg, make_target(cfg.model, 0), 0)
+        pruner = make_pruner(cfg, make_target(cfg.model, 0))
         assert isinstance(pruner, TreePruner)
         assert isinstance(pruner.hidden_source, LayeredHiddenSource)
         assert pruner.exit_fraction < 1.0
@@ -792,7 +788,7 @@ class TestRunProbe:
             target, make_draft(cfg, target, trial), layer,
             cfg.predictor_examples, cfg.drafting.k, seed=cfg.training.seed,
         )
-        run_probe = make_pruner(cfg, target, trial).pred
+        run_probe = make_pruner(cfg, target).pred
         assert run_probe.layer == layer
         assert np.array_equal(run_probe.weights, EarlyExitPredictor.fit(full, layer).weights)
 
@@ -863,9 +859,7 @@ class TestCLI:
         assert (tmp_path / "pred" / "predictor.json").exists()
         assert (tmp_path / "pred" / "loss_curve.csv").exists()
 
-    def test_train_predictor_checkpoint_is_the_trial_zero_probe(
-        self, tmp_path, monkeypatch
-    ):
+    def test_train_predictor_writes_the_refined_trial_zero_probe(self, tmp_path, monkeypatch):
         cfg = small_cfg(
             policy="lever",
             trials=1,
@@ -895,7 +889,7 @@ class TestCLI:
         monkeypatch.setattr(harness, "fit_probe", recording)
         run_trial(cfg, 0)
         assert len(fitted) == 1
-        # the checkpoint is the run's probe refined by SGD on trial 0's full
+        # the written probe is the run's probe refined by SGD on trial 0's full
         # distillation set
         target = make_target(cfg.model, 0)
         full = build_distillation_dataset(
@@ -905,41 +899,6 @@ class TestCLI:
         refined, _ = train(fitted[0], full, cfg.training)
         assert np.array_equal(saved.weights, refined.weights)
         assert saved.layer == refined.layer
-
-    @pytest.mark.parametrize(
-        "vocab_size, hidden_dim, layer", [(12, 8, 2), (16, 6, 2), (16, 8, 3)]
-    )
-    def test_mismatched_checkpoint_rejected(self, tmp_path, vocab_size, hidden_dim, layer):
-        path = str(tmp_path / "predictor.json")
-        save_checkpoint(zero_probe(vocab_size, hidden_dim, layer), path)
-        cfg = small_cfg(
-            policy="lever",
-            model=ModelSpec(type="layered", vocab_size=16, order=2, seed=4,
-                            depth=4, hidden_dim=8),
-            predictor_checkpoint=path,
-        )
-        target = make_target(cfg.model, 0)
-        with pytest.raises(ConfigError, match="checkpoint"):
-            make_pruner(cfg, target, 0)
-        # the matching shape loads
-        save_checkpoint(zero_probe(16, 8, 2), path)
-        assert make_pruner(cfg, target, 0) is not None
-
-    def test_checkpoint_rejected_after_trial_zero(self, tmp_path):
-        path = str(tmp_path / "predictor.json")
-        save_checkpoint(zero_probe(16, 8, 2), path)
-        cfg = small_cfg(
-            policy="lever",
-            trials=2,
-            model=ModelSpec(type="layered", vocab_size=16, order=2, seed=4,
-                            depth=4, hidden_dim=8),
-            predictor_checkpoint=path,
-        )
-        target = make_target(cfg.model, 1)
-        with pytest.raises(ConfigError, match="fits trial 0's target"):
-            make_pruner(cfg, target, 1)
-        with pytest.raises(ConfigError, match="trial 1's target"):
-            run_experiment(cfg)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_training_divergence_is_clean_exit(self, tmp_path, capsys):
@@ -983,21 +942,15 @@ class TestCLI:
             (None, ["--config", "{path}"], "cannot read config {path}: "),
             ("{not json", ["--config", "{path}"], "cannot read config {path}: "),
             ("[1, 2]", ["--config", "{path}"], "config {path} is not a JSON object"),
+            # every report.json written while the config had this key
+            # embeds it as null
             (
-                None,
-                LAYERED_LEVER + ["--set", "predictor_checkpoint={path}"],
-                "cannot read predictor checkpoint {path}: FileNotFoundError",
-            ),
-            (
-                '{"vocab_size": 32, "layer": 3, "weights": []}',
-                LAYERED_LEVER + ["--set", "predictor_checkpoint={path}"],
-                "cannot read predictor checkpoint {path}: KeyError: 'hidden_dim'",
+                '{"predictor_checkpoint": null}',
+                ["--config", "{path}"],
+                "unknown config keys: ['predictor_checkpoint']",
             ),
         ],
-        ids=[
-            "missing-config", "invalid-json", "json-list",
-            "missing-checkpoint", "checkpoint-without-hidden-dim",
-        ],
+        ids=["missing-config", "invalid-json", "json-list", "old-report-checkpoint-key"],
     )
     def test_bad_input_file_is_clean_error(self, tmp_path, capsys, text, argv, message):
         path = tmp_path / "input.json"
@@ -1007,17 +960,6 @@ class TestCLI:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: " + message.format(path=path))
-        assert "Traceback" not in err
-
-    def test_checkpoint_on_tabular_model_is_clean_error(self, tmp_path, capsys):
-        # a tabular target prunes with its exact probe, which would ignore
-        # the checkpoint without a word
-        path = tmp_path / "missing.json"
-        rc = cli_main(["run", "--set", "policy=lever", "--set", f"predictor_checkpoint={path}",
-                       "--set", "trials=1", "--set", "horizon=4"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: predictor_checkpoint needs a layered model")
         assert "Traceback" not in err
 
     def test_repeated_compare_policy_is_clean_error(self, capsys):

@@ -13,7 +13,6 @@ from flashspec.predictor import (
     build_distillation_dataset,
     default_exit_layer,
     distillation_rows,
-    load_checkpoint,
     save_checkpoint,
     train,
 )
@@ -26,6 +25,7 @@ from helpers import (
     candidate_top1_agreement,
     distillation_set,
     kd_loss,
+    load_checkpoint,
     total_loss,
     total_loss_grad,
     zero_probe,

@@ -72,7 +72,7 @@ def test_run_probe_calls_harness_names(monkeypatch, attr):
         model=ModelSpec(type="layered", vocab_size=8, order=1, seed=4, depth=2, hidden_dim=4),
         predictor_examples=10,
     )
-    harness.make_pruner(cfg, make_target(cfg.model, 0), 0)
+    harness.make_pruner(cfg, make_target(cfg.model, 0))
     assert calls == [attr]
 
 
