@@ -56,6 +56,8 @@ from flashspec.verification import run_decode
 from helpers import load_checkpoint, tree_json
 
 ROOT = Path(__file__).resolve().parents[1]
+# CLI flags of a one-trial lever run on the layered target
+LAYERED_LEVER = ["--set", "trials=1", "--set", "policy=lever", "--set", 'model.type="layered"']
 
 
 def small_cfg(**kw):
@@ -623,6 +625,48 @@ class TestMakePruner:
         assert isinstance(pruner.hidden_source, LayeredHiddenSource)
         assert pruner.exit_fraction < 1.0
 
+    @pytest.mark.parametrize(
+        "vocab_size, hidden_dim, depth", [(12, 8, 4), (16, 6, 4), (16, 8, 6)]
+    )
+    def test_layered_probe_matches_its_target(self, vocab_size, hidden_dim, depth):
+        """The shapes a loaded probe once had to be checked against: a
+        fitted probe has its target's vocabulary, width and exit layer."""
+        cfg = small_cfg(
+            policy="lever", predictor_examples=10,
+            model=ModelSpec(type="layered", vocab_size=vocab_size, order=2, seed=4,
+                            depth=depth, hidden_dim=hidden_dim),
+        )
+        target = make_target(cfg.model, 0)
+        pruner = make_pruner(cfg, target)
+        layer = default_exit_layer(depth)
+        assert (pruner.pred.vocab_size, pruner.pred.hidden_dim) == (vocab_size, hidden_dim)
+        assert pruner.pred.layer == pruner.hidden_source.layer == layer
+        assert pruner.hidden_source.model is target
+
+    def test_each_trial_prunes_with_its_own_targets_probe(self, monkeypatch):
+        """No trial reuses another's probe: trial 1's pruner is the fit of
+        trial 1's target, not of trial 0's."""
+        built = []
+
+        def recording(cfg, target, _original=make_pruner):
+            pruner = _original(cfg, target)
+            built.append((target, pruner))
+            return pruner
+
+        monkeypatch.setattr(harness, "make_pruner", recording)
+        cfg = small_cfg(
+            policy="lever", trials=2, horizon=8, predictor_examples=20,
+            model=ModelSpec(type="layered", vocab_size=16, order=2, seed=4,
+                            depth=4, hidden_dim=8),
+        )
+        run_experiment(cfg)
+        assert len(built) == 2
+        for trial, (target, pruner) in enumerate(built):
+            own = make_pruner(cfg, make_target(cfg.model, trial)).pred
+            assert pruner.hidden_source.model is target
+            assert np.array_equal(pruner.pred.weights, own.weights)
+        assert not np.array_equal(built[0][1].pred.weights, built[1][1].pred.weights)
+
     def test_tabular_on_demand_lever_trial_is_lever_noprune(self):
         cfg = small_cfg(trials=1, horizon=32)
         lever = run_trial(replace(cfg, policy="lever"), 0)
@@ -949,8 +993,23 @@ class TestCLI:
                 ["--config", "{path}"],
                 "unknown config keys: ['predictor_checkpoint']",
             ),
+            # a run fits its own probe: naming a checkpoint, readable or
+            # not, is an unknown key
+            (
+                None,
+                LAYERED_LEVER + ["--set", "predictor_checkpoint={path}"],
+                "unknown config keys: ['predictor_checkpoint']",
+            ),
+            (
+                '{"vocab_size": 32, "layer": 3, "weights": []}',
+                LAYERED_LEVER + ["--set", "predictor_checkpoint={path}"],
+                "unknown config keys: ['predictor_checkpoint']",
+            ),
         ],
-        ids=["missing-config", "invalid-json", "json-list", "old-report-checkpoint-key"],
+        ids=[
+            "missing-config", "invalid-json", "json-list", "old-report-checkpoint-key",
+            "missing-checkpoint", "checkpoint-without-hidden-dim",
+        ],
     )
     def test_bad_input_file_is_clean_error(self, tmp_path, capsys, text, argv, message):
         path = tmp_path / "input.json"
@@ -960,6 +1019,17 @@ class TestCLI:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: " + message.format(path=path))
+        assert "Traceback" not in err
+
+    def test_checkpoint_on_tabular_model_is_clean_error(self, tmp_path, capsys):
+        # no target reads a checkpoint, so the key is refused on a tabular
+        # target too rather than ignored without a word
+        path = tmp_path / "missing.json"
+        rc = cli_main(["run", "--set", "policy=lever", "--set", f"predictor_checkpoint={path}",
+                       "--set", "trials=1", "--set", "horizon=4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config keys: ['predictor_checkpoint']")
         assert "Traceback" not in err
 
     def test_repeated_compare_policy_is_clean_error(self, capsys):
