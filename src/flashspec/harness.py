@@ -157,10 +157,7 @@ class ExperimentConfig:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        out = asdict(self)
-        if isinstance(self.hardware, HardwareConfig):
-            out["hardware"] = self.hardware.to_dict()
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ExperimentConfig":

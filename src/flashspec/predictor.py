@@ -10,10 +10,8 @@ candidate set) row per distinct context tail and each example's row index.
 :meth:`EarlyExitPredictor.fit` is a ridge least-squares fit of the
 mean-centred target logits on the hidden states; it reads no candidate sets,
 so the run path fits on :func:`distillation_rows`.  :func:`train` refines a
-probe by mini-batch SGD.  The teacher terms and the candidate loss are
-computed once per distinct row and expanded to the examples before any sum;
-each epoch gathers its permuted examples once, so a mini-batch is a slice.
-Losses, gradients and weights keep the rounding of a per-example evaluation.
+probe by mini-batch SGD on the set expanded to one row per example, and its
+losses, gradients and weights keep the rounding of a per-example evaluation.
 """
 from __future__ import annotations
 
@@ -118,54 +116,33 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
 
 
-# The array core below works on stacked rows.  Its arithmetic follows the
-# per-example formulation operation for operation, so losses, gradients and
-# trained weights do not depend on how examples are grouped or share rows.
-# The teacher terms (softmaxes of the target logits) do not depend on the
-# weights; they are computed once per distinct row as a _Teacher.
+# The array core below works on stacked examples, one row each.  Its
+# arithmetic follows the per-example formulation operation for operation, so
+# losses, gradients and trained weights do not depend on how examples are
+# stacked.
 
 
-def _soft(z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise ``log_softmax(z / tau)`` and its exp."""
+def _kl(s: np.ndarray, z: np.ndarray, tau: float) -> np.ndarray:
+    """Row-wise ``KL(softmax(z / tau) || softmax(s))`` of the teacher logits
+    ``z`` and the student scores ``s`` (already divided by ``tau``)."""
     log_p = _log_softmax(z / tau)
-    return log_p, np.exp(log_p)
-
-
-class _Teacher(NamedTuple):
-    """Weight-independent terms of the training loss, one row per distinct
-    row of a :class:`DistillationSet`."""
-
-    log_p: np.ndarray                    # log_softmax(Z / tau_kd)
-    p: np.ndarray
-    log_pc: np.ndarray                   # log_softmax(Z[C] / tau_cand)
-    pc: np.ndarray
-
-    @classmethod
-    def of(cls, Z: np.ndarray, C: np.ndarray, cfg: TrainConfig) -> "_Teacher":
-        cand = np.take_along_axis(Z, C, 1)
-        return cls(*_soft(Z, cfg.tau_kd), *_soft(cand, cfg.tau_cand))
-
-
-def _kl(s: np.ndarray, log_p: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Row-wise ``KL(p || softmax(s))`` for the teacher ``p``."""
-    return (p * (log_p - _log_softmax(s))).sum(axis=1)
+    return (np.exp(log_p) * (log_p - _log_softmax(s))).sum(axis=1)
 
 
 def _total_loss(
-    W: np.ndarray, data: DistillationSet, teacher: _Teacher, cfg: TrainConfig
+    W: np.ndarray, H: np.ndarray, Z: np.ndarray, C: np.ndarray, cfg: TrainConfig
 ) -> float:
     """The training loss summed over the examples."""
-    H, _, C, example = data
     # The full-vocabulary term takes one product over every example, as the
     # per-example evaluation does: BLAS rounds a product's row differently
-    # with the row count and position, so rows that share a tail can differ.
-    kd = _kl(H[example] @ W.T / cfg.tau_kd, teacher.log_p[example], teacher.p[example])
+    # with the row count and position, so rows with equal values can differ.
+    kd = _kl(H @ W.T / cfg.tau_kd, Z, cfg.tau_kd)
     loss = float(cfg.tau_kd * cfg.tau_kd * kd.sum())
     if cfg.lambda_cand > 0:
-        # One matrix-vector product per distinct row (batched), not a gather
+        # One matrix-vector product per example (batched), not a gather
         # from H @ W.T: the two round differently.
         s = (W[C] @ H[:, :, None])[:, :, 0] / cfg.tau_cand
-        kl = _kl(s, teacher.log_pc, teacher.pc)[example]
+        kl = _kl(s, np.take_along_axis(Z, C, 1), cfg.tau_cand)
         # Sequential float sum in example order (accumulate adds one value
         # at a time): numpy's pairwise sum would round differently.
         cand = float(np.add.accumulate(kl)[-1])
@@ -173,46 +150,28 @@ def _total_loss(
     return loss
 
 
-class _Batch(NamedTuple):
-    """Examples in training order: hidden states, teacher terms, and the
-    flat indices of the candidate scores in ``S.ravel()`` and of the
-    candidate gradient rows in ``grad.ravel()``.  Scores are indexed within
-    mini-batches of ``size`` rows, so a mini-batch is a slice."""
-
-    H: np.ndarray                        # (n, d)
-    p: np.ndarray                        # (n, V)
-    pc: np.ndarray                       # (n, k)
-    gather: np.ndarray                   # (n, k)
-    scatter: np.ndarray                  # (n, k, d)
-
-    @classmethod
-    def of(
-        cls, data: DistillationSet, teacher: _Teacher, rows: np.ndarray, size: int
-    ) -> "_Batch":
-        H, C = data.hidden[rows], data.candidates[rows]
-        gather = (np.arange(len(rows)) % size * data.logits.shape[1])[:, None] + C
-        scatter = C[:, :, None] * H.shape[1] + np.arange(H.shape[1])
-        return cls(H, teacher.p[rows], teacher.pc[rows], gather, scatter)
-
-    def slice(self, start: int, stop: int) -> "_Batch":
-        return _Batch(*(a[start:stop] for a in self))
-
-
-def _total_loss_grad(W: np.ndarray, b: _Batch, cfg: TrainConfig) -> np.ndarray:
-    S = b.H @ W.T
+def _total_loss_grad(
+    W: np.ndarray, H: np.ndarray, Z: np.ndarray, C: np.ndarray, cfg: TrainConfig
+) -> np.ndarray:
+    """Analytic gradient of the loss summed over the examples."""
+    S = H @ W.T
+    p = np.exp(_log_softmax(Z / cfg.tau_kd))
     q = np.exp(_log_softmax(S / cfg.tau_kd))
-    grad = cfg.tau_kd * (q - b.p).T @ b.H
+    grad = cfg.tau_kd * (q - p).T @ H
 
     if cfg.lambda_cand > 0:
-        s = S.reshape(-1)[b.gather] / cfg.tau_cand
-        q_e = np.exp(_log_softmax(s))
+        # Candidate scores are gathered from S, as the per-example gradient
+        # reads them.
+        q_e = np.exp(_log_softmax(np.take_along_axis(S, C, 1) / cfg.tau_cand))
+        q_t = np.exp(_log_softmax(np.take_along_axis(Z, C, 1) / cfg.tau_cand))
         scale = cfg.lambda_cand * cfg.tau_cand
-        rows = scale * ((q_e - b.pc)[:, :, None] * b.H[:, None, :])
-        # One scatter over the flat gradient (S and grad are fresh matmul
-        # results, so reshape(-1) is a view).  add.at applies its indices in
-        # order, so every element receives its additions example by
-        # example, as the per-example loop added them.
-        np.add.at(grad.reshape(-1), b.scatter.ravel(), rows.ravel())
+        rows = scale * ((q_e - q_t)[:, :, None] * H[:, None, :])
+        # One scatter over the flat gradient (grad is a fresh matmul result,
+        # so reshape(-1) is a view).  add.at applies its indices in order,
+        # so every element receives its additions example by example, as
+        # the per-example loop added them.
+        d = H.shape[1]
+        np.add.at(grad.reshape(-1), (C[:, :, None] * d + np.arange(d)).ravel(), rows.ravel())
     return grad
 
 
@@ -231,9 +190,8 @@ def train(
 ) -> tuple[EarlyExitPredictor, list[float]]:
     """Mini-batch gradient descent on the probe weights only.
 
-    Teacher terms and the candidate part of the curve loss are computed
-    once per distinct row; each epoch gathers its permuted examples once and
-    slices every mini-batch from them.  Per-step updates use the batch-mean
+    The set is expanded to one row per example once; each step gathers its
+    mini-batch's rows from them.  Per-step updates use the batch-mean
     gradient.  ``cfg.epochs`` is a cap: training stops after the first
     epoch whose loss drop is at least 0 but below ``CONVERGED_DROP`` of the
     loss before it.  The returned curve holds the summed loss over the
@@ -243,24 +201,24 @@ def train(
     _check_set(data)
     if data.candidates.shape[1] == 0:
         raise ContractError("train needs candidate sets; these rows have none")
-    n = len(data.example)
-    teacher = _Teacher.of(data.logits, data.candidates, cfg)
+    H, Z, C = (a[data.example] for a in data[:3])
+    n = len(H)
     rng = np.random.default_rng(cfg.seed)
     W = pred.weights.copy()
-    curve = [_total_loss(W, data, teacher, cfg)]
+    curve = [_total_loss(W, H, Z, C, cfg)]
 
     for epoch in range(cfg.epochs):
-        order = _Batch.of(data, teacher, data.example[rng.permutation(n)], cfg.batch_size)
+        order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            batch = order.slice(start, start + cfg.batch_size)
-            grad = _total_loss_grad(W, batch, cfg)
-            W = W - cfg.learning_rate * grad / len(batch.H)
+            rows = order[start : start + cfg.batch_size]
+            grad = _total_loss_grad(W, H[rows], Z[rows], C[rows], cfg)
+            W = W - cfg.learning_rate * grad / len(rows)
             if not np.all(np.isfinite(W)):
                 raise TrainingDiverged(
                     f"non-finite weights during epoch {epoch + 1} "
                     f"(lr={cfg.learning_rate}, batch={cfg.batch_size})"
                 )
-        loss = _total_loss(W, data, teacher, cfg)
+        loss = _total_loss(W, H, Z, C, cfg)
         if not np.isfinite(loss):
             raise TrainingDiverged(
                 f"non-finite loss after epoch {epoch + 1} "

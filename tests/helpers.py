@@ -34,10 +34,7 @@ from flashspec.predictor import (
     DistillationSet,
     EarlyExitPredictor,
     TrainConfig,
-    _Batch,
     _kl,
-    _soft,
-    _Teacher,
     _total_loss,
     _total_loss_grad,
 )
@@ -284,24 +281,23 @@ def kd_loss(pred: EarlyExitPredictor, data: DistillationSet, tau: float) -> floa
     """Temperature-scaled full-vocabulary distillation loss (summed over the
     examples), through the training core's array form."""
     cfg = TrainConfig(tau_kd=tau, lambda_cand=0.0)
-    teacher = _Teacher.of(data.logits, data.candidates, cfg)
-    return _total_loss(pred.weights, data, teacher, cfg)
+    return _total_loss(pred.weights, *(a[data.example] for a in data[:3]), cfg)
 
 
 def cand_loss(pred: EarlyExitPredictor, data: DistillationSet, tau: float) -> float:
     """Distillation loss restricted to each example's candidate set, summed
-    in example order."""
-    H, Z, C, example = data
+    in example order, through the training core's row-wise KL."""
+    H, Z, C = (a[data.example] for a in data[:3])
     s = (pred.weights[C] @ H[:, :, None])[:, :, 0] / tau
-    kl = _kl(s, *_soft(np.take_along_axis(Z, C, 1), tau))[example]
+    kl = _kl(s, np.take_along_axis(Z, C, 1), tau)
     return tau * tau * float(np.add.accumulate(kl)[-1])
 
 
 def total_loss(
     pred: EarlyExitPredictor, data: DistillationSet, cfg: TrainConfig
 ) -> float:
-    teacher = _Teacher.of(data.logits, data.candidates, cfg)
-    return _total_loss(pred.weights, data, teacher, cfg)
+    """The training loss summed over the examples, one row each."""
+    return _total_loss(pred.weights, *(a[data.example] for a in data[:3]), cfg)
 
 
 def total_loss_grad(
@@ -309,9 +305,7 @@ def total_loss_grad(
 ) -> np.ndarray:
     """Analytic gradient of the summed training loss over all the examples,
     as one mini-batch, with respect to the probe weights."""
-    teacher = _Teacher.of(data.logits, data.candidates, cfg)
-    n = len(data.example)
-    return _total_loss_grad(pred.weights, _Batch.of(data, teacher, data.example, n), cfg)
+    return _total_loss_grad(pred.weights, *(a[data.example] for a in data[:3]), cfg)
 
 
 def candidate_top1_agreement(pred: EarlyExitPredictor, data: DistillationSet) -> float:

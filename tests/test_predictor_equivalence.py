@@ -1,5 +1,6 @@
-"""Probe training on a distillation set of distinct rows, and the set built
-per distinct context tail, against the per-example references."""
+"""Probe training, which expands a distillation set of distinct rows to one
+row per example, and the set built per distinct context tail, against the
+per-example references."""
 
 import numpy as np
 import pytest
