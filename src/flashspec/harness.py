@@ -340,9 +340,7 @@ def train_predictor_for(
     return train(EarlyExitPredictor.fit(data, layer), data, cfg.training)
 
 
-def make_policy(
-    cfg: ExperimentConfig, draft: ProbModel, hw: HardwareConfig, profile: LatencyProfile
-):
+def make_policy(cfg: ExperimentConfig, draft: ProbModel, hw: HardwareConfig):
     if cfg.policy == "flash_ar":
         return RootOnlyPolicy(hw)
     if cfg.policy == "chain_sd":
@@ -350,7 +348,9 @@ def make_policy(
     if cfg.policy == "balanced_tree":
         return BalancedTreePolicy(draft, hw, cfg.balanced_fanout, cfg.balanced_budget)
     # lever plans each expansion at the simulator's price of a one-node step
-    return GainCostPolicy(draft, cfg.drafting, profile, draft_ms=draft_schedule((1,), hw))
+    return GainCostPolicy(
+        draft, cfg.drafting, seed_profile(cfg, hw), draft_ms=draft_schedule((1,), hw)
+    )
 
 
 @dataclass
@@ -368,7 +368,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     target = make_target(cfg.model, trial)
     draft = make_draft(cfg, target, trial)
     context = make_context(cfg, trial)
-    policy = make_policy(cfg, draft, hw, seed_profile(cfg, hw))
+    policy = make_policy(cfg, draft, hw)
     pruner = make_pruner(cfg, target) if cfg.policy == "lever" else None
 
     decode = run_decode(target, context, cfg.horizon, policy, pruner=pruner)

@@ -4,17 +4,16 @@ Every policy produces a :class:`~flashspec.drafting.BuildResult` from the
 context alone and is told each cycle's
 :class:`~flashspec.verification.VerificationResult` through ``observe``, so
 all of them share one verification path and each keeps its own planning
-state.  The chain baseline is the degenerate tree (k=1, fixed depth, no
-stopping rule); the balanced baseline expands a fixed branching factor level
-by level, which is what makes its expansion steps batchable.  Neither reads
-feedback, so a fixed-shape tree depends only on the root's padded draft
-tail: each policy instance builds it once per tail and returns the stored
-result when the tail comes back (a harness trial makes a fresh policy, so
-nothing is shared across trials).  The gain-cost policy wraps the greedy
-builder and owns the reliability factor that scales its reach estimates;
-its trees depend on that factor too and are built every cycle.  Like the
-greedy builder, the fixed-shape builds draft from each node's carried
-padded tail.
+state.  :class:`LevelPolicy` grows a fixed-shape level tree, ``fanout``
+candidates per node for ``depth`` levels; the chain baseline configures it
+one wide with ``length`` levels, the balanced baseline ``fanout`` wide with
+as many levels as fit its node budget.  A level tree reads no feedback and
+depends only on the root's padded draft tail, so each instance builds it
+once per tail (a harness trial makes a fresh policy, so nothing is shared
+across trials).  The gain-cost policy wraps the greedy builder and owns the
+reliability factor that scales its reach estimates; its trees depend on
+that factor too and are built every cycle.  Like the greedy builder, a
+level tree drafts from each node's carried padded tail.
 
 Every estimate is the simulator's price of its cycle on the trial's
 hardware (the gain-cost builder reads it through its profile), without
@@ -42,30 +41,8 @@ from .tree import ROOT_ID, CandidateSet, TokenTree
 from .verification import VerificationResult
 
 
-class FixedShapePolicy:
-    """A policy whose trees do not depend on verification feedback.
-
-    A grown fixed shape (:meth:`_grown`) depends only on the root's padded
-    draft tail, so it is built once per tail and kept in the instance's
-    ``_builds``; a repeated tail returns the same :class:`BuildResult`,
-    which no later stage mutates, and reads the draft zero times.
-    """
-
-    def observe(self, result: VerificationResult) -> None:
-        """Fixed shapes read no feedback."""
-
-    def _grown(self, context: Sequence[int], fanout: int, depth: int) -> BuildResult:
-        """The ``(fanout, depth)`` level tree of ``context``'s padded tail,
-        grown on the tail's first build only."""
-        tail = _padded_tail(context, self.draft.order)
-        out = self._builds.get(tail)
-        if out is None:
-            out = self._builds[tail] = _grow_levels(self.draft, tail, fanout, depth, self.hw)
-        return out
-
-
 @dataclass
-class RootOnlyPolicy(FixedShapePolicy):
+class RootOnlyPolicy:
     """Plain flash-backed autoregressive decoding: no drafting at all."""
 
     hw: HardwareConfig
@@ -78,62 +55,101 @@ class RootOnlyPolicy(FixedShapePolicy):
             expansion_counts=[],
         )
 
+    def observe(self, result: VerificationResult) -> None:
+        """The root-only tree reads no feedback."""
+
 
 @dataclass
-class ChainPolicy(FixedShapePolicy):
-    """Fixed-length single-sequence drafting (one greedy chain per cycle)."""
+class LevelPolicy:
+    """The level tree of ``depth`` levels over the root's padded draft tail:
+    every node of a level is expanded with its top-``fanout`` draft
+    candidates, so each level is one batchable draft step.  A node's reach
+    is its parent's times its draft probability, and a child's tail is its
+    parent's shifted by its token.  Each expanded node's candidate set is
+    recorded for pruning.
+
+    The tree depends only on the tail, so it is grown on the tail's first
+    build and kept in ``_builds``; a repeated tail returns the same
+    :class:`BuildResult`, which no later stage mutates, and reads the draft
+    zero times.
+    """
 
     draft: ProbModel
     hw: HardwareConfig
-    length: int = 8
+    fanout: int
+    depth: int
     _builds: dict[tuple[int, ...], BuildResult] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        if self.length < 1:
+    def build(self, context: Sequence[int]) -> BuildResult:
+        root_tail = _padded_tail(context, self.draft.order)
+        out = self._builds.get(root_tail)
+        if out is not None:
+            return out
+        tree = TokenTree(root_token=int(root_tail[-1]))
+        counts: list[int] = []
+        candidate_sets: dict[int, CandidateSet] = {}
+        level = [(ROOT_ID, root_tail)]
+        for _ in range(self.depth):
+            counts.append(len(level))
+            next_level: list[tuple[int, tuple[int, ...]]] = []
+            for parent, tail in level:
+                cand = candidate_sets[parent] = draft_candidates(self.draft, tail, self.fanout)
+                reach = tree.node(parent).reach
+                for token, p in cand.entries:
+                    child = tree.insert(parent, token, reach * p)
+                    next_level.append((child, tail[1:] + (token,)))
+            level = next_level
+        out = self._builds[root_tail] = BuildResult(
+            tree=tree,
+            estimate=GainCostEstimate(
+                gain=1.0 + sum(tree.node(n).reach for n in tree.ids() if n != ROOT_ID),
+                draft_cost=draft_schedule(counts, self.hw),
+                verify_cost=verify_latency(self.hw, *tree.shape),
+            ),
+            stop=StopRecord("frontier_empty", None),
+            expansion_counts=counts,
+            candidate_sets=candidate_sets,
+        )
+        return out
+
+    def observe(self, result: VerificationResult) -> None:
+        """Level trees read no feedback."""
+
+
+class ChainPolicy(LevelPolicy):
+    """Fixed-length single-sequence drafting: the one-wide level tree of
+    ``length`` levels."""
+
+    def __init__(self, draft: ProbModel, hw: HardwareConfig, length: int = 8) -> None:
+        if length < 1:
             raise ConfigError("chain length must be >= 1")
+        super().__init__(draft, hw, 1, length)
 
-    def build(self, context: Sequence[int]) -> BuildResult:
-        return self._grown(context, 1, self.length)
+    # an entry of its own, so a tracer can wrap this class's builds by name
+    build = LevelPolicy.build
 
 
-@dataclass
-class BalancedTreePolicy(FixedShapePolicy):
-    """Fixed-topology tree: branching ``fanout`` per node, depth chosen to
-    fit the node budget.  Levels are expanded together, so each level is one
-    batchable draft step."""
+class BalancedTreePolicy(LevelPolicy):
+    """The ``fanout``-wide level tree with as many levels as fit
+    ``node_budget``; at least one, since the first does."""
 
-    draft: ProbModel
-    hw: HardwareConfig
-    fanout: int = 2
-    node_budget: int = 16
-    _builds: dict[tuple[int, ...], BuildResult] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _depth: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.fanout < 1 or self.node_budget < 1:
+    def __init__(
+        self, draft: ProbModel, hw: HardwareConfig, fanout: int = 2, node_budget: int = 16
+    ) -> None:
+        if fanout < 1 or node_budget < 1:
             raise ConfigError("fanout and node_budget must be >= 1")
-        if self.fanout > self.node_budget:
-            raise ConfigError(
-                f"fanout={self.fanout} exceeds node_budget={self.node_budget}"
-            )
-        self._depth = self.depth()
+        if fanout > node_budget:
+            raise ConfigError(f"fanout={fanout} exceeds node_budget={node_budget}")
+        depth, nodes = 0, fanout
+        while nodes <= node_budget:
+            depth += 1
+            nodes += fanout ** (depth + 1)
+        super().__init__(draft, hw, fanout, depth)
 
-    def depth(self) -> int:
-        """Levels that fit the budget; at least one, since the first does."""
-        total = 0
-        d = 0
-        while True:
-            total += self.fanout ** (d + 1)
-            if total > self.node_budget:
-                return d
-            d += 1
-
-    def build(self, context: Sequence[int]) -> BuildResult:
-        return self._grown(context, self.fanout, self._depth)
+    # an entry of its own, so a tracer can wrap this class's builds by name
+    build = LevelPolicy.build
 
 
 @dataclass
@@ -168,42 +184,3 @@ class GainCostPolicy:
             raw = beta * self.rel + (1.0 - beta) * (result.fallback in cand)
             self.rel = min(1.0, max(self.cfg.r_min, raw))
 
-
-def _grow_levels(
-    draft: ProbModel,
-    tail: tuple[int, ...],
-    fanout: int,
-    depth: int,
-    hw: HardwareConfig,
-) -> BuildResult:
-    """The fixed-topology baselines' tree over the root's padded draft
-    ``tail``: ``depth`` levels, every node of a level expanded with its
-    top-``fanout`` draft candidates; a node's reach is its parent's times
-    its draft probability.  A chain is the ``fanout=1`` case.  A child's
-    tail is its parent's shifted by its token.  Each expanded node's
-    candidate set is recorded for pruning."""
-    tree = TokenTree(root_token=int(tail[-1]))
-    counts: list[int] = []
-    candidate_sets: dict[int, CandidateSet] = {}
-    level = [(ROOT_ID, tail)]
-    for _ in range(depth):
-        counts.append(len(level))
-        next_level: list[tuple[int, tuple[int, ...]]] = []
-        for parent, tail in level:
-            cand = candidate_sets[parent] = draft_candidates(draft, tail, fanout)
-            reach = tree.node(parent).reach
-            for token, p in cand.entries:
-                child = tree.insert(parent, token, reach * p)
-                next_level.append((child, tail[1:] + (token,)))
-        level = next_level
-    return BuildResult(
-        tree=tree,
-        estimate=GainCostEstimate(
-            gain=1.0 + sum(tree.node(n).reach for n in tree.ids() if n != ROOT_ID),
-            draft_cost=draft_schedule(counts, hw),
-            verify_cost=verify_latency(hw, *tree.shape),
-        ),
-        stop=StopRecord("frontier_empty", None),
-        expansion_counts=counts,
-        candidate_sets=candidate_sets,
-    )

@@ -17,9 +17,9 @@ decisions.  The leftover frontier is the oracle for the order in which
 pruning normalizes each parent's candidates: the children, then the
 leftover entries under that parent in frontier order.
 
-``grow_levels`` is the fixed-shape baselines' level-by-level build as it
-stood before nodes carried their draft tails: every expansion drafts from
-the full prefix, context plus path.
+``grow_levels`` is the oracle for :meth:`flashspec.policies.LevelPolicy.build`
+(the chain and balanced baselines) as it stood before nodes carried their
+draft tails: every expansion drafts from the full prefix, context plus path.
 """
 
 from __future__ import annotations

@@ -112,11 +112,11 @@ def fixed_shape_instances(draw):
     hw = load_preset("llama31-8b")
     if draw(st.booleans()):
         policy = ChainPolicy(draft, hw, draw(st.integers(1, 8)))
-        fanout, depth = 1, policy.length
+        fanout, depth = 1, policy.depth
     else:
         fanout = draw(st.integers(1, 4))
         policy = BalancedTreePolicy(draft, hw, fanout, draw(st.integers(fanout, 40)))
-        depth = policy.depth()
+        depth = policy.depth
     # contexts shorter than the draft order (padded) and far longer
     context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=40))
     return policy, draft, context, fanout, depth

@@ -367,7 +367,7 @@ class TestGainCostDraftCost:
         target = make_target(cfg.model, 0)
         draft = make_draft(cfg, target, 0)
         context = make_context(cfg, 0)
-        got = make_policy(cfg, draft, hw, seed_profile(cfg, hw)).build(context)
+        got = make_policy(cfg, draft, hw).build(context)
         want = build_tree(
             context, draft, cfg.drafting, 1.0,
             seed_profile(cfg, hw), draft_ms=5.0,
@@ -384,7 +384,7 @@ class TestPlannedDraftPrice:
         hw = replace(load_preset("llama31-8b"), batch_min=1)
         cfg = small_cfg(policy="lever", hardware=hw, trials=1)
         target = make_target(cfg.model, 0)
-        policy = make_policy(cfg, make_draft(cfg, target, 0), hw, seed_profile(cfg, hw))
+        policy = make_policy(cfg, make_draft(cfg, target, 0), hw)
         pruner = make_pruner(cfg, target)
         builds = []
 
@@ -445,7 +445,7 @@ class TestEstimateIsPrice:
         draft = make_draft(base, target, 0)
         for hw in hardware_regimes():
             cfg = replace(base, hardware=hw)
-            policy_obj = make_policy(cfg, draft, hw, seed_profile(cfg, hw))
+            policy_obj = make_policy(cfg, draft, hw)
             builds = []
 
             def build(context, _build=policy_obj.build):
@@ -704,7 +704,7 @@ class TestExactProbeSkipOracle:
             cfg = replace(base, hardware=hw)
             runs = []
             for pruner in (exact, None):
-                policy = make_policy(cfg, draft, hw, seed_profile(cfg, hw))
+                policy = make_policy(cfg, draft, hw)
                 accepted = []
 
                 def observe(result, _observe=policy.observe, _accepted=accepted):

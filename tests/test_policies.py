@@ -155,7 +155,7 @@ class TestBalanced:
     def test_depth_fits_budget(self, fanout, budget, depth):
         _, draft = models()
         policy = BalancedTreePolicy(draft, HW, fanout, budget)
-        assert policy.depth() == depth
+        assert policy.depth == depth
         nodes = sum(fanout ** (d + 1) for d in range(depth))
         assert nodes <= budget
 

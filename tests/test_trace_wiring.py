@@ -4,7 +4,7 @@ when the benchmark runs."""
 
 import pytest
 
-from flashbench.tracing import Tracer, _span_targets
+from flashbench.tracing import NAME, Tracer, _span_targets
 from flashspec import drafting, harness, pruning, verification
 from flashspec.drafting import DraftConfig, LatencyProfile, build_tree
 from flashspec.harness import (
@@ -136,5 +136,21 @@ def test_tracer_counts_the_off_grid_lookups_of_a_lever_trial(monkeypatch):
     assert counts["profile_misses"] == len(off_grid)
     assert counts["profile_lookups"] == len(shapes)
     assert len(reads) == 1
+    assert traced.emitted == untraced.emitted
+    assert traced.trace == untraced.trace
+
+
+@pytest.mark.parametrize("policy", ["chain_sd", "balanced_tree"])
+def test_fixed_shape_trials_open_one_build_span_per_cycle(policy):
+    """The tracer wraps ``ChainPolicy.build`` and ``BalancedTreePolicy.build``
+    by name, so ``make_policy`` must build those classes: the builds of a
+    bare ``LevelPolicy`` would escape the tracer."""
+    cfg = ExperimentConfig(policy=policy, horizon=24, trials=1, seed=3)
+    untraced = harness.run_trial(cfg, 0)
+    tracer = Tracer()
+    with tracer.installed():
+        traced = harness.run_trial(cfg, 0)  # the tracer patches this name
+    builds = [span for span in tracer.spans if span[NAME] == "drafting.build"]
+    assert len(builds) == len(traced.decode.cycles) > 1
     assert traced.emitted == untraced.emitted
     assert traced.trace == untraced.trace
