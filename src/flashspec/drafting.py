@@ -17,13 +17,14 @@ candidate cannot improve the tree's average gain rate.
 Each step is priced once.  A frontier entry's marginal cost depends only on
 its cost class: whether its parent already has children (the insertion adds
 a leaf, or the child replaces its parent as a leaf) and whether the entry is
-expandable.  So a step looks up the current shape and at most two grown
-shapes, computes at most four class costs, and scores every entry from that
-table.  Per-class ordered queues were prototyped and gained at most a few
-percent, because the frontier holds only a handful of entries; one pass
-over its plain ``(parent, token, reach, expandable)`` tuples scores every
-entry and keeps the best ratio, ties broken towards higher reach, then the
-smaller token, then the smaller parent handle.
+expandable.  So a step looks up at most two grown shapes, computes at most
+four class costs, and scores every entry from that table; the inserted
+entry's grown shape is the next step's current shape, so its price is the
+next step's verify cost.  Per-class ordered queues were prototyped and
+gained at most a few percent, because the frontier holds only a handful of
+entries; one pass over its plain ``(parent, token, reach, expandable)``
+tuples scores every entry and keeps the best ratio, ties broken towards
+higher reach, then the smaller token, then the smaller parent handle.
 
 An expansion drafts from the node's padded tail, the last ``draft.order``
 tokens of context plus path, which is all the draft reads.  Each expanded
@@ -37,7 +38,7 @@ up and clamps a shape off its grid to the grid's edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .errors import ConfigError, ContractError
 from .models import ProbModel, _padded_tail, draft_candidates
@@ -132,15 +133,6 @@ class DraftConfig:
             raise ConfigError("max_nodes must be >= 1, or None for no budget")
 
 
-class FrontierEntry(NamedTuple):
-    """A drafted candidate outside the tree, in the order ``is_expandable`` reads."""
-
-    parent: int
-    token: int
-    reach: float
-    depth: int
-
-
 @dataclass(frozen=True)
 class GainCostEstimate:
     gain: float
@@ -173,12 +165,6 @@ class BuildResult:
     candidate_sets: dict[int, CandidateSet] = field(default_factory=dict)
 
 
-def is_expandable(entry: FrontierEntry, cfg: DraftConfig) -> bool:
-    """Whether inserting this node would trigger a further draft expansion."""
-    _, _, reach, depth = entry
-    return depth < cfg.max_depth and reach >= cfg.b_min
-
-
 def build_tree(
     context: Sequence[int],
     draft: ProbModel,
@@ -202,14 +188,15 @@ def build_tree(
         raise ContractError(f"reliability {rel} outside (0, 1]")
 
     tree = TokenTree(root_token=int(context[-1]))
-    # (parent, token) -> (parent, token, reach, expandable), in insertion order
-    frontier: dict[tuple[int, int], tuple[int, int, float, bool]] = {}
+    # (parent, token, reach, expandable), in insertion order
+    frontier: list[tuple[int, int, float, bool]] = []
     tails: dict[int, tuple[int, ...]] = {}   # expanded node -> padded draft tail
     branched: set[int] = set()       # nodes with inserted children
     candidate_sets: dict[int, CandidateSet] = {}
     expansion_counts: list[int] = []
     gain = 1.0
     draft_cost = 0.0
+    max_depth, b_min, floor = cfg.max_depth, cfg.b_min, cfg.cost_floor_ms
 
     def expand(node_id: int, tail: tuple[int, ...]) -> None:
         nonlocal draft_cost
@@ -218,22 +205,25 @@ def build_tree(
         draft_cost += draft_ms
         expansion_counts.append(1)
         _, _, depth, reach = tree.node(node_id)
+        # a child is expandable (its insertion triggers a further expansion)
+        # below the depth limit and at or above the reach floor
+        deep_enough = depth + 1 < max_depth
         for token, p in cand.entries:
             child = reach * (rel * p)
-            expandable = is_expandable((node_id, token, child, depth + 1), cfg)
-            frontier[node_id, token] = (node_id, token, child, expandable)
+            frontier.append((node_id, token, child, deep_enough and child >= b_min))
 
     expand(ROOT_ID, _padded_tail(context, draft.order))
     stop_reason = "frontier_empty"
     stop_ratio: float | None = None
+    nodes, leaves = tree.shape
+    verify_cost = profile.lookup((nodes, leaves))
 
     while frontier:
-        nodes, leaves = tree.shape
-        verify_cost = profile.lookup((nodes, leaves))
         # cost class index: 2 * (parent already has children) + expandable
         costs: list[float | None] = [None] * 4
+        grown = [0.0, 0.0]               # the grown shape's price, by branching
         best_ratio = -1.0                # below every ratio: the first entry wins
-        for entry in frontier.values():
+        for entry in frontier:
             parent, token, reach, expandable = entry
             branching = parent in branched
             cls = 2 * branching + expandable
@@ -241,8 +231,8 @@ def build_tree(
             if mc is None:
                 # the verify-latency delta, plus one expansion when the node
                 # will be expanded, floored to keep ratios finite
-                delta = profile.lookup((nodes + 1, leaves + branching)) - verify_cost
-                mc = costs[cls] = max(delta + draft_ms * expandable, cfg.cost_floor_ms)
+                price = grown[branching] = profile.lookup((nodes + 1, leaves + branching))
+                mc = costs[cls] = max(price - verify_cost + draft_ms * expandable, floor)
             ratio = reach / mc
             # best ratio; ties to higher reach, smaller token, smaller parent
             if ratio > best_ratio or (
@@ -255,13 +245,17 @@ def build_tree(
             break
 
         parent, token, reach, expandable = best
+        branching = parent in branched
         node_id = tree.insert(parent, token, reach)
         branched.add(parent)
-        del frontier[parent, token]
+        frontier.remove(best)
         gain += reach
+        # the tree now has exactly the grown shape this step priced
+        nodes, leaves = nodes + 1, leaves + branching
+        verify_cost = grown[branching]
         if expandable:
             expand(node_id, tails[parent][1:] + (token,))
-        if nodes == cfg.max_nodes:       # ``nodes`` now counts the non-root nodes
+        if nodes - 1 == cfg.max_nodes:   # ``max_nodes`` counts the non-root nodes
             stop_reason = "node_budget"
             break
 

@@ -392,8 +392,10 @@ def geometric_mean(values: Sequence[float]) -> float:
 
 
 METRIC_FIELDS = tuple(f.name for f in fields(Metrics))
+# a trace.json cycle's keys: every CycleCost field
+COST_FIELDS = tuple(f.name for f in fields(CycleCost))
 # trace.csv columns after trial and cycle: every CycleCost field, then its total
-TRACE_FIELDS = (*(f.name for f in fields(CycleCost)), "total_ms")
+TRACE_FIELDS = (*COST_FIELDS, "total_ms")
 
 
 @dataclass
@@ -419,13 +421,7 @@ class Report:
         )
         if traces is None:
             return
-        payload = {
-            "trials": [
-                {"cycles": [asdict(c) for c in trace.cycles], "totals": trace.totals()}
-                for trace in traces
-            ]
-        }
-        (out / "trace.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_trace_json(out / "trace.json", traces)
         _write_csv(
             out / "trace.csv",
             ("trial", "cycle", *TRACE_FIELDS),
@@ -433,6 +429,25 @@ class Report:
              for trial, trace in enumerate(traces)
              for i, c in enumerate(trace.cycles)),
         )
+
+
+def _write_trace_json(path: Path, traces: Sequence[ScheduleTrace]) -> None:
+    """``{"trials": [...]}`` with each trial's cycles and totals, written one
+    trial at a time: the bytes of ``json.dumps(payload, sort_keys=True,
+    indent=2)`` plus a newline, while only one trial is held as a dict and a
+    string.  A trial's own dump is re-indented by the four spaces of its
+    place in the list; JSON strings hold no raw newline, so that is exact."""
+    with open(path, "w") as fh:
+        fh.write('{\n  "trials": [')
+        sep = "\n    "
+        for trace in traces:
+            trial = {
+                "cycles": [{f: getattr(c, f) for f in COST_FIELDS} for c in trace.cycles],
+                "totals": trace.totals(),
+            }
+            fh.write(sep + json.dumps(trial, sort_keys=True, indent=2).replace("\n", "\n    "))
+            sep = ",\n    "
+        fh.write("\n  ]\n}\n" if traces else "]\n}\n")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:

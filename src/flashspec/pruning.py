@@ -48,7 +48,7 @@ class PruneConfig:
             raise ConfigError("tau must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PruneDecision:
     keep: frozenset[int]
     backbone: tuple[int, ...]

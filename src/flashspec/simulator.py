@@ -126,7 +126,7 @@ def draft_schedule(expansion_counts: Sequence[int], cfg: HardwareConfig) -> floa
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleCost:
     """One priced cycle; its fields are the per-cycle trace columns.
 
@@ -153,7 +153,7 @@ class CycleCost:
         return self.draft_ms + self.verify_stage_ms + self.projection_ms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Metrics:
     tokens_per_s: float
     mean_accepted_len: float

@@ -119,7 +119,7 @@ class TreePrunerLike(Protocol):
     ) -> PruneDecision: ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleRecord:
     """One speculative cycle, as handed to the latency simulator."""
 

@@ -6,8 +6,8 @@ from it, a candidate set's tokens and a candidate set of given tokens,
 edge scores keyed by ``(parent, token)`` as a list by node id, a tabular
 row drawn from its own ``default_rng``, a layered target's hidden
 state at one layer and its final logits (each alone, or both from one
-slot read), a frontier entry's marginal cost
-priced from two profile lookups, a per-example training record and its
+slot read), a frontier entry, whether it is expandable and its marginal
+cost priced from two profile lookups, a per-example training record and its
 conversions to and from a distillation set, a zero-weight probe, a probe
 read back from its saved JSON, the
 probe's losses and gradient on a set, its candidate-restricted top-1
@@ -18,16 +18,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from flashspec.drafting import (
-    DraftConfig,
-    FrontierEntry,
-    LatencyProfile,
-    is_expandable,
-)
+from flashspec.drafting import DraftConfig, LatencyProfile
 from flashspec.errors import ConfigError, ContractError, StructureError
 from flashspec.models import LayeredTargetModel, TabularMarkovModel
 from flashspec.predictor import (
@@ -201,6 +196,22 @@ def hidden_and_logits(
     prefix)`` from a single slot read."""
     slot = model.slots((prefix,))
     return model.hidden_rows(layer, slot)[0], model.logit_rows(slot)[0]
+
+
+class FrontierEntry(NamedTuple):
+    """A drafted candidate outside the tree, in the order ``is_expandable`` reads."""
+
+    parent: int
+    token: int
+    reach: float
+    depth: int
+
+
+def is_expandable(entry: FrontierEntry, cfg: DraftConfig) -> bool:
+    """Whether inserting this node would trigger a further draft expansion:
+    the rule ``build_tree`` applies inline to each drafted child."""
+    _, _, reach, depth = entry
+    return depth < cfg.max_depth and reach >= cfg.b_min
 
 
 def shape_after_insert(tree: TokenTree, entry: FrontierEntry) -> tuple[int, int]:

@@ -31,16 +31,14 @@ import numpy as np
 from flashspec.drafting import (
     BuildResult,
     DraftConfig,
-    FrontierEntry,
     GainCostEstimate,
     LatencyProfile,
     StopRecord,
-    is_expandable,
 )
 from flashspec.errors import ContractError
 from flashspec.models import ProbModel
 from flashspec.tree import CandidateSet, ROOT_ID, TokenTree
-from helpers import marginal_cost, path_tokens
+from helpers import FrontierEntry, is_expandable, marginal_cost, path_tokens
 
 # one scored frontier entry: (parent, token, reach, marginal cost, ratio)
 Row = tuple[int, int, float, float, float]

@@ -12,11 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flashspec.drafting import (
-    DraftConfig,
-    FrontierEntry,
-    build_tree,
-)
+from flashspec.drafting import DraftConfig, build_tree
 from flashspec.harness import ExperimentConfig, config_hash, run_experiment
 from flashspec.models import (
     LayeredTargetModel,
@@ -38,6 +34,7 @@ from flashspec.simulator import ar_step_latency, load_preset, simulate_decode
 from flashspec.tree import ROOT_ID, TokenTree
 from flashspec.verification import CycleRecord, run_decode
 from helpers import (
+    FrontierEntry,
     TrainingExample,
     affine_profile,
     calibrate_projection,

@@ -5,21 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flashspec.drafting import (
-    MISS_PENALTY,
-    DraftConfig,
-    FrontierEntry,
-    LatencyProfile,
-    build_tree,
-    is_expandable,
-)
+from flashspec.drafting import MISS_PENALTY, DraftConfig, LatencyProfile, build_tree
 from flashspec.models import TabularMarkovModel, derive_draft
 from flashspec.tree import ROOT_ID, TokenTree
 from helpers import (
+    FrontierEntry,
     affine_profile,
     candidate_tokens,
     estimate_gain,
     grid_shapes,
+    is_expandable,
     marginal_cost,
     tree_json,
 )

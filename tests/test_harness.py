@@ -2,7 +2,8 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import replace
+import tracemalloc
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from flashspec.predictor import (
     default_exit_layer,
     train,
 )
-from flashspec.pruning import TreePruner
+from flashspec.pruning import PruneDecision, TreePruner
 from flashspec.simulator import (
     PRESET_DIR,
     HardwareConfig,
@@ -358,6 +359,82 @@ class TestRunExperiment:
             for name in ("report.json", "report.csv", "trace.json", "trace.csv")
         }
         assert digests == want
+
+
+def whole_payload_trace_json(traces) -> str:
+    """The reference ``trace.json``: every trial's cycles and totals as one
+    payload, dumped as one string."""
+    payload = {
+        "trials": [
+            {"cycles": [asdict(c) for c in trace.cycles], "totals": trace.totals()}
+            for trace in traces
+        ]
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def written_trace_json(path, report, traces) -> str:
+    report.write(str(path), traces=traces)
+    return (path / "trace.json").read_text()
+
+
+class TestTraceWriter:
+    """``Report.write`` streams ``trace.json`` one trial at a time, with the
+    bytes of the whole-payload dump."""
+
+    def test_no_traces(self, tmp_path):
+        report = harness.Report(config={}, config_hash="", seeds=[], trials=[], aggregate={})
+        got = written_trace_json(tmp_path, report, [])
+        assert got == whole_payload_trace_json([]) == '{\n  "trials": []\n}\n'
+
+    def test_one_trace(self, tmp_path):
+        report, results = run_experiment(small_cfg(policy="lever", trials=1))
+        traces = [results[0].trace]
+        assert written_trace_json(tmp_path, report, traces) == whole_payload_trace_json(traces)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(policy="lever"),
+            dict(policy="lever", projection_mode="eager", predictor_examples=300,
+                 model=ModelSpec(type="layered")),
+            dict(policy="flash_ar"),
+            dict(policy="chain_sd"),
+        ],
+        ids=["lever-tabular-ondemand", "lever-layered-eager", "flash_ar", "chain_sd"],
+    )
+    def test_multi_trial_runs(self, tmp_path, kw):
+        report, results = run_experiment(small_cfg(trials=3, **kw))
+        traces = [r.trace for r in results]
+        if kw.get("projection_mode") == "eager":
+            assert all(rec.prune is not None for r in results for rec in r.decode.cycles)
+        assert written_trace_json(tmp_path, report, traces) == whole_payload_trace_json(traces)
+
+    def test_writer_memory_is_bounded_by_one_trial(self, tmp_path):
+        """Writing 32 copies of a trial peaks near writing one: the writer
+        holds one trial at a time, not the run."""
+        report, results = run_experiment(small_cfg(policy="flash_ar", trials=1, horizon=256))
+        trace = results[0].trace
+        assert len(trace.cycles) == 256
+
+        def write_peak(traces) -> int:
+            tracemalloc.start()
+            try:
+                report.write(str(tmp_path), traces=traces)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = write_peak([trace])
+        assert write_peak([trace] * 32) < 2 * one + 256 * 1024
+
+        # the records a run keeps per cycle and per trial have slots
+        pruned = run_experiment(small_cfg(policy="lever", trials=1, projection_mode="eager"))
+        record = pruned[1][0].decode.cycles[0]
+        for obj in (trace.cycles[0], results[0].metrics, record, record.prune):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+        assert isinstance(record.prune, PruneDecision)
+        assert record.prune.rejected is PruneDecision.rejected is False
 
 
 class TestGainCostDraftCost:
