@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
+from typing import Iterator
 
 from .errors import ConfigError, TrainingDiverged
 from .harness import (
@@ -44,6 +46,17 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(payload)
 
 
+@contextmanager
+def _writing(path: str) -> Iterator[Path]:
+    """The output directory ``path``, made on entry; an ``OSError`` from
+    making or writing it is a config error, as for an unreadable config."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+        yield Path(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="experiment JSON file")
     p.add_argument("--seed", type=int, help="override the base seed")
@@ -60,7 +73,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    report, _ = run_experiment(cfg)
+    with _writing(cfg.out_dir) if cfg.out_dir else nullcontext():
+        report, _ = run_experiment(cfg)   # which writes the report into out_dir
     print(json.dumps(report.aggregate, sort_keys=True, indent=2))
     if cfg.out_dir:
         print(f"report written to {cfg.out_dir}")
@@ -76,11 +90,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     table = compare_policies(cfgs, normalize_to=args.normalize_to)
     print(render_comparison(table))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "comparison.json").write_text(
-            json.dumps(table, sort_keys=True, indent=2) + "\n"
-        )
+        with _writing(args.out) as out:
+            (out / "comparison.json").write_text(
+                json.dumps(table, sort_keys=True, indent=2) + "\n"
+            )
     return 0
 
 
@@ -97,10 +110,9 @@ def cmd_train_predictor(args: argparse.Namespace) -> int:
     trained, curve = train_predictor_for(
         cfg, target, make_draft(cfg, target, 0), layer
     )
-    out = Path(args.out or "predictor")
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(trained, str(out / "predictor.json"))
-    save_loss_curve(curve, str(out / "loss_curve.csv"))
+    with _writing(args.out or "predictor") as out:
+        save_checkpoint(trained, str(out / "predictor.json"))
+        save_loss_curve(curve, str(out / "loss_curve.csv"))
     print(
         f"trained predictor: loss {curve[0]:.4f} -> {curve[-1]:.4f} "
         f"after {len(curve) - 1} of {cfg.training.epochs} epochs"

@@ -46,6 +46,7 @@ from .tree import CandidateSet, ROOT_ID, TokenTree
 
 
 MISS_PENALTY = 1.1   # conservative factor on an off-grid shape's clamped price
+COST_FLOOR_MS = 0.01  # marginal-cost floor; keeps ratios finite
 
 
 class LatencyProfile:
@@ -111,9 +112,6 @@ class DraftConfig:
     k: int = 3
     max_depth: int = 6
     b_min: float = 0.02            # expandability floor on reach
-    r_min: float = 0.05            # reliability floor (GainCostPolicy)
-    beta: float = 0.9              # reliability EMA decay (GainCostPolicy)
-    cost_floor_ms: float = 0.01    # marginal-cost floor; keeps ratios finite
     max_nodes: int | None = None   # optional safety budget on non-root nodes
 
     def __post_init__(self) -> None:
@@ -123,12 +121,6 @@ class DraftConfig:
             raise ConfigError("max_depth must be >= 1")
         if not (0.0 <= self.b_min < 1.0):
             raise ConfigError("b_min must lie in [0, 1)")
-        if not (0.0 < self.beta < 1.0):
-            raise ConfigError("beta must lie in (0, 1)")
-        if not (0.0 < self.r_min <= 1.0):
-            raise ConfigError("r_min must lie in (0, 1]")
-        if self.cost_floor_ms <= 0:
-            raise ConfigError("cost_floor_ms must be > 0")
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ConfigError("max_nodes must be >= 1, or None for no budget")
 
@@ -196,7 +188,7 @@ def build_tree(
     expansion_counts: list[int] = []
     gain = 1.0
     draft_cost = 0.0
-    max_depth, b_min, floor = cfg.max_depth, cfg.b_min, cfg.cost_floor_ms
+    max_depth, b_min = cfg.max_depth, cfg.b_min
 
     def expand(node_id: int, tail: tuple[int, ...]) -> None:
         nonlocal draft_cost
@@ -232,7 +224,7 @@ def build_tree(
                 # the verify-latency delta, plus one expansion when the node
                 # will be expanded, floored to keep ratios finite
                 price = grown[branching] = profile.lookup((nodes + 1, leaves + branching))
-                mc = costs[cls] = max(price - verify_cost + draft_ms * expandable, floor)
+                mc = costs[cls] = max(price - verify_cost + draft_ms * expandable, COST_FLOOR_MS)
             ratio = reach / mc
             # best ratio; ties to higher reach, smaller token, smaller parent
             if ratio > best_ratio or (

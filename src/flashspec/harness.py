@@ -114,8 +114,6 @@ class ExperimentConfig:
     chain_length: int = 8
     balanced_fanout: int = 2
     balanced_budget: int = 16
-    profile_max_nodes: int = 96
-    profile_max_leaves: int = 32
     predictor_examples: int = 2000
     out_dir: str | None = None
 
@@ -128,9 +126,6 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if self.predictor_examples < 1:
             raise ConfigError("predictor_examples must be >= 1")
-        for key in ("profile_max_nodes", "profile_max_leaves"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key}={getattr(self, key)} must be >= 1")
         if self.projection_mode not in ("eager", "ondemand"):
             raise ConfigError(f"unknown projection mode {self.projection_mode!r}")
         # Candidate sets and balanced-tree levels hold distinct tokens.
@@ -283,18 +278,18 @@ def make_context(cfg: ExperimentConfig, trial: int) -> list[int]:
     return rng.integers(0, cfg.model.vocab_size, size=cfg.context_len).tolist()
 
 
-def seed_profile(cfg: ExperimentConfig, hw: HardwareConfig) -> LatencyProfile:
-    """The planning profile, priced exactly like the simulated timeline (the
-    preset's own I/O-compute overlap policy) so planning estimates and pricing
-    agree; every trial and policy on one hardware and grid size shares it."""
-    return priced_grid(hw, cfg.profile_max_nodes, cfg.profile_max_leaves)
+# The planning profile's grid: every shape of at most this many nodes and leaves.
+PROFILE_MAX_NODES = 96
+PROFILE_MAX_LEAVES = 32
 
 
 @lru_cache(maxsize=8)
-def priced_grid(hw: HardwareConfig, max_nodes: int, max_leaves: int) -> LatencyProfile:
-    """The profile grid priced by :func:`verify_latency` on ``hw`` as its
-    shapes are looked up, cached and shared by every caller."""
-    return LatencyProfile(partial(verify_latency, hw), max_nodes, max_leaves)
+def seed_profile(hw: HardwareConfig) -> LatencyProfile:
+    """The planning profile on the fixed grid, priced by :func:`verify_latency`
+    on ``hw`` as its shapes are looked up, exactly like the simulated timeline
+    (the preset's own I/O-compute overlap policy), so planning estimates and
+    pricing agree; every trial and policy on one hardware shares it."""
+    return LatencyProfile(partial(verify_latency, hw), PROFILE_MAX_NODES, PROFILE_MAX_LEAVES)
 
 
 def make_pruner(cfg: ExperimentConfig, target: ProbModel) -> TreePruner | None:
@@ -349,7 +344,7 @@ def make_policy(cfg: ExperimentConfig, draft: ProbModel, hw: HardwareConfig):
         return BalancedTreePolicy(draft, hw, cfg.balanced_fanout, cfg.balanced_budget)
     # lever plans each expansion at the simulator's price of a one-node step
     return GainCostPolicy(
-        draft, cfg.drafting, seed_profile(cfg, hw), draft_ms=draft_schedule((1,), hw)
+        draft, cfg.drafting, seed_profile(hw), draft_ms=draft_schedule((1,), hw)
     )
 
 

@@ -40,6 +40,9 @@ from .simulator import HardwareConfig, ar_step_latency, draft_schedule, verify_l
 from .tree import ROOT_ID, CandidateSet, TokenTree
 from .verification import VerificationResult
 
+RELIABILITY_DECAY = 0.9    # EMA decay of the gain-cost policy's reliability
+RELIABILITY_FLOOR = 0.05   # the reliability never falls below this
+
 
 @dataclass
 class RootOnlyPolicy:
@@ -157,10 +160,11 @@ class GainCostPolicy:
     """Greedy reach-per-marginal-latency construction with the stopping rule.
 
     Draft probabilities are scaled by the reliability ``rel``, which starts
-    at 1 and is an exponential moving average (decay ``cfg.beta``, clamped
-    to [``cfg.r_min``, 1]) of one hit per cycle: whether the target's
-    fallback token was in the candidate set of the node where acceptance
-    stopped.  A stop node that was never expanded gives no feedback.
+    at 1 and is an exponential moving average (decay
+    :data:`RELIABILITY_DECAY`, clamped to [:data:`RELIABILITY_FLOOR`, 1]) of
+    one hit per cycle: whether the target's fallback token was in the
+    candidate set of the node where acceptance stopped.  A stop node that
+    was never expanded gives no feedback.
     """
 
     draft: ProbModel
@@ -180,7 +184,7 @@ class GainCostPolicy:
         stop_node = result.accepted_nodes[-1] if result.accepted_nodes else ROOT_ID
         cand = self._last.candidate_sets.get(stop_node)
         if cand is not None:
-            beta = self.cfg.beta
-            raw = beta * self.rel + (1.0 - beta) * (result.fallback in cand)
-            self.rel = min(1.0, max(self.cfg.r_min, raw))
+            decay = RELIABILITY_DECAY
+            raw = decay * self.rel + (1.0 - decay) * (result.fallback in cand)
+            self.rel = min(1.0, max(RELIABILITY_FLOOR, raw))
 

@@ -39,13 +39,10 @@ from .tree import ROOT_ID, CandidateSet, TokenTree, flatten
 @dataclass(frozen=True)
 class PruneConfig:
     theta: float = 0.1                   # path-posterior keep threshold
-    tau: float = 1.0                     # normalization temperature
 
     def __post_init__(self) -> None:
         if not (0.0 < self.theta < 1.0):
             raise ConfigError("theta must lie in (0, 1)")
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,11 +69,9 @@ def normalize_scores(
     tree: TokenTree,
     parents: Sequence[int],
     candidate_sets: Mapping[int, CandidateSet],
-    tau: float,
 ) -> list[float]:
-    """Softmax edge scores at temperature ``tau``, one per node id: the
-    score of the edge into the node; 1.0 for the root and for children of
-    nodes not in ``parents``.
+    """Softmax edge scores, one per node id: the score of the edge into the
+    node; 1.0 for the root and for children of nodes not in ``parents``.
 
     ``parents`` are the nodes with inserted children and ``hidden[i]``
     is the hidden vector of ``parents[i]``.  Each parent's scores are
@@ -116,7 +111,6 @@ def normalize_scores(
     # from W[tokens] @ h rounds differently.
     rows = np.repeat(hidden, width, axis=0)
     raw = (pred.weights[members][:, None, :] @ rows[:, :, None])[:, 0, 0]
-    raw /= tau
     # One (parents, width) block: its row sums round like the 1-D sum of
     # each parent's members, where np.add.reduceat over the flat array
     # does not.
@@ -207,5 +201,5 @@ class TreePruner:
             prefixes[nid] = prefixes[up[nid]] + [tokens[nid]] if nid else list(context)
         hidden = self.hidden_source.rows(list(prefixes.values()))
         parents = list(prefixes)
-        scores = normalize_scores(self.pred, hidden, tree, parents, candidate_sets, self.cfg.tau)
+        scores = normalize_scores(self.pred, hidden, tree, parents, candidate_sets)
         return prune(tree, scores, self.cfg)

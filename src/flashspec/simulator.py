@@ -81,13 +81,13 @@ class HardwareConfig:
 @cache
 def load_preset(name: str) -> HardwareConfig:
     """The named preset, read and parsed once per process (the config is
-    frozen, so every caller can share it).  An unknown name raises on every
-    call: a raised call is not memoized."""
-    path = PRESET_DIR / f"{name}.json"
-    if not path.exists():
-        known = sorted(p.stem for p in PRESET_DIR.glob("*.json"))
+    frozen, so every caller can share it).  A name is the stem of a file in
+    :data:`PRESET_DIR`, never a path; any other name raises on every call:
+    a raised call is not memoized."""
+    known = sorted(p.stem for p in PRESET_DIR.glob("*.json"))
+    if name not in known:
         raise ConfigError(f"unknown hardware preset {name!r}; available: {known}")
-    return HardwareConfig.from_dict(json.loads(path.read_text()))
+    return HardwareConfig.from_dict(json.loads((PRESET_DIR / f"{name}.json").read_text()))
 
 
 def compute_ms(cfg: HardwareConfig, nodes: int, leaves: int) -> float:

@@ -1,5 +1,6 @@
 """Test-side helpers over flashspec's public API: an affine latency
-profile and the shapes of a profile grid, a tree's summed-reach gain, a
+profile, the shapes of a profile grid and a trial's planning profile on a
+grid of the test's size, a tree's summed-reach gain, a
 node's path tokens, a child lookup by token, node and leaf counts
 recomputed from scratch, a pruned copy of a tree by compaction, a tree's JSON and the tree rebuilt
 from it, a candidate set's tokens and a candidate set of given tokens,
@@ -18,11 +19,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from flashspec.drafting import DraftConfig, LatencyProfile
+from flashspec import harness
+from flashspec.drafting import COST_FLOOR_MS, DraftConfig, LatencyProfile
 from flashspec.errors import ConfigError, ContractError, StructureError
 from flashspec.models import LayeredTargetModel, TabularMarkovModel
 from flashspec.predictor import (
@@ -33,7 +36,7 @@ from flashspec.predictor import (
     _total_loss,
     _total_loss_grad,
 )
-from flashspec.simulator import HardwareConfig, compute_ms
+from flashspec.simulator import HardwareConfig, compute_ms, verify_latency
 from flashspec.tree import ROOT_ID, ROOT_PARENT, CandidateSet, TokenTree
 
 
@@ -57,6 +60,18 @@ def grid_shapes(max_nodes: int, max_leaves: int) -> list[tuple[int, int]]:
     return [
         (n, l) for n in range(1, max_nodes + 1) for l in range(1, min(n, max_leaves) + 1)
     ]
+
+
+def plan_on_grid(monkeypatch, max_nodes: int, max_leaves: int) -> None:
+    """Make every lever trial plan on a ``max_nodes`` by ``max_leaves``
+    grid: ``harness.seed_profile`` then serves one such profile per
+    hardware, shared like the fixed grid's."""
+
+    @lru_cache(maxsize=None)
+    def seed_profile(hw: HardwareConfig) -> LatencyProfile:
+        return LatencyProfile(partial(verify_latency, hw), max_nodes, max_leaves)
+
+    monkeypatch.setattr(harness, "seed_profile", seed_profile)
 
 
 def estimate_gain(tree: TokenTree) -> float:
@@ -231,13 +246,13 @@ def marginal_cost(
 ) -> float:
     """Estimated cycle-latency increase from inserting one frontier node:
     the verify-latency delta of both shapes, plus one ``draft_ms`` expansion
-    when the node will be expanded, floored at ``cfg.cost_floor_ms``."""
+    when the node will be expanded, floored at :data:`COST_FLOOR_MS`."""
     before = profile.lookup(tree.shape)
     after = profile.lookup(shape_after_insert(tree, entry))
     delta = after - before
     if is_expandable(entry, cfg):
         delta += draft_ms
-    return max(delta, cfg.cost_floor_ms)
+    return max(delta, COST_FLOOR_MS)
 
 
 @dataclass(frozen=True)

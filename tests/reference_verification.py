@@ -50,6 +50,7 @@ from flashspec.drafting import (
     build_tree,
 )
 from flashspec.errors import ConfigError, ContractError
+from flashspec.policies import RELIABILITY_DECAY, RELIABILITY_FLOOR
 from flashspec.models import LayeredTargetModel, ProbModel
 from flashspec.predictor import EarlyExitPredictor
 from flashspec.pruning import PruneConfig, PruneDecision
@@ -172,11 +173,10 @@ def normalize_scores(
     pred: EarlyExitPredictor,
     hidden_rows: np.ndarray,
     tree: TokenTree,
-    tau: float,
     extras: Mapping[int, Sequence[int]],
 ) -> dict[tuple[int, int], float]:
-    """Per-edge softmax scores at temperature ``tau``; ``hidden_rows[i]`` is
-    node i's hidden vector.
+    """Per-edge softmax scores; ``hidden_rows[i]`` is node i's hidden
+    vector.
 
     For each parent with inserted children, scores are normalized over its
     children's tokens followed by ``extras[parent]``.  The extra edges
@@ -193,7 +193,7 @@ def normalize_scores(
         if not tokens:
             raise ContractError(f"node {parent} has an empty candidate set")
         h = hidden_rows[parent]
-        raw = np.array([score(pred, h, t) for t in tokens]) / tau
+        raw = np.array([score(pred, h, t) for t in tokens])
         raw -= raw.max()
         e = np.exp(raw)
         norm = e / e.sum()
@@ -218,10 +218,9 @@ def normalize_parent_scores(
     hidden_rows: np.ndarray,
     tree: TokenTree,
     parents: Sequence[int],
-    tau: float,
     extras: Mapping[int, Sequence[int]],
 ) -> dict[tuple[int, int], float]:
-    """Per-edge softmax scores at temperature ``tau``.
+    """Per-edge softmax scores.
 
     ``parents`` are the nodes with inserted children and ``hidden_rows[i]``
     is the hidden vector of ``parents[i]``.  Each parent's scores are
@@ -237,7 +236,7 @@ def normalize_parent_scores(
             raise ContractError(f"node {parent} has no inserted children")
         tokens = [tree.node(cid).token for cid in children]
         tokens += extras.get(parent, [])
-        raw = np.array([score(pred, h, t) for t in tokens]) / tau
+        raw = np.array([score(pred, h, t) for t in tokens])
         raw -= raw.max()
         e = np.exp(raw)
         norm = e / e.sum()
@@ -339,7 +338,7 @@ class TreePruner:
         """The compacted tree, its new-id -> old-id map and the decision;
         the decision's kept leaves are the compacted tree's leaf count."""
         hidden = self.hidden_source.rows(context, tree)
-        scores = normalize_scores(self.pred, hidden, tree, self.cfg.tau, extras)
+        scores = normalize_scores(self.pred, hidden, tree, extras)
         decision = prune(tree, scores, self.cfg)
         new_tree, old_to_new = compact_with_map(tree, decision.keep)
         decision = PruneDecision(decision.keep, decision.backbone, new_tree.leaf_count)
@@ -421,7 +420,7 @@ def run_decode(
 
         hit = _candidate_hit(result, outcome)
         if hit is not None:
-            rel = _updated(rel, hit, policy.cfg)
+            rel = _updated(rel, hit)
 
         cycles.append(
             CycleRecord(
@@ -442,11 +441,11 @@ def run_decode(
     return DecodeResult(tokens[:horizon], cycles, rel, builds)
 
 
-def _updated(rel: float, hit: bool, cfg: DraftConfig) -> float:
-    """EMA update from one verification outcome: decay ``cfg.beta``,
-    clamped to [``cfg.r_min``, 1]."""
-    raw = cfg.beta * rel + (1.0 - cfg.beta) * (1.0 if hit else 0.0)
-    return min(1.0, max(cfg.r_min, raw))
+def _updated(rel: float, hit: bool) -> float:
+    """EMA update from one verification outcome: decay
+    ``RELIABILITY_DECAY``, clamped to [``RELIABILITY_FLOOR``, 1]."""
+    raw = RELIABILITY_DECAY * rel + (1.0 - RELIABILITY_DECAY) * (1.0 if hit else 0.0)
+    return min(1.0, max(RELIABILITY_FLOOR, raw))
 
 
 def _candidate_hit(result: WalkResult, outcome: BuildResult) -> bool | None:

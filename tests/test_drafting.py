@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flashspec.drafting import MISS_PENALTY, DraftConfig, LatencyProfile, build_tree
+from flashspec.drafting import (
+    COST_FLOOR_MS,
+    MISS_PENALTY,
+    DraftConfig,
+    LatencyProfile,
+    build_tree,
+)
 from flashspec.models import TabularMarkovModel, derive_draft
 from flashspec.tree import ROOT_ID, TokenTree
 from helpers import (
@@ -214,7 +220,7 @@ class TestMarginalCost:
             )
             if is_expandable(entry, cfg):
                 delta += 2.5
-            expect = max(delta, cfg.cost_floor_ms)
+            expect = max(delta, COST_FLOOR_MS)
             assert marginal_cost(entry, tree, profile, 2.5, cfg) == pytest.approx(expect)
 
     def test_floor_applies_on_flat_profile(self):
@@ -222,7 +228,7 @@ class TestMarginalCost:
         tree = self._tree_one_child()
         cfg = DraftConfig(k=2, max_depth=2, b_min=0.0)
         entry = FrontierEntry(parent=1, token=5, reach=0.3, depth=2)
-        assert marginal_cost(entry, tree, profile, 2.0, cfg) == cfg.cost_floor_ms
+        assert marginal_cost(entry, tree, profile, 2.0, cfg) == COST_FLOOR_MS
 
 
 class DeterministicDraft:
@@ -267,7 +273,7 @@ class TestBuildTree:
             reach = r ** (depth + 1)
             expandable = depth + 1 < cfg.max_depth
             delta = c_node + (draft_ms if expandable else 0.0)
-            ratio = reach / max(delta, cfg.cost_floor_ms)
+            ratio = reach / max(delta, COST_FLOOR_MS)
             cycle = draft_cost + (c0 + c_node * (depth + 1))
             if ratio <= gain / cycle:
                 break

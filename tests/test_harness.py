@@ -28,7 +28,6 @@ from flashspec.harness import (
     make_policy,
     make_pruner,
     make_target,
-    priced_grid,
     run_experiment,
     run_trial,
     seed_profile,
@@ -54,7 +53,7 @@ from flashspec.simulator import (
     verify_latency,
 )
 from flashspec.verification import run_decode
-from helpers import load_checkpoint, tree_json
+from helpers import load_checkpoint, plan_on_grid, tree_json
 
 ROOT = Path(__file__).resolve().parents[1]
 # CLI flags of a one-trial lever run on the layered target
@@ -241,7 +240,7 @@ class TestRunExperiment:
                 2,
                 {
                     "report.json":
-                        "2bf89d63f9a0276567f5fc4c34ae236cb14c07f4459817f0af58f1ba9040ab7c",
+                        "b0c4877a30b624f91584cbca7c14541701e6cddda6011b6be34213ba82eecad4",
                     "report.csv":
                         "3f351eb2d4b3ab4f421018a9cde3fa5bd8b6a07579caec8b682360e019c0d9d1",
                     "trace.json":
@@ -258,7 +257,7 @@ class TestRunExperiment:
                 1,
                 {
                     "report.json":
-                        "067f8ee35ba04c89b00cbcc3d7eb186fe979bd7135085793ccfbbe59a8ce1215",
+                        "fbda79044950f1c18765a9a9e77ab7ba828f192515cb2468ab8f8520633591c3",
                     "report.csv":
                         "8268a301c924283e745072306b35d9d4b65adc00026950fa11a65d64c920c3bf",
                     "trace.json":
@@ -274,7 +273,7 @@ class TestRunExperiment:
                 2,
                 {
                     "report.json":
-                        "2e9fbc76dff3454ca17bf708a336e6ac7e2e2aaf83c6aa56ef02652918239ac1",
+                        "a942728adae3c060d7ca9c6c73d6137cad3c7bfadfa94705e64b7b64f8f3de7f",
                     "report.csv":
                         "49e1d6a9dfe0579d48e49a2e6d432b999e5bc9ebd4138626a39497ecaa69e549",
                     "trace.json":
@@ -289,7 +288,7 @@ class TestRunExperiment:
                 2,
                 {
                     "report.json":
-                        "5a47b6fc60f7423cc6f80df4cb78a7177d7573666f85ce34529f9587012e3f67",
+                        "93a8a58f324fb098b5b9dcbf475d05ff927be375d56a10b6c418eab0cf75af2a",
                     "report.csv":
                         "61bcbdaeb4b991891f08f322993dd998af3b1d794ae1b181ed7d79e0df34692c",
                     "trace.json":
@@ -306,7 +305,7 @@ class TestRunExperiment:
                 2,
                 {
                     "report.json":
-                        "c45a935e9a73586a3fe9e22a6775bd33979770b3b6fbdc27cc7660e94072aba2",
+                        "2baa91554615224f3ca645c3bf1776b5119c8ce6d92da593d856bf1913fa8f11",
                     "report.csv":
                         "d4ec9520d83d089f14d13d1c60b0ede8d2b682c82c1982dba3b62c19f98968cb",
                     "trace.json":
@@ -323,7 +322,7 @@ class TestRunExperiment:
                 1,
                 {
                     "report.json":
-                        "eba254e84f021710a7ccf0fc9aec27ebf89241867290e7411502f73978da55ad",
+                        "58d49097884cb8f2ab0e50e01590507e57a431e20cb9eea046292f5fe73e3c7f",
                     "report.csv":
                         "bb3cc041fb7f8d2ebf982e609e8ebd249782ca7d42281117b541b5fae7d889fd",
                     "trace.json":
@@ -447,7 +446,7 @@ class TestGainCostDraftCost:
         got = make_policy(cfg, draft, hw).build(context)
         want = build_tree(
             context, draft, cfg.drafting, 1.0,
-            seed_profile(cfg, hw), draft_ms=5.0,
+            seed_profile(hw), draft_ms=5.0,
         )
         assert tree_json(got.tree) == tree_json(want.tree)
         assert got.stop == want.stop
@@ -540,7 +539,7 @@ class TestEstimateIsPrice:
                 assert out.estimate.draft_cost == cost.draft_ms
                 nodes, leaves = out.tree.shape
                 if policy.startswith("lever") and (
-                    nodes > cfg.profile_max_nodes or leaves > cfg.profile_max_leaves
+                    nodes > harness.PROFILE_MAX_NODES or leaves > harness.PROFILE_MAX_LEAVES
                 ):
                     continue
                 assert out.estimate.verify_cost == cost.verify_stage_ms
@@ -551,8 +550,8 @@ class TestProfileGrid:
         used = []
         original = harness.seed_profile
 
-        def recording(cfg, hw):
-            used.append(original(cfg, hw))
+        def recording(hw):
+            used.append(original(hw))
             return used[-1]
 
         monkeypatch.setattr(harness, "seed_profile", recording)
@@ -564,8 +563,8 @@ class TestProfileGrid:
     def test_lookup_is_the_simulator_price(self):
         cfg = small_cfg()
         hw = cfg.resolve_hardware()
-        profile = seed_profile(cfg, hw)
-        max_nodes, max_leaves = cfg.profile_max_nodes, cfg.profile_max_leaves
+        profile = seed_profile(hw)
+        max_nodes, max_leaves = harness.PROFILE_MAX_NODES, harness.PROFILE_MAX_LEAVES
         for nodes, leaves in profile.entries():
             assert profile.lookup((nodes, leaves)) == verify_latency(hw, nodes, leaves)
         # off the grid: the clamped grid shape's price times the miss penalty
@@ -580,23 +579,20 @@ class TestProfileGrid:
     def test_a_trial_leaves_its_profile_unchanged(self, monkeypatch):
         # A one-shape grid, so verified shapes lie outside it.  Lookups fill
         # the profile's memo but change no price.
-        cfg = small_cfg(policy="lever", profile_max_nodes=1, profile_max_leaves=1)
-        hw = cfg.resolve_hardware()
-        profile = seed_profile(cfg, hw)
+        plan_on_grid(monkeypatch, 1, 1)
+        cfg = small_cfg(policy="lever")
+        profile = harness.seed_profile(cfg.resolve_hardware())
         before = profile.entries()
-        monkeypatch.setattr(harness, "seed_profile", lambda cfg, hw: profile)
         result = run_trial(cfg, 0)
         verified = {(c.rows_verified, c.leaves_verified) for c in result.decode.cycles}
         assert verified - set(before)
         assert profile.entries() == before
 
-    def test_trial_alone_equals_trial_after_earlier_trials(self):
+    def test_trial_alone_equals_trial_after_earlier_trials(self, monkeypatch):
         # A one-shape grid: every drafted tree is a miss, and the trials
         # share the grid and its memo of priced shapes.
-        cfg = small_cfg(
-            policy="lever", trials=4, profile_max_nodes=1, profile_max_leaves=1
-        )
-        priced_grid.cache_clear()
+        plan_on_grid(monkeypatch, 1, 1)
+        cfg = small_cfg(policy="lever", trials=4)
         alone = run_trial(cfg, 3)
         for trial in range(3):
             run_trial(cfg, trial)
@@ -1082,10 +1078,16 @@ class TestCLI:
                 LAYERED_LEVER + ["--set", "predictor_checkpoint={path}"],
                 "unknown config keys: ['predictor_checkpoint']",
             ),
+            # a preset name is a shipped preset's stem, not a path to a file
+            (
+                None,
+                ["--preset", "../presets/llama31-8b"],
+                "unknown hardware preset '../presets/llama31-8b'; available: [",
+            ),
         ],
         ids=[
             "missing-config", "invalid-json", "json-list", "old-report-checkpoint-key",
-            "missing-checkpoint", "checkpoint-without-hidden-dim",
+            "missing-checkpoint", "checkpoint-without-hidden-dim", "preset-path",
         ],
     )
     def test_bad_input_file_is_clean_error(self, tmp_path, capsys, text, argv, message):
@@ -1097,6 +1099,27 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: " + message.format(path=path))
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", str(ROOT / "configs" / "lever_default.json")],
+            ["compare", "--policies", "chain_sd,flash_ar"],
+            ["train-predictor", "--set", 'model.type="layered"',
+             "--set", "predictor_examples=32", "--set", "training.epochs=1"],
+        ],
+        ids=["run", "compare", "train-predictor"],
+    )
+    def test_unusable_out_is_clean_error(self, tmp_path, capsys, argv):
+        # an existing file where the output directory should go
+        out = tmp_path / "taken"
+        out.write_text("")
+        argv = argv + ["--set", "trials=1", "--set", "horizon=4", "--out", str(out)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+        assert out.read_text() == ""
 
     def test_checkpoint_on_tabular_model_is_clean_error(self, tmp_path, capsys):
         # no target reads a checkpoint, so the key is refused on a tabular
@@ -1199,15 +1222,12 @@ class TestCLI:
             ),
             (["policy=lever", "drafting.max_nodes=0"], "max_nodes must be >= 1"),
             (["policy=lever", "drafting.max_nodes=-3"], "max_nodes must be >= 1"),
-            (["profile_max_nodes=0"], "profile_max_nodes=0 must be >= 1"),
-            (["profile_max_leaves=0"], "profile_max_leaves=0 must be >= 1"),
         ],
         ids=[
             "no-examples", "lever-k", "lever-noprune-k", "balanced-fanout",
             "balanced-fanout-over-budget",
             "chain-length-zero", "balanced-budget-zero", "balanced-fanout-zero",
-            "node-budget-zero", "node-budget-negative", "profile-nodes-zero",
-            "profile-leaves-zero",
+            "node-budget-zero", "node-budget-negative",
         ],
     )
     def test_size_beyond_its_bound_is_clean_error(self, capsys, overrides, message):
@@ -1219,24 +1239,31 @@ class TestCLI:
         assert err.startswith(f"error: {message}")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("policy", ["chain_sd", "balanced_tree", "lever"])
     @pytest.mark.parametrize(
-        "override, message",
+        "key, value, message",
         [
-            ("drafting.beta=1.5", "beta must lie in (0, 1)"),
-            ("drafting.beta=0", "beta must lie in (0, 1)"),
-            ("drafting.r_min=0", "r_min must lie in (0, 1]"),
-            ("drafting.r_min=1.5", "r_min must lie in (0, 1]"),
+            ("drafting.beta", 0.9, "unknown drafting config keys: ['beta']"),
+            ("drafting.r_min", 0.05, "unknown drafting config keys: ['r_min']"),
+            ("drafting.cost_floor_ms", 0.01, "unknown drafting config keys: ['cost_floor_ms']"),
+            ("pruning.tau", 1.0, "unknown pruning config keys: ['tau']"),
+            ("profile_max_nodes", 96, "unknown config keys: ['profile_max_nodes']"),
+            ("profile_max_leaves", 32, "unknown config keys: ['profile_max_leaves']"),
         ],
     )
-    def test_bad_drafting_feedback_knob_is_clean_error_for_every_policy(
-        self, capsys, policy, override, message
+    def test_stale_config_naming_a_removed_key_is_clean_error(
+        self, tmp_path, capsys, key, value, message
     ):
-        rc = cli_main(["run", "--policy", policy, "--set", override, "--set", "trials=1"])
-        assert rc == 2
+        # each key names an engine constant: a config that still names
+        # one, even at the constant's value, stops before any trial runs
+        stale = apply_overrides(
+            json.loads((ROOT / "configs" / "lever_default.json").read_text()),
+            [f"{key}={value}", "trials=1", "horizon=4", "out_dir=null"],
+        )
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(stale))
+        assert cli_main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {message}")
-        assert "Traceback" not in err
+        assert err == f"error: {message}\n"
 
     def test_train_predictor_outputs_are_pinned(self, tmp_path, capsys):
         """Digests of a small layered probe's checkpoint and loss curve, and

@@ -13,7 +13,13 @@ from flashspec.models import (
     derive_draft,
     target_greedy_decode,
 )
-from flashspec.policies import BalancedTreePolicy, ChainPolicy, GainCostPolicy, RootOnlyPolicy
+from flashspec.policies import (
+    RELIABILITY_FLOOR,
+    BalancedTreePolicy,
+    ChainPolicy,
+    GainCostPolicy,
+    RootOnlyPolicy,
+)
 from flashspec.simulator import load_preset
 from flashspec.tree import ROOT_ID, flatten
 from flashspec.verification import VerificationResult, run_decode
@@ -37,13 +43,13 @@ class TestRootOnly:
 
 
 class TestGainCostObserve:
-    """The reliability is an EMA of candidate-set hits: decay ``cfg.beta``,
-    clamped to [``cfg.r_min``, 1]."""
+    """The reliability is an EMA of candidate-set hits: decay
+    ``RELIABILITY_DECAY``, clamped to [``RELIABILITY_FLOOR``, 1]."""
 
-    def _policy(self, **cfg):
+    def _policy(self):
         _, draft = models()
         policy = GainCostPolicy(
-            draft, DraftConfig(k=3, max_depth=3, b_min=0.01, **cfg),
+            draft, DraftConfig(k=3, max_depth=3, b_min=0.01),
             affine_profile(900.0, 3.0, 1.0, 64, 32),
         )
         out = policy.build([4, 2])
@@ -78,19 +84,20 @@ class TestGainCostObserve:
             assert b == pytest.approx(0.9 * a, rel=1e-9)
 
     def test_floor_clamp(self):
-        policy, _, miss = self._policy(r_min=0.05)
-        policy.rel = 0.06
+        policy, _, miss = self._policy()
+        policy.rel = RELIABILITY_FLOOR + 0.01
         for _ in range(50):
             policy.observe(miss)
-        assert policy.rel == 0.05
+        assert policy.rel == RELIABILITY_FLOOR
 
     @settings(max_examples=50, deadline=None)
-    @given(st.floats(0.01, 0.99), st.lists(st.booleans(), max_size=30))
-    def test_stays_within_floor_and_one(self, beta, hits):
-        policy, hit, miss = self._policy(beta=beta, r_min=0.2)
+    @given(st.lists(st.booleans(), max_size=60))
+    def test_stays_within_floor_and_one(self, hits):
+        # 60 cycles: a run of misses long enough to reach the floor fits
+        policy, hit, miss = self._policy()
         for h in hits:
             policy.observe(hit if h else miss)
-            assert 0.2 <= policy.rel <= 1.0
+            assert RELIABILITY_FLOOR <= policy.rel <= 1.0
         policy.rel = 1.0
         policy.observe(hit)
         assert policy.rel == 1.0

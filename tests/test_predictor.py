@@ -40,13 +40,13 @@ def one_example(h, z, cands):
     return distillation_set([example(h, z, cands)])
 
 
-def root_scores(pred, h, tokens, tau=1.0):
+def root_scores(pred, h, tokens):
     """Normalized scores of ``tokens`` drafted under the root, whose hidden
     row is ``h``."""
     tree = TokenTree()
     kids = [tree.insert(ROOT_ID, t, 0.5) for t in tokens]
     sets = {ROOT_ID: candidate_set(tokens)}
-    scores = normalize_scores(pred, np.atleast_2d(h), tree, [ROOT_ID], sets, tau)
+    scores = normalize_scores(pred, np.atleast_2d(h), tree, [ROOT_ID], sets)
     return [scores[cid] for cid in kids]
 
 
@@ -70,9 +70,9 @@ class TestScore:
         W = rng.standard_normal((6, 5))
         h = rng.standard_normal(5)
         pred = EarlyExitPredictor(W, layer=2)
-        naive = [sum(W[t, j] * h[j] for j in range(5)) / 0.5 for t in range(6)]
+        naive = [sum(W[t, j] * h[j] for j in range(5)) for t in range(6)]
         e = [math.exp(x - max(naive)) for x in naive]
-        for got, want in zip(root_scores(pred, h, range(6), tau=0.5), e):
+        for got, want in zip(root_scores(pred, h, range(6)), e):
             assert abs(got - want / sum(e)) < 1e-12
 
     def test_dimension_mismatch(self):

@@ -43,14 +43,14 @@ def one_hot_pred(vocab_size):
 
 class TestNormalizeScores:
     def test_direct_softmax_values(self):
-        # two children with raw scores 2 and 1 at tau=1
+        # two children with raw scores 2 and 1
         tree = TokenTree()
         a = tree.insert(ROOT_ID, 0, 0.9)
         b = tree.insert(ROOT_ID, 1, 0.8)
         pred = one_hot_pred(2)
         hidden = np.array([[2.0, 1.0]])
         scores = normalize_scores(
-            pred, hidden, tree, [ROOT_ID], {ROOT_ID: candidate_set([0, 1])}, 1.0
+            pred, hidden, tree, [ROOT_ID], {ROOT_ID: candidate_set([0, 1])}
         )
         assert scores[ROOT_ID] == 1.0
         assert scores[a] == pytest.approx(0.73105857, abs=1e-6)
@@ -62,7 +62,7 @@ class TestNormalizeScores:
         pred = one_hot_pred(2)
         hidden = np.array([[1.5, 1.5]])
         scores = normalize_scores(
-            pred, hidden, tree, [ROOT_ID], {ROOT_ID: candidate_set([1, 0])}, 1.0
+            pred, hidden, tree, [ROOT_ID], {ROOT_ID: candidate_set([1, 0])}
         )
         assert len(scores) == tree.node_count
         assert scores[a] == pytest.approx(0.5)
@@ -78,23 +78,12 @@ class TestNormalizeScores:
         pred = one_hot_pred(4)
         hidden = np.array([[0.5, 0.25, 1.5, 2.0]])   # the leftover order shows in the bytes
         sets = {ROOT_ID: candidate_set([3, 0, 1, 2])}
-        scores = normalize_scores(pred, hidden, tree, [ROOT_ID], sets, 1.0)
+        scores = normalize_scores(pred, hidden, tree, [ROOT_ID], sets)
         extras = ref.leftovers(tree, sets)
         assert extras == {ROOT_ID: [3, 1]}
-        want = ref.normalize_parent_scores(pred, hidden, tree, [ROOT_ID], 1.0, extras)
+        want = ref.normalize_parent_scores(pred, hidden, tree, [ROOT_ID], extras)
         assert list(want) == [(ROOT_ID, 2), (ROOT_ID, 0), (ROOT_ID, 3), (ROOT_ID, 1)]
         assert np.array(scores).tobytes() == np.array(scores_by_id(tree, want)).tobytes()
-
-    def test_high_temperature_flattens(self):
-        tree = TokenTree()
-        kids = [tree.insert(ROOT_ID, t, 0.9) for t in range(3)]
-        pred = one_hot_pred(3)
-        hidden = np.array([[3.0, 1.0, 1.0]])
-        scores = normalize_scores(
-            pred, hidden, tree, [ROOT_ID], {ROOT_ID: candidate_set([0, 1, 2])}, 1e6
-        )
-        for cid in kids:
-            assert scores[cid] == pytest.approx(1 / 3, abs=1e-6)
 
     def test_mismatched_hidden_rows_rejected(self):
         tree = TokenTree()
@@ -102,9 +91,9 @@ class TestNormalizeScores:
         pred = one_hot_pred(2)
         sets = {ROOT_ID: candidate_set([0])}
         with pytest.raises(ContractError):
-            normalize_scores(pred, np.zeros((0, 2)), tree, [ROOT_ID], sets, 1.0)
+            normalize_scores(pred, np.zeros((0, 2)), tree, [ROOT_ID], sets)
         with pytest.raises(ContractError):
-            normalize_scores(pred, np.zeros((2, 2)), tree, [ROOT_ID], sets, 1.0)
+            normalize_scores(pred, np.zeros((2, 2)), tree, [ROOT_ID], sets)
 
     def test_parent_without_children_rejected(self):
         tree = TokenTree()
@@ -112,7 +101,7 @@ class TestNormalizeScores:
         pred = one_hot_pred(2)
         with pytest.raises(ContractError):
             normalize_scores(
-                pred, np.zeros((1, 2)), tree, [leaf], {leaf: candidate_set([1])}, 1.0
+                pred, np.zeros((1, 2)), tree, [leaf], {leaf: candidate_set([1])}
             )
 
     def test_parent_without_candidate_set_rejected(self):
@@ -122,7 +111,7 @@ class TestNormalizeScores:
         pred = one_hot_pred(2)
         with pytest.raises(ContractError, match=f"node {a} has no recorded candidate set"):
             normalize_scores(
-                pred, np.zeros((2, 2)), tree, [ROOT_ID, a], {ROOT_ID: candidate_set([0])}, 1.0
+                pred, np.zeros((2, 2)), tree, [ROOT_ID, a], {ROOT_ID: candidate_set([0])}
             )
 
     def test_parents_with_different_member_counts_rejected(self):
@@ -133,9 +122,9 @@ class TestNormalizeScores:
         pred = one_hot_pred(3)
         sets = {ROOT_ID: candidate_set([0, 2]), a: candidate_set([1])}
         with pytest.raises(ContractError, match=f"node {a} has 1 members, node 0 has 2"):
-            normalize_scores(pred, np.zeros((2, 3)), tree, [ROOT_ID, a], sets, 1.0)
+            normalize_scores(pred, np.zeros((2, 3)), tree, [ROOT_ID, a], sets)
         sets[a] = candidate_set([1, 2])
-        assert len(normalize_scores(pred, np.zeros((2, 3)), tree, [ROOT_ID, a], sets, 1.0)) == 3
+        assert len(normalize_scores(pred, np.zeros((2, 3)), tree, [ROOT_ID, a], sets)) == 3
 
 
 class TestBackbone:
@@ -330,13 +319,9 @@ class TestTreePruner:
         hidden = pruner.hidden_source.rows(
             [[4, 9] + path_tokens(tree, nid) for nid in parents]
         )
-        scores = normalize_scores(
-            pruner.pred, hidden, tree, parents, out.candidate_sets, pruner.cfg.tau
-        )
+        scores = normalize_scores(pruner.pred, hidden, tree, parents, out.candidate_sets)
         extras = ref.leftovers(tree, out.candidate_sets)
-        want = ref.normalize_parent_scores(
-            pruner.pred, hidden, tree, parents, pruner.cfg.tau, extras
-        )
+        want = ref.normalize_parent_scores(pruner.pred, hidden, tree, parents, extras)
         short = 0
         for parent in parents:
             members = candidate_tokens(out.candidate_sets[parent])

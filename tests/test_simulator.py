@@ -252,6 +252,18 @@ class TestHardwareConfig:
         with pytest.raises(ConfigError, match="llama31-8b"):
             load_preset("nokia-3310")
 
+    @pytest.mark.parametrize("relative", [True, False])
+    def test_a_path_is_not_a_preset_name(self, tmp_path, relative):
+        # only the stems of the shipped presets are names: a path to a
+        # valid preset file, inside the package or out of it, is refused
+        outside = tmp_path / "copy"
+        outside.with_suffix(".json").write_text((PRESET_DIR / "llama31-8b.json").read_text())
+        name = "../presets/llama31-8b" if relative else str(outside)
+        known = sorted(p.stem for p in PRESET_DIR.glob("*.json"))
+        with pytest.raises(ConfigError) as info:
+            load_preset(name)
+        assert str(info.value) == f"unknown hardware preset {name!r}; available: {known}"
+
     def test_a_preset_is_parsed_once_and_an_unknown_name_raises_every_time(self):
         assert load_preset("qwen3-4b") is load_preset("qwen3-4b")
         for _ in range(3):

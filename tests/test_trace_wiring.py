@@ -21,7 +21,7 @@ from flashspec.predictor import (
 )
 from flashspec.pruning import PruneConfig, TreePruner
 from flashspec.verification import verify_tree
-from helpers import affine_profile, grid_shapes
+from helpers import affine_profile, grid_shapes, plan_on_grid
 
 
 def recording(monkeypatch, module, attr):
@@ -108,10 +108,8 @@ def test_tracer_counts_the_off_grid_lookups_of_a_lever_trial(monkeypatch):
     reads the grid once per profile from ``entries()``, re-reading only when
     ``len(profile)`` changes.  So ``entries()`` must not call ``lookup``,
     and ``len`` must stay the grid's size."""
-    cfg = ExperimentConfig(
-        policy="lever", horizon=24, trials=1, seed=3,
-        profile_max_nodes=12, profile_max_leaves=3,
-    )
+    plan_on_grid(monkeypatch, 12, 3)
+    cfg = ExperimentConfig(policy="lever", horizon=24, trials=1, seed=3)
     untraced = harness.run_trial(cfg, 0)
     shapes, reads = [], []
     lookup, entries = LatencyProfile.lookup, LatencyProfile.entries
@@ -130,7 +128,7 @@ def test_tracer_counts_the_off_grid_lookups_of_a_lever_trial(monkeypatch):
     with tracer.installed():
         traced = harness.run_trial(cfg, 0)  # the tracer patches this name
     counts = tracer.counts[(0, "lever", 0)]
-    grid = set(grid_shapes(cfg.profile_max_nodes, cfg.profile_max_leaves))
+    grid = set(grid_shapes(12, 3))
     off_grid = [shape for shape in shapes if shape not in grid]
     assert off_grid
     assert counts["profile_misses"] == len(off_grid)

@@ -29,11 +29,6 @@ class TestDraftingValidation:
             {"max_depth": 0},
             {"b_min": 1.0},
             {"b_min": -0.1},
-            {"cost_floor_ms": 0.0},
-            {"beta": 0.0},
-            {"beta": 1.5},
-            {"r_min": 0.0},
-            {"r_min": 1.5},
             {"max_nodes": 0},
             {"max_nodes": -3},
         ],
@@ -124,7 +119,7 @@ class TestPredictorValidation:
 class TestPruneValidation:
     @pytest.mark.parametrize(
         "kw",
-        [{"theta": 0.0}, {"theta": 1.0}, {"tau": 0.0}, {"tau": -1.0}],
+        [{"theta": 0.0}, {"theta": 1.0}],
     )
     def test_bad_prune_config(self, kw):
         with pytest.raises(ConfigError):

@@ -137,10 +137,7 @@ def draw_pruner(draw, target):
     a random probe on a layered target's intermediate layer, or the
     identity probe on exact log-probabilities."""
     vocab = target.vocab_size
-    cfg = PruneConfig(
-        theta=draw(st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.5, 0.8])),
-        tau=draw(st.sampled_from([0.5, 1.0, 2.0])),
-    )
+    cfg = PruneConfig(theta=draw(st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.5, 0.8])))
     if isinstance(target, LayeredTargetModel) and draw(st.booleans()):
         layer = draw(st.integers(1, target.depth - 1))
         rng = np.random.default_rng(draw(st.integers(0, 10_000)))
@@ -306,9 +303,9 @@ def grow_tree(draw, vocab, max_inserts):
 def score_cases(draw):
     """A tree, candidate sets of one size or, half the time, sets that add
     uneven numbers of childless tokens to its parents, the parents' hidden
-    rows from a real source, a probe on them (identity on log-probabilities,
-    or a random probe on a layered target's intermediate layer) and a
-    temperature."""
+    rows from a real source and a probe on them (identity on
+    log-probabilities, or a random probe on a layered target's intermediate
+    layer)."""
     vocab = draw(st.integers(2, 24))
     seed = draw(st.integers(0, 10_000))
     tree = grow_tree(draw, vocab, 60)
@@ -329,22 +326,19 @@ def score_cases(draw):
         source = LayeredHiddenSource(target, layer)
     parents = [nid for nid in tree.ids() if tree.children(nid)]
     hidden = source.rows([context + path_tokens(tree, p) for p in parents])
-    tau = draw(st.sampled_from([0.5, 1.0, 2.0]))
-    return pred, hidden, tree, parents, sets, tau
+    return pred, hidden, tree, parents, sets
 
 
 @settings(max_examples=200)
 @given(score_cases())
 def test_one_pass_scores_match_per_edge_reference(case):
-    pred, hidden, tree, parents, sets, tau = case
+    pred, hidden, tree, parents, sets = case
     if member_counts_differ(tree, sets):
         with pytest.raises(ContractError, match="members"):
-            normalize_scores(pred, hidden, tree, parents, sets, tau)
+            normalize_scores(pred, hidden, tree, parents, sets)
         return
-    got = normalize_scores(pred, hidden, tree, parents, sets, tau)
-    want = ref.normalize_parent_scores(
-        pred, hidden, tree, parents, tau, ref.leftovers(tree, sets)
-    )
+    got = normalize_scores(pred, hidden, tree, parents, sets)
+    want = ref.normalize_parent_scores(pred, hidden, tree, parents, ref.leftovers(tree, sets))
     assert_scores_match(tree, got, want)
 
 
@@ -402,8 +396,8 @@ def test_candidate_set_scores_match_the_leftover_frontier_reference(case):
     tree = fast.tree
     parents = [nid for nid in tree.ids() if tree.children(nid)]
     hidden = source.rows([context + path_tokens(tree, p) for p in parents])
-    got = normalize_scores(pred, hidden, tree, parents, fast.candidate_sets, prune_cfg.tau)
-    want = ref.normalize_parent_scores(pred, hidden, slow.tree, parents, prune_cfg.tau, extras)
+    got = normalize_scores(pred, hidden, tree, parents, fast.candidate_sets)
+    want = ref.normalize_parent_scores(pred, hidden, slow.tree, parents, extras)
     assert_scores_match(tree, got, want)
     assert prune(tree, got, prune_cfg) == ref.prune(slow.tree, want, prune_cfg)
 
@@ -499,8 +493,6 @@ def decode_cases(draw):
         k=draw(st.integers(1, vocab)),
         max_depth=draw(st.integers(1, 5)),
         b_min=draw(st.sampled_from([0.0, 0.01, 0.1])),
-        r_min=draw(st.sampled_from([0.05, 0.3, 1.0])),
-        beta=draw(st.sampled_from([0.5, 0.9])),
         max_nodes=draw(st.sampled_from([None, 4, 16])),
     )
     profile_args = (
