@@ -285,6 +285,25 @@ class TestBuildTree:
         assert out.stop.reason == "stop_rule"
         assert out.estimate.gain == pytest.approx(gain)
 
+    def test_free_insertions_are_priced_at_the_cost_floor(self):
+        # A flat profile and free expansions: every marginal cost is 0 and
+        # the builder prices it at COST_FLOOR_MS, so each ratio is finite
+        # and the stopping inequality replays as reach / COST_FLOOR_MS.
+        r, cycle = 0.5, 1.0
+        profile = LatencyProfile(lambda n, l: cycle, 40, 40)
+        cfg = DraftConfig(k=1, max_depth=30, b_min=0.0)
+        out = build_tree([0], DeterministicDraft(), cfg, r, profile, draft_ms=0.0)
+
+        depth, gain = 0, 1.0
+        while (ratio := r ** (depth + 1) / COST_FLOOR_MS) > gain / cycle:
+            depth += 1
+            gain += r ** depth
+        assert out.tree.node_count - 1 == depth
+        assert out.stop.reason == "stop_rule"
+        assert out.stop.best_ratio == pytest.approx(ratio)
+        assert out.estimate.gain == pytest.approx(gain)
+        assert out.estimate.cycle_cost == cycle
+
     def test_every_insertion_maximizes_ratio_at_its_instant(self):
         target = TabularMarkovModel(16, 2, seed=21)
         draft = derive_draft(target, 0.7, noise_seed=5)

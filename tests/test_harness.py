@@ -1239,6 +1239,7 @@ class TestCLI:
         assert err.startswith(f"error: {message}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("policy", ["chain_sd", "balanced_tree", "lever"])
     @pytest.mark.parametrize(
         "key, value, message",
         [
@@ -1251,13 +1252,14 @@ class TestCLI:
         ],
     )
     def test_stale_config_naming_a_removed_key_is_clean_error(
-        self, tmp_path, capsys, key, value, message
+        self, tmp_path, capsys, policy, key, value, message
     ):
         # each key names an engine constant: a config that still names
-        # one, even at the constant's value, stops before any trial runs
+        # one, even at the constant's value, stops before any trial runs,
+        # also under a policy that never reads the drafting section
         stale = apply_overrides(
             json.loads((ROOT / "configs" / "lever_default.json").read_text()),
-            [f"{key}={value}", "trials=1", "horizon=4", "out_dir=null"],
+            [f"{key}={value}", f"policy={policy}", "trials=1", "horizon=4", "out_dir=null"],
         )
         path = tmp_path / "stale.json"
         path.write_text(json.dumps(stale))

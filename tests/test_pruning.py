@@ -69,6 +69,20 @@ class TestNormalizeScores:
         # the childless token 1 holds the rest of the root's mass
         assert 1.0 - scores[a] == pytest.approx(0.5)
 
+    def test_large_raw_scores_equal_their_shifted_softmax(self):
+        # per-parent max subtraction: raw scores near 1000 neither overflow
+        # nor differ from the same scores shifted down by 1000
+        tree = TokenTree()
+        kids = [tree.insert(ROOT_ID, t, 0.9) for t in range(3)]
+        pred = one_hot_pred(3)
+        sets = {ROOT_ID: candidate_set([0, 1, 2])}
+        big = normalize_scores(pred, np.array([[1002.0, 1001.0, 1000.0]]), tree, [ROOT_ID], sets)
+        small = normalize_scores(pred, np.array([[2.0, 1.0, 0.0]]), tree, [ROOT_ID], sets)
+        e = np.exp([2.0, 1.0, 0.0])
+        for cid, want in zip(kids, e / e.sum()):
+            assert big[cid] == pytest.approx(small[cid], abs=1e-12)
+            assert big[cid] == pytest.approx(want, abs=1e-12)
+
     def test_members_are_children_then_childless_candidates(self):
         # the member order fixes the rounding of the softmax sum: the bytes
         # are those of the reference's children, then leftovers, in order
