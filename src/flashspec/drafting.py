@@ -99,7 +99,7 @@ class LatencyProfile:
         ms = self._memo.get(shape)
         if ms is None:
             ms = float(self._price(*shape))
-            if ms <= 0:
+            if not ms > 0:   # NaN included
                 raise ContractError(f"latency of shape {shape} must be positive")
             self._memo[shape] = ms
         return ms

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache, partial
 from pathlib import Path
@@ -34,7 +35,7 @@ from .policies import (
     BalancedTreePolicy,
     ChainPolicy,
     GainCostPolicy,
-    RootOnlyPolicy,
+    LevelPolicy,
 )
 from .predictor import (
     EarlyExitPredictor,
@@ -204,12 +205,15 @@ def _field_types(cls: type) -> dict[str, Any]:
 
 def _fits(annotation: Any, value: Any) -> bool:
     """Whether ``value`` fits a field annotated ``annotation``: an ``int``
-    refuses ``bool`` and ``float``, a ``float`` also takes an ``int``, and
-    ``X | Y`` takes whatever fits ``X`` or ``Y``."""
+    refuses ``bool`` and ``float``, a ``float`` also takes an ``int`` but
+    refuses NaN, the infinities (which JSON parsing accepts) and any number
+    beyond the largest float, and ``X | Y`` takes whatever fits ``X`` or
+    ``Y``."""
     if isinstance(annotation, UnionType):
         return any(_fits(option, value) for option in get_args(annotation))
     if annotation is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return number and abs(value) <= sys.float_info.max   # exact for an int, false for NaN
     if annotation is int:
         return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, annotation)
@@ -337,7 +341,7 @@ def train_predictor_for(
 
 def make_policy(cfg: ExperimentConfig, draft: ProbModel, hw: HardwareConfig):
     if cfg.policy == "flash_ar":
-        return RootOnlyPolicy(hw)
+        return LevelPolicy(draft, hw, 1, 0)   # zero levels: the bare root
     if cfg.policy == "chain_sd":
         return ChainPolicy(draft, hw, cfg.chain_length)
     if cfg.policy == "balanced_tree":
@@ -404,7 +408,7 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
-    def write(self, out_dir: str, traces: list[ScheduleTrace] | None = None) -> None:
+    def write(self, out_dir: str, traces: list[ScheduleTrace]) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(self.to_json() + "\n")
@@ -414,8 +418,6 @@ class Report:
             ([row["trial"], row["seed"], *(row["metrics"][f] for f in METRIC_FIELDS)]
              for row in self.trials),
         )
-        if traces is None:
-            return
         _write_trace_json(out / "trace.json", traces)
         _write_csv(
             out / "trace.csv",

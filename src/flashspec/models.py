@@ -333,11 +333,8 @@ class MixtureDraftModel(ProbModel):
         # Pad once; each component reads its own last ``order`` tokens of
         # the tail, which is already its padded tail.
         tail = _padded_tail(prefix, self.order)
+        # rows are finite and non-negative: bitwise the target at a = 1, the noise at 0
         a = self.agreement
-        if a >= 1.0:
-            return self.target.next_dist(tail[-self.target.order:])
-        if a <= 0.0:
-            return self.noise.next_dist(tail[-self.noise.order:])
         target = self.target.next_dist(tail[-self.target.order:])
         return a * target + (1.0 - a) * self.noise.next_dist(tail[-self.noise.order:])
 

@@ -5,18 +5,22 @@ context alone and is told each cycle's
 :class:`~flashspec.verification.VerificationResult` through ``observe``, so
 all of them share one verification path and each keeps its own planning
 state.  :class:`LevelPolicy` grows a fixed-shape level tree, ``fanout``
-candidates per node for ``depth`` levels; the chain baseline configures it
-one wide with ``length`` levels, the balanced baseline ``fanout`` wide with
-as many levels as fit its node budget.  A level tree reads no feedback and
-depends only on the root's padded draft tail, so each instance builds it
-once per tail (a harness trial makes a fresh policy, so nothing is shared
-across trials).  The gain-cost policy wraps the greedy builder and owns the
-reliability factor that scales its reach estimates; its trees depend on
-that factor too and are built every cycle.  Like the greedy builder, a
-level tree drafts from each node's carried padded tail.
+candidates per node for ``depth`` levels, in three shapes: flash-backed
+autoregressive decoding is the tree of zero levels, the bare root; the
+chain baseline is one wide with ``length`` levels; the balanced baseline is
+``fanout`` wide with as many levels as fit its node budget.  A level tree
+reads no feedback and depends only on the root's padded draft tail, so each
+instance builds it once per tail (a harness trial makes a fresh policy, so
+nothing is shared across trials).  The gain-cost policy wraps the greedy
+builder and owns the reliability factor that scales its reach estimates;
+its trees depend on that factor too and are built every cycle.  Like the
+greedy builder, a level tree drafts from each node's carried padded tail.
 
-Every estimate is the simulator's price of its cycle on the trial's
-hardware (the gain-cost builder reads it through its profile), without
+A level tree's estimate is the simulator's price of its cycle on the
+trial's hardware.  The gain-cost builder reads its price through its
+profile, which equals the simulator's on the profile's grid; off the grid
+it charges the clamped shape times
+:data:`~flashspec.drafting.MISS_PENALTY`.  No estimate includes
 projection: on-demand projection charges the accepted path, known only
 after verification, and an expected term would change the gain-cost trees.
 """
@@ -45,31 +49,14 @@ RELIABILITY_FLOOR = 0.05   # the reliability never falls below this
 
 
 @dataclass
-class RootOnlyPolicy:
-    """Plain flash-backed autoregressive decoding: no drafting at all."""
-
-    hw: HardwareConfig
-
-    def build(self, context: Sequence[int]) -> BuildResult:
-        return BuildResult(
-            tree=TokenTree(root_token=int(context[-1])),
-            estimate=GainCostEstimate(1.0, draft_cost=0.0, verify_cost=ar_step_latency(self.hw)),
-            stop=StopRecord("frontier_empty", None),
-            expansion_counts=[],
-        )
-
-    def observe(self, result: VerificationResult) -> None:
-        """The root-only tree reads no feedback."""
-
-
-@dataclass
 class LevelPolicy:
     """The level tree of ``depth`` levels over the root's padded draft tail:
     every node of a level is expanded with its top-``fanout`` draft
     candidates, so each level is one batchable draft step.  A node's reach
     is its parent's times its draft probability, and a child's tail is its
     parent's shifted by its token.  Each expanded node's candidate set is
-    recorded for pruning.
+    recorded for pruning.  Zero levels make the bare root, which reads no
+    draft and is priced as an autoregressive step, as ``price_cycle`` does.
 
     The tree depends only on the tail, so it is grown on the tail's first
     build and kept in ``_builds``; a repeated tail returns the same
@@ -104,12 +91,13 @@ class LevelPolicy:
                     child = tree.insert(parent, token, reach * p)
                     next_level.append((child, tail[1:] + (token,)))
             level = next_level
+        verify_cost = verify_latency(self.hw, *tree.shape) if counts else ar_step_latency(self.hw)
         out = self._builds[root_tail] = BuildResult(
             tree=tree,
             estimate=GainCostEstimate(
                 gain=1.0 + sum(tree.node(n).reach for n in tree.ids() if n != ROOT_ID),
                 draft_cost=draft_schedule(counts, self.hw),
-                verify_cost=verify_latency(self.hw, *tree.shape),
+                verify_cost=verify_cost,
             ),
             stop=StopRecord("frontier_empty", None),
             expansion_counts=counts,

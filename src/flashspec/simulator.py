@@ -23,6 +23,7 @@ per-cycle columns of a report's trace files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from functools import cache
 from pathlib import Path
@@ -60,11 +61,15 @@ class HardwareConfig:
             "compute_c_leaf", "proj_ms_per_row", "proj_cpu_ms_per_row",
             "draft_cpu_ms", "draft_npu_base", "draft_npu_per_item",
         ):
-            if getattr(self, field_name) < 0:
-                raise ConfigError(f"{field_name} must be >= 0")
+            # NaN fails the comparison as well
+            if not 0 <= getattr(self, field_name) < math.inf:
+                raise ConfigError(f"{field_name} must be finite and >= 0")
         # every coefficient is >= 0, so this also makes each verify latency > 0
-        if ar_step_latency(self) <= 0:
+        step = ar_step_latency(self)
+        if step <= 0:
             raise ConfigError("a single-token step must take positive time, not 0 ms")
+        if step == math.inf:
+            raise ConfigError("a single-token step must take finite time, not inf ms")
 
     @property
     def io_effective_ms(self) -> float:
@@ -72,10 +77,6 @@ class HardwareConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "HardwareConfig":
-        return cls(**payload)
 
 
 @cache
@@ -87,7 +88,7 @@ def load_preset(name: str) -> HardwareConfig:
     known = sorted(p.stem for p in PRESET_DIR.glob("*.json"))
     if name not in known:
         raise ConfigError(f"unknown hardware preset {name!r}; available: {known}")
-    return HardwareConfig.from_dict(json.loads((PRESET_DIR / f"{name}.json").read_text()))
+    return HardwareConfig(**json.loads((PRESET_DIR / f"{name}.json").read_text()))
 
 
 def compute_ms(cfg: HardwareConfig, nodes: int, leaves: int) -> float:

@@ -12,6 +12,7 @@ from flashspec.drafting import (
     LatencyProfile,
     build_tree,
 )
+from flashspec.errors import ContractError
 from flashspec.models import TabularMarkovModel, derive_draft
 from flashspec.tree import ROOT_ID, TokenTree
 from helpers import (
@@ -135,6 +136,12 @@ class TestLatencyProfile:
     def test_miss_applies_penalty(self):
         p = LatencyProfile(lambda n, l: 900.0, 8, 3)
         assert p.lookup((9, 3)) == pytest.approx(990.0)
+
+    @pytest.mark.parametrize("ms", [0.0, -1.0, float("nan")])
+    def test_a_price_that_is_not_positive_is_refused(self, ms):
+        p = LatencyProfile(lambda n, l: ms, 8, 3)
+        with pytest.raises(ContractError, match="must be positive"):
+            p.lookup((2, 1))
 
     @settings(max_examples=150)
     @given(

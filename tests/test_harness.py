@@ -283,6 +283,22 @@ class TestRunExperiment:
                 },
             ),
             (
+                # the zero-level tree: every cycle is an autoregressive step
+                {"policy": "flash_ar"},
+                32,
+                2,
+                {
+                    "report.json":
+                        "a5b836575aab44b2c61da5e0b471da53ded5ef32ee471799401f847044741ac8",
+                    "report.csv":
+                        "6daebd37e2e1ce9a4e0280e826eaa2af40ed7a74990db1dd63cb098b548a44db",
+                    "trace.json":
+                        "51bf8bbad932dd415b059efef70c831d4a2428de129be4ebacf9b5832ac0b6d8",
+                    "trace.csv":
+                        "0ec918d1add6bf9441d8351a036a37bd2e3cdc65e44e4ea3e9976fb0668657a0",
+                },
+            ),
+            (
                 {"policy": "balanced_tree"},
                 32,
                 2,
@@ -333,7 +349,7 @@ class TestRunExperiment:
             ),
         ],
         ids=[
-            "tabular", "layered-probe", "chain_sd", "balanced_tree",
+            "tabular", "layered-probe", "chain_sd", "flash_ar", "balanced_tree",
             "tabular-eager", "layered-eager",
         ],
     )
@@ -1165,6 +1181,49 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: a single-token step must take positive time")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, hardware, overrides, where, key",
+        [
+            ("run", {"io_ms_per_invocation": math.inf}, [], "hardware", "io_ms_per_invocation"),
+            ("run", {"io_ms_per_invocation": math.nan}, [], "hardware", "io_ms_per_invocation"),
+            ("run", {"compute_c_row": math.nan}, [], "hardware", "compute_c_row"),
+            ("run", None, ["model.concentration=NaN"], "model", "concentration"),
+            ("run", None, ["model.concentration=Infinity"], "model", "concentration"),
+            ("run", None, ["draft.noise_concentration=NaN"], "draft", "noise_concentration"),
+            # an integer too large for a float
+            ("run", None, ["model.concentration=1" + "0" * 400], "model", "concentration"),
+            (
+                "train-predictor", None, ['model.type="layered"', "training.tau_kd=NaN"],
+                "training", "tau_kd",
+            ),
+        ],
+        ids=[
+            "hardware-io-inf", "hardware-io-nan", "hardware-c-row-nan", "concentration-nan",
+            "concentration-inf", "noise-concentration-nan", "concentration-huge-int",
+            "train-tau-kd-nan",
+        ],
+    )
+    def test_non_finite_value_is_clean_error(
+        self, tmp_path, capsys, command, hardware, overrides, where, key
+    ):
+        # JSON parsing, of a config file or of a --set value, accepts NaN and
+        # Infinity; let through, they crash a run, write NaN metrics into an
+        # invalid report.json or pass for diverged training
+        payload = {"trials": 1, "horizon": 4}
+        if hardware is not None:
+            payload["hardware"] = {**load_preset("llama31-8b").to_dict(), **hardware}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path), "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid {where} config: {key}=")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "override, message",

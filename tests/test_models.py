@@ -382,10 +382,21 @@ class TestHiddenStates:
 
 class TestDraftDerivation:
     def test_alpha_one_identical(self):
-        target = TabularMarkovModel(16, 1, seed=1)
-        draft = derive_draft(target, 1.0, noise_seed=2)
-        for prefix in ([0], [5], [9]):
-            assert np.array_equal(draft.next_dist(prefix), target.next_dist(prefix))
+        """At agreement 1 the mixture row is the target's row byte for byte,
+        and at 0 the noise row, for tabular and layered targets and a noise
+        order above the target's."""
+        targets = (
+            TabularMarkovModel(16, 1, seed=1),
+            LayeredTargetModel(16, 2, depth=3, hidden_dim=8, seed=4),
+        )
+        for target in targets:
+            for noise_order in (None, target.order + 1):
+                for agreement in (0.0, 1.0):
+                    draft = derive_draft(target, agreement, noise_seed=2, noise_order=noise_order)
+                    component = draft.target if agreement == 1.0 else draft.noise
+                    for prefix in ([0], [5], [9], [3, 7, 1, 12]):
+                        row = draft.next_dist(prefix)
+                        assert row.tobytes() == component.next_dist(prefix).tobytes()
 
     def test_monotone_top1_agreement(self):
         target = TabularMarkovModel(24, 2, seed=13)

@@ -18,9 +18,9 @@ from flashspec.policies import (
     BalancedTreePolicy,
     ChainPolicy,
     GainCostPolicy,
-    RootOnlyPolicy,
+    LevelPolicy,
 )
-from flashspec.simulator import load_preset
+from flashspec.simulator import PRESET_DIR, ar_step_latency, load_preset, price_cycle
 from flashspec.tree import ROOT_ID, flatten
 from flashspec.verification import VerificationResult, run_decode
 from helpers import affine_profile, candidate_tokens, path_tokens, tree_json
@@ -34,12 +34,48 @@ def models(seed=9, agreement=0.8):
 
 
 class TestRootOnly:
+    """``flash_ar``'s policy: the level tree of zero levels."""
+
     def test_builds_bare_root(self):
-        policy = RootOnlyPolicy(HW)
+        _, draft = models()
+        policy = LevelPolicy(draft, HW, 1, 0)
         out = policy.build([4, 2])
         assert out.tree.node_count == 1
         assert out.expansion_counts == []
         assert out.estimate.gain == 1.0
+
+    def test_reads_the_draft_zero_times(self):
+        _, draft = models()
+        recording = RecordingDraft(draft)
+        policy = LevelPolicy(recording, HW, 1, 0)
+        for context in ([4, 2], [1], [3, 3, 7]):
+            policy.build(context)
+        assert recording.reads == []
+
+    @pytest.mark.parametrize("overlap", ["sum", "max"])
+    @pytest.mark.parametrize("preset", sorted(p.stem for p in PRESET_DIR.glob("*.json")))
+    def test_estimate_is_the_autoregressive_price(self, preset, overlap):
+        # an autoregressive step never overlaps I/O and compute, so under
+        # "max" its price is not verify_latency's for the one-row tree
+        target, draft = models()
+        hw = replace(load_preset(preset), overlap=overlap)
+        policy = LevelPolicy(draft, hw, 1, 0)
+        estimate = policy.build([4, 2]).estimate
+        assert estimate.cycle_cost == ar_step_latency(hw)
+        for record in run_decode(target, [4, 2], 4, policy).cycles:
+            for mode in ("eager", "ondemand"):
+                cost = price_cycle(record, hw, mode)
+                assert (estimate.draft_cost, estimate.verify_cost) == (
+                    cost.draft_ms, cost.verify_stage_ms
+                )
+                assert cost.total_ms == estimate.cycle_cost
+
+    def test_a_repeated_tail_returns_the_same_build(self):
+        _, draft = models()
+        policy = LevelPolicy(draft, HW, 1, 0)
+        out = policy.build([4, 2])
+        assert policy.build([7, 4, 2]) is out
+        assert policy.build([4, 3]) is not out
 
 
 class TestGainCostObserve:

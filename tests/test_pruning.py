@@ -9,7 +9,7 @@ from flashspec import pruning
 from flashspec.drafting import DraftConfig, build_tree
 from flashspec.errors import ContractError
 from flashspec.models import TabularMarkovModel, derive_draft, target_greedy_decode
-from flashspec.policies import BalancedTreePolicy, ChainPolicy, GainCostPolicy, RootOnlyPolicy
+from flashspec.policies import BalancedTreePolicy, ChainPolicy, GainCostPolicy, LevelPolicy
 from flashspec.predictor import EarlyExitPredictor, ExactProbeSource
 from flashspec.pruning import (
     PruneConfig,
@@ -456,7 +456,7 @@ def policy_builds(draw):
     context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=5))
     kind = draw(st.sampled_from(["root_only", "chain", "balanced", "gain_cost"]))
     if kind == "root_only":
-        policy = RootOnlyPolicy(HW)
+        policy = LevelPolicy(draft, HW, 1, 0)
     elif kind == "chain":
         policy = ChainPolicy(draft, HW, length=draw(st.integers(1, 6)))
     elif kind == "balanced":

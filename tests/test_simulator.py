@@ -272,7 +272,7 @@ class TestHardwareConfig:
 
     def test_roundtrip(self):
         cfg = load_preset("qwen3-14b")
-        again = HardwareConfig.from_dict(cfg.to_dict())
+        again = HardwareConfig(**cfg.to_dict())
         assert again == cfg
 
     def test_overlap_validation(self):
@@ -293,6 +293,25 @@ class TestHardwareConfig:
         # any compute makes the step, and every verify shape, cost time
         cfg = HardwareConfig(name="t", compute_c_row=0.5, **fields)
         assert ar_step_latency(cfg) > 0 and verify_latency(cfg, 1, 1) > 0
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"io_ms_per_invocation": float("inf")},
+            {"io_ms_per_invocation": float("nan")},
+            {"io_ms_per_invocation": 1.0, "compute_c_row": float("nan")},
+            {"io_ms_per_invocation": 1.0, "draft_npu_base": float("-inf")},
+            {"io_ms_per_invocation": 1.0, "dram_resident_frac": float("nan")},
+        ],
+        ids=["io-inf", "io-nan", "c-row-nan", "npu-base-minus-inf", "dram-frac-nan"],
+    )
+    def test_non_finite_field_refused(self, fields):
+        with pytest.raises(ConfigError, match="must be finite and >= 0|must lie in"):
+            HardwareConfig(name="t", **fields)
+
+    def test_overflowing_single_token_step_refused(self):
+        with pytest.raises(ConfigError, match="finite time"):
+            HardwareConfig(name="t", io_ms_per_invocation=1e308, compute_c0=1e308)
 
     def test_dram_fraction_scales_io(self):
         cfg = dataclasses.replace(

@@ -7,7 +7,7 @@ from flashspec.models import (
     derive_draft,
     target_greedy_decode,
 )
-from flashspec.policies import ChainPolicy, GainCostPolicy, RootOnlyPolicy
+from flashspec.policies import ChainPolicy, GainCostPolicy, LevelPolicy
 from flashspec.simulator import load_preset
 from flashspec.tree import ROOT_ID, TokenTree
 from flashspec.verification import run_decode, verify_tree
@@ -174,7 +174,8 @@ class TestRunDecode:
 
     def test_flash_ar_one_token_per_cycle(self):
         target = TabularMarkovModel(16, 2, seed=21)
-        ctx, res = self._run(RootOnlyPolicy(HW), target, horizon=16)
+        draft = derive_draft(target, 0.45, noise_seed=7)
+        ctx, res = self._run(LevelPolicy(draft, HW, 1, 0), target, horizon=16)
         assert len(res.cycles) == 16
         assert res.tokens == target_greedy_decode(target, ctx, 16)
 
