@@ -34,7 +34,7 @@ from .predictor import (
     TrainConfig,
     train,
 )
-from .pruning import PruneConfig, PruneDecision, TreePruner, backbone_path, normalize_scores, prune
+from .pruning import PruneDecision, TreePruner, backbone_path, normalize_scores, prune
 from .simulator import (
     HardwareConfig,
     Metrics,

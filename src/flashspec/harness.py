@@ -47,7 +47,7 @@ from .predictor import (
     distillation_rows,
     train,
 )
-from .pruning import PruneConfig, TreePruner
+from .pruning import TreePruner
 from .simulator import (
     CycleCost,
     HardwareConfig,
@@ -58,7 +58,7 @@ from .simulator import (
     simulate_decode,
     verify_latency,
 )
-from .verification import DecodeResult, run_decode
+from .verification import CycleRecord, DecodeResult, run_decode
 
 POLICIES = ("flash_ar", "chain_sd", "balanced_tree", "lever", "lever_noprune")
 # The run path's probe fit, looked up here by name so that a tracer can wrap it.
@@ -104,7 +104,6 @@ class ExperimentConfig:
     drafting: DraftConfig = field(
         default_factory=lambda: DraftConfig(k=4, max_depth=5, b_min=0.01, max_nodes=64)
     )
-    pruning: PruneConfig = field(default_factory=PruneConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
     hardware: str | HardwareConfig = "llama31-8b"
     projection_mode: str = "ondemand"    # {"eager", "ondemand"}, every policy
@@ -158,33 +157,36 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ExperimentConfig":
         """A section given as an object overrides only the keys it names, on
-        top of that field's default (an inline hardware has none)."""
+        top of that field's default.  An inline hardware has none, so it
+        must name every key."""
         data = dict(payload)
         defaults = cls()
         for key, sub in (
             ("model", ModelSpec),
             ("draft", DraftSpec),
             ("drafting", DraftConfig),
-            ("pruning", PruneConfig),
             ("training", TrainConfig),
             ("hardware", HardwareConfig),
         ):
             if key in data and isinstance(data[key], dict):
                 base = getattr(defaults, key)
                 section = {**asdict(base), **data[key]} if isinstance(base, sub) else data[key]
-                data[key] = _from_fields(sub, section, f"{key} config")
+                data[key] = _from_fields(sub, section, f"{key} config", every_key=True)
         return _from_fields(cls, data, "config")
 
 
-def _from_fields(cls: type, payload: dict[str, Any], where: str) -> Any:
-    """``cls(**payload)``, refusing keys that are not fields of ``cls`` and
-    values that do not fit their field's annotation; a missing field or a
-    wrongly typed value is a :class:`ConfigError` that names the section
-    (and the key, for a value that does not fit)."""
+def _from_fields(cls: type, payload: dict[str, Any], where: str, every_key: bool = False) -> Any:
+    """``cls(**payload)``, refusing keys that are not fields of ``cls``, a
+    field left out when ``every_key`` is set, and values that do not fit
+    their field's annotation; each is a :class:`ConfigError` that names the
+    section (and the keys or the key at fault)."""
     known = cls.__dataclass_fields__
     unknown = set(payload) - set(known)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    missing = set(known) - set(payload) if every_key else ()
+    if missing:
+        raise ConfigError(f"invalid {where}: missing keys {sorted(missing)}")
     hints = _field_types(cls)
     for key, value in payload.items():
         if not _fits(hints[key], value):
@@ -314,7 +316,7 @@ def make_pruner(cfg: ExperimentConfig, target: ProbModel) -> TreePruner | None:
             target, layer, cfg.predictor_examples, cfg.training.seed, target.order
         )
         pred = fit_probe(rows, layer)
-        return TreePruner(pred, LayeredHiddenSource(target, layer), cfg.pruning)
+        return TreePruner(pred, LayeredHiddenSource(target, layer))
     # Models without intermediate layers score with the exact probe:
     # identity weights over log target probabilities.  Its edge scores are
     # renormalized target probabilities, so the verification walk stays on
@@ -322,7 +324,7 @@ def make_pruner(cfg: ExperimentConfig, target: ProbModel) -> TreePruner | None:
     if cfg.projection_mode == "ondemand":
         return None
     pred = EarlyExitPredictor.identity_probe(target.vocab_size)
-    return TreePruner(pred, ExactProbeSource(target), cfg.pruning)
+    return TreePruner(pred, ExactProbeSource(target))
 
 
 def train_predictor_for(
@@ -356,10 +358,13 @@ def make_policy(cfg: ExperimentConfig, draft: ProbModel, hw: HardwareConfig):
 class TrialResult:
     trial: int
     seed: int
-    emitted: list[int]
     metrics: Metrics
     trace: ScheduleTrace
     decode: DecodeResult
+
+    @property
+    def emitted(self) -> list[int]:
+        return self.decode.tokens
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
@@ -378,7 +383,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         emitted_tokens=len(decode.tokens),
         exit_fraction=pruner.exit_fraction if pruner is not None else None,
     )
-    return TrialResult(trial, cfg.seed + trial, decode.tokens, metrics, trace, decode)
+    return TrialResult(trial, cfg.seed + trial, metrics, trace, decode)
 
 
 def geometric_mean(values: Sequence[float]) -> float:
@@ -391,10 +396,18 @@ def geometric_mean(values: Sequence[float]) -> float:
 
 
 METRIC_FIELDS = tuple(f.name for f in fields(Metrics))
-# a trace.json cycle's keys: every CycleCost field
 COST_FIELDS = tuple(f.name for f in fields(CycleCost))
-# trace.csv columns after trial and cycle: every CycleCost field, then its total
-TRACE_FIELDS = (*COST_FIELDS, "total_ms")
+# trace.csv columns after trial and cycle: a trace_row's keys, then the cost's total
+TRACE_FIELDS = (*COST_FIELDS, "rows_after_prune", "tokens", "total_ms")
+
+
+def trace_row(cost: CycleCost, record: CycleRecord) -> dict[str, Any]:
+    """One trace cycle, a trace.json cycle's keys: every field of ``cost``,
+    then the rows ``record`` verified and the tokens it emitted."""
+    row = {f: getattr(cost, f) for f in COST_FIELDS}
+    row["rows_after_prune"] = record.rows_verified
+    row["tokens"] = len(record.emitted)
+    return row
 
 
 @dataclass
@@ -422,9 +435,9 @@ class Report:
         _write_csv(
             out / "trace.csv",
             ("trial", "cycle", *TRACE_FIELDS),
-            ([trial, i, *(getattr(c, f) for f in TRACE_FIELDS)]
+            ([trial, i, *trace_row(c, r).values(), c.total_ms]
              for trial, trace in enumerate(traces)
-             for i, c in enumerate(trace.cycles)),
+             for i, (c, r) in enumerate(zip(trace.cycles, trace.records))),
         )
 
 
@@ -439,7 +452,7 @@ def _write_trace_json(path: Path, traces: Sequence[ScheduleTrace]) -> None:
         sep = "\n    "
         for trace in traces:
             trial = {
-                "cycles": [{f: getattr(c, f) for f in COST_FIELDS} for c in trace.cycles],
+                "cycles": [trace_row(c, r) for c, r in zip(trace.cycles, trace.records)],
                 "totals": trace.totals(),
             }
             fh.write(sep + json.dumps(trial, sort_keys=True, indent=2).replace("\n", "\n    "))

@@ -343,17 +343,16 @@ def derive_draft(
     target: ProbModel,
     agreement: float,
     noise_seed: int,
-    noise_order: int | None = None,
     noise_concentration: float = 0.3,
 ) -> MixtureDraftModel:
-    """Build a draft of controlled quality for ``target``.
+    """Build a draft of controlled quality for ``target``: a mixture with
+    tabular noise of the target's order.
 
     Peaked noise (small concentration) makes disagreements confident ones,
     which is what separates chain drafting from tree drafting.
     """
-    order = noise_order if noise_order is not None else target.order
     noise = TabularMarkovModel(
-        target.vocab_size, order, noise_seed, concentration=noise_concentration
+        target.vocab_size, target.order, noise_seed, concentration=noise_concentration
     )
     return MixtureDraftModel(target, noise, agreement)
 

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, TrainingDiverged
-from .models import LayeredTargetModel, ProbModel, _padded_tail, _stacked
+from .models import LayeredTargetModel, ProbModel, _padded_tail, _stacked, draft_candidates
 
 # Ridge penalty of the closed-form fit, per training example: lambda is
 # RIDGE_PER_EXAMPLE * N for a set of N examples.
@@ -295,12 +295,10 @@ def build_distillation_dataset(
     rows, tails = distillation_rows(
         target, layer, n_examples, seed, max(target.order, draft.order), min_len, max_len
     )
-    P = _stacked([draft.next_dist(tail) for tail in tails], draft.vocab_size)
-    # Top-k by draft probability with ties toward the smaller id (stable sort
-    # of -P), then in token order: restriction is a set, and a neutral order
-    # keeps the zero-initialized predictor at chance-level agreement.
-    top_k = np.argsort(-P, axis=1, kind="stable")[:, :k]
-    return rows._replace(candidates=np.sort(top_k, axis=1))
+    # The draft's candidate sets, in token order: restriction is a set, and a
+    # neutral order keeps the zero-initialized predictor at chance-level agreement.
+    top_k = [[t for t, _ in draft_candidates(draft, tail, k).entries] for tail in tails]
+    return rows._replace(candidates=np.sort(np.array(top_k, dtype=np.intp), axis=1))
 
 
 def save_checkpoint(pred: EarlyExitPredictor, path: str) -> None:

@@ -16,8 +16,9 @@ one list indexed by node id, the score of the edge into each node.
 A node's path posterior is the product of its path's normalized edge
 scores: the chance that verification reaches it, as the probe sees it.
 Pruning keeps the root, a backbone path of per-depth best children, and
-every node whose posterior is at least ``theta``.  Scores are at most 1, so
-the posterior never rises with depth and the keep set is ancestor-closed.
+every node whose posterior is at least :data:`KEEP_THRESHOLD` (0.1).
+Scores are at most 1, so the posterior never rises with depth and the keep
+set is ancestor-closed.
 
 Pruning yields a keep set of node ids and the kept leaf count; the tree is
 never copied.  Verification walks the built tree restricted to the keep set
@@ -31,18 +32,13 @@ from typing import ClassVar, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .predictor import EarlyExitPredictor
 from .tree import ROOT_ID, CandidateSet, TokenTree, flatten
 
 
-@dataclass(frozen=True)
-class PruneConfig:
-    theta: float = 0.1                   # path-posterior keep threshold
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.theta < 1.0):
-            raise ConfigError("theta must lie in (0, 1)")
+# the path posterior a node off the backbone needs to be kept
+KEEP_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,7 +139,7 @@ def backbone_path(
 def prune(
     tree: TokenTree,
     scores: Sequence[float],
-    cfg: PruneConfig,
+    theta: float,
 ) -> PruneDecision:
     """Keep the root, the backbone, and every node whose path posterior is
     at least ``theta``.  ``leaves`` counts the kept subtree's leaves.
@@ -161,25 +157,19 @@ def prune(
     for nid in range(1, tree.node_count):
         parent = tree.node(nid).parent
         post[nid] = post[parent] * scores[nid]
-        if post[nid] >= cfg.theta:
+        if post[nid] >= theta:
             keep.add(nid)
             kept_parents.add(parent)
     return PruneDecision(frozenset(keep), tuple(backbone), len(keep) - len(kept_parents))
 
 
 class TreePruner:
-    """Binds a predictor, a hidden-state source, and a config into the
-    per-cycle prune step used by the decode loop."""
+    """Binds a predictor and a hidden-state source into the per-cycle prune
+    step used by the decode loop."""
 
-    def __init__(
-        self,
-        pred: EarlyExitPredictor,
-        hidden_source: HiddenSource,
-        cfg: PruneConfig,
-    ) -> None:
+    def __init__(self, pred: EarlyExitPredictor, hidden_source: HiddenSource) -> None:
         self.pred = pred
         self.hidden_source = hidden_source
-        self.cfg = cfg
 
     @property
     def exit_fraction(self) -> float:
@@ -202,4 +192,4 @@ class TreePruner:
         hidden = self.hidden_source.rows(list(prefixes.values()))
         parents = list(prefixes)
         scores = normalize_scores(self.pred, hidden, tree, parents, candidate_sets)
-        return prune(tree, scores, self.cfg)
+        return prune(tree, scores, KEEP_THRESHOLD)

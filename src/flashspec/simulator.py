@@ -16,7 +16,7 @@ nothing.  An ``accepted_len + 1`` above the verified rows is a ContractError.
 produced it.  A cycle that drafted nothing is an autoregressive step.  A
 pruned cycle pays the early-exit scoring pass over the full tree for the
 trial's exit fraction of the target's depth, and the kept rows for the
-rest.  Each priced cycle is one :class:`CycleCost`, whose fields are the
+rest.  Each priced cycle is one :class:`CycleCost`, whose fields lead the
 per-cycle columns of a report's trace files.
 """
 
@@ -129,14 +129,8 @@ def draft_schedule(expansion_counts: Sequence[int], cfg: HardwareConfig) -> floa
 
 @dataclass(frozen=True, slots=True)
 class CycleCost:
-    """One priced cycle; its fields are the per-cycle trace columns.
-
-    ``rows_after_prune`` counts the rows the cycle verified: the pruner's
-    keep set on a pruned cycle, every tree row otherwise (1 on an
-    autoregressive step).  Compute charges the kept rows past the exit layer
-    only, so at exit fraction 1.0 (the tabular exact probe, pruned only under
-    eager projection) it pays for the whole tree, more rows than this column.
-    """
+    """One priced cycle: what :func:`price_cycle` charges, and the leading
+    per-cycle trace columns."""
 
     draft_ms: float
     verify_io_ms: float                  # pre-overlap I/O component
@@ -146,8 +140,6 @@ class CycleCost:
     projections_eager: int
     projections_ondemand: int
     waste_proj_ms: float
-    rows_after_prune: int
-    tokens: int
 
     @property
     def total_ms(self) -> float:
@@ -166,14 +158,11 @@ class Metrics:
 @dataclass
 class ScheduleTrace:
     cycles: list[CycleCost]
+    records: list[CycleRecord]           # what each cost priced, in order
 
     @property
     def total_ms(self) -> float:
         return sum(c.total_ms for c in self.cycles)
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(c.tokens for c in self.cycles)
 
     def totals(self) -> dict[str, float]:
         return {
@@ -205,7 +194,6 @@ def price_cycle(
     used = record.accepted_len + 1
     io = cfg.io_effective_ms
     if not record.expansion_counts:
-        rows = 1
         draft, compute, stage = 0.0, compute_ms(cfg, 1, 1), ar_step_latency(cfg)
         proj, n_eager, n_ondemand, waste = 0.0, 0, 0, 0.0
     else:
@@ -234,8 +222,6 @@ def price_cycle(
         projections_eager=n_eager,
         projections_ondemand=n_ondemand,
         waste_proj_ms=waste,
-        rows_after_prune=rows,
-        tokens=len(record.emitted),
     )
 
 
@@ -254,8 +240,8 @@ def simulate_decode(
     records = list(records)
     cycles = [price_cycle(r, cfg, projection_mode, exit_fraction) for r in records]
 
-    trace = ScheduleTrace(cycles)
-    tokens = emitted_tokens if emitted_tokens is not None else trace.total_tokens
+    trace = ScheduleTrace(cycles, records)
+    tokens = emitted_tokens if emitted_tokens is not None else sum(len(r.emitted) for r in records)
     total_s = trace.total_ms / 1000.0
     tokens_per_s = tokens / total_s if total_s > 0 else 0.0
 

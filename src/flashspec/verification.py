@@ -136,7 +136,11 @@ class CycleRecord:
 
     @property
     def rows_verified(self) -> int:
-        """Post-prune rows (``tree_nodes`` when unpruned)."""
+        """Post-prune rows: the pruner's keep set on a pruned cycle, every
+        tree row otherwise (1 on a cycle that drafted nothing, the bare
+        root).  Compute charges the kept rows past the exit layer only, so at
+        exit fraction 1.0 (the tabular exact probe, pruned only under eager
+        projection) it pays for the whole tree, more rows than these."""
         return self.tree_nodes if self.prune is None else len(self.prune.keep)
 
     @property

@@ -53,7 +53,7 @@ from flashspec.errors import ConfigError, ContractError
 from flashspec.policies import RELIABILITY_DECAY, RELIABILITY_FLOOR
 from flashspec.models import LayeredTargetModel, ProbModel
 from flashspec.predictor import EarlyExitPredictor
-from flashspec.pruning import PruneConfig, PruneDecision
+from flashspec.pruning import KEEP_THRESHOLD, PruneDecision
 from flashspec.tree import ROOT_ID, CandidateSet, TokenTree
 from flashspec.verification import VerificationResult as WalkResult
 from flashspec.verification import verify_tree as walk_tree
@@ -302,7 +302,7 @@ def path_posterior(
 def prune(
     tree: TokenTree,
     scores: dict[tuple[int, int], float],
-    cfg: PruneConfig,
+    theta: float,
 ) -> PruneDecision:
     """Path-posterior pruning by brute force: each node's posterior is
     recomputed from its own path, and the node is kept if that reaches
@@ -310,24 +310,22 @@ def prune(
     posterior."""
     keep: set[int] = {ROOT_ID}
     keep.update(backbone_path(tree, scores))
-    keep.update(nid for nid in tree.ids() if path_posterior(tree, scores, nid) >= cfg.theta)
+    keep.update(nid for nid in tree.ids() if path_posterior(tree, scores, nid) >= theta)
     leaves = sum(1 for nid in keep if not any(c in keep for c in tree.children(nid)))
     return PruneDecision(frozenset(keep), tuple(backbone_path(tree, scores)), leaves)
 
 
 class TreePruner:
-    """Binds a predictor, a hidden-state source, and a config into the
-    per-cycle prune step used by the decode loop."""
+    """Binds a predictor and a hidden-state source into the per-cycle prune
+    step used by the decode loop, at the engine's keep threshold."""
 
     def __init__(
         self,
         pred: EarlyExitPredictor,
         hidden_source: LayeredHiddenSource | ExactProbeSource,
-        cfg: PruneConfig,
     ) -> None:
         self.pred = pred
         self.hidden_source = hidden_source
-        self.cfg = cfg
 
     def apply(
         self,
@@ -339,7 +337,7 @@ class TreePruner:
         the decision's kept leaves are the compacted tree's leaf count."""
         hidden = self.hidden_source.rows(context, tree)
         scores = normalize_scores(self.pred, hidden, tree, extras)
-        decision = prune(tree, scores, self.cfg)
+        decision = prune(tree, scores, KEEP_THRESHOLD)
         new_tree, old_to_new = compact_with_map(tree, decision.keep)
         decision = PruneDecision(decision.keep, decision.backbone, new_tree.leaf_count)
         return new_tree, {new: old for old, new in old_to_new.items()}, decision

@@ -29,7 +29,7 @@ from flashspec.predictor import (
     default_exit_layer,
     train,
 )
-from flashspec.pruning import PruneConfig, TreePruner
+from flashspec.pruning import TreePruner
 from flashspec.simulator import ar_step_latency, load_preset, simulate_decode
 from flashspec.tree import ROOT_ID, TokenTree
 from flashspec.verification import CycleRecord, run_decode
@@ -132,7 +132,6 @@ def lossless_sweep():
                         TreePruner(
                             EarlyExitPredictor.identity_probe(vocab),
                             ExactProbeSource(target),
-                            PruneConfig(),
                         ),
                         prune_audits,
                     )

@@ -3,7 +3,7 @@ import json
 import math
 import re
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,7 @@ from flashspec.predictor import (
 from flashspec.pruning import PruneDecision, TreePruner
 from flashspec.simulator import (
     PRESET_DIR,
+    CycleCost,
     HardwareConfig,
     load_preset,
     price_cycle,
@@ -100,7 +101,7 @@ class TestConfig:
         "section, key",
         [
             (section, "typo")
-            for section in ("model", "draft", "drafting", "pruning", "training", "hardware")
+            for section in ("model", "draft", "drafting", "training", "hardware")
         ]
         # keys of the removed draft-latency moving average
         + [("drafting", "ma_window"), ("drafting", "draft_ms_seed")],
@@ -240,7 +241,7 @@ class TestRunExperiment:
                 2,
                 {
                     "report.json":
-                        "b0c4877a30b624f91584cbca7c14541701e6cddda6011b6be34213ba82eecad4",
+                        "7df9b70ff2b4612f433063a651f9d5682dbaf43c88af50d26d5214ffa9a6757c",
                     "report.csv":
                         "3f351eb2d4b3ab4f421018a9cde3fa5bd8b6a07579caec8b682360e019c0d9d1",
                     "trace.json":
@@ -257,7 +258,7 @@ class TestRunExperiment:
                 1,
                 {
                     "report.json":
-                        "fbda79044950f1c18765a9a9e77ab7ba828f192515cb2468ab8f8520633591c3",
+                        "2cb01803b36fac136b71f8bc9c69af3254b10fb4c024e3e61690fa63286e32de",
                     "report.csv":
                         "8268a301c924283e745072306b35d9d4b65adc00026950fa11a65d64c920c3bf",
                     "trace.json":
@@ -273,7 +274,7 @@ class TestRunExperiment:
                 2,
                 {
                     "report.json":
-                        "a942728adae3c060d7ca9c6c73d6137cad3c7bfadfa94705e64b7b64f8f3de7f",
+                        "7644f21e804ac59f2ec230aaa872514af1595bb94521b1dac7d046d6b5754afa",
                     "report.csv":
                         "49e1d6a9dfe0579d48e49a2e6d432b999e5bc9ebd4138626a39497ecaa69e549",
                     "trace.json":
@@ -289,7 +290,7 @@ class TestRunExperiment:
                 2,
                 {
                     "report.json":
-                        "a5b836575aab44b2c61da5e0b471da53ded5ef32ee471799401f847044741ac8",
+                        "08079a2bde8f5501548a1f6c0af60b4b058665a25a5de459c0a65c0c8dbfe54f",
                     "report.csv":
                         "6daebd37e2e1ce9a4e0280e826eaa2af40ed7a74990db1dd63cb098b548a44db",
                     "trace.json":
@@ -304,7 +305,7 @@ class TestRunExperiment:
                 2,
                 {
                     "report.json":
-                        "93a8a58f324fb098b5b9dcbf475d05ff927be375d56a10b6c418eab0cf75af2a",
+                        "d30b111cc0461f25a88db77c314d38256ae5530a846cb5870449b84d86d6538a",
                     "report.csv":
                         "61bcbdaeb4b991891f08f322993dd998af3b1d794ae1b181ed7d79e0df34692c",
                     "trace.json":
@@ -321,7 +322,7 @@ class TestRunExperiment:
                 2,
                 {
                     "report.json":
-                        "2baa91554615224f3ca645c3bf1776b5119c8ce6d92da593d856bf1913fa8f11",
+                        "23f88047675a9f397cbbf1c1f49258a34fc0ced745374ffc1017e93a15b8f0cf",
                     "report.csv":
                         "d4ec9520d83d089f14d13d1c60b0ede8d2b682c82c1982dba3b62c19f98968cb",
                     "trace.json":
@@ -338,7 +339,7 @@ class TestRunExperiment:
                 1,
                 {
                     "report.json":
-                        "58d49097884cb8f2ab0e50e01590507e57a431e20cb9eea046292f5fe73e3c7f",
+                        "06c44525df82a51b0b48065e1ee93e95034215489bea577195bdaaebef83d454",
                     "report.csv":
                         "bb3cc041fb7f8d2ebf982e609e8ebd249782ca7d42281117b541b5fae7d889fd",
                     "trace.json":
@@ -377,11 +378,18 @@ class TestRunExperiment:
 
 
 def whole_payload_trace_json(traces) -> str:
-    """The reference ``trace.json``: every trial's cycles and totals as one
+    """The reference ``trace.json``: every trial's cycles (each cost's
+    fields, its record's verified rows and emitted tokens) and totals as one
     payload, dumped as one string."""
     payload = {
         "trials": [
-            {"cycles": [asdict(c) for c in trace.cycles], "totals": trace.totals()}
+            {
+                "cycles": [
+                    {**asdict(c), "rows_after_prune": r.rows_verified, "tokens": len(r.emitted)}
+                    for c, r in zip(trace.cycles, trace.records)
+                ],
+                "totals": trace.totals(),
+            }
             for trace in traces
         ]
     }
@@ -424,6 +432,19 @@ class TestTraceWriter:
         if kw.get("projection_mode") == "eager":
             assert all(rec.prune is not None for r in results for rec in r.decode.cycles)
         assert written_trace_json(tmp_path, report, traces) == whole_payload_trace_json(traces)
+
+    def test_trace_csv_columns_are_a_trace_rows_keys_then_the_total(self):
+        # one function builds every cycle row: the cost's fields, then two
+        # counts read from the record
+        _, results = run_experiment(small_cfg(policy="lever", trials=1, projection_mode="eager"))
+        trace = results[0].trace
+        assert len(trace.records) == len(trace.cycles) == len(results[0].decode.cycles)
+        for cost, record in zip(trace.cycles, trace.records):
+            row = harness.trace_row(cost, record)
+            assert (*row, "total_ms") == harness.TRACE_FIELDS
+            assert (*row,)[:-2] == tuple(f.name for f in fields(CycleCost))
+            assert row["rows_after_prune"] == len(record.prune.keep)
+            assert row["tokens"] == len(record.emitted)
 
     def test_writer_memory_is_bounded_by_one_trial(self, tmp_path):
         """Writing 32 copies of a trial peaks near writing one: the writer
@@ -785,9 +806,7 @@ class TestExactProbeSkipOracle:
         draft = make_draft(base, target, 0)
         context = make_context(base, 0)
         exact = TreePruner(
-            EarlyExitPredictor.identity_probe(target.vocab_size),
-            ExactProbeSource(target),
-            base.pruning,
+            EarlyExitPredictor.identity_probe(target.vocab_size), ExactProbeSource(target)
         )
         for hw in hardware_regimes():
             cfg = replace(base, hardware=hw)
@@ -802,13 +821,7 @@ class TestExactProbeSkipOracle:
 
                 policy.observe = observe
                 decode = run_decode(target, context, cfg.horizon, policy, pruner=pruner)
-                costs = [
-                    replace(
-                        price_cycle(r, hw, "ondemand", exact.exit_fraction),
-                        rows_after_prune=0,
-                    )
-                    for r in decode.cycles
-                ]
+                costs = [price_cycle(r, hw, "ondemand", exact.exit_fraction) for r in decode.cycles]
                 runs.append((decode.tokens, accepted, costs))
             pruned, unpruned = runs
             assert pruned == unpruned
@@ -1164,23 +1177,42 @@ class TestCLI:
     @pytest.mark.parametrize(
         "policy, hardware",
         [
-            ("chain_sd", '{"name":"x","io_ms_per_invocation":0}'),
-            ("lever", '{"name":"x","io_ms_per_invocation":0}'),
-            ("chain_sd", '{"name":"x","io_ms_per_invocation":990,"dram_resident_frac":1}'),
-            ("lever", '{"name":"x","io_ms_per_invocation":990,"dram_resident_frac":1}'),
+            ("chain_sd", {"io_ms_per_invocation": 0}),
+            ("lever", {"io_ms_per_invocation": 0}),
+            ("chain_sd", {"io_ms_per_invocation": 990, "dram_resident_frac": 1}),
+            ("lever", {"io_ms_per_invocation": 990, "dram_resident_frac": 1}),
         ],
         ids=["chain-no-io", "lever-no-io", "chain-all-in-dram", "lever-all-in-dram"],
     )
     def test_free_single_token_step_is_clean_error(self, tmp_path, capsys, policy, hardware):
         # with no compute and no flash I/O a step takes 0 ms, which the
         # simulator would divide by and the latency profile refuses
+        inline = {
+            **load_preset("llama31-8b").to_dict(), "name": "x",
+            "compute_c0": 0, "compute_c_row": 0, "compute_c_leaf": 0, **hardware,
+        }
         rc = cli_main(["run", "--set", "trials=1", "--set", "horizon=4",
-                       "--set", f"policy={policy}", "--set", f"hardware={hardware}",
+                       "--set", f"policy={policy}", "--set", f"hardware={json.dumps(inline)}",
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: a single-token step must take positive time")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "drop", [("compute_c0", "compute_c_leaf", "compute_c_row"), ("batch_min",)]
+    )
+    def test_inline_hardware_missing_a_key_is_clean_error(self, tmp_path, capsys, drop):
+        # an inline hardware has no default to fall back on: a key left out
+        # would run at 0 (or a preset-free default) without a word
+        inline = {k: v for k, v in load_preset("llama31-8b").to_dict().items() if k not in drop}
+        out = tmp_path / "out"
+        rc = cli_main(["run", "--set", "trials=1", "--set", "horizon=8",
+                       "--set", f"hardware={json.dumps(inline)}", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: invalid hardware config: missing keys {sorted(drop)}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, hardware, overrides, where, key",
@@ -1305,7 +1337,8 @@ class TestCLI:
             ("drafting.beta", 0.9, "unknown drafting config keys: ['beta']"),
             ("drafting.r_min", 0.05, "unknown drafting config keys: ['r_min']"),
             ("drafting.cost_floor_ms", 0.01, "unknown drafting config keys: ['cost_floor_ms']"),
-            ("pruning.tau", 1.0, "unknown pruning config keys: ['tau']"),
+            ("pruning.tau", 1.0, "unknown config keys: ['pruning']"),
+            ("pruning.theta", 0.1, "unknown config keys: ['pruning']"),
             ("profile_max_nodes", 96, "unknown config keys: ['profile_max_nodes']"),
             ("profile_max_leaves", 32, "unknown config keys: ['profile_max_leaves']"),
         ],

@@ -390,9 +390,10 @@ class TestDraftDerivation:
             LayeredTargetModel(16, 2, depth=3, hidden_dim=8, seed=4),
         )
         for target in targets:
-            for noise_order in (None, target.order + 1):
+            for noise_order in (target.order, target.order + 1):
                 for agreement in (0.0, 1.0):
-                    draft = derive_draft(target, agreement, noise_seed=2, noise_order=noise_order)
+                    noise = TabularMarkovModel(16, noise_order, 2)
+                    draft = MixtureDraftModel(target, noise, agreement)
                     component = draft.target if agreement == 1.0 else draft.noise
                     for prefix in ([0], [5], [9], [3, 7, 1, 12]):
                         row = draft.next_dist(prefix)
@@ -596,7 +597,7 @@ def _mixture(target_args, draft_args):
     else:
         target = LayeredTargetModel(vocab, order, layered[0], layered[1], seed)
     agreement, noise_seed, noise_order = draft_args
-    return derive_draft(target, agreement, noise_seed, noise_order=noise_order)
+    return MixtureDraftModel(target, TabularMarkovModel(vocab, noise_order, noise_seed), agreement)
 
 
 @st.composite

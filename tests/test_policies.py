@@ -8,6 +8,7 @@ from flashspec.drafting import DraftConfig
 from flashspec.errors import ConfigError
 from flashspec.models import (
     LayeredTargetModel,
+    MixtureDraftModel,
     TabularMarkovModel,
     _padded_tail,
     derive_draft,
@@ -317,9 +318,9 @@ def fixed_shape_trials(draw):
             vocab, order, depth=draw(st.integers(2, 3)), hidden_dim=draw(st.integers(2, 6)),
             seed=seed,
         )
-    draft = derive_draft(
-        target, draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])), noise_seed=seed + 1,
-        noise_order=draw(st.integers(1, 3)),
+    draft = MixtureDraftModel(
+        target, TabularMarkovModel(vocab, draw(st.integers(1, 3)), seed + 1),
+        draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
     )
     if draw(st.booleans()):
         length = draw(st.integers(1, 6))

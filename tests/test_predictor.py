@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from flashspec.errors import ContractError, TrainingDiverged
-from flashspec.models import LayeredTargetModel, derive_draft
+from flashspec.models import (
+    LayeredTargetModel,
+    MixtureDraftModel,
+    TabularMarkovModel,
+    derive_draft,
+)
 from flashspec.predictor import (
     CONVERGED_DROP,
     DistillationSet,
@@ -228,7 +233,7 @@ class TestDistillationDataset:
         """The full set's hidden states, logits and example rows are the
         fit's rows at the same padding; only the candidate columns differ."""
         target = LayeredTargetModel(8, 2, depth=4, hidden_dim=4, seed=1)
-        draft = derive_draft(target, 0.5, noise_seed=2, noise_order=3)
+        draft = MixtureDraftModel(target, TabularMarkovModel(8, 3, 2), 0.5)
         data = build_distillation_dataset(target, draft, 2, 50, k=3, seed=4)
         rows, tails = distillation_rows(target, 2, 50, seed=4, order=3)
         assert len(tails) == len(rows.hidden)

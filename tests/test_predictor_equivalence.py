@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 import reference_predictor as ref
 from flashspec.errors import TrainingDiverged
-from flashspec.models import LayeredTargetModel, derive_draft
+from flashspec.models import (
+    LayeredTargetModel,
+    MixtureDraftModel,
+    TabularMarkovModel,
+    derive_draft,
+)
 from flashspec.predictor import (
     DistillationSet,
     EarlyExitPredictor,
@@ -200,7 +205,8 @@ def dataset_problems(draw):
 def _models(target_args, draft_args):
     target = LayeredTargetModel(*target_args)
     agreement, noise_seed, noise_order = draft_args
-    return target, derive_draft(target, agreement, noise_seed, noise_order=noise_order)
+    noise = TabularMarkovModel(target.vocab_size, noise_order, noise_seed)
+    return target, MixtureDraftModel(target, noise, agreement)
 
 
 @settings(max_examples=200)

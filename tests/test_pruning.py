@@ -12,7 +12,7 @@ from flashspec.models import TabularMarkovModel, derive_draft, target_greedy_dec
 from flashspec.policies import BalancedTreePolicy, ChainPolicy, GainCostPolicy, LevelPolicy
 from flashspec.predictor import EarlyExitPredictor, ExactProbeSource
 from flashspec.pruning import (
-    PruneConfig,
+    KEEP_THRESHOLD,
     TreePruner,
     backbone_path,
     normalize_scores,
@@ -204,13 +204,13 @@ def scored_tree():
 class TestPrune:
     def test_all_above_threshold_keeps_everything(self):
         tree, scores, _ = scored_tree()
-        decision = prune(tree, scores_by_id(tree, scores), PruneConfig(theta=0.01))
+        decision = prune(tree, scores_by_id(tree, scores), 0.01)
         assert decision.keep == frozenset(tree.ids())
         assert decision.leaves == tree.leaf_count
 
     def test_single_low_edge_removed(self):
         tree, scores, (a, b, c, d) = scored_tree()
-        decision = prune(tree, scores_by_id(tree, scores), PruneConfig(theta=0.1))
+        decision = prune(tree, scores_by_id(tree, scores), 0.1)
         assert d not in decision.keep
         assert decision.keep == frozenset({ROOT_ID, a, b, c})
         assert decision.leaves == 2
@@ -221,22 +221,22 @@ class TestPrune:
         tree, scores, (a, b, c, d) = scored_tree()
         e = tree.insert(b, 5, 0.4)
         scores[(b, 5)] = 0.95
-        assert e in prune(tree, scores_by_id(tree, scores), PruneConfig(theta=0.15)).keep
-        decision = prune(tree, scores_by_id(tree, scores), PruneConfig(theta=0.3))
+        assert e in prune(tree, scores_by_id(tree, scores), 0.15).keep
+        decision = prune(tree, scores_by_id(tree, scores), 0.3)
         assert decision.keep == frozenset({ROOT_ID, a, c})
         assert decision.leaves == 1
 
     def test_backbone_immune_for_any_threshold(self):
         tree, scores, (a, b, c, d) = scored_tree()
         for theta in (0.1, 0.5, 0.9, 0.99):
-            decision = prune(tree, scores_by_id(tree, scores), PruneConfig(theta=theta))
+            decision = prune(tree, scores_by_id(tree, scores), theta)
             assert set(decision.backbone) <= decision.keep
         assert decision.keep == frozenset({ROOT_ID, a, c})
 
     def test_keep_always_ancestor_closed(self):
         tree, scores, _ = scored_tree()
         for theta in (0.05, 0.3, 0.6, 0.9):
-            decision = prune(tree, scores_by_id(tree, scores), PruneConfig(theta=theta))
+            decision = prune(tree, scores_by_id(tree, scores), theta)
             for nid in decision.keep:
                 if nid != ROOT_ID:
                     assert tree.node(nid).parent in decision.keep
@@ -269,7 +269,7 @@ class TestPruneProperties:
     @given(scored_trees(), thetas)
     def test_keep_is_ancestor_closed(self, case, theta):
         tree, scores = case
-        keep = prune(tree, scores_by_id(tree, scores), PruneConfig(theta=theta)).keep
+        keep = prune(tree, scores_by_id(tree, scores), theta).keep
         assert ROOT_ID in keep
         for nid in keep - {ROOT_ID}:
             assert tree.node(nid).parent in keep
@@ -280,15 +280,15 @@ class TestPruneProperties:
         tree, scores = case
         low, high = sorted((t1, t2))
         assert (
-            prune(tree, scores_by_id(tree, scores), PruneConfig(theta=high)).keep
-            <= prune(tree, scores_by_id(tree, scores), PruneConfig(theta=low)).keep
+            prune(tree, scores_by_id(tree, scores), high).keep
+            <= prune(tree, scores_by_id(tree, scores), low).keep
         )
 
     @settings(max_examples=100)
     @given(scored_trees(), thetas)
     def test_kept_off_backbone_iff_posterior_reaches_theta(self, case, theta):
         tree, scores = case
-        decision = prune(tree, scores_by_id(tree, scores), PruneConfig(theta=theta))
+        decision = prune(tree, scores_by_id(tree, scores), theta)
         assert set(decision.backbone) <= decision.keep
         for nid in set(tree.ids()) - set(decision.backbone):
             posterior = path_posterior(tree, scores, nid)
@@ -298,7 +298,7 @@ class TestPruneProperties:
     @given(scored_trees(), thetas)
     def test_leaves_equal_a_recount(self, case, theta):
         tree, scores = case
-        decision = prune(tree, scores_by_id(tree, scores), PruneConfig(theta=theta))
+        decision = prune(tree, scores_by_id(tree, scores), theta)
         kept, _ = compact_with_map(tree, decision.keep)
         assert recount(kept) == (len(decision.keep), decision.leaves)
 
@@ -313,7 +313,6 @@ class TestTreePruner:
         pruner = TreePruner(
             EarlyExitPredictor.identity_probe(16),
             ExactProbeSource(target),
-            PruneConfig(),
         )
         return target, out, pruner
 
@@ -324,6 +323,20 @@ class TestTreePruner:
         pruned, _ = compact_with_map(tree, summary.keep)
         assert pruned.node_count <= tree.node_count
         assert pruned.shape == (len(summary.keep), summary.leaves)
+
+    def test_the_pruner_keeps_at_the_keep_threshold(self):
+        # the one threshold is the constant 0.1 that the README documents
+        target, out, pruner = self._setup()
+        tree = out.tree
+        parents = [nid for nid in tree.ids() if tree.children(nid)]
+        hidden = pruner.hidden_source.rows(
+            [[4, 9] + path_tokens(tree, nid) for nid in parents]
+        )
+        scores = normalize_scores(pruner.pred, hidden, tree, parents, out.candidate_sets)
+        decision = pruner.apply(tree, out.candidate_sets, [4, 9])
+        assert KEEP_THRESHOLD == 0.1
+        assert decision == prune(tree, scores, KEEP_THRESHOLD)
+        assert len(decision.keep) < tree.node_count
 
     def test_childless_candidates_share_each_parents_softmax(self):
         # the tokens a parent left without a child take part of its mass
@@ -358,7 +371,6 @@ class TestTreePruner:
         pruner = TreePruner(
             EarlyExitPredictor.identity_probe(16),
             ExactProbeSource(target),
-            PruneConfig(),
         )
         ctx = [2, 7, 1]
         res = run_decode(target, ctx, 48, policy, pruner=pruner)
@@ -373,7 +385,6 @@ class TestTreePruner:
         pruner = TreePruner(
             EarlyExitPredictor.identity_probe(16),
             ExactProbeSource(target),
-            PruneConfig(theta=0.3),
         )
         ctx = [5, 1, 8]
         res = run_decode(target, ctx, 48, policy, pruner=pruner)
@@ -411,7 +422,6 @@ class TestTreePruner:
         pruner = TreePruner(
             EarlyExitPredictor.identity_probe(6),
             ExactProbeSource(target),
-            PruneConfig(theta=0.3),
         )
         ctx = [3, 1]
         pruned = run_decode(target, ctx, 96, Serving(), pruner=pruner)
@@ -433,7 +443,6 @@ class TestTreePruner:
         pruner = TreePruner(
             EarlyExitPredictor.identity_probe(16),
             ExactProbeSource(target),
-            PruneConfig(theta=0.3),
         )
         prefix = [3, 3]
         for _ in range(12):
@@ -487,7 +496,6 @@ class TestFlattenContract:
         pruner = TreePruner(
             EarlyExitPredictor.identity_probe(target.vocab_size),
             ExactProbeSource(target),
-            PruneConfig(),
         )
         with mock.patch.object(pruning, "normalize_scores", recording):
             pruner.apply(tree, out.candidate_sets, context)

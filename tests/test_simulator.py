@@ -238,7 +238,7 @@ class TestSimulateDecode:
         record = cycle(nodes=1, leaves=1, accepted=0, counts=())
         ar = price_cycle(record, cfg, projection_mode)
         assert ar.total_ms == ar_step_latency(cfg)
-        assert (ar.draft_ms, ar.projection_ms, ar.rows_after_prune) == (0.0, 0.0, 1)
+        assert (ar.draft_ms, ar.projection_ms, record.rows_verified) == (0.0, 0.0, 1)
         assert ar.verify_io_ms + ar.verify_compute_ms == ar_step_latency(cfg)
         # one drafted node is a speculative cycle, priced by its stages
         record = cycle(nodes=2, leaves=1, accepted=0, counts=(1,))

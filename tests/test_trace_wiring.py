@@ -19,7 +19,7 @@ from flashspec.predictor import (
     ExactProbeSource,
     default_exit_layer,
 )
-from flashspec.pruning import PruneConfig, TreePruner
+from flashspec.pruning import TreePruner
 from flashspec.verification import verify_tree
 from helpers import affine_profile, grid_shapes, plan_on_grid
 
@@ -91,9 +91,7 @@ def test_decode_stages_call_the_traced_names(monkeypatch):
     assert expands and len(expands) == len(built.expansion_counts)
 
     prune_flattens = recording(monkeypatch, pruning, "flatten")
-    pruner = TreePruner(
-        EarlyExitPredictor.identity_probe(8), ExactProbeSource(target), PruneConfig()
-    )
+    pruner = TreePruner(EarlyExitPredictor.identity_probe(8), ExactProbeSource(target))
     summary = pruner.apply(built.tree, built.candidate_sets, context)
     assert prune_flattens == ["flatten"]
 

@@ -1,5 +1,7 @@
 """Config and contract validation across modules."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from flashspec.predictor import (
     LayeredHiddenSource,
     TrainConfig,
 )
-from flashspec.pruning import PruneConfig
 from flashspec.simulator import HardwareConfig, verify_latency
 
 
@@ -117,25 +118,18 @@ class TestPredictorValidation:
 
 
 class TestPruneValidation:
-    @pytest.mark.parametrize(
-        "kw",
-        [{"theta": 0.0}, {"theta": 1.0}],
-    )
-    def test_bad_prune_config(self, kw):
-        with pytest.raises(ConfigError):
-            PruneConfig(**kw)
-
     @pytest.mark.parametrize("key", ["root_keep", "min_keep_frac", "min_leaves"])
     def test_removed_prune_keys_are_clean_errors(self, key, capsys):
-        # path-posterior pruning has one threshold; the old guards' keys
-        # must not load and then do nothing
+        # pruning has one threshold, the constant pruning.KEEP_THRESHOLD; the
+        # old guards' keys, like the section itself, must not load and then
+        # do nothing
         payload = ExperimentConfig().to_dict()
-        payload["pruning"][key] = 1
-        with pytest.raises(ConfigError, match=f"unknown pruning config keys: \\['{key}'\\]"):
+        payload["pruning"] = {key: 1}
+        with pytest.raises(ConfigError, match=re.escape("unknown config keys: ['pruning']")):
             ExperimentConfig.from_dict(payload)
         assert cli_main(["run", "--set", f"pruning.{key}=1", "--set", "trials=1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: unknown pruning config keys: ['{key}']")
+        assert err.startswith("error: unknown config keys: ['pruning']")
 
 
 class TestHardwareValidation:

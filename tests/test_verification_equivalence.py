@@ -14,7 +14,7 @@ from flashspec.errors import ContractError
 from flashspec.models import LayeredTargetModel, TabularMarkovModel, derive_draft
 from flashspec.policies import GainCostPolicy
 from flashspec.predictor import EarlyExitPredictor, ExactProbeSource, LayeredHiddenSource
-from flashspec.pruning import PruneConfig, TreePruner, normalize_scores, prune
+from flashspec.pruning import TreePruner, normalize_scores, prune
 from flashspec.tree import ROOT_ID, TokenTree
 from flashspec.verification import run_decode, verify_tree
 from helpers import (
@@ -133,11 +133,10 @@ def target_trees(draw):
 
 
 def draw_pruner(draw, target):
-    """A prune config, a probe and its engine and reference hidden sources:
-    a random probe on a layered target's intermediate layer, or the
-    identity probe on exact log-probabilities."""
+    """A probe and its engine and reference hidden sources: a random probe
+    on a layered target's intermediate layer, or the identity probe on
+    exact log-probabilities."""
     vocab = target.vocab_size
-    cfg = PruneConfig(theta=draw(st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.5, 0.8])))
     if isinstance(target, LayeredTargetModel) and draw(st.booleans()):
         layer = draw(st.integers(1, target.depth - 1))
         rng = np.random.default_rng(draw(st.integers(0, 10_000)))
@@ -146,7 +145,7 @@ def draw_pruner(draw, target):
     else:
         pred = EarlyExitPredictor.identity_probe(vocab)
         sources = (ExactProbeSource(target), ref.ExactProbeSource(target))
-    return cfg, pred, sources
+    return pred, sources
 
 
 @st.composite
@@ -154,17 +153,17 @@ def cases(draw):
     """A target, a context, a random tree, its candidate sets and a pruner
     recipe."""
     target, context, tree, sets = draw(target_trees())
-    cfg, pred, sources = draw_pruner(draw, target)
-    return target, context, tree, sets, pred, sources, cfg
+    pred, sources = draw_pruner(draw, target)
+    return target, context, tree, sets, pred, sources
 
 
 @settings(max_examples=250)
 @given(cases())
 def test_fast_stages_match_reference(case):
-    target, context, tree, sets, pred, (source, ref_source), cfg = case
+    target, context, tree, sets, pred, (source, ref_source) = case
 
     recording = RecordingSource(source)
-    pruner = TreePruner(pred, recording, cfg)
+    pruner = TreePruner(pred, recording)
     identity = {nid: nid for nid in tree.ids()}
     walks = [(None, tree, identity)]
     if member_counts_differ(tree, sets):
@@ -172,7 +171,7 @@ def test_fast_stages_match_reference(case):
             pruner.apply(tree, sets, context)
     else:
         decision = pruner.apply(tree, sets, context)
-        ref_pruned, new_to_old, ref_decision = ref.TreePruner(pred, ref_source, cfg).apply(
+        ref_pruned, new_to_old, ref_decision = ref.TreePruner(pred, ref_source).apply(
             tree, ref.leftovers(tree, sets), context
         )
         assert tree_json(compact_with_map(tree, decision.keep)[0]) == tree_json(ref_pruned)
@@ -372,7 +371,8 @@ def build_cases(draw):
     draft_ms = draw(st.sampled_from([0.0, 2.0, 20.0]))
     context = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=5))
     build = (draft, cfg, rel, profile_args, draft_ms)
-    return (build, context, *draw_pruner(draw, target))
+    theta = draw(st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.5, 0.8]))
+    return (build, context, theta, *draw_pruner(draw, target))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -382,7 +382,7 @@ def test_candidate_set_scores_match_the_leftover_frontier_reference(case):
     reference's scores over each parent's children plus its leftover
     frontier entries, byte for byte at every node id, and so do the prune
     decisions."""
-    (draft, cfg, rel, profile_args, draft_ms), context, prune_cfg, pred, sources = case
+    (draft, cfg, rel, profile_args, draft_ms), context, theta, pred, sources = case
     source, ref_source = sources
     fast = build_tree(context, draft, cfg, rel, affine_profile(*profile_args), draft_ms)
     slow, audit = reference_build_tree(
@@ -399,10 +399,10 @@ def test_candidate_set_scores_match_the_leftover_frontier_reference(case):
     got = normalize_scores(pred, hidden, tree, parents, fast.candidate_sets)
     want = ref.normalize_parent_scores(pred, hidden, slow.tree, parents, extras)
     assert_scores_match(tree, got, want)
-    assert prune(tree, got, prune_cfg) == ref.prune(slow.tree, want, prune_cfg)
+    assert prune(tree, got, theta) == ref.prune(slow.tree, want, theta)
 
-    decision = TreePruner(pred, source, prune_cfg).apply(tree, fast.candidate_sets, context)
-    _, _, ref_decision = ref.TreePruner(pred, ref_source, prune_cfg).apply(
+    decision = TreePruner(pred, source).apply(tree, fast.candidate_sets, context)
+    _, _, ref_decision = ref.TreePruner(pred, ref_source).apply(
         slow.tree, extras, context
     )
     assert decision == ref_decision
@@ -422,14 +422,14 @@ def prune_cases(draw):
         if nid != ROOT_ID
     }
     thetas = [0.01, 0.05, 0.1, 0.3, 0.5, 0.8] + [x for x in levels if 0.0 < x < 1.0]
-    return tree, scores, PruneConfig(theta=draw(st.sampled_from(thetas)))
+    return tree, scores, draw(st.sampled_from(thetas))
 
 
 @settings(max_examples=200)
 @given(prune_cases())
 def test_prune_matches_reference(case):
-    tree, scores, cfg = case
-    assert prune(tree, scores_by_id(tree, scores), cfg) == ref.prune(tree, scores, cfg)
+    tree, scores, theta = case
+    assert prune(tree, scores_by_id(tree, scores), theta) == ref.prune(tree, scores, theta)
 
 
 @st.composite
@@ -511,11 +511,9 @@ def decode_cases(draw):
         layer = draw(st.integers(1, target.depth - 1))
         rng = np.random.default_rng(draw(st.integers(0, 10_000)))
         pred = EarlyExitPredictor(rng.standard_normal((vocab, target.hidden_dim)), layer)
-        pruner = TreePruner(pred, LayeredHiddenSource(target, layer), PruneConfig())
+        pruner = TreePruner(pred, LayeredHiddenSource(target, layer))
     elif prune_kind != "none":
-        pruner = TreePruner(
-            EarlyExitPredictor.identity_probe(vocab), ExactProbeSource(target), PruneConfig()
-        )
+        pruner = TreePruner(EarlyExitPredictor.identity_probe(vocab), ExactProbeSource(target))
     return target, draft, cfg, profile_args, draft_ms, context, horizon, pruner
 
 
